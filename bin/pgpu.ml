@@ -145,9 +145,11 @@ let jobs_arg =
         ~doc:
           "Worker domains from the persistent pool (default 1: sequential; also settable \
            via $(b,PGPU_JOBS)). Parallelises candidate expansion at compile time and, at \
-           run time, TDO trial execution and sharded grid simulation. Outputs, counters \
-           and TDO choices are bit-identical at any value; runs with $(b,--trace), \
-           $(b,--metrics) or $(b,--racecheck) fall back to sequential execution.")
+           run time, the TDO trial batch (one search, inline at 1) and sharded grid \
+           simulation. Outputs, counters and TDO choices are bit-identical at any value. \
+           With $(b,--trace) or $(b,--metrics) the trials of a search run one at a time, \
+           so their events come out in order; launches still shard. Trials never \
+           race-check.")
 
 let engine_arg =
   Arg.(

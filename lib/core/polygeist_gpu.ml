@@ -224,6 +224,7 @@ type cache_bench_result = {
   warm_run_s : float;
   cold_tdo_misses : int;  (** launch-signature sites trialed cold *)
   warm_tdo_hits : int;  (** sites answered from the cache when warm *)
+  warm_tdo_misses : int;  (** sites trialed again when warm (0 when the replay is complete) *)
   same_choices : bool;  (** warm run picked the same alternatives *)
   same_outputs : bool;  (** warm outputs are bit-identical *)
   same_composite : bool;  (** warm composite time is bit-identical *)
@@ -249,7 +250,7 @@ let cache_bench ?(specs = specs_of_totals [ (1, 1); (4, 1); (1, 4); (2, 2) ]) ?d
   let r_cold, cc, rc = pass () in
   let h1, m1, _ = Cache.ns_stats cache "tdo" in
   let r_warm, cw, rw = pass () in
-  let h2, _, _ = Cache.ns_stats cache "tdo" in
+  let h2, m2, _ = Cache.ns_stats cache "tdo" in
   (* compare launches by kernel name, not wid: wrapper ids are
      renumbered by the warm re-compile *)
   let choices r =
@@ -263,6 +264,7 @@ let cache_bench ?(specs = specs_of_totals [ (1, 1); (4, 1); (1, 4); (2, 2) ]) ?d
     warm_run_s = rw;
     cold_tdo_misses = m1 - m0;
     warm_tdo_hits = h2 - h1;
+    warm_tdo_misses = m2 - m1;
     same_choices = choices r_cold = choices r_warm;
     same_outputs = r_cold.outputs = r_warm.outputs;
     same_composite = Float.equal r_cold.composite_seconds r_warm.composite_seconds;
@@ -282,6 +284,7 @@ let cache_bench_json (r : cache_bench_result) =
       ("search_speedup", Json.Float (speedup r.cold_run_s r.warm_run_s));
       ("cold_tdo_misses", Json.Int r.cold_tdo_misses);
       ("warm_tdo_hits", Json.Int r.warm_tdo_hits);
+      ("warm_tdo_misses", Json.Int r.warm_tdo_misses);
       ("same_choices", Json.Bool r.same_choices);
       ("same_outputs", Json.Bool r.same_outputs);
       ("same_composite", Json.Bool r.same_composite);

@@ -109,76 +109,45 @@ type launch_result = {
 }
 
 (** Launch the grid-level parallel [p] across the cores of [target].
-    [env] must bind every free value of the kernel region; it is
-    copied per core, so per-core binding of block indices never races.
-    [jobs] bounds concurrent OCaml domains (the simulated core count
-    bounds the work split). When [compiled] is given, each core drives
-    the slot-indexed closure kernel instead of the tree-walker; the
-    shared [env] is then only read (instantiation loads kernel
-    arguments into per-core register files), so no copy is needed.
-    Raises [Exec.Device_error] on the same malformed-IR conditions as
-    the lockstep interpreter. *)
+    [env] must bind every free value of the kernel region. The blocks
+    to execute and the extrapolation of their counters come from the
+    grid loop ({!Exec.sampled_blocks}, {!Exec.extrapolate}); each
+    core runs its contiguous chunk through a per-block runner — the
+    slot-indexed closure kernel when [compiled] is given, else the
+    tree-walker, which binds into a per-core copy of [env] so per-core
+    block indices never race. [jobs] bounds concurrent OCaml domains
+    (the simulated core count bounds the work split). Raises
+    [Exec.Device_error] on the same malformed-IR conditions as the
+    lockstep interpreter. *)
 let launch (target : Descriptor.t) ?(compiled : Compile.t option) ~(jobs : int)
     ~(mode : Exec.mode) ~(env : Exec.env) (p : Instr.instr) : launch_result =
   match p with
-  | Instr.Parallel { level = Instr.Blocks; ivs; ubs; body; _ } ->
+  | Instr.Parallel { level = Instr.Blocks; ubs; body; _ } ->
       let dims = List.map (fun u -> Exec.ui_of (Exec.lookup env u)) ubs in
       let total = List.fold_left ( * ) 1 dims in
       let block_dims = Exec.block_dims_of env body in
       let vf = vector_fraction [ p ] in
-      let indices =
-        if total <= 0 then []
-        else
-          match mode with
-          | `All -> List.init total Fun.id
-          | `Sample k when total <= k -> List.init total Fun.id
-          | `Sample k ->
-              let k = max 1 k in
-              List.init k (fun j -> j * total / k)
-      in
-      let executed = List.length indices in
+      let indices = Exec.sampled_blocks mode total in
+      let executed = Array.length indices in
       let ncores = max 1 (min target.Descriptor.sm_count executed) in
       (* static chunking: core c takes the c-th contiguous run of
          blocks, mirroring an OpenMP static schedule *)
       let chunk = Pgpu_support.Util.ceil_div executed ncores in
-      let work =
-        List.init ncores (fun c ->
-            ( c,
-              List.filteri (fun j _ -> j / chunk = c) indices ))
-        |> List.filter (fun (_, blocks) -> blocks <> [])
+      let work = List.filter (fun c -> c * chunk < executed) (List.init ncores Fun.id) in
+      let runner =
+        match compiled with Some ck -> Compile.runner ck ~env | None -> Exec.block_runner ~env p
       in
-      let dx = match dims with d :: _ -> d | [] -> 1 in
-      let dy = match dims with _ :: d :: _ -> d | _ -> 1 in
-      let run_core (core, blocks) =
+      let run_core c =
         let m = core_machine target in
         m.Exec.counters.Counters.launches <- 0.;
+        let run = runner m in
         (* block-shared scratch comes from the deterministic per-block
            allocator, so simulated addresses depend only on the block
            index — never on which core (or how many) ran the block *)
-        (match compiled with
-        | Some ck ->
-            let inst = Compile.instantiate ck m ~env in
-            List.iter
-              (fun lb ->
-                m.Exec.alloc <- Memory.block_allocator lb;
-                Compile.run_block inst ~sm:0 lb)
-              blocks
-        | None ->
-            let cenv = Hashtbl.copy env in
-            let ctx =
-              { Exec.m; env = cenv; nlanes = 1; ws = target.Descriptor.warp_size; sm = 0 }
-            in
-            List.iter
-              (fun lb ->
-                let coords = [ lb mod dx; lb / dx mod dy; lb / (dx * dy) ] in
-                List.iteri
-                  (fun k (iv : Value.t) -> Exec.bind cenv iv (Exec.UI (List.nth coords k)))
-                  ivs;
-                m.Exec.alloc <- Memory.block_allocator lb;
-                ignore (Exec.exec_block ctx (Exec.full_mask ctx) body);
-                m.Exec.counters.Counters.blocks <- m.Exec.counters.Counters.blocks +. 1.)
-              blocks);
-        ignore core;
+        for j = c * chunk to min executed ((c + 1) * chunk) - 1 do
+          m.Exec.alloc <- Memory.block_allocator indices.(j);
+          run ~sm:0 indices.(j)
+        done;
         (m.Exec.counters, m.Exec.observed_threads)
       in
       let per_core = Pgpu_support.Util.parallel_map ~jobs run_core work in
@@ -190,8 +159,7 @@ let launch (target : Descriptor.t) ?(compiled : Compile.t option) ~(jobs : int)
           Counters.accumulate merged c;
           if obs > !threads then threads := obs)
         per_core;
-      if executed > 0 && executed < total then
-        Counters.scale merged (float_of_int total /. float_of_int executed);
+      Exec.extrapolate merged ~total ~executed;
       Log.debug (fun k ->
           k "cpu launch: %d block(s) on %d core(s), vec %.0f%%, %.3g instr(s)" total
             (List.length work) (vf *. 100.) merged.Counters.warp_insts);

@@ -19,12 +19,14 @@ type launch_result = {
   cores_used : int;  (** simulated cores that received blocks *)
 }
 
-(** Launch a grid-level parallel across the target's cores. [env] must
-    bind every free value of the kernel region; it is copied per core
-    (or only read, when [compiled] routes each core through the
-    slot-indexed closure kernel instead of the tree-walker). [jobs]
-    bounds concurrent OCaml domains. Raises [Exec.Device_error] on
-    malformed IR, like the lockstep interpreter. *)
+(** Launch a grid-level parallel across the target's cores. The
+    executed blocks and the counter extrapolation come from the grid
+    loop ({!Exec.sampled_blocks}, {!Exec.extrapolate}); each core
+    runs its static chunk through the compiled kernel's runner when
+    [compiled] is given, else the tree-walker's. [env] must bind every
+    free value of the kernel region. [jobs] bounds concurrent OCaml
+    domains. Raises [Exec.Device_error] on malformed IR, like the
+    lockstep interpreter. *)
 val launch :
   Pgpu_target.Descriptor.t ->
   ?compiled:Compile.t ->

@@ -57,38 +57,6 @@ let create ~size_bytes ~line_bytes ~ways =
     last_w = 0;
   }
 
-type snapshot = {
-  s_data : int array array;
-  s_epoch : int;
-  s_tick : int;
-  s_hits : int;
-  s_misses : int;
-}
-
-(** Save/restore the full cache state (tags, recency, counters) —
-    used to keep TDO trial executions from warming or evicting lines
-    the committed execution would otherwise see. *)
-let snapshot t =
-  {
-    s_data = Array.map (fun d -> if Array.length d = 0 then [||] else Array.copy d) t.set_data;
-    s_epoch = t.epoch;
-    s_tick = t.tick;
-    s_hits = t.hits;
-    s_misses = t.misses;
-  }
-
-let restore t s =
-  Array.iteri
-    (fun i d -> t.set_data.(i) <- (if Array.length d = 0 then [||] else Array.copy d))
-    s.s_data;
-  t.epoch <- s.s_epoch;
-  t.tick <- s.s_tick;
-  t.hits <- s.s_hits;
-  t.misses <- s.s_misses;
-  t.last_line <- -1;
-  t.last_data <- [||];
-  t.last_w <- 0
-
 (** Deep, independent copy — used to give TDO trial machines private
     caches. The one-entry probe shortcut is invalidated rather than
     copied: [last_data] aliases a row of the source's tag store, and a

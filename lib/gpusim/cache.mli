@@ -24,14 +24,6 @@ type t = {
 
 val create : size_bytes:int -> line_bytes:int -> ways:int -> t
 
-(** Save/restore the full cache state (tags, recency, hit/miss
-    counters) — used to keep speculative executions from warming or
-    evicting lines the committed execution would otherwise see. *)
-type snapshot
-
-val snapshot : t -> snapshot
-val restore : t -> snapshot -> unit
-
 val clone : t -> t
 (** Deep, independent copy sharing no mutable state with the source —
     safe to drive from another domain. Behaviourally identical to the

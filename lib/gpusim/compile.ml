@@ -2291,6 +2291,9 @@ and compile_threads st ivs ubs body : code =
 (* Kernel compilation and launch                                       *)
 (* ------------------------------------------------------------------ *)
 
+(** A compiled kernel bound to one machine and one launch environment:
+    register files allocated, kernel arguments loaded into their
+    slots, grid geometry resolved. *)
 type instance = {
   i_fr : frame;
   i_code : code array;
@@ -2301,10 +2304,11 @@ type instance = {
 }
 
 type t = {
+  ck_id : int;  (** process-unique, keys the frames of a {!frames} table *)
+  ck_p : Instr.instr;  (** the compiled grid-level parallel, for {!Exec.run_grid} *)
   ck_code : code array;
   ck_iv_slots : int array;  (** uniform int slots of the block coordinates *)
   ck_ubs : Value.t list;  (** grid dimensions, resolved through the env *)
-  ck_body : Instr.block;  (** kept for {!Exec.block_dims_of} *)
   ck_frees : (Value.t * loc) list;  (** kernel arguments to load at instantiation *)
   ck_nui : int;
   ck_nuf : int;
@@ -2313,17 +2317,9 @@ type t = {
   ck_nvf : int;
   ck_nvb : int;
   ck_ntp : int;  (** thread-parallel nodes, sizing the per-frame iv memos *)
-  ck_lock : Mutex.t;  (** guards [ck_insts]; instances themselves are
-                          only ever driven by their machine's owner *)
-  mutable ck_insts : (Exec.machine * instance) list;
-      (** frame pool, most-recently-used first: instances reused across
-          launches on the same machine (uniforms are reloaded; the
-          register banks and iv-row memos persist). Keyed by machine
-          identity and bounded, so concurrent TDO trials — each with a
-          private machine — can share one compiled kernel without
-          evicting each other's frames or racing on the list. Shard
-          and CPU-core workers instantiate directly instead. *)
 }
+
+let next_id = Atomic.make 0
 
 let compile (p : Instr.instr) : t =
   match p with
@@ -2346,10 +2342,11 @@ let compile (p : Instr.instr) : t =
       let iv_locs = List.map (new_loc st) ivs in
       let code, _ = compile_block st ~vec:false body in
       {
+        ck_id = Atomic.fetch_and_add next_id 1;
+        ck_p = p;
         ck_code = code;
         ck_iv_slots = Array.of_list (List.map (fun (l : loc) -> l.l_slot) iv_locs);
         ck_ubs = ubs;
-        ck_body = body;
         ck_frees = frees;
         ck_nui = st.nui;
         ck_nuf = st.nuf;
@@ -2358,10 +2355,24 @@ let compile (p : Instr.instr) : t =
         ck_nvf = st.nvf;
         ck_nvb = st.nvb;
         ck_ntp = st.ntp;
-        ck_lock = Mutex.create ();
-        ck_insts = [];
       }
   | _ -> raise (Exec.Device_error "launch expects a blocks-level parallel")
+
+(** Load the kernel arguments and grid geometry of one launch into
+    [fr]'s uniform slots. *)
+let bind_launch (ck : t) (fr : frame) ~(env : Exec.env) =
+  List.iter
+    (fun ((v : Value.t), (l : loc)) ->
+      let rv = Exec.lookup env v in
+      match l.l_kind with
+      | KInt -> fr.ui.(l.l_slot) <- Exec.ui_of rv
+      | KFloat -> fr.uf.(l.l_slot) <- Exec.uf_of rv
+      | KBuf -> fr.ub.(l.l_slot) <- Exec.to_ub rv)
+    ck.ck_frees;
+  let dims = List.map (fun u -> Exec.ui_of (Exec.lookup env u)) ck.ck_ubs in
+  let dx = match dims with d :: _ -> d | [] -> 1 in
+  let dy = match dims with _ :: d :: _ -> d | _ -> 1 in
+  (dx, dy)
 
 let instantiate (ck : t) (m : Exec.machine) ~(env : Exec.env) : instance =
   let fr =
@@ -2386,17 +2397,7 @@ let instantiate (ck : t) (m : Exec.machine) ~(env : Exec.env) : instance =
       fmask = { Exec.bits = [||]; active = 0; warps = 0 };
     }
   in
-  List.iter
-    (fun ((v : Value.t), (l : loc)) ->
-      let rv = Exec.lookup env v in
-      match l.l_kind with
-      | KInt -> fr.ui.(l.l_slot) <- Exec.ui_of rv
-      | KFloat -> fr.uf.(l.l_slot) <- Exec.uf_of rv
-      | KBuf -> fr.ub.(l.l_slot) <- Exec.to_ub rv)
-    ck.ck_frees;
-  let dims = List.map (fun u -> Exec.ui_of (Exec.lookup env u)) ck.ck_ubs in
-  let dx = match dims with d :: _ -> d | [] -> 1 in
-  let dy = match dims with _ :: d :: _ -> d | _ -> 1 in
+  let dx, dy = bind_launch ck fr ~env in
   {
     i_fr = fr;
     i_code = ck.ck_code;
@@ -2406,25 +2407,15 @@ let instantiate (ck : t) (m : Exec.machine) ~(env : Exec.env) : instance =
     i_bmask = Exec.full_mask fr.ctx;
   }
 
-(** Reuse a pooled instance for a new launch: reload the kernel
-    arguments and grid dimensions, keep the register banks (every slot
-    is written before it is read in verified IR) and the warm iv-row
-    memos. *)
+(** Reuse an instance for a new launch: reload the kernel arguments
+    and grid dimensions, keep the register banks (every slot is
+    written before it is read in verified IR) and the warm iv-row
+    memos. Behaviourally identical to a fresh {!instantiate}. *)
 let rebind (ck : t) (inst : instance) ~(env : Exec.env) : instance =
   let fr = inst.i_fr in
   fr.ctx <- { fr.ctx with Exec.env; nlanes = 1; sm = 0 };
   fr.nlanes <- 1;
-  List.iter
-    (fun ((v : Value.t), (l : loc)) ->
-      let rv = Exec.lookup env v in
-      match l.l_kind with
-      | KInt -> fr.ui.(l.l_slot) <- Exec.ui_of rv
-      | KFloat -> fr.uf.(l.l_slot) <- Exec.uf_of rv
-      | KBuf -> fr.ub.(l.l_slot) <- Exec.to_ub rv)
-    ck.ck_frees;
-  let dims = List.map (fun u -> Exec.ui_of (Exec.lookup env u)) ck.ck_ubs in
-  let dx = match dims with d :: _ -> d | [] -> 1 in
-  let dy = match dims with _ :: d :: _ -> d | _ -> 1 in
+  let dx, dy = bind_launch ck fr ~env in
   { inst with i_dx = dx; i_dy = dy }
 
 let run_block (inst : instance) ~(sm : int) (lb : int) : unit =
@@ -2439,117 +2430,28 @@ let run_block (inst : instance) ~(sm : int) (lb : int) : unit =
   let c = fr.m.Exec.counters in
   c.Counters.blocks <- c.Counters.blocks +. 1.
 
-(** Pooled-instance lookup, MRU-first under the kernel's lock. A hit
-    rebinds the frame (behaviourally identical to a fresh instantiate);
-    a miss instantiates outside the lock and pushes, truncating the
-    pool. Pool state never affects simulation results, only how much
-    frame allocation a launch re-does. *)
-let pool_max = 8
+let runner (ck : t) ~(env : Exec.env) : Exec.runner =
+ fun m ->
+  let inst = instantiate ck m ~env in
+  fun ~sm lb -> run_block inst ~sm lb
 
-let pooled_instance (ck : t) (m : Exec.machine) ~(env : Exec.env) : instance =
-  Mutex.lock ck.ck_lock;
-  match List.find_opt (fun (m', _) -> m' == m) ck.ck_insts with
-  | Some ((_, inst) as entry) ->
-      if not (match ck.ck_insts with e :: _ -> e == entry | [] -> false) then
-        ck.ck_insts <- entry :: List.filter (fun e -> e != entry) ck.ck_insts;
-      Mutex.unlock ck.ck_lock;
-      rebind ck inst ~env
-  | None ->
-      Mutex.unlock ck.ck_lock;
-      let inst = instantiate ck m ~env in
-      Mutex.lock ck.ck_lock;
-      ck.ck_insts <- List.filteri (fun i _ -> i < pool_max - 1) ck.ck_insts;
-      ck.ck_insts <- (m, inst) :: ck.ck_insts;
-      Mutex.unlock ck.ck_lock;
-      inst
+(** Instances reused across the launches of one machine, by kernel. *)
+type frames = (int, instance) Hashtbl.t
 
-let launch ?(jobs = 1) (m : Exec.machine) ~(mode : Exec.mode) ~(env : Exec.env) (ck : t) :
+let frames () : frames = Hashtbl.create 8
+
+let launch ?jobs ?frames (m : Exec.machine) ~(mode : Exec.mode) ~(env : Exec.env) (ck : t) :
     Exec.launch_result =
-  let dims = List.map (fun u -> Exec.ui_of (Exec.lookup env u)) ck.ck_ubs in
-  let total = List.fold_left ( * ) 1 dims in
-  let saved = m.Exec.counters in
-  m.Exec.counters <- Counters.create ();
-  m.Exec.counters.Counters.launches <- 1.;
-  Array.iter Cache.reset m.Exec.l1s;
-  let block_dims = Exec.block_dims_of env ck.ck_body in
-  let result_threads = ref (List.fold_left ( * ) 1 block_dims) in
-  if total > 0 then begin
-    let indices =
-      match mode with
-      | `All -> Array.init total Fun.id
-      | `Sample k when total <= k -> Array.init total Fun.id
-      | `Sample k ->
-          let k = max 1 k in
-          Array.init k (fun j -> j * total / k)
-    in
-    let executed = Array.length indices in
-    let sm_count = m.Exec.target.Pgpu_target.Descriptor.sm_count in
-    let start_sm = m.Exec.next_sm in
-    let sm_of j = (start_sm + j) mod sm_count in
-    let host_alloc = m.Exec.alloc in
-    let shards =
-      if m.Exec.racecheck = None then min (Pgpu_support.Pool.effective_jobs jobs) sm_count
-      else 1
-    in
-    Fun.protect
-      ~finally:(fun () -> m.Exec.alloc <- host_alloc)
-      (fun () ->
-        if shards > 1 && executed >= Exec.shard_threshold then begin
-          (* same SM-grouped sharding as the interpreter's launch:
-             shard [g] runs the blocks whose SM satisfies
-             [sm mod shards = g], in position order, on a wrapper
-             machine sharing the per-SM cache arrays. Each shard gets a
-             fresh instance bound to its wrapper — never the pooled
-             one, whose frame belongs to [m]. *)
-          let wrappers =
-            Array.init shards (fun _ ->
-                {
-                  m with
-                  Exec.alloc = Memory.clone_allocator host_alloc;
-                  counters = Counters.create ();
-                  scratch = Array.make 64 0;
-                  bank_counts = Array.make 64 0;
-                })
-          in
-          let pool = Pgpu_support.Pool.get () in
-          Pgpu_support.Pool.run pool ~jobs:shards shards (fun ~slot:_ g ->
-              let mg = wrappers.(g) in
-              let inst = instantiate ck mg ~env in
-              for j = 0 to executed - 1 do
-                let sm = sm_of j in
-                if sm mod shards = g then begin
-                  mg.Exec.alloc <- Memory.block_allocator indices.(j);
-                  run_block inst ~sm indices.(j)
-                end
-              done);
-          Array.iter
-            (fun (w : Exec.machine) ->
-              Counters.accumulate m.Exec.counters w.Exec.counters;
-              if w.Exec.counters.Counters.blocks > 0. then
-                m.Exec.observed_threads <- w.Exec.observed_threads)
-            wrappers
-        end
-        else begin
-          let inst = pooled_instance ck m ~env in
-          for j = 0 to executed - 1 do
-            let lb = indices.(j) in
-            (match m.Exec.racecheck with None -> () | Some rc -> Racecheck.new_block rc lb);
-            m.Exec.alloc <- Memory.block_allocator lb;
-            run_block inst ~sm:(sm_of j) lb
-          done
-        end);
-    m.Exec.next_sm <- (start_sm + executed) mod sm_count;
-    if executed < total then
-      Counters.scale m.Exec.counters (float_of_int total /. float_of_int executed);
-    result_threads := m.Exec.observed_threads
-  end;
-  let delta = m.Exec.counters in
-  Counters.accumulate saved delta;
-  m.Exec.counters <- saved;
-  {
-    Exec.nblocks = total;
-    threads_per_block = !result_threads;
-    grid_dims = dims;
-    block_dims;
-    counters = delta;
-  }
+  Exec.run_grid ?jobs m ~mode ~env ck.ck_p (fun mg ->
+      let inst =
+        match frames with
+        | Some fs when mg == m -> (
+            match Hashtbl.find_opt fs ck.ck_id with
+            | Some inst when inst.i_fr.m == m -> rebind ck inst ~env
+            | _ ->
+                let inst = instantiate ck m ~env in
+                Hashtbl.replace fs ck.ck_id inst;
+                inst)
+        | _ -> instantiate ck mg ~env
+      in
+      fun ~sm lb -> run_block inst ~sm lb)

@@ -17,35 +17,38 @@
       the interpreter's event order, so outputs, all counters, race
       reports and TDO choices are bit-identical to [--engine interp].
 
-    Compilation is per (region, target); compiled kernels are cached
-    by the runtime keyed on the region's structural hash. *)
+    Compilation is per region; compiled kernels are cached by the
+    runtime keyed on the region's structural hash. *)
 
 open Pgpu_ir
 
 (** A compiled kernel: closure arrays plus the slot-bank sizes needed
     to instantiate register files. Immutable and reusable across
-    launches and machines of the same target. *)
+    launches, machines and domains. *)
 type t
 
 (** Compile the grid-level parallel [p].
     @raise Exec.Device_error when [p] is not a blocks-level parallel. *)
 val compile : Instr.instr -> t
 
-(** A compiled kernel bound to one machine and one launch environment:
-    register files allocated, kernel arguments loaded into their
-    slots, grid geometry resolved. *)
-type instance
+(** The compiled engine's per-block runner: every machine it is
+    readied on gets freshly instantiated register files, with the
+    kernel arguments of [env] loaded into their slots. [env] must bind
+    every free value of the kernel region; it is only read. *)
+val runner : t -> env:Exec.env -> Exec.runner
 
-(** [instantiate ck m ~env] prepares [ck] to run blocks on [m]. [env]
-    must bind every free value of the kernel region; it is only read. *)
-val instantiate : t -> Exec.machine -> env:Exec.env -> instance
+(** Register files reused across the launches of one machine: a
+    launch rebinds its kernel's instance instead of allocating a new
+    one. A table belongs to whoever drives that machine (a runtime
+    state, a TDO trial) and dies with it. *)
+type frames
 
-(** Execute one block ([lb] is the linear block index) on the instance's
-    machine, accounting events to SM [sm]. Increments the machine's
-    block counter, exactly like the interpreter's per-block loop. *)
-val run_block : instance -> sm:int -> int -> unit
+val frames : unit -> frames
 
-(** Drop-in replacement for {!Exec.launch}: same sampling, counter
-    scoping, L1 reset, SM round-robin, race-detector hooks — and the
-    same [?jobs] SM-grouped sharding, bit-identical to [jobs = 1]. *)
-val launch : ?jobs:int -> Exec.machine -> mode:Exec.mode -> env:Exec.env -> t -> Exec.launch_result
+(** {!Exec.run_grid} with the compiled engine's runner: same sampling,
+    SM assignment, sharding and extrapolation as {!Exec.launch}, and
+    bit-identical results. With [frames], the blocks run on [m] itself
+    reuse the kernel's instance in that table; shard wrappers always
+    instantiate their own. *)
+val launch :
+  ?jobs:int -> ?frames:frames -> Exec.machine -> mode:Exec.mode -> env:Exec.env -> t -> Exec.launch_result

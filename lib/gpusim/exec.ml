@@ -8,9 +8,10 @@
     issued warp instructions, per-warp memory coalescing, cache
     traffic, shared-memory bank conflicts and branch divergence.
 
-    Blocks of a grid are executed sequentially, optionally sampled
-    (with counter extrapolation) for large grids where only timing is
-    of interest. *)
+    Blocks of a grid are run by one grid loop ({!run_grid}),
+    optionally sampled (with counter extrapolation) for large grids
+    where only timing is of interest; the tree-walker and the compiled
+    engine differ only in the per-block runner they hand it. *)
 
 open Pgpu_ir
 
@@ -78,35 +79,12 @@ let create_machine (target : Pgpu_target.Descriptor.t) =
     bank_counts = Array.make 64 0;
   }
 
-type machine_snapshot = {
-  ms_alloc : int * int;
-  ms_l2s : Cache.snapshot array;
-  ms_next_sm : int;
-}
-
-(** Save/restore the machine state that persists across launches
-    (allocator position, L2 slice contents, SM round-robin pointer), so
-    speculative executions — TDO trials — leave no trace on the timing
-    of the committed execution that follows. Buffer contents are
-    snapshotted separately by the runtime. *)
-let snapshot_machine m =
-  {
-    ms_alloc = Memory.allocator_mark m.alloc;
-    ms_l2s = Array.map Cache.snapshot m.l2s;
-    ms_next_sm = m.next_sm;
-  }
-
-let restore_machine m s =
-  Memory.allocator_reset m.alloc s.ms_alloc;
-  Array.iteri (fun i snap -> Cache.restore m.l2s.(i) snap) s.ms_l2s;
-  m.next_sm <- s.ms_next_sm
-
 (** A fully private copy of [m]: no mutable state is shared with the
     source, so the clone can execute on another domain concurrently
-    with the original. Used by the parallel TDO search to give each
-    trial its own machine instead of serializing trials through one
-    snapshot/restore cycle. The race detector is deliberately not
-    carried over (trial machines never race-check). *)
+    with the original. The TDO search runs every trial on one, so a
+    trial leaves no trace on the machine the committed launch runs on.
+    The race detector is deliberately not carried over (trial machines
+    never race-check). *)
 let clone_machine m =
   {
     m with
@@ -768,41 +746,51 @@ let block_dims_of env (block : Instr.block) =
   find block
 
 (** Below this many executed blocks a launch always runs sequentially:
-    the shard setup (env copies, wrapper machines, pool round-trip)
-    would cost more than it saves. Affects wall-clock only, never
-    results — sharded and sequential launches are bit-identical. *)
+    the shard setup (wrapper machines, per-shard runners, pool
+    round-trip) would cost more than it saves. Affects wall-clock only,
+    never results — sharded and sequential launches are bit-identical. *)
 let shard_threshold = 16
 
-(** Execute one block: bind its indices, attach its deterministic
-    device allocator, run the body, count it. [m] is the machine the
-    block's effects land on (the launch machine, or a shard wrapper). *)
-let exec_one_block (m : machine) (env : env) body ~ivs ~dx ~dy ~sm lb =
-  let coords = [ lb mod dx; lb / dx mod dy; lb / (dx * dy) ] in
-  List.iteri (fun k (iv : Value.t) -> bind env iv (UI (List.nth coords k))) ivs;
-  (match m.racecheck with None -> () | Some rc -> Racecheck.new_block rc lb);
-  m.alloc <- Memory.block_allocator lb;
-  let ctx = { m; env; nlanes = 1; ws = m.target.Pgpu_target.Descriptor.warp_size; sm } in
-  ignore (exec_block ctx (full_mask ctx) body);
-  m.counters.Counters.blocks <- m.counters.Counters.blocks +. 1.
+(** Linear indices of the blocks a launch of [total] blocks executes:
+    all of them, or [k] evenly spaced representatives when sampling. *)
+let sampled_blocks (mode : mode) total =
+  if total <= 0 then [||]
+  else
+    match mode with
+    | `All -> Array.init total Fun.id
+    | `Sample k when total <= k -> Array.init total Fun.id
+    | `Sample k ->
+        let k = max 1 k in
+        Array.init k (fun j -> j * total / k)
 
-(** Launch the grid-level parallel [p] on machine [m]. The environment
-    must bind every free value of the kernel region (grid/block sizes,
-    device buffer pointers, scalar arguments).
+(** Scale counters measured on [executed] of [total] blocks to the full
+    grid. *)
+let extrapolate (c : Counters.t) ~total ~executed =
+  if executed > 0 && executed < total then
+    Counters.scale c (float_of_int total /. float_of_int executed)
+
+type runner = machine -> sm:int -> int -> unit
+
+(** Drive the grid-level parallel [p] on machine [m]: resolve the grid
+    through [env], pick the executed blocks, assign them to SMs
+    round-robin by executed position, run each through [runner] with
+    the deterministic allocator of its linear index, and extrapolate.
 
     With [jobs > 1] (and no race detector attached) the executed
     blocks are sharded over the persistent domain pool, grouped by the
     SM each block is assigned to: shard [g] executes, in position
-    order, exactly the blocks whose SM [s] satisfies [s mod groups = g].
-    Because every piece of cache state is per-SM ([l1s], the [l2s]
-    slices) and each block's device allocator depends only on its
-    linear index, each per-SM state sees the same access sequence as in
-    a sequential launch, and the integer-valued counter deltas merge
-    exactly — outputs, counters and simulated times are bit-identical
-    to [jobs = 1]. *)
-let launch ?(jobs = 1) (m : machine) ~(mode : mode) ~(env : env) (p : Instr.instr) : launch_result
-    =
+    order, exactly the blocks whose SM [s] satisfies [s mod groups = g],
+    on a wrapper of [m] that shares its per-SM caches but owns its
+    counters and scratch. Because every piece of cache state is per-SM
+    ([l1s], the [l2s] slices) and each block's device allocator depends
+    only on its linear index, each per-SM state sees the same access
+    sequence as in a sequential launch, and the integer-valued counter
+    deltas merge exactly — outputs, counters and simulated times are
+    bit-identical to [jobs = 1]. *)
+let run_grid ?(jobs = 1) (m : machine) ~(mode : mode) ~(env : env) (p : Instr.instr)
+    (runner : runner) : launch_result =
   match p with
-  | Instr.Parallel { level = Instr.Blocks; ivs; ubs; body; _ } ->
+  | Instr.Parallel { level = Instr.Blocks; ubs; body; _ } ->
       let dims = List.map (fun u -> ui_of (lookup env u)) ubs in
       let total = List.fold_left ( * ) 1 dims in
       let saved = m.counters in
@@ -811,23 +799,25 @@ let launch ?(jobs = 1) (m : machine) ~(mode : mode) ~(env : env) (p : Instr.inst
       Array.iter Cache.reset m.l1s;
       let block_dims = block_dims_of env body in
       let result_threads = ref (List.fold_left ( * ) 1 block_dims) in
-      if total > 0 then begin
-        let indices =
-          match mode with
-          | `All -> Array.init total Fun.id
-          | `Sample k when total <= k -> Array.init total Fun.id
-          | `Sample k ->
-              let k = max 1 k in
-              Array.init k (fun j -> j * total / k)
-        in
-        let executed = Array.length indices in
-        let dx = match dims with d :: _ -> d | [] -> 1 in
-        let dy = match dims with _ :: d :: _ -> d | _ -> 1 in
+      let indices = sampled_blocks mode total in
+      let executed = Array.length indices in
+      if executed > 0 then begin
         let sm_count = m.target.Pgpu_target.Descriptor.sm_count in
         let start_sm = m.next_sm in
         (* round-robin by executed position, identical to advancing
            [next_sm] once per block *)
         let sm_of j = (start_sm + j) mod sm_count in
+        let run_blocks (mg : machine) keep =
+          let run = runner mg in
+          for j = 0 to executed - 1 do
+            if keep j then begin
+              let lb = indices.(j) in
+              (match mg.racecheck with None -> () | Some rc -> Racecheck.new_block rc lb);
+              mg.alloc <- Memory.block_allocator lb;
+              run ~sm:(sm_of j) lb
+            end
+          done
+        in
         let host_alloc = m.alloc in
         let shards =
           if m.racecheck = None then min (Pgpu_support.Pool.effective_jobs jobs) sm_count
@@ -837,28 +827,17 @@ let launch ?(jobs = 1) (m : machine) ~(mode : mode) ~(env : env) (p : Instr.inst
           ~finally:(fun () -> m.alloc <- host_alloc)
           (fun () ->
             if shards > 1 && executed >= shard_threshold then begin
-              (* Wrapper machines share the per-SM cache arrays (each
-                 shard touches a disjoint SM subset) but get private
-                 counters, scratch and allocator slots. *)
               let wrappers =
                 Array.init shards (fun _ ->
                     {
                       m with
-                      alloc = Memory.clone_allocator host_alloc;
                       counters = Counters.create ();
                       scratch = Array.make 64 0;
                       bank_counts = Array.make 64 0;
                     })
               in
-              let envs = Array.init shards (fun _ -> Hashtbl.copy env) in
-              let pool = Pgpu_support.Pool.get () in
-              Pgpu_support.Pool.run pool ~jobs:shards shards (fun ~slot:_ g ->
-                  let mg = wrappers.(g) and envg = envs.(g) in
-                  for j = 0 to executed - 1 do
-                    let sm = sm_of j in
-                    if sm mod shards = g then
-                      exec_one_block mg envg body ~ivs ~dx ~dy ~sm indices.(j)
-                  done);
+              Pgpu_support.Pool.run (Pgpu_support.Pool.get ()) ~jobs:shards shards
+                (fun ~slot:_ g -> run_blocks wrappers.(g) (fun j -> sm_of j mod shards = g));
               Array.iter
                 (fun (w : machine) ->
                   Counters.accumulate m.counters w.counters;
@@ -869,13 +848,9 @@ let launch ?(jobs = 1) (m : machine) ~(mode : mode) ~(env : env) (p : Instr.inst
                     m.observed_threads <- w.observed_threads)
                 wrappers
             end
-            else
-              for j = 0 to executed - 1 do
-                exec_one_block m env body ~ivs ~dx ~dy ~sm:(sm_of j) indices.(j)
-              done);
+            else run_blocks m (fun _ -> true));
         m.next_sm <- (start_sm + executed) mod sm_count;
-        if executed < total then
-          Counters.scale m.counters (float_of_int total /. float_of_int executed);
+        extrapolate m.counters ~total ~executed;
         result_threads := m.observed_threads
       end;
       let delta = m.counters in
@@ -892,3 +867,29 @@ let launch ?(jobs = 1) (m : machine) ~(mode : mode) ~(env : env) (p : Instr.inst
         counters = delta;
       }
   | _ -> device_fail "launch expects a blocks-level parallel"
+
+(** The tree-walker's runner for the grid-level parallel [p]: each
+    machine it is readied on binds block indices and kernel values in
+    a private copy of [env], so shards never share a table. *)
+let block_runner ~(env : env) (p : Instr.instr) : runner =
+  match p with
+  | Instr.Parallel { level = Instr.Blocks; ivs; ubs; body; _ } ->
+      let dims = List.map (fun u -> ui_of (lookup env u)) ubs in
+      let dx = match dims with d :: _ -> d | [] -> 1 in
+      let dy = match dims with _ :: d :: _ -> d | _ -> 1 in
+      fun m ->
+        let env = Hashtbl.copy env in
+        fun ~sm lb ->
+          let coords = [ lb mod dx; lb / dx mod dy; lb / (dx * dy) ] in
+          List.iteri (fun k (iv : Value.t) -> bind env iv (UI (List.nth coords k))) ivs;
+          let ctx = { m; env; nlanes = 1; ws = m.target.Pgpu_target.Descriptor.warp_size; sm } in
+          ignore (exec_block ctx (full_mask ctx) body);
+          m.counters.Counters.blocks <- m.counters.Counters.blocks +. 1.
+  | _ -> device_fail "launch expects a blocks-level parallel"
+
+(** Launch the grid-level parallel [p] on machine [m] through the
+    tree-walking interpreter. The environment must bind every free
+    value of the kernel region (grid/block sizes, device buffer
+    pointers, scalar arguments). *)
+let launch ?jobs (m : machine) ~(mode : mode) ~(env : env) (p : Instr.instr) : launch_result =
+  run_grid ?jobs m ~mode ~env p (block_runner ~env p)

@@ -4,9 +4,9 @@
     One GPU block is interpreted with *all its threads at once*: every
     SSA value inside the thread-level parallel is either uniform or a
     per-lane array, and divergent control flow is handled with lane
-    masks. Blocks of a grid are executed sequentially, optionally
-    sampled (with counter extrapolation) for large grids where only
-    timing is of interest.
+    masks. Blocks of a grid are run by one grid loop ({!run_grid}),
+    optionally sampled (with counter extrapolation) for large grids
+    where only timing is of interest.
 
     This interface is the engine seam: the slot-indexed compiled
     engine ({!Compile}) reuses the machine, mask, counting and
@@ -52,21 +52,11 @@ type machine = {
 
 val create_machine : Pgpu_target.Descriptor.t -> machine
 
-type machine_snapshot
-
-(** Save/restore the machine state that persists across launches
-    (allocator position, L2 contents, SM round-robin pointer), so
-    speculative executions — TDO trials — leave no trace on the timing
-    of the committed execution that follows. *)
-val snapshot_machine : machine -> machine_snapshot
-
-val restore_machine : machine -> machine_snapshot -> unit
-
 val clone_machine : machine -> machine
 (** A fully private copy of [m] sharing no mutable state with the
     source, safe to execute on another domain concurrently with the
-    original (the race detector is not carried over). Used by the
-    parallel TDO search to give each trial its own machine. *)
+    original (the race detector is not carried over: trial machines
+    never race-check). Every TDO trial runs on one. *)
 
 type env = (int, rv) Hashtbl.t
 
@@ -157,19 +147,39 @@ type mode = [ `All | `Sample of int ]
     block body, resolved through [env]. *)
 val block_dims_of : env -> Instr.block -> int list
 
-val shard_threshold : int
-(** Minimum executed blocks before a launch shards across domains
-    (below it, shard setup costs more than it saves). Wall-clock
-    only — sharded and sequential launches are bit-identical. *)
+(** Linear indices of the blocks a launch of [total] blocks executes
+    under [mode]: all of them, or evenly spaced representatives. *)
+val sampled_blocks : mode -> int -> int array
 
-(** Launch the grid-level parallel [p] on machine [m]. The environment
-    must bind every free value of the kernel region (grid/block sizes,
-    device buffer pointers, scalar arguments).
+(** [extrapolate c ~total ~executed] scales counters measured on
+    [executed] blocks to the full grid of [total] blocks. *)
+val extrapolate : Counters.t -> total:int -> executed:int -> unit
+
+(** A per-block runner: [runner m] readies a kernel to execute on
+    machine [m] (a launch machine, a shard's wrapper of one, or a CPU
+    core) and returns the function that runs block [lb] on SM [sm] of
+    [m], counting it in [m]'s block counter. *)
+type runner = machine -> sm:int -> int -> unit
+
+(** The grid loop behind every engine. Resolves the grid-level
+    parallel [p] through [env], executes the blocks [mode] selects —
+    SMs assigned round-robin by executed position, each block with the
+    deterministic device allocator of its linear index — and
+    extrapolates the counters to the full grid.
 
     [jobs] (default 1) shards the executed blocks over the persistent
     domain pool, grouping blocks by their assigned SM so every per-SM
     cache sees the same access sequence as a sequential launch —
     outputs, counters and simulated times are bit-identical to
-    [jobs = 1]. Automatically falls back to sequential execution when a
-    race detector is attached or the grid is small. *)
+    [jobs = 1]. Falls back to sequential execution when a race detector
+    is attached or the grid is small. *)
+val run_grid : ?jobs:int -> machine -> mode:mode -> env:env -> Instr.instr -> runner -> launch_result
+
+(** The tree-walker's runner for the grid-level parallel [p]: each
+    machine gets a private copy of [env]. *)
+val block_runner : env:env -> Instr.instr -> runner
+
+(** {!run_grid} with the tree-walker's runner. The environment must
+    bind every free value of the kernel region (grid/block sizes,
+    device buffer pointers, scalar arguments). *)
 val launch : ?jobs:int -> machine -> mode:mode -> env:env -> Instr.instr -> launch_result

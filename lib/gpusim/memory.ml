@@ -24,15 +24,6 @@ type allocator = { mutable next_addr : int; mutable next_id : int }
 
 let allocator () = { next_addr = 4096; next_id = 0 }
 
-(** Save/restore the allocator position, so speculative executions
-    (TDO trials) don't shift the simulated addresses — and hence the
-    cache behaviour — of the allocations that follow them. *)
-let allocator_mark a = (a.next_addr, a.next_id)
-
-let allocator_reset a (next_addr, next_id) =
-  a.next_addr <- next_addr;
-  a.next_id <- next_id
-
 let clone_allocator a = { next_addr = a.next_addr; next_id = a.next_id }
 
 (** Deterministic per-block device allocator for shared-as-global

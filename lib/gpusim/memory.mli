@@ -22,13 +22,6 @@ type allocator
 val allocator : unit -> allocator
 val alloc : allocator -> Types.space -> Types.t -> int -> buf
 
-(** Save/restore the allocator position, so speculative executions
-    (TDO trials) don't shift the simulated addresses — and hence the
-    cache behaviour — of later allocations. *)
-val allocator_mark : allocator -> int * int
-
-val allocator_reset : allocator -> int * int -> unit
-
 val clone_allocator : allocator -> allocator
 (** Independent copy of the allocator position (for private trial
     machines). *)

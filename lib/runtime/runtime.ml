@@ -40,10 +40,11 @@ type config = {
   jobs : int;
       (** host OCaml domains (from the persistent {!Pgpu_support.Pool})
           used by the CPU backend's chunked block execution, by the
-          GPU simulator's sharded launches and by the parallel TDO
-          search. Results are bit-identical for every value of [jobs];
-          tracing or an attached race detector falls the run back to
-          sequential execution. *)
+          GPU simulator's sharded launches and by the TDO trial batch.
+          Results are bit-identical for every value of [jobs]. The
+          trial batch runs with one job under a tracer (trial events
+          are emitted in order) and when a candidate contains a nested
+          launch site; a race detector keeps launches unsharded. *)
   tune : bool;  (** enable timing-driven selection of alternatives *)
   fixed_choice : int;  (** alternatives region used when [tune] is false *)
   host_op_cost : float;  (** seconds charged per interpreted host instruction *)
@@ -55,8 +56,8 @@ type config = {
   cache : Cache.t;
       (** persistent TDO cache: committed choices are stored by
           (kernel hash, target, launch signature, alternative descs),
-          so warm runs skip trial execution and buffer snapshots while
-          reproducing the cold run's choices; [Cache.disabled] = off *)
+          so warm runs skip trial execution while reproducing the cold
+          run's choices; [Cache.disabled] = off *)
   racecheck : Racecheck.t option;
       (** dynamic shared-memory race detector attached to the simulator
           for the whole run; [None] (the default) costs nothing *)
@@ -83,13 +84,19 @@ let default_config target =
     engine = Engine.default;
   }
 
+(** A launch site as it runs: the kernel region as launched
+    (barrier-fissioned on a CPU target, else as given) and the backend
+    statistics of that region, which feed the timing model. *)
+type site = { lowered : Instr.block; stats : Backend.kernel_stats }
+
 type state = {
   config : config;
   machine : Exec.machine;
   env : Exec.env;
+  frames : Compile.frames;  (** compiled-kernel register files on [machine] *)
   mutable records : launch_record list;
   mutable composite : float;
-  mutable trial : bool;  (** inside a TDO trial: sample + don't record *)
+  trial : bool;  (** a TDO trial's private state: sample + don't record *)
   choices : (int * string, int) Hashtbl.t;
       (** (alternatives id, launch signature) -> chosen region. The
           signature buckets the integer inputs of the launch site by
@@ -97,14 +104,13 @@ type state = {
           (e.g. gaussian, lud, nw) are re-tuned when the scale changes
           but not on every iteration. *)
   freevars_cache : (int, Value.t list) Hashtbl.t;  (** wrapper id -> free values *)
-  stats_cache : (int * int, Backend.kernel_stats) Hashtbl.t;
   khash_cache : (int, int) Hashtbl.t;
       (** wrapper id -> closed structural hash of its body, so the
           persistent TDO key is computed once per launch site *)
-  fission_cache : (int * int * int list, Instr.block option) Hashtbl.t;
-      (** (wrapper id, alternative) -> barrier-fissioned region for the
-          CPU backend; [None] records that fission was refused and the
-          site runs through the lockstep interpreter instead *)
+  sites : (int * int * int list, site) Cache.Memo.t;
+      (** (wrapper id, alternative, resolved thread extents) -> the
+          site as launched; shared with trials, which may resolve
+          sites from several domains *)
   compiled_cache : (Instr.instr, Compile.t) Cache.Memo.t;
       (** structural-hash-memoized slot-indexed kernels; sound across
           cloned regions because [Instr.equal_block] requires free
@@ -120,14 +126,14 @@ let create config =
        m.Exec.racecheck <- config.racecheck;
        m);
     env = Exec.env_create ();
+    frames = Compile.frames ();
     records = [];
     composite = 0.;
     trial = false;
     choices = Hashtbl.create 8;
     freevars_cache = Hashtbl.create 8;
-    stats_cache = Hashtbl.create 8;
     khash_cache = Hashtbl.create 8;
-    fission_cache = Hashtbl.create 8;
+    sites = Cache.Memo.create ();
     compiled_cache = Cache.Memo.create ();
   }
 
@@ -232,35 +238,6 @@ let eval_intrinsic st (results : Value.t list) name (args : Value.t list) =
         (List.length results)
 
 (* ------------------------------------------------------------------ *)
-(* Buffer snapshot/restore for TDO trials                              *)
-(* ------------------------------------------------------------------ *)
-
-let snapshot_buffers st =
-  let seen = Hashtbl.create 16 in
-  Hashtbl.iter
-    (fun _ rv ->
-      match rv with
-      | Exec.UB b when not (Hashtbl.mem seen b.Memory.id) ->
-          let copy =
-            match b.Memory.data with
-            | Memory.I a -> Memory.I (Array.copy a)
-            | Memory.F a -> Memory.F (Array.copy a)
-          in
-          Hashtbl.replace seen b.Memory.id (b, copy)
-      | _ -> ())
-    st.env;
-  seen
-
-let restore_buffers snap =
-  Hashtbl.iter
-    (fun _ (b, copy) ->
-      match (b.Memory.data, copy) with
-      | Memory.I dst, Memory.I src -> Array.blit src 0 dst 0 (Array.length src)
-      | Memory.F dst, Memory.F src -> Array.blit src 0 dst 0 (Array.length src)
-      | Memory.I _, Memory.F _ | Memory.F _, Memory.I _ -> assert false)
-    snap
-
-(* ------------------------------------------------------------------ *)
 (* Kernel launches                                                     *)
 (* ------------------------------------------------------------------ *)
 
@@ -269,15 +246,6 @@ let restore_buffers snap =
     of Section VII-D2). *)
 let amd_shared_offload_threshold = 96 (* bytes of shared memory per thread *)
 
-let kernel_stats st ~wid ~alt region =
-  let key = (wid, alt) in
-  match Hashtbl.find_opt st.stats_cache key with
-  | Some s -> s
-  | None ->
-      let s = Backend.analyze st.config.target region in
-      Hashtbl.replace st.stats_cache key s;
-      s
-
 (** The CPU backend replaces the lockstep launch path when the target
     is a CPU and no dynamic race detector is attached (the detector's
     hooks live in the single-machine lockstep interpreter, so a race
@@ -285,32 +253,16 @@ let kernel_stats st ~wid ~alt region =
 let cpu_mode st =
   st.config.target.Descriptor.kind = Descriptor.Cpu && st.config.racecheck = None
 
-(** Domains available to a simulator launch. Tracing hooks observe
-    per-launch event order, so an enabled tracer forces sequential
-    launches (the racecheck fallback lives inside [Exec.launch]
-    itself). *)
-let launch_jobs st = if Tracer.enabled st.config.tracer then 1 else st.config.jobs
-
 (** Slot-indexed compilation of a launch site's grid-level parallel,
     memoized in the content-addressed store on the region's structural
-    hash. TDO trials, the committed re-execution and host-loop
-    relaunches of the same site all reuse one compiled kernel. *)
+    hash. TDO trials, the committed execution and host-loop relaunches
+    of the same site all reuse one compiled kernel. *)
 let compiled_kernel st (i : Instr.instr) : Compile.t =
   Cache.Memo.find_or_add st.compiled_cache ~hash:(Instr.hash_block [ i ])
     ~equal:(fun a b -> Instr.equal_block [ a ] [ b ])
     i
     (fun () -> Compile.compile i)
 
-(** Barrier-fission a kernel region for CPU execution, memoized per
-    launch site. A refusal (synchronizing [While], thread-dependent
-    interchange operand, ...) is also memoized: the region then runs
-    through the lockstep interpreter, which is always correct.
-
-    Thread extents are usually host-computed rather than literal in
-    the kernel region, so fission resolves them through the live
-    environment; the memo key carries the resolved extents, making a
-    relaunch with different block dimensions re-lower (with correctly
-    re-sized scratch) instead of replaying a stale region. *)
 let env_const st (v : Value.t) =
   match Hashtbl.find_opt st.env v.Value.id with Some (Exec.UI n) -> Some n | _ -> None
 
@@ -327,145 +279,216 @@ let thread_extents st (region : Instr.block) =
     region;
   List.rev !acc
 
-let cpu_lowered st ~wid ~alt (region : Instr.block) =
-  let key = (wid, alt, thread_extents st region) in
-  match Hashtbl.find_opt st.fission_cache key with
-  | Some (Some r) -> r
-  | Some None -> region
-  | None -> (
-      match Fission.lower_region ~const_of_ext:(env_const st) region with
-      | Ok { Fission.region = r; stats } ->
-          Log.debug (fun m ->
-              m "fission: wrapper %d alt %d: %d epoch(s), %d expanded, %d recomputed, %d hoisted"
-                wid alt stats.Fission.epochs stats.Fission.expanded stats.Fission.recomputed
-                stats.Fission.hoisted);
-          Tracer.instant_at st.config.tracer ~cat:"cpu" ~ts:(ticks st)
-            ~args:
-              [
-                ("wid", Json.Int wid);
-                ("alternative", if alt >= 0 then Json.Int alt else Json.Null);
-                ("epochs", Json.Int stats.Fission.epochs);
-                ("expanded", Json.Int stats.Fission.expanded);
-                ("recomputed", Json.Int stats.Fission.recomputed);
-                ("hoisted", Json.Int stats.Fission.hoisted);
-              ]
-            "cpu:fission";
-          Hashtbl.replace st.fission_cache key (Some r);
-          r
-      | Error msg ->
-          Log.debug (fun m -> m "fission: wrapper %d alt %d refused (%s); lockstep fallback" wid alt msg);
-          Hashtbl.replace st.fission_cache key None;
-          region)
+(** Barrier-fission a kernel region for CPU execution, resolving
+    host-computed thread extents through the live environment. A
+    refusal (synchronizing [While], thread-dependent interchange
+    operand, ...) returns the region as given: it then runs through
+    the lockstep interpreter, which is always correct. *)
+let cpu_lower st ~wid ~alt (region : Instr.block) =
+  match Fission.lower_region ~const_of_ext:(env_const st) region with
+  | Ok { Fission.region = r; stats } ->
+      Log.debug (fun m ->
+          m "fission: wrapper %d alt %d: %d epoch(s), %d expanded, %d recomputed, %d hoisted"
+            wid alt stats.Fission.epochs stats.Fission.expanded stats.Fission.recomputed
+            stats.Fission.hoisted);
+      Tracer.instant_at st.config.tracer ~cat:"cpu" ~ts:(ticks st)
+        ~args:
+          [
+            ("wid", Json.Int wid);
+            ("alternative", if alt >= 0 then Json.Int alt else Json.Null);
+            ("epochs", Json.Int stats.Fission.epochs);
+            ("expanded", Json.Int stats.Fission.expanded);
+            ("recomputed", Json.Int stats.Fission.recomputed);
+            ("hoisted", Json.Int stats.Fission.hoisted);
+          ]
+        "cpu:fission";
+      r
+  | Error msg ->
+      Log.debug (fun m -> m "fission: wrapper %d alt %d refused (%s); lockstep fallback" wid alt msg);
+      region
+
+(** Resolve a launch site when it launches — after the region's host
+    prelude has bound its values, so a coarsened thread extent such as
+    [bs / f] is known — memoized on (wrapper, alternative, resolved
+    thread extents). The lowering sizes scratch from the extents, so a
+    relaunch with different block dimensions re-lowers instead of
+    replaying a stale region; GPU sites do not depend on them. *)
+let site st ~wid ~alt (region : Instr.block) : site =
+  let key = (wid, alt, if cpu_mode st then thread_extents st region else []) in
+  Cache.Memo.find_or_add st.sites ~hash:(Hashtbl.hash key) ~equal:( = ) key (fun () ->
+      let lowered = if cpu_mode st then cpu_lower st ~wid ~alt region else region in
+      { lowered; stats = Backend.analyze st.config.target lowered })
+
+(** Launch one grid-level parallel [p] of [site] and account for it:
+    charged to the composite time and recorded unless in a trial.
+    Returns the launch's simulated seconds. *)
+let launch st ~name ~wid ~alt (site : site) (p : Instr.instr) =
+  let stats = site.stats in
+  let mode : Exec.mode =
+    if st.trial || not st.config.functional then `Sample st.config.sample_blocks else `All
+  in
+  let offload =
+    match st.config.target.Descriptor.vendor with
+    | Descriptor.Amd ->
+        let tb =
+          match Backend.find_threads_body site.lowered with
+          | Some _ -> Exec.block_dims_of st.env site.lowered |> List.fold_left ( * ) 1
+          | None -> 1
+        in
+        tb > 0 && stats.Backend.static_shmem / max 1 tb > amd_shared_offload_threshold
+    | Descriptor.Nvidia | Descriptor.Generic -> false
+  in
+  let demand =
+    {
+      Timing.regs_per_thread = stats.Backend.regs_per_thread;
+      (* demoted shared memory puts no occupancy pressure on the SM *)
+      shmem_per_block = (if offload then 0 else stats.Backend.static_shmem);
+      ilp = stats.Backend.ilp;
+      mlp = stats.Backend.mlp;
+    }
+  in
+  let compiled () =
+    match st.config.engine with
+    | Engine.Compiled -> Some (compiled_kernel st p)
+    | Engine.Interp -> None
+  in
+  let result, breakdown =
+    if cpu_mode st then begin
+      let cres =
+        Cpu_exec.launch st.config.target ?compiled:(compiled ()) ~jobs:st.config.jobs ~mode
+          ~env:st.env p
+      in
+      let result = cres.Cpu_exec.result in
+      ( result,
+        Cpu_timing.estimate st.config.target ~demand
+          ~vector_fraction:cres.Cpu_exec.vector_fraction result )
+    end
+    else begin
+      let jobs = st.config.jobs in
+      st.machine.Exec.shared_as_global <- offload;
+      let result =
+        match compiled () with
+        | Some ck -> Compile.launch ~jobs ~frames:st.frames st.machine ~mode ~env:st.env ck
+        | None -> Exec.launch ~jobs st.machine ~mode ~env:st.env p
+      in
+      st.machine.Exec.shared_as_global <- false;
+      (result, Timing.estimate st.config.target ~demand result)
+    end
+  in
+  let seconds = breakdown.Timing.seconds in
+  let t0 = ticks st in
+  charge st seconds;
+  if not st.trial then begin
+    Tracer.span_at st.config.tracer ~cat:"kernel" ~ts:t0 ~dur:(seconds *. 1e6)
+      ~args:
+        [
+          ("kernel", Json.Str name);
+          ("alternative", if alt >= 0 then Json.Int alt else Json.Null);
+          ("nblocks", Json.Int result.Exec.nblocks);
+          ("threads_per_block", Json.Int result.Exec.threads_per_block);
+          ("seconds", Json.Float seconds);
+          ("occupancy", Json.Float breakdown.Timing.occupancy.Pgpu_target.Occupancy.occupancy);
+        ]
+      ("kernel:" ^ name);
+    let bottleneck =
+      Bottleneck.classify ~kind:st.config.target.Descriptor.kind result.Exec.counters breakdown
+    in
+    Tracer.instant_at st.config.tracer ~cat:"bottleneck" ~ts:t0
+      ~args:
+        [
+          ("kernel", Json.Str name);
+          ("label", Json.Str (Bottleneck.label_name bottleneck.Bottleneck.label));
+          ("limiter", Json.Str bottleneck.Bottleneck.limiter);
+          ("headroom", Json.Float bottleneck.Bottleneck.headroom);
+        ]
+      ("bottleneck:" ^ name);
+    st.records <-
+      {
+        kernel = name;
+        wid;
+        alternative = (if alt >= 0 then Some alt else None);
+        result;
+        stats;
+        breakdown;
+        bottleneck;
+        seconds;
+      }
+      :: st.records
+  end;
+  seconds
+
+(** Deep-copy the buffers reachable from [env] (deduplicated by buffer
+    id, including per-lane buffer vectors), leaving scalars shared: a
+    trial's functional writes land in private arrays without ever
+    touching the live data. *)
+let clone_trial_env (env : Exec.env) : Exec.env =
+  let copy = Hashtbl.copy env in
+  let cloned = Hashtbl.create 16 in
+  let clone_buf (b : Memory.buf) =
+    match Hashtbl.find_opt cloned b.Memory.id with
+    | Some b' -> b'
+    | None ->
+        let data =
+          match b.Memory.data with
+          | Memory.I a -> Memory.I (Array.copy a)
+          | Memory.F a -> Memory.F (Array.copy a)
+        in
+        let b' = { b with Memory.data } in
+        Hashtbl.replace cloned b.Memory.id b';
+        b'
+  in
+  Hashtbl.iter
+    (fun k rv ->
+      match rv with
+      | Exec.UB b -> Hashtbl.replace copy k (Exec.UB (clone_buf b))
+      | Exec.VB bs -> Hashtbl.replace copy k (Exec.VB (Array.map clone_buf bs))
+      | _ -> ())
+    env;
+  copy
+
+(** Trace a committed TDO choice; [cached] when the persistent cache
+    answered it. *)
+let choice_event st ~name ~signature ~cached k spec seconds =
+  Tracer.instant_at st.config.tracer ~cat:"tdo" ~ts:(ticks st)
+    ~args:
+      ([
+         ("kernel", Json.Str name);
+         ("signature", Json.Str signature);
+         ("alternative", Json.Int k);
+         ("spec", Json.Str spec);
+         ("seconds", Json.Float seconds);
+       ]
+      @ if cached then [ ("cached", Json.Bool true) ] else [])
+    "tdo:choice"
+
+(** Whether [region] contains a launch site of its own: tuning it
+    mid-trial goes through the choice tables trials share. *)
+let has_nested_site (region : Instr.block) =
+  let nested = ref false in
+  Instr.iter_deep
+    (fun i ->
+      match i with Instr.Gpu_wrapper _ | Instr.Alternatives _ -> nested := true | _ -> ())
+    region;
+  !nested
 
 (** Execute one kernel region (the selected alternatives region or the
-    plain wrapper body): leading host instructions are evaluated, each
-    grid-level parallel is launched. *)
+    plain wrapper body): host instructions are evaluated, and each
+    grid-level parallel launches on the site resolved at that point.
+    Fission rewrites only the bodies of grid-level parallels, so the
+    lowered region lines up instruction for instruction with [region].
+    Trials and commits both run through here; returns the summed
+    simulated seconds of the region's launches. *)
 let rec exec_kernel_region st ~name ~wid ~alt (region : Instr.block) =
-  let region = if cpu_mode st then cpu_lowered st ~wid ~alt region else region in
-  let stats = kernel_stats st ~wid ~alt region in
-  List.iter
-    (fun i ->
+  let seconds = ref 0. in
+  List.iteri
+    (fun j i ->
       match i with
       | Instr.Parallel { level = Instr.Blocks; _ } ->
-          let mode : Exec.mode =
-            if st.trial || not st.config.functional then `Sample st.config.sample_blocks else `All
-          in
-          let offload =
-            match st.config.target.Descriptor.vendor with
-            | Descriptor.Amd ->
-                let tb =
-                  match Backend.find_threads_body region with
-                  | Some _ -> Exec.block_dims_of st.env region |> List.fold_left ( * ) 1
-                  | None -> 1
-                in
-                tb > 0 && stats.Backend.static_shmem / max 1 tb > amd_shared_offload_threshold
-            | Descriptor.Nvidia | Descriptor.Generic -> false
-          in
-          let shmem =
-            if offload then 0 (* demoted: no occupancy pressure from shared memory *)
-            else stats.Backend.static_shmem
-          in
-          let demand =
-            {
-              Timing.regs_per_thread = stats.Backend.regs_per_thread;
-              shmem_per_block = shmem;
-              ilp = stats.Backend.ilp;
-              mlp = stats.Backend.mlp;
-            }
-          in
-          let result, breakdown =
-            if cpu_mode st then begin
-              let compiled =
-                match st.config.engine with
-                | Engine.Compiled -> Some (compiled_kernel st i)
-                | Engine.Interp -> None
-              in
-              let cres =
-                Cpu_exec.launch st.config.target ?compiled ~jobs:st.config.jobs ~mode
-                  ~env:st.env i
-              in
-              let result = cres.Cpu_exec.result in
-              ( result,
-                Cpu_timing.estimate st.config.target ~demand
-                  ~vector_fraction:cres.Cpu_exec.vector_fraction result )
-            end
-            else begin
-              st.machine.Exec.shared_as_global <- offload;
-              let result =
-                match st.config.engine with
-                | Engine.Compiled ->
-                    Compile.launch ~jobs:(launch_jobs st) st.machine ~mode ~env:st.env
-                      (compiled_kernel st i)
-                | Engine.Interp -> Exec.launch ~jobs:(launch_jobs st) st.machine ~mode ~env:st.env i
-              in
-              st.machine.Exec.shared_as_global <- false;
-              (result, Timing.estimate st.config.target ~demand result)
-            end
-          in
-          let t0 = ticks st in
-          charge st breakdown.Timing.seconds;
-          if not st.trial then begin
-            Tracer.span_at st.config.tracer ~cat:"kernel" ~ts:t0
-              ~dur:(breakdown.Timing.seconds *. 1e6)
-              ~args:
-                [
-                  ("kernel", Json.Str name);
-                  ("alternative", if alt >= 0 then Json.Int alt else Json.Null);
-                  ("nblocks", Json.Int result.Exec.nblocks);
-                  ("threads_per_block", Json.Int result.Exec.threads_per_block);
-                  ("seconds", Json.Float breakdown.Timing.seconds);
-                  ( "occupancy",
-                    Json.Float breakdown.Timing.occupancy.Pgpu_target.Occupancy.occupancy );
-                ]
-              ("kernel:" ^ name);
-            let bottleneck =
-              Bottleneck.classify ~kind:st.config.target.Descriptor.kind
-                result.Exec.counters breakdown
-            in
-            Tracer.instant_at st.config.tracer ~cat:"bottleneck" ~ts:t0
-              ~args:
-                [
-                  ("kernel", Json.Str name);
-                  ("label", Json.Str (Bottleneck.label_name bottleneck.Bottleneck.label));
-                  ("limiter", Json.Str bottleneck.Bottleneck.limiter);
-                  ("headroom", Json.Float bottleneck.Bottleneck.headroom);
-                ]
-              ("bottleneck:" ^ name);
-            st.records <-
-              {
-                kernel = name;
-                wid;
-                alternative = (if alt >= 0 then Some alt else None);
-                result;
-                stats;
-                breakdown;
-                bottleneck;
-                seconds = breakdown.Timing.seconds;
-              }
-              :: st.records
-          end
+          let s = site st ~wid ~alt region in
+          seconds := !seconds +. launch st ~name ~wid ~alt s (List.nth s.lowered j)
       | _ -> exec_host_instr st i)
-    region
+    region;
+  !seconds
 
 (** Magnitude-bucketed signature of a launch site's integer inputs:
     the timing-driven optimization re-tunes a site when the scale of
@@ -530,284 +553,105 @@ and cached_choice st ckey n =
       | None -> None)
 
 (** Timing-driven optimization: measure every region of an
-    [Alternatives] op once per launch signature (sampled, on scratch
-    copies of the live buffers) and commit to the fastest feasible
-    one. Regions that are infeasible on the target are skipped, which
-    subsumes the static shared-memory pruning at runtime. A choice
-    found in the persistent cache is committed directly: no trials, no
-    buffer snapshot — the warm run replays the cold run's decision. *)
+    [Alternatives] op once per launch signature and commit to the
+    fastest feasible one. Regions that are infeasible on the target
+    are skipped, which subsumes the static shared-memory pruning at
+    runtime. A choice found in the persistent cache is committed
+    directly, without trials — the warm run replays the cold run's
+    decision. *)
 and choose_alternative st ~name ~wid ~signature ?ckey (aid : int) (descs : string list) regions =
   match Hashtbl.find_opt st.choices (aid, signature) with
   | Some k -> k
   | None ->
       let k =
         if not st.config.tune then min st.config.fixed_choice (List.length regions - 1)
-        else begin
+        else
           match cached_choice st ckey (List.length regions) with
           | Some (k, seconds) ->
               Log.debug (fun m ->
                   m "TDO: kernel %s chose alternative %d (%s) from cache" name k
                     (List.nth descs k));
-              Tracer.instant_at st.config.tracer ~cat:"tdo" ~ts:(ticks st)
-                ~args:
-                  [
-                    ("kernel", Json.Str name);
-                    ("signature", Json.Str signature);
-                    ("alternative", Json.Int k);
-                    ("spec", Json.Str (List.nth descs k));
-                    ("seconds", Json.Float seconds);
-                    ("cached", Json.Bool true);
-                  ]
-                "tdo:choice";
+              choice_event st ~name ~signature ~cached:true k (List.nth descs k) seconds;
               k
-          | None -> begin
-          let times =
-            if List.length regions > 1 && parallel_tdo_ok st regions then
-              parallel_trial_times st ~name ~wid regions
-            else sequential_trial_times st ~name ~wid ~descs regions
-          in
-          (* stable argmin — strictly-less in index order — so the
-             committed choice is identical however trials were
-             scheduled, sequentially or across domains *)
-          let best = ref (-1) and best_t = ref infinity in
-          Array.iteri
-            (fun k t ->
-              if t < !best_t then begin
-                best := k;
-                best_t := t
-              end)
-            times;
-          if !best < 0 then host_fail "no feasible alternative for kernel %s" name;
-          Log.debug (fun m ->
-              m "TDO: kernel %s chose alternative %d (%s), %.3g s" name !best
-                (List.nth descs !best) !best_t);
-          Tracer.instant_at st.config.tracer ~cat:"tdo" ~ts:(ticks st)
-            ~args:
-              [
-                ("kernel", Json.Str name);
-                ("signature", Json.Str signature);
-                ("alternative", Json.Int !best);
-                ("spec", Json.Str (List.nth descs !best));
-                ("seconds", Json.Float !best_t);
-              ]
-            "tdo:choice";
-          Option.iter
-            (fun key ->
-              Cache.add st.config.cache ~ns:"tdo" key
-                (Json.Obj
-                   [
-                     ("choice", Json.Int !best);
-                     ("spec", Json.Str (List.nth descs !best));
-                     ("seconds", Json.Float !best_t);
-                   ]))
-            ckey;
-          !best
-        end
-        end
+          | None -> search st ~name ~wid ~signature ?ckey descs regions
       in
       Hashtbl.replace st.choices (aid, signature) k;
       k
 
-(** Whether the TDO search may fan trials out over the domain pool:
-    needs [jobs > 1], no tracer (trial instants observe trial order),
-    no race detector, and no nested wrapper/alternatives inside any
-    candidate (a nested site would tune through the shared choice
-    tables mid-trial). *)
-and parallel_tdo_ok st regions =
-  Pgpu_support.Pool.effective_jobs st.config.jobs > 1
-  && (not (Tracer.enabled st.config.tracer))
-  && st.config.racecheck = None
-  && not
-       (List.exists
-          (fun region ->
-            let nested = ref false in
-            Instr.iter_deep
-              (fun i ->
-                match i with
-                | Instr.Gpu_wrapper _ | Instr.Alternatives _ -> nested := true
-                | _ -> ())
-              region;
-            !nested)
-          regions)
-
-(** Deep-copy the buffers reachable from [env] (deduplicated by buffer
-    id, including per-lane buffer vectors), leaving scalars shared: the
-    trial's functional writes land in private arrays, exactly like the
-    sequential path's snapshot/restore — without ever touching the
-    live data. *)
-and clone_trial_env (env : Exec.env) : Exec.env =
-  let copy = Hashtbl.copy env in
-  let cloned = Hashtbl.create 16 in
-  let clone_buf (b : Memory.buf) =
-    match Hashtbl.find_opt cloned b.Memory.id with
-    | Some b' -> b'
-    | None ->
-        let data =
-          match b.Memory.data with
-          | Memory.I a -> Memory.I (Array.copy a)
-          | Memory.F a -> Memory.F (Array.copy a)
-        in
-        let b' = { b with Memory.data } in
-        Hashtbl.replace cloned b.Memory.id b';
-        b'
+(** The TDO search: one trial per candidate, batched on the
+    persistent pool ([jobs = 1] runs the batch inline), then a stable
+    argmin — strictly-less in index order — so the committed choice is
+    identical however the trials were scheduled. The batch runs with
+    one job under a tracer, whose [tdo:trial] and [cpu:fission] events
+    must come out in trial order, and when a candidate contains a
+    nested launch site. *)
+and search st ~name ~wid ~signature ?ckey descs regions =
+  let jobs =
+    if Tracer.enabled st.config.tracer || List.exists has_nested_site regions then 1
+    else st.config.jobs
   in
-  Hashtbl.iter
-    (fun k rv ->
-      match rv with
-      | Exec.UB b -> Hashtbl.replace copy k (Exec.UB (clone_buf b))
-      | Exec.VB bs -> Hashtbl.replace copy k (Exec.VB (Array.map clone_buf bs))
-      | _ -> ())
-    env;
-  copy
-
-(** Concurrent TDO trials on the persistent pool: each candidate runs
-    on a fully private state (cloned machine, deep-copied buffers, its
-    own env), so no snapshot/restore cycle and no cross-trial cache
-    pollution — every trial sees exactly the pre-search machine, which
-    is also what each sequential trial sees after the restores. The
-    shared memo tables (per-site stats, fissioned regions, compiled
-    kernels) are warmed sequentially first so trials only read them. *)
-and parallel_trial_times st ~name ~wid regions =
-  List.iteri
-    (fun k region ->
-      let region = if cpu_mode st then cpu_lowered st ~wid ~alt:k region else region in
-      ignore (kernel_stats st ~wid ~alt:k region);
-      match st.config.engine with
-      | Engine.Compiled ->
-          List.iter
-            (fun i ->
-              match i with
-              | Instr.Parallel { level = Instr.Blocks; _ } -> ignore (compiled_kernel st i)
-              | _ -> ())
-            region
-      | Engine.Interp -> ())
-    regions;
-  let pool = Pgpu_support.Pool.get () in
-  let trials =
-    Pgpu_support.Pool.map pool ~jobs:st.config.jobs
-      (fun (k, region) ->
-        let tenv = clone_trial_env st.env in
-        let ts =
-          {
-            st with
-            machine = Exec.clone_machine st.machine;
-            env = tenv;
-            records = [];
-            trial = true;
-          }
-        in
-        let probe = ref 0. in
-        let t =
-          try
-            exec_kernel_region_probe ts ~name ~wid ~alt:k region probe;
-            !probe
-          with Timing.Infeasible _ | Exec.Device_error _ -> infinity
-        in
-        (t, tenv))
+  let times =
+    Pgpu_support.Pool.map (Pgpu_support.Pool.get ()) ~jobs
+      (fun (k, region) -> trial st ~name ~wid ~descs k region)
       (List.mapi (fun k r -> (k, r)) regions)
   in
-  (* Replicate the sequential search's env side effect: a trial binds
-     the SSA results of its region's host prelude while probing, and
-     the committed execution's lowering resolves thread extents (e.g.
-     a coarsened extent computed as [bs / f]) through those bindings.
-     Trials only bind region-local ids (candidate regions are clones
-     with disjoint SSA ids), so copying each trial env's new keys back
-     adds exactly the bindings the sequential trials would have left
-     in [st.env] — pre-existing keys (notably the live buffers, which
-     the trial env rebinds to private copies) are never overwritten. *)
-  List.iter
-    (fun (_, tenv) ->
-      Hashtbl.iter
-        (fun key v -> if not (Hashtbl.mem st.env key) then Hashtbl.replace st.env key v)
-        tenv)
-    trials;
-  List.map fst trials |> Array.of_list
-
-(** Sequential trials on the live state: each region runs on scratch
-    copies of the live buffers; machine state (allocator, L2 slices,
-    SM pointer) is restored after every trial so the committed
-    execution — and therefore the composite time — is bit-identical
-    whether trials ran or were answered from the cache. *)
-and sequential_trial_times st ~name ~wid ~descs regions =
-  let snap = snapshot_buffers st in
-  let msnap = Exec.snapshot_machine st.machine in
-  let times = Array.make (List.length regions) infinity in
+  let best = ref (-1) and best_t = ref infinity in
   List.iteri
-    (fun k region ->
-      st.trial <- true;
-      let t =
-        Fun.protect
-          ~finally:(fun () ->
-            st.trial <- false;
-            restore_buffers snap;
-            Exec.restore_machine st.machine msnap)
-          (fun () ->
-            let probe = ref 0. in
-            try
-              exec_kernel_region_probe st ~name ~wid ~alt:k region probe;
-              !probe
-            with Timing.Infeasible _ | Exec.Device_error _ -> infinity)
-      in
-      Tracer.instant_at st.config.tracer ~cat:"tdo" ~ts:(ticks st)
-        ~args:
-          [
-            ("kernel", Json.Str name);
-            ("alternative", Json.Int k);
-            ("spec", Json.Str (List.nth descs k));
-            ("seconds", Json.Float t);
-            ("feasible", Json.Bool (Float.is_finite t));
-          ]
-        "tdo:trial";
-      times.(k) <- t)
-    regions;
-  times
+    (fun k t ->
+      if t < !best_t then begin
+        best := k;
+        best_t := t
+      end)
+    times;
+  if !best < 0 then host_fail "no feasible alternative for kernel %s" name;
+  Log.debug (fun m ->
+      m "TDO: kernel %s chose alternative %d (%s), %.3g s" name !best (List.nth descs !best)
+        !best_t);
+  choice_event st ~name ~signature ~cached:false !best (List.nth descs !best) !best_t;
+  Option.iter
+    (fun key ->
+      Cache.add st.config.cache ~ns:"tdo" key
+        (Json.Obj
+           [
+             ("choice", Json.Int !best);
+             ("spec", Json.Str (List.nth descs !best));
+             ("seconds", Json.Float !best_t);
+           ]))
+    ckey;
+  !best
 
-and exec_kernel_region_probe st ~name:_ ~wid ~alt region acc =
-  (* like [exec_kernel_region] but accumulates estimated seconds in
-     [acc]; used for TDO trials *)
-  let region = if cpu_mode st then cpu_lowered st ~wid ~alt region else region in
-  let stats = kernel_stats st ~wid ~alt region in
-  List.iter
-    (fun i ->
-      match i with
-      | Instr.Parallel { level = Instr.Blocks; _ } ->
-          let demand =
-            {
-              Timing.regs_per_thread = stats.Backend.regs_per_thread;
-              shmem_per_block = stats.Backend.static_shmem;
-              ilp = stats.Backend.ilp;
-              mlp = stats.Backend.mlp;
-            }
-          in
-          let breakdown =
-            if cpu_mode st then begin
-              let compiled =
-                match st.config.engine with
-                | Engine.Compiled -> Some (compiled_kernel st i)
-                | Engine.Interp -> None
-              in
-              let cres =
-                Cpu_exec.launch st.config.target ?compiled ~jobs:st.config.jobs
-                  ~mode:(`Sample st.config.sample_blocks) ~env:st.env i
-              in
-              Cpu_timing.estimate st.config.target ~demand
-                ~vector_fraction:cres.Cpu_exec.vector_fraction cres.Cpu_exec.result
-            end
-            else
-              let result =
-                match st.config.engine with
-                | Engine.Compiled ->
-                    Compile.launch ~jobs:(launch_jobs st) st.machine
-                      ~mode:(`Sample st.config.sample_blocks) ~env:st.env (compiled_kernel st i)
-                | Engine.Interp ->
-                    Exec.launch ~jobs:(launch_jobs st) st.machine
-                      ~mode:(`Sample st.config.sample_blocks) ~env:st.env i
-              in
-              Timing.estimate st.config.target ~demand result
-          in
-          acc := !acc +. breakdown.Timing.seconds
-      | _ -> exec_host_instr st i)
-    region
+(** One trial: candidate [k] runs through the same
+    [exec_kernel_region] as the commit, on a private state — a cloned
+    machine (which never race-checks), deep-copied buffers, its own
+    env and frames — so it sees exactly the pre-search machine the
+    commit then runs on, and leaves no trace on it. Returns the
+    candidate's simulated seconds, [infinity] when infeasible. *)
+and trial st ~name ~wid ~descs k region =
+  let ts =
+    {
+      st with
+      machine = Exec.clone_machine st.machine;
+      env = clone_trial_env st.env;
+      frames = Compile.frames ();
+      records = [];
+      trial = true;
+    }
+  in
+  let t =
+    try exec_kernel_region ts ~name ~wid ~alt:k region
+    with Timing.Infeasible _ | Exec.Device_error _ -> infinity
+  in
+  Tracer.instant_at st.config.tracer ~cat:"tdo" ~ts:(ticks st)
+    ~args:
+      [
+        ("kernel", Json.Str name);
+        ("alternative", Json.Int k);
+        ("spec", Json.Str (List.nth descs k));
+        ("seconds", Json.Float t);
+        ("feasible", Json.Bool (Float.is_finite t));
+      ]
+    "tdo:trial";
+  t
 
 and exec_wrapper st ~name ~wid (body : Instr.block) =
   match body with
@@ -819,8 +663,8 @@ and exec_wrapper st ~name ~wid (body : Instr.block) =
         if st.config.tune then tdo_cache_key st ~wid ~signature descs body else None
       in
       let k = choose_alternative st ~name ~wid ~signature ?ckey aid descs regions in
-      exec_kernel_region st ~name ~wid ~alt:k (List.nth regions k)
-  | _ -> exec_kernel_region st ~name ~wid ~alt:(-1) body
+      ignore (exec_kernel_region st ~name ~wid ~alt:k (List.nth regions k))
+  | _ -> ignore (exec_kernel_region st ~name ~wid ~alt:(-1) body)
 
 (* ------------------------------------------------------------------ *)
 (* Host control flow                                                   *)

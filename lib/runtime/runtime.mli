@@ -32,8 +32,9 @@ type config = {
           false, large grids are sampled and only timing is meaningful *)
   sample_blocks : int;  (** blocks executed per launch when sampling *)
   jobs : int;
-      (** host OCaml domains used by the CPU backend's domain-parallel
-          block execution; ignored by GPU targets *)
+      (** host OCaml domains for the TDO trial batch, sharded GPU
+          launches and the CPU backend's block execution; results are
+          bit-identical at any value *)
   tune : bool;  (** timing-driven selection of alternatives *)
   fixed_choice : int;  (** alternatives region when not tuning *)
   host_op_cost : float;  (** seconds per interpreted host instruction *)
@@ -45,8 +46,8 @@ type config = {
   cache : Pgpu_cache.Cache.t;
       (** persistent TDO cache: committed choices are stored under
           (kernel hash, target, launch signature, alternative descs),
-          so a warm run skips trial execution and buffer snapshots
-          entirely while reproducing the cold run's choices exactly;
+          so a warm run skips trial execution entirely while
+          reproducing the cold run's choices exactly;
           [Cache.disabled] (the default) = off *)
   racecheck : Pgpu_gpusim.Racecheck.t option;
       (** dynamic shared-memory race detector attached to the simulator

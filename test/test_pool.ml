@@ -7,7 +7,8 @@
     - a qcheck property that the runtime picks identical TDO
       alternatives and produces identical outputs, counters and
       simulated times on random barrier kernels whatever the [jobs]
-      setting ({1, 2, 4} x {a100, rx6800, cpu}).
+      setting and whether a tracer is attached ({1, 2, 4, 4 traced} x
+      {a100, rx6800, cpu}).
 
     The container running the tests may have a single core, which would
     make [Pool.effective_jobs] collapse every parallel request to
@@ -21,6 +22,7 @@ module Runtime = Pgpu_runtime.Runtime
 module Exec = Pgpu_gpusim.Exec
 module Descriptor = Pgpu_target.Descriptor
 module Pipeline = Pgpu_transforms.Pipeline
+module Tracer = Pgpu_trace.Tracer
 
 (** Run [f] with the pool sized as if the machine had 4 cores. *)
 let with_forced_cores f =
@@ -86,7 +88,7 @@ let test_effective_jobs_cap () =
   Alcotest.(check int) "never below 1" 1 (Pool.effective_jobs 0)
 
 (* ------------------------------------------------------------------ *)
-(* TDO parity: parallel and sequential searches agree bit-for-bit      *)
+(* TDO parity: every job count, traced or not, agrees bit-for-bit      *)
 (* ------------------------------------------------------------------ *)
 
 type observation = {
@@ -96,7 +98,7 @@ type observation = {
   seconds : int64 list;  (** per-launch simulated seconds, bitwise *)
 }
 
-let observe (target : Descriptor.t) m ~nblocks ~jobs : observation =
+let observe ?(tracer = Tracer.disabled) (target : Descriptor.t) m ~nblocks ~jobs : observation =
   let opts =
     {
       (Pipeline.default_options target) with
@@ -104,7 +106,7 @@ let observe (target : Descriptor.t) m ~nblocks ~jobs : observation =
     }
   in
   let m', _ = Pipeline.compile opts m in
-  let config = { (Runtime.default_config target) with Runtime.tune = true; jobs } in
+  let config = { (Runtime.default_config target) with Runtime.tune = true; jobs; tracer } in
   let results, st = Runtime.run config m' [ Exec.UI nblocks ] in
   let records = Runtime.records st in
   {
@@ -146,12 +148,15 @@ let prop_tdo_parity =
         (fun target ->
           let seq = observe target m ~nblocks ~jobs:1 in
           List.iter
-            (fun jobs ->
-              let par = observe target m ~nblocks ~jobs in
+            (fun (jobs, traced) ->
+              let tracer = if traced then Tracer.create () else Tracer.disabled in
+              let par = observe ~tracer target m ~nblocks ~jobs in
               check_parity
-                ~what:(Fmt.str "%s at jobs=%d" target.Descriptor.name jobs)
+                ~what:
+                  (Fmt.str "%s at jobs=%d%s" target.Descriptor.name jobs
+                     (if traced then ", traced" else ""))
                 seq par)
-            [ 2; 4 ])
+            [ (2, false); (4, false); (4, true) ])
         [ Descriptor.a100; Descriptor.rx6800; Descriptor.cpu ];
       true)
 
