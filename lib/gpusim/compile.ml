@@ -31,6 +31,18 @@
     (lane-mask buffers at divergence points, exactly where the
     interpreter allocates too).
 
+    {b Lane-loop templates.} Each direct-bank lane loop (arithmetic,
+    comparison, select, uniform-buffer load/store, masked merge) is
+    written once, as an [[@inline]] template in this module, and
+    instantiated per operator and operand shape. Without flambda and
+    under [-opaque] this compiles to the hand-specialized loop only if
+    the template lives in this module, receives the operator and the
+    operand shapes as constant constructors, takes no function-valued
+    parameter and builds no closure, and matches the operator per lane
+    with one arm per constructor. Call sites mark each instantiation
+    [[@inlined]], so a template that stops inlining fails the build
+    (warning 55).
+
     {b Event parity.} The closures drive the same performance model
     entry points ({!Exec.count_op}, {!Exec.global_request},
     {!Exec.shared_request}) in exactly the interpreter's order, so the
@@ -221,19 +233,34 @@ let ru_buf (l : loc) : frame -> Memory.buf =
   | _ -> fun _ -> invalid_arg "exec: expected uniform buffer"
 
 (* ------------------------------------------------------------------ *)
-(* Operand shapes for specialized loops                                *)
+(* Lane-loop templates                                                 *)
 (* ------------------------------------------------------------------ *)
 
 (* The generic readers above are closures: every per-lane float read
    through one boxes its result, which puts the compiled engine on par
-   with the interpreter's allocation rate. The hot constructs below
-   therefore pattern-match operand locations at compile time and emit
-   loops that index the bank arrays directly — unboxed reads and
-   writes, no calls in the lane loop. [Array.unsafe_get]/[unsafe_set]
-   are safe here by construction: slot < bank count and lane < nlanes
-   <= cap, so [slot * cap + lane] is always in range. The primitives
-   must be spelled out at each site (an alias would generalize them to
-   a boxing polymorphic closure). *)
+   with the interpreter's allocation rate. The hot constructs therefore
+   pattern-match operand locations at compile time and run loops that
+   index the bank arrays directly: unboxed reads and writes, no calls
+   in the lane loop. Each such loop is written once, as an [[@inline]]
+   template below, under rules that let ocamlopt without flambda
+   compile every instantiation to the loop a hand-written copy would
+   be:
+
+   - Templates live in this module: under [-opaque] nothing inlines
+     across modules, so [Ops]' operator semantics are restated here.
+   - Every call site passes the operator and the operand shapes as
+     constant constructors, so inlining resolves each [match] on them.
+   - A template has no function-valued parameter and creates no
+     closure. The per-instruction closure is written at the call site,
+     around a template call marked [[@inlined]]; warning 55 (an error
+     in dune's dev profile) flags any instantiation that stops
+     inlining.
+   - A per-lane operator match has one arm per constructor: a [_] or
+     or-pattern arm leaves a shared handler that boxes in the loop.
+
+   [Array.unsafe_get]/[unsafe_set] are safe here by construction: slot
+   < bank count and lane < nlanes <= cap, so [slot * cap + lane] is
+   always in range. *)
 
 (** Varying slot of exactly this kind, for direct row access. *)
 let vf_slot (l : loc) = if l.l_varying && l.l_kind = KFloat then Some l.l_slot else None
@@ -244,6 +271,210 @@ let vi_slot (l : loc) = if l.l_varying && l.l_kind = KInt then Some l.l_slot els
     [ru_int]/[ru_float] and hoisted out of the lane loop — the
     per-lane coercion the generic reader would do is lane-invariant. *)
 let uni_scalar (l : loc) = (not l.l_varying) && l.l_kind <> KBuf
+
+(** How a template reads an operand: [Row] indexes the operand's
+    varying row per lane; [Uni] takes a uniform scalar read once per
+    invocation. *)
+type shape = Row | Uni
+
+let[@inline] fget sh (vf : float array) base l (u : float) =
+  match sh with Row -> Array.unsafe_get vf (base + l) | Uni -> u
+
+let[@inline] iget sh (vi : int array) base l (u : int) =
+  match sh with Row -> Array.unsafe_get vi (base + l) | Uni -> u
+
+let[@inline] bget sh (vb : Memory.buf array) base l (u : Memory.buf) =
+  match sh with Row -> Array.unsafe_get vb (base + l) | Uni -> u
+
+(* [Ops.eval_*], one arm per operator; the operators [Ops] rejects for
+   a kind raise its error through it *)
+
+let[@inline] fbin op (x : float) y =
+  match op with
+  | Ops.Add -> x +. y
+  | Ops.Sub -> x -. y
+  | Ops.Mul -> x *. y
+  | Ops.Div -> x /. y
+  | Ops.Rem -> Float.rem x y
+  | Ops.Min -> Float.min x y
+  | Ops.Max -> Float.max x y
+  | Ops.Pow -> Float.pow x y
+  | Ops.And -> Ops.eval_float_binop Ops.And x y
+  | Ops.Or -> Ops.eval_float_binop Ops.Or x y
+  | Ops.Xor -> Ops.eval_float_binop Ops.Xor x y
+  | Ops.Shl -> Ops.eval_float_binop Ops.Shl x y
+  | Ops.Shr -> Ops.eval_float_binop Ops.Shr x y
+
+let[@inline] ibin op (x : int) y =
+  match op with
+  | Ops.Add -> x + y
+  | Ops.Sub -> x - y
+  | Ops.Mul -> x * y
+  | Ops.Div -> if y = 0 then 0 else x / y
+  | Ops.Rem -> if y = 0 then 0 else x mod y
+  | Ops.And -> x land y
+  | Ops.Or -> x lor y
+  | Ops.Xor -> x lxor y
+  | Ops.Shl -> x lsl y
+  | Ops.Shr -> x asr y
+  | Ops.Min -> if x <= y then x else y
+  | Ops.Max -> if x >= y then x else y
+  | Ops.Pow -> Ops.eval_int_binop Ops.Pow x y
+
+let[@inline] fun1 op (x : float) =
+  match op with
+  | Ops.Neg -> -.x
+  | Ops.Sqrt -> sqrt x
+  | Ops.Exp -> exp x
+  | Ops.Log -> log x
+  | Ops.Sin -> sin x
+  | Ops.Cos -> cos x
+  | Ops.Abs -> Float.abs x
+  | Ops.Floor -> Float.floor x
+  | Ops.Ceil -> Float.ceil x
+  | Ops.Rsqrt -> 1. /. sqrt x
+  | Ops.Not -> Ops.eval_float_unop Ops.Not x
+
+let[@inline] fcmp op (x : float) y =
+  match op with
+  | Ops.Eq -> x = y
+  | Ops.Ne -> x <> y
+  | Ops.Lt -> x < y
+  | Ops.Le -> x <= y
+  | Ops.Gt -> x > y
+  | Ops.Ge -> x >= y
+
+let[@inline] icmp op (x : int) y =
+  match op with
+  | Ops.Eq -> x = y
+  | Ops.Ne -> x <> y
+  | Ops.Lt -> x < y
+  | Ops.Le -> x <= y
+  | Ops.Gt -> x > y
+  | Ops.Ge -> x >= y
+
+(** Float row [d] <- [op a b]; a [Uni] operand reads [x] (resp. [y]). *)
+let[@inline] fbin_lanes op sa sb cls d a b x y fr mask =
+  Exec.count_op fr.ctx mask cls;
+  let vf = fr.vf and cap = fr.cap in
+  let bd = d * cap and ba = a * cap and bb = b * cap in
+  for l = 0 to fr.nlanes - 1 do
+    Array.unsafe_set vf (bd + l) (fbin op (fget sa vf ba l x) (fget sb vf bb l y))
+  done
+
+let[@inline] ibin_lanes op sa sb cls d a b x y fr mask =
+  Exec.count_op fr.ctx mask cls;
+  let vi = fr.vi and cap = fr.cap in
+  let bd = d * cap and ba = a * cap and bb = b * cap in
+  for l = 0 to fr.nlanes - 1 do
+    Array.unsafe_set vi (bd + l) (ibin op (iget sa vi ba l x) (iget sb vi bb l y))
+  done
+
+let[@inline] fun_lanes op cls d a fr mask =
+  Exec.count_op fr.ctx mask cls;
+  let vf = fr.vf and cap = fr.cap in
+  let bd = d * cap and ba = a * cap in
+  for l = 0 to fr.nlanes - 1 do
+    Array.unsafe_set vf (bd + l) (fun1 op (Array.unsafe_get vf (ba + l)))
+  done
+
+(** Int row [d] <- [op a b] as 1/0, comparing float operands. *)
+let[@inline] fcmp_lanes op sa sb d a b x y fr mask =
+  Exec.count_op fr.ctx mask Exec.Cint;
+  let vf = fr.vf and vi = fr.vi and cap = fr.cap in
+  let bd = d * cap and ba = a * cap and bb = b * cap in
+  for l = 0 to fr.nlanes - 1 do
+    Array.unsafe_set vi (bd + l) (if fcmp op (fget sa vf ba l x) (fget sb vf bb l y) then 1 else 0)
+  done
+
+let[@inline] icmp_lanes op sa sb d a b x y fr mask =
+  Exec.count_op fr.ctx mask Exec.Cint;
+  let vi = fr.vi and cap = fr.cap in
+  let bd = d * cap and ba = a * cap and bb = b * cap in
+  for l = 0 to fr.nlanes - 1 do
+    Array.unsafe_set vi (bd + l) (if icmp op (iget sa vi ba l x) (iget sb vi bb l y) then 1 else 0)
+  done
+
+(** Float row [d] <- [c ? a : b] over the int condition row [c]. *)
+let[@inline] fsel_lanes sa sb d c a b x y fr mask =
+  Exec.count_op fr.ctx mask Exec.Cint;
+  let vf = fr.vf and vi = fr.vi and cap = fr.cap in
+  let bd = d * cap and bc = c * cap and ba = a * cap and bb = b * cap in
+  for l = 0 to fr.nlanes - 1 do
+    Array.unsafe_set vf (bd + l)
+      (if Array.unsafe_get vi (bc + l) <> 0 then fget sa vf ba l x else fget sb vf bb l y)
+  done
+
+let[@inline] isel_lanes sa sb d c a b x y fr mask =
+  Exec.count_op fr.ctx mask Exec.Cint;
+  let vi = fr.vi and cap = fr.cap in
+  let bd = d * cap and bc = c * cap and ba = a * cap and bb = b * cap in
+  for l = 0 to fr.nlanes - 1 do
+    Array.unsafe_set vi (bd + l)
+      (if Array.unsafe_get vi (bc + l) <> 0 then iget sa vi ba l x else iget sb vi bb l y)
+  done
+
+(** Masked merge into row [d]: lanes with the bit set take row [s], or
+    the scalar [y] when [Uni]. *)
+let[@inline] fmerge sh d s (y : float) fr bits =
+  let vf = fr.vf and bd = d * fr.cap and bs = s * fr.cap in
+  for l = 0 to fr.nlanes - 1 do
+    if Array.unsafe_get bits l then Array.unsafe_set vf (bd + l) (fget sh vf bs l y)
+  done
+
+let[@inline] imerge sh d s (y : int) fr bits =
+  let vi = fr.vi and bd = d * fr.cap and bs = s * fr.cap in
+  for l = 0 to fr.nlanes - 1 do
+    if Array.unsafe_get bits l then Array.unsafe_set vi (bd + l) (iget sh vi bs l y)
+  done
+
+let[@inline] bmerge sh d s (y : Memory.buf) fr bits =
+  let vb = fr.vb and bd = d * fr.cap and bs = s * fr.cap in
+  for l = 0 to fr.nlanes - 1 do
+    if Array.unsafe_get bits l then Array.unsafe_set vb (bd + l) (bget sh vb bs l y)
+  done
+
+(** What {!ubuf_lanes} moves per lane, named by the varying bank it
+    reads or writes. *)
+type move = Load_f | Load_i | Store_f | Store_i
+
+(** The canonical kernel access: uniform buffer [b] indexed by the int
+    row [si], with the buffer and its data-representation match
+    hoisted out of the lane loop. Loads write row [s]; stores read row
+    [s], or the scalar [uf]/[ui] when [sh] is [Uni]. *)
+let[@inline] ubuf_lanes mv sh (b : Memory.buf) si s (uf : float) (ui : int) fr (mask : Exec.mask)
+    =
+  let bits = mask.Exec.bits and cap = fr.cap in
+  let bi = si * cap and bs = s * cap in
+  let vf = fr.vf and vi = fr.vi and addrs = fr.addrs in
+  let bb = b.Memory.base and len = b.Memory.len and esz = Memory.elt_size b in
+  match b.Memory.data with
+  | Memory.F arr ->
+      for l = 0 to fr.nlanes - 1 do
+        if Array.unsafe_get bits l then begin
+          let i = Array.unsafe_get vi (bi + l) in
+          if i < 0 || i >= len then Memory.check_bounds b i;
+          Array.unsafe_set addrs l (bb + (i * esz));
+          match mv with
+          | Load_f -> Array.unsafe_set vf (bs + l) (Array.unsafe_get arr i)
+          | Load_i -> Array.unsafe_set vi (bs + l) (int_of_float (Array.unsafe_get arr i))
+          | Store_f -> Array.unsafe_set arr i (fget sh vf bs l uf)
+          | Store_i -> Array.unsafe_set arr i (float_of_int (iget sh vi bs l ui))
+        end
+      done
+  | Memory.I arr ->
+      for l = 0 to fr.nlanes - 1 do
+        if Array.unsafe_get bits l then begin
+          let i = Array.unsafe_get vi (bi + l) in
+          if i < 0 || i >= len then Memory.check_bounds b i;
+          Array.unsafe_set addrs l (bb + (i * esz));
+          match mv with
+          | Load_f -> Array.unsafe_set vf (bs + l) (float_of_int (Array.unsafe_get arr i))
+          | Load_i -> Array.unsafe_set vi (bs + l) (Array.unsafe_get arr i)
+          | Store_f -> Array.unsafe_set arr i (int_of_float (fget sh vf bs l uf))
+          | Store_i -> Array.unsafe_set arr i (iget sh vi bs l ui)
+        end
+      done
 
 (* ------------------------------------------------------------------ *)
 (* Copies                                                              *)
@@ -268,34 +499,25 @@ let copy_full (src : loc) (dst : loc) : frame -> unit =
   (* scalar broadcasts: read once, fill the row *)
   | KInt, true, (KInt | KFloat), false ->
       let r = ru_int src in
-      fun fr ->
-        if fr.nlanes > 0 then begin
-          let y = r fr in
-          let vi = fr.vi and base = d * fr.cap in
-          for l = 0 to fr.nlanes - 1 do
-            Array.unsafe_set vi (base + l) y
-          done
-        end
+      fun fr -> Array.fill fr.vi (d * fr.cap) fr.nlanes (r fr)
   | KFloat, true, (KInt | KFloat), false ->
       let r = ru_float src in
+      fun fr -> Array.fill fr.vf (d * fr.cap) fr.nlanes (r fr)
+  | KBuf, true, KBuf, false -> fun fr -> Array.fill fr.vb (d * fr.cap) fr.nlanes fr.ub.(s)
+  (* int/float row conversions *)
+  | KFloat, true, KInt, true ->
       fun fr ->
-        if fr.nlanes > 0 then begin
-          let y = r fr in
-          let vf = fr.vf and base = d * fr.cap in
-          for l = 0 to fr.nlanes - 1 do
-            Array.unsafe_set vf (base + l) y
-          done
-        end
-  | KBuf, true, KBuf, false ->
+        let vf = fr.vf and vi = fr.vi and bd = d * fr.cap and bs = s * fr.cap in
+        for l = 0 to fr.nlanes - 1 do
+          Array.unsafe_set vf (bd + l) (float_of_int (Array.unsafe_get vi (bs + l)))
+        done
+  | KInt, true, KFloat, true ->
       fun fr ->
-        if fr.nlanes > 0 then begin
-          let y = fr.ub.(s) in
-          let vb = fr.vb and base = d * fr.cap in
-          for l = 0 to fr.nlanes - 1 do
-            Array.unsafe_set vb (base + l) y
-          done
-        end
-  (* cross-kind coercions and kind errors: checked readers *)
+        let vf = fr.vf and vi = fr.vi and bd = d * fr.cap and bs = s * fr.cap in
+        for l = 0 to fr.nlanes - 1 do
+          Array.unsafe_set vi (bd + l) (int_of_float (Array.unsafe_get vf (bs + l)))
+        done
+  (* other coercions and kind errors: checked readers *)
   | KInt, false, _, _ ->
       let r = ru_int src in
       fun fr -> fr.ui.(d) <- r fr
@@ -333,58 +555,17 @@ let copy_full (src : loc) (dst : loc) : frame -> unit =
 let copy_masked (src : loc) (dst : loc) : frame -> bool array -> unit =
   let d = dst.l_slot and s = src.l_slot in
   match (dst.l_kind, dst.l_varying, src.l_kind, src.l_varying) with
-  (* same-kind row merges: direct masked element moves *)
-  | KInt, true, KInt, true ->
-      fun fr bits ->
-        let vi = fr.vi and bd = d * fr.cap and bs = s * fr.cap in
-        for l = 0 to fr.nlanes - 1 do
-          if Array.unsafe_get bits l then
-            Array.unsafe_set vi (bd + l) (Array.unsafe_get vi (bs + l))
-        done
-  | KFloat, true, KFloat, true ->
-      fun fr bits ->
-        let vf = fr.vf and bd = d * fr.cap and bs = s * fr.cap in
-        for l = 0 to fr.nlanes - 1 do
-          if Array.unsafe_get bits l then
-            Array.unsafe_set vf (bd + l) (Array.unsafe_get vf (bs + l))
-        done
-  | KBuf, true, KBuf, true ->
-      fun fr bits ->
-        let vb = fr.vb and bd = d * fr.cap and bs = s * fr.cap in
-        for l = 0 to fr.nlanes - 1 do
-          if Array.unsafe_get bits l then
-            Array.unsafe_set vb (bd + l) (Array.unsafe_get vb (bs + l))
-        done
-  (* scalar broadcasts under mask *)
+  (* same-kind row merges and scalar broadcasts under mask *)
+  | KInt, true, KInt, true -> fun fr bits -> (imerge [@inlined]) Row d s 0 fr bits
+  | KFloat, true, KFloat, true -> fun fr bits -> (fmerge [@inlined]) Row d s 0. fr bits
+  | KBuf, true, KBuf, true -> fun fr bits -> (bmerge [@inlined]) Row d s dummy_buf fr bits
   | KInt, true, (KInt | KFloat), false ->
       let r = ru_int src in
-      fun fr bits ->
-        if fr.nlanes > 0 then begin
-          let y = r fr in
-          let vi = fr.vi and bd = d * fr.cap in
-          for l = 0 to fr.nlanes - 1 do
-            if Array.unsafe_get bits l then Array.unsafe_set vi (bd + l) y
-          done
-        end
+      fun fr bits -> (imerge [@inlined]) Uni d 0 (r fr) fr bits
   | KFloat, true, (KInt | KFloat), false ->
       let r = ru_float src in
-      fun fr bits ->
-        if fr.nlanes > 0 then begin
-          let y = r fr in
-          let vf = fr.vf and bd = d * fr.cap in
-          for l = 0 to fr.nlanes - 1 do
-            if Array.unsafe_get bits l then Array.unsafe_set vf (bd + l) y
-          done
-        end
-  | KBuf, true, KBuf, false ->
-      fun fr bits ->
-        if fr.nlanes > 0 then begin
-          let y = fr.ub.(s) in
-          let vb = fr.vb and bd = d * fr.cap in
-          for l = 0 to fr.nlanes - 1 do
-            if Array.unsafe_get bits l then Array.unsafe_set vb (bd + l) y
-          done
-        end
+      fun fr bits -> (fmerge [@inlined]) Uni d 0 (r fr) fr bits
+  | KBuf, true, KBuf, false -> fun fr bits -> (bmerge [@inlined]) Uni d 0 fr.ub.(s) fr bits
   (* cross-kind coercions: checked per-lane readers *)
   | KInt, true, _, _ ->
       let r = rd_int src in
@@ -602,69 +783,14 @@ let compile_load st (v : Value.t) (mem : Value.t) (idx : Value.t) : code =
     let felt = Types.is_float (Types.elem mem.Value.ty) in
     let s = lv.l_slot in
     let sm = lmem.l_slot in
-    (* uniform buffer + varying int index is the canonical kernel
-       access; hoist the buffer and its data-representation match out
-       of the lane loop and index the element array directly *)
     let mem_uni = lmem.l_kind = KBuf && not lmem.l_varying in
     let functional : frame -> Exec.mask -> unit =
       match (felt, lv.l_kind, lv.l_varying, (if mem_uni then vi_slot lidx else None)) with
       | _, KBuf, _, _ -> fun _ _ -> invalid_arg "exec: expected buffer"
       | true, KFloat, true, Some si ->
-          fun fr mask ->
-            let b = fr.ub.(sm) in
-            let bits = mask.Exec.bits in
-            let cap = fr.cap in
-            let bd = s * cap and bi = si * cap in
-            let vf = fr.vf and vi = fr.vi and addrs = fr.addrs in
-            let bb = b.Memory.base and len = b.Memory.len in
-            let esz = Memory.elt_size b in
-            (match b.Memory.data with
-            | Memory.F arr ->
-                for l = 0 to fr.nlanes - 1 do
-                  if Array.unsafe_get bits l then begin
-                    let i = Array.unsafe_get vi (bi + l) in
-                    if i < 0 || i >= len then Memory.check_bounds b i;
-                    Array.unsafe_set addrs l (bb + (i * esz));
-                    Array.unsafe_set vf (bd + l) (Array.unsafe_get arr i)
-                  end
-                done
-            | Memory.I arr ->
-                for l = 0 to fr.nlanes - 1 do
-                  if Array.unsafe_get bits l then begin
-                    let i = Array.unsafe_get vi (bi + l) in
-                    if i < 0 || i >= len then Memory.check_bounds b i;
-                    Array.unsafe_set addrs l (bb + (i * esz));
-                    Array.unsafe_set vf (bd + l) (float_of_int (Array.unsafe_get arr i))
-                  end
-                done)
+          fun fr m -> (ubuf_lanes [@inlined]) Load_f Row fr.ub.(sm) si s 0. 0 fr m
       | false, KInt, true, Some si ->
-          fun fr mask ->
-            let b = fr.ub.(sm) in
-            let bits = mask.Exec.bits in
-            let cap = fr.cap in
-            let bd = s * cap and bi = si * cap in
-            let vi = fr.vi and addrs = fr.addrs in
-            let bb = b.Memory.base and len = b.Memory.len in
-            let esz = Memory.elt_size b in
-            (match b.Memory.data with
-            | Memory.I arr ->
-                for l = 0 to fr.nlanes - 1 do
-                  if Array.unsafe_get bits l then begin
-                    let i = Array.unsafe_get vi (bi + l) in
-                    if i < 0 || i >= len then Memory.check_bounds b i;
-                    Array.unsafe_set addrs l (bb + (i * esz));
-                    Array.unsafe_set vi (bd + l) (Array.unsafe_get arr i)
-                  end
-                done
-            | Memory.F arr ->
-                for l = 0 to fr.nlanes - 1 do
-                  if Array.unsafe_get bits l then begin
-                    let i = Array.unsafe_get vi (bi + l) in
-                    if i < 0 || i >= len then Memory.check_bounds b i;
-                    Array.unsafe_set addrs l (bb + (i * esz));
-                    Array.unsafe_set vi (bd + l) (int_of_float (Array.unsafe_get arr i))
-                  end
-                done)
+          fun fr m -> (ubuf_lanes [@inlined]) Load_i Row fr.ub.(sm) si s 0. 0 fr m
       | true, KFloat, true, None ->
           fun fr mask ->
             let bits = mask.Exec.bits in
@@ -751,159 +877,21 @@ let compile_store st (mem : Value.t) (idx : Value.t) (v : Value.t) : code =
     let rb = rd_buf lmem and ri = rd_int lidx in
     let opname = Fmt.str "store %a" Value.pp mem in
     let felt = Types.is_float (Types.elem mem.Value.ty) in
-    let sm = lmem.l_slot in
+    let sm = lmem.l_slot and sv = lval.l_slot in
     let mem_uni = lmem.l_kind = KBuf && not lmem.l_varying in
     let functional : frame -> Exec.mask -> unit =
       match (felt, (if mem_uni then vi_slot lidx else None)) with
-      | true, Some si -> (
-          match (vf_slot lval, uni_scalar lval) with
-          | Some sv, _ ->
-              fun fr mask ->
-                let b = fr.ub.(sm) in
-                let bits = mask.Exec.bits in
-                let cap = fr.cap in
-                let bi = si * cap and bv = sv * cap in
-                let vf = fr.vf and vi = fr.vi and addrs = fr.addrs in
-                let bb = b.Memory.base and len = b.Memory.len in
-                let esz = Memory.elt_size b in
-                (match b.Memory.data with
-                | Memory.F arr ->
-                    for l = 0 to fr.nlanes - 1 do
-                      if Array.unsafe_get bits l then begin
-                        let i = Array.unsafe_get vi (bi + l) in
-                        if i < 0 || i >= len then Memory.check_bounds b i;
-                        Array.unsafe_set addrs l (bb + (i * esz));
-                        Array.unsafe_set arr i (Array.unsafe_get vf (bv + l))
-                      end
-                    done
-                | Memory.I arr ->
-                    for l = 0 to fr.nlanes - 1 do
-                      if Array.unsafe_get bits l then begin
-                        let i = Array.unsafe_get vi (bi + l) in
-                        if i < 0 || i >= len then Memory.check_bounds b i;
-                        Array.unsafe_set addrs l (bb + (i * esz));
-                        Array.unsafe_set arr i (int_of_float (Array.unsafe_get vf (bv + l)))
-                      end
-                    done)
-          | None, true ->
-              let rv = ru_float lval in
-              fun fr mask ->
-                let b = fr.ub.(sm) in
-                let bits = mask.Exec.bits in
-                let cap = fr.cap in
-                let bi = si * cap in
-                let vi = fr.vi and addrs = fr.addrs in
-                let bb = b.Memory.base and len = b.Memory.len in
-                let esz = Memory.elt_size b in
-                let y = rv fr in
-                (match b.Memory.data with
-                | Memory.F arr ->
-                    for l = 0 to fr.nlanes - 1 do
-                      if Array.unsafe_get bits l then begin
-                        let i = Array.unsafe_get vi (bi + l) in
-                        if i < 0 || i >= len then Memory.check_bounds b i;
-                        Array.unsafe_set addrs l (bb + (i * esz));
-                        Array.unsafe_set arr i y
-                      end
-                    done
-                | Memory.I arr ->
-                    let yi = int_of_float y in
-                    for l = 0 to fr.nlanes - 1 do
-                      if Array.unsafe_get bits l then begin
-                        let i = Array.unsafe_get vi (bi + l) in
-                        if i < 0 || i >= len then Memory.check_bounds b i;
-                        Array.unsafe_set addrs l (bb + (i * esz));
-                        Array.unsafe_set arr i yi
-                      end
-                    done)
-          | _ ->
-              let rv = rd_float lval in
-              fun fr mask ->
-                let bits = mask.Exec.bits in
-                for l = 0 to fr.nlanes - 1 do
-                  if bits.(l) then begin
-                    let b = rb fr l in
-                    let i = ri fr l in
-                    Memory.check_bounds b i;
-                    fr.addrs.(l) <- Memory.addr b i;
-                    Memory.set_f b i (rv fr l)
-                  end
-                done)
-      | false, Some si -> (
-          match (vi_slot lval, uni_scalar lval) with
-          | Some sv, _ ->
-              fun fr mask ->
-                let b = fr.ub.(sm) in
-                let bits = mask.Exec.bits in
-                let cap = fr.cap in
-                let bi = si * cap and bv = sv * cap in
-                let vi = fr.vi and addrs = fr.addrs in
-                let bb = b.Memory.base and len = b.Memory.len in
-                let esz = Memory.elt_size b in
-                (match b.Memory.data with
-                | Memory.I arr ->
-                    for l = 0 to fr.nlanes - 1 do
-                      if Array.unsafe_get bits l then begin
-                        let i = Array.unsafe_get vi (bi + l) in
-                        if i < 0 || i >= len then Memory.check_bounds b i;
-                        Array.unsafe_set addrs l (bb + (i * esz));
-                        Array.unsafe_set arr i (Array.unsafe_get vi (bv + l))
-                      end
-                    done
-                | Memory.F arr ->
-                    for l = 0 to fr.nlanes - 1 do
-                      if Array.unsafe_get bits l then begin
-                        let i = Array.unsafe_get vi (bi + l) in
-                        if i < 0 || i >= len then Memory.check_bounds b i;
-                        Array.unsafe_set addrs l (bb + (i * esz));
-                        Array.unsafe_set arr i (float_of_int (Array.unsafe_get vi (bv + l)))
-                      end
-                    done)
-          | None, true ->
-              let rv = ru_int lval in
-              fun fr mask ->
-                let b = fr.ub.(sm) in
-                let bits = mask.Exec.bits in
-                let cap = fr.cap in
-                let bi = si * cap in
-                let vi = fr.vi and addrs = fr.addrs in
-                let bb = b.Memory.base and len = b.Memory.len in
-                let esz = Memory.elt_size b in
-                let y = rv fr in
-                (match b.Memory.data with
-                | Memory.I arr ->
-                    for l = 0 to fr.nlanes - 1 do
-                      if Array.unsafe_get bits l then begin
-                        let i = Array.unsafe_get vi (bi + l) in
-                        if i < 0 || i >= len then Memory.check_bounds b i;
-                        Array.unsafe_set addrs l (bb + (i * esz));
-                        Array.unsafe_set arr i y
-                      end
-                    done
-                | Memory.F arr ->
-                    let yf = float_of_int y in
-                    for l = 0 to fr.nlanes - 1 do
-                      if Array.unsafe_get bits l then begin
-                        let i = Array.unsafe_get vi (bi + l) in
-                        if i < 0 || i >= len then Memory.check_bounds b i;
-                        Array.unsafe_set addrs l (bb + (i * esz));
-                        Array.unsafe_set arr i yf
-                      end
-                    done)
-          | _ ->
-              let rv = rd_int lval in
-              fun fr mask ->
-                let bits = mask.Exec.bits in
-                for l = 0 to fr.nlanes - 1 do
-                  if bits.(l) then begin
-                    let b = rb fr l in
-                    let i = ri fr l in
-                    Memory.check_bounds b i;
-                    fr.addrs.(l) <- Memory.addr b i;
-                    Memory.set_i b i (rv fr l)
-                  end
-                done)
-      | true, None ->
+      | true, Some si when vf_slot lval <> None ->
+          fun fr m -> (ubuf_lanes [@inlined]) Store_f Row fr.ub.(sm) si sv 0. 0 fr m
+      | true, Some si when uni_scalar lval ->
+          let rv = ru_float lval in
+          fun fr m -> (ubuf_lanes [@inlined]) Store_f Uni fr.ub.(sm) si 0 (rv fr) 0 fr m
+      | false, Some si when vi_slot lval <> None ->
+          fun fr m -> (ubuf_lanes [@inlined]) Store_i Row fr.ub.(sm) si sv 0. 0 fr m
+      | false, Some si when uni_scalar lval ->
+          let rv = ru_int lval in
+          fun fr m -> (ubuf_lanes [@inlined]) Store_i Uni fr.ub.(sm) si 0 0. (rv fr) fr m
+      | true, _ ->
           let rv = rd_float lval in
           fun fr mask ->
             let bits = mask.Exec.bits in
@@ -916,7 +904,7 @@ let compile_store st (mem : Value.t) (idx : Value.t) (v : Value.t) : code =
                 Memory.set_f b i (rv fr l)
               end
             done
-      | false, None ->
+      | false, _ ->
           let rv = rd_int lval in
           fun fr mask ->
             let bits = mask.Exec.bits in
@@ -950,6 +938,259 @@ let kbuf_arith_fail (ops_varying : bool) cls : code =
     Exec.count_op fr.ctx mask cls;
     invalid_arg msg
 
+(* The dispatchers below write a varying slot [d]. Each matches the
+   operator once per instruction and instantiates its template with
+   every constructor written out; other operand shapes, and operators
+   [Ops] rejects for the kind, take the generic per-lane readers. *)
+
+let fbin_code cls op d (la : loc) (lb : loc) : code =
+  let generic () =
+    let ra = rd_float la and rb = rd_float lb in
+    fun fr mask ->
+      Exec.count_op fr.ctx mask cls;
+      let base = d * fr.cap in
+      for l = 0 to fr.nlanes - 1 do
+        fr.vf.(base + l) <- Ops.eval_float_binop op (ra fr l) (rb fr l)
+      done
+  in
+  match (vf_slot la, vf_slot lb) with
+  | Some a, Some b -> (
+      match op with
+      | Ops.Add -> fun fr m -> (fbin_lanes [@inlined]) Ops.Add Row Row cls d a b 0. 0. fr m
+      | Ops.Sub -> fun fr m -> (fbin_lanes [@inlined]) Ops.Sub Row Row cls d a b 0. 0. fr m
+      | Ops.Mul -> fun fr m -> (fbin_lanes [@inlined]) Ops.Mul Row Row cls d a b 0. 0. fr m
+      | Ops.Div -> fun fr m -> (fbin_lanes [@inlined]) Ops.Div Row Row cls d a b 0. 0. fr m
+      | Ops.Rem -> fun fr m -> (fbin_lanes [@inlined]) Ops.Rem Row Row cls d a b 0. 0. fr m
+      | Ops.Min -> fun fr m -> (fbin_lanes [@inlined]) Ops.Min Row Row cls d a b 0. 0. fr m
+      | Ops.Max -> fun fr m -> (fbin_lanes [@inlined]) Ops.Max Row Row cls d a b 0. 0. fr m
+      | Ops.Pow -> fun fr m -> (fbin_lanes [@inlined]) Ops.Pow Row Row cls d a b 0. 0. fr m
+      | Ops.And | Ops.Or | Ops.Xor | Ops.Shl | Ops.Shr -> generic ())
+  | Some a, None when uni_scalar lb -> (
+      let ry = ru_float lb in
+      match op with
+      | Ops.Add -> fun fr m -> (fbin_lanes [@inlined]) Ops.Add Row Uni cls d a 0 0. (ry fr) fr m
+      | Ops.Sub -> fun fr m -> (fbin_lanes [@inlined]) Ops.Sub Row Uni cls d a 0 0. (ry fr) fr m
+      | Ops.Mul -> fun fr m -> (fbin_lanes [@inlined]) Ops.Mul Row Uni cls d a 0 0. (ry fr) fr m
+      | Ops.Div -> fun fr m -> (fbin_lanes [@inlined]) Ops.Div Row Uni cls d a 0 0. (ry fr) fr m
+      | Ops.Rem -> fun fr m -> (fbin_lanes [@inlined]) Ops.Rem Row Uni cls d a 0 0. (ry fr) fr m
+      | Ops.Min -> fun fr m -> (fbin_lanes [@inlined]) Ops.Min Row Uni cls d a 0 0. (ry fr) fr m
+      | Ops.Max -> fun fr m -> (fbin_lanes [@inlined]) Ops.Max Row Uni cls d a 0 0. (ry fr) fr m
+      | Ops.Pow -> fun fr m -> (fbin_lanes [@inlined]) Ops.Pow Row Uni cls d a 0 0. (ry fr) fr m
+      | Ops.And | Ops.Or | Ops.Xor | Ops.Shl | Ops.Shr -> generic ())
+  | None, Some b when uni_scalar la -> (
+      let rx = ru_float la in
+      match op with
+      | Ops.Add -> fun fr m -> (fbin_lanes [@inlined]) Ops.Add Uni Row cls d 0 b (rx fr) 0. fr m
+      | Ops.Sub -> fun fr m -> (fbin_lanes [@inlined]) Ops.Sub Uni Row cls d 0 b (rx fr) 0. fr m
+      | Ops.Mul -> fun fr m -> (fbin_lanes [@inlined]) Ops.Mul Uni Row cls d 0 b (rx fr) 0. fr m
+      | Ops.Div -> fun fr m -> (fbin_lanes [@inlined]) Ops.Div Uni Row cls d 0 b (rx fr) 0. fr m
+      | Ops.Rem -> fun fr m -> (fbin_lanes [@inlined]) Ops.Rem Uni Row cls d 0 b (rx fr) 0. fr m
+      | Ops.Min -> fun fr m -> (fbin_lanes [@inlined]) Ops.Min Uni Row cls d 0 b (rx fr) 0. fr m
+      | Ops.Max -> fun fr m -> (fbin_lanes [@inlined]) Ops.Max Uni Row cls d 0 b (rx fr) 0. fr m
+      | Ops.Pow -> fun fr m -> (fbin_lanes [@inlined]) Ops.Pow Uni Row cls d 0 b (rx fr) 0. fr m
+      | Ops.And | Ops.Or | Ops.Xor | Ops.Shl | Ops.Shr -> generic ())
+  | _ -> generic ()
+
+let ibin_code cls op d (la : loc) (lb : loc) : code =
+  let generic () =
+    let ra = rd_int la and rb = rd_int lb in
+    fun fr mask ->
+      Exec.count_op fr.ctx mask cls;
+      let base = d * fr.cap in
+      for l = 0 to fr.nlanes - 1 do
+        fr.vi.(base + l) <- Ops.eval_int_binop op (ra fr l) (rb fr l)
+      done
+  in
+  match (vi_slot la, vi_slot lb) with
+  | Some a, Some b -> (
+      match op with
+      | Ops.Add -> fun fr m -> (ibin_lanes [@inlined]) Ops.Add Row Row cls d a b 0 0 fr m
+      | Ops.Sub -> fun fr m -> (ibin_lanes [@inlined]) Ops.Sub Row Row cls d a b 0 0 fr m
+      | Ops.Mul -> fun fr m -> (ibin_lanes [@inlined]) Ops.Mul Row Row cls d a b 0 0 fr m
+      | Ops.Div -> fun fr m -> (ibin_lanes [@inlined]) Ops.Div Row Row cls d a b 0 0 fr m
+      | Ops.Rem -> fun fr m -> (ibin_lanes [@inlined]) Ops.Rem Row Row cls d a b 0 0 fr m
+      | Ops.And -> fun fr m -> (ibin_lanes [@inlined]) Ops.And Row Row cls d a b 0 0 fr m
+      | Ops.Or -> fun fr m -> (ibin_lanes [@inlined]) Ops.Or Row Row cls d a b 0 0 fr m
+      | Ops.Xor -> fun fr m -> (ibin_lanes [@inlined]) Ops.Xor Row Row cls d a b 0 0 fr m
+      | Ops.Shl -> fun fr m -> (ibin_lanes [@inlined]) Ops.Shl Row Row cls d a b 0 0 fr m
+      | Ops.Shr -> fun fr m -> (ibin_lanes [@inlined]) Ops.Shr Row Row cls d a b 0 0 fr m
+      | Ops.Min -> fun fr m -> (ibin_lanes [@inlined]) Ops.Min Row Row cls d a b 0 0 fr m
+      | Ops.Max -> fun fr m -> (ibin_lanes [@inlined]) Ops.Max Row Row cls d a b 0 0 fr m
+      | Ops.Pow -> generic ())
+  | Some a, None when uni_scalar lb -> (
+      let ry = ru_int lb in
+      match op with
+      | Ops.Add -> fun fr m -> (ibin_lanes [@inlined]) Ops.Add Row Uni cls d a 0 0 (ry fr) fr m
+      | Ops.Sub -> fun fr m -> (ibin_lanes [@inlined]) Ops.Sub Row Uni cls d a 0 0 (ry fr) fr m
+      | Ops.Mul -> fun fr m -> (ibin_lanes [@inlined]) Ops.Mul Row Uni cls d a 0 0 (ry fr) fr m
+      | Ops.Div -> fun fr m -> (ibin_lanes [@inlined]) Ops.Div Row Uni cls d a 0 0 (ry fr) fr m
+      | Ops.Rem -> fun fr m -> (ibin_lanes [@inlined]) Ops.Rem Row Uni cls d a 0 0 (ry fr) fr m
+      | Ops.And -> fun fr m -> (ibin_lanes [@inlined]) Ops.And Row Uni cls d a 0 0 (ry fr) fr m
+      | Ops.Or -> fun fr m -> (ibin_lanes [@inlined]) Ops.Or Row Uni cls d a 0 0 (ry fr) fr m
+      | Ops.Xor -> fun fr m -> (ibin_lanes [@inlined]) Ops.Xor Row Uni cls d a 0 0 (ry fr) fr m
+      | Ops.Shl -> fun fr m -> (ibin_lanes [@inlined]) Ops.Shl Row Uni cls d a 0 0 (ry fr) fr m
+      | Ops.Shr -> fun fr m -> (ibin_lanes [@inlined]) Ops.Shr Row Uni cls d a 0 0 (ry fr) fr m
+      | Ops.Min -> fun fr m -> (ibin_lanes [@inlined]) Ops.Min Row Uni cls d a 0 0 (ry fr) fr m
+      | Ops.Max -> fun fr m -> (ibin_lanes [@inlined]) Ops.Max Row Uni cls d a 0 0 (ry fr) fr m
+      | Ops.Pow -> generic ())
+  | None, Some b when uni_scalar la -> (
+      let rx = ru_int la in
+      match op with
+      | Ops.Add -> fun fr m -> (ibin_lanes [@inlined]) Ops.Add Uni Row cls d 0 b (rx fr) 0 fr m
+      | Ops.Sub -> fun fr m -> (ibin_lanes [@inlined]) Ops.Sub Uni Row cls d 0 b (rx fr) 0 fr m
+      | Ops.Mul -> fun fr m -> (ibin_lanes [@inlined]) Ops.Mul Uni Row cls d 0 b (rx fr) 0 fr m
+      | Ops.Div -> fun fr m -> (ibin_lanes [@inlined]) Ops.Div Uni Row cls d 0 b (rx fr) 0 fr m
+      | Ops.Rem -> fun fr m -> (ibin_lanes [@inlined]) Ops.Rem Uni Row cls d 0 b (rx fr) 0 fr m
+      | Ops.And -> fun fr m -> (ibin_lanes [@inlined]) Ops.And Uni Row cls d 0 b (rx fr) 0 fr m
+      | Ops.Or -> fun fr m -> (ibin_lanes [@inlined]) Ops.Or Uni Row cls d 0 b (rx fr) 0 fr m
+      | Ops.Xor -> fun fr m -> (ibin_lanes [@inlined]) Ops.Xor Uni Row cls d 0 b (rx fr) 0 fr m
+      | Ops.Shl -> fun fr m -> (ibin_lanes [@inlined]) Ops.Shl Uni Row cls d 0 b (rx fr) 0 fr m
+      | Ops.Shr -> fun fr m -> (ibin_lanes [@inlined]) Ops.Shr Uni Row cls d 0 b (rx fr) 0 fr m
+      | Ops.Min -> fun fr m -> (ibin_lanes [@inlined]) Ops.Min Uni Row cls d 0 b (rx fr) 0 fr m
+      | Ops.Max -> fun fr m -> (ibin_lanes [@inlined]) Ops.Max Uni Row cls d 0 b (rx fr) 0 fr m
+      | Ops.Pow -> generic ())
+  | _ -> generic ()
+
+let fun_code cls op d (la : loc) : code =
+  match vf_slot la with
+  | Some a -> (
+      match op with
+      | Ops.Neg -> fun fr m -> (fun_lanes [@inlined]) Ops.Neg cls d a fr m
+      | Ops.Sqrt -> fun fr m -> (fun_lanes [@inlined]) Ops.Sqrt cls d a fr m
+      | Ops.Exp -> fun fr m -> (fun_lanes [@inlined]) Ops.Exp cls d a fr m
+      | Ops.Log -> fun fr m -> (fun_lanes [@inlined]) Ops.Log cls d a fr m
+      | Ops.Sin -> fun fr m -> (fun_lanes [@inlined]) Ops.Sin cls d a fr m
+      | Ops.Cos -> fun fr m -> (fun_lanes [@inlined]) Ops.Cos cls d a fr m
+      | Ops.Abs -> fun fr m -> (fun_lanes [@inlined]) Ops.Abs cls d a fr m
+      | Ops.Floor -> fun fr m -> (fun_lanes [@inlined]) Ops.Floor cls d a fr m
+      | Ops.Ceil -> fun fr m -> (fun_lanes [@inlined]) Ops.Ceil cls d a fr m
+      | Ops.Rsqrt -> fun fr m -> (fun_lanes [@inlined]) Ops.Rsqrt cls d a fr m
+      | Ops.Not -> fun fr m -> (fun_lanes [@inlined]) Ops.Not cls d a fr m)
+  | None ->
+      let ra = rd_float la in
+      fun fr mask ->
+        Exec.count_op fr.ctx mask cls;
+        let base = d * fr.cap in
+        for l = 0 to fr.nlanes - 1 do
+          fr.vf.(base + l) <- Ops.eval_float_unop op (ra fr l)
+        done
+
+let fcmp_code op d (la : loc) (lb : loc) : code =
+  match (vf_slot la, vf_slot lb) with
+  | Some a, Some b -> (
+      match op with
+      | Ops.Eq -> fun fr m -> (fcmp_lanes [@inlined]) Ops.Eq Row Row d a b 0. 0. fr m
+      | Ops.Ne -> fun fr m -> (fcmp_lanes [@inlined]) Ops.Ne Row Row d a b 0. 0. fr m
+      | Ops.Lt -> fun fr m -> (fcmp_lanes [@inlined]) Ops.Lt Row Row d a b 0. 0. fr m
+      | Ops.Le -> fun fr m -> (fcmp_lanes [@inlined]) Ops.Le Row Row d a b 0. 0. fr m
+      | Ops.Gt -> fun fr m -> (fcmp_lanes [@inlined]) Ops.Gt Row Row d a b 0. 0. fr m
+      | Ops.Ge -> fun fr m -> (fcmp_lanes [@inlined]) Ops.Ge Row Row d a b 0. 0. fr m)
+  | Some a, None when uni_scalar lb -> (
+      let ry = ru_float lb in
+      match op with
+      | Ops.Eq -> fun fr m -> (fcmp_lanes [@inlined]) Ops.Eq Row Uni d a 0 0. (ry fr) fr m
+      | Ops.Ne -> fun fr m -> (fcmp_lanes [@inlined]) Ops.Ne Row Uni d a 0 0. (ry fr) fr m
+      | Ops.Lt -> fun fr m -> (fcmp_lanes [@inlined]) Ops.Lt Row Uni d a 0 0. (ry fr) fr m
+      | Ops.Le -> fun fr m -> (fcmp_lanes [@inlined]) Ops.Le Row Uni d a 0 0. (ry fr) fr m
+      | Ops.Gt -> fun fr m -> (fcmp_lanes [@inlined]) Ops.Gt Row Uni d a 0 0. (ry fr) fr m
+      | Ops.Ge -> fun fr m -> (fcmp_lanes [@inlined]) Ops.Ge Row Uni d a 0 0. (ry fr) fr m)
+  | None, Some b when uni_scalar la -> (
+      let rx = ru_float la in
+      match op with
+      | Ops.Eq -> fun fr m -> (fcmp_lanes [@inlined]) Ops.Eq Uni Row d 0 b (rx fr) 0. fr m
+      | Ops.Ne -> fun fr m -> (fcmp_lanes [@inlined]) Ops.Ne Uni Row d 0 b (rx fr) 0. fr m
+      | Ops.Lt -> fun fr m -> (fcmp_lanes [@inlined]) Ops.Lt Uni Row d 0 b (rx fr) 0. fr m
+      | Ops.Le -> fun fr m -> (fcmp_lanes [@inlined]) Ops.Le Uni Row d 0 b (rx fr) 0. fr m
+      | Ops.Gt -> fun fr m -> (fcmp_lanes [@inlined]) Ops.Gt Uni Row d 0 b (rx fr) 0. fr m
+      | Ops.Ge -> fun fr m -> (fcmp_lanes [@inlined]) Ops.Ge Uni Row d 0 b (rx fr) 0. fr m)
+  | _ ->
+      let ra = rd_float la and rb = rd_float lb in
+      fun fr mask ->
+        Exec.count_op fr.ctx mask Exec.Cint;
+        let base = d * fr.cap in
+        for l = 0 to fr.nlanes - 1 do
+          fr.vi.(base + l) <- (if Ops.eval_float_cmp op (ra fr l) (rb fr l) then 1 else 0)
+        done
+
+let icmp_code op d (la : loc) (lb : loc) : code =
+  match (vi_slot la, vi_slot lb) with
+  | Some a, Some b -> (
+      match op with
+      | Ops.Eq -> fun fr m -> (icmp_lanes [@inlined]) Ops.Eq Row Row d a b 0 0 fr m
+      | Ops.Ne -> fun fr m -> (icmp_lanes [@inlined]) Ops.Ne Row Row d a b 0 0 fr m
+      | Ops.Lt -> fun fr m -> (icmp_lanes [@inlined]) Ops.Lt Row Row d a b 0 0 fr m
+      | Ops.Le -> fun fr m -> (icmp_lanes [@inlined]) Ops.Le Row Row d a b 0 0 fr m
+      | Ops.Gt -> fun fr m -> (icmp_lanes [@inlined]) Ops.Gt Row Row d a b 0 0 fr m
+      | Ops.Ge -> fun fr m -> (icmp_lanes [@inlined]) Ops.Ge Row Row d a b 0 0 fr m)
+  | Some a, None when uni_scalar lb -> (
+      let ry = ru_int lb in
+      match op with
+      | Ops.Eq -> fun fr m -> (icmp_lanes [@inlined]) Ops.Eq Row Uni d a 0 0 (ry fr) fr m
+      | Ops.Ne -> fun fr m -> (icmp_lanes [@inlined]) Ops.Ne Row Uni d a 0 0 (ry fr) fr m
+      | Ops.Lt -> fun fr m -> (icmp_lanes [@inlined]) Ops.Lt Row Uni d a 0 0 (ry fr) fr m
+      | Ops.Le -> fun fr m -> (icmp_lanes [@inlined]) Ops.Le Row Uni d a 0 0 (ry fr) fr m
+      | Ops.Gt -> fun fr m -> (icmp_lanes [@inlined]) Ops.Gt Row Uni d a 0 0 (ry fr) fr m
+      | Ops.Ge -> fun fr m -> (icmp_lanes [@inlined]) Ops.Ge Row Uni d a 0 0 (ry fr) fr m)
+  | None, Some b when uni_scalar la -> (
+      let rx = ru_int la in
+      match op with
+      | Ops.Eq -> fun fr m -> (icmp_lanes [@inlined]) Ops.Eq Uni Row d 0 b (rx fr) 0 fr m
+      | Ops.Ne -> fun fr m -> (icmp_lanes [@inlined]) Ops.Ne Uni Row d 0 b (rx fr) 0 fr m
+      | Ops.Lt -> fun fr m -> (icmp_lanes [@inlined]) Ops.Lt Uni Row d 0 b (rx fr) 0 fr m
+      | Ops.Le -> fun fr m -> (icmp_lanes [@inlined]) Ops.Le Uni Row d 0 b (rx fr) 0 fr m
+      | Ops.Gt -> fun fr m -> (icmp_lanes [@inlined]) Ops.Gt Uni Row d 0 b (rx fr) 0 fr m
+      | Ops.Ge -> fun fr m -> (icmp_lanes [@inlined]) Ops.Ge Uni Row d 0 b (rx fr) 0 fr m)
+  | _ ->
+      let ra = rd_int la and rb = rd_int lb in
+      fun fr mask ->
+        Exec.count_op fr.ctx mask Exec.Cint;
+        let base = d * fr.cap in
+        for l = 0 to fr.nlanes - 1 do
+          fr.vi.(base + l) <- (if Ops.eval_int_cmp op (ra fr l) (rb fr l) then 1 else 0)
+        done
+
+let fsel_code d (lc : loc) (la : loc) (lb : loc) : code =
+  match (vi_slot lc, vf_slot la, vf_slot lb) with
+  | Some c, Some a, Some b -> fun fr m -> (fsel_lanes [@inlined]) Row Row d c a b 0. 0. fr m
+  | Some c, Some a, None when uni_scalar lb ->
+      let ry = ru_float lb in
+      fun fr m -> (fsel_lanes [@inlined]) Row Uni d c a 0 0. (ry fr) fr m
+  | Some c, None, Some b when uni_scalar la ->
+      let rx = ru_float la in
+      fun fr m -> (fsel_lanes [@inlined]) Uni Row d c 0 b (rx fr) 0. fr m
+  | Some c, None, None when uni_scalar la && uni_scalar lb ->
+      let rx = ru_float la and ry = ru_float lb in
+      fun fr m -> (fsel_lanes [@inlined]) Uni Uni d c 0 0 (rx fr) (ry fr) fr m
+  | _ ->
+      let rc = rd_int lc and ra = rd_float la and rb = rd_float lb in
+      fun fr mask ->
+        Exec.count_op fr.ctx mask Exec.Cint;
+        let base = d * fr.cap in
+        for l = 0 to fr.nlanes - 1 do
+          fr.vf.(base + l) <- (if rc fr l <> 0 then ra fr l else rb fr l)
+        done
+
+let isel_code d (lc : loc) (la : loc) (lb : loc) : code =
+  match (vi_slot lc, vi_slot la, vi_slot lb) with
+  | Some c, Some a, Some b -> fun fr m -> (isel_lanes [@inlined]) Row Row d c a b 0 0 fr m
+  | Some c, Some a, None when uni_scalar lb ->
+      let ry = ru_int lb in
+      fun fr m -> (isel_lanes [@inlined]) Row Uni d c a 0 0 (ry fr) fr m
+  | Some c, None, Some b when uni_scalar la ->
+      let rx = ru_int la in
+      fun fr m -> (isel_lanes [@inlined]) Uni Row d c 0 b (rx fr) 0 fr m
+  | Some c, None, None when uni_scalar la && uni_scalar lb ->
+      let rx = ru_int la and ry = ru_int lb in
+      fun fr m -> (isel_lanes [@inlined]) Uni Uni d c 0 0 (rx fr) (ry fr) fr m
+  | _ ->
+      let rc = rd_int lc and ra = rd_int la and rb = rd_int lb in
+      fun fr mask ->
+        Exec.count_op fr.ctx mask Exec.Cint;
+        let base = d * fr.cap in
+        for l = 0 to fr.nlanes - 1 do
+          fr.vi.(base + l) <- (if rc fr l <> 0 then ra fr l else rb fr l)
+        done
+
 let compile_let st (v : Value.t) (e : Instr.expr) : code =
   match e with
   | Instr.Load { mem; idx } -> compile_load st v mem idx
@@ -973,318 +1214,13 @@ let compile_let st (v : Value.t) (e : Instr.expr) : code =
       let s = lv.l_slot in
       match (lv.l_kind, lv.l_varying) with
       | KBuf, _ -> kbuf_arith_fail (la.l_varying || lb.l_varying) cls
-      | KFloat, true -> (
-          (* direct-bank loops per operand shape; the dominant
-             operators are additionally specialized so the lane loop
-             is pure unboxed float arithmetic *)
-          match (vf_slot la, vf_slot lb) with
-          | Some sa, Some sb -> (
-              match op with
-              | Ops.Add ->
-                  fun fr mask ->
-                    Exec.count_op fr.ctx mask cls;
-                    let cap = fr.cap in
-                    let vf = fr.vf in
-                    let bd = s * cap and ba = sa * cap and bb = sb * cap in
-                    for l = 0 to fr.nlanes - 1 do
-                      Array.unsafe_set vf (bd + l)
-                        (Array.unsafe_get vf (ba + l) +. Array.unsafe_get vf (bb + l))
-                    done
-              | Ops.Sub ->
-                  fun fr mask ->
-                    Exec.count_op fr.ctx mask cls;
-                    let cap = fr.cap in
-                    let vf = fr.vf in
-                    let bd = s * cap and ba = sa * cap and bb = sb * cap in
-                    for l = 0 to fr.nlanes - 1 do
-                      Array.unsafe_set vf (bd + l)
-                        (Array.unsafe_get vf (ba + l) -. Array.unsafe_get vf (bb + l))
-                    done
-              | Ops.Mul ->
-                  fun fr mask ->
-                    Exec.count_op fr.ctx mask cls;
-                    let cap = fr.cap in
-                    let vf = fr.vf in
-                    let bd = s * cap and ba = sa * cap and bb = sb * cap in
-                    for l = 0 to fr.nlanes - 1 do
-                      Array.unsafe_set vf (bd + l)
-                        (Array.unsafe_get vf (ba + l) *. Array.unsafe_get vf (bb + l))
-                    done
-              | Ops.Div ->
-                  fun fr mask ->
-                    Exec.count_op fr.ctx mask cls;
-                    let cap = fr.cap in
-                    let vf = fr.vf in
-                    let bd = s * cap and ba = sa * cap and bb = sb * cap in
-                    for l = 0 to fr.nlanes - 1 do
-                      Array.unsafe_set vf (bd + l)
-                        (Array.unsafe_get vf (ba + l) /. Array.unsafe_get vf (bb + l))
-                    done
-              | _ ->
-                  fun fr mask ->
-                    Exec.count_op fr.ctx mask cls;
-                    let cap = fr.cap in
-                    let vf = fr.vf in
-                    let bd = s * cap and ba = sa * cap and bb = sb * cap in
-                    for l = 0 to fr.nlanes - 1 do
-                      vf.(bd + l) <- Ops.eval_float_binop op vf.(ba + l) vf.(bb + l)
-                    done)
-          | Some sa, None when uni_scalar lb -> (
-              let rb = ru_float lb in
-              match op with
-              | Ops.Add ->
-                  fun fr mask ->
-                    Exec.count_op fr.ctx mask cls;
-                    let y = rb fr in
-                    let cap = fr.cap in
-                    let vf = fr.vf in
-                    let bd = s * cap and ba = sa * cap in
-                    for l = 0 to fr.nlanes - 1 do
-                      Array.unsafe_set vf (bd + l) (Array.unsafe_get vf (ba + l) +. y)
-                    done
-              | Ops.Sub ->
-                  fun fr mask ->
-                    Exec.count_op fr.ctx mask cls;
-                    let y = rb fr in
-                    let cap = fr.cap in
-                    let vf = fr.vf in
-                    let bd = s * cap and ba = sa * cap in
-                    for l = 0 to fr.nlanes - 1 do
-                      Array.unsafe_set vf (bd + l) (Array.unsafe_get vf (ba + l) -. y)
-                    done
-              | Ops.Mul ->
-                  fun fr mask ->
-                    Exec.count_op fr.ctx mask cls;
-                    let y = rb fr in
-                    let cap = fr.cap in
-                    let vf = fr.vf in
-                    let bd = s * cap and ba = sa * cap in
-                    for l = 0 to fr.nlanes - 1 do
-                      Array.unsafe_set vf (bd + l) (Array.unsafe_get vf (ba + l) *. y)
-                    done
-              | Ops.Div ->
-                  fun fr mask ->
-                    Exec.count_op fr.ctx mask cls;
-                    let y = rb fr in
-                    let cap = fr.cap in
-                    let vf = fr.vf in
-                    let bd = s * cap and ba = sa * cap in
-                    for l = 0 to fr.nlanes - 1 do
-                      Array.unsafe_set vf (bd + l) (Array.unsafe_get vf (ba + l) /. y)
-                    done
-              | _ ->
-                  fun fr mask ->
-                    Exec.count_op fr.ctx mask cls;
-                    let y = rb fr in
-                    let cap = fr.cap in
-                    let vf = fr.vf in
-                    let bd = s * cap and ba = sa * cap in
-                    for l = 0 to fr.nlanes - 1 do
-                      vf.(bd + l) <- Ops.eval_float_binop op vf.(ba + l) y
-                    done)
-          | None, Some sb when uni_scalar la -> (
-              let ra = ru_float la in
-              match op with
-              | Ops.Add ->
-                  fun fr mask ->
-                    Exec.count_op fr.ctx mask cls;
-                    let x = ra fr in
-                    let cap = fr.cap in
-                    let vf = fr.vf in
-                    let bd = s * cap and bb = sb * cap in
-                    for l = 0 to fr.nlanes - 1 do
-                      Array.unsafe_set vf (bd + l) (x +. Array.unsafe_get vf (bb + l))
-                    done
-              | Ops.Sub ->
-                  fun fr mask ->
-                    Exec.count_op fr.ctx mask cls;
-                    let x = ra fr in
-                    let cap = fr.cap in
-                    let vf = fr.vf in
-                    let bd = s * cap and bb = sb * cap in
-                    for l = 0 to fr.nlanes - 1 do
-                      Array.unsafe_set vf (bd + l) (x -. Array.unsafe_get vf (bb + l))
-                    done
-              | Ops.Mul ->
-                  fun fr mask ->
-                    Exec.count_op fr.ctx mask cls;
-                    let x = ra fr in
-                    let cap = fr.cap in
-                    let vf = fr.vf in
-                    let bd = s * cap and bb = sb * cap in
-                    for l = 0 to fr.nlanes - 1 do
-                      Array.unsafe_set vf (bd + l) (x *. Array.unsafe_get vf (bb + l))
-                    done
-              | Ops.Div ->
-                  fun fr mask ->
-                    Exec.count_op fr.ctx mask cls;
-                    let x = ra fr in
-                    let cap = fr.cap in
-                    let vf = fr.vf in
-                    let bd = s * cap and bb = sb * cap in
-                    for l = 0 to fr.nlanes - 1 do
-                      Array.unsafe_set vf (bd + l) (x /. Array.unsafe_get vf (bb + l))
-                    done
-              | _ ->
-                  fun fr mask ->
-                    Exec.count_op fr.ctx mask cls;
-                    let x = ra fr in
-                    let cap = fr.cap in
-                    let vf = fr.vf in
-                    let bd = s * cap and bb = sb * cap in
-                    for l = 0 to fr.nlanes - 1 do
-                      vf.(bd + l) <- Ops.eval_float_binop op x vf.(bb + l)
-                    done)
-          | _ ->
-              let ra = rd_float la and rb = rd_float lb in
-              fun fr mask ->
-                Exec.count_op fr.ctx mask cls;
-                let base = s * fr.cap in
-                for l = 0 to fr.nlanes - 1 do
-                  fr.vf.(base + l) <- Ops.eval_float_binop op (ra fr l) (rb fr l)
-                done)
+      | KFloat, true -> fbin_code cls op s la lb
       | KFloat, false ->
           let ra = ru_float la and rb = ru_float lb in
           fun fr mask ->
             Exec.count_op fr.ctx mask cls;
             fr.uf.(s) <- Ops.eval_float_binop op (ra fr) (rb fr)
-      | KInt, true -> (
-          match (vi_slot la, vi_slot lb) with
-          | Some sa, Some sb -> (
-              match op with
-              | Ops.Add ->
-                  fun fr mask ->
-                    Exec.count_op fr.ctx mask cls;
-                    let cap = fr.cap in
-                    let vi = fr.vi in
-                    let bd = s * cap and ba = sa * cap and bb = sb * cap in
-                    for l = 0 to fr.nlanes - 1 do
-                      Array.unsafe_set vi (bd + l)
-                        (Array.unsafe_get vi (ba + l) + Array.unsafe_get vi (bb + l))
-                    done
-              | Ops.Sub ->
-                  fun fr mask ->
-                    Exec.count_op fr.ctx mask cls;
-                    let cap = fr.cap in
-                    let vi = fr.vi in
-                    let bd = s * cap and ba = sa * cap and bb = sb * cap in
-                    for l = 0 to fr.nlanes - 1 do
-                      Array.unsafe_set vi (bd + l)
-                        (Array.unsafe_get vi (ba + l) - Array.unsafe_get vi (bb + l))
-                    done
-              | Ops.Mul ->
-                  fun fr mask ->
-                    Exec.count_op fr.ctx mask cls;
-                    let cap = fr.cap in
-                    let vi = fr.vi in
-                    let bd = s * cap and ba = sa * cap and bb = sb * cap in
-                    for l = 0 to fr.nlanes - 1 do
-                      Array.unsafe_set vi (bd + l)
-                        (Array.unsafe_get vi (ba + l) * Array.unsafe_get vi (bb + l))
-                    done
-              | _ ->
-                  fun fr mask ->
-                    Exec.count_op fr.ctx mask cls;
-                    let cap = fr.cap in
-                    let vi = fr.vi in
-                    let bd = s * cap and ba = sa * cap and bb = sb * cap in
-                    for l = 0 to fr.nlanes - 1 do
-                      vi.(bd + l) <- Ops.eval_int_binop op vi.(ba + l) vi.(bb + l)
-                    done)
-          | Some sa, None when uni_scalar lb -> (
-              let rb = ru_int lb in
-              match op with
-              | Ops.Add ->
-                  fun fr mask ->
-                    Exec.count_op fr.ctx mask cls;
-                    let y = rb fr in
-                    let cap = fr.cap in
-                    let vi = fr.vi in
-                    let bd = s * cap and ba = sa * cap in
-                    for l = 0 to fr.nlanes - 1 do
-                      Array.unsafe_set vi (bd + l) (Array.unsafe_get vi (ba + l) + y)
-                    done
-              | Ops.Sub ->
-                  fun fr mask ->
-                    Exec.count_op fr.ctx mask cls;
-                    let y = rb fr in
-                    let cap = fr.cap in
-                    let vi = fr.vi in
-                    let bd = s * cap and ba = sa * cap in
-                    for l = 0 to fr.nlanes - 1 do
-                      Array.unsafe_set vi (bd + l) (Array.unsafe_get vi (ba + l) - y)
-                    done
-              | Ops.Mul ->
-                  fun fr mask ->
-                    Exec.count_op fr.ctx mask cls;
-                    let y = rb fr in
-                    let cap = fr.cap in
-                    let vi = fr.vi in
-                    let bd = s * cap and ba = sa * cap in
-                    for l = 0 to fr.nlanes - 1 do
-                      Array.unsafe_set vi (bd + l) (Array.unsafe_get vi (ba + l) * y)
-                    done
-              | _ ->
-                  fun fr mask ->
-                    Exec.count_op fr.ctx mask cls;
-                    let y = rb fr in
-                    let cap = fr.cap in
-                    let vi = fr.vi in
-                    let bd = s * cap and ba = sa * cap in
-                    for l = 0 to fr.nlanes - 1 do
-                      vi.(bd + l) <- Ops.eval_int_binop op vi.(ba + l) y
-                    done)
-          | None, Some sb when uni_scalar la -> (
-              let ra = ru_int la in
-              match op with
-              | Ops.Add ->
-                  fun fr mask ->
-                    Exec.count_op fr.ctx mask cls;
-                    let x = ra fr in
-                    let cap = fr.cap in
-                    let vi = fr.vi in
-                    let bd = s * cap and bb = sb * cap in
-                    for l = 0 to fr.nlanes - 1 do
-                      Array.unsafe_set vi (bd + l) (x + Array.unsafe_get vi (bb + l))
-                    done
-              | Ops.Sub ->
-                  fun fr mask ->
-                    Exec.count_op fr.ctx mask cls;
-                    let x = ra fr in
-                    let cap = fr.cap in
-                    let vi = fr.vi in
-                    let bd = s * cap and bb = sb * cap in
-                    for l = 0 to fr.nlanes - 1 do
-                      Array.unsafe_set vi (bd + l) (x - Array.unsafe_get vi (bb + l))
-                    done
-              | Ops.Mul ->
-                  fun fr mask ->
-                    Exec.count_op fr.ctx mask cls;
-                    let x = ra fr in
-                    let cap = fr.cap in
-                    let vi = fr.vi in
-                    let bd = s * cap and bb = sb * cap in
-                    for l = 0 to fr.nlanes - 1 do
-                      Array.unsafe_set vi (bd + l) (x * Array.unsafe_get vi (bb + l))
-                    done
-              | _ ->
-                  fun fr mask ->
-                    Exec.count_op fr.ctx mask cls;
-                    let x = ra fr in
-                    let cap = fr.cap in
-                    let vi = fr.vi in
-                    let bd = s * cap and bb = sb * cap in
-                    for l = 0 to fr.nlanes - 1 do
-                      vi.(bd + l) <- Ops.eval_int_binop op x vi.(bb + l)
-                    done)
-          | _ ->
-              let ra = rd_int la and rb = rd_int lb in
-              fun fr mask ->
-                Exec.count_op fr.ctx mask cls;
-                let base = s * fr.cap in
-                for l = 0 to fr.nlanes - 1 do
-                  fr.vi.(base + l) <- Ops.eval_int_binop op (ra fr l) (rb fr l)
-                done)
+      | KInt, true -> ibin_code cls op s la lb
       | KInt, false ->
           let ra = ru_int la and rb = ru_int lb in
           fun fr mask ->
@@ -1297,119 +1233,7 @@ let compile_let st (v : Value.t) (e : Instr.expr) : code =
       let s = lv.l_slot in
       match (lv.l_kind, lv.l_varying) with
       | KBuf, _ -> kbuf_arith_fail la.l_varying cls
-      | KFloat, true -> (
-          match vf_slot la with
-          | Some sa -> (
-              (* every float unop maps to an unboxed primitive or
-                 [[@@unboxed]] external when applied directly *)
-              match op with
-              | Ops.Neg ->
-                  fun fr mask ->
-                    Exec.count_op fr.ctx mask cls;
-                    let cap = fr.cap in
-                    let vf = fr.vf in
-                    let bd = s * cap and ba = sa * cap in
-                    for l = 0 to fr.nlanes - 1 do
-                      Array.unsafe_set vf (bd + l) (-.Array.unsafe_get vf (ba + l))
-                    done
-              | Ops.Sqrt ->
-                  fun fr mask ->
-                    Exec.count_op fr.ctx mask cls;
-                    let cap = fr.cap in
-                    let vf = fr.vf in
-                    let bd = s * cap and ba = sa * cap in
-                    for l = 0 to fr.nlanes - 1 do
-                      Array.unsafe_set vf (bd + l) (sqrt (Array.unsafe_get vf (ba + l)))
-                    done
-              | Ops.Exp ->
-                  fun fr mask ->
-                    Exec.count_op fr.ctx mask cls;
-                    let cap = fr.cap in
-                    let vf = fr.vf in
-                    let bd = s * cap and ba = sa * cap in
-                    for l = 0 to fr.nlanes - 1 do
-                      Array.unsafe_set vf (bd + l) (exp (Array.unsafe_get vf (ba + l)))
-                    done
-              | Ops.Log ->
-                  fun fr mask ->
-                    Exec.count_op fr.ctx mask cls;
-                    let cap = fr.cap in
-                    let vf = fr.vf in
-                    let bd = s * cap and ba = sa * cap in
-                    for l = 0 to fr.nlanes - 1 do
-                      Array.unsafe_set vf (bd + l) (log (Array.unsafe_get vf (ba + l)))
-                    done
-              | Ops.Sin ->
-                  fun fr mask ->
-                    Exec.count_op fr.ctx mask cls;
-                    let cap = fr.cap in
-                    let vf = fr.vf in
-                    let bd = s * cap and ba = sa * cap in
-                    for l = 0 to fr.nlanes - 1 do
-                      Array.unsafe_set vf (bd + l) (sin (Array.unsafe_get vf (ba + l)))
-                    done
-              | Ops.Cos ->
-                  fun fr mask ->
-                    Exec.count_op fr.ctx mask cls;
-                    let cap = fr.cap in
-                    let vf = fr.vf in
-                    let bd = s * cap and ba = sa * cap in
-                    for l = 0 to fr.nlanes - 1 do
-                      Array.unsafe_set vf (bd + l) (cos (Array.unsafe_get vf (ba + l)))
-                    done
-              | Ops.Abs ->
-                  fun fr mask ->
-                    Exec.count_op fr.ctx mask cls;
-                    let cap = fr.cap in
-                    let vf = fr.vf in
-                    let bd = s * cap and ba = sa * cap in
-                    for l = 0 to fr.nlanes - 1 do
-                      Array.unsafe_set vf (bd + l) (Float.abs (Array.unsafe_get vf (ba + l)))
-                    done
-              | Ops.Floor ->
-                  fun fr mask ->
-                    Exec.count_op fr.ctx mask cls;
-                    let cap = fr.cap in
-                    let vf = fr.vf in
-                    let bd = s * cap and ba = sa * cap in
-                    for l = 0 to fr.nlanes - 1 do
-                      Array.unsafe_set vf (bd + l) (Float.floor (Array.unsafe_get vf (ba + l)))
-                    done
-              | Ops.Ceil ->
-                  fun fr mask ->
-                    Exec.count_op fr.ctx mask cls;
-                    let cap = fr.cap in
-                    let vf = fr.vf in
-                    let bd = s * cap and ba = sa * cap in
-                    for l = 0 to fr.nlanes - 1 do
-                      Array.unsafe_set vf (bd + l) (Float.ceil (Array.unsafe_get vf (ba + l)))
-                    done
-              | Ops.Rsqrt ->
-                  fun fr mask ->
-                    Exec.count_op fr.ctx mask cls;
-                    let cap = fr.cap in
-                    let vf = fr.vf in
-                    let bd = s * cap and ba = sa * cap in
-                    for l = 0 to fr.nlanes - 1 do
-                      Array.unsafe_set vf (bd + l) (1. /. sqrt (Array.unsafe_get vf (ba + l)))
-                    done
-              | Ops.Not ->
-                  fun fr mask ->
-                    Exec.count_op fr.ctx mask cls;
-                    let cap = fr.cap in
-                    let vf = fr.vf in
-                    let bd = s * cap and ba = sa * cap in
-                    for l = 0 to fr.nlanes - 1 do
-                      vf.(bd + l) <- Ops.eval_float_unop op vf.(ba + l)
-                    done)
-          | None ->
-              let ra = rd_float la in
-              fun fr mask ->
-                Exec.count_op fr.ctx mask cls;
-                let base = s * fr.cap in
-                for l = 0 to fr.nlanes - 1 do
-                  fr.vf.(base + l) <- Ops.eval_float_unop op (ra fr l)
-                done)
+      | KFloat, true -> fun_code cls op s la
       | KFloat, false ->
           let ra = ru_float la in
           fun fr mask ->
@@ -1443,258 +1267,9 @@ let compile_let st (v : Value.t) (e : Instr.expr) : code =
       let la = loc_of st a and lb = loc_of st b in
       let lv = new_loc st v in
       let s = lv.l_slot in
-      let fl = Types.is_float a.Value.ty in
-      (* decompose the comparison into a primitive ([<], [<=] or [=]),
-         an operand swap (Gt is swapped Lt, Ge swapped Le — exact
-         under NaN, unlike output complementation) and complemented
-         result constants for Ne, so each operand shape needs three
-         direct loops instead of six *)
-      let _, swap, t1, t0 =
-        match op with
-        | Ops.Lt -> (0, false, 1, 0)
-        | Ops.Gt -> (0, true, 1, 0)
-        | Ops.Le -> (1, false, 1, 0)
-        | Ops.Ge -> (1, true, 1, 0)
-        | Ops.Eq -> (2, false, 1, 0)
-        | Ops.Ne -> (2, false, 0, 1)
-      in
-      let prim = match op with Ops.Lt | Ops.Gt -> `Lt | Ops.Le | Ops.Ge -> `Le | Ops.Eq | Ops.Ne -> `Eq in
-      let lp, lq = if swap then (lb, la) else (la, lb) in
-      match (lv.l_varying, fl) with
-      | true, true -> (
-          match (vf_slot lp, vf_slot lq) with
-          | Some sp, Some sq -> (
-              match prim with
-              | `Lt ->
-                  fun fr mask ->
-                    Exec.count_op fr.ctx mask Exec.Cint;
-                    let cap = fr.cap in
-                    let vf = fr.vf and vi = fr.vi in
-                    let bd = s * cap and bp = sp * cap and bq = sq * cap in
-                    for l = 0 to fr.nlanes - 1 do
-                      Array.unsafe_set vi (bd + l)
-                        (if Array.unsafe_get vf (bp + l) < Array.unsafe_get vf (bq + l) then t1
-                         else t0)
-                    done
-              | `Le ->
-                  fun fr mask ->
-                    Exec.count_op fr.ctx mask Exec.Cint;
-                    let cap = fr.cap in
-                    let vf = fr.vf and vi = fr.vi in
-                    let bd = s * cap and bp = sp * cap and bq = sq * cap in
-                    for l = 0 to fr.nlanes - 1 do
-                      Array.unsafe_set vi (bd + l)
-                        (if Array.unsafe_get vf (bp + l) <= Array.unsafe_get vf (bq + l) then t1
-                         else t0)
-                    done
-              | `Eq ->
-                  fun fr mask ->
-                    Exec.count_op fr.ctx mask Exec.Cint;
-                    let cap = fr.cap in
-                    let vf = fr.vf and vi = fr.vi in
-                    let bd = s * cap and bp = sp * cap and bq = sq * cap in
-                    for l = 0 to fr.nlanes - 1 do
-                      Array.unsafe_set vi (bd + l)
-                        (if Array.unsafe_get vf (bp + l) = Array.unsafe_get vf (bq + l) then t1
-                         else t0)
-                    done)
-          | Some sp, None when uni_scalar lq -> (
-              let rq = ru_float lq in
-              match prim with
-              | `Lt ->
-                  fun fr mask ->
-                    Exec.count_op fr.ctx mask Exec.Cint;
-                    let y = rq fr in
-                    let cap = fr.cap in
-                    let vf = fr.vf and vi = fr.vi in
-                    let bd = s * cap and bp = sp * cap in
-                    for l = 0 to fr.nlanes - 1 do
-                      Array.unsafe_set vi (bd + l)
-                        (if Array.unsafe_get vf (bp + l) < y then t1 else t0)
-                    done
-              | `Le ->
-                  fun fr mask ->
-                    Exec.count_op fr.ctx mask Exec.Cint;
-                    let y = rq fr in
-                    let cap = fr.cap in
-                    let vf = fr.vf and vi = fr.vi in
-                    let bd = s * cap and bp = sp * cap in
-                    for l = 0 to fr.nlanes - 1 do
-                      Array.unsafe_set vi (bd + l)
-                        (if Array.unsafe_get vf (bp + l) <= y then t1 else t0)
-                    done
-              | `Eq ->
-                  fun fr mask ->
-                    Exec.count_op fr.ctx mask Exec.Cint;
-                    let y = rq fr in
-                    let cap = fr.cap in
-                    let vf = fr.vf and vi = fr.vi in
-                    let bd = s * cap and bp = sp * cap in
-                    for l = 0 to fr.nlanes - 1 do
-                      Array.unsafe_set vi (bd + l)
-                        (if Array.unsafe_get vf (bp + l) = y then t1 else t0)
-                    done)
-          | None, Some sq when uni_scalar lp -> (
-              let rp = ru_float lp in
-              match prim with
-              | `Lt ->
-                  fun fr mask ->
-                    Exec.count_op fr.ctx mask Exec.Cint;
-                    let x = rp fr in
-                    let cap = fr.cap in
-                    let vf = fr.vf and vi = fr.vi in
-                    let bd = s * cap and bq = sq * cap in
-                    for l = 0 to fr.nlanes - 1 do
-                      Array.unsafe_set vi (bd + l)
-                        (if x < Array.unsafe_get vf (bq + l) then t1 else t0)
-                    done
-              | `Le ->
-                  fun fr mask ->
-                    Exec.count_op fr.ctx mask Exec.Cint;
-                    let x = rp fr in
-                    let cap = fr.cap in
-                    let vf = fr.vf and vi = fr.vi in
-                    let bd = s * cap and bq = sq * cap in
-                    for l = 0 to fr.nlanes - 1 do
-                      Array.unsafe_set vi (bd + l)
-                        (if x <= Array.unsafe_get vf (bq + l) then t1 else t0)
-                    done
-              | `Eq ->
-                  fun fr mask ->
-                    Exec.count_op fr.ctx mask Exec.Cint;
-                    let x = rp fr in
-                    let cap = fr.cap in
-                    let vf = fr.vf and vi = fr.vi in
-                    let bd = s * cap and bq = sq * cap in
-                    for l = 0 to fr.nlanes - 1 do
-                      Array.unsafe_set vi (bd + l)
-                        (if x = Array.unsafe_get vf (bq + l) then t1 else t0)
-                    done)
-          | _ ->
-              let ra = rd_float la and rb = rd_float lb in
-              fun fr mask ->
-                Exec.count_op fr.ctx mask Exec.Cint;
-                let base = s * fr.cap in
-                for l = 0 to fr.nlanes - 1 do
-                  fr.vi.(base + l) <- (if Ops.eval_float_cmp op (ra fr l) (rb fr l) then 1 else 0)
-                done)
-      | true, false -> (
-          match (vi_slot lp, vi_slot lq) with
-          | Some sp, Some sq -> (
-              match prim with
-              | `Lt ->
-                  fun fr mask ->
-                    Exec.count_op fr.ctx mask Exec.Cint;
-                    let cap = fr.cap in
-                    let vi = fr.vi in
-                    let bd = s * cap and bp = sp * cap and bq = sq * cap in
-                    for l = 0 to fr.nlanes - 1 do
-                      Array.unsafe_set vi (bd + l)
-                        (if Array.unsafe_get vi (bp + l) < Array.unsafe_get vi (bq + l) then t1
-                         else t0)
-                    done
-              | `Le ->
-                  fun fr mask ->
-                    Exec.count_op fr.ctx mask Exec.Cint;
-                    let cap = fr.cap in
-                    let vi = fr.vi in
-                    let bd = s * cap and bp = sp * cap and bq = sq * cap in
-                    for l = 0 to fr.nlanes - 1 do
-                      Array.unsafe_set vi (bd + l)
-                        (if Array.unsafe_get vi (bp + l) <= Array.unsafe_get vi (bq + l) then t1
-                         else t0)
-                    done
-              | `Eq ->
-                  fun fr mask ->
-                    Exec.count_op fr.ctx mask Exec.Cint;
-                    let cap = fr.cap in
-                    let vi = fr.vi in
-                    let bd = s * cap and bp = sp * cap and bq = sq * cap in
-                    for l = 0 to fr.nlanes - 1 do
-                      Array.unsafe_set vi (bd + l)
-                        (if Array.unsafe_get vi (bp + l) = Array.unsafe_get vi (bq + l) then t1
-                         else t0)
-                    done)
-          | Some sp, None when uni_scalar lq -> (
-              let rq = ru_int lq in
-              match prim with
-              | `Lt ->
-                  fun fr mask ->
-                    Exec.count_op fr.ctx mask Exec.Cint;
-                    let y = rq fr in
-                    let cap = fr.cap in
-                    let vi = fr.vi in
-                    let bd = s * cap and bp = sp * cap in
-                    for l = 0 to fr.nlanes - 1 do
-                      Array.unsafe_set vi (bd + l)
-                        (if Array.unsafe_get vi (bp + l) < y then t1 else t0)
-                    done
-              | `Le ->
-                  fun fr mask ->
-                    Exec.count_op fr.ctx mask Exec.Cint;
-                    let y = rq fr in
-                    let cap = fr.cap in
-                    let vi = fr.vi in
-                    let bd = s * cap and bp = sp * cap in
-                    for l = 0 to fr.nlanes - 1 do
-                      Array.unsafe_set vi (bd + l)
-                        (if Array.unsafe_get vi (bp + l) <= y then t1 else t0)
-                    done
-              | `Eq ->
-                  fun fr mask ->
-                    Exec.count_op fr.ctx mask Exec.Cint;
-                    let y = rq fr in
-                    let cap = fr.cap in
-                    let vi = fr.vi in
-                    let bd = s * cap and bp = sp * cap in
-                    for l = 0 to fr.nlanes - 1 do
-                      Array.unsafe_set vi (bd + l)
-                        (if Array.unsafe_get vi (bp + l) = y then t1 else t0)
-                    done)
-          | None, Some sq when uni_scalar lp -> (
-              let rp = ru_int lp in
-              match prim with
-              | `Lt ->
-                  fun fr mask ->
-                    Exec.count_op fr.ctx mask Exec.Cint;
-                    let x = rp fr in
-                    let cap = fr.cap in
-                    let vi = fr.vi in
-                    let bd = s * cap and bq = sq * cap in
-                    for l = 0 to fr.nlanes - 1 do
-                      Array.unsafe_set vi (bd + l)
-                        (if x < Array.unsafe_get vi (bq + l) then t1 else t0)
-                    done
-              | `Le ->
-                  fun fr mask ->
-                    Exec.count_op fr.ctx mask Exec.Cint;
-                    let x = rp fr in
-                    let cap = fr.cap in
-                    let vi = fr.vi in
-                    let bd = s * cap and bq = sq * cap in
-                    for l = 0 to fr.nlanes - 1 do
-                      Array.unsafe_set vi (bd + l)
-                        (if x <= Array.unsafe_get vi (bq + l) then t1 else t0)
-                    done
-              | `Eq ->
-                  fun fr mask ->
-                    Exec.count_op fr.ctx mask Exec.Cint;
-                    let x = rp fr in
-                    let cap = fr.cap in
-                    let vi = fr.vi in
-                    let bd = s * cap and bq = sq * cap in
-                    for l = 0 to fr.nlanes - 1 do
-                      Array.unsafe_set vi (bd + l)
-                        (if x = Array.unsafe_get vi (bq + l) then t1 else t0)
-                    done)
-          | _ ->
-              let ra = rd_int la and rb = rd_int lb in
-              fun fr mask ->
-                Exec.count_op fr.ctx mask Exec.Cint;
-                let base = s * fr.cap in
-                for l = 0 to fr.nlanes - 1 do
-                  fr.vi.(base + l) <- (if Ops.eval_int_cmp op (ra fr l) (rb fr l) then 1 else 0)
-                done)
+      match (lv.l_varying, Types.is_float a.Value.ty) with
+      | true, true -> fcmp_code op s la lb
+      | true, false -> icmp_code op s la lb
       | false, true ->
           let ra = ru_float la and rb = ru_float lb in
           fun fr mask ->
@@ -1710,124 +1285,8 @@ let compile_let st (v : Value.t) (e : Instr.expr) : code =
       let lv = new_loc st v in
       let s = lv.l_slot in
       match (lv.l_kind, lv.l_varying) with
-      | KFloat, true -> (
-          match (vi_slot lc, vf_slot la, vf_slot lb) with
-          | Some sc, Some sa, Some sb ->
-              fun fr mask ->
-                Exec.count_op fr.ctx mask Exec.Cint;
-                let cap = fr.cap in
-                let vf = fr.vf and vi = fr.vi in
-                let bd = s * cap and bc = sc * cap and ba = sa * cap and bb = sb * cap in
-                for l = 0 to fr.nlanes - 1 do
-                  Array.unsafe_set vf (bd + l)
-                    (if Array.unsafe_get vi (bc + l) <> 0 then Array.unsafe_get vf (ba + l)
-                     else Array.unsafe_get vf (bb + l))
-                done
-          | Some sc, Some sa, None when uni_scalar lb ->
-              let rb = ru_float lb in
-              fun fr mask ->
-                Exec.count_op fr.ctx mask Exec.Cint;
-                let y = rb fr in
-                let cap = fr.cap in
-                let vf = fr.vf and vi = fr.vi in
-                let bd = s * cap and bc = sc * cap and ba = sa * cap in
-                for l = 0 to fr.nlanes - 1 do
-                  Array.unsafe_set vf (bd + l)
-                    (if Array.unsafe_get vi (bc + l) <> 0 then Array.unsafe_get vf (ba + l)
-                     else y)
-                done
-          | Some sc, None, Some sb when uni_scalar la ->
-              let ra = ru_float la in
-              fun fr mask ->
-                Exec.count_op fr.ctx mask Exec.Cint;
-                let x = ra fr in
-                let cap = fr.cap in
-                let vf = fr.vf and vi = fr.vi in
-                let bd = s * cap and bc = sc * cap and bb = sb * cap in
-                for l = 0 to fr.nlanes - 1 do
-                  Array.unsafe_set vf (bd + l)
-                    (if Array.unsafe_get vi (bc + l) <> 0 then x
-                     else Array.unsafe_get vf (bb + l))
-                done
-          | Some sc, None, None when uni_scalar la && uni_scalar lb ->
-              let ra = ru_float la and rb = ru_float lb in
-              fun fr mask ->
-                Exec.count_op fr.ctx mask Exec.Cint;
-                let x = ra fr and y = rb fr in
-                let cap = fr.cap in
-                let vf = fr.vf and vi = fr.vi in
-                let bd = s * cap and bc = sc * cap in
-                for l = 0 to fr.nlanes - 1 do
-                  Array.unsafe_set vf (bd + l)
-                    (if Array.unsafe_get vi (bc + l) <> 0 then x else y)
-                done
-          | _ ->
-              let rc = rd_int lc and ra = rd_float la and rb = rd_float lb in
-              fun fr mask ->
-                Exec.count_op fr.ctx mask Exec.Cint;
-                let base = s * fr.cap in
-                for l = 0 to fr.nlanes - 1 do
-                  fr.vf.(base + l) <- (if rc fr l <> 0 then ra fr l else rb fr l)
-                done)
-      | KInt, true -> (
-          match (vi_slot lc, vi_slot la, vi_slot lb) with
-          | Some sc, Some sa, Some sb ->
-              fun fr mask ->
-                Exec.count_op fr.ctx mask Exec.Cint;
-                let cap = fr.cap in
-                let vi = fr.vi in
-                let bd = s * cap and bc = sc * cap and ba = sa * cap and bb = sb * cap in
-                for l = 0 to fr.nlanes - 1 do
-                  Array.unsafe_set vi (bd + l)
-                    (if Array.unsafe_get vi (bc + l) <> 0 then Array.unsafe_get vi (ba + l)
-                     else Array.unsafe_get vi (bb + l))
-                done
-          | Some sc, Some sa, None when uni_scalar lb ->
-              let rb = ru_int lb in
-              fun fr mask ->
-                Exec.count_op fr.ctx mask Exec.Cint;
-                let y = rb fr in
-                let cap = fr.cap in
-                let vi = fr.vi in
-                let bd = s * cap and bc = sc * cap and ba = sa * cap in
-                for l = 0 to fr.nlanes - 1 do
-                  Array.unsafe_set vi (bd + l)
-                    (if Array.unsafe_get vi (bc + l) <> 0 then Array.unsafe_get vi (ba + l)
-                     else y)
-                done
-          | Some sc, None, Some sb when uni_scalar la ->
-              let ra = ru_int la in
-              fun fr mask ->
-                Exec.count_op fr.ctx mask Exec.Cint;
-                let x = ra fr in
-                let cap = fr.cap in
-                let vi = fr.vi in
-                let bd = s * cap and bc = sc * cap and bb = sb * cap in
-                for l = 0 to fr.nlanes - 1 do
-                  Array.unsafe_set vi (bd + l)
-                    (if Array.unsafe_get vi (bc + l) <> 0 then x
-                     else Array.unsafe_get vi (bb + l))
-                done
-          | Some sc, None, None when uni_scalar la && uni_scalar lb ->
-              let ra = ru_int la and rb = ru_int lb in
-              fun fr mask ->
-                Exec.count_op fr.ctx mask Exec.Cint;
-                let x = ra fr and y = rb fr in
-                let cap = fr.cap in
-                let vi = fr.vi in
-                let bd = s * cap and bc = sc * cap in
-                for l = 0 to fr.nlanes - 1 do
-                  Array.unsafe_set vi (bd + l)
-                    (if Array.unsafe_get vi (bc + l) <> 0 then x else y)
-                done
-          | _ ->
-              let rc = rd_int lc and ra = rd_int la and rb = rd_int lb in
-              fun fr mask ->
-                Exec.count_op fr.ctx mask Exec.Cint;
-                let base = s * fr.cap in
-                for l = 0 to fr.nlanes - 1 do
-                  fr.vi.(base + l) <- (if rc fr l <> 0 then ra fr l else rb fr l)
-                done)
+      | KFloat, true -> fsel_code s lc la lb
+      | KInt, true -> isel_code s lc la lb
       | KBuf, true ->
           let rc = rd_int lc and ra = rd_buf la and rb = rd_buf lb in
           fun fr mask ->
@@ -1852,67 +1311,16 @@ let compile_let st (v : Value.t) (e : Instr.expr) : code =
             Exec.count_op fr.ctx mask Exec.Cint;
             fr.ub.(s) <- (if rc fr <> 0 then ra fr else rb fr))
   | Instr.Cast a -> (
+      (* the interpreter's [to_vf]/[to_vi] coercion: a copy across kinds *)
       let la = loc_of st a in
       let lv = new_loc st v in
-      let s = lv.l_slot in
-      match (lv.l_kind, lv.l_varying) with
-      | KFloat, true -> (
-          match (vf_slot la, vi_slot la) with
-          | Some sa, _ ->
-              fun fr mask ->
-                Exec.count_op fr.ctx mask Exec.Cint;
-                Array.blit fr.vf (sa * fr.cap) fr.vf (s * fr.cap) fr.nlanes
-          | _, Some sa ->
-              fun fr mask ->
-                Exec.count_op fr.ctx mask Exec.Cint;
-                let cap = fr.cap in
-                let vf = fr.vf and vi = fr.vi in
-                let bd = s * cap and ba = sa * cap in
-                for l = 0 to fr.nlanes - 1 do
-                  Array.unsafe_set vf (bd + l) (float_of_int (Array.unsafe_get vi (ba + l)))
-                done
-          | _ ->
-              let ra = rd_float la in
-              fun fr mask ->
-                Exec.count_op fr.ctx mask Exec.Cint;
-                let base = s * fr.cap in
-                for l = 0 to fr.nlanes - 1 do
-                  fr.vf.(base + l) <- ra fr l
-                done)
-      | KInt, true -> (
-          match (vi_slot la, vf_slot la) with
-          | Some sa, _ ->
-              fun fr mask ->
-                Exec.count_op fr.ctx mask Exec.Cint;
-                Array.blit fr.vi (sa * fr.cap) fr.vi (s * fr.cap) fr.nlanes
-          | _, Some sa ->
-              fun fr mask ->
-                Exec.count_op fr.ctx mask Exec.Cint;
-                let cap = fr.cap in
-                let vf = fr.vf and vi = fr.vi in
-                let bd = s * cap and ba = sa * cap in
-                for l = 0 to fr.nlanes - 1 do
-                  Array.unsafe_set vi (bd + l) (int_of_float (Array.unsafe_get vf (ba + l)))
-                done
-          | _ ->
-              let ra = rd_int la in
-              fun fr mask ->
-                Exec.count_op fr.ctx mask Exec.Cint;
-                let base = s * fr.cap in
-                for l = 0 to fr.nlanes - 1 do
-                  fr.vi.(base + l) <- ra fr l
-                done)
-      | KFloat, false ->
-          let ra = ru_float la in
+      match lv.l_kind with
+      | KBuf -> kbuf_arith_fail la.l_varying Exec.Cint
+      | KInt | KFloat ->
+          let c = copy_full la lv in
           fun fr mask ->
             Exec.count_op fr.ctx mask Exec.Cint;
-            fr.uf.(s) <- ra fr
-      | KInt, false ->
-          let ra = ru_int la in
-          fun fr mask ->
-            Exec.count_op fr.ctx mask Exec.Cint;
-            fr.ui.(s) <- ra fr
-      | KBuf, _ -> kbuf_arith_fail la.l_varying Exec.Cint)
+            c fr)
 
 (* ------------------------------------------------------------------ *)
 (* Region codegen                                                      *)

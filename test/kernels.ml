@@ -7,6 +7,22 @@ module Runtime = Pgpu_runtime.Runtime
 let f32 = Types.F32
 let host_f32 = Types.Memref (Types.Host, f32)
 
+(** Fail unless [actual] matches [expected] elementwise within the
+    relative tolerance [tol]. A non-finite value on either side fails
+    too: the tolerance test is false whenever either side is NaN, so on
+    its own it would pass a NaN output. *)
+let check_floats ~tol what expected actual =
+  if List.length expected <> List.length actual then
+    Alcotest.failf "%s: length mismatch %d vs %d" what (List.length expected)
+      (List.length actual);
+  List.iteri
+    (fun i (e, a) ->
+      if
+        (not (Float.is_finite e && Float.is_finite a))
+        || Float.abs (e -. a) > tol *. (1. +. Float.abs e)
+      then Alcotest.failf "%s[%d]: expected %g, got %g" what i e a)
+    (List.combine expected actual)
+
 (** vecadd: c[i] = a[i] + b[i], 256-thread blocks, guarded tail. *)
 let vecadd_module () =
   let n = Value.fresh ~hint:"n" Types.I32 in

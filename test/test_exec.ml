@@ -13,16 +13,6 @@ let f32 = Types.F32
 let global_f32 = Types.Memref (Types.Global, f32)
 let host_f32 = Types.Memref (Types.Host, f32)
 
-let check_floats ~tol what expected actual =
-  if List.length expected <> List.length actual then
-    Alcotest.failf "%s: length mismatch %d vs %d" what (List.length expected)
-      (List.length actual);
-  List.iteri
-    (fun i (e, a) ->
-      if Float.abs (e -. a) > tol *. (1. +. Float.abs e) then
-        Alcotest.failf "%s[%d]: expected %g, got %g" what i e a)
-    (List.combine expected actual)
-
 let vecadd_module = Kernels.vecadd_module
 
 let run_main ?(config = Pgpu_runtime.Runtime.default_config Descriptor.a100) m args =
@@ -36,7 +26,7 @@ let test_vecadd_functional () =
   let got = Pgpu_runtime.Runtime.buffer_contents (List.hd results) in
   let a = Pgpu_runtime.Runtime.rand_array 11 n and b = Pgpu_runtime.Runtime.rand_array 22 n in
   let expected = List.init n (fun i -> a.(i) +. b.(i)) in
-  check_floats ~tol:1e-9 "vecadd" expected got;
+  Kernels.check_floats ~tol:1e-9 "vecadd" expected got;
   Alcotest.(check int) "one launch" 1 (List.length (Pgpu_runtime.Runtime.records st));
   Alcotest.(check bool) "composite time positive" true
     (Pgpu_runtime.Runtime.composite_seconds st > 0.)
@@ -47,7 +37,7 @@ let test_vecadd_tail_guard () =
   let results, _ = run_main m [ Exec.UI 1 ] in
   let got = Pgpu_runtime.Runtime.buffer_contents (List.hd results) in
   let a = Pgpu_runtime.Runtime.rand_array 11 1 and b = Pgpu_runtime.Runtime.rand_array 22 1 in
-  check_floats ~tol:1e-9 "vecadd n=1" [ a.(0) +. b.(0) ] got
+  Kernels.check_floats ~tol:1e-9 "vecadd n=1" [ a.(0) +. b.(0) ] got
 
 let test_reduce_functional () =
   let m = Kernels.reduce_module () in
@@ -56,7 +46,7 @@ let test_reduce_functional () =
   let results, st = run_main m [ Exec.UI nb ] in
   let got = Pgpu_runtime.Runtime.buffer_contents (List.hd results) in
   let expected = Kernels.reduce_expected nb in
-  check_floats ~tol:1e-6 "reduce" expected got;
+  Kernels.check_floats ~tol:1e-6 "reduce" expected got;
   (* shared memory traffic and barriers must have been observed *)
   let r = List.hd (Pgpu_runtime.Runtime.records st) in
   let c = r.Pgpu_runtime.Runtime.result.Exec.counters in
@@ -275,6 +265,244 @@ let prop_engines_agree =
           true)
         [ Descriptor.a100; Descriptor.rx6800; Descriptor.cpu ])
 
+(* ------------------------------------------------------------------ *)
+(* Operator matrix: every operator in every operand shape, both engines *)
+(* ------------------------------------------------------------------ *)
+
+(** An operand is a row (loaded per lane inside the thread parallel,
+    so statically varying) or uniform (loaded once per block, before
+    the thread parallel). *)
+type shape = Row | Uni
+
+let pp_shape ppf s = Fmt.string ppf (match s with Row -> "row" | Uni -> "uniform")
+
+let cf = List.map (fun x -> Instr.Cf x)
+let ci = List.map (fun x -> Instr.Ci x)
+
+let f32_a =
+  cf
+    [ 0.; -0.; 1.5; -2.25; 3.; -7.; 0.5; Float.nan; Float.infinity; Float.neg_infinity; 1e30;
+      -1e-30; 2.; 100.; -0.75; 9. ]
+
+let f32_b =
+  cf
+    [ 2.; -0.; 0.; -3.5; Float.nan; 0.25; Float.infinity; -1.; Float.neg_infinity; 7.; -0.5;
+      1e-30; 5.; -100.; 3. ]
+
+let i32_a = ci [ 0; 1; -1; 7; -13; 31; 2; 100; -100; 5; 3; 16; -2; 1 lsl 20; -(1 lsl 20); 9 ]
+let i32_b = ci [ 3; 0; -1; 2; -7; 0; 5; 1; -3; 31; 4; -100; 13; 0; 8 ]
+let shift_counts = ci [ 0; 1; 2; 3; 4; 5; 7; 8; 13; 15; 16; 17; 24; 30; 31 ]
+let conds = ci [ 0; 1; -1; 2; 0; 0; 1; 7; 0; 1; 1; 0; -5 ]
+let matrix_blocks = 16
+let matrix_threads = 32
+
+(** One kernel over [matrix_blocks] blocks of [matrix_threads] lanes:
+    operand [k] is a table of constants of element type [ty], read as
+    a row or as a per-block uniform; lane [g] stores [f operands] to
+    [out[g]]. Row indices differ per operand so binary operators see
+    many value pairs. *)
+let matrix_module (operands : (Types.t * Instr.const list * shape) list) out_ty
+    (f : Builder.t -> Value.t list -> Value.t) =
+  Builder.func "main" [] [ Types.Memref (Types.Host, out_ty) ] (fun b ->
+      let tables =
+        List.map
+          (fun (ty, vals, sh) ->
+            let len = List.length vals in
+            let n = Builder.const_i b len in
+            let h = Builder.alloc b Types.Host ty n in
+            List.iteri
+              (fun i c ->
+                Builder.store b h (Builder.const_i b i) (Builder.let_ b ty (Instr.Const c)))
+              vals;
+            let d = Builder.alloc b Types.Global ty n in
+            Builder.add b (Instr.Memcpy { dst = d; src = h; count = n });
+            (d, len, sh))
+          operands
+      in
+      let total = Builder.const_i b (matrix_blocks * matrix_threads) in
+      let hout = Builder.alloc b Types.Host out_ty total in
+      let dout = Builder.alloc b Types.Global out_ty total in
+      Builder.gpu_wrapper b "matrix" (fun wb ->
+          let nb = Builder.const_i wb matrix_blocks and nt = Builder.const_i wb matrix_threads in
+          ignore
+            (Builder.parallel wb Instr.Blocks [ nb ] (fun bb _ bivs ->
+                 let bid = List.hd bivs in
+                 let unis =
+                   List.mapi
+                     (fun k (d, len, sh) ->
+                       match sh with
+                       | Row -> None
+                       | Uni ->
+                           let i = Builder.mul_ bb bid (Builder.const_i bb ((2 * k) + 1)) in
+                           let i = Builder.add_ bb i (Builder.const_i bb k) in
+                           Some (Builder.load bb d (Builder.rem_ bb i (Builder.const_i bb len))))
+                     tables
+                 in
+                 ignore
+                   (Builder.parallel bb Instr.Threads [ nt ] (fun tb _ tivs ->
+                        let g = Builder.add_ tb (Builder.mul_ tb bid nt) (List.hd tivs) in
+                        let args =
+                          List.mapi
+                            (fun k ((d, len, _), uni) ->
+                              match uni with
+                              | Some u -> u
+                              | None ->
+                                  let q = Builder.div_ tb g (Builder.const_i tb 16) in
+                                  let i =
+                                    Builder.add_ tb g (Builder.mul_ tb q (Builder.const_i tb k))
+                                  in
+                                  Builder.load tb d (Builder.rem_ tb i (Builder.const_i tb len)))
+                            (List.combine tables unis)
+                        in
+                        Builder.store tb dout g (f tb args))))));
+      Builder.add b (Instr.Memcpy { dst = hout; src = dout; count = total });
+      Builder.return b [ hout ])
+
+(** Run [m] under both engines on a100 and cpu; outputs must agree
+    bitwise, and so must every launch's counters. *)
+let check_engines_agree what fn =
+  let m = { Instr.funcs = [ fn ] } in
+  let run target engine =
+    let config =
+      { (Pgpu_runtime.Runtime.default_config target) with Pgpu_runtime.Runtime.engine }
+    in
+    let results, st = Pgpu_runtime.Runtime.run config m [] in
+    let out =
+      match results with
+      | [ Exec.UB { Memory.data = Memory.F a; _ } ] -> `F (Array.map Int64.bits_of_float a)
+      | [ Exec.UB { Memory.data = Memory.I a; _ } ] -> `I a
+      | _ -> Alcotest.failf "%s: expected one buffer result" what
+    in
+    let counters =
+      List.map
+        (fun (r : Pgpu_runtime.Runtime.launch_record) ->
+          r.Pgpu_runtime.Runtime.result.Exec.counters)
+        (Pgpu_runtime.Runtime.records st)
+    in
+    (out, counters)
+  in
+  List.iter
+    (fun (target : Descriptor.t) ->
+      let out_i, cnt_i = run target Engine.Interp in
+      let out_c, cnt_c = run target Engine.Compiled in
+      if out_i <> out_c then Alcotest.failf "%s on %s: outputs differ" what target.Descriptor.name;
+      if cnt_i <> cnt_c then Alcotest.failf "%s on %s: counters differ" what target.Descriptor.name)
+    [ Descriptor.a100; Descriptor.cpu ]
+
+let shapes2 = [ (Row, Row); (Row, Uni); (Uni, Row); (Uni, Uni) ]
+let kind_name ty = if Types.is_float ty then "f32" else "i32"
+
+let all_binops =
+  Ops.[ Add; Sub; Mul; Div; Rem; And; Or; Xor; Shl; Shr; Min; Max; Pow ]
+
+let all_unops = Ops.[ Neg; Not; Sqrt; Exp; Log; Sin; Cos; Abs; Floor; Ceil; Rsqrt ]
+let all_cmpops = Ops.[ Eq; Ne; Lt; Le; Gt; Ge ]
+
+(** Whether [Ops] defines the operator on this kind. *)
+let accepts eval = match eval () with _ -> true | exception Invalid_argument _ -> false
+
+let test_matrix_binops ty () =
+  let a, b = if Types.is_float ty then (f32_a, f32_b) else (i32_a, i32_b) in
+  List.iter
+    (fun op ->
+      let ok =
+        if Types.is_float ty then accepts (fun () -> Ops.eval_float_binop op 1. 1.)
+        else accepts (fun () -> Ops.eval_int_binop op 1 1)
+      in
+      let b = match op with Ops.Shl | Ops.Shr -> shift_counts | _ -> b in
+      if ok then
+        List.iter
+          (fun (sa, sb) ->
+            check_engines_agree
+              (Fmt.str "%s %a %a-%a" (kind_name ty) Ops.pp_binop op pp_shape sa pp_shape sb)
+              (matrix_module [ (ty, a, sa); (ty, b, sb) ] ty (fun tb args ->
+                   Builder.binop tb op (List.nth args 0) (List.nth args 1))))
+          shapes2)
+    all_binops
+
+let test_matrix_unops () =
+  List.iter
+    (fun (ty, vals) ->
+      List.iter
+        (fun op ->
+          let ok =
+            if Types.is_float ty then accepts (fun () -> Ops.eval_float_unop op 1.)
+            else accepts (fun () -> Ops.eval_int_unop op 1)
+          in
+          if ok then
+            List.iter
+              (fun sa ->
+                check_engines_agree
+                  (Fmt.str "%s %a %a" (kind_name ty) Ops.pp_unop op pp_shape sa)
+                  (matrix_module [ (ty, vals, sa) ] ty (fun tb args ->
+                       Builder.let_ tb ty (Instr.Unop (op, List.hd args)))))
+              [ Row; Uni ])
+        all_unops)
+    [ (Types.I32, i32_a); (Types.F32, f32_a) ]
+
+let test_matrix_cmps () =
+  List.iter
+    (fun (ty, a, b) ->
+      List.iter
+        (fun op ->
+          List.iter
+            (fun (sa, sb) ->
+              check_engines_agree
+                (Fmt.str "%s %a %a-%a" (kind_name ty) Ops.pp_cmpop op pp_shape sa pp_shape sb)
+                (matrix_module [ (ty, a, sa); (ty, b, sb) ] Types.I32 (fun tb args ->
+                     Builder.cmp tb op (List.nth args 0) (List.nth args 1))))
+            shapes2)
+        all_cmpops)
+    [ (Types.I32, i32_a, i32_b); (Types.F32, f32_a, f32_b) ]
+
+let test_matrix_select () =
+  List.iter
+    (fun (ty, a, b) ->
+      List.iter
+        (fun sc ->
+          List.iter
+            (fun (sa, sb) ->
+              check_engines_agree
+                (Fmt.str "%s select %a ? %a : %a" (kind_name ty) pp_shape sc pp_shape sa pp_shape
+                   sb)
+                (matrix_module [ (Types.I32, conds, sc); (ty, a, sa); (ty, b, sb) ] ty
+                   (fun tb args ->
+                     Builder.select tb (List.nth args 0) (List.nth args 1) (List.nth args 2))))
+            shapes2)
+        [ Row; Uni ])
+    [ (Types.I32, i32_a, i32_b); (Types.F32, f32_a, f32_b) ]
+
+let test_matrix_casts () =
+  List.iter
+    (fun (src, vals, dst) ->
+      List.iter
+        (fun sa ->
+          check_engines_agree
+            (Fmt.str "cast %s -> %s %a" (kind_name src) (kind_name dst) pp_shape sa)
+            (matrix_module [ (src, vals, sa) ] dst (fun tb args ->
+                 Builder.cast tb dst (List.hd args))))
+        [ Row; Uni ])
+    [
+      (Types.I32, i32_a, Types.F32);
+      (Types.F32, f32_a, Types.I32);
+      (Types.I32, i32_a, Types.I32);
+      (Types.F32, f32_a, Types.F32);
+    ]
+
+(** An operand row of the other kind takes the generic reader path,
+    which coerces per lane like the interpreter's [to_vf]/[to_vi]. *)
+let test_matrix_mixed_kinds () =
+  List.iter
+    (fun (ty, (ta, a), (tyb, b)) ->
+      check_engines_agree
+        (Fmt.str "%s add of %s and %s rows" (kind_name ty) (kind_name ta) (kind_name tyb))
+        (matrix_module [ (ta, a, Row); (tyb, b, Row) ] ty (fun tb args ->
+             Builder.let_ tb ty (Instr.Binop (Ops.Add, List.nth args 0, List.nth args 1)))))
+    [
+      (Types.F32, (Types.I32, i32_a), (Types.F32, f32_b));
+      (Types.I32, (Types.F32, f32_a), (Types.I32, i32_b));
+    ]
+
 let suite =
   [
     ( "exec",
@@ -289,5 +517,12 @@ let suite =
         !:"shared-memory bank conflicts" `Quick test_bank_conflicts;
         !:"barrier divergence detected" `Quick test_barrier_divergence_detected;
         QCheck_alcotest.to_alcotest prop_engines_agree;
+        !:"engine matrix: i32 binops" `Quick (test_matrix_binops Types.I32);
+        !:"engine matrix: f32 binops" `Quick (test_matrix_binops Types.F32);
+        !:"engine matrix: unops" `Quick test_matrix_unops;
+        !:"engine matrix: comparisons" `Quick test_matrix_cmps;
+        !:"engine matrix: select" `Quick test_matrix_select;
+        !:"engine matrix: casts" `Quick test_matrix_casts;
+        !:"engine matrix: mixed-kind rows" `Quick test_matrix_mixed_kinds;
       ] );
   ]

@@ -10,16 +10,6 @@ module Pipeline = Pgpu_transforms.Pipeline
 
 let ( !: ) = Alcotest.test_case
 
-let check_floats ~tol what expected actual =
-  if List.length expected <> List.length actual then
-    Alcotest.failf "%s: length mismatch %d vs %d" what (List.length expected)
-      (List.length actual);
-  List.iteri
-    (fun i (e, a) ->
-      if Float.abs (e -. a) > tol *. (1. +. Float.abs e) then
-        Alcotest.failf "%s[%d]: expected %g, got %g" what i e a)
-    (List.combine expected actual)
-
 let run ?(target = Descriptor.a100) src args =
   let m = Frontend.compile_string src in
   Verify.check_exn m;
@@ -59,7 +49,7 @@ float* main(int n) {
 let test_vecadd () =
   let n = 1000 in
   let outs, _ = run vecadd_src [ Exec.UI n ] in
-  check_floats ~tol:1e-9 "vecadd" (Kernels.vecadd_expected n) (List.hd outs)
+  Kernels.check_floats ~tol:1e-9 "vecadd" (Kernels.vecadd_expected n) (List.hd outs)
 
 let reduce_src =
   {|
@@ -98,7 +88,7 @@ float* main(int nb) {
 
 let test_reduce () =
   let outs, _ = run reduce_src [ Exec.UI 6 ] in
-  check_floats ~tol:1e-6 "reduce" (Kernels.reduce_expected 6) (List.hd outs)
+  Kernels.check_floats ~tol:1e-6 "reduce" (Kernels.reduce_expected 6) (List.hd outs)
 
 let matmul_src =
   {|
@@ -158,7 +148,7 @@ let matmul_expected ntiles =
 
 let test_matmul () =
   let outs, _ = run matmul_src [ Exec.UI 3 ] in
-  check_floats ~tol:1e-5 "matmul" (matmul_expected 3) (List.hd outs)
+  Kernels.check_floats ~tol:1e-5 "matmul" (matmul_expected 3) (List.hd outs)
 
 (* early return, &&, compound ops, while loop on host *)
 let misc_src =
@@ -204,7 +194,7 @@ let misc_expected n =
 let test_misc () =
   let n = 100 in
   let outs, st = run misc_src [ Exec.UI n ] in
-  check_floats ~tol:1e-6 "clamp_scale" (misc_expected n) (List.hd outs);
+  Kernels.check_floats ~tol:1e-6 "clamp_scale" (misc_expected n) (List.hd outs);
   Alcotest.(check int) "two launches from host while loop" 2
     (List.length (Runtime.records st))
 
@@ -231,7 +221,7 @@ let test_frontend_coarsen_integration () =
     (fun fixed ->
       let config = { (Runtime.default_config Descriptor.a100) with Runtime.fixed_choice = fixed } in
       let results, _ = Runtime.run config m' [ Exec.UI 4 ] in
-      check_floats ~tol:1e-5 (Fmt.str "matmul alt %d" fixed) expected
+      Kernels.check_floats ~tol:1e-5 (Fmt.str "matmul alt %d" fixed) expected
         (Runtime.buffer_contents (List.hd results)))
     [ 0; 1; 2; 3 ]
 
@@ -270,7 +260,7 @@ float* main(int n) {
   let results, st = Runtime.run (Runtime.default_config Descriptor.a100) m [ Exec.UI 64 ] in
   let got = Runtime.buffer_contents (List.hd results) in
   let expected = Array.to_list (Array.map (fun r -> r *. 3.) (Runtime.rand_array 3 64)) in
-  check_floats ~tol:1e-12 "double scale" expected got;
+  Kernels.check_floats ~tol:1e-12 "double scale" expected got;
   match Runtime.records st with
   | [ r ] ->
       Alcotest.(check bool) "fp64 lanes counted" true

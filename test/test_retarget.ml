@@ -62,14 +62,9 @@ let test_hipified_source_still_compiles () =
       let results, _ =
         Runtime.run config m (List.map (fun n -> Exec.UI n) b.Bench_def.test_args)
       in
-      let got = Runtime.buffer_contents (List.hd results) in
-      let expected = b.Bench_def.reference b.Bench_def.test_args in
-      List.iteri
-        (fun i a ->
-          let e = expected.(i) in
-          if Float.abs (e -. a) > b.Bench_def.tolerance *. (1. +. Float.abs e) then
-            Alcotest.failf "%s (hipified): mismatch at %d" name i)
-        got)
+      Kernels.check_floats ~tol:b.Bench_def.tolerance (name ^ " (hipified)")
+        (Array.to_list (b.Bench_def.reference b.Bench_def.test_args))
+        (Runtime.buffer_contents (List.hd results)))
     [ "nn"; "pathfinder"; "hotspot" ]
 
 let test_survey_counts () =

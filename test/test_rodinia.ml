@@ -13,16 +13,7 @@ module Pipeline = Pgpu_transforms.Pipeline
 open Pgpu_ir
 
 let check_output (b : Bench_def.t) expected actual =
-  let tol = b.Bench_def.tolerance in
-  if Array.length expected <> List.length actual then
-    Alcotest.failf "%s: output length %d, expected %d" b.Bench_def.name (List.length actual)
-      (Array.length expected);
-  List.iteri
-    (fun i a ->
-      let e = expected.(i) in
-      if Float.abs (e -. a) > tol *. (1. +. Float.abs e) then
-        Alcotest.failf "%s[%d]: expected %g, got %g" b.Bench_def.name i e a)
-    actual
+  Kernels.check_floats ~tol:b.Bench_def.tolerance b.Bench_def.name (Array.to_list expected) actual
 
 let run_bench ?(target = Descriptor.a100) ?(specs = []) ?(tune = false) ?(fixed = 0)
     ?(optimize = true) (b : Bench_def.t) args =

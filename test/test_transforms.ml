@@ -11,16 +11,6 @@ module Exec = Pgpu_gpusim.Exec
 
 let ( !: ) = Alcotest.test_case
 
-let check_floats ~tol what expected actual =
-  if List.length expected <> List.length actual then
-    Alcotest.failf "%s: length mismatch %d vs %d" what (List.length expected)
-      (List.length actual);
-  List.iteri
-    (fun i (e, a) ->
-      if Float.abs (e -. a) > tol *. (1. +. Float.abs e) then
-        Alcotest.failf "%s[%d]: expected %g, got %g" what i e a)
-    (List.combine expected actual)
-
 (** Compile with the given coarsening specs (identity is prepended so
     alternatives always have a baseline), pick a fixed alternative, and
     run. *)
@@ -121,7 +111,7 @@ let test_thread_coarsen_vecadd () =
       let got, _ =
         run_coarsened (Kernels.vecadd_module ()) [ Exec.UI 1000 ] ~block:[ 1 ] ~thread:[ t ]
       in
-      check_floats ~tol:1e-9 (Fmt.str "vecadd thread x%d" t) expected got)
+      Kernels.check_floats ~tol:1e-9 (Fmt.str "vecadd thread x%d" t) expected got)
     [ 2; 4; 8 ]
 
 let test_block_coarsen_vecadd_divisor () =
@@ -130,7 +120,7 @@ let test_block_coarsen_vecadd_divisor () =
   let got, _ =
     run_coarsened (Kernels.vecadd_module ()) [ Exec.UI 1024 ] ~block:[ 2 ] ~thread:[ 1 ]
   in
-  check_floats ~tol:1e-9 "vecadd block x2" expected got
+  Kernels.check_floats ~tol:1e-9 "vecadd block x2" expected got
 
 let test_block_coarsen_vecadd_epilogue () =
   (* n = 1000 -> grid of 4 blocks; factor 3 leaves a remainder block *)
@@ -138,7 +128,7 @@ let test_block_coarsen_vecadd_epilogue () =
   let got, st =
     run_coarsened (Kernels.vecadd_module ()) [ Exec.UI 1000 ] ~block:[ 3 ] ~thread:[ 1 ]
   in
-  check_floats ~tol:1e-9 "vecadd block x3 + epilogue" expected got;
+  Kernels.check_floats ~tol:1e-9 "vecadd block x3 + epilogue" expected got;
   (* the epilogue is a second grid launch inside the same wrapper *)
   Alcotest.(check int) "two launches" 2 (List.length (Runtime.records st))
 
@@ -147,7 +137,7 @@ let test_coarsen_reduce_with_barriers () =
   List.iter
     (fun (b, t) ->
       let got, _ = run_coarsened (Kernels.reduce_module ()) [ Exec.UI 7 ] ~block:b ~thread:t in
-      check_floats ~tol:1e-6
+      Kernels.check_floats ~tol:1e-6
         (Fmt.str "reduce block%a thread%a" Fmt.(Dump.list int) b Fmt.(Dump.list int) t)
         expected got)
     [ ([ 2 ], [ 1 ]); ([ 1 ], [ 2 ]); ([ 1 ], [ 4 ]); ([ 2 ], [ 2 ]); ([ 3 ], [ 4 ]) ]
@@ -157,7 +147,7 @@ let test_coarsen_2d_tile () =
   List.iter
     (fun (b, t) ->
       let got, _ = run_coarsened (Kernels.tile_avg_module ()) [ Exec.UI 4 ] ~block:b ~thread:t in
-      check_floats ~tol:1e-6
+      Kernels.check_floats ~tol:1e-6
         (Fmt.str "tile_avg block%a thread%a" Fmt.(Dump.list int) b Fmt.(Dump.list int) t)
         expected got)
     [ ([ 2; 1 ], [ 1; 1 ]); ([ 1; 2 ], [ 1; 1 ]); ([ 2; 2 ], [ 2; 1 ]); ([ 3; 1 ], [ 1; 2 ]) ]
@@ -170,7 +160,7 @@ let test_thread_coarsen_blocked_mapping () =
     run_coarsened ~tm:Interleave.Blocked (Kernels.reduce_module ()) [ Exec.UI 4 ] ~block:[ 1 ]
       ~thread:[ 4 ]
   in
-  check_floats ~tol:1e-6 "reduce thread x4 blocked" expected got
+  Kernels.check_floats ~tol:1e-6 "reduce thread x4 blocked" expected got
 
 let test_block_coarsen_cyclic_mapping () =
   let expected = Kernels.vecadd_expected 1024 in
@@ -178,7 +168,7 @@ let test_block_coarsen_cyclic_mapping () =
     run_coarsened ~bm:Interleave.Cyclic (Kernels.vecadd_module ()) [ Exec.UI 1024 ]
       ~block:[ 2 ] ~thread:[ 1 ]
   in
-  check_floats ~tol:1e-9 "vecadd block x2 cyclic" expected got
+  Kernels.check_floats ~tol:1e-9 "vecadd block x2 cyclic" expected got
 
 let test_thread_factor_must_divide () =
   let m = Kernels.vecadd_module () in
@@ -211,7 +201,7 @@ let test_thread_coarsen_divergent_barrier_ok () =
     run_coarsened (Kernels.block_divergent_barrier_module ()) [ Exec.UI 6 ] ~block:[ 1 ]
       ~thread:[ 2 ]
   in
-  check_floats ~tol:1e-9 "divergent-barrier thread x2" (output_of baseline) got
+  Kernels.check_floats ~tol:1e-9 "divergent-barrier thread x2" (output_of baseline) got
 
 (* ------------------------------------------------------------------ *)
 (* Alternatives and TDO                                                *)
@@ -223,7 +213,7 @@ let test_alternatives_tdo () =
   in
   let expected = Kernels.reduce_expected 12 in
   let results, st, _ = compile_and_run ~specs ~tune:true (Kernels.reduce_module ()) [ Exec.UI 12 ] in
-  check_floats ~tol:1e-6 "reduce TDO" expected (output_of results);
+  Kernels.check_floats ~tol:1e-6 "reduce TDO" expected (output_of results);
   (* a choice must have been committed and the chosen alternative recorded *)
   match Runtime.records st with
   | r :: _ -> Alcotest.(check bool) "alternative recorded" true (r.Runtime.alternative <> None)
@@ -435,7 +425,7 @@ let test_barrier_elim_keeps_needed () =
   let results, _ = Runtime.run config m' [ Exec.UI 4 ] in
   let got = Runtime.buffer_contents (List.hd results) in
   let expected = Kernels.reduce_expected 4 in
-  check_floats ~tol:1e-6 "reduce after barrier elim" expected got
+  Kernels.check_floats ~tol:1e-6 "reduce after barrier elim" expected got
 
 let test_barrier_elim_keeps_war () =
   (* write-after-read: barrier between a neighbour read and a write
