@@ -14,16 +14,28 @@
     inequalities over two renamed instances of the thread symbols. The
     decision stack, from cheap to precise:
 
-    - Fourier–Motzkin elimination over the rationals, with integer
-      tightening (rows are gcd-normalized with floor division), which
-      is a sound infeasibility test over the integers;
+    - equality substitution: the system's symbols are numbered in
+      [sid] order and every row becomes a dense coefficient vector;
+      each equality with a ±1 coefficient is solved for that symbol
+      and substituted into every other row, which is exact over the
+      integers (an equality whose gcd does not divide its constant has
+      no integer point); only equalities without a unit coefficient
+      become two inequalities;
+    - Fourier–Motzkin elimination over the rationals with integer
+      tightening (every row is divided by the gcd of its coefficients,
+      flooring the constant), which is a sound infeasibility test over
+      the integers. Input and derived rows live in one set that keeps
+      the tightest constant per coefficient vector. Each step
+      eliminates the variable with the fewest pos × neg combinations,
+      the lowest index on a tie, so the verdict depends only on the
+      system;
     - a modulus-interval test for each equality [E = 0]: for a
       candidate modulus [m] dividing some coefficients, the
       non-divisible residue [S] must be a multiple of [m]; its weak
       interval either contains no multiple (infeasible) or finitely
-      many, each of which is re-checked as [S = q*m] — subsuming the
-      classical GCD test and deciding tiled-index disjointness such as
-      [16*tx + i = 17*i];
+      many, which are counted first and, when at most 8, each
+      re-checked as [S = q*m] — subsuming the classical GCD test and
+      deciding tiled-index disjointness such as [16*tx + i = 17*i];
     - a congruence rule for modulo guards ([e % m == 0] on both
       instances forces [e1 - e2 ≡ 0 (mod m)]; if the system bounds
       [|e1 - e2| < m], the difference must be exactly 0), which
@@ -146,148 +158,173 @@ let empty = { eqs = []; ges = [] }
 let with_eq a sys = { sys with eqs = a :: sys.eqs }
 let with_ge a sys = { sys with ges = a :: sys.ges }
 
-(* Solver rows: [cst + sum coeff*var >= 0] over symbol ids. *)
-type row = { cst : int; coeffs : (int * int) list (* (sid, coeff), sorted *) }
-
-let row_of a =
-  { cst = a.const; coeffs = List.map (fun (s, c) -> (s.sid, c)) a.terms }
-
-let rec merge_coeffs c1 c2 =
-  match (c1, c2) with
-  | [], c | c, [] -> c
-  | (v1, a) :: r1, (v2, b) :: r2 ->
-      if v1 < v2 then (v1, a) :: merge_coeffs r1 c2
-      else if v1 > v2 then (v2, b) :: merge_coeffs c1 r2
-      else
-        let c = a + b in
-        if c = 0 then merge_coeffs r1 r2 else (v1, c) :: merge_coeffs r1 r2
-
-let row_combine k1 r1 k2 r2 =
-  {
-    cst = (k1 * r1.cst) + (k2 * r2.cst);
-    coeffs =
-      merge_coeffs
-        (List.map (fun (v, c) -> (v, k1 * c)) r1.coeffs)
-        (List.map (fun (v, c) -> (v, k2 * c)) r2.coeffs);
-  }
-
 let rec gcd a b = if b = 0 then abs a else gcd b (a mod b)
 
-(** Integer tightening: divide by the gcd of the variable
-    coefficients, flooring the constant (sound for integer-valued
-    variables). *)
-let normalize r =
-  match r.coeffs with
-  | [] -> r
-  | (_, c0) :: rest ->
-      let g = List.fold_left (fun g (_, c) -> gcd g c) (abs c0) rest in
-      if g <= 1 then r
-      else
-        {
-          cst = (if r.cst >= 0 then r.cst / g else -((-r.cst + g - 1) / g));
-          coeffs = List.map (fun (v, c) -> (v, c / g)) r.coeffs;
-        }
+(* Division rounding down and up, for a positive divisor. *)
+let fdiv a b =
+  let q = a / b in
+  if a mod b < 0 then q - 1 else q
 
-(* A cap on intermediate rows: systems here are tiny (two instances of
-   a handful of symbols), so hitting the cap means something
-   pathological — give up and treat the system as (possibly)
+let cdiv a b =
+  let q = a / b in
+  if a mod b > 0 then q + 1 else q
+
+(* Solver rows are dense. The symbols of one system are numbered
+   0..n-1 in [sid] order; a row is a coefficient vector [c] plus a
+   constant [k], read as [k + sum c.(i) * x_i >= 0] (or [= 0] for an
+   equality). *)
+module Rows = Hashtbl.Make (struct
+  type t = int array
+
+  let equal (a : t) (b : t) =
+    let n = Array.length a in
+    let rec go i = i = n || (a.(i) = b.(i) && go (i + 1)) in
+    n = Array.length b && go 0
+
+  let hash (a : t) = Array.fold_left (fun h x -> (h * 31) + x) 0 a land max_int
+end)
+
+(* A cap on the rows of one elimination step: systems here are tiny
+   (two instances of a handful of symbols), so hitting the cap means
+   something pathological — give up and treat the system as (possibly)
    feasible, which is the conservative direction. *)
 let max_rows = 4096
 
+exception Infeasible
 exception Too_big
 
-(** Fourier–Motzkin: [true] means the system is certainly infeasible
-    over the integers; [false] means "not proven infeasible". *)
-let fm_infeasible (rows : row list) : bool =
-  let exception Infeasible in
-  let contradicts r = r.coeffs = [] && r.cst < 0 in
-  let step rows =
-    (* eliminate the variable with the fewest pos*neg combinations *)
-    let occ = Hashtbl.create 16 in
+(** Add [k + c.x >= 0] to the row set: tightened by the gcd of [c]
+    (floor division of the constant, sound for integer-valued
+    variables), and kept only when no row with the same coefficients
+    is at least as tight. *)
+let add_ge (set : int Rows.t) c k =
+  let g = Array.fold_left gcd 0 c in
+  if g = 0 then (if k < 0 then raise Infeasible)
+  else begin
+    let c, k = if g = 1 then (c, k) else (Array.map (fun x -> x / g) c, fdiv k g) in
+    match Rows.find_opt set c with
+    | Some k' when k' <= k -> ()
+    | _ -> Rows.replace set c k
+  end
+
+(** One Fourier–Motzkin step: eliminate the variable with the fewest
+    pos × neg combinations, the lowest index on a tie. [None] once no
+    variable is left. *)
+let eliminate n (set : int Rows.t) : int Rows.t option =
+  let pos = Array.make n 0 and neg = Array.make n 0 in
+  Rows.iter
+    (fun c _ ->
+      Array.iteri
+        (fun i x -> if x > 0 then pos.(i) <- pos.(i) + 1 else if x < 0 then neg.(i) <- neg.(i) + 1)
+        c)
+    set;
+  let v = ref (-1) and cost = ref max_int in
+  for i = 0 to n - 1 do
+    if pos.(i) + neg.(i) > 0 && pos.(i) * neg.(i) < !cost then begin
+      v := i;
+      cost := pos.(i) * neg.(i)
+    end
+  done;
+  if !v < 0 then None
+  else begin
+    let v = !v in
+    let next = Rows.create (2 * Rows.length set) in
+    let ps = ref [] and ns = ref [] in
+    Rows.iter
+      (fun c k ->
+        if c.(v) > 0 then ps := (c, k) :: !ps
+        else if c.(v) < 0 then ns := (c, k) :: !ns
+        else Rows.replace next c k)
+      set;
     List.iter
-      (fun r ->
+      (fun (cp, kp) ->
+        let a = cp.(v) in
         List.iter
-          (fun (v, c) ->
-            let p, n = try Hashtbl.find occ v with Not_found -> (0, 0) in
-            Hashtbl.replace occ v (if c > 0 then (p + 1, n) else (p, n + 1)))
-          r.coeffs)
-      rows;
-    let best = ref None in
-    Hashtbl.iter
-      (fun v (p, n) ->
-        let cost = p * n in
-        match !best with Some (_, c) when c <= cost -> () | _ -> best := Some (v, cost))
-      occ;
-    match !best with
-    | None -> None
-    | Some (v, _) ->
-        let pos, neg, rest =
-          List.fold_left
-            (fun (p, n, r) row ->
-              match List.assoc_opt v row.coeffs with
-              | Some c when c > 0 -> ((c, row) :: p, n, r)
-              | Some c -> (p, (-c, row) :: n, r)
-              | None -> (p, n, row :: r))
-            ([], [], []) rows
-        in
-        let out = ref rest in
-        let seen = Hashtbl.create 64 in
-        let push r =
-          let r = normalize r in
-          if contradicts r then raise Infeasible;
-          if r.coeffs <> [] || r.cst < 0 then
-            if not (Hashtbl.mem seen (r.cst, r.coeffs)) then begin
-              Hashtbl.add seen (r.cst, r.coeffs) ();
-              out := r :: !out;
-              if List.length !out > max_rows then raise Too_big
-            end
-        in
-        List.iter (fun (a, rp) -> List.iter (fun (b, rn) -> push (row_combine b rp a rn)) neg) pos;
-        Some !out
+          (fun (cn, kn) ->
+            let b = -cn.(v) in
+            add_ge next (Array.init n (fun i -> (b * cp.(i)) + (a * cn.(i)))) ((b * kp) + (a * kn));
+            if Rows.length next > max_rows then raise Too_big)
+          !ns)
+      !ps;
+    Some next
+  end
+
+(** An equality divided by the gcd of its coefficients; [None] when it
+    is trivially true. Raises [Infeasible] when the gcd does not divide
+    the constant (no integer point). *)
+let normalize_eq (c, k) =
+  let g = Array.fold_left gcd 0 c in
+  if g = 0 then if k <> 0 then raise Infeasible else None
+  else if k mod g <> 0 then raise Infeasible
+  else if g = 1 then Some (c, k)
+  else Some (Array.map (fun x -> x / g) c, k / g)
+
+(** Substitute away every equality with a ±1 coefficient (the first
+    such equality, at its lowest such index, each time). Exact over
+    the integers. Returns the equalities left, none with a unit
+    coefficient, and the rewritten inequalities. *)
+let rec substitute eqs ges =
+  let eqs = List.filter_map normalize_eq eqs in
+  match
+    List.find_map
+      (fun (c, k) -> Option.map (fun j -> (c, k, j)) (Array.find_index (fun x -> abs x = 1) c))
+      eqs
+  with
+  | None -> (eqs, ges)
+  | Some (c, k, j) ->
+      (* x_j = -s * (k + sum_{i <> j} c_i x_i) with s = c_j = ±1; the
+         equality itself becomes 0 = 0 and is dropped next round *)
+      let s = c.(j) in
+      let elim ((c', k') as r) =
+        let f = c'.(j) * s in
+        if f = 0 then r else (Array.mapi (fun i x -> x - (f * c.(i))) c', k' - (f * k))
+      in
+      substitute (List.map elim eqs) (List.map elim ges)
+
+(** Equality substitution, then Fourier–Motzkin elimination over the
+    rationals with integer tightening on one deduplicated row set.
+    [true] means the system is certainly infeasible over the integers;
+    [false] means "not proven infeasible". The symbols' weak bounds
+    enter as rows. *)
+let fm_infeasible (sys : system) : bool =
+  let syms =
+    List.sort_uniq
+      (fun (s1 : sym) (s2 : sym) -> compare s1.sid s2.sid)
+      (List.concat_map syms sys.eqs @ List.concat_map syms sys.ges)
+    |> Array.of_list
+  in
+  let n = Array.length syms in
+  let row a =
+    let c = Array.make n 0 in
+    List.iter
+      (fun (s, x) ->
+        let rec index i = if syms.(i).sid = s.sid then i else index (i + 1) in
+        let i = index 0 in
+        c.(i) <- c.(i) + x)
+      a.terms;
+    (c, a.const)
+  in
+  let bounds =
+    List.concat
+      (List.init n (fun i ->
+           let unit x k = (Array.init n (fun j -> if j = i then x else 0), k) in
+           Option.to_list (Option.map (fun lo -> unit 1 (-lo)) syms.(i).lo)
+           @ Option.to_list (Option.map (fun hi -> unit (-1) hi) syms.(i).hi)))
   in
   try
-    let rows = List.map normalize rows in
-    if List.exists contradicts rows then true
-    else begin
-      let rows = ref rows in
-      let continue_ = ref true in
-      while !continue_ do
-        match step !rows with
-        | None -> continue_ := false
-        | Some rs -> rows := rs
-      done;
-      List.exists contradicts !rows
-    end
+    let eqs, ges = substitute (List.map row sys.eqs) (List.map row sys.ges @ bounds) in
+    let set = Rows.create 32 in
+    List.iter
+      (fun (c, k) ->
+        add_ge set c k;
+        add_ge set (Array.map ( ~- ) c) (-k))
+      eqs;
+    List.iter (fun (c, k) -> add_ge set c k) ges;
+    let rec loop set = match eliminate n set with None -> false | Some set -> loop set in
+    loop set
   with
   | Infeasible -> true
   | Too_big -> false
-
-(** All rows of a system: equalities as two inequalities, plus weak
-    interval bounds for every symbol that has them. *)
-let rows_of (sys : system) : row list =
-  let bounds = Hashtbl.create 16 in
-  let note a =
-    List.iter
-      (fun (s, _) -> if not (Hashtbl.mem bounds s.sid) then Hashtbl.add bounds s.sid s)
-      a.terms
-  in
-  List.iter note sys.eqs;
-  List.iter note sys.ges;
-  let brows =
-    Hashtbl.fold
-      (fun sid s acc ->
-        let acc =
-          match s.lo with
-          | Some lo -> { cst = -lo; coeffs = [ (sid, 1) ] } :: acc
-          | None -> acc
-        in
-        match s.hi with
-        | Some hi -> { cst = hi; coeffs = [ (sid, -1) ] } :: acc
-        | None -> acc)
-      bounds []
-  in
-  List.concat_map (fun a -> [ row_of a; row_of (neg a) ]) sys.eqs
-  @ List.map row_of sys.ges @ brows
 
 (** Candidate moduli for the modulus-interval test on an equality: the
     distinct absolute coefficient values above 1. *)
@@ -295,7 +332,7 @@ let moduli a =
   List.sort_uniq compare (List.filter_map (fun (_, c) -> if abs c > 1 then Some (abs c) else None) a.terms)
 
 let rec infeasible ?(depth = 2) (sys : system) : bool =
-  fm_infeasible (rows_of sys)
+  fm_infeasible sys
   || depth > 0
      && List.exists
           (fun e ->
@@ -314,16 +351,15 @@ let rec infeasible ?(depth = 2) (sys : system) : bool =
                 &&
                 match interval s_part with
                 | Some lo, Some hi ->
-                    let q0 =
-                      (* smallest multiple of m that is >= lo *)
-                      if lo >= 0 then (lo + m - 1) / m * m else -(-lo / m * m)
-                    in
-                    let rec mults q acc = if q > hi then List.rev acc else mults (q + m) (q :: acc) in
-                    let qs = mults q0 [] in
-                    List.length qs <= 8
+                    (* the multiples of m in [lo, hi] are q*m for q in
+                       [first, last]; counted before they are listed,
+                       since intervals from shifts reach 2^61 *)
+                    let first = cdiv lo m and last = fdiv hi m in
+                    last - first < 8
                     && List.for_all
-                         (fun q -> infeasible ~depth:(depth - 1) (with_eq (add_const (-q) s_part) sys))
-                         qs
+                         (fun q ->
+                           infeasible ~depth:(depth - 1) (with_eq (add_const (-q * m) s_part) sys))
+                         (List.init (max 0 (last - first + 1)) (fun i -> first + i))
                 | _ -> false)
               (moduli e))
           sys.eqs

@@ -1,11 +1,16 @@
 (** Thread-index-affine expressions and the integer (in)feasibility
     procedures behind the static race checker. Race queries become
     conjunctive systems of affine equalities/inequalities over two
-    renamed instances of the thread symbols; the decision stack is
-    Fourier–Motzkin elimination with integer tightening, a
-    modulus-interval test per equality (subsuming the GCD test), and a
-    congruence rule for modulo guards. All procedures answer [true]
-    only when infeasibility is certain — [false] means "not proven". *)
+    renamed instances of the thread symbols. The decision stack:
+    equality substitution (every equality with a ±1 coefficient is
+    solved and substituted, exactly; the rest become two
+    inequalities), then Fourier–Motzkin elimination with integer
+    tightening over one deduplicated set of dense rows (the variable
+    with the fewest pos × neg combinations goes first, the lowest
+    symbol index on a tie), then a modulus-interval test per equality
+    (subsuming the GCD test), then a congruence rule for modulo
+    guards. All procedures answer [true] only when infeasibility is
+    certain — [false] means "not proven". *)
 
 type kind =
   | Thread of int  (** thread induction variable, dimension index *)

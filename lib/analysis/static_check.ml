@@ -58,7 +58,6 @@ type access = {
   idx : iform;
   write : bool;
   guards : guard list;
-  descr : string;  (** e.g. ["store smem[t + s]"] *)
 }
 
 type st = {
@@ -289,15 +288,13 @@ let pp_iform ppf = function
   | Ix a -> A.pp ppf a
   | Ixor { base; mask } -> Fmt.pf ppf "(%a) ^ (%a)" A.pp base A.pp mask
 
+(** An access as diagnostics quote it, e.g. ["store smem[t + s]"]. *)
+let descr a = Fmt.str "%s %s[%a]" (if a.write then "store" else "load") a.abuf.bname pp_iform a.idx
+
 let record_access st ~kernel (env : env) guards fl ~write (mem : Value.t) (idxv : Value.t) =
   match lookup st env mem with
   | Bufv b -> (
-      let push idx =
-        let descr =
-          Fmt.str "%s %s[%a]" (if write then "store" else "load") b.bname pp_iform idx
-        in
-        { fl with open_ = { abuf = b; idx; write; guards; descr } :: fl.open_ }
-      in
+      let push idx = { fl with open_ = { abuf = b; idx; write; guards } :: fl.open_ } in
       match lookup st env idxv with
       | Aff a -> push (Ix a)
       | Xorv { base; mask } -> push (Ixor { base; mask })
@@ -498,7 +495,11 @@ let eq_of_guard = function Gcmp (Ops.Eq, x, y) -> Some (A.sub x y) | _ -> None
 
 type verdict = Safe | Racy | Unprovable
 
-(** Decide one pair of accesses for two distinct thread instances. *)
+(** Decide one pair of accesses for two distinct thread instances.
+    The collision system is decided first, without a distinctness
+    branch: when no two instances can touch one element at all, one
+    query proves the pair safe. Otherwise each of the 2 × dims
+    branches [t1 < t2] / [t1 > t2] must be infeasible. *)
 let check_pair st (a1 : access) (a2 : access) : verdict =
   (* instance renamings for per-thread symbols *)
   let inst tag =
@@ -576,10 +577,8 @@ let check_pair st (a1 : access) (a2 : access) : verdict =
             | _ -> [])
           a1.guards
       in
-      let branch_infeasible extra =
-        let sys = A.with_ge extra base_sys in
-        A.infeasible sys
-        || List.exists (fun (d, m) -> A.mod_guard_infeasible sys ~d ~m) mod_pairs
+      let infeasible sys =
+        A.infeasible sys || List.exists (fun (d, m) -> A.mod_guard_infeasible sys ~d ~m) mod_pairs
       in
       let distinct_branches =
         List.concat_map
@@ -589,7 +588,9 @@ let check_pair st (a1 : access) (a2 : access) : verdict =
           st.tsyms
       in
       if distinct_branches = [] then Safe (* no thread dimension: single lane *)
-      else if List.for_all branch_infeasible distinct_branches then Safe
+      else if infeasible base_sys then Safe (* no collision, even for one thread *)
+      else if List.for_all (fun extra -> infeasible (A.with_ge extra base_sys)) distinct_branches
+      then Safe
       else Racy
 
 let check_epochs st ~kernel (epochs : access list list) =
@@ -610,13 +611,13 @@ let check_epochs st ~kernel (epochs : access list list) =
                       epoch %d): distinct threads can touch the same element"
                      (if a1.write then "write" else "read")
                      (if a2.write then "write" else "read")
-                     a1.abuf.bname a1.descr a2.descr ei)
+                     a1.abuf.bname (descr a1) (descr a2) ei)
             | Unprovable ->
                 diag st ~kernel ~severity:Report.Warning ~kind:"possible-race"
                   (Fmt.str
                      "cannot prove '%s' and '%s' disjoint on shared buffer %s (barrier epoch \
                       %d)"
-                     a1.descr a2.descr a1.abuf.bname ei)
+                     (descr a1) (descr a2) a1.abuf.bname ei)
         done
       done)
     epochs

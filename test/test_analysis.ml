@@ -8,8 +8,12 @@
     generator drives the same mutators with random picks. The dynamic
     detector is exercised on a racy kernel (conflicts reported) and a
     race-free one (silent, and bit-identical to an uninstrumented
-    run). Finally, candidates rejected as racy must never materialize
-    as [Alternatives] regions, so TDO can never trial them. *)
+    run). Candidates rejected as racy must never materialize as
+    [Alternatives] regions, so TDO can never trial them. Finally, the
+    {!Pgpu_analysis.Affine} decision procedures are checked against
+    brute-force enumeration of small boxed systems, and the coarsening
+    configurations that cost the race gate most must stay
+    diagnostic-free on the heaviest Rodinia kernels. *)
 
 module Check = Pgpu_analysis.Check
 module Report = Pgpu_analysis.Report
@@ -180,6 +184,172 @@ let prop_mutants_flagged =
       Report.errors (Check.check_modul mutant) <> [])
 
 (* ------------------------------------------------------------------ *)
+(* The affine decision procedure against brute force                   *)
+(* ------------------------------------------------------------------ *)
+
+module A = Pgpu_analysis.Affine
+
+let sym ?lo ?hi sid name = { A.sid; name; kind = A.Shared; lo; hi }
+let lin terms k =
+  List.fold_left (fun acc (c, s) -> A.add acc (A.scale c (A.of_sym s))) (A.const k) terms
+
+let eval (a : A.t) (env : int array) =
+  List.fold_left (fun acc ((s : A.sym), c) -> acc + (c * env.(s.A.sid))) a.A.const a.A.terms
+
+(** Does some integer point of the symbols' box satisfy [sys] and
+    [extra]? Symbol [sid]s index the assignment array. *)
+let box_feasible ?(extra = fun _ -> true) (syms : A.sym list) (sys : A.system) =
+  let env = Array.make (1 + List.fold_left (fun m (s : A.sym) -> max m s.A.sid) 0 syms) 0 in
+  let holds () =
+    List.for_all (fun e -> eval e env = 0) sys.A.eqs
+    && List.for_all (fun g -> eval g env >= 0) sys.A.ges
+    && extra env
+  in
+  let rec go = function
+    | [] -> holds ()
+    | (s : A.sym) :: rest ->
+        let lo = Option.get s.A.lo and hi = Option.get s.A.hi in
+        let rec try_v v = v <= hi && ((env.(s.A.sid) <- v; go rest) || try_v (v + 1)) in
+        try_v lo
+  in
+  go syms
+
+let pp_system ppf (sys : A.system) =
+  Fmt.(list ~sep:(any "; ") string) ppf
+    (List.map (Fmt.str "%a = 0" A.pp) sys.A.eqs @ List.map (Fmt.str "%a >= 0" A.pp) sys.A.ges)
+
+let pp_box ppf syms =
+  Fmt.(list ~sep:(any ", ") string) ppf
+    (List.map
+       (fun (s : A.sym) ->
+         Fmt.str "%s in [%d, %d]" s.A.name (Option.get s.A.lo) (Option.get s.A.hi))
+       syms)
+
+(** Small systems: 2–4 symbols boxed in [-4, 4]; 0–2 equalities, some
+    with a unit coefficient and some with only coefficients in
+    {±2, ±3}; 1–4 inequalities with coefficients in [-3, 3], the first
+    sometimes repeated. *)
+let gen_system =
+  let open QCheck.Gen in
+  let* n = int_range 2 4 in
+  let* bounds = list_repeat n (pair (int_range (-4) 4) (int_range (-4) 4)) in
+  let syms =
+    List.mapi
+      (fun i (a, b) -> sym ~lo:(min a b) ~hi:(max a b) (i + 1) (Fmt.str "x%d" (i + 1)))
+      bounds
+  in
+  let row coeff =
+    let* cs = list_repeat n coeff in
+    let+ k = int_range (-6) 6 in
+    lin (List.combine cs syms) k
+  in
+  let non_unit = oneofl [ -3; -2; 0; 2; 3 ] in
+  let* eqs = list_size (int_range 0 2) (oneof [ row (int_range (-3) 3); row non_unit ]) in
+  let* ges = list_size (int_range 1 4) (row (int_range (-3) 3)) in
+  let+ dup = bool in
+  let ges = if dup then List.hd ges :: ges else ges in
+  (syms, { A.eqs; ges })
+
+let arb_system =
+  QCheck.make
+    ~print:(fun (syms, sys) -> Fmt.str "%a | %a" pp_system sys pp_box syms)
+    gen_system
+
+let prop_infeasible_sound =
+  QCheck.Test.make ~name:"Affine.infeasible: true only on systems with no integer point"
+    ~count:1000 arb_system
+    (fun (syms, sys) -> (not (A.infeasible sys)) || not (box_feasible syms sys))
+
+(** The modulo-guard rule on a generated system plus a difference [d]
+    and a modulus [m] that is a constant in [1, 3] or a symbol boxed in
+    [1, 3]. *)
+let arb_mod_guard =
+  let gen =
+    let open QCheck.Gen in
+    let* syms, sys = gen_system in
+    let* cs = list_repeat (List.length syms) (int_range (-3) 3) in
+    let* k = int_range (-4) 4 in
+    let d = lin (List.combine cs syms) k in
+    let msym = sym ~lo:1 ~hi:3 9 "m" in
+    let+ m =
+      oneof [ map (fun c -> (None, A.const c)) (int_range 1 3); return (Some msym, A.of_sym msym) ]
+    in
+    (syms, sys, d, m)
+  in
+  QCheck.make
+    ~print:(fun (syms, sys, d, (_, m)) ->
+      Fmt.str "%a | d = %a, m = %a | %a" pp_system sys A.pp d A.pp m pp_box syms)
+    gen
+
+let prop_mod_guard_sound =
+  QCheck.Test.make ~name:"Affine.mod_guard_infeasible: true only without a congruent point"
+    ~count:1000 arb_mod_guard
+    (fun (syms, sys, d, (msym, m)) ->
+      let syms = Option.to_list msym @ syms in
+      (not (A.mod_guard_infeasible sys ~d ~m))
+      || not (box_feasible ~extra:(fun env -> eval d env mod eval m env = 0) syms sys))
+
+let test_affine_fixed () =
+  let box lo hi sid name = sym ~lo ~hi sid name in
+  (* hotspot's collision: t1 + 18*u1 = t2 + 18*u2 with t2 - t1 >= 1 *)
+  let t1 = box 0 15 1 "t1" and u1 = box 0 15 2 "u1" and t2 = box 0 15 3 "t2"
+  and u2 = box 0 15 4 "u2" in
+  let collision =
+    A.empty
+    |> A.with_eq (lin [ (1, t1); (18, u1); (-1, t2); (-18, u2) ] 0)
+    |> A.with_ge (lin [ (1, t2); (-1, t1) ] (-1))
+  in
+  Alcotest.(check bool) "hotspot collision is infeasible" true (A.infeasible collision);
+  let x = sym 1 "x" in
+  Alcotest.(check bool) "2x = 1 is infeasible" true
+    (A.infeasible (A.with_eq (lin [ (2, x) ] (-1)) A.empty));
+  let x = box 0 4 1 "x" and y = box 0 4 2 "y" in
+  let feasible =
+    A.empty |> A.with_eq (lin [ (1, x); (1, y) ] (-3)) |> A.with_ge (lin [ (1, x); (-1, y) ] (-1))
+  in
+  Alcotest.(check bool) "x + y = 3, x - y >= 1 is feasible" false (A.infeasible feasible)
+
+(* the modulus-interval test on a residue whose interval holds 2^39
+   multiples: it must count them, not list them *)
+let test_affine_wide_interval () =
+  let x = sym ~lo:0 ~hi:(1 lsl 40) 1 "x" and y = sym ~lo:0 ~hi:(1 lsl 40) 2 "y" in
+  Alcotest.(check bool) "2y + x - 1 = 0 is feasible" false
+    (A.infeasible (A.with_eq (lin [ (2, y); (1, x) ] (-1)) A.empty))
+
+(* ------------------------------------------------------------------ *)
+(* Precision on the candidates that cost the gate most                 *)
+(* ------------------------------------------------------------------ *)
+
+let test_heavy_candidates_clean name () =
+  let b = Pgpu_rodinia.Registry.find name in
+  let opts =
+    {
+      (Pipeline.default_options Descriptor.a100) with
+      Pipeline.coarsen_specs = Pipeline.specs_of_totals [ (1, 1); (1, 4); (8, 2) ];
+    }
+  in
+  let m, report = Pipeline.compile opts (Frontend.compile_string b.Bench_def.source) in
+  List.iter
+    (fun (kr : Pipeline.kernel_report) ->
+      List.iter
+        (fun (c : Alternatives.candidate) ->
+          match c.Alternatives.decision with
+          | Alternatives.Rejected_racy msg ->
+              Alcotest.failf "%s: candidate [%s] rejected as racy: %s" kr.Pipeline.kernel
+                c.Alternatives.desc msg
+          | _ -> ())
+        kr.Pipeline.candidates)
+    report.Pipeline.kernels;
+  check_clean name m ()
+
+let heavy_candidate_cases =
+  List.map
+    (fun name ->
+      Alcotest.test_case (name ^ " at 1x1, 1x4, 8x2 is race-free") `Quick
+        (test_heavy_candidates_clean name))
+    [ "lud"; "hotspot"; "backprop"; "nw"; "srad_v1"; "pathfinder" ]
+
+(* ------------------------------------------------------------------ *)
 (* Racy candidates never reach TDO                                     *)
 (* ------------------------------------------------------------------ *)
 
@@ -325,6 +495,11 @@ let suite =
           test_dynamic_silent_and_free_on_racefree;
         Alcotest.test_case "golden text report for examples/racy.cu" `Quick
           test_golden_report;
+        QCheck_alcotest.to_alcotest prop_infeasible_sound;
+        QCheck_alcotest.to_alcotest prop_mod_guard_sound;
+        Alcotest.test_case "affine fixed cases" `Quick test_affine_fixed;
+        Alcotest.test_case "modulus-interval test on a 2^40-wide interval" `Quick
+          test_affine_wide_interval;
       ]
-      @ bench_clean_cases );
+      @ heavy_candidate_cases @ bench_clean_cases );
   ]
