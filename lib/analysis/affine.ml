@@ -124,27 +124,58 @@ let pp ppf a =
       if a.const > 0 then Fmt.pf ppf " + %d" a.const
       else if a.const < 0 then Fmt.pf ppf " - %d" (-a.const)
 
+(* Checked arithmetic for the decision procedure. Symbol bounds from
+   shift intervals reach 2^61, so a product or sum of coefficients,
+   constants and bounds can leave the native range; a wrapped row could
+   turn a feasible system "infeasible". Every such operation raises
+   [Overflow] instead, and the procedure then gives up ("not
+   proven"). *)
+exception Overflow
+
+let[@inline] add_c a b =
+  let s = a + b in
+  (* wrapped iff both operands have the sign the sum lacks *)
+  if (a lxor s) land (b lxor s) < 0 then raise Overflow;
+  s
+
+let[@inline] sub_c a b =
+  let d = a - b in
+  if (a lxor b) land (a lxor d) < 0 then raise Overflow;
+  d
+
+let neg_c a = if a = min_int then raise Overflow else -a
+
+let mul_wide a b =
+  if a = 0 || b = 0 then 0
+  else begin
+    let p = a * b in
+    if a = min_int || b = min_int || p / b <> a then raise Overflow;
+    p
+  end
+
+(* operands below 2^30 in magnitude cannot wrap, nor can a sum of
+   two of their products: the inlined fast paths *)
+let[@inline] small x = x > -0x4000_0000 && x < 0x4000_0000
+let[@inline] mul_c a b = if small a && small b then a * b else mul_wide a b
+
+(** [b * x + a * y], checked. *)
+let[@inline] comb b x a y =
+  if small b && small x && small a && small y then (b * x) + (a * y)
+  else add_c (mul_wide b x) (mul_wide a y)
+
 (** Weak constant interval of an affine expression from its symbols'
-    intervals. *)
+    intervals; a side whose value leaves the native range is
+    unbounded. *)
 let interval a =
-  let lo =
+  let side lower =
     List.fold_left
       (fun acc (s, c) ->
-        match acc with
-        | None -> None
-        | Some v -> (
-            match if c > 0 then s.lo else s.hi with Some b -> Some (v + (c * b)) | None -> None))
-      (Some a.const) a.terms
-  and hi =
-    List.fold_left
-      (fun acc (s, c) ->
-        match acc with
-        | None -> None
-        | Some v -> (
-            match if c > 0 then s.hi else s.lo with Some b -> Some (v + (c * b)) | None -> None))
+        match (acc, if (c > 0) = lower then s.lo else s.hi) with
+        | Some v, Some b -> ( try Some (add_c v (mul_c c b)) with Overflow -> None)
+        | _ -> None)
       (Some a.const) a.terms
   in
-  (lo, hi)
+  (side true, side false)
 
 (* ------------------------------------------------------------------ *)
 (* The decision procedure                                              *)
@@ -241,8 +272,8 @@ let eliminate n (set : int Rows.t) : int Rows.t option =
         let a = cp.(v) in
         List.iter
           (fun (cn, kn) ->
-            let b = -cn.(v) in
-            add_ge next (Array.init n (fun i -> (b * cp.(i)) + (a * cn.(i)))) ((b * kp) + (a * kn));
+            let b = neg_c cn.(v) in
+            add_ge next (Array.init n (fun i -> comb b cp.(i) a cn.(i))) (comb b kp a kn);
             if Rows.length next > max_rows then raise Too_big)
           !ns)
       !ps;
@@ -276,8 +307,9 @@ let rec substitute eqs ges =
          equality itself becomes 0 = 0 and is dropped next round *)
       let s = c.(j) in
       let elim ((c', k') as r) =
-        let f = c'.(j) * s in
-        if f = 0 then r else (Array.mapi (fun i x -> x - (f * c.(i))) c', k' - (f * k))
+        let f = mul_c c'.(j) s in
+        if f = 0 then r
+        else (Array.mapi (fun i x -> sub_c x (mul_c f c.(i))) c', sub_c k' (mul_c f k))
       in
       substitute (List.map elim eqs) (List.map elim ges)
 
@@ -300,31 +332,31 @@ let fm_infeasible (sys : system) : bool =
       (fun (s, x) ->
         let rec index i = if syms.(i).sid = s.sid then i else index (i + 1) in
         let i = index 0 in
-        c.(i) <- c.(i) + x)
+        c.(i) <- add_c c.(i) x)
       a.terms;
     (c, a.const)
   in
-  let bounds =
-    List.concat
-      (List.init n (fun i ->
-           let unit x k = (Array.init n (fun j -> if j = i then x else 0), k) in
-           Option.to_list (Option.map (fun lo -> unit 1 (-lo)) syms.(i).lo)
-           @ Option.to_list (Option.map (fun hi -> unit (-1) hi) syms.(i).hi)))
-  in
   try
+    let bounds =
+      List.concat
+        (List.init n (fun i ->
+             let unit x k = (Array.init n (fun j -> if j = i then x else 0), k) in
+             Option.to_list (Option.map (fun lo -> unit 1 (neg_c lo)) syms.(i).lo)
+             @ Option.to_list (Option.map (fun hi -> unit (-1) hi) syms.(i).hi)))
+    in
     let eqs, ges = substitute (List.map row sys.eqs) (List.map row sys.ges @ bounds) in
     let set = Rows.create 32 in
     List.iter
       (fun (c, k) ->
         add_ge set c k;
-        add_ge set (Array.map ( ~- ) c) (-k))
+        add_ge set (Array.map neg_c c) (neg_c k))
       eqs;
     List.iter (fun (c, k) -> add_ge set c k) ges;
     let rec loop set = match eliminate n set with None -> false | Some set -> loop set in
     loop set
   with
   | Infeasible -> true
-  | Too_big -> false
+  | Too_big | Overflow -> false
 
 (** Candidate moduli for the modulus-interval test on an equality: the
     distinct absolute coefficient values above 1. *)
@@ -350,16 +382,19 @@ let rec infeasible ?(depth = 2) (sys : system) : bool =
                 List.length s_part.terms < List.length e.terms
                 &&
                 match interval s_part with
-                | Some lo, Some hi ->
+                | Some lo, Some hi -> (
                     (* the multiples of m in [lo, hi] are q*m for q in
                        [first, last]; counted before they are listed,
                        since intervals from shifts reach 2^61 *)
                     let first = cdiv lo m and last = fdiv hi m in
-                    last - first < 8
-                    && List.for_all
-                         (fun q ->
-                           infeasible ~depth:(depth - 1) (with_eq (add_const (-q * m) s_part) sys))
-                         (List.init (max 0 (last - first + 1)) (fun i -> first + i))
+                    try
+                      sub_c last first < 8
+                      && List.for_all
+                           (fun q ->
+                             let s_q = { s_part with const = sub_c s_part.const (mul_c q m) } in
+                             infeasible ~depth:(depth - 1) (with_eq s_q sys))
+                           (List.init (max 0 (last - first + 1)) (fun i -> first + i))
+                    with Overflow -> false)
                 | _ -> false)
               (moduli e))
           sys.eqs

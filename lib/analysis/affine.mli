@@ -10,7 +10,9 @@
     symbol index on a tie), then a modulus-interval test per equality
     (subsuming the GCD test), then a congruence rule for modulo
     guards. All procedures answer [true] only when infeasibility is
-    certain — [false] means "not proven". *)
+    certain — [false] means "not proven", which is also the answer when
+    a product or sum the procedure forms would leave the native int
+    range. *)
 
 type kind =
   | Thread of int  (** thread induction variable, dimension index *)
@@ -61,7 +63,8 @@ val rename : (sym -> sym) -> t -> t
 val pp : t Fmt.t
 
 (** Weak constant interval of an affine expression from its symbols'
-    intervals ([None] side = unbounded). *)
+    intervals ([None] side = unbounded, also when that side's value
+    leaves the native int range). *)
 val interval : t -> int option * int option
 
 (** A conjunctive system: every [eqs] member is [= 0], every [ges]

@@ -9,18 +9,27 @@
     instead of O(cache size). Both encodings are behaviourally
     identical to an eagerly-cleared tag store ([tag = -1],
     [last_use = 0]), so hit/miss sequences — and therefore every
-    simulated counter — are unchanged. *)
+    simulated counter — are unchanged.
+
+    Clones are copy-on-write per set: [clone] copies the row pointers
+    only, and every row carries the stamp of the one cache allowed to
+    write it in place. A cache that scans a row stamped by another
+    takes a private copy first, so a clone costs what it touches and
+    never writes a row its source can see. The source, which still
+    owns those rows, must not be probed while a clone of it is in
+    use. *)
 
 type t = {
+  id : int;  (** owner stamp of the rows this cache writes in place *)
   sets : int;
   ways : int;
   line_bytes : int;
   line_shift : int;  (** log2 of [line_bytes] when it is a power of two, else -1 *)
   set_data : int array array;
-      (** per set, [3 * ways] ints — tags at [w], last-use ticks at
-          [ways + w], epoch stamps at [2 * ways + w]; [[||]] until the
-          set is first touched. A way is resident only when its stamp
-          equals [epoch]. *)
+      (** per set, [3 * ways + 1] ints — tags at [w], last-use ticks
+          at [ways + w], epoch stamps at [2 * ways + w], the owner's
+          [id] at [3 * ways]; [[||]] until the set is first touched. A
+          way is resident only when its stamp equals [epoch]. *)
   mutable epoch : int;
   mutable tick : int;
   mutable hits : int;
@@ -39,10 +48,15 @@ let log2_pow2 n =
   let rec go n k = if n = 1 then k else if n land 1 = 1 then -1 else go (n lsr 1) (k + 1) in
   if n <= 0 then -1 else go n 0
 
+(* atomic: trial machines are cloned on several domains *)
+let next_id = Atomic.make 0
+let new_id () = Atomic.fetch_and_add next_id 1
+
 let create ~size_bytes ~line_bytes ~ways =
   let lines = max ways (size_bytes / line_bytes) in
   let sets = max 1 (lines / ways) in
   {
+    id = new_id ();
     sets;
     ways;
     line_bytes;
@@ -57,33 +71,17 @@ let create ~size_bytes ~line_bytes ~ways =
     last_w = 0;
   }
 
-(** Deep, independent copy — used to give TDO trial machines private
-    caches. The one-entry probe shortcut is invalidated rather than
-    copied: [last_data] aliases a row of the source's tag store, and a
-    shared row would let one domain's accesses corrupt another's. An
-    invalid shortcut only costs the next probe a set scan; hit/miss
-    outcomes are unchanged. *)
+(** Copy-on-write copy — used to give TDO trial machines private
+    caches. Only the row pointers are copied; the clone's fresh [id]
+    makes its first scan of each shared row copy it. The one-entry
+    probe shortcut is invalidated rather than copied: [last_data] is
+    a row the source owns. An invalid shortcut only costs the next
+    probe a set scan; hit/miss outcomes are unchanged. *)
 let clone t =
   {
     t with
-    set_data = Array.map (fun d -> if Array.length d = 0 then [||] else Array.copy d) t.set_data;
-    last_line = -1;
-    last_data = [||];
-    last_w = 0;
-  }
-
-(** An empty cache with [t]'s geometry — behaviourally identical to
-    [clone t] immediately followed by [reset], without copying any tag
-    rows. Used for trial-machine L1s, which every launch resets before
-    its first access anyway. *)
-let fresh t =
-  {
-    t with
-    set_data = Array.make t.sets [||];
-    epoch = 1;
-    tick = 0;
-    hits = 0;
-    misses = 0;
+    id = new_id ();
+    set_data = Array.copy t.set_data;
     last_line = -1;
     last_data = [||];
     last_w = 0;
@@ -105,10 +103,13 @@ let access t addr =
     let ways = t.ways in
     let d =
       let d = t.set_data.(set) in
-      if Array.length d > 0 then d
+      let own = 3 * ways in
+      if Array.length d > 0 && Array.unsafe_get d own = t.id then d
       else begin
-        (* stamps start at 0 < epoch, so every way starts invalid *)
-        let d = Array.make (3 * ways) 0 in
+        (* untouched: stamps start at 0 < epoch, so every way starts
+           invalid; shared with the source: copy before writing *)
+        let d = if Array.length d = 0 then Array.make (own + 1) 0 else Array.copy d in
+        d.(own) <- t.id;
         t.set_data.(set) <- d;
         d
       end

@@ -79,20 +79,19 @@ let create_machine (target : Pgpu_target.Descriptor.t) =
     bank_counts = Array.make 64 0;
   }
 
-(** A fully private copy of [m]: no mutable state is shared with the
-    source, so the clone can execute on another domain concurrently
-    with the original. The TDO search runs every trial on one, so a
-    trial leaves no trace on the machine the committed launch runs on.
-    The race detector is deliberately not carried over (trial machines
-    never race-check). *)
+(** A private copy of [m] that writes no state [m] can see, so the
+    clone can execute on another domain and leaves no trace on the
+    machine the committed launch runs on. The TDO search runs every
+    trial on one. The caches are copy-on-write ({!Cache.clone}): a
+    clone copies only the rows it probes, and [m] must not be probed
+    while a clone of it is in use. The race detector is deliberately
+    not carried over (trial machines never race-check). *)
 let clone_machine m =
   {
     m with
     alloc = Memory.clone_allocator m.alloc;
     l2s = Array.map Cache.clone m.l2s;
-    (* L1 contents never outlive a launch (every launch resets them),
-       so the clone starts with empty same-geometry L1s *)
-    l1s = Array.map Cache.fresh m.l1s;
+    l1s = Array.map Cache.clone m.l1s;
     counters = Counters.copy m.counters;
     racecheck = None;
     scratch = Array.make 64 0;

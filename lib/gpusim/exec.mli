@@ -53,10 +53,17 @@ type machine = {
 val create_machine : Pgpu_target.Descriptor.t -> machine
 
 val clone_machine : machine -> machine
-(** A fully private copy of [m] sharing no mutable state with the
-    source, safe to execute on another domain concurrently with the
-    original (the race detector is not carried over: trial machines
-    never race-check). Every TDO trial runs on one. *)
+(** A private copy of [m] that never writes state [m] can see, safe to
+    execute on another domain, alongside other clones of [m] (the race
+    detector is not carried over: trial machines never race-check).
+    Every TDO trial runs on one. The L1s and L2 slices are
+    copy-on-write ({!Cache.clone}), so a clone costs the rows its
+    launches probe, not the rows [m] holds.
+
+    {b Source-idle rule:} [m] still owns the rows its clones share, so
+    [m] must not be probed while a clone of it is in use. The TDO
+    search keeps this rule: every trial state is dropped before the
+    commit runs on [m]. *)
 
 type env = (int, rv) Hashtbl.t
 

@@ -417,11 +417,18 @@ let launch st ~name ~wid ~alt (site : site) (p : Instr.instr) =
   end;
   seconds
 
-(** Deep-copy the buffers reachable from [env] (deduplicated by buffer
-    id, including per-lane buffer vectors), leaving scalars shared: a
-    trial's functional writes land in private arrays without ever
-    touching the live data. *)
-let clone_trial_env (env : Exec.env) : Exec.env =
+(** A trial's env for [region]: a copy of [env] in which only the
+    buffers bound to the region's free values are deep-copied,
+    deduplicated by buffer id (so aliased arguments share one copy,
+    as they share one buffer in the commit), including per-lane buffer
+    vectors. Scalars and the buffers the region cannot reach stay
+    shared: a region reaches memory only through its free values and
+    its own allocations, and no memref holds a memref, so a trial's
+    functional writes land in private arrays without ever touching the
+    live data. As with the copy-on-write machine clone, the live side
+    must stay idle while the trial runs: [search] touches neither the
+    live env nor its buffers until every trial is done. *)
+let clone_trial_env (env : Exec.env) (region : Instr.block) : Exec.env =
   let copy = Hashtbl.copy env in
   let cloned = Hashtbl.create 16 in
   let clone_buf (b : Memory.buf) =
@@ -437,13 +444,13 @@ let clone_trial_env (env : Exec.env) : Exec.env =
         Hashtbl.replace cloned b.Memory.id b';
         b'
   in
-  Hashtbl.iter
-    (fun k rv ->
-      match rv with
-      | Exec.UB b -> Hashtbl.replace copy k (Exec.UB (clone_buf b))
-      | Exec.VB bs -> Hashtbl.replace copy k (Exec.VB (Array.map clone_buf bs))
+  List.iter
+    (fun (v : Value.t) ->
+      match Hashtbl.find_opt env v.Value.id with
+      | Some (Exec.UB b) -> Hashtbl.replace copy v.Value.id (Exec.UB (clone_buf b))
+      | Some (Exec.VB bs) -> Hashtbl.replace copy v.Value.id (Exec.VB (Array.map clone_buf bs))
       | _ -> ())
-    env;
+    (Instr.free_values region);
   copy
 
 (** Trace a committed TDO choice; [cached] when the persistent cache
@@ -621,17 +628,20 @@ and search st ~name ~wid ~signature ?ckey descs regions =
   !best
 
 (** One trial: candidate [k] runs through the same
-    [exec_kernel_region] as the commit, on a private state — a cloned
-    machine (which never race-checks), deep-copied buffers, its own
-    env and frames — so it sees exactly the pre-search machine the
-    commit then runs on, and leaves no trace on it. Returns the
-    candidate's simulated seconds, [infinity] when infeasible. *)
+    [exec_kernel_region] as the commit, on a private state — a
+    copy-on-write machine clone (which never race-checks), private
+    copies of the buffers the region can reach, its own env and
+    frames — so it sees exactly the pre-search machine the commit then
+    runs on, and leaves no trace on it. The live machine stays idle
+    until [search] has dropped every trial state, as the clone's
+    source-idle rule requires. Returns the candidate's simulated
+    seconds, [infinity] when infeasible. *)
 and trial st ~name ~wid ~descs k region =
   let ts =
     {
       st with
       machine = Exec.clone_machine st.machine;
-      env = clone_trial_env st.env;
+      env = clone_trial_env st.env region;
       frames = Compile.frames ();
       records = [];
       trial = true;

@@ -309,6 +309,56 @@ let test_affine_fixed () =
   in
   Alcotest.(check bool) "x + y = 3, x - y >= 1 is feasible" false (A.infeasible feasible)
 
+(* eliminating x forms 1*(3x - y) + 3*(2^61 - x) = 3*2^61 - y, whose
+   constant leaves the native int range: the solver must give up, not
+   wrap it to -2^61 and prove the system infeasible *)
+let test_affine_overflow () =
+  let x = sym ~lo:0 ~hi:(1 lsl 61) 1 "x" and y = sym ~lo:0 ~hi:(1 lsl 61) 2 "y" in
+  Alcotest.(check bool) "3x - y >= 0 on [0, 2^61] is feasible" false
+    (A.infeasible (A.with_ge (lin [ (3, x); (-1, y) ] 0) A.empty))
+
+(** Systems with a planted integer point: 2–4 symbols at coordinates
+    up to 2^58 in magnitude, bounds out to ±2^61 (often exactly), and
+    equalities and inequalities with coefficients in [-3, 3] drawn to
+    hold at the point, so every system is feasible. The products the
+    solver forms from such bounds leave the native int range. *)
+let arb_planted =
+  let gen =
+    let open QCheck.Gen in
+    let big = 1 lsl 61 and coord = 1 lsl 58 in
+    let* n = int_range 2 4 in
+    let* point = list_repeat n (int_range (-coord) coord) in
+    let* bounds =
+      flatten_l
+        (List.map
+           (fun p ->
+             pair
+               (oneof [ return (-big); map (fun r -> p - r) (int_range 0 (big + p)) ])
+               (oneof [ return big; map (fun r -> p + r) (int_range 0 (big - p)) ]))
+           point)
+    in
+    let syms =
+      List.mapi (fun i (lo, hi) -> sym ~lo ~hi (i + 1) (Fmt.str "x%d" (i + 1))) bounds
+    in
+    let at_point cs = List.fold_left2 (fun acc c p -> acc + (c * p)) 0 cs point in
+    let row slack =
+      let+ cs = list_repeat n (int_range (-3) 3) and+ slack in
+      lin (List.combine cs syms) (slack - at_point cs)
+    in
+    let* eqs = list_size (int_range 0 2) (row (return 0)) in
+    let+ ges = list_size (int_range 1 4) (row (oneof [ return 0; int_range 0 coord ])) in
+    (syms, point, { A.eqs; ges })
+  in
+  QCheck.make
+    ~print:(fun (syms, point, sys) ->
+      Fmt.str "%a | %a | at %a" pp_system sys pp_box syms Fmt.(Dump.list int) point)
+    gen
+
+let prop_planted_feasible =
+  QCheck.Test.make ~name:"Affine.infeasible: never true with a planted point near 2^61"
+    ~count:1000 arb_planted
+    (fun (_, _, sys) -> not (A.infeasible sys))
+
 (* the modulus-interval test on a residue whose interval holds 2^39
    multiples: it must count them, not list them *)
 let test_affine_wide_interval () =
@@ -500,6 +550,8 @@ let suite =
         Alcotest.test_case "affine fixed cases" `Quick test_affine_fixed;
         Alcotest.test_case "modulus-interval test on a 2^40-wide interval" `Quick
           test_affine_wide_interval;
+        Alcotest.test_case "solver gives up on overflow near 2^61" `Quick test_affine_overflow;
+        QCheck_alcotest.to_alcotest prop_planted_feasible;
       ]
       @ heavy_candidate_cases @ bench_clean_cases );
   ]

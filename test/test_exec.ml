@@ -266,6 +266,67 @@ let prop_engines_agree =
         [ Descriptor.a100; Descriptor.rx6800; Descriptor.cpu ])
 
 (* ------------------------------------------------------------------ *)
+(* Copy-on-write cache clones                                           *)
+(* ------------------------------------------------------------------ *)
+
+(** A geometry with few sets (so streams conflict), four address
+    streams over a window of three cache sizes, and whether the first
+    clone is reset before its stream. *)
+let arb_cache_streams =
+  let gen =
+    let open QCheck.Gen in
+    let* ways = int_range 1 16
+    and* line = oneofl [ 32; 48; 64; 96; 128 ]
+    and* sets = int_range 1 6 in
+    let size = sets * ways * line in
+    let stream = list_size (int_range 0 120) (int_range 0 ((3 * size) - 1)) in
+    let+ streams = list_repeat 4 stream and+ reset = bool in
+    ((size, line, ways), streams, reset)
+  in
+  QCheck.make
+    ~print:(fun ((size, line, ways), streams, reset) ->
+      Fmt.str "%d B, %d B lines, %d ways, reset %b | %a" size line ways reset
+        Fmt.(list ~sep:(any " | ") (Dump.list int))
+        streams)
+    gen
+
+(** A clone must answer every probe, and end with the hit/miss counts,
+    of a fresh cache replaying its source's history followed by its own
+    stream — and so must a clone of a clone; the source, driven once
+    its clones are done, must be untouched by them. *)
+let prop_cache_clone =
+  QCheck.Test.make ~name:"cache: clones replay like a fresh cache" ~count:300 arb_cache_streams
+    (fun ((size_bytes, line_bytes, ways), streams, reset) ->
+      let s1, s2, s3, s4 =
+        match streams with [ a; b; c; d ] -> (a, b, c, d) | _ -> assert false
+      in
+      let drive c s = List.map (Cache.access c) s in
+      (* a fresh cache driven with [first] (then reset when
+         [reset_first]) and each stream of [rest] in turn; its answers
+         to the last one *)
+      let replay ?(reset_first = false) first rest =
+        let r = Cache.create ~size_bytes ~line_bytes ~ways in
+        ignore (drive r first);
+        if reset_first then Cache.reset r;
+        (r, List.fold_left (fun _ s -> drive r s) [] rest)
+      in
+      let same what (c : Cache.t) answers (r, expected) =
+        if answers <> expected then QCheck.Test.fail_reportf "%s: hit/miss answers differ" what;
+        if c.Cache.hits <> r.Cache.hits || c.Cache.misses <> r.Cache.misses then
+          QCheck.Test.fail_reportf "%s: %d/%d hits/misses, expected %d/%d" what c.Cache.hits
+            c.Cache.misses r.Cache.hits r.Cache.misses
+      in
+      let c = Cache.create ~size_bytes ~line_bytes ~ways in
+      ignore (drive c s1);
+      let k = Cache.clone c in
+      if reset then Cache.reset k;
+      same "clone" k (drive k s2) (replay ~reset_first:reset s1 [ s2 ]);
+      let k2 = Cache.clone k in
+      same "clone of the clone" k2 (drive k2 s4) (replay ~reset_first:reset s1 [ s2; s4 ]);
+      same "source after its clones" c (drive c s3) (replay s1 [ s3 ]);
+      true)
+
+(* ------------------------------------------------------------------ *)
 (* Operator matrix: every operator in every operand shape, both engines *)
 (* ------------------------------------------------------------------ *)
 
@@ -517,6 +578,7 @@ let suite =
         !:"shared-memory bank conflicts" `Quick test_bank_conflicts;
         !:"barrier divergence detected" `Quick test_barrier_divergence_detected;
         QCheck_alcotest.to_alcotest prop_engines_agree;
+        QCheck_alcotest.to_alcotest prop_cache_clone;
         !:"engine matrix: i32 binops" `Quick (test_matrix_binops Types.I32);
         !:"engine matrix: f32 binops" `Quick (test_matrix_binops Types.F32);
         !:"engine matrix: unops" `Quick test_matrix_unops;

@@ -10,7 +10,9 @@
     trace, one per grid-level parallel of that region. The suite
     covers the AMD shared-memory demotion (nw on rx6800) and CPU
     regions whose thread extents their own host prelude computes (lud
-    on cpu). *)
+    on cpu), and a kernel whose read and written arguments are one
+    buffer: a trial that gave them separate copies would branch
+    differently from the commit. *)
 
 module P = Pgpu_core.Polygeist_gpu
 module Bench_def = Pgpu_rodinia.Bench_def
@@ -52,17 +54,17 @@ let arg args key =
 let float_arg args key =
   match arg args key with Json.Float f -> f | _ -> Alcotest.failf "%S is not a float" key
 
-let check_trial_is_commit (target : Descriptor.t) name =
-  let b = find name in
-  let c = P.compile ~specs:(P.specs_of_totals [ (1, 1); (2, 1); (1, 2) ]) ~target
-      ~source:b.Bench_def.source ()
-  in
+let specs = P.specs_of_totals [ (1, 1); (2, 1); (1, 2) ]
+
+(** Run [c] tuned and timing-only, and check every freshly tuned site
+    of the trace; [what] names the run in failures. *)
+let check_tuned_sites ~what (c : P.compiled) ~args =
   let tracer = Tracer.create () in
-  ignore (P.run ~tune:true ~functional:false ~tracer c ~args:b.Bench_def.args);
+  ignore (P.run ~tune:true ~functional:false ~tracer c ~args);
   let is_kernel = function Tracer.Span { cat = "kernel"; _ } -> true | _ -> false in
   let rec take n acc = function
     | _ when n = 0 -> List.rev acc
-    | [] -> Alcotest.failf "%s/%s: trace ends before a committed launch" name target.Descriptor.name
+    | [] -> Alcotest.failf "%s: trace ends before a committed launch" what
     | (Tracer.Span { args; _ } as e) :: rest when is_kernel e -> take (n - 1) (float_arg args "seconds" :: acc) rest
     | _ :: rest -> take n acc rest
   in
@@ -79,22 +81,153 @@ let check_trial_is_commit (target : Descriptor.t) name =
           List.fold_left ( +. ) 0. (take (region_launches c.P.modul kernel alt) [] rest)
         in
         if Int64.bits_of_float trial <> Int64.bits_of_float committed then
-          Alcotest.failf "%s/%s: %s alternative %d: trial %.17g s, commit %.17g s" name
-            target.Descriptor.name kernel alt trial committed;
+          Alcotest.failf "%s: %s alternative %d: trial %.17g s, commit %.17g s" what kernel alt
+            trial committed;
         scan rest
     | _ :: rest -> scan rest
   in
   scan (Tracer.events tracer);
-  if !sites = 0 then Alcotest.failf "%s/%s: no site was tuned" name target.Descriptor.name
+  if !sites = 0 then Alcotest.failf "%s: no site was tuned" what
 
-let test_trial_is_commit target () = List.iter (check_trial_is_commit target) benches
+let test_trial_is_commit (target : Descriptor.t) () =
+  List.iter
+    (fun name ->
+      let b = find name in
+      let c = P.compile ~specs ~target ~source:b.Bench_def.source () in
+      check_tuned_sites ~what:(name ^ "/" ^ target.Descriptor.name) c ~args:b.Bench_def.args)
+    benches
+
+(* ------------------------------------------------------------------ *)
+(* Aliased arguments                                                    *)
+(* ------------------------------------------------------------------ *)
+
+(** Each thread halves its element in place while it exceeds 1, at
+    most 8 times, reading through [in] what it stored through [out] —
+    one buffer — then adds 1. Inputs stay below 16, so every lane
+    leaves the branch within 4 iterations, while a trial that copied
+    [in] and [out] apart would take it all 8 times; and running the
+    kernel twice changes the output. *)
+let aliased_source =
+  {|
+#define BS 64
+
+__global__ void halve(float* in, float* out, int n) {
+  int i = blockIdx.x * blockDim.x + threadIdx.x;
+  if (i < n) {
+    for (int k = 0; k < 8; k++) {
+      if (in[i] > 1.0f) {
+        out[i] = in[i] * 0.5f;
+      }
+    }
+    out[i] = in[i] + 1.0f;
+  }
+}
+
+float* main(int n) {
+  float* h = (float*)malloc(n * sizeof(float));
+  fill_rand_range(h, 7, 0.0f, 16.0f);
+  float* d;
+  cudaMalloc((void**)&d, n * sizeof(float));
+  cudaMemcpy(d, h, n * sizeof(float), cudaMemcpyHostToDevice);
+  int grid = (n + BS - 1) / BS;
+  halve<<<grid, BS>>>(d, d, n);
+  cudaMemcpy(h, d, n * sizeof(float), cudaMemcpyDeviceToHost);
+  return h;
+}
+|}
+
+(** The same program built by hand, except that the written argument
+    is [e = n > 0 ? d : spare]: the frontend lowers [(d, d, n)] to one
+    value, while here two host values hold one buffer, so the trial's
+    copies must be shared by buffer id. *)
+let aliased_select_module () =
+  let f32 = Types.F32 in
+  let n = Value.fresh ~hint:"n" Types.I32 in
+  let f =
+    Builder.func "main" [ n ] [ Types.Memref (Types.Host, f32) ] (fun b ->
+        let h = Builder.alloc b Types.Host f32 n in
+        let seed = Builder.const_i b 7 in
+        let lo = Builder.const_f b 0. and hi = Builder.const_f b 16. in
+        ignore (Builder.intrinsic b "fill_rand_range" [] [ h; seed; lo; hi ]);
+        let d = Builder.alloc b Types.Global f32 n in
+        let spare = Builder.alloc b Types.Global f32 n in
+        Builder.add b (Instr.Memcpy { dst = d; src = h; count = n });
+        let zero = Builder.const_i b 0 in
+        let e = Builder.select b (Builder.cmp b Ops.Gt n zero) d spare in
+        Builder.gpu_wrapper b "halve" (fun wb ->
+            let c64 = Builder.const_i wb 64 in
+            let grid = Builder.div_ wb (Builder.add_ wb n (Builder.const_i wb 63)) c64 in
+            ignore
+              (Builder.parallel wb Instr.Blocks [ grid ] (fun bb _ bivs ->
+                   ignore
+                     (Builder.parallel bb Instr.Threads [ c64 ] (fun tb _ tivs ->
+                          let base = Builder.mul_ tb (List.hd bivs) c64 in
+                          let i = Builder.add_ tb base (List.hd tivs) in
+                          Builder.if0 tb (Builder.cmp tb Ops.Lt i n) (fun ib ->
+                              let c0 = Builder.const_i ib 0 and c1 = Builder.const_i ib 1 in
+                              let c8 = Builder.const_i ib 8 and one = Builder.const_f ib 1. in
+                              ignore
+                                (Builder.for_ ib c0 c8 c1 [] (fun lb _ _ ->
+                                     let x = Builder.load lb d i in
+                                     Builder.if0 lb (Builder.cmp lb Ops.Gt x one) (fun sb ->
+                                         let half = Builder.const_f sb 0.5 in
+                                         Builder.store sb e i (Builder.mul_ sb x half));
+                                     []));
+                              let y = Builder.load ib d i in
+                              Builder.store ib e i (Builder.add_ ib y one)))))));
+        Builder.add b (Instr.Memcpy { dst = h; src = d; count = n });
+        Builder.return b [ h ])
+  in
+  { Instr.funcs = [ f ] }
+
+(** The output of either program, halving in place. *)
+let aliased_expected n =
+  List.map
+    (fun x ->
+      let v = ref (16. *. x) in
+      for _ = 1 to 8 do
+        if !v > 1. then v := !v *. 0.5
+      done;
+      !v +. 1.)
+    (Array.to_list (Pgpu_runtime.Runtime.rand_array 7 n))
+
+(** On both programs: every tuned site's winning trial equals its
+    commit; the untuned output is the in-place halving; the tuned
+    output equals it bitwise, so no trial wrote the live buffer. *)
+let test_aliased (target : Descriptor.t) () =
+  let n = 3000 in
+  let args = [ n ] in
+  let select =
+    let modul, report =
+      P.Pipeline.compile
+        { (P.Pipeline.default_options target) with P.Pipeline.coarsen_specs = specs }
+        (aliased_select_module ())
+    in
+    { P.target; modul; report }
+  in
+  List.iter
+    (fun (what, c) ->
+      let what = what ^ "/" ^ target.Descriptor.name in
+      check_tuned_sites ~what c ~args;
+      let untuned = P.run c ~args in
+      Kernels.check_floats ~tol:1e-6 what (aliased_expected n) (List.hd untuned.P.outputs);
+      let bits (r : P.run_result) = List.map (List.map Int64.bits_of_float) r.P.outputs in
+      if bits (P.run ~tune:true c ~args) <> bits untuned then
+        Alcotest.failf "%s: tuned output differs from untuned" what)
+    [
+      ("aliased CUDA", P.compile ~specs ~target ~source:aliased_source ());
+      ("aliased select", select);
+    ]
 
 let suite =
+  let targets = [ Descriptor.a100; Descriptor.rx6800; Descriptor.cpu ] in
+  let cases name test =
+    List.map
+      (fun (t : Descriptor.t) -> Alcotest.test_case (name ^ t.Descriptor.name) `Quick (test t))
+      targets
+  in
   [
     ( "tdo",
-      List.map
-        (fun (t : Descriptor.t) ->
-          Alcotest.test_case ("trial time = committed time on " ^ t.Descriptor.name) `Quick
-            (test_trial_is_commit t))
-        [ Descriptor.a100; Descriptor.rx6800; Descriptor.cpu ] );
+      cases "trial time = committed time on " test_trial_is_commit
+      @ cases "aliased arguments: trial = commit on " test_aliased );
   ]
