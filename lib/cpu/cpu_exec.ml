@@ -18,12 +18,15 @@
     Counters are merged in core order after the join, keeping results
     deterministic regardless of domain scheduling.
 
-    The per-block interpretation reuses the [Exec] lockstep
-    interpreter with [warp_size = 1]: after fission every epoch is
-    barrier-free, so executing its threads as one lockstep group is
-    observably identical to a sequential per-thread loop — while
-    letting the existing coalescing/cache instrumentation observe the
-    same per-element traffic a compiled CPU loop nest would issue. *)
+    The per-block interpretation reuses the gpusim engines with
+    [warp_size = 1]: after fission every epoch is barrier-free, so
+    executing its threads as one lockstep group is observably
+    identical to a sequential per-thread loop. At that width the
+    memory-request model ({!Exec.requests}) takes its one-lane arm:
+    every element access is one request of one 32 B sector through
+    the core's L1 and L2 slice (or one shared transaction) — the
+    per-element traffic a compiled CPU loop nest would issue — with
+    no warp coalescing or bank-conflict modelling to pay for. *)
 
 open Pgpu_ir
 module Descriptor = Pgpu_target.Descriptor

@@ -44,11 +44,13 @@
     (warning 55).
 
     {b Event parity.} The closures drive the same performance model
-    entry points ({!Exec.count_op}, {!Exec.global_request},
-    {!Exec.shared_request}) in exactly the interpreter's order, so the
-    two engines are bit-identical. The race detector stays an optional
-    instrumentation hook — a single [match] on [None] per memory
-    operation, free when disabled. *)
+    entry points as the interpreter ({!Exec.count_op} per issued
+    operation, {!Exec.requests} per memory instruction) in exactly the
+    interpreter's order, so the two engines are bit-identical. The
+    request model, warp coalescer and one-lane arm alike, lives only
+    in [Exec]. The race detector stays an optional instrumentation
+    hook — a single [match] on [None] per memory operation, free when
+    disabled. *)
 
 open Pgpu_ir
 
@@ -110,6 +112,12 @@ let ensure_cap (fr : frame) n =
     fr.addrs <- Array.make n 0;
     fr.cap <- n
   end
+
+(* [=] on int arrays is the polymorphic compare, a C call per check *)
+let int_array_equal (a : int array) (b : int array) =
+  let n = Array.length a in
+  let rec from i = i = n || (Array.unsafe_get a i = Array.unsafe_get b i && from (i + 1)) in
+  n = Array.length b && from 0
 
 (* ------------------------------------------------------------------ *)
 (* Compile-time state                                                  *)
@@ -731,8 +739,8 @@ let analyze (body : Instr.block) : unit Value.Tbl.t =
 
 (** The modelling half of [Exec.vec_access]: optional race recording,
     space resolution (with the shared-as-global demotion read
-    dynamically), and one warp instruction plus one request per active
-    warp. The functional half is inlined per load/store kind. *)
+    dynamically), then the shared request model {!Exec.requests}. The
+    functional half is inlined per load/store kind. *)
 let mem_model (rb : frame -> int -> Memory.buf) ~is_store fr (mask : Exec.mask) =
   let n = fr.nlanes in
   let bits = mask.Exec.bits in
@@ -753,22 +761,7 @@ let mem_model (rb : frame -> int -> Memory.buf) ~is_store fr (mask : Exec.mask) 
   let effective =
     match space with Types.Shared when fr.m.Exec.shared_as_global -> Types.Global | sp -> sp
   in
-  let ws = fr.ctx.Exec.ws in
-  let nwarps = Pgpu_support.Util.ceil_div n ws in
-  let c = fr.m.Exec.counters in
-  for w = 0 to nwarps - 1 do
-    let lo = w * ws and hi = min ((w + 1) * ws) n in
-    let any = ref false in
-    for l = lo to hi - 1 do
-      if bits.(l) then any := true
-    done;
-    if !any then begin
-      c.Counters.warp_insts <- c.Counters.warp_insts +. 1.;
-      match effective with
-      | Types.Global | Types.Host -> Exec.global_request fr.ctx ~is_store addrs mask lo hi
-      | Types.Shared -> Exec.shared_request fr.ctx ~is_store addrs mask lo hi
-    end
-  done
+  Exec.requests fr.ctx ~is_store effective addrs mask
 
 let set_op_hook opname fr =
   match fr.m.Exec.racecheck with None -> () | Some rc -> Racecheck.set_op rc opname
@@ -1436,7 +1429,7 @@ and compile_if st ~vec cond results then_ else_ : code =
       in
       let l = ref 0 in
       while !l < n do
-        let hi = min (!l + ws) n in
+        let hi = Int.min (!l + ws) n in
         let twany = ref false and ewany = ref false in
         for i = !l to hi - 1 do
           if Array.unsafe_get mb i then
@@ -1657,7 +1650,7 @@ and compile_threads st ivs ubs body : code =
     fr.ctx <- { fr.ctx with Exec.nlanes };
     (* iv rows depend only on the dims: fill once per launch (or after
        capacity growth) and reuse across blocks *)
-    if not (fr.tp_caps.(tp_id) = fr.cap && fr.tp_dims.(tp_id) = dims) then begin
+    if not (fr.tp_caps.(tp_id) = fr.cap && int_array_equal fr.tp_dims.(tp_id) dims) then begin
       (* lane order: x fastest, matching CUDA's warp lane numbering;
          run-length fill of (l / stride) mod d, no per-lane division *)
       let vi = fr.vi in
@@ -1670,7 +1663,7 @@ and compile_threads st ivs ubs body : code =
         while !l < nlanes do
           let v = ref 0 in
           while !v < d && !l < nlanes do
-            let stop = min nlanes (!l + str) in
+            let stop = Int.min nlanes (!l + str) in
             for i = !l to stop - 1 do
               Array.unsafe_set vi (base + i) !v
             done;

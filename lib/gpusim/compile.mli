@@ -12,10 +12,10 @@
     - the region tree is flattened into arrays of OCaml closures
       (threaded code) executed by an indexed loop, with uniformity of
       every value and every branch decided once at compile time;
-    - the performance model ({!Exec.count_op}, {!Exec.global_request},
-      {!Exec.shared_request}) is invoked from the closures with exactly
-      the interpreter's event order, so outputs, all counters, race
-      reports and TDO choices are bit-identical to [--engine interp].
+    - the performance model ({!Exec.count_op}, {!Exec.requests}) is
+      invoked from the closures with exactly the interpreter's event
+      order, so outputs, all counters, race reports and TDO choices
+      are bit-identical to [--engine interp].
 
     Compilation is per region; compiled kernels are cached by the
     runtime keyed on the region's structural hash. *)

@@ -130,7 +130,10 @@ let accumulate t d =
   t.blocks <- t.blocks +. d.blocks;
   t.launches <- t.launches +. d.launches
 
-let sector_bytes = 32.
+(* the 32 B sector, the granule of global-memory coalescing and of
+   every traffic counter *)
+let sector_shift = 5
+let sector_bytes = float_of_int (1 lsl sector_shift)
 
 let l2_to_l1_read_bytes t = t.l1_load_miss_sectors *. sector_bytes
 let l1_to_l2_write_bytes t = t.store_l2_sectors *. sector_bytes

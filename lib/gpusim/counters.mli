@@ -37,6 +37,12 @@ val diff : t -> t -> t
 val scale : t -> float -> unit
 
 val accumulate : t -> t -> unit
+
+(** log2 of the 32 B sector: the granule global-memory requests
+    coalesce into and the traffic counters count in. *)
+val sector_shift : int
+
+(** [2 ^ sector_shift], as a float for the traffic conversions. *)
 val sector_bytes : float
 
 (** The Table II traffic figures, in bytes. *)

@@ -125,7 +125,7 @@ let mk_mask ctx bits =
   let active = ref 0 and warps = ref 0 in
   let nwarps = Pgpu_support.Util.ceil_div ctx.nlanes ctx.ws in
   for w = 0 to nwarps - 1 do
-    let lo = w * ctx.ws and hi = min ((w + 1) * ctx.ws) ctx.nlanes in
+    let lo = w * ctx.ws and hi = Int.min ((w + 1) * ctx.ws) ctx.nlanes in
     let any = ref false in
     for l = lo to hi - 1 do
       if bits.(l) then (
@@ -204,8 +204,6 @@ let class_of_unop (ty : Types.t) (op : Ops.unop) =
 (* Memory access with coalescing and cache modelling                   *)
 (* ------------------------------------------------------------------ *)
 
-let sector_bytes = 32
-
 (** Collect the distinct values of [addrs.(l) lsr shift] over the
     active lanes of one warp into the machine's scratch; returns their
     count. Addresses are non-negative, so the shift is an exact
@@ -257,15 +255,15 @@ let distinct_shifted ctx shift (addrs : int array) (mask : mask) lo hi =
 let global_request ctx ~(is_store : bool) (addrs : int array) (mask : mask) lo hi =
   let c = ctx.m.counters in
   let scratch = ctx.m.scratch in
-  (* sector_bytes = 32 = 1 lsl 5 *)
-  let nsec_i = distinct_shifted ctx 5 addrs mask lo hi in
+  let shift = Counters.sector_shift in
+  let nsec_i = distinct_shifted ctx shift addrs mask lo hi in
   let nsec = float_of_int nsec_i in
   if is_store then begin
     c.Counters.global_store_req <- c.Counters.global_store_req +. 1.;
     c.Counters.store_sectors <- c.Counters.store_sectors +. nsec;
     c.Counters.store_l2_sectors <- c.Counters.store_l2_sectors +. nsec;
     for i = 0 to nsec_i - 1 do
-      if not (Cache.access ctx.m.l2s.(ctx.sm) (Array.unsafe_get scratch i * sector_bytes)) then
+      if not (Cache.access ctx.m.l2s.(ctx.sm) (Array.unsafe_get scratch i lsl shift)) then
         c.Counters.l2_store_miss_sectors <- c.Counters.l2_store_miss_sectors +. 1.
     done
   end
@@ -273,9 +271,9 @@ let global_request ctx ~(is_store : bool) (addrs : int array) (mask : mask) lo h
     c.Counters.global_load_req <- c.Counters.global_load_req +. 1.;
     c.Counters.load_sectors <- c.Counters.load_sectors +. nsec;
     for i = 0 to nsec_i - 1 do
-      if not (Cache.access ctx.m.l1s.(ctx.sm) (Array.unsafe_get scratch i * sector_bytes)) then begin
+      if not (Cache.access ctx.m.l1s.(ctx.sm) (Array.unsafe_get scratch i lsl shift)) then begin
         c.Counters.l1_load_miss_sectors <- c.Counters.l1_load_miss_sectors +. 1.;
-        if not (Cache.access ctx.m.l2s.(ctx.sm) (Array.unsafe_get scratch i * sector_bytes)) then
+        if not (Cache.access ctx.m.l2s.(ctx.sm) (Array.unsafe_get scratch i lsl shift)) then
           c.Counters.l2_load_miss_sectors <- c.Counters.l2_load_miss_sectors +. 1.
       end
     done
@@ -310,8 +308,73 @@ let shared_request ctx ~(is_store : bool) (addrs : int array) (mask : mask) lo h
   else c.Counters.shared_load_req <- c.Counters.shared_load_req +. 1.;
   c.Counters.shared_transactions <- c.Counters.shared_transactions +. float_of_int !replays
 
+(** The memory-request model of both engines: one warp instruction,
+    plus one request, per warp with an active lane. A one-lane warp
+    touches one granule, so its arm skips the coalescer and the bank
+    table but makes the counter increments and cache probes
+    {!global_request} and {!shared_request} make on a one-lane range,
+    in the same order: the two arms agree bit for bit at [ws = 1]. *)
+let requests ctx ~is_store (space : Types.space) (addrs : int array) (mask : mask) =
+  let c = ctx.m.counters in
+  let bits = mask.bits in
+  let n = ctx.nlanes in
+  if ctx.ws = 1 then begin
+    match space with
+    | Types.Global | Types.Host ->
+        let l1 = ctx.m.l1s.(ctx.sm) and l2 = ctx.m.l2s.(ctx.sm) in
+        let shift = Counters.sector_shift in
+        for l = 0 to n - 1 do
+          if Array.unsafe_get bits l then begin
+            let sector = (Array.unsafe_get addrs l lsr shift) lsl shift in
+            c.Counters.warp_insts <- c.Counters.warp_insts +. 1.;
+            if is_store then begin
+              c.Counters.global_store_req <- c.Counters.global_store_req +. 1.;
+              c.Counters.store_sectors <- c.Counters.store_sectors +. 1.;
+              c.Counters.store_l2_sectors <- c.Counters.store_l2_sectors +. 1.;
+              if not (Cache.access l2 sector) then
+                c.Counters.l2_store_miss_sectors <- c.Counters.l2_store_miss_sectors +. 1.
+            end
+            else begin
+              c.Counters.global_load_req <- c.Counters.global_load_req +. 1.;
+              c.Counters.load_sectors <- c.Counters.load_sectors +. 1.;
+              if not (Cache.access l1 sector) then begin
+                c.Counters.l1_load_miss_sectors <- c.Counters.l1_load_miss_sectors +. 1.;
+                if not (Cache.access l2 sector) then
+                  c.Counters.l2_load_miss_sectors <- c.Counters.l2_load_miss_sectors +. 1.
+              end
+            end
+          end
+        done
+    | Types.Shared ->
+        for l = 0 to n - 1 do
+          if Array.unsafe_get bits l then begin
+            c.Counters.warp_insts <- c.Counters.warp_insts +. 1.;
+            if is_store then c.Counters.shared_store_req <- c.Counters.shared_store_req +. 1.
+            else c.Counters.shared_load_req <- c.Counters.shared_load_req +. 1.;
+            c.Counters.shared_transactions <- c.Counters.shared_transactions +. 1.
+          end
+        done
+  end
+  else
+    let ws = ctx.ws in
+    for w = 0 to Pgpu_support.Util.ceil_div n ws - 1 do
+      let lo = w * ws in
+      let hi = Int.min (lo + ws) n in
+      let any = ref false in
+      for l = lo to hi - 1 do
+        if Array.unsafe_get bits l then any := true
+      done;
+      if !any then begin
+        c.Counters.warp_insts <- c.Counters.warp_insts +. 1.;
+        match space with
+        | Types.Global | Types.Host -> global_request ctx ~is_store addrs mask lo hi
+        | Types.Shared -> shared_request ctx ~is_store addrs mask lo hi
+      end
+    done
+
 (** Masked vector memory access. Computes per-lane addresses, performs
-    the functional load/store, and models the per-warp traffic. *)
+    the functional load/store, records shared accesses for the race
+    detector, and models the instruction through {!requests}. *)
 let vec_access ctx (mask : mask) ~is_store (bufs : Memory.buf array) (idxs : int array)
     (write : int -> Memory.buf -> int -> unit) =
   let addrs = Array.make ctx.nlanes 0 in
@@ -340,21 +403,7 @@ let vec_access ctx (mask : mask) ~is_store (bufs : Memory.buf array) (idxs : int
     | Types.Shared when ctx.m.shared_as_global -> Types.Global
     | s -> s
   in
-  let nwarps = Pgpu_support.Util.ceil_div ctx.nlanes ctx.ws in
-  for w = 0 to nwarps - 1 do
-    let lo = w * ctx.ws and hi = min ((w + 1) * ctx.ws) ctx.nlanes in
-    let any = ref false in
-    for l = lo to hi - 1 do
-      if mask.bits.(l) then any := true
-    done;
-    if !any then begin
-      (* the request itself is one warp instruction *)
-      ctx.m.counters.Counters.warp_insts <- ctx.m.counters.Counters.warp_insts +. 1.;
-      match effective_space with
-      | Types.Global | Types.Host -> global_request ctx ~is_store addrs mask lo hi
-      | Types.Shared -> shared_request ctx ~is_store addrs mask lo hi
-    end
-  done
+  requests ctx ~is_store effective_space addrs mask
 
 (* ------------------------------------------------------------------ *)
 (* Expression evaluation                                               *)
@@ -573,7 +622,7 @@ and exec_instr ctx (mask : mask) (i : Instr.instr) : unit =
         (* count warps that execute both sides *)
         let nwarps = Pgpu_support.Util.ceil_div n ctx.ws in
         for w = 0 to nwarps - 1 do
-          let lo = w * ctx.ws and hi = min ((w + 1) * ctx.ws) n in
+          let lo = w * ctx.ws and hi = Int.min ((w + 1) * ctx.ws) n in
           let both = ref (false, false) in
           for l = lo to hi - 1 do
             let t, e = !both in

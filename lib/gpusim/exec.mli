@@ -9,9 +9,9 @@
     where only timing is of interest.
 
     This interface is the engine seam: the slot-indexed compiled
-    engine ({!Compile}) reuses the machine, mask, counting and
-    memory-request modelling exposed here, so both engines observe
-    exactly the same simulated events. *)
+    engine ({!Compile}) reuses the machine, mask, counting
+    ({!count_op}) and memory-request model ({!requests}) exposed here,
+    so both engines observe exactly the same simulated events. *)
 
 open Pgpu_ir
 
@@ -96,19 +96,44 @@ val count_op : ctx -> mask -> op_class -> unit
 val class_of_binop : Types.t -> Ops.binop -> op_class
 val class_of_unop : Types.t -> Ops.unop -> op_class
 
-(** Model one warp-level global-memory request over lanes
-    [lo, hi) of [mask]: 32 B sector coalescing, L1/L2 walks, traffic
-    counters. Loads allocate in L1; stores are write-through,
-    no-allocate. *)
+(** The warp arm's global request: one warp-level global-memory
+    request over lanes [lo, hi) of [mask]. The active lanes' addresses
+    coalesce into distinct 32 B sectors ({!Counters.sector_shift}),
+    each walked through the SM's L1 and then its L2 slice, with traffic
+    counted per sector. Loads allocate in L1; stores are
+    write-through, no-allocate, and probe only the L2 slice. Called by
+    {!requests} for warps wider than one lane, and by tests as the
+    reference of its one-lane arm. *)
 val global_request : ctx -> is_store:bool -> int array -> mask -> int -> int -> unit
 
-(** Model one warp-level shared-memory request with bank-conflict
-    replays. *)
+(** The warp arm's shared request: one warp-level shared-memory
+    request over lanes [lo, hi) of [mask], costing one transaction per
+    bank-conflict replay (the most distinct 32-bit words any one bank
+    is asked for). Called like {!global_request}. *)
 val shared_request : ctx -> is_store:bool -> int array -> mask -> int -> int -> unit
 
-(** Masked vector memory access: computes per-lane addresses, performs
-    the functional load/store via [write], then models the per-warp
-    traffic (one warp instruction plus one request per active warp). *)
+(** [requests ctx ~is_store space addrs mask] models one memory
+    instruction of both engines over the active lanes of [mask], lane
+    [l] accessing byte address [addrs.(l)] of [space] (already
+    resolved: a shared access the machine demotes to global arrives as
+    [Global]). It issues one warp instruction, plus one request, per
+    warp with an active lane. Warps of [ctx.ws > 1] lanes run
+    {!global_request} / {!shared_request}. At [ctx.ws = 1] (the CPU
+    targets) each active lane is its own warp and touches one granule,
+    so the one-lane arm skips the coalescer and the bank table: a
+    global load probes its sector in the SM's L1, then the SM's L2
+    slice on a miss; a global store counts one write-through sector
+    and probes only the L2 slice; a shared access is one transaction.
+    It makes the same counter increments and cache probes, in the same
+    order, as the warp arm on each one-lane range, so its results are
+    bit-identical to it. *)
+val requests : ctx -> is_store:bool -> Types.space -> int array -> mask -> unit
+
+(** The tree-walker's masked vector memory access: computes per-lane
+    addresses, performs the functional load/store via [write], records
+    shared accesses for an attached race detector, resolves the space
+    (shared-as-global demotion included) and models the instruction
+    with {!requests}. *)
 val vec_access :
   ctx ->
   mask ->

@@ -89,8 +89,8 @@ let test_coalescing () =
   in
   ignore mk;
   (* cannot capture the buffer through a fresh value; bind explicitly *)
-  let run stride =
-    let machine = Exec.create_machine Descriptor.a100 in
+  let run target stride =
+    let machine = Exec.create_machine target in
     let env = Exec.env_create () in
     let bufv = Value.fresh ~hint:"buf" global_f32 in
     Exec.bind env bufv (Exec.UB buf);
@@ -116,12 +116,26 @@ let test_coalescing () =
     let p = setup (Builder.finish b) in
     (Exec.launch machine ~mode:`All ~env p).Exec.counters
   in
-  let unit_stride = run 1 and strided = run 32 in
+  let unit_stride = run Descriptor.a100 1 and strided = run Descriptor.a100 32 in
   (* 256 consecutive f32 = 32 sectors; stride-32 touches one sector per lane *)
   Alcotest.(check (float 0.1)) "coalesced load sectors" 32. unit_stride.Counters.load_sectors;
   Alcotest.(check (float 0.1)) "strided load sectors" 256. strided.Counters.load_sectors;
   Alcotest.(check (float 0.1)) "requests equal" unit_stride.Counters.global_load_req
-    strided.Counters.global_load_req
+    strided.Counters.global_load_req;
+  (* one-lane warps: every lane is a request of one sector; 1 KiB of
+     unit-stride loads fills 16 of the cpu's 64 B L1 lines and 8 of
+     its 128 B L2-slice lines, and the stores that follow hit the
+     slice; at stride 32 (128 B) every lane opens a line of each *)
+  let unit_stride = run Descriptor.cpu 1 and strided = run Descriptor.cpu 32 in
+  let check what expected got = Alcotest.(check (float 0.1)) ("cpu: " ^ what) expected got in
+  check "load requests" 256. unit_stride.Counters.global_load_req;
+  check "store requests" 256. unit_stride.Counters.global_store_req;
+  check "load sectors" 256. unit_stride.Counters.load_sectors;
+  check "L1 load misses" 16. unit_stride.Counters.l1_load_miss_sectors;
+  check "L2 load misses" 8. unit_stride.Counters.l2_load_miss_sectors;
+  check "L2 store misses" 0. unit_stride.Counters.l2_store_miss_sectors;
+  check "strided L1 load misses" 256. strided.Counters.l1_load_miss_sectors;
+  check "strided L2 load misses" 256. strided.Counters.l2_load_miss_sectors
 
 let test_divergence_counter () =
   let r =
@@ -175,9 +189,9 @@ let test_sampled_launch_scales () =
 let test_bank_conflicts () =
   (* 32 threads reading stride-32 words hit one bank: 32 replays; the
      unit-stride pattern is conflict-free *)
-  let run stride =
+  let run target stride =
     let r =
-      direct_launch ~nblocks:1 ~nthreads:32 (fun ib tpid _ tid ->
+      direct_launch ~target ~nblocks:1 ~nthreads:32 (fun ib tpid _ tid ->
           ignore tpid;
           let smem = Builder.alloc_shared ib Types.F32 1024 in
           let c = Builder.const_i ib stride in
@@ -187,9 +201,12 @@ let test_bank_conflicts () =
     in
     r.Exec.counters.Counters.shared_transactions
   in
-  let unit_stride = run 1 and conflicted = run 32 in
+  let unit_stride = run Descriptor.a100 1 and conflicted = run Descriptor.a100 32 in
   Alcotest.(check (float 0.1)) "unit stride: 2 transactions" 2. unit_stride;
-  Alcotest.(check (float 0.1)) "stride 32: 64 replayed transactions" 64. conflicted
+  Alcotest.(check (float 0.1)) "stride 32: 64 replayed transactions" 64. conflicted;
+  (* a one-lane warp never replays: one transaction per lane access *)
+  Alcotest.(check (float 0.1)) "cpu, unit stride: 64 transactions" 64. (run Descriptor.cpu 1);
+  Alcotest.(check (float 0.1)) "cpu, stride 32: 64 transactions" 64. (run Descriptor.cpu 32)
 
 let test_barrier_divergence_detected () =
   Alcotest.check_raises "barrier under divergence"
@@ -324,6 +341,90 @@ let prop_cache_clone =
       let k2 = Cache.clone k in
       same "clone of the clone" k2 (drive k2 s4) (replay ~reset_first:reset s1 [ s2; s4 ]);
       same "source after its clones" c (drive c s3) (replay s1 [ s3 ]);
+      true)
+
+(* ------------------------------------------------------------------ *)
+(* The one-lane request arm                                             *)
+(* ------------------------------------------------------------------ *)
+
+(** One memory instruction: its lanes' byte addresses, the active
+    lanes, load or store, global or shared, and the SM it runs on. *)
+type mem_inst = {
+  addrs : int array;
+  bits : bool array;
+  store : bool;
+  shared : bool;
+  sm : int;
+}
+
+(** Up to 40 instructions of 1-64 lanes. Addresses are a base in a
+    16 KiB window plus a stride from {0, 4, 8, 64, 132} per lane plus
+    a jitter of up to 7 bytes, so lanes share sectors and later
+    instructions revisit lines. *)
+let arb_mem_insts =
+  let inst =
+    let open QCheck.Gen in
+    let* lanes = int_range 1 64 in
+    let* base = int_range 0 16383 and* stride = oneofl [ 0; 4; 8; 64; 132 ] in
+    let* jitter = array_repeat lanes (int_range 0 7) and* bits = array_repeat lanes bool in
+    let+ store = bool and+ shared = bool and+ sm = int_range 0 15 in
+    { addrs = Array.mapi (fun l j -> base + (l * stride) + j) jitter; bits; store; shared; sm }
+  in
+  let pp ppf i =
+    Fmt.pf ppf "%s %s sm%d [%a]"
+      (if i.store then "st" else "ld")
+      (if i.shared then "shared" else "global")
+      i.sm
+      Fmt.(array ~sep:sp string)
+      (Array.mapi (fun l a -> if i.bits.(l) then string_of_int a else "_") i.addrs)
+  in
+  QCheck.make
+    ~print:(Fmt.str "%a" Fmt.(list ~sep:(any "@\n") pp))
+    QCheck.Gen.(list_size (int_range 0 40) inst)
+
+(** At one-lane warps, {!Exec.requests} must leave the same counters,
+    after every instruction, as a second machine that runs the warp arm
+    on each active lane [l] (one warp instruction plus
+    {!Exec.global_request} or {!Exec.shared_request} over [l, l+1)),
+    and every L1 and L2 slice with the same hits and misses at the
+    end. Both engines call [requests], so the engine-parity properties
+    cannot see a fault in the arm; this one compares it against the
+    coalescer. *)
+let prop_lane_arm =
+  QCheck.Test.make ~name:"requests: one-lane arm = per-lane coalescer" ~count:300 arb_mem_insts
+    (fun insts ->
+      let ma = Exec.create_machine Descriptor.cpu and mb = Exec.create_machine Descriptor.cpu in
+      let env = Exec.env_create () in
+      List.iteri
+        (fun k i ->
+          let ctx m = { Exec.m; env; nlanes = Array.length i.addrs; ws = 1; sm = i.sm } in
+          let space = if i.shared then Types.Shared else Types.Global in
+          let mask = Exec.mk_mask (ctx ma) i.bits in
+          Exec.requests (ctx ma) ~is_store:i.store space i.addrs mask;
+          let cb = ctx mb in
+          Array.iteri
+            (fun l active ->
+              if active then begin
+                let c = mb.Exec.counters in
+                c.Counters.warp_insts <- c.Counters.warp_insts +. 1.;
+                (if i.shared then Exec.shared_request else Exec.global_request)
+                  cb ~is_store:i.store i.addrs mask l (l + 1)
+              end)
+            i.bits;
+          if ma.Exec.counters <> mb.Exec.counters then
+            QCheck.Test.fail_reportf "counters differ after instruction %d" k)
+        insts;
+      let same what (a : Cache.t array) (b : Cache.t array) =
+        Array.iteri
+          (fun s (ca : Cache.t) ->
+            let cb = b.(s) in
+            if ca.Cache.hits <> cb.Cache.hits || ca.Cache.misses <> cb.Cache.misses then
+              QCheck.Test.fail_reportf "%s %d: %d/%d hits/misses, expected %d/%d" what s
+                ca.Cache.hits ca.Cache.misses cb.Cache.hits cb.Cache.misses)
+          a
+      in
+      same "L1" ma.Exec.l1s mb.Exec.l1s;
+      same "L2 slice" ma.Exec.l2s mb.Exec.l2s;
       true)
 
 (* ------------------------------------------------------------------ *)
@@ -579,6 +680,7 @@ let suite =
         !:"barrier divergence detected" `Quick test_barrier_divergence_detected;
         QCheck_alcotest.to_alcotest prop_engines_agree;
         QCheck_alcotest.to_alcotest prop_cache_clone;
+        QCheck_alcotest.to_alcotest prop_lane_arm;
         !:"engine matrix: i32 binops" `Quick (test_matrix_binops Types.I32);
         !:"engine matrix: f32 binops" `Quick (test_matrix_binops Types.F32);
         !:"engine matrix: unops" `Quick test_matrix_unops;
