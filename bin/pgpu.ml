@@ -71,10 +71,20 @@ let file_arg =
 let no_opt_arg =
   Arg.(value & flag & info [ "no-opt" ] ~doc:"Disable scalar optimizations (CSE, LICM, ...).")
 
+(* coarsening totals of at least 1 each *)
+let factor_pair =
+  let pair = Arg.(pair ~sep:',' int int) in
+  let parse s =
+    match Arg.conv_parser pair s with
+    | Ok (b, t) when b < 1 || t < 1 -> Error (`Msg (Fmt.str "%S: factors must be at least 1" s))
+    | r -> r
+  in
+  Arg.conv ~docv:"B,T" (parse, Arg.conv_printer pair)
+
 let coarsen_arg =
   Arg.(
     value
-    & opt_all (pair ~sep:',' int int) []
+    & opt_all factor_pair []
     & info [ "c"; "coarsen" ] ~docv:"B,T"
         ~doc:
           "Coarsening configuration (block_total,thread_total); repeatable. Multiple \

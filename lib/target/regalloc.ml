@@ -16,7 +16,7 @@ type result = {
   spill_instructions : int;  (** estimated spill stores + reload loads *)
 }
 
-type interval = { reg : int; start : int; mutable stop : int }
+type interval = { reg : int; start : int; stop : int }
 
 let intervals_of (p : Visa.program) : interval list =
   let def_at = Array.make (max 1 p.Visa.nvregs) max_int in
@@ -53,15 +53,30 @@ let intervals_of (p : Visa.program) : interval list =
   Array.iteri
     (fun r d -> if d < max_int then acc := { reg = r; start = d; stop = end_at.(r) } :: !acc)
     def_at;
-  List.sort (fun a b -> compare (a.start, a.reg) (b.start, b.reg)) !acc
+  List.sort
+    (fun a b ->
+      let c = Int.compare a.start b.start in
+      if c <> 0 then c else Int.compare a.reg b.reg)
+    !acc
 
 let allocate ~budget (p : Visa.program) : result =
   if budget < 1 then invalid_arg "Regalloc.allocate: budget must be positive";
   let spilled = ref 0 and spill_instructions = ref 0 in
   let regs_used = ref 0 in
-  (* active intervals, kept sorted by increasing stop *)
-  let active = ref [] in
-  let insert iv = active := List.sort (fun a b -> compare a.stop b.stop) (iv :: !active) in
+  (* active intervals sorted by increasing stop, a new interval before
+     those with an equal stop; [live] is their number *)
+  let active = ref [] and live = ref 0 in
+  let insert iv =
+    let rec go = function a :: l when a.stop < iv.stop -> a :: go l | l -> iv :: l in
+    active := go !active;
+    incr live
+  in
+  let rec expire start = function
+    | a :: l when a.stop < start ->
+        decr live;
+        expire start l
+    | l -> l
+  in
   let spill iv =
     incr spilled;
     (* one store at the definition plus a reload per use *)
@@ -69,19 +84,20 @@ let allocate ~budget (p : Visa.program) : result =
   in
   List.iter
     (fun iv ->
-      active := List.filter (fun a -> a.stop >= iv.start) !active;
-      if List.length !active >= budget then begin
+      active := expire iv.start !active;
+      if !live >= budget then begin
         (* evict the interval that ends furthest away *)
         let furthest = List.fold_left (fun m a -> if a.stop > m.stop then a else m) iv !active in
         spill furthest;
         if furthest.reg <> iv.reg then begin
           active := List.filter (fun a -> a.reg <> furthest.reg) !active;
+          decr live;
           insert iv
         end
       end
       else begin
         insert iv;
-        regs_used := max !regs_used (List.length !active)
+        regs_used := max !regs_used !live
       end)
     (intervals_of p);
   { regs_used = !regs_used; spilled = !spilled; spill_instructions = !spill_instructions }

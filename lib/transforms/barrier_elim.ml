@@ -69,17 +69,17 @@ let sweep_block (body : Instr.block) : Instr.block =
   in
   (* backward pass: drop trailing barriers not followed by any memory
      access *)
-  let rec backward rev_acc seen_mem = function
-    | [] -> rev_acc
+  let rec backward acc seen_mem = function
+    | [] -> acc
     | (Instr.Barrier _ as i) :: rest ->
-        if seen_mem then backward (rev_acc @ [ i ]) seen_mem rest
+        if seen_mem then backward (i :: acc) seen_mem rest
         else begin
           incr rewrites;
-          backward rev_acc seen_mem rest
+          backward acc seen_mem rest
         end
-    | i :: rest -> backward (rev_acc @ [ i ]) (seen_mem || touches_memory i) rest
+    | i :: rest -> backward (i :: acc) (seen_mem || touches_memory i) rest
   in
-  List.rev (backward [] false (List.rev forward))
+  backward [] false (List.rev forward)
 
 let rec sweep_deep (block : Instr.block) : Instr.block =
   List.map

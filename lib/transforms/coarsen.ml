@@ -317,19 +317,23 @@ let find_threads_parallel (region : Instr.block) =
     region;
   !found
 
+let positive = function Explicit f -> f.x >= 1 && f.y >= 1 && f.z >= 1 | Total t -> t >= 1
+
 (** Apply thread then block coarsening to a kernel region (the body of
     a gpu_wrapper). The thread-coarsened kernel is what the block
     epilogues replicate, so remainder blocks also run coarsened
     threads. *)
 let coarsen_region ~const_of (s : spec) (region : Instr.block) : (Instr.block, string) result =
   let thread_factors =
-    match find_threads_parallel region with
-    | Some tp -> Ok (resolve_request ~dims:(static_dims ~const_of tp) s.thread)
-    | None -> (
-        match s.thread with
-        | Explicit f when total f = 1 -> Ok no_coarsening
-        | Total 1 -> Ok no_coarsening
-        | _ -> Error "kernel has no thread-level parallel loop")
+    if not (positive s.thread && positive s.block) then Error "coarsening factors must be positive"
+    else
+      match find_threads_parallel region with
+      | Some tp -> Ok (resolve_request ~dims:(static_dims ~const_of tp) s.thread)
+      | None -> (
+          match s.thread with
+          | Explicit f when total f = 1 -> Ok no_coarsening
+          | Total 1 -> Ok no_coarsening
+          | _ -> Error "kernel has no thread-level parallel loop")
   in
   match thread_factors with
   | Error e -> Error e

@@ -85,6 +85,7 @@ val coarsen_blocks :
 
 (** Apply thread then block coarsening to a kernel region (the body of
     a gpu_wrapper), resolving [Total] requests against the kernel's
-    actual dimensions. *)
+    actual dimensions. A total or explicit factor below 1 is an
+    [Error]. *)
 val coarsen_region :
   const_of:(Value.t -> int option) -> spec -> Instr.block -> (Instr.block, string) result

@@ -7,17 +7,65 @@
     have identical operands and no intervening stores or barriers, so
     they fold into one.
 
-    Value tables are scoped per region: definitions made inside a
-    nested region do not dominate code after it and are discarded; an
-    effect (store, barrier, memcpy) inside a nested region invalidates
-    the parent's load table. *)
+    Scopes. One pure table and one load table serve the whole run.
+    Definitions made inside a nested region do not dominate code after
+    it, so every addition is logged and a region's additions are
+    undone when it ends. An effect (store, barrier, memcpy, intrinsic,
+    alternatives) clears the load table; a nested region containing
+    one leaves it cleared for the enclosing scope.
+
+    Loops. A [for] or [while] body that deeply contains such an effect
+    starts with no load knowledge: its stores change the memory the
+    next iteration reads. A body without one inherits the knowledge
+    from before the loop.
+
+    Keys. Two expressions are one when they have the same operator and
+    resolved operand ids, with commutative operands ordered by id, and
+    the same result type for constants, binops, unops and casts. Float
+    constants are equal when their bits are, except that all NaNs of
+    one sign are one constant. A load is keyed by its resolved memref
+    and index. *)
 
 open Pgpu_ir
 
+module Key = struct
+  type t =
+    | Ci of Types.t * int
+    | Cf of Types.t * int64  (** bits, one pattern per NaN sign *)
+    | Binop of Types.t * Ops.binop * int * int
+    | Unop of Types.t * Ops.unop * int
+    | Cmp of Ops.cmpop * int * int
+    | Select of int * int * int
+    | Cast of Types.t * int
+    | Load of int * int  (** memref, index *)
+
+  (* operators are constant constructors, so [==] is their equality *)
+  let equal a b =
+    match (a, b) with
+    | Ci (t, n), Ci (t', n') -> n = n' && Types.equal t t'
+    | Cf (t, x), Cf (t', x') -> Int64.equal x x' && Types.equal t t'
+    | Binop (t, op, x, y), Binop (t', op', x', y') ->
+        x = x' && y = y' && op == op' && Types.equal t t'
+    | Unop (t, op, x), Unop (t', op', x') -> x = x' && op == op' && Types.equal t t'
+    | Cmp (op, x, y), Cmp (op', x', y') -> x = x' && y = y' && op == op'
+    | Select (c, x, y), Select (c', x', y') -> c = c' && x = x' && y = y'
+    | Cast (t, x), Cast (t', x') -> x = x' && Types.equal t t'
+    | Load (m, i), Load (m', i') -> m = m' && i = i'
+    | (Ci _ | Cf _ | Binop _ | Unop _ | Cmp _ | Select _ | Cast _ | Load _), _ -> false
+
+  let hash : t -> int = Hashtbl.hash
+end
+
+module Tbl = Hashtbl.Make (Key)
+
 type env = {
   repl : Value.t Value.Tbl.t;  (** global replacement map *)
-  pure : (string, Value.t) Hashtbl.t;  (** expression key -> value *)
-  loads : (string, Value.t) Hashtbl.t;  (** (mem, idx) key -> known contents *)
+  pure : Value.t Tbl.t;  (** expression key -> value *)
+  loads : Value.t Tbl.t;  (** (mem, idx) key -> known contents *)
+  mutable pure_log : Key.t list;  (** keys added to [pure], newest first *)
+  mutable load_log : (Key.t * Value.t option) list;
+      (** keys set in [loads] since it was last cleared, newest first,
+          with the binding each one replaced *)
 }
 
 (* rewrites performed by the last [run_*] call (pass telemetry) *)
@@ -26,24 +74,27 @@ let rewrites = ref 0
 let rec resolve env v =
   match Value.Tbl.find_opt env.repl v with Some v' -> resolve env v' | None -> v
 
-(** Structural key of a pure expression after use-rewriting; operand
-    order is normalized for commutative operators. *)
-let key_of env (res : Value.t) (e : Instr.expr) =
-  let id v = (resolve env v).Value.id in
-  match e with
-  | Instr.Const (Instr.Ci n) -> Fmt.str "ci:%a:%d" Types.pp res.Value.ty n
-  | Instr.Const (Instr.Cf f) -> Fmt.str "cf:%a:%h" Types.pp res.Value.ty f
-  | Instr.Binop (op, a, b) ->
-      let x = id a and y = id b in
-      let x, y = if Ops.commutative op && y < x then (y, x) else (x, y) in
-      Fmt.str "b:%a:%a:%d:%d" Types.pp res.Value.ty Ops.pp_binop op x y
-  | Instr.Unop (op, a) -> Fmt.str "u:%a:%a:%d" Types.pp res.Value.ty Ops.pp_unop op (id a)
-  | Instr.Cmp (op, a, b) -> Fmt.str "c:%a:%d:%d" Ops.pp_cmpop op (id a) (id b)
-  | Instr.Select (c, a, b) -> Fmt.str "s:%d:%d:%d" (id c) (id a) (id b)
-  | Instr.Cast a -> Fmt.str "cv:%a:%d" Types.pp res.Value.ty (id a)
-  | Instr.Load _ -> assert false
+(* the bits of a float constant, all NaNs of one sign mapped to one
+   pattern *)
+let float_key f =
+  if Float.is_nan f then if Float.sign_bit f then 0xFFF8_0000_0000_0000L else 0x7FF8_0000_0000_0000L
+  else Int64.bits_of_float f
 
-let load_key env mem idx = Fmt.str "%d[%d]" (resolve env mem).Value.id (resolve env idx).Value.id
+(** Structural key of an expression whose operands are already
+    resolved; operand order is normalized for commutative operators. *)
+let key_of (res : Value.t) (e : Instr.expr) : Key.t =
+  let ty = res.Value.ty in
+  match e with
+  | Instr.Const (Instr.Ci n) -> Key.Ci (ty, n)
+  | Instr.Const (Instr.Cf f) -> Key.Cf (ty, float_key f)
+  | Instr.Binop (op, a, b) ->
+      let x = a.Value.id and y = b.Value.id in
+      if Ops.commutative op && y < x then Key.Binop (ty, op, y, x) else Key.Binop (ty, op, x, y)
+  | Instr.Unop (op, a) -> Key.Unop (ty, op, a.Value.id)
+  | Instr.Cmp (op, a, b) -> Key.Cmp (op, a.Value.id, b.Value.id)
+  | Instr.Select (c, a, b) -> Key.Select (c.Value.id, a.Value.id, b.Value.id)
+  | Instr.Cast a -> Key.Cast (ty, a.Value.id)
+  | Instr.Load { mem; idx } -> Key.Load (mem.Value.id, idx.Value.id)
 
 let rewrite_expr env (e : Instr.expr) : Instr.expr =
   let r = resolve env in
@@ -56,6 +107,26 @@ let rewrite_expr env (e : Instr.expr) : Instr.expr =
   | Instr.Cast a -> Instr.Cast (r a)
   | Instr.Load { mem; idx } -> Instr.Load { mem = r mem; idx = r idx }
 
+let set_load env k prev v =
+  env.load_log <- (k, prev) :: env.load_log;
+  Tbl.replace env.loads k v
+
+(** Does reaching the instruction, or anything nested in it, clear the
+    load table? *)
+let rec kills_loads (i : Instr.instr) =
+  match i with
+  | Instr.Store _ | Instr.Barrier _ | Instr.Memcpy _ | Instr.Intrinsic _ | Instr.Alternatives _ ->
+      true
+  | Instr.If { then_; else_; _ } -> List.exists kills_loads then_ || List.exists kills_loads else_
+  | Instr.For { body; _ }
+  | Instr.While { body; _ }
+  | Instr.Parallel { body; _ }
+  | Instr.Gpu_wrapper { body; _ } ->
+      List.exists kills_loads body
+  | Instr.Let _ | Instr.Alloc_shared _ | Instr.Alloc _ | Instr.Free _ | Instr.Yield _
+  | Instr.Yield_while _ | Instr.Return _ ->
+      false
+
 (** Process a block. Returns the rewritten block and whether it may
     have changed memory (or synchronized), which kills load knowledge
     in the enclosing scope. *)
@@ -64,46 +135,76 @@ let rec cse_block env (block : Instr.block) : Instr.block * bool =
   let killed = ref false in
   let push i = out := i :: !out in
   let kill_loads () =
-    Hashtbl.reset env.loads;
+    Tbl.reset env.loads;
+    env.load_log <- [];
     killed := true
   in
-  (* run a nested region with scoped copies of the tables *)
+  (* run a nested region, then undo its additions; a region that
+     cleared the load table leaves it cleared *)
   let scoped blk =
-    let env' = { env with pure = Hashtbl.copy env.pure; loads = Hashtbl.copy env.loads } in
-    let blk', k = cse_block env' blk in
-    if k then kill_loads ();
+    let pure_mark = env.pure_log and load_mark = env.load_log in
+    let blk', k = cse_block env blk in
+    let rec undo_pure = function
+      | l when l == pure_mark -> ()
+      | key :: l ->
+          Tbl.remove env.pure key;
+          undo_pure l
+      | [] -> assert false
+    in
+    let rec undo_loads = function
+      | l when l == load_mark -> ()
+      | (key, Some u) :: l ->
+          Tbl.replace env.loads key u;
+          undo_loads l
+      | (key, None) :: l ->
+          Tbl.remove env.loads key;
+          undo_loads l
+      | [] -> assert false
+    in
+    undo_pure env.pure_log;
+    env.pure_log <- pure_mark;
+    if k then kill_loads ()
+    else begin
+      undo_loads env.load_log;
+      env.load_log <- load_mark
+    end;
     blk'
+  in
+  (* a loop body's effects reach the loads of its next iteration *)
+  let loop_body body =
+    if List.exists kills_loads body then kill_loads ();
+    scoped body
   in
   List.iter
     (fun (i : Instr.instr) ->
       let r = resolve env in
       match i with
-      | Instr.Let (v, (Instr.Load { mem; idx } as e)) -> (
+      | Instr.Let (v, (Instr.Load _ as e)) -> (
           let e = rewrite_expr env e in
-          let mem, idx = match e with Instr.Load { mem; idx } -> (mem, idx) | _ -> (mem, idx) in
-          let k = load_key env mem idx in
-          match Hashtbl.find_opt env.loads k with
+          let k = key_of v e in
+          match Tbl.find_opt env.loads k with
           | Some u when Types.equal u.Value.ty v.Value.ty ->
               incr rewrites;
               Value.Tbl.replace env.repl v u
-          | Some _ | None ->
-              Hashtbl.replace env.loads k v;
+          | prev ->
+              set_load env k prev v;
               push (Instr.Let (v, e)))
       | Instr.Let (v, e) -> (
           let e = rewrite_expr env e in
-          let k = key_of env v e in
-          match Hashtbl.find_opt env.pure k with
+          let k = key_of v e in
+          match Tbl.find_opt env.pure k with
           | Some u ->
               incr rewrites;
               Value.Tbl.replace env.repl v u
           | None ->
-              Hashtbl.replace env.pure k v;
+              Tbl.add env.pure k v;
+              env.pure_log <- k :: env.pure_log;
               push (Instr.Let (v, e)))
       | Instr.Store { mem; idx; v } ->
           let mem = r mem and idx = r idx and v = r v in
           kill_loads ();
           (* store-to-load forwarding: the stored value is now known *)
-          Hashtbl.replace env.loads (load_key env mem idx) v;
+          set_load env (Key.Load (mem.Value.id, idx.Value.id)) None v;
           push (Instr.Store { mem; idx; v })
       | Instr.Barrier _ ->
           kill_loads ();
@@ -113,7 +214,7 @@ let rec cse_block env (block : Instr.block) : Instr.block * bool =
           let else' = scoped else_ in
           push (Instr.If { f with cond = r cond; then_ = then'; else_ = else' })
       | Instr.For ({ lb; ub; step; inits; body; _ } as f) ->
-          let body' = scoped body in
+          let body' = loop_body body in
           push
             (Instr.For
                {
@@ -125,7 +226,7 @@ let rec cse_block env (block : Instr.block) : Instr.block * bool =
                  body = body';
                })
       | Instr.While ({ inits; body; _ } as w) ->
-          let body' = scoped body in
+          let body' = loop_body body in
           push (Instr.While { w with inits = List.map r inits; body = body' })
       | Instr.Parallel ({ ubs; body; _ } as p) ->
           let body' = scoped body in
@@ -154,7 +255,13 @@ let rec cse_block env (block : Instr.block) : Instr.block * bool =
 
 let cse_top block =
   let env =
-    { repl = Value.Tbl.create 256; pure = Hashtbl.create 256; loads = Hashtbl.create 64 }
+    {
+      repl = Value.Tbl.create 256;
+      pure = Tbl.create 256;
+      loads = Tbl.create 64;
+      pure_log = [];
+      load_log = [];
+    }
   in
   fst (cse_block env block)
 

@@ -127,7 +127,7 @@ let prop_fission_wellformed =
       no_thread_barriers lowered)
 
 let prop_fission_preserves_semantics =
-  QCheck.Test.make ~name:"fission: cpu execution matches a100 bitwise" ~count:40
+  QCheck.Test.make ~name:"fission: cpu execution matches a100 bitwise" ~count:40 ~long_factor:10
     arb_barrier_kdesc (fun d ->
       let m = Test_random_kernels.build_module d in
       let run target =
@@ -166,7 +166,7 @@ let suite =
       bench_cases
       @ [
           QCheck_alcotest.to_alcotest prop_fission_wellformed;
-          QCheck_alcotest.to_alcotest ~long:true prop_fission_preserves_semantics;
+          QCheck_alcotest.to_alcotest prop_fission_preserves_semantics;
           Alcotest.test_case "warm TDO cache replay on cpu" `Quick test_warm_tdo_cpu;
         ] );
   ]

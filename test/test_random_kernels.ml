@@ -1,8 +1,8 @@
 (** Differential testing with randomly generated kernels.
 
     A generator produces random (but valid-by-construction) GPU kernels
-    exercising shared memory, barriers, divergent conditionals and
-    nested loops. Each kernel is run uncoarsened and under random
+    exercising shared memory, barriers, divergent conditionals, nested
+    loops and memory read and written around a loop. Each kernel is run uncoarsened and under random
     coarsening configurations, with and without scalar optimization;
     all outputs must agree. This is the strongest correctness net over
     the unroll-and-interleave machinery: any illegal interleaving,
@@ -34,6 +34,9 @@ type step =
   | To_shared of idx  (** smem[tid] := top; barrier; push smem[idx mod bs] *)
   | Guarded_mul of int  (** if tid < k then top * 2 else top (divergence) *)
   | Loop_accum of int  (** top := sum over k iterations of f(top, iter) *)
+  | Loop_rmw of int
+      (** out[gid] := top; k iterations of out[gid] := out[gid] * 0.9 + iter;
+          push out[gid] (memory carried around a loop) *)
 
 type kdesc = {
   nblocks : int;
@@ -61,6 +64,7 @@ let pp_step ppf = function
         | Shifted k -> Fmt.str "gid+%d" k)
   | Guarded_mul k -> Fmt.pf ppf "guard%d" k
   | Loop_accum k -> Fmt.pf ppf "loop%d" k
+  | Loop_rmw k -> Fmt.pf ppf "rmw%d" k
 
 let pp_kdesc ppf d =
   Fmt.pf ppf "{g=%d bs=%d [%a]}" d.nblocks d.bs Fmt.(list ~sep:comma pp_step) d.steps
@@ -168,7 +172,20 @@ let build_module (d : kdesc) : Instr.modul =
                                         let t = Builder.mul_ fb acc (Builder.const_f fb 0.9) in
                                         [ Builder.add_ fb t fi ])
                                   in
-                                  push (List.hd r))
+                                  push (List.hd r)
+                              | Loop_rmw k ->
+                                  Builder.store tb dout gid (pop ());
+                                  let c0 = Builder.const_i tb 0 in
+                                  let ck = Builder.const_i tb (1 + (k mod 5)) in
+                                  let c1 = Builder.const_i tb 1 in
+                                  ignore
+                                    (Builder.for_ tb c0 ck c1 [] (fun fb iv _ ->
+                                         let fi = Builder.cast fb f32 iv in
+                                         let x = Builder.load fb dout gid in
+                                         let t = Builder.mul_ fb x (Builder.const_f fb 0.9) in
+                                         Builder.store fb dout gid (Builder.add_ fb t fi);
+                                         []));
+                                  push (Builder.load tb dout gid))
                             d.steps;
                           Builder.store tb dout gid (pop ()))))));
         Builder.add b (Instr.Memcpy { dst = hout; src = dout; count = n });
@@ -200,6 +217,7 @@ let gen_step =
         (2, map (fun i -> To_shared i) gen_idx);
         (2, map (fun k -> Guarded_mul (1 + (k mod 31))) small_nat);
         (1, map (fun k -> Loop_accum k) small_nat);
+        (1, map (fun k -> Loop_rmw k) small_nat);
       ])
 
 let gen_kdesc =
@@ -233,6 +251,7 @@ let agree a b =
 
 let prop_coarsening_preserves_semantics =
   QCheck.Test.make ~name:"random kernels: coarsening preserves semantics" ~count:60
+    ~long_factor:10
     (QCheck.pair arb_kdesc (QCheck.pair (QCheck.int_range 1 5) (QCheck.int_range 0 3)))
     (fun (d, (bf, te)) ->
       let tf = 1 lsl te in
@@ -264,7 +283,7 @@ let suite =
   [
     ( "random-kernels",
       [
-        QCheck_alcotest.to_alcotest ~long:true prop_coarsening_preserves_semantics;
+        QCheck_alcotest.to_alcotest prop_coarsening_preserves_semantics;
         QCheck_alcotest.to_alcotest prop_retarget_preserves_semantics;
       ] );
   ]

@@ -99,6 +99,112 @@ let test_regalloc_spills () =
   Alcotest.(check bool) "spills under a tiny budget" true (wide.Regalloc.spilled > 0);
   Alcotest.(check bool) "spill instructions estimated" true (wide.Regalloc.spill_instructions > 0)
 
+(* A plain reference allocator: it re-sorts the active list on every
+   insert, filters out expired intervals and takes [List.length] for
+   pressure. [Regalloc.allocate] must agree with it exactly. *)
+module Reference_regalloc = struct
+  type interval = { reg : int; start : int; stop : int }
+
+  let intervals_of (p : Visa.program) =
+    let def_at = Array.make (max 1 p.Visa.nvregs) max_int in
+    let end_at = Array.make (max 1 p.Visa.nvregs) (-1) in
+    Array.iteri
+      (fun idx (vi : Visa.vinstr) ->
+        List.iter
+          (fun r ->
+            if def_at.(r) = max_int then def_at.(r) <- idx;
+            end_at.(r) <- max end_at.(r) idx)
+          (vi.Visa.defs @ vi.Visa.srcs))
+      p.Visa.code;
+    let loops =
+      List.sort
+        (fun (a : Visa.loop) b -> compare (a.Visa.stop - a.Visa.start) (b.Visa.stop - b.Visa.start))
+        p.Visa.loops
+    in
+    List.iter
+      (fun (l : Visa.loop) ->
+        Array.iteri
+          (fun r d ->
+            if d < max_int && d <= l.Visa.start && end_at.(r) > l.Visa.start then
+              end_at.(r) <- max end_at.(r) l.Visa.stop)
+          def_at)
+      loops;
+    let acc = ref [] in
+    Array.iteri
+      (fun r d -> if d < max_int then acc := { reg = r; start = d; stop = end_at.(r) } :: !acc)
+      def_at;
+    List.sort (fun a b -> compare (a.start, a.reg) (b.start, b.reg)) !acc
+
+  let allocate ~budget (p : Visa.program) : Regalloc.result =
+    let spilled = ref 0 and spill_instructions = ref 0 and regs_used = ref 0 in
+    let active = ref [] in
+    let insert iv = active := List.sort (fun a b -> compare a.stop b.stop) (iv :: !active) in
+    List.iter
+      (fun iv ->
+        active := List.filter (fun a -> a.stop >= iv.start) !active;
+        if List.length !active >= budget then begin
+          let furthest = List.fold_left (fun m a -> if a.stop > m.stop then a else m) iv !active in
+          incr spilled;
+          spill_instructions := !spill_instructions + 1 + p.Visa.use_counts.(furthest.reg);
+          if furthest.reg <> iv.reg then begin
+            active := List.filter (fun a -> a.reg <> furthest.reg) !active;
+            insert iv
+          end
+        end
+        else begin
+          insert iv;
+          regs_used := max !regs_used (List.length !active)
+        end)
+      (intervals_of p);
+    {
+      Regalloc.regs_used = !regs_used;
+      spilled = !spilled;
+      spill_instructions = !spill_instructions;
+    }
+end
+
+(* straight-line code over a few registers with arbitrary loop spans,
+   so small budgets spill *)
+let gen_program =
+  QCheck.Gen.(
+    let* nvregs = int_range 1 24 in
+    let* len = int_range 1 40 in
+    let reg = int_bound (nvregs - 1) in
+    let vinstr =
+      let* defs = list_size (int_bound 2) reg in
+      let* srcs = list_size (int_bound 3) reg in
+      return { Visa.kind = Visa.Int; defs; srcs }
+    in
+    let* code = array_size (return len) vinstr in
+    let span =
+      let* a = int_bound (len - 1) and* b = int_bound (len - 1) in
+      return { Visa.start = min a b; stop = max a b }
+    in
+    let* loops = list_size (int_bound 3) span in
+    let use_counts = Array.make nvregs 0 in
+    Array.iter
+      (fun (vi : Visa.vinstr) ->
+        List.iter (fun r -> use_counts.(r) <- use_counts.(r) + 1) vi.Visa.srcs)
+      code;
+    return { Visa.code; loops; nvregs; use_counts })
+
+let pp_program ppf (p : Visa.program) =
+  let regs = Fmt.(list ~sep:(any ",") int) in
+  let pp_vinstr ppf (vi : Visa.vinstr) = Fmt.pf ppf "%a<-%a" regs vi.Visa.defs regs vi.Visa.srcs in
+  let pp_loop ppf (l : Visa.loop) = Fmt.pf ppf "%d-%d" l.Visa.start l.Visa.stop in
+  Fmt.pf ppf "nvregs=%d code=[%a] loops=[%a]" p.Visa.nvregs
+    Fmt.(array ~sep:(any "; ") pp_vinstr)
+    p.Visa.code
+    Fmt.(list ~sep:(any "; ") pp_loop)
+    p.Visa.loops
+
+let prop_regalloc_matches_reference =
+  QCheck.Test.make ~name:"regalloc matches the re-sorting reference" ~count:500
+    (QCheck.make
+       ~print:(fun (budget, p) -> Fmt.str "budget=%d %a" budget pp_program p)
+       QCheck.Gen.(pair (int_range 1 8) gen_program))
+    (fun (budget, p) -> Regalloc.allocate ~budget p = Reference_regalloc.allocate ~budget p)
+
 let test_visa_mix () =
   let b = Builder.create () in
   let mem = Value.fresh ~hint:"g" (Types.Memref (Types.Global, Types.F32)) in
@@ -168,6 +274,7 @@ let suite =
         !:"occupancy rejections" `Quick test_occupancy_rejects;
         !:"regalloc chain vs wide" `Quick test_regalloc_chain_vs_wide;
         !:"regalloc spills" `Quick test_regalloc_spills;
+        QCheck_alcotest.to_alcotest prop_regalloc_matches_reference;
         !:"visa instruction mix" `Quick test_visa_mix;
         !:"visa loop liveness" `Quick test_loop_liveness;
         !:"backend shared memory statistics" `Quick test_backend_statistics;

@@ -181,6 +181,24 @@ let test_thread_factor_must_divide () =
       | d -> Alcotest.failf "expected divisor rejection, got %a" Alternatives.pp_decision d)
   | _ -> Alcotest.fail "unexpected report shape"
 
+let test_non_positive_factors_illegal () =
+  let specs = Pipeline.specs_of_totals [ (1, 1); (0, 1); (1, -2) ] in
+  let _, _, report =
+    compile_and_run ~specs ~fixed:0 (Kernels.vecadd_module ()) [ Exec.UI 256 ]
+  in
+  match report.Pipeline.kernels with
+  | [ { Pipeline.candidates = [ id; c0; c1 ]; _ } ] ->
+      Alcotest.(check bool) "identity kept" true (id.Alternatives.decision = Alternatives.Kept);
+      List.iter
+        (fun c ->
+          match c.Alternatives.decision with
+          | Alternatives.Rejected_illegal _ -> ()
+          | d ->
+              Alcotest.failf "%s: expected illegal, got %a" c.Alternatives.desc
+                Alternatives.pp_decision d)
+        [ c0; c1 ]
+  | _ -> Alcotest.fail "unexpected report shape"
+
 let test_block_coarsen_illegal_divergent_barrier () =
   let m = Kernels.block_divergent_barrier_module () in
   let specs = [ identity_spec; spec_bt [ 2 ] [ 1 ] ] in
@@ -302,6 +320,161 @@ let test_load_cse_blocked_by_store () =
      value so the loads after it disappear entirely *)
   Alcotest.(check int) "loads after CSE" 1 loads
 
+(* a kernel that re-reads a[i] in a loop after storing it: load
+   knowledge from before the loop is stale from the second iteration *)
+let loop_rmw_src loop =
+  Fmt.str
+    {|
+__global__ void k(float* a, int n) {
+  int i = threadIdx.x;
+  float s = a[i];
+  %s
+  a[i] = a[i] + s;
+}
+
+float* main(int n) {
+  float* ha = (float*)malloc(4 * sizeof(float));
+  for (int i = 0; i < 4; i++) ha[i] = 10.0f;
+  float* da;
+  cudaMalloc((void**)&da, 4 * sizeof(float));
+  cudaMemcpy(da, ha, 4 * sizeof(float), cudaMemcpyHostToDevice);
+  k<<<1, 4>>>(da, n);
+  cudaMemcpy(ha, da, 4 * sizeof(float), cudaMemcpyDeviceToHost);
+  return ha;
+}
+|}
+    loop
+
+let check_loop_rmw name loop expected () =
+  let run optimize =
+    let m = Pgpu_frontend.Frontend.compile_string (loop_rmw_src loop) in
+    let results, _, _ = compile_and_run ~optimize m [ Exec.UI 3 ] in
+    output_of results
+  in
+  let want = List.init 4 (fun _ -> expected) in
+  Kernels.check_floats ~tol:0. (name ^ " without scalar passes") want (run false);
+  Kernels.check_floats ~tol:0. name want (run true)
+
+let test_cse_for_carried_store =
+  check_loop_rmw "for" "for (int j = 0; j < n; j++) a[i] = a[i] + 1.0f;" 23.
+
+let test_cse_for_forwarded_store =
+  check_loop_rmw "forwarded store before for"
+    "a[i] = s * 2.0f; for (int j = 0; j < n; j++) a[i] = a[i] + 1.0f;" 33.
+
+let test_cse_while_carried_store =
+  check_loop_rmw "do-while" "int j = 0; do { a[i] = a[i] + 1.0f; j++; } while (j < n);" 23.
+
+let count_loads block = count_deep (function Instr.Let (_, Instr.Load _) -> true | _ -> false) block
+
+let host_f32 () = Value.fresh ~hint:"m" (Types.Memref (Types.Host, Types.F32))
+
+let count_binops op block =
+  count_deep (function Instr.Let (_, Instr.Binop (o, _, _)) -> o = op | _ -> false) block
+
+let test_cse_if_scope () =
+  (* a definition inside a branch does not dominate the code after the
+     if *)
+  let p = Value.fresh ~hint:"p" Types.I32 and c = Value.fresh ~hint:"c" Types.I1 in
+  let f =
+    Builder.func "f" [ p; c ] [ Types.I32 ] (fun b ->
+        let r =
+          Builder.if_ b c [ Types.I32 ] (fun ib -> [ Builder.add_ ib p p ]) (fun _ -> [ p ])
+        in
+        let y = Builder.add_ b p p in
+        Builder.return b [ Builder.mul_ b y (List.hd r) ])
+  in
+  let f' = Cse.run_func f in
+  Alcotest.(check int) "no rewrites" 0 (Cse.rewrite_count ());
+  let outside = List.filter (function Instr.If _ -> false | _ -> true) f'.Instr.body in
+  Alcotest.(check int) "add after the if kept" 1 (count_binops Ops.Add outside)
+
+let test_cse_then_store_kills () =
+  (* a store in the then-branch clears load knowledge for the
+     else-branch and for the code after the if *)
+  let mem = host_f32 () and i = Value.fresh ~hint:"i" Types.I32 in
+  let c = Value.fresh ~hint:"c" Types.I1 in
+  let f =
+    Builder.func "f" [ mem; i; c ] [ Types.F32 ] (fun b ->
+        let a = Builder.load b mem i in
+        let r =
+          Builder.if_ b c [ Types.F32 ]
+            (fun ib ->
+              Builder.store ib mem i (Builder.const_f ib 1.);
+              [ a ])
+            (fun ib -> [ Builder.load ib mem i ])
+        in
+        let d = Builder.load b mem i in
+        Builder.return b [ Builder.add_ b (List.hd r) d ])
+  in
+  Alcotest.(check int) "all three loads kept" 3 (count_loads (Cse.run_func f).Instr.body)
+
+let test_cse_store_free_loop_inherits () =
+  (* memory a loop body never writes keeps the value loaded before it *)
+  let mem = host_f32 () and i = Value.fresh ~hint:"i" Types.I32 in
+  let f =
+    Builder.func "f" [ mem; i ] [ Types.F32 ] (fun b ->
+        let a = Builder.load b mem i in
+        let c0 = Builder.const_i b 0 and c4 = Builder.const_i b 4 and c1 = Builder.const_i b 1 in
+        let r =
+          Builder.for_ b c0 c4 c1 [ a ] (fun fb _ args ->
+              [ Builder.add_ fb (List.hd args) (Builder.load fb mem i) ])
+        in
+        Builder.return b r)
+  in
+  Alcotest.(check int) "loop load reuses the one before" 1 (count_loads (Cse.run_func f).Instr.body)
+
+let test_cse_commutative () =
+  let p = Value.fresh ~hint:"p" Types.I32 and q = Value.fresh ~hint:"q" Types.I32 in
+  let f =
+    Builder.func "f" [ p; q ] [ Types.I32 ] (fun b ->
+        let x = Builder.add_ b p q and y = Builder.add_ b q p in
+        let u = Builder.sub_ b p q and w = Builder.sub_ b q p in
+        Builder.return b [ Builder.mul_ b (Builder.mul_ b x y) (Builder.mul_ b u w) ])
+  in
+  let body = (Cse.run_func f |> Dce.run_func).Instr.body in
+  Alcotest.(check int) "add p q = add q p" 1 (count_binops Ops.Add body);
+  Alcotest.(check int) "sub p q <> sub q p" 2 (count_binops Ops.Sub body)
+
+let test_cse_constant_keys () =
+  (* constants merge only with the same type and the same bits; NaNs
+     are one constant per sign *)
+  let f =
+    Builder.func "f" [] [] (fun b ->
+        Builder.return b
+          (List.map
+             (fun (ty, c) -> Builder.let_ b ty (Instr.Const c))
+             Types.
+               [
+                 (I32, Instr.Ci 1);
+                 (I64, Instr.Ci 1);
+                 (I32, Instr.Ci 1);
+                 (F32, Instr.Cf 0.);
+                 (F32, Instr.Cf (-0.));
+                 (F64, Instr.Cf 0.);
+                 (F32, Instr.Cf 0.);
+                 (F32, Instr.Cf Float.nan);
+                 (F32, Instr.Cf (Int64.float_of_bits 0x7FF0_0000_0000_0123L));
+                 (F32, Instr.Cf (-.Float.nan));
+               ]))
+  in
+  let f' = Cse.run_func f |> Dce.run_func in
+  let kept =
+    List.filter_map
+      (function Instr.Let (v, Instr.Const c) -> Some (v.Value.ty, c) | _ -> None)
+      f'.Instr.body
+  in
+  let pp_const ppf (ty, c) =
+    match c with
+    | Instr.Ci n -> Fmt.pf ppf "%a %d" Types.pp ty n
+    | Instr.Cf x -> Fmt.pf ppf "%a %h" Types.pp ty x
+  in
+  Alcotest.(check (list string))
+    "distinct constants"
+    [ "i32 1"; "i64 1"; "f32 0x0p+0"; "f32 -0x0p+0"; "f64 0x0p+0"; "f32 nan"; "f32 -nan" ]
+    (List.map (Fmt.str "%a" pp_const) kept);
+  Alcotest.(check int) "rewrites" 3 (Cse.rewrite_count ())
+
 let test_dce_removes_dead () =
   let b = Builder.create () in
   let x = Builder.const_i b 5 in
@@ -372,19 +545,18 @@ let prop_vecadd_any_factor =
 (* Barrier elimination                                                 *)
 (* ------------------------------------------------------------------ *)
 
-let thread_body_of m =
+let threads_body block =
   let body = ref None in
-  List.iter
-    (fun (f : Instr.func) ->
-      Instr.iter_deep
-        (fun i ->
-          match i with
-          | Instr.Parallel { level = Instr.Threads; body = b; _ } when !body = None ->
-              body := Some b
-          | _ -> ())
-        f.Instr.body)
-    m.Instr.funcs;
+  Instr.iter_deep
+    (fun i ->
+      match i with
+      | Instr.Parallel { level = Instr.Threads; body = b; _ } when !body = None -> body := Some b
+      | _ -> ())
+    block;
   Option.get !body
+
+let thread_body_of m =
+  threads_body (List.concat_map (fun (f : Instr.func) -> f.Instr.body) m.Instr.funcs)
 
 let count_barriers block = count_deep (function Instr.Barrier _ -> true | _ -> false) block
 
@@ -407,7 +579,12 @@ let test_barrier_elim_removes_vacuous () =
                 ignore (Builder.mul_ tb tid tid)))));
   let block = Builder.finish b in
   let swept = Barrier_elim.run_block block in
-  Alcotest.(check int) "both vacuous barriers removed" 0 (count_barriers swept)
+  Alcotest.(check int) "both vacuous barriers removed" 0 (count_barriers swept);
+  let not_barrier = function Instr.Barrier _ -> false | _ -> true in
+  Alcotest.(check (testable (Instr.pp_block ~indent:0) ( = )))
+    "the other instructions in their order"
+    (List.filter not_barrier (threads_body block))
+    (threads_body swept)
 
 let test_barrier_elim_keeps_needed () =
   (* the reduction's barriers order shared-memory accesses: the pass
@@ -463,6 +640,7 @@ let suite =
         !:"thread coarsening: blocked mapping" `Quick test_thread_coarsen_blocked_mapping;
         !:"block coarsening: cyclic mapping" `Quick test_block_coarsen_cyclic_mapping;
         !:"thread factor must divide" `Quick test_thread_factor_must_divide;
+        !:"non-positive factors are illegal" `Quick test_non_positive_factors_illegal;
         !:"block coarsening illegality (fig10)" `Quick test_block_coarsen_illegal_divergent_barrier;
         !:"thread coarsening legal on fig10 kernel" `Quick test_thread_coarsen_divergent_barrier_ok;
         !:"alternatives + TDO" `Quick test_alternatives_tdo;
@@ -471,6 +649,14 @@ let suite =
         !:"canonicalize removes constant ifs" `Quick test_canonicalize_if_const;
         !:"cse dedupes" `Quick test_cse_dedupes;
         !:"load cse respects stores" `Quick test_load_cse_blocked_by_store;
+        !:"cse: store in a for loop" `Quick test_cse_for_carried_store;
+        !:"cse: forwarded store before a for loop" `Quick test_cse_for_forwarded_store;
+        !:"cse: store in a do-while loop" `Quick test_cse_while_carried_store;
+        !:"cse: if-branch definitions stay inside" `Quick test_cse_if_scope;
+        !:"cse: then-branch store kills loads" `Quick test_cse_then_store_kills;
+        !:"cse: store-free loop inherits loads" `Quick test_cse_store_free_loop_inherits;
+        !:"cse: commutative operands" `Quick test_cse_commutative;
+        !:"cse: constant keys" `Quick test_cse_constant_keys;
         !:"dce removes dead code" `Quick test_dce_removes_dead;
         !:"licm hoists invariants" `Quick test_licm_hoists;
         !:"barrier elim removes vacuous" `Quick test_barrier_elim_removes_vacuous;
