@@ -68,6 +68,11 @@ let target_arg =
 let file_arg =
   Arg.(required & pos 0 (some file) None & info [] ~docv:"FILE" ~doc:"mini-CUDA source file.")
 
+(* a bundled benchmark by name; an unknown name is a usage error *)
+let bench_conv =
+  Arg.enum
+    (List.map (fun (b : P.Bench_def.t) -> (b.P.Bench_def.name, b)) (P.Rodinia.all @ P.Hecbench.all))
+
 let no_opt_arg =
   Arg.(value & flag & info [ "no-opt" ] ~doc:"Disable scalar optimizations (CSE, LICM, ...).")
 
@@ -323,8 +328,8 @@ let bench_cmd =
   let name_arg =
     Arg.(
       required
-      & pos 0 (some string) None
-      & info [] ~docv:"BENCH" ~doc:"Rodinia benchmark name (see $(b,pgpu list)).")
+      & pos 0 (some bench_conv) None
+      & info [] ~docv:"BENCH" ~doc:"Bundled benchmark name (see $(b,pgpu list)).")
   in
   let verify_arg =
     Arg.(value & flag & info [ "verify" ] ~doc:"Check outputs against the CPU reference.")
@@ -341,12 +346,10 @@ let bench_cmd =
              populating it, then a warm pass) and report compile/search-time speedups plus \
              choice/output identity as JSON.")
   in
-  let run () name target no_opt coarsen tune verify perf args trace metrics cache_dir no_cache
-      cache_stats jobs engine cold_warm obs_dir =
+  let run () (b : P.Bench_def.t) target no_opt coarsen tune verify perf args trace metrics
+      cache_dir no_cache cache_stats jobs engine cold_warm obs_dir =
     with_tracer trace metrics @@ fun tracer ->
-    let b =
-      try P.Rodinia.find name with Failure _ -> P.Hecbench.find name
-    in
+    let name = b.P.Bench_def.name in
     if cold_warm then begin
       let specs = if coarsen = [] then None else Some (specs_of coarsen) in
       let r = P.cache_bench ?specs ?dir:cache_dir ~target b in
@@ -418,9 +421,19 @@ let check_cmd =
   let bench_arg =
     Arg.(
       value
-      & opt (some string) None
+      & opt (some bench_conv) None
       & info [ "bench" ] ~docv:"NAME"
           ~doc:"Check a bundled benchmark instead of a source file (see $(b,pgpu list)).")
+  in
+  (* the program's source, and its benchmark definition for --bench *)
+  let source_t =
+    let pick file bench =
+      match (bench, file) with
+      | Some (b : P.Bench_def.t), _ -> `Ok (b.P.Bench_def.source, Some b)
+      | None, Some f -> `Ok (read_file f, None)
+      | None, None -> `Error (true, "need a FILE or --bench NAME")
+    in
+    Term.(ret (const pick $ file_arg $ bench_arg))
   in
   let dynamic_arg =
     Arg.(
@@ -438,15 +451,7 @@ let check_cmd =
       & opt (some string) None
       & info [ "json" ] ~docv:"FILE" ~doc:"Also write the report as JSON to $(docv).")
   in
-  let run () file bench target no_opt coarsen dynamic args engine json =
-    let source, bench_def =
-      match (file, bench) with
-      | _, Some name ->
-          let b = (try P.Rodinia.find name with Failure _ -> P.Hecbench.find name) in
-          (b.P.Bench_def.source, Some b)
-      | Some f, None -> (read_file f, None)
-      | None, None -> failwith "pgpu check: need a FILE or --bench NAME"
-    in
+  let run () (source, bench_def) target no_opt coarsen dynamic args engine json =
     let c = P.compile ~optimize:(not no_opt) ~specs:(specs_of coarsen) ~target ~source () in
     (* static diagnostics over everything the compile shipped (the
        baseline and every kept alternative). CPU targets analyze the
@@ -550,8 +555,8 @@ let check_cmd =
          "Static shared-memory race and barrier-safety analysis of every kernel (and every \
           coarsened alternative), with an optional simulator-backed dynamic race detector.")
     Term.(
-      const run $ setup_logs_t $ file_arg $ bench_arg $ target_arg $ no_opt_arg $ coarsen_arg
-      $ dynamic_arg $ args_arg $ engine_arg $ json_arg)
+      const run $ setup_logs_t $ source_t $ target_arg $ no_opt_arg $ coarsen_arg $ dynamic_arg
+      $ args_arg $ engine_arg $ json_arg)
 
 (* --- hipify --- *)
 

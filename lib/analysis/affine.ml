@@ -40,7 +40,17 @@
       instances forces [e1 - e2 ≡ 0 (mod m)]; if the system bounds
       [|e1 - e2| < m], the difference must be exactly 0), which
       decides strided tree reductions like backprop's
-      [if (ty % (2*s) == 0)]. *)
+      [if (ty % (2*s) == 0)].
+
+    Each query is put in dense form once: one int array holding the
+    case-split depth, every symbol's bounds in [sid] order and every
+    equality and inequality row over the dense numbering. That array is
+    the whole input of the stack and also the key of a verdict memo the
+    caller owns and passes in ({!memo}): equal arrays get equal
+    verdicts, and systems that differ only in symbol names, kinds or
+    [sid]s — the renamed instances of coarsened replicas, say — share
+    one entry. The modulus-interval case splits are queries of the same
+    memo. *)
 
 type kind =
   | Thread of int  (** thread induction variable, dimension index *)
@@ -203,7 +213,8 @@ let cdiv a b =
 (* Solver rows are dense. The symbols of one system are numbered
    0..n-1 in [sid] order; a row is a coefficient vector [c] plus a
    constant [k], read as [k + sum c.(i) * x_i >= 0] (or [= 0] for an
-   equality). *)
+   equality). [Rows] keys the row set of an elimination by [c], and
+   the verdict memo by a whole query. *)
 module Rows = Hashtbl.Make (struct
   type t = int array
 
@@ -313,38 +324,89 @@ let rec substitute eqs ges =
       in
       substitute (List.map elim eqs) (List.map elim ges)
 
-(** Equality substitution, then Fourier–Motzkin elimination over the
-    rationals with integer tightening on one deduplicated row set.
-    [true] means the system is certainly infeasible over the integers;
-    [false] means "not proven infeasible". The symbols' weak bounds
-    enter as rows. *)
-let fm_infeasible (sys : system) : bool =
+(* ------------------------------------------------------------------ *)
+(* Queries and the verdict memo                                        *)
+(* ------------------------------------------------------------------ *)
+
+(* A query is the procedure's whole input in dense form, one int
+   array:
+
+     [| depth; n; e; g;
+        flags_0; lo_0; hi_0; ...; flags_(n-1); lo_(n-1); hi_(n-1);
+        e equality rows; g inequality rows |]
+
+   The system's symbols are numbered 0..n-1 in [sid] order; bit 0
+   (bit 1) of [flags_i] is set when symbol [i] has a lower (upper)
+   bound, and a row is its [n] coefficients followed by its constant.
+   The procedures below read nothing else — no name, kind or raw
+   [sid] — so the array is also the memo key: equal queries get equal
+   verdicts. *)
+
+let header = 4
+let rows_start q = header + (3 * q.(1))
+let row_at q r = rows_start q + (r * (q.(1) + 1))
+let lo_of q i = if q.(header + (3 * i)) land 1 <> 0 then Some q.(header + (3 * i) + 1) else None
+let hi_of q i = if q.(header + (3 * i)) land 2 <> 0 then Some q.(header + (3 * i) + 2) else None
+
+(** The query of [sys] at [depth]. *)
+let query ~depth (sys : system) : int array =
   let syms =
     List.sort_uniq
-      (fun (s1 : sym) (s2 : sym) -> compare s1.sid s2.sid)
+      (fun (s1 : sym) (s2 : sym) -> Int.compare s1.sid s2.sid)
       (List.concat_map syms sys.eqs @ List.concat_map syms sys.ges)
     |> Array.of_list
   in
-  let n = Array.length syms in
-  let row a =
-    let c = Array.make n 0 in
-    List.iter
-      (fun (s, x) ->
-        let rec index i = if syms.(i).sid = s.sid then i else index (i + 1) in
-        let i = index 0 in
-        c.(i) <- add_c c.(i) x)
-      a.terms;
-    (c, a.const)
+  let n = Array.length syms and e = List.length sys.eqs and g = List.length sys.ges in
+  let q = Array.make (header + (3 * n) + ((e + g) * (n + 1))) 0 in
+  q.(0) <- depth;
+  q.(1) <- n;
+  q.(2) <- e;
+  q.(3) <- g;
+  Array.iteri
+    (fun i s ->
+      let o = header + (3 * i) in
+      Option.iter (fun lo -> q.(o) <- 1; q.(o + 1) <- lo) s.lo;
+      Option.iter (fun hi -> q.(o) <- q.(o) lor 2; q.(o + 2) <- hi) s.hi)
+    syms;
+  let put r a =
+    let o = row_at q r in
+    (* terms are sorted by [sid]: one forward scan of [syms] places them *)
+    let rec go i = function
+      | [] -> ()
+      | ((s, x) :: rest) as terms ->
+          if syms.(i).sid = s.sid then begin
+            q.(o + i) <- add_c q.(o + i) x;
+            go i rest
+          end
+          else go (i + 1) terms
+    in
+    go 0 a.terms;
+    q.(o + n) <- a.const
+  in
+  List.iteri put sys.eqs;
+  List.iteri (fun r a -> put (e + r) a) sys.ges;
+  q
+
+(** Equality substitution, then Fourier–Motzkin elimination over the
+    rationals with integer tightening on one deduplicated row set.
+    [true] means the query is certainly infeasible over the integers;
+    [false] means "not proven infeasible". The symbols' weak bounds
+    enter as rows. *)
+let fm_infeasible q : bool =
+  let n = q.(1) and e = q.(2) in
+  let row r =
+    let o = row_at q r in
+    (Array.sub q o n, q.(o + n))
   in
   try
     let bounds =
       List.concat
         (List.init n (fun i ->
              let unit x k = (Array.init n (fun j -> if j = i then x else 0), k) in
-             Option.to_list (Option.map (fun lo -> unit 1 (neg_c lo)) syms.(i).lo)
-             @ Option.to_list (Option.map (fun hi -> unit (-1) hi) syms.(i).hi)))
+             Option.to_list (Option.map (fun lo -> unit 1 (neg_c lo)) (lo_of q i))
+             @ Option.to_list (Option.map (fun hi -> unit (-1) hi) (hi_of q i))))
     in
-    let eqs, ges = substitute (List.map row sys.eqs) (List.map row sys.ges @ bounds) in
+    let eqs, ges = substitute (List.init e row) (List.init q.(3) (fun r -> row (e + r)) @ bounds) in
     let set = Rows.create 32 in
     List.iter
       (fun (c, k) ->
@@ -358,46 +420,95 @@ let fm_infeasible (sys : system) : bool =
   | Infeasible -> true
   | Too_big | Overflow -> false
 
-(** Candidate moduli for the modulus-interval test on an equality: the
-    distinct absolute coefficient values above 1. *)
-let moduli a =
-  List.sort_uniq compare (List.filter_map (fun (_, c) -> if abs c > 1 then Some (abs c) else None) a.terms)
+(** Candidate moduli for the modulus-interval test on the equality at
+    offset [o]: the distinct absolute coefficient values above 1. *)
+let moduli q o =
+  let ms = ref [] in
+  for i = 0 to q.(1) - 1 do
+    let c = abs q.(o + i) in
+    if c > 1 then ms := c :: !ms
+  done;
+  List.sort_uniq Int.compare !ms
 
-let rec infeasible ?(depth = 2) (sys : system) : bool =
-  fm_infeasible sys
-  || depth > 0
-     && List.exists
-          (fun e ->
-            List.exists
-              (fun m ->
-                (* S = the part of [e] not divisible by [m]; then
-                   S ≡ 0 (mod m). *)
-                let s_part =
-                  {
-                    const = e.const;
-                    terms = List.filter (fun (_, c) -> c mod m <> 0) e.terms;
-                  }
-                in
-                (* no information if nothing was divisible *)
-                List.length s_part.terms < List.length e.terms
-                &&
-                match interval s_part with
-                | Some lo, Some hi -> (
-                    (* the multiples of m in [lo, hi] are q*m for q in
-                       [first, last]; counted before they are listed,
-                       since intervals from shifts reach 2^61 *)
-                    let first = cdiv lo m and last = fdiv hi m in
-                    try
-                      sub_c last first < 8
-                      && List.for_all
-                           (fun q ->
-                             let s_q = { s_part with const = sub_c s_part.const (mul_c q m) } in
-                             infeasible ~depth:(depth - 1) (with_eq s_q sys))
-                           (List.init (max 0 (last - first + 1)) (fun i -> first + i))
-                    with Overflow -> false)
-                | _ -> false)
-              (moduli e))
-          sys.eqs
+(** Weak interval of the residue [S] of the equality at offset [o]:
+    its constant plus the terms whose coefficient [m] does not divide
+    (as {!interval}, in symbol order). *)
+let residue_interval q o m =
+  let n = q.(1) in
+  let side lower =
+    let acc = ref (Some q.(o + n)) in
+    for i = 0 to n - 1 do
+      let c = q.(o + i) in
+      if c mod m <> 0 then
+        acc :=
+          match (!acc, if (c > 0) = lower then lo_of q i else hi_of q i) with
+          | Some v, Some b -> ( try Some (add_c v (mul_c c b)) with Overflow -> None)
+          | _ -> None
+    done;
+    !acc
+  in
+  (side true, side false)
+
+(** [q] one level deeper, with [S = j*m] put in front of its
+    equalities, [S] the residue of the equality at offset [o] modulo
+    [m]. *)
+let with_residue q o m j =
+  let n = q.(1) and base = rows_start q in
+  let k = sub_c q.(o + n) (mul_c j m) in
+  let q' = Array.make (Array.length q + n + 1) 0 in
+  Array.blit q 0 q' 0 base;
+  q'.(0) <- q.(0) - 1;
+  q'.(2) <- q.(2) + 1;
+  for i = 0 to n - 1 do
+    let c = q.(o + i) in
+    if c mod m <> 0 then q'.(base + i) <- c
+  done;
+  q'.(base + n) <- k;
+  Array.blit q base q' (base + n + 1) (Array.length q - base);
+  q'
+
+type memo = bool Rows.t
+
+let memo () : memo = Rows.create 64
+let memo_entries (memo : memo) = Rows.length memo
+
+let rec decide (memo : memo) q =
+  match Rows.find_opt memo q with
+  | Some v -> v
+  | None ->
+      let v = fm_infeasible q || (q.(0) > 0 && modulus_infeasible memo q) in
+      Rows.replace memo q v;
+      v
+
+(* For each equality [E = 0] and candidate modulus [m]: S = the part
+   of [E] not divisible by [m] (never all of it, [m] being one of its
+   coefficients), so S ≡ 0 (mod m). *)
+and modulus_infeasible memo q =
+  let rec from r =
+    r < q.(2)
+    && (let o = row_at q r in
+        List.exists
+          (fun m ->
+            match residue_interval q o m with
+            | Some lo, Some hi -> (
+                (* the multiples of m in [lo, hi] are j*m for j in
+                   [first, last]; counted before they are listed,
+                   since intervals from shifts reach 2^61 *)
+                let first = cdiv lo m and last = fdiv hi m in
+                try
+                  sub_c last first < 8
+                  && List.for_all
+                       (fun j -> decide memo (with_residue q o m j))
+                       (List.init (max 0 (last - first + 1)) (fun i -> first + i))
+                with Overflow -> false)
+            | _ -> false)
+          (moduli q o)
+       || from (r + 1))
+  in
+  from 0
+
+let infeasible memo ?(depth = 2) (sys : system) : bool =
+  match query ~depth sys with q -> decide memo q | exception Overflow -> false
 
 (** The congruence rule for a pair of modulo guards: both instances
     satisfy [e ≡ 0 (mod m)] for the same uniform [m], so
@@ -405,7 +516,7 @@ let rec infeasible ?(depth = 2) (sys : system) : bool =
     [d <= -m] and [d = 0] all infeasible, the system itself is
     infeasible. Requires [m >= 1] to be implied by the system (symbol
     intervals). *)
-let mod_guard_infeasible ?(depth = 1) (sys : system) ~(d : t) ~(m : t) : bool =
-  infeasible ~depth (with_ge (sub d m) sys)
-  && infeasible ~depth (with_ge (sub (neg d) m) sys)
-  && infeasible ~depth (with_eq d sys)
+let mod_guard_infeasible memo ?(depth = 1) (sys : system) ~(d : t) ~(m : t) : bool =
+  infeasible memo ~depth (with_ge (sub d m) sys)
+  && infeasible memo ~depth (with_ge (sub (neg d) m) sys)
+  && infeasible memo ~depth (with_eq d sys)

@@ -62,6 +62,13 @@ val rename : (sym -> sym) -> t -> t
 
 val pp : t Fmt.t
 
+(** Raised by {!mul_c} instead of wrapping. *)
+exception Overflow
+
+(** [a * b], checked: raises {!Overflow} when the product leaves the
+    native int range. *)
+val mul_c : int -> int -> int
+
 (** Weak constant interval of an affine expression from its symbols'
     intervals ([None] side = unbounded, also when that side's value
     leaves the native int range). *)
@@ -75,14 +82,33 @@ val empty : system
 val with_eq : t -> system -> system
 val with_ge : t -> system -> system
 
+(** A verdict memo: the answers of one {!infeasible} /
+    {!mod_guard_infeasible} caller, keyed by the procedure's exact
+    input. A query is densified once — the depth, each symbol's
+    [(lo, hi)] in [sid] order, then every equality row and every
+    inequality row in order, over the symbols numbered 0..n-1 in [sid]
+    order — and that one int array is both the memo key and, on a miss,
+    the procedure's input. Names, kinds and raw [sid]s stay out of it,
+    so two systems that differ only there share one entry; the
+    modulus-interval case splits go through the memo as well. A memo is
+    not synchronized: one domain at a time. The race checker keeps one
+    per check call; a caller that wants no sharing passes a fresh
+    one. *)
+type memo
+
+val memo : unit -> memo
+
+(** Number of decided queries stored. *)
+val memo_entries : memo -> int
+
 (** [true] iff the system is certainly infeasible over the integers.
     [depth] (default 2) bounds the recursive modulus-interval case
     splits. *)
-val infeasible : ?depth:int -> system -> bool
+val infeasible : memo -> ?depth:int -> system -> bool
 
 (** The congruence rule for a pair of modulo guards: both instances
     satisfy [e ≡ 0 (mod m)] for the same uniform [m], so
     [d = e1 - e2 ≡ 0 (mod m)]. [true] when [d >= m], [d <= -m] and
     [d = 0] are all infeasible under [sys] — which makes [sys] itself
     infeasible. *)
-val mod_guard_infeasible : ?depth:int -> system -> d:t -> m:t -> bool
+val mod_guard_infeasible : memo -> ?depth:int -> system -> d:t -> m:t -> bool

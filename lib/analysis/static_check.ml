@@ -26,7 +26,18 @@
     depends on the barrier's own parallel's induction variables is an
     error (the paper's barrier legality rule); under uniform control
     flow that is merely opaque (e.g. block-index-dependent) it is a
-    warning. *)
+    warning.
+
+    Solver verdicts are memoized per check call: [check_region] (the
+    gate of one candidate in [Alternatives.expand]) and [check_modul]
+    ([pgpu check]) each keep one {!Affine.memo} in their state, keyed by
+    the solver's exact input (depth, symbol bounds in [sid] order, the
+    equality and inequality rows) without names or [sid]s. Coarsening
+    replicates shared accesses, and replicas at the same distance from
+    each other produce the same collision system under fresh symbols,
+    so most queries of one call repeat a decided one. The memo dies
+    with the call: it needs no lock when [expand --jobs] runs gate
+    calls on several domains, and it does not grow with the process. *)
 
 open Pgpu_ir
 module A = Affine
@@ -70,6 +81,7 @@ type st = {
           code CSEs block dimensions and literals out of the kernel) *)
   mutable quiet : bool;  (** suppress diagnostics (loop re-walks) *)
   mutable tsyms : A.sym list;  (** thread ivs of the parallel being checked *)
+  memo : A.memo;  (** verdicts of every solver query of this check *)
 }
 
 let mk_st ?(const_of = fun _ -> None) () =
@@ -81,6 +93,7 @@ let mk_st ?(const_of = fun _ -> None) () =
     const_of;
     quiet = false;
     tsyms = [];
+    memo = A.memo ();
   }
 
 let diag st ~kernel ~severity ~kind message =
@@ -129,26 +142,34 @@ let interval_of st env (v : Value.t) =
 (* Expression classification                                           *)
 (* ------------------------------------------------------------------ *)
 
+(* Interval of [x op y] from the operands' intervals, under the
+   semantics of [Ops.eval_int_binop]. Its native ints wrap, so a bound
+   product or shift that leaves the native range says nothing about
+   the value on either side: both sides are unbounded then. Shift
+   counts of 63 or more are unspecified (x86 masks them), and
+   [x % 0] and [x / 0] are 0. *)
 let ival_binop op (l1, h1) (l2, h2) =
   let all4 f =
     match (l1, h1, l2, h2) with
-    | Some a, Some b, Some c, Some d ->
-        let xs = [ f a c; f a d; f b c; f b d ] in
-        (Some (List.fold_left min (f a c) xs), Some (List.fold_left max (f a c) xs))
+    | Some a, Some b, Some c, Some d -> (
+        match [ f a c; f a d; f b c; f b d ] with
+        | xs -> (Some (List.fold_left min max_int xs), Some (List.fold_left max min_int xs))
+        | exception A.Overflow -> (None, None))
     | _ -> (None, None)
   in
   let nonneg = match (l1, l2) with Some a, Some c -> a >= 0 && c >= 0 | _ -> false in
   match op with
-  | Ops.Mul -> all4 ( * )
+  | Ops.Mul -> all4 A.mul_c
   | Ops.Min -> all4 min
   | Ops.Max -> all4 max
   | Ops.Shl when nonneg -> (
       match (l1, h1, l2, h2) with
-      | Some a, Some b, Some c, Some d when d < 62 -> (Some (a lsl c), Some (b lsl d))
+      | Some a, Some b, Some c, Some d when d < 62 && b <= max_int asr d ->
+          (Some (a lsl c), Some (b lsl d))
       | _ -> (None, None))
   | Ops.Shr when nonneg -> (
       match (l1, h1, l2, h2) with
-      | Some a, Some b, Some c, Some d -> (Some (a asr d), Some (b asr c))
+      | Some a, Some b, Some c, Some d when d < 63 -> (Some (a asr d), Some (b asr c))
       | _ -> (None, None))
   | Ops.Div when nonneg -> (
       match (l1, h1, l2, h2) with
@@ -156,7 +177,9 @@ let ival_binop op (l1, h1) (l2, h2) =
       | _ -> (None, None))
   | Ops.Rem -> (
       match h2 with
-      | Some d when nonneg -> (Some 0, match h1 with Some b -> Some (min b (d - 1)) | None -> Some (d - 1))
+      | Some d when nonneg ->
+          let hi = max 0 (d - 1) in
+          (Some 0, Some (match h1 with Some b -> min b hi | None -> hi))
       | _ -> (None, None))
   | _ -> (None, None)
 
@@ -578,7 +601,8 @@ let check_pair st (a1 : access) (a2 : access) : verdict =
           a1.guards
       in
       let infeasible sys =
-        A.infeasible sys || List.exists (fun (d, m) -> A.mod_guard_infeasible sys ~d ~m) mod_pairs
+        A.infeasible st.memo sys
+        || List.exists (fun (d, m) -> A.mod_guard_infeasible st.memo sys ~d ~m) mod_pairs
       in
       let distinct_branches =
         List.concat_map

@@ -189,6 +189,10 @@ let prop_mutants_flagged =
 
 module A = Pgpu_analysis.Affine
 
+(* one query, answered through a fresh memo *)
+let infeasible ?depth sys = A.infeasible (A.memo ()) ?depth sys
+let mod_guard_infeasible sys ~d ~m = A.mod_guard_infeasible (A.memo ()) sys ~d ~m
+
 let sym ?lo ?hi sid name = { A.sid; name; kind = A.Shared; lo; hi }
 let lin terms k =
   List.fold_left (fun acc (c, s) -> A.add acc (A.scale c (A.of_sym s))) (A.const k) terms
@@ -258,7 +262,7 @@ let arb_system =
 let prop_infeasible_sound =
   QCheck.Test.make ~name:"Affine.infeasible: true only on systems with no integer point"
     ~count:1000 arb_system
-    (fun (syms, sys) -> (not (A.infeasible sys)) || not (box_feasible syms sys))
+    (fun (syms, sys) -> (not (infeasible sys)) || not (box_feasible syms sys))
 
 (** The modulo-guard rule on a generated system plus a difference [d]
     and a modulus [m] that is a constant in [1, 3] or a symbol boxed in
@@ -286,7 +290,7 @@ let prop_mod_guard_sound =
     ~count:1000 arb_mod_guard
     (fun (syms, sys, d, (msym, m)) ->
       let syms = Option.to_list msym @ syms in
-      (not (A.mod_guard_infeasible sys ~d ~m))
+      (not (mod_guard_infeasible sys ~d ~m))
       || not (box_feasible ~extra:(fun env -> eval d env mod eval m env = 0) syms sys))
 
 let test_affine_fixed () =
@@ -299,15 +303,15 @@ let test_affine_fixed () =
     |> A.with_eq (lin [ (1, t1); (18, u1); (-1, t2); (-18, u2) ] 0)
     |> A.with_ge (lin [ (1, t2); (-1, t1) ] (-1))
   in
-  Alcotest.(check bool) "hotspot collision is infeasible" true (A.infeasible collision);
+  Alcotest.(check bool) "hotspot collision is infeasible" true (infeasible collision);
   let x = sym 1 "x" in
   Alcotest.(check bool) "2x = 1 is infeasible" true
-    (A.infeasible (A.with_eq (lin [ (2, x) ] (-1)) A.empty));
+    (infeasible (A.with_eq (lin [ (2, x) ] (-1)) A.empty));
   let x = box 0 4 1 "x" and y = box 0 4 2 "y" in
   let feasible =
     A.empty |> A.with_eq (lin [ (1, x); (1, y) ] (-3)) |> A.with_ge (lin [ (1, x); (-1, y) ] (-1))
   in
-  Alcotest.(check bool) "x + y = 3, x - y >= 1 is feasible" false (A.infeasible feasible)
+  Alcotest.(check bool) "x + y = 3, x - y >= 1 is feasible" false (infeasible feasible)
 
 (* eliminating x forms 1*(3x - y) + 3*(2^61 - x) = 3*2^61 - y, whose
    constant leaves the native int range: the solver must give up, not
@@ -315,56 +319,139 @@ let test_affine_fixed () =
 let test_affine_overflow () =
   let x = sym ~lo:0 ~hi:(1 lsl 61) 1 "x" and y = sym ~lo:0 ~hi:(1 lsl 61) 2 "y" in
   Alcotest.(check bool) "3x - y >= 0 on [0, 2^61] is feasible" false
-    (A.infeasible (A.with_ge (lin [ (3, x); (-1, y) ] 0) A.empty))
+    (infeasible (A.with_ge (lin [ (3, x); (-1, y) ] 0) A.empty))
 
 (** Systems with a planted integer point: 2–4 symbols at coordinates
     up to 2^58 in magnitude, bounds out to ±2^61 (often exactly), and
     equalities and inequalities with coefficients in [-3, 3] drawn to
     hold at the point, so every system is feasible. The products the
     solver forms from such bounds leave the native int range. *)
-let arb_planted =
-  let gen =
-    let open QCheck.Gen in
-    let big = 1 lsl 61 and coord = 1 lsl 58 in
-    let* n = int_range 2 4 in
-    let* point = list_repeat n (int_range (-coord) coord) in
-    let* bounds =
-      flatten_l
-        (List.map
-           (fun p ->
-             pair
-               (oneof [ return (-big); map (fun r -> p - r) (int_range 0 (big + p)) ])
-               (oneof [ return big; map (fun r -> p + r) (int_range 0 (big - p)) ]))
-           point)
-    in
-    let syms =
-      List.mapi (fun i (lo, hi) -> sym ~lo ~hi (i + 1) (Fmt.str "x%d" (i + 1))) bounds
-    in
-    let at_point cs = List.fold_left2 (fun acc c p -> acc + (c * p)) 0 cs point in
-    let row slack =
-      let+ cs = list_repeat n (int_range (-3) 3) and+ slack in
-      lin (List.combine cs syms) (slack - at_point cs)
-    in
-    let* eqs = list_size (int_range 0 2) (row (return 0)) in
-    let+ ges = list_size (int_range 1 4) (row (oneof [ return 0; int_range 0 coord ])) in
-    (syms, point, { A.eqs; ges })
+let gen_planted =
+  let open QCheck.Gen in
+  let big = 1 lsl 61 and coord = 1 lsl 58 in
+  let* n = int_range 2 4 in
+  let* point = list_repeat n (int_range (-coord) coord) in
+  let* bounds =
+    flatten_l
+      (List.map
+         (fun p ->
+           pair
+             (oneof [ return (-big); map (fun r -> p - r) (int_range 0 (big + p)) ])
+             (oneof [ return big; map (fun r -> p + r) (int_range 0 (big - p)) ]))
+         point)
   in
+  let syms = List.mapi (fun i (lo, hi) -> sym ~lo ~hi (i + 1) (Fmt.str "x%d" (i + 1))) bounds in
+  let at_point cs = List.fold_left2 (fun acc c p -> acc + (c * p)) 0 cs point in
+  let row slack =
+    let+ cs = list_repeat n (int_range (-3) 3) and+ slack in
+    lin (List.combine cs syms) (slack - at_point cs)
+  in
+  let* eqs = list_size (int_range 0 2) (row (return 0)) in
+  let+ ges = list_size (int_range 1 4) (row (oneof [ return 0; int_range 0 coord ])) in
+  (syms, point, { A.eqs; ges })
+
+let arb_planted =
   QCheck.make
     ~print:(fun (syms, point, sys) ->
       Fmt.str "%a | %a | at %a" pp_system sys pp_box syms Fmt.(Dump.list int) point)
-    gen
+    gen_planted
 
 let prop_planted_feasible =
   QCheck.Test.make ~name:"Affine.infeasible: never true with a planted point near 2^61"
     ~count:1000 arb_planted
-    (fun (_, _, sys) -> not (A.infeasible sys))
+    (fun (_, _, sys) -> not (infeasible sys))
+
+(* ------------------------------------------------------------------ *)
+(* The verdict memo                                                    *)
+(* ------------------------------------------------------------------ *)
+
+(** [sys] with [f] applied to every symbol occurrence; [f] must keep
+    the [sid] order. *)
+let map_syms f (sys : A.system) =
+  let row (a : A.t) = { a with A.terms = List.map (fun (s, c) -> (f s, c)) a.A.terms } in
+  { A.eqs = List.map row sys.A.eqs; ges = List.map row sys.A.ges }
+
+(** Sequences of queries at depth 0–2 over [gen_system] and
+    [gen_planted] systems, plus repeats, copies with fresh [sid]s, and
+    copies in which one symbol's bound moved by 1–3. *)
+let arb_memo_sequence =
+  let gen =
+    let open QCheck.Gen in
+    let system = oneof [ gen_system; map (fun (syms, _, sys) -> (syms, sys)) gen_planted ] in
+    let variant ((syms : A.sym list), sys) =
+      let* k = int_range 1 3 and* upper = bool and* (moved : A.sym) = oneofl syms in
+      let move (s : A.sym) =
+        let by = Option.map (fun b -> if upper then b + k else b - k) in
+        if s.A.sid <> moved.A.sid then s
+        else if upper then { s with A.hi = by s.A.hi }
+        else { s with A.lo = by s.A.lo }
+      in
+      oneofl
+        [ sys; map_syms (fun s -> { s with A.sid = s.A.sid + 100 }) sys; map_syms move sys ]
+    in
+    let* base = list_size (int_range 1 6) system in
+    let* copies = list_size (int_range 0 10) (oneofl base >>= variant) in
+    let* queries = shuffle_l (List.map snd base @ copies) in
+    flatten_l (List.map (fun sys -> map (fun depth -> (depth, sys)) (int_range 0 2)) queries)
+  in
+  QCheck.make
+    ~print:
+      Fmt.(str "%a" (Dump.list (fun ppf (depth, sys) -> pf ppf "depth %d: %a" depth pp_system sys)))
+    gen
+
+let prop_memo_exact =
+  QCheck.Test.make ~name:"Affine memo: shared answers equal fresh-memo answers" ~count:500
+    arb_memo_sequence
+    (fun queries ->
+      let memo = A.memo () in
+      List.for_all
+        (fun (depth, sys) -> A.infeasible memo ~depth sys = infeasible ~depth sys)
+        queries)
+
+(* each case asks through one memo two queries that differ in one key
+   component only and have different verdicts *)
+let test_memo_key () =
+  let ask memo ?depth what expected sys =
+    Alcotest.(check bool) what expected (A.infeasible memo ?depth sys)
+  in
+  (* the bounds: x - 5 >= 0 with x in [0, 4] and in [0, 9] *)
+  let over hi = A.with_ge (lin [ (1, sym ~lo:0 ~hi 1 "x") ] (-5)) A.empty in
+  let memo = A.memo () in
+  ask memo "x in [0, 4]" true (over 4);
+  ask memo "then x in [0, 9]" false (over 9);
+  let memo = A.memo () in
+  ask memo "x in [0, 9]" false (over 9);
+  ask memo "then x in [0, 4]" true (over 4);
+  (* the depth: 3x + 5y = 1 over [0, 1]^2 has rational points (x = 1/3),
+     so elimination alone leaves it open; the modulus test with m = 3
+     splits 5y - 1 into 0 and 3, neither divisible by 5 *)
+  let x = sym ~lo:0 ~hi:1 1 "x" and y = sym ~lo:0 ~hi:1 2 "y" in
+  let sys = A.with_eq (lin [ (3, x); (5, y) ] (-1)) A.empty in
+  let memo = A.memo () in
+  ask memo ~depth:0 "3x + 5y = 1 at depth 0" false sys;
+  ask memo ~depth:2 "then at depth 2" true sys;
+  (* the equality / inequality split: one row, 2x - 3, over [0, 4] *)
+  let x = sym ~lo:0 ~hi:4 1 "x" in
+  let memo = A.memo () in
+  ask memo "2x - 3 >= 0" false (A.with_ge (lin [ (2, x) ] (-3)) A.empty);
+  ask memo "then 2x - 3 = 0" true (A.with_eq (lin [ (2, x) ] (-3)) A.empty)
+
+let test_memo_ignores_sids () =
+  let sys sid =
+    let x = sym ~lo:0 ~hi:4 sid "x" and y = sym ~lo:0 ~hi:4 (sid + 1) "y" in
+    A.with_ge (lin [ (1, x); (-1, y) ] (-1)) A.empty
+  in
+  let memo = A.memo () in
+  Alcotest.(check bool) "sids 1, 2" false (A.infeasible memo (sys 1));
+  Alcotest.(check bool) "sids 7, 8" false (A.infeasible memo (sys 7));
+  Alcotest.(check int) "one entry" 1 (A.memo_entries memo)
 
 (* the modulus-interval test on a residue whose interval holds 2^39
    multiples: it must count them, not list them *)
 let test_affine_wide_interval () =
   let x = sym ~lo:0 ~hi:(1 lsl 40) 1 "x" and y = sym ~lo:0 ~hi:(1 lsl 40) 2 "y" in
   Alcotest.(check bool) "2y + x - 1 = 0 is feasible" false
-    (A.infeasible (A.with_eq (lin [ (2, y); (1, x) ] (-1)) A.empty))
+    (infeasible (A.with_eq (lin [ (2, y); (1, x) ] (-1)) A.empty))
 
 (* ------------------------------------------------------------------ *)
 (* Precision on the candidates that cost the gate most                 *)
@@ -398,6 +485,77 @@ let heavy_candidate_cases =
       Alcotest.test_case (name ^ " at 1x1, 1x4, 8x2 is race-free") `Quick
         (test_heavy_candidates_clean name))
     [ "lud"; "hotspot"; "backprop"; "nw"; "srad_v1"; "pathfinder" ]
+
+(* ------------------------------------------------------------------ *)
+(* Intervals follow the program's integer semantics                    *)
+(* ------------------------------------------------------------------ *)
+
+(** A kernel of one 256-thread block, [t] its thread index, over a
+    shared [s[512]], with [body] as its code. *)
+let one_block_src body =
+  Fmt.str
+    {|
+__global__ void k(float* out, int n) {
+  __shared__ float s[512];
+  int t = threadIdx.x;
+  %s
+}
+
+float* main(int n) {
+  float* hout = (float*)malloc(256 * sizeof(float));
+  float* dout;
+  cudaMalloc((void**)&dout, 256 * sizeof(float));
+  k<<<1, 256>>>(dout, n);
+  cudaMemcpy(hout, dout, 256 * sizeof(float), cudaMemcpyDeviceToHost);
+  return hout;
+}
+|}
+    body
+
+(* [expected] lists the race kinds, as "write-write" / "read-write" *)
+let test_interval_race body expected () =
+  let m, _ =
+    Pipeline.compile (Pipeline.default_options Descriptor.a100)
+      (Frontend.compile_string (one_block_src body))
+  in
+  let races =
+    List.filter_map
+      (fun (d : Report.diagnostic) ->
+        if d.Report.kind = "shared-race" then
+          List.find_opt
+            (fun k -> String.starts_with ~prefix:("possible " ^ k) d.Report.message)
+            [ "write-write"; "read-write" ]
+        else None)
+      (Report.errors (Check.check_modul m))
+  in
+  Alcotest.(check (list string)) "races" expected (List.sort compare races)
+
+let interval_cases =
+  [
+    (* x % 0 evaluates to 0, so q is 0 (no write-write race), not an
+       empty interval that makes every pair vacuously safe *)
+    ( "x % 0 is 0, not an empty interval",
+      {|for (int p = 0; p < 2; p++) {
+          int q = (p + 1) % (n - n);
+          s[t + q] = 1.0f;
+          out[t] = s[t + 1];
+        }|},
+      [ "read-write" ] );
+    (* p * p over [0, 2^32] reaches 2^64: the corner product wraps to 0 *)
+    ( "a wrapping product bound is unbounded",
+      {|for (int p = 0; p < 4294967297; p++) {
+          if (p < 2) { int q = p * p; s[t + q] = 1.0f; out[t] = s[t]; }
+        }|},
+      [ "read-write"; "write-write" ] );
+    (* 8 >> 64 evaluates as 8 >> 0: a count range reaching 64 gave q the
+       interval [8, 8], while 8 >> 3 = 1 lets threads 0 and 7 collide *)
+    ( "a shift count of 63 or more is unbounded",
+      {|for (int p = 0; p < 65; p++) { int q = 8 >> p; s[t + q] = 1.0f; }
+        out[t] = 0.0f;|},
+      [ "write-write" ] );
+  ]
+  |> List.map (fun (name, body, expected) ->
+         Alcotest.test_case name `Quick (test_interval_race body expected))
 
 (* ------------------------------------------------------------------ *)
 (* Racy candidates never reach TDO                                     *)
@@ -552,6 +710,11 @@ let suite =
           test_affine_wide_interval;
         Alcotest.test_case "solver gives up on overflow near 2^61" `Quick test_affine_overflow;
         QCheck_alcotest.to_alcotest prop_planted_feasible;
+        QCheck_alcotest.to_alcotest prop_memo_exact;
+        Alcotest.test_case "Affine memo: the key keeps bounds, depth and row kinds" `Quick
+          test_memo_key;
+        Alcotest.test_case "Affine memo: systems differing only in sids share an entry" `Quick
+          test_memo_ignores_sids;
       ]
-      @ heavy_candidate_cases @ bench_clean_cases );
+      @ interval_cases @ heavy_candidate_cases @ bench_clean_cases );
   ]
