@@ -133,10 +133,9 @@ let cache_dir_arg =
     & opt (some string) None
     & info [ "cache-dir" ] ~docv:"DIR"
         ~doc:
-          "Persist the content-addressed cache (backend statistics, TDO autotuning \
-           choices) in $(docv). Entries are keyed by structural kernel hash and target, \
-           so the directory can be shared across programs and invocations; warm runs \
-           skip memoized compile work and TDO trial execution.")
+          "Persist the TDO autotuning choices in $(docv). Entries are keyed by structural \
+           kernel hash, target and launch, so the directory can be shared across programs \
+           and invocations; warm runs skip TDO trial execution.")
 
 let no_cache_arg =
   Arg.(
@@ -178,6 +177,16 @@ let engine_arg =
            faster in host wall-clock.")
 
 let make_cache no_cache dir = if no_cache then P.Cache.disabled else P.Cache.create ?dir ()
+
+(** Run [k] when [args] match the parameters of [m]'s [main]; a
+    mismatch is a usage error (exit 124), reported before anything
+    runs. For a [Term.ret] term. *)
+let with_main_args (m : Pgpu_ir.Instr.modul) args k =
+  let n = List.length (Pgpu_ir.Instr.find_func m "main").Pgpu_ir.Instr.params in
+  if List.length args = n then `Ok (k ())
+  else
+    `Error
+      (true, Fmt.str "main expects %d argument(s), got %d (see --args)" n (List.length args))
 
 let write_cache_stats cache path =
   Option.iter
@@ -248,14 +257,12 @@ let record_history ~obs_dir ?host_seconds ?jobs ~bench ~config ~target (r : P.ru
 
 let compile_cmd =
   let dump_ir = Arg.(value & flag & info [ "dump-ir" ] ~doc:"Print the final IR module.") in
-  let run () file target no_opt coarsen dump trace metrics cache_dir no_cache cache_stats jobs =
+  let run () file target no_opt coarsen dump trace metrics jobs =
     with_tracer trace metrics @@ fun tracer ->
-    let cache = make_cache no_cache cache_dir in
     let c =
-      P.compile ~optimize:(not no_opt) ~specs:(specs_of coarsen) ~tracer ~cache ~jobs ~target
+      P.compile ~optimize:(not no_opt) ~specs:(specs_of coarsen) ~tracer ~jobs ~target
         ~source:(read_file file) ()
     in
-    write_cache_stats cache cache_stats;
     List.iter
       (fun (k : P.Pipeline.kernel_report) ->
         Fmt.pr "kernel %s:@." k.P.Pipeline.kernel;
@@ -276,7 +283,7 @@ let compile_cmd =
     (Cmd.info "compile" ~doc:"Compile a mini-CUDA file and report multi-versioning decisions.")
     Term.(
       const run $ setup_logs_t $ file_arg $ target_arg $ no_opt_arg $ coarsen_arg $ dump_ir
-      $ trace_arg $ metrics_arg $ cache_dir_arg $ no_cache_arg $ cache_stats_arg $ jobs_arg)
+      $ trace_arg $ metrics_arg $ jobs_arg)
 
 (* --- run --- *)
 
@@ -303,9 +310,10 @@ let run_cmd =
     let cache = make_cache no_cache cache_dir in
     let t0 = Unix.gettimeofday () in
     let c =
-      P.compile ~optimize:(not no_opt) ~specs:(specs_of coarsen) ~tracer ~cache ~jobs ~target
+      P.compile ~optimize:(not no_opt) ~specs:(specs_of coarsen) ~tracer ~jobs ~target
         ~source:(read_file file) ()
     in
+    with_main_args c.P.modul args @@ fun () ->
     let r = P.run ~tune ~fixed_choice:choice ~jobs ~tracer ~cache ~engine c ~args in
     let host_seconds = Unix.gettimeofday () -. t0 in
     write_cache_stats cache cache_stats;
@@ -318,9 +326,10 @@ let run_cmd =
   Cmd.v
     (Cmd.info "run" ~doc:"Compile and execute a mini-CUDA file on a simulated GPU or CPU.")
     Term.(
-      const run $ setup_logs_t $ file_arg $ target_arg $ no_opt_arg $ coarsen_arg $ tune_arg
-      $ choice_arg $ args_arg $ trace_arg $ metrics_arg $ cache_dir_arg $ no_cache_arg
-      $ cache_stats_arg $ jobs_arg $ engine_arg $ obs_dir_arg)
+      ret
+        (const run $ setup_logs_t $ file_arg $ target_arg $ no_opt_arg $ coarsen_arg $ tune_arg
+       $ choice_arg $ args_arg $ trace_arg $ metrics_arg $ cache_dir_arg $ no_cache_arg
+       $ cache_stats_arg $ jobs_arg $ engine_arg $ obs_dir_arg))
 
 (* --- bench --- *)
 
@@ -354,10 +363,16 @@ let bench_cmd =
       let specs = if coarsen = [] then None else Some (specs_of coarsen) in
       let r = P.cache_bench ?specs ?dir:cache_dir ~target b in
       Fmt.pr "%s@." (P.Trace.Json.to_string_pretty (P.cache_bench_json r));
-      0
+      `Ok 0
     end
     else begin
       let cache = make_cache no_cache cache_dir in
+      (* the default arguments fit main; a given --args list must too *)
+      let fits =
+        if args = [] then fun k -> `Ok (k ())
+        else with_main_args (P.Frontend.compile_string b.P.Bench_def.source) args
+      in
+      fits @@ fun () ->
       let args = if args = [] then None else Some args in
       let t0 = Unix.gettimeofday () in
       let r =
@@ -376,9 +391,10 @@ let bench_cmd =
   Cmd.v
     (Cmd.info "bench" ~doc:"Run a bundled Rodinia benchmark.")
     Term.(
-      const run $ setup_logs_t $ name_arg $ target_arg $ no_opt_arg $ coarsen_arg $ tune_arg
-      $ verify_arg $ perf_arg $ args_arg $ trace_arg $ metrics_arg $ cache_dir_arg
-      $ no_cache_arg $ cache_stats_arg $ jobs_arg $ engine_arg $ cold_warm_arg $ obs_dir_arg)
+      ret
+        (const run $ setup_logs_t $ name_arg $ target_arg $ no_opt_arg $ coarsen_arg $ tune_arg
+       $ verify_arg $ perf_arg $ args_arg $ trace_arg $ metrics_arg $ cache_dir_arg
+       $ no_cache_arg $ cache_stats_arg $ jobs_arg $ engine_arg $ cold_warm_arg $ obs_dir_arg))
 
 (* --- profile --- *)
 
@@ -392,6 +408,7 @@ let profile_cmd =
       P.compile ~optimize:(not no_opt) ~specs:(specs_of coarsen) ~tracer ~target
         ~source:(read_file file) ()
     in
+    with_main_args c.P.modul args @@ fun () ->
     let r = P.run ~tune ~fixed_choice:choice ~tracer ~engine c ~args in
     let report = P.Profile.of_run ~composite_seconds:r.P.composite_seconds r.P.records in
     if as_json then
@@ -406,8 +423,9 @@ let profile_cmd =
           metric set: duration, occupancy, LSU/FMA utilization, cache and shared-memory \
           traffic).")
     Term.(
-      const run $ setup_logs_t $ file_arg $ target_arg $ no_opt_arg $ coarsen_arg $ tune_arg
-      $ choice_arg $ args_arg $ trace_arg $ metrics_arg $ engine_arg $ json_arg)
+      ret
+        (const run $ setup_logs_t $ file_arg $ target_arg $ no_opt_arg $ coarsen_arg $ tune_arg
+       $ choice_arg $ args_arg $ trace_arg $ metrics_arg $ engine_arg $ json_arg))
 
 (* --- check --- *)
 

@@ -1,24 +1,24 @@
-(** Content-addressed caching for the compiler and the runtime.
+(** Content-addressed caching for the runtime.
 
-    Two layers, one instance:
+    Two parts:
 
     - a generic mutex-protected {!Memo} table for in-process
-      memoization of OCaml values (cleaned-up regions, backend
-      statistics), keyed by a structural hash with a caller-supplied
+      memoization of OCaml values (the runtime's compiled kernels and
+      lowered launch sites), keyed by a hash with a caller-supplied
       equality check so hash collisions can never alias;
     - a persistent, namespaced string-keyed store of {!Json} values,
       loaded from and flushed to [<dir>/<namespace>.json] when a cache
-      directory is configured, and purely in-memory otherwise.
+      directory is configured, and purely in-memory otherwise. Its one
+      namespace, ["tdo"], holds the autotuner's choices.
 
-    Keys follow the content-addressed scheme of the multi-versioning
-    cache: an alpha-invariant region hash ([Instr.hash_block
-    ~closed:true]) joined with the target descriptor name and any
-    launch parameters, so a cache directory can be shared across
-    targets and programs — an entry is only ever found again for
-    structurally identical code on the same target. Every operation on
-    a [disabled] cache is a no-op, so instrumented call sites need no
-    conditionals. All operations are thread-safe: candidate expansion
-    consults the cache from several domains concurrently. *)
+    Keys follow a content-addressed scheme: an alpha-invariant region
+    hash ([Instr.hash_block ~closed:true]) joined with the target
+    descriptor name and the launch parameters, so a cache directory can
+    be shared across targets and programs — an entry is only ever found
+    again for structurally identical code on the same target. Every
+    operation on a [disabled] cache is a no-op, so instrumented call
+    sites need no conditionals. All operations are thread-safe: a
+    memo may be consulted from several domains concurrently. *)
 
 module Json = Pgpu_trace.Json
 
@@ -39,14 +39,12 @@ module Memo = struct
     Mutex.lock m.lock;
     Fun.protect ~finally:(fun () -> Mutex.unlock m.lock) f
 
-  (** [find_or_add_hit m ~hash ~equal key compute] returns the
-      memoized value for a key equal to [key] (with [true]), or runs
-      [compute] and records the result (with [false]). [compute] runs
-      outside the lock: two domains racing on the same key may both
-      compute it (the table keeps one result) — wasted work, never a
-      wrong answer. The hit flag lets callers of region-valued memos
-      know when the result is shared and must be cloned. *)
-  let find_or_add_hit m ~hash ~equal key compute =
+  (** [find_or_add m ~hash ~equal key compute] returns the memoized
+      value for a key equal to [key], or runs [compute] and records the
+      result. [compute] runs outside the lock: two domains racing on
+      the same key may both compute it (the table keeps one result) —
+      wasted work, never a wrong answer. *)
+  let find_or_add m ~hash ~equal key compute =
     let cached =
       locked m (fun () ->
           match Hashtbl.find_opt m.tbl hash with
@@ -56,7 +54,7 @@ module Memo = struct
     match cached with
     | Some v ->
         locked m (fun () -> m.stats.hits <- m.stats.hits + 1);
-        (v, true)
+        v
     | None ->
         let v = compute () in
         locked m (fun () ->
@@ -64,13 +62,10 @@ module Memo = struct
             let bucket = Option.value (Hashtbl.find_opt m.tbl hash) ~default:[] in
             if not (List.exists (fun (k, _) -> equal k key) bucket) then
               Hashtbl.replace m.tbl hash ((key, v) :: bucket));
-        (v, false)
-
-  let find_or_add m ~hash ~equal key compute = fst (find_or_add_hit m ~hash ~equal key compute)
+        v
 
   let hits m = m.stats.hits
   let misses m = m.stats.misses
-  let clear m = locked m (fun () -> Hashtbl.reset m.tbl)
 end
 
 (* ------------------------------------------------------------------ *)
@@ -106,11 +101,10 @@ let read_file path =
     ~finally:(fun () -> close_in ic)
     (fun () -> really_input_string ic (in_channel_length ic))
 
-(** A fresh cache. Without [dir] it is memory-only (still useful: it
-    memoizes within a process, e.g. across the repeated compiles of a
-    benchmark sweep). With [dir] each namespace is backed by
-    [<dir>/<namespace>.json], loaded lazily on first access and
-    written back by {!flush}. *)
+(** A fresh cache. Without [dir] it is memory-only (still useful: a
+    repeated tuned run in one process replays its TDO choices). With
+    [dir] each namespace is backed by [<dir>/<namespace>.json], loaded
+    lazily on first access and written back by {!flush}. *)
 let create ?dir () =
   Option.iter mkdir_p dir;
   { enabled = true; dir; spaces = []; lock = Mutex.create () }

@@ -92,17 +92,19 @@ let copy ~dst ~src count =
   | F d, I s -> Array.iteri (fun k v -> if k < count then d.(k) <- float_of_int v) s
   | I d, F s -> Array.iteri (fun k v -> if k < count then d.(k) <- int_of_float v) s
 
+(* the backing array of an empty buffer holds one padding element:
+   fills and reads stop at [len] *)
 let fill_f b f =
   match b.data with
-  | F arr -> Array.iteri (fun k _ -> arr.(k) <- f k) arr
-  | I arr -> Array.iteri (fun k _ -> arr.(k) <- int_of_float (f k)) arr
+  | F arr -> for k = 0 to b.len - 1 do arr.(k) <- f k done
+  | I arr -> for k = 0 to b.len - 1 do arr.(k) <- int_of_float (f k) done
 
 let fill_i b f =
   match b.data with
-  | I arr -> Array.iteri (fun k _ -> arr.(k) <- f k) arr
-  | F arr -> Array.iteri (fun k _ -> arr.(k) <- float_of_int (f k)) arr
+  | I arr -> for k = 0 to b.len - 1 do arr.(k) <- f k done
+  | F arr -> for k = 0 to b.len - 1 do arr.(k) <- float_of_int (f k) done
 
 let to_float_list b =
   match b.data with
-  | F arr -> Array.to_list arr
-  | I arr -> Array.to_list (Array.map float_of_int arr)
+  | F arr -> List.init b.len (Array.get arr)
+  | I arr -> List.init b.len (fun k -> float_of_int arr.(k))

@@ -44,12 +44,10 @@ let find_threads_body (region : Instr.block) : Instr.block option =
 let max_ilp = 8.
 let max_mlp = 8.
 
-(** ILP and MLP estimates of the per-thread code: instructions (resp.
-    loads) divided by the depth of the longest dependency (resp.
-    load-to-address) chain in the linearized body. *)
-let parallelism (region : Instr.block) : float * float =
-  let body = Option.value (find_threads_body region) ~default:region in
-  let p = Visa.lower body in
+(** ILP and MLP estimates of the lowered per-thread code: instructions
+    (resp. loads) divided by the depth of the longest dependency (resp.
+    load-to-address) chain. *)
+let parallelism (p : Visa.program) : float * float =
   let nv = max 1 p.Visa.nvregs in
   let depth = Array.make nv 0. and ldepth = Array.make nv 0. in
   let ops = ref 0 and crit = ref 1. in
@@ -101,7 +99,7 @@ let analyze (t : Descriptor.t) (region : Instr.block) : kernel_stats =
   let body = Option.value (find_threads_body region) ~default:region in
   let p = Visa.lower body in
   let ra = Regalloc.allocate ~budget:t.Descriptor.max_regs_per_thread p in
-  let ilp, mlp = parallelism region in
+  let ilp, mlp = parallelism p in
   {
     regs_per_thread = max min_regs_per_thread ra.Regalloc.regs_used;
     spilled = ra.Regalloc.spilled;

@@ -27,9 +27,10 @@ val pp_stats : kernel_stats Fmt.t
     the per-thread code that the register allocator models. *)
 val find_threads_body : Instr.block -> Instr.block option
 
-(** ILP and MLP estimates of the per-thread code: instructions (resp.
-    loads) divided by the depth of the longest dependency (resp.
-    load-to-address) chain in the linearized body. *)
-val parallelism : Instr.block -> float * float
+(** ILP and MLP estimates of the lowered per-thread code: instructions
+    (resp. loads) divided by the depth of the longest dependency (resp.
+    load-to-address) chain. [analyze] passes the program it lowered for
+    register allocation, which does not modify it. *)
+val parallelism : Visa.program -> float * float
 
 val analyze : Descriptor.t -> Instr.block -> kernel_stats

@@ -21,8 +21,6 @@ module Backend = Pgpu_target.Backend
 module Occupancy = Pgpu_target.Occupancy
 module Tracer = Pgpu_trace.Tracer
 module Json = Pgpu_trace.Json
-module Cache = Pgpu_cache.Cache
-module Codec = Pgpu_cache.Codec
 module Util = Pgpu_support.Util
 module Analysis = Pgpu_analysis
 
@@ -35,7 +33,8 @@ type decision =
   | Rejected_racy of string
       (** the static checker proved a shared-memory race or barrier
           divergence the coarsening would ship *)
-  | Rejected_duplicate of string  (** structurally equal to an already-kept alternative *)
+  | Rejected_duplicate of string
+      (** never produced; kept for the host benchmark's decision keys *)
 
 type candidate = {
   spec : Coarsen.spec;
@@ -58,53 +57,9 @@ let cleanup (region : Instr.block) =
   region |> Canonicalize.run_block |> Cse.run_block |> Licm.run_block |> Cse.run_block
   |> Dce.run_block |> Barrier_elim.run_block
 
-(* In-process memo tables, shared across [expand] calls so repeated
-   compiles of structurally identical kernels (benchmark sweeps, the
-   warm half of a cold/warm comparison) skip the cleanup pipeline and
-   the backend analysis. Only consulted when a cache is supplied;
-   keyed by the alpha-invariant structural hash with full structural
-   equality as the verifier, so hash collisions can never alias. *)
-let cleanup_memo : (Instr.block, Instr.block) Cache.Memo.t = Cache.Memo.create ()
-
-let analyze_memo : (string * Instr.block, Backend.kernel_stats) Cache.Memo.t =
-  Cache.Memo.create ()
-
-(** Combined (hits, misses) of the in-process compile memos, for
-    per-compile telemetry deltas. *)
-let memo_counters () =
-  ( Cache.Memo.hits cleanup_memo + Cache.Memo.hits analyze_memo,
-    Cache.Memo.misses cleanup_memo + Cache.Memo.misses analyze_memo )
-
-let cleanup_cached cache region =
-  if not (Cache.enabled cache) then cleanup region
-  else
-    let cleaned, hit =
-      Cache.Memo.find_or_add_hit cleanup_memo ~hash:(Instr.hash_block region)
-        ~equal:Instr.equal_block region (fun () -> cleanup region)
-    in
-    (* a memo hit hands back a region already owned by an earlier
-       caller: clone it so SSA ids stay unique across kernel instances *)
-    if hit then Clone.block cleaned else cleaned
-
-(** Backend analysis through both cache layers: the in-process memo
-    (keyed by the open hash — exact on free values) backed by the
-    persistent store (keyed by the closed hash, which is stable across
-    processes, joined with the target name). *)
-let analyze_cached (t : Descriptor.t) cache region =
-  if not (Cache.enabled cache) then Backend.analyze t region
-  else
-    Cache.Memo.find_or_add analyze_memo
-      ~hash:(Hashtbl.hash t.Descriptor.name lxor Instr.hash_block region)
-      ~equal:(fun (n1, r1) (n2, r2) -> String.equal n1 n2 && Instr.equal_block r1 r2)
-      (t.Descriptor.name, region)
-      (fun () ->
-        let key = Fmt.str "%x/%s" (Instr.hash_block ~closed:true region) t.Descriptor.name in
-        match Option.bind (Cache.find cache ~ns:"stats" key) Codec.kernel_stats_of_json with
-        | Some stats -> stats
-        | None ->
-            let stats = Backend.analyze t region in
-            Cache.add cache ~ns:"stats" key (Codec.json_of_kernel_stats stats);
-            stats)
+(** Always [(0, 0)]: expansion keeps no memo tables. Kept for the
+    host benchmark's [cache.memo.*] metrics until it next changes. *)
+let memo_counters () = (0, 0)
 
 (** Static block size of a kernel region if fully constant. *)
 let static_block_size ~const_of region =
@@ -148,16 +103,15 @@ let trace_candidate tracer (c : candidate) =
 (** Expand one kernel region into alternatives for the given coarsening
     specs. The first spec should be the identity so a baseline always
     survives. Returns the new region together with the pruning report.
-    With an enabled [cache], cleanup and backend analysis are memoized
-    by structural hash and candidates whose coarsened region is
-    structurally equal to an already-kept alternative are dropped; with
-    [jobs > 1], candidates are evaluated on a pool of domains. *)
-let expand (t : Descriptor.t) ?(tracer = Tracer.disabled) ?(cache = Cache.disabled)
-    ?(jobs = 1) ?(outer_const = fun _ -> None) ~(specs : Coarsen.spec list)
-    (region : Instr.block) : Instr.block * candidate list =
+    A spec that coarsens nothing (both resolved factors 1) reuses the
+    cleaned baseline and its statistics; with [jobs > 1], candidates are
+    evaluated on a pool of domains. *)
+let expand (t : Descriptor.t) ?(tracer = Tracer.disabled) ?(jobs = 1)
+    ?(outer_const = fun _ -> None) ~(specs : Coarsen.spec list) (region : Instr.block) :
+    Instr.block * candidate list =
   let with_outer local v = match local v with Some n -> Some n | None -> outer_const v in
-  let baseline = cleanup_cached cache region in
-  let baseline_stats = analyze_cached t cache baseline in
+  let baseline = cleanup region in
+  let baseline_stats = Backend.analyze t baseline in
   let eval_spec spec =
     let desc = Fmt.str "%a" Coarsen.pp_spec spec in
     let fresh = Clone.block region in
@@ -166,8 +120,14 @@ let expand (t : Descriptor.t) ?(tracer = Tracer.disabled) ?(cache = Cache.disabl
     match Coarsen.coarsen_region ~const_of spec fresh with
     | Error m -> ({ spec; desc; decision = Rejected_illegal m; stats = None }, None)
     | Ok coarsened -> (
-        let coarsened = cleanup_cached cache coarsened in
-        let stats = analyze_cached t cache coarsened in
+        (* coarsening hands its input back unchanged exactly when it
+           has nothing to do: that replica is the cleaned baseline *)
+        let coarsened, stats =
+          if coarsened == fresh then (baseline, baseline_stats)
+          else
+            let cleaned = cleanup coarsened in
+            (cleaned, Backend.analyze t cleaned)
+        in
         if stats.Backend.static_shmem > t.Descriptor.max_shmem_per_block then
           ( { spec; desc; decision = Rejected_shmem stats.Backend.static_shmem; stats = Some stats },
             None )
@@ -220,33 +180,24 @@ let expand (t : Descriptor.t) ?(tracer = Tracer.disabled) ?(cache = Cache.disabl
   let candidates =
     if jobs <= 1 then List.map eval_spec specs else Util.parallel_map ~jobs eval_spec specs
   in
-  (* with a cache, drop survivors that coarsen + clean up to a region
-     structurally equal to one already kept: the runtime would trial
-     identical code twice for nothing. Sequential and in spec order, so
-     the surviving set is deterministic regardless of [jobs]. *)
-  let candidates =
-    if not (Cache.enabled cache) then candidates
-    else
-      let seen : (int * Instr.block * string) list ref = ref [] in
-      List.map
-        (fun (c, r) ->
-          match r with
-          | None -> (c, r)
-          | Some region_k -> (
-              let h = Instr.hash_block region_k in
-              match
-                List.find_opt (fun (h', r', _) -> h' = h && Instr.equal_block r' region_k) !seen
-              with
-              | Some (_, _, twin) -> ({ c with decision = Rejected_duplicate twin }, None)
-              | None ->
-                  seen := (h, region_k, c.desc) :: !seen;
-                  (c, r)))
-        candidates
-  in
   let report = List.map fst candidates in
   List.iter (trace_candidate tracer) report;
+  (* a repeated identity spec keeps the baseline more than once: copy
+     it after the first so SSA ids stay unique across the alternatives *)
+  let baseline_kept = ref false in
   let kept =
-    List.filter_map (fun (c, r) -> Option.map (fun region -> (c.desc, region)) r) candidates
+    List.filter_map
+      (fun (c, r) ->
+        Option.map
+          (fun r ->
+            if r != baseline then (c.desc, r)
+            else if !baseline_kept then (c.desc, Clone.block r)
+            else begin
+              baseline_kept := true;
+              (c.desc, r)
+            end)
+          r)
+      candidates
   in
   match kept with
   | [] ->

@@ -20,8 +20,8 @@ type decision =
       (** the static checker proved a shared-memory race or barrier
           divergence in the coarsened replica *)
   | Rejected_duplicate of string
-      (** structurally equal (up to renaming) to the already-kept
-          alternative named by the payload *)
+      (** never produced: expansion prunes no duplicates. Kept only for
+          the host benchmark's decision keys until it next changes. *)
 
 type candidate = {
   spec : Coarsen.spec;
@@ -36,8 +36,8 @@ val pp_decision : decision Fmt.t
     (canonicalize, CSE, LICM, CSE, DCE, barrier elimination). *)
 val cleanup : Instr.block -> Instr.block
 
-(** Combined (hits, misses) of the process-wide compile memo tables
-    (cleanup + backend analysis), for per-compile telemetry deltas. *)
+(** Always [(0, 0)]: expansion keeps no memo tables. Kept only for the
+    host benchmark's [cache.memo.*] metrics until it next changes. *)
 val memo_counters : unit -> int * int
 
 (** Expand one kernel region into alternatives for the given specs.
@@ -45,20 +45,16 @@ val memo_counters : unit -> int * int
     block dimensions deduplicated into the host code by CSE). With a
     [tracer], one instant event is emitted per candidate carrying the
     spec, the decision (including the exact rejection reason) and the
-    backend statistics consulted. With an enabled [cache], the cleanup
-    pipeline and backend analysis are memoized by alpha-invariant
-    structural hash (backend statistics additionally persist in the
-    ["stats"] namespace of the cache, keyed by closed hash and target
-    name), and kept candidates structurally equal to an earlier one are
-    demoted to [Rejected_duplicate]. With [jobs > 1], candidates are
-    evaluated concurrently on that many domains; results are reported
-    in spec order either way. Returns the new region and the pruning
-    report; when at most one candidate survives, no [Alternatives] op
-    is introduced. *)
+    backend statistics consulted. Every candidate is cleaned up and
+    analyzed once, except one that coarsens nothing (both resolved
+    factors 1): it reuses the cleaned baseline and its statistics. With
+    [jobs > 1], candidates are evaluated concurrently on that many
+    domains; results are reported in spec order either way. Returns the
+    new region and the pruning report; when at most one candidate
+    survives, no [Alternatives] op is introduced. *)
 val expand :
   Descriptor.t ->
   ?tracer:Pgpu_trace.Tracer.t ->
-  ?cache:Pgpu_cache.Cache.t ->
   ?jobs:int ->
   ?outer_const:(Value.t -> int option) ->
   specs:Coarsen.spec list ->

@@ -22,8 +22,8 @@ type options = {
   verify : bool;  (** verify the module between stages *)
   tracer : Tracer.t;  (** pass/pruning telemetry sink; [Tracer.disabled] = off *)
   cache : Pgpu_cache.Cache.t;
-      (** content-addressed cache for expansion memoization and
-          persistent backend statistics; [Cache.disabled] = off *)
+      (** accepted and ignored: compilation consults no cache. Kept for
+          the host benchmark until it next changes. *)
   jobs : int;  (** domains for candidate expansion; 1 = sequential *)
 }
 
@@ -97,8 +97,8 @@ let expand_kernels options (m : Instr.modul) : Instr.modul * kernel_report list 
           ~args:[ ("kernel", Json.Str name); ("wid", Json.Int wid) ]
           ("alternatives:" ^ name);
         let body', candidates =
-          Alternatives.expand options.target ~tracer ~cache:options.cache ~jobs:options.jobs
-            ~outer_const ~specs:options.coarsen_specs body
+          Alternatives.expand options.target ~tracer ~jobs:options.jobs ~outer_const
+            ~specs:options.coarsen_specs body
         in
         let kept =
           List.length (List.filter (fun c -> c.Alternatives.decision = Alternatives.Kept) candidates)
@@ -124,9 +124,6 @@ let expand_kernels options (m : Instr.modul) : Instr.modul * kernel_report list 
     breaks the IR (with [verify = true]). *)
 let compile (options : options) (m : Instr.modul) : Instr.modul * report =
   let tracer = options.tracer in
-  let cache_on = Pgpu_cache.Cache.enabled options.cache in
-  let mh0, mm0 = if cache_on then Alternatives.memo_counters () else (0, 0) in
-  let sh0, sm0, _ = if cache_on then Pgpu_cache.Cache.ns_stats options.cache "stats" else (0, 0, 0) in
   Tracer.begin_span tracer ~cat:"compile"
     ~args:
       [
@@ -145,18 +142,6 @@ let compile (options : options) (m : Instr.modul) : Instr.modul * report =
       (m, reports)
     end
   in
-  (* per-compile cache telemetry: deltas of the process-wide memo
-     counters and the persistent stats namespace over this compile.
-     Gated on an enabled cache so default traces are unchanged. *)
-  if cache_on then begin
-    let mh1, mm1 = Alternatives.memo_counters () in
-    let sh1, sm1, _ = Pgpu_cache.Cache.ns_stats options.cache "stats" in
-    let hits = mh1 - mh0 + (sh1 - sh0) and misses = mm1 - mm0 + (sm1 - sm0) in
-    Log.debug (fun k -> k "compile cache: %d hit(s), %d miss(es)" hits misses);
-    Tracer.counter tracer "cache.compile.hits" (float_of_int hits);
-    Tracer.counter tracer "cache.compile.misses" (float_of_int misses);
-    Pgpu_cache.Cache.flush options.cache
-  end;
   Tracer.end_span tracer
     ~args:
       [

@@ -18,9 +18,8 @@ type options = {
   tracer : Pgpu_trace.Tracer.t;
       (** pass/pruning telemetry sink; [Tracer.disabled] (the default) = off *)
   cache : Pgpu_cache.Cache.t;
-      (** content-addressed cache: memoizes candidate cleanup/analysis,
-          persists backend statistics, deduplicates kept alternatives.
-          [Cache.disabled] (the default) = off *)
+      (** accepted and ignored: compilation consults no cache. Kept only
+          for the host benchmark until it next changes. *)
   jobs : int;
       (** domains for parallel candidate expansion; 1 (the default) =
           sequential *)

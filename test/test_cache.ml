@@ -1,13 +1,14 @@
 (** Tests for the content-addressed caching layer: alpha-invariant
     structural hashing (qcheck properties over the random-kernel
-    generator), the memo table and the persistent store, candidate
-    deduplication, parallel expansion determinism, and the warm-cache
-    TDO golden property — a warm autotune run makes the cold run's
-    choices with zero trial executions and bit-identical results. *)
+    generator), the memo table and the persistent store, expansion's
+    independence from any cache (same decisions, no region kept alive
+    after a compile), parallel expansion determinism, and the
+    warm-cache TDO golden property — a warm autotune run makes the cold
+    run's choices with zero trial executions and bit-identical
+    results. *)
 
 open Pgpu_ir
 module Cache = Pgpu_cache.Cache
-module Codec = Pgpu_cache.Codec
 module Json = Pgpu_trace.Json
 module Tracer = Pgpu_trace.Tracer
 module Pipeline = Pgpu_transforms.Pipeline
@@ -85,11 +86,10 @@ let test_memo () =
     incr calls;
     !calls * 10
   in
-  let v1, h1 = Cache.Memo.find_or_add_hit m ~hash:7 ~equal:Int.equal 1 compute in
-  let v2, h2 = Cache.Memo.find_or_add_hit m ~hash:7 ~equal:Int.equal 1 compute in
+  let v1 = Cache.Memo.find_or_add m ~hash:7 ~equal:Int.equal 1 compute in
+  let v2 = Cache.Memo.find_or_add m ~hash:7 ~equal:Int.equal 1 compute in
   Alcotest.(check int) "computed once" 1 !calls;
   Alcotest.(check int) "hit returns memoized value" v1 v2;
-  Alcotest.(check (pair bool bool)) "miss then hit" (false, true) (h1, h2);
   (* a colliding hash with a different key is not a hit *)
   let v3 = Cache.Memo.find_or_add m ~hash:7 ~equal:Int.equal 2 compute in
   Alcotest.(check int) "collision recomputes" 20 v3;
@@ -135,27 +135,6 @@ let test_store_corrupt () =
   let c2 = Cache.create ~dir () in
   Alcotest.(check bool) "store recovers" true (Cache.find c2 ~ns:"stats" "k" = Some (Json.Int 1))
 
-let test_codec_roundtrip () =
-  let s =
-    {
-      Pgpu_target.Backend.regs_per_thread = 42;
-      spilled = 3;
-      spill_instructions = 7;
-      static_shmem = 2048;
-      ilp = 1. /. 3.;
-      mlp = 0.1;
-      n_instructions = 123;
-    }
-  in
-  (* through the writer and parser, so float fields must survive the
-     textual representation bit-exactly *)
-  match Json.of_string (Json.to_string (Codec.json_of_kernel_stats s)) with
-  | Error e -> Alcotest.failf "stats json does not parse: %s" e
-  | Ok j -> (
-      match Codec.kernel_stats_of_json j with
-      | Some s' -> Alcotest.(check bool) "bit-exact stats roundtrip" true (s = s')
-      | None -> Alcotest.fail "stats json does not decode")
-
 (* ------------------------------------------------------------------ *)
 (* Atomic fresh ids across domains                                     *)
 (* ------------------------------------------------------------------ *)
@@ -172,31 +151,74 @@ let test_atomic_fresh () =
     (List.length (List.sort_uniq Int.compare all))
 
 (* ------------------------------------------------------------------ *)
-(* Candidate deduplication and parallel expansion                      *)
+(* Cache-independent and parallel expansion                            *)
 (* ------------------------------------------------------------------ *)
 
 let simple_kdesc =
   { RK.nblocks = 6; bs = 32; steps = [ RK.Load_global RK.Gid; RK.Arith 0 ] }
 
-let test_dedup () =
+(* expansion takes one path whatever the cache: a repeated identity
+   spec is kept again, with the same statistics and the same module *)
+let test_cache_independent () =
   let m = RK.build_module simple_kdesc in
-  let opts =
-    {
-      (Pipeline.default_options Descriptor.a100) with
-      Pipeline.coarsen_specs = Pipeline.specs_of_totals [ (1, 1); (1, 1); (2, 1) ];
-      cache = Cache.create ();
-    }
+  let compile cache =
+    Pipeline.compile
+      {
+        (Pipeline.default_options Descriptor.a100) with
+        Pipeline.coarsen_specs = Pipeline.specs_of_totals [ (1, 1); (1, 1); (2, 1) ];
+        cache;
+      }
+      m
   in
-  let _, report = Pipeline.compile opts m in
-  let decs =
+  let m_on, r_on = compile (Cache.create ()) in
+  let m_off, r_off = compile Cache.disabled in
+  let cands (r : Pipeline.report) = (List.hd r.Pipeline.kernels).Pipeline.candidates in
+  let decisions r =
     List.map
-      (fun (c : Alternatives.candidate) -> c.Alternatives.decision)
-      (List.hd report.Pipeline.kernels).Pipeline.candidates
+      (fun (c : Alternatives.candidate) ->
+        Fmt.str "%a" Alternatives.pp_decision c.Alternatives.decision)
+      (cands r)
   in
-  Alcotest.(check bool) "first identity spec kept" true (List.nth decs 0 = Alternatives.Kept);
-  match List.nth decs 1 with
-  | Alternatives.Rejected_duplicate _ -> ()
-  | other -> Alcotest.failf "expected duplicate, got %a" Alternatives.pp_decision other
+  Alcotest.(check (list string))
+    "three kept with a cache" [ "kept"; "kept"; "kept" ] (decisions r_on);
+  Alcotest.(check (list string)) "same decisions without" (decisions r_on) (decisions r_off);
+  let stats r = List.map (fun (c : Alternatives.candidate) -> c.Alternatives.stats) (cands r) in
+  Alcotest.(check bool) "same statistics" true (stats r_on = stats r_off);
+  Alcotest.(check bool) "structurally equal modules" true
+    (List.for_all2
+       (fun (f : Instr.func) (g : Instr.func) -> Instr.equal_block f.Instr.body g.Instr.body)
+       m_on.Instr.funcs m_off.Instr.funcs)
+
+(* a compile leaves nothing behind: once its result is dropped, no
+   region of its alternatives is reachable, cache or not *)
+let test_no_retention () =
+  let source =
+    In_channel.with_open_bin
+      (List.find Sys.file_exists [ "../examples/vecadd.cu"; "examples/vecadd.cu" ])
+      In_channel.input_all
+  in
+  let regions () =
+    let c =
+      P.compile ~cache:(Cache.create ()) ~target:Descriptor.a100
+        ~specs:(P.specs_of_totals [ (1, 1); (2, 1); (1, 2) ])
+        ~source ()
+    in
+    let found = ref [] in
+    List.iter
+      (fun (f : Instr.func) ->
+        Instr.iter_deep
+          (function Instr.Alternatives { regions; _ } -> found := regions @ !found | _ -> ())
+          f.Instr.body)
+      c.P.modul.Instr.funcs;
+    let w = Weak.create (List.length !found) in
+    List.iteri (fun k r -> Weak.set w k (Some r)) !found;
+    w
+  in
+  let w = regions () in
+  Alcotest.(check int) "three alternatives" 3 (Weak.length w);
+  Gc.full_major ();
+  let alive = List.length (List.filter (Weak.check w) (List.init (Weak.length w) Fun.id)) in
+  Alcotest.(check int) "regions alive after the compile" 0 alive
 
 let test_jobs_deterministic () =
   let compile jobs m =
@@ -204,7 +226,6 @@ let test_jobs_deterministic () =
       {
         (Pipeline.default_options Descriptor.a100) with
         Pipeline.coarsen_specs = Pipeline.specs_of_totals [ (1, 1); (2, 1); (1, 2); (4, 2) ];
-        cache = Cache.create ();
         jobs;
       }
     in
@@ -245,7 +266,7 @@ let test_warm_tdo_golden () =
   let pass () =
     let cache = Cache.create ~dir () in
     let tracer = Tracer.create () in
-    let c = P.compile ~specs ~cache ~target:Descriptor.a100 ~source:b.P.Bench_def.source () in
+    let c = P.compile ~specs ~target:Descriptor.a100 ~source:b.P.Bench_def.source () in
     let r = P.run ~tune:true ~cache ~tracer c ~args:b.P.Bench_def.args in
     (r, count_events "tdo:trial" tracer, count_events "tdo:choice" tracer)
   in
@@ -275,9 +296,9 @@ let suite =
         Alcotest.test_case "memo: find_or_add" `Quick test_memo;
         Alcotest.test_case "store: flush/reload roundtrip" `Quick test_store_roundtrip;
         Alcotest.test_case "store: corrupt file tolerated" `Quick test_store_corrupt;
-        Alcotest.test_case "codec: kernel_stats roundtrip" `Quick test_codec_roundtrip;
         Alcotest.test_case "atomic fresh ids across domains" `Quick test_atomic_fresh;
-        Alcotest.test_case "expansion dedups structurally equal candidates" `Quick test_dedup;
+        Alcotest.test_case "expansion is cache-independent" `Quick test_cache_independent;
+        Alcotest.test_case "a compile retains no region" `Quick test_no_retention;
         Alcotest.test_case "parallel expansion is deterministic" `Quick test_jobs_deterministic;
         Alcotest.test_case "warm TDO cache: golden replay" `Quick test_warm_tdo_golden;
       ] );

@@ -39,6 +39,32 @@ let test_vecadd_tail_guard () =
   let a = Pgpu_runtime.Runtime.rand_array 11 1 and b = Pgpu_runtime.Runtime.rand_array 22 1 in
   Kernels.check_floats ~tol:1e-9 "vecadd n=1" [ a.(0) +. b.(0) ] got
 
+(* an empty buffer's backing array holds one padding element: fills
+   must not reach it and reads must not return it *)
+let test_zero_length_buffers () =
+  List.iter
+    (fun elt ->
+      let b = Memory.alloc (Memory.allocator ()) Types.Global elt 0 in
+      Memory.fill_f b (fun k -> Alcotest.failf "fill_f wrote element %d" k);
+      Memory.fill_i b (fun k -> Alcotest.failf "fill_i wrote element %d" k);
+      Alcotest.(check (list (float 0.)))
+        (Types.to_string elt ^ " reads back empty")
+        [] (Memory.to_float_list b))
+    [ Types.F32; Types.I32 ]
+
+let test_vecadd_empty () =
+  let module P = Pgpu_core.Polygeist_gpu in
+  let source =
+    In_channel.with_open_bin
+      (List.find Sys.file_exists [ "../examples/vecadd.cu"; "examples/vecadd.cu" ])
+      In_channel.input_all
+  in
+  List.iter
+    (fun (target : Descriptor.t) ->
+      let r = P.run (P.compile ~target ~source ()) ~args:[ 0 ] in
+      Alcotest.(check (list (list (float 0.)))) target.Descriptor.name [ [] ] r.P.outputs)
+    [ Descriptor.a100; Descriptor.cpu ]
+
 let test_reduce_functional () =
   let m = Kernels.reduce_module () in
   Verify.check_exn m;
@@ -671,6 +697,8 @@ let suite =
       [
         !:"vecadd functional" `Quick test_vecadd_functional;
         !:"vecadd tail guard" `Quick test_vecadd_tail_guard;
+        !:"zero-length buffers" `Quick test_zero_length_buffers;
+        !:"vecadd with n = 0" `Quick test_vecadd_empty;
         !:"reduction with barriers" `Quick test_reduce_functional;
         !:"coalescing sectors" `Quick test_coalescing;
         !:"divergence counter" `Quick test_divergence_counter;

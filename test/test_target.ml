@@ -256,8 +256,8 @@ let test_backend_statistics () =
   Alcotest.(check int) "2 KiB" 2048 s2.Backend.static_shmem
 
 let test_parallelism_estimate () =
-  let ilp_chain, _ = Backend.parallelism (straightline_chain 30) in
-  let ilp_wide, _ = Backend.parallelism (wide_block 30) in
+  let ilp_chain, _ = Backend.parallelism (Visa.lower (straightline_chain 30)) in
+  let ilp_wide, _ = Backend.parallelism (Visa.lower (wide_block 30)) in
   Alcotest.(check bool)
     (Fmt.str "wide ILP (%.1f) > chain ILP (%.1f)" ilp_wide ilp_chain)
     true (ilp_wide > ilp_chain)
