@@ -1,9 +1,11 @@
 (** Benchmark harness: regenerates every table and figure of the
-    paper's evaluation on the simulated GPUs, plus bechamel
-    micro-benchmarks of the compiler itself.
+    paper's evaluation on the simulated GPUs, plus the host-side
+    harness checks (parallel and cold/warm runs) and the regression
+    gate.
 
     Usage: [main.exe [table1|fig13|fig14|fig15|table2|fig16|fig17|
-    hipify|cpu|vii-b|micro|ablation|cachebench|all ...]]; no arguments = all. *)
+    hipify|cpu|vii-b|parbench|ablation|cachebench|gate|all ...]]; no
+    arguments = all but [gate]. *)
 
 module E = Pgpu_core.Experiments
 module P = Pgpu_core.Polygeist_gpu
@@ -134,19 +136,12 @@ let cpu () =
 
 let parbench () =
   heading "Domain parallelism: worker-pool harness (--jobs N) vs sequential";
-  (* always the quick subset: wall-clock comparison like enginebench;
-     raises on any parallel/sequential divergence (bit-identity is the
-     smoke assertion — the speedup threshold is gated in CI) *)
-  write_metrics "parbench"
-    (E.json_of_par_bench (E.par_bench ~benches:(E.quick_benches ()) ~jobs ()))
-
-let enginebench () =
-  heading "Execution engines: compiled (slot-indexed closures) vs interp (tree-walker)";
   (* always the quick subset: the experiment compares host wall-clock,
      not simulated time, so it should stay cheap enough for CI; raises
-     on divergence or a compiled slowdown (the smoke assertion) *)
-  write_metrics "enginebench"
-    (E.json_of_engine_bench (E.engine_bench ~benches:(E.quick_benches ()) ()))
+     on any parallel/sequential divergence (bit-identity is the smoke
+     assertion — the speedup threshold is gated in CI) *)
+  write_metrics "parbench"
+    (E.json_of_par_bench (E.par_bench ~benches:(E.quick_benches ()) ~jobs ()))
 
 (* ------------------------------------------------------------------ *)
 (* Ablations: design choices called out in DESIGN.md                   *)
@@ -191,19 +186,15 @@ let ablation () =
 (* ------------------------------------------------------------------ *)
 
 let cachebench () =
-  heading "Content-addressed cache: cold vs warm compile + autotune";
-  Fmt.pr "%-12s %14s %14s %9s %14s %14s %9s %7s@." "bench" "cold compile" "warm compile"
-    "speedup" "cold run" "warm run" "speedup" "same?";
+  heading "TDO cache: cold vs warm autotune";
+  Fmt.pr "%-12s %14s %14s %9s %7s@." "bench" "cold run" "warm run" "speedup" "same?";
   let rows =
     List.map
       (fun (b : P.Bench_def.t) ->
         let r = P.cache_bench ~specs:E.composite_specs ~target:Descriptor.a100 b in
-        let spd cold warm = cold /. Float.max warm 1e-9 in
-        Fmt.pr "%-12s %12.2f ms %12.2f ms %8.1fx %12.2f ms %12.2f ms %8.1fx %7s@." r.P.bench
-          (r.P.cold_compile_s *. 1e3) (r.P.warm_compile_s *. 1e3)
-          (spd r.P.cold_compile_s r.P.warm_compile_s)
-          (r.P.cold_run_s *. 1e3) (r.P.warm_run_s *. 1e3)
-          (spd r.P.cold_run_s r.P.warm_run_s)
+        Fmt.pr "%-12s %12.2f ms %12.2f ms %8.1fx %7s@." r.P.bench (r.P.cold_run_s *. 1e3)
+          (r.P.warm_run_s *. 1e3)
+          (r.P.cold_run_s /. Float.max r.P.warm_run_s 1e-9)
           (if r.P.same_choices && r.P.same_outputs && r.P.same_composite then "yes"
            else
              Fmt.str "NO(c=%b,o=%b,t=%b)" r.P.same_choices r.P.same_outputs r.P.same_composite);
@@ -255,78 +246,6 @@ let gate () =
             if gate_enabled then gate_failed := true
           end)
 
-(* ------------------------------------------------------------------ *)
-(* Bechamel micro-benchmarks of the compiler                           *)
-(* ------------------------------------------------------------------ *)
-
-let micro () =
-  heading "Compiler micro-benchmarks (bechamel)";
-  let open Bechamel in
-  let lud_src = (P.Rodinia.find "lud").P.Bench_def.source in
-  let parsed = P.Frontend.compile_string lud_src in
-  let wrapper_region =
-    let region = ref None in
-    List.iter
-      (fun (f : Pgpu_ir.Instr.func) ->
-        Pgpu_ir.Instr.iter_deep
-          (fun i ->
-            match i with
-            | Pgpu_ir.Instr.Gpu_wrapper { name = "lud_internal"; body; _ } ->
-                if !region = None then region := Some body
-            | _ -> ())
-          f.Pgpu_ir.Instr.body)
-      parsed.Pgpu_ir.Instr.funcs;
-    Option.get !region
-  in
-  let tests =
-    [
-      Test.make ~name:"frontend: parse+lower lud"
-        (Staged.stage (fun () -> ignore (P.Frontend.compile_string lud_src)));
-      Test.make ~name:"coarsen: block x4 thread x2 (lud_internal)"
-        (Staged.stage (fun () ->
-             let region = Pgpu_ir.Clone.block wrapper_region in
-             let const_of = Pgpu_transforms.Coarsen.const_env [ region ] in
-             let spec =
-               Pgpu_transforms.Coarsen.spec
-                 ~block:(Pgpu_transforms.Coarsen.Total 4)
-                 ~thread:(Pgpu_transforms.Coarsen.Total 2) ()
-             in
-             ignore (Pgpu_transforms.Coarsen.coarsen_region ~const_of spec region)));
-      Test.make ~name:"scalar pipeline (lud module)"
-        (Staged.stage (fun () -> ignore (Pgpu_transforms.Pipeline.scalar_pipeline parsed)));
-      Test.make ~name:"backend: regalloc + stats (lud_internal)"
-        (Staged.stage (fun () -> ignore (Pgpu_target.Backend.analyze Descriptor.a100 wrapper_region)));
-      Test.make ~name:"occupancy (A100)"
-        (Staged.stage (fun () ->
-             ignore
-               (Pgpu_target.Occupancy.compute Descriptor.a100
-                  {
-                    Pgpu_target.Occupancy.threads_per_block = 256;
-                    regs_per_thread = 32;
-                    shmem_per_block = 2048;
-                  })));
-    ]
-  in
-  let benchmark test =
-    let ols = Analyze.ols ~bootstrap:0 ~r_square:true ~predictors:[| Measure.run |] in
-    let instances = Toolkit.Instance.[ monotonic_clock ] in
-    let cfg = Benchmark.cfg ~limit:2000 ~quota:(Time.second 0.5) ~kde:(Some 1000) () in
-    let raw = Benchmark.all cfg instances test in
-    Analyze.all ols Toolkit.Instance.monotonic_clock raw
-  in
-  let results = benchmark (Test.make_grouped ~name:"pgpu" ~fmt:"%s %s" tests) in
-  let rows = ref [] in
-  Hashtbl.iter
-    (fun name result ->
-      match Analyze.OLS.estimates result with
-      | Some [ t ] -> rows := (name, t) :: !rows
-      | _ -> ())
-    results;
-  List.iter
-    (fun (name, t) -> Fmt.pr "%-50s %12.1f ns/run@." name t)
-    (List.sort compare !rows);
-  Fmt.pr "@."
-
 let all () =
   table1 ();
   fig13 ();
@@ -337,11 +256,9 @@ let all () =
   fig17 ();
   hipify ();
   cpu ();
-  enginebench ();
   parbench ();
   ablation ();
-  cachebench ();
-  micro ()
+  cachebench ()
 
 let () =
   Fmt.pr "Polygeist-GPU reproduction: evaluation harness (simulated GPUs)@.";
@@ -358,12 +275,10 @@ let () =
       ("fig17", fig17);
       ("hipify", hipify);
       ("cpu", cpu);
-      ("enginebench", enginebench);
       ("parbench", parbench);
       ("ablation", ablation);
       ("cachebench", cachebench);
       ("gate", gate);
-      ("micro", micro);
       ("all", all);
     ]
   in

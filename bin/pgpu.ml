@@ -165,18 +165,24 @@ let jobs_arg =
            so their events come out in order; launches still shard. Trials never \
            race-check.")
 
-let engine_arg =
-  Arg.(
-    value
-    & opt (enum (List.map (fun e -> (P.Engine.to_string e, e)) P.Engine.all)) P.Engine.default
-    & info [ "engine" ] ~docv:"ENGINE"
-        ~doc:
-          "Kernel execution engine: $(b,compiled) (slot-indexed closure kernels, the \
-           default) or $(b,interp) (the tree-walking reference interpreter). The two are \
-           bit-identical in outputs, counters and TDO choices; compiled is several times \
-           faster in host wall-clock.")
-
 let make_cache no_cache dir = if no_cache then P.Cache.disabled else P.Cache.create ?dir ()
+
+(** Run [f], reporting a failure of the simulated program — a host
+    error such as a negative allocation, or a device error — as such
+    with exit 123, not as an internal error. *)
+let runtime_errors f =
+  try f () with
+  | P.Runtime.Host_error m ->
+      Fmt.epr "pgpu: host error: %s@." m;
+      Cmd.Exit.some_error
+  | P.Exec.Device_error m ->
+      Fmt.epr "pgpu: device error: %s@." m;
+      Cmd.Exit.some_error
+
+(** The exit codes of the commands that run a program. *)
+let run_exits =
+  Cmd.Exit.info Cmd.Exit.some_error ~doc:"on a host or device error while the program runs."
+  :: List.filter (fun i -> Cmd.Exit.info_code i <> Cmd.Exit.some_error) Cmd.Exit.defaults
 
 (** Run [k] when [args] match the parameters of [m]'s [main]; a
     mismatch is a usage error (exit 124), reported before anything
@@ -305,7 +311,7 @@ let print_run_summary (r : P.run_result) =
 
 let run_cmd =
   let run () file target no_opt coarsen tune choice args trace metrics cache_dir no_cache
-      cache_stats jobs engine obs_dir =
+      cache_stats jobs obs_dir =
     with_tracer trace metrics @@ fun tracer ->
     let cache = make_cache no_cache cache_dir in
     let t0 = Unix.gettimeofday () in
@@ -314,7 +320,8 @@ let run_cmd =
         ~source:(read_file file) ()
     in
     with_main_args c.P.modul args @@ fun () ->
-    let r = P.run ~tune ~fixed_choice:choice ~jobs ~tracer ~cache ~engine c ~args in
+    runtime_errors @@ fun () ->
+    let r = P.run ~tune ~fixed_choice:choice ~jobs ~tracer ~cache c ~args in
     let host_seconds = Unix.gettimeofday () -. t0 in
     write_cache_stats cache cache_stats;
     print_run_summary r;
@@ -324,12 +331,13 @@ let run_cmd =
     0
   in
   Cmd.v
-    (Cmd.info "run" ~doc:"Compile and execute a mini-CUDA file on a simulated GPU or CPU.")
+    (Cmd.info "run" ~exits:run_exits
+       ~doc:"Compile and execute a mini-CUDA file on a simulated GPU or CPU.")
     Term.(
       ret
         (const run $ setup_logs_t $ file_arg $ target_arg $ no_opt_arg $ coarsen_arg $ tune_arg
        $ choice_arg $ args_arg $ trace_arg $ metrics_arg $ cache_dir_arg $ no_cache_arg
-       $ cache_stats_arg $ jobs_arg $ engine_arg $ obs_dir_arg))
+       $ cache_stats_arg $ jobs_arg $ obs_dir_arg))
 
 (* --- bench --- *)
 
@@ -352,18 +360,20 @@ let bench_cmd =
       & info [ "cold-warm" ]
           ~doc:
             "Compile and autotune the benchmark twice against the same cache (a cold pass \
-             populating it, then a warm pass) and report compile/search-time speedups plus \
-             choice/output identity as JSON.")
+             populating it, then a warm pass) and report the search-time speedup, the TDO \
+             cache hits and misses, and choice/output identity as JSON.")
   in
   let run () (b : P.Bench_def.t) target no_opt coarsen tune verify perf args trace metrics
-      cache_dir no_cache cache_stats jobs engine cold_warm obs_dir =
+      cache_dir no_cache cache_stats jobs cold_warm obs_dir =
     with_tracer trace metrics @@ fun tracer ->
     let name = b.P.Bench_def.name in
     if cold_warm then begin
       let specs = if coarsen = [] then None else Some (specs_of coarsen) in
-      let r = P.cache_bench ?specs ?dir:cache_dir ~target b in
-      Fmt.pr "%s@." (P.Trace.Json.to_string_pretty (P.cache_bench_json r));
-      `Ok 0
+      `Ok
+        (runtime_errors @@ fun () ->
+         let r = P.cache_bench ?specs ?dir:cache_dir ~target b in
+         Fmt.pr "%s@." (P.Trace.Json.to_string_pretty (P.cache_bench_json r));
+         0)
     end
     else begin
       let cache = make_cache no_cache cache_dir in
@@ -373,11 +383,12 @@ let bench_cmd =
         else with_main_args (P.Frontend.compile_string b.P.Bench_def.source) args
       in
       fits @@ fun () ->
+      runtime_errors @@ fun () ->
       let args = if args = [] then None else Some args in
       let t0 = Unix.gettimeofday () in
       let r =
         P.run_rodinia ~verify ~optimize:(not no_opt) ~specs:(specs_of coarsen) ~tune ~perf
-          ~tracer ~cache ~jobs ~engine ~target ?args b
+          ~tracer ~cache ~jobs ~target ?args b
       in
       let host_seconds = Unix.gettimeofday () -. t0 in
       write_cache_stats cache cache_stats;
@@ -389,12 +400,12 @@ let bench_cmd =
     end
   in
   Cmd.v
-    (Cmd.info "bench" ~doc:"Run a bundled Rodinia benchmark.")
+    (Cmd.info "bench" ~exits:run_exits ~doc:"Run a bundled Rodinia benchmark.")
     Term.(
       ret
         (const run $ setup_logs_t $ name_arg $ target_arg $ no_opt_arg $ coarsen_arg $ tune_arg
        $ verify_arg $ perf_arg $ args_arg $ trace_arg $ metrics_arg $ cache_dir_arg
-       $ no_cache_arg $ cache_stats_arg $ jobs_arg $ engine_arg $ cold_warm_arg $ obs_dir_arg))
+       $ no_cache_arg $ cache_stats_arg $ jobs_arg $ cold_warm_arg $ obs_dir_arg))
 
 (* --- profile --- *)
 
@@ -402,14 +413,15 @@ let profile_cmd =
   let json_arg =
     Arg.(value & flag & info [ "json" ] ~doc:"Emit the report as JSON instead of text.")
   in
-  let run () file target no_opt coarsen tune choice args trace metrics engine as_json =
+  let run () file target no_opt coarsen tune choice args trace metrics as_json =
     with_tracer trace metrics @@ fun tracer ->
     let c =
       P.compile ~optimize:(not no_opt) ~specs:(specs_of coarsen) ~tracer ~target
         ~source:(read_file file) ()
     in
     with_main_args c.P.modul args @@ fun () ->
-    let r = P.run ~tune ~fixed_choice:choice ~tracer ~engine c ~args in
+    runtime_errors @@ fun () ->
+    let r = P.run ~tune ~fixed_choice:choice ~tracer c ~args in
     let report = P.Profile.of_run ~composite_seconds:r.P.composite_seconds r.P.records in
     if as_json then
       Fmt.pr "%s@." (P.Trace.Json.to_string_pretty (P.Profile.json_of_report report))
@@ -417,7 +429,7 @@ let profile_cmd =
     0
   in
   Cmd.v
-    (Cmd.info "profile"
+    (Cmd.info "profile" ~exits:run_exits
        ~doc:
          "Compile, run and print an Nsight-Compute-style per-kernel report (the Table II \
           metric set: duration, occupancy, LSU/FMA utilization, cache and shared-memory \
@@ -425,7 +437,7 @@ let profile_cmd =
     Term.(
       ret
         (const run $ setup_logs_t $ file_arg $ target_arg $ no_opt_arg $ coarsen_arg $ tune_arg
-       $ choice_arg $ args_arg $ trace_arg $ metrics_arg $ engine_arg $ json_arg))
+       $ choice_arg $ args_arg $ trace_arg $ metrics_arg $ json_arg))
 
 (* --- check --- *)
 
@@ -469,15 +481,14 @@ let check_cmd =
       & opt (some string) None
       & info [ "json" ] ~docv:"FILE" ~doc:"Also write the report as JSON to $(docv).")
   in
-  let run () (source, bench_def) target no_opt coarsen dynamic args engine json =
+  let run () (source, bench_def) target no_opt coarsen dynamic args json =
     let c = P.compile ~optimize:(not no_opt) ~specs:(specs_of coarsen) ~target ~source () in
     (* static diagnostics over everything the compile shipped (the
        baseline and every kept alternative). CPU targets analyze the
        barrier-fissioned form of each kernel — the code that actually
        executes — so barrier diagnostics eliminated by fission are not
        reported; kernels fission refuses keep their original bodies
-       (and diagnostics) and are flagged, since they fall back to the
-       lockstep interpreter. *)
+       (and diagnostics) and are flagged, since they run unfissioned. *)
     let static_diags =
       if target.Descriptor.kind = Descriptor.Cpu then begin
         let lowered, outcomes = P.cpu_lower_modul c.P.modul in
@@ -533,7 +544,7 @@ let check_cmd =
           | args, _ -> args
         in
         try
-          ignore (P.run ~racecheck:rc ~engine c ~args);
+          ignore (P.run ~racecheck:rc c ~args);
           P.Check.diagnostics_of_racecheck rc
         with
         | P.Exec.Device_error m ->
@@ -574,7 +585,7 @@ let check_cmd =
           coarsened alternative), with an optional simulator-backed dynamic race detector.")
     Term.(
       const run $ setup_logs_t $ source_t $ target_arg $ no_opt_arg $ coarsen_arg $ dynamic_arg
-      $ args_arg $ engine_arg $ json_arg)
+      $ args_arg $ json_arg)
 
 (* --- hipify --- *)
 

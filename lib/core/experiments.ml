@@ -668,112 +668,6 @@ let quick_benches () =
   List.filter (fun (b : Bench_def.t) -> List.mem b.Bench_def.name quick_names) Rodinia.all
 
 (* ------------------------------------------------------------------ *)
-(* Execution-engine benchmark: interp vs compiled                      *)
-(* ------------------------------------------------------------------ *)
-
-type engine_entry = {
-  eng_bench : string;
-  eng_target : string;
-  interp_seconds : float;  (** host wall-clock of the tree-walking runs *)
-  compiled_seconds : float;  (** host wall-clock of the slot-indexed runs *)
-  engine_speedup : float;  (** interp / compiled *)
-  identical : bool;
-      (** outputs bitwise equal, composite time bitwise equal, and the
-          same TDO alternative chosen at every launch site *)
-}
-
-(** Wall-clock the two execution engines over the same compiled
-    module: [repeats] full functional runs each, untuned, summed so
-    short benches still measure above timer noise. The compile is
-    hoisted out of the timed region — both engines share it — so the
-    ratio isolates kernel-execution speed. *)
-let engine_bench_data ?(benches = quick_benches ()) ?(target = Descriptor.a100) ?(repeats = 3)
-    () : engine_entry list =
-  List.map
-    (fun (b : Bench_def.t) ->
-      let c = compile ~target ~source:b.Bench_def.source () in
-      let args = b.Bench_def.args in
-      let time engine =
-        let t0 = Unix.gettimeofday () in
-        let r = ref (run ~engine c ~args) in
-        for _ = 2 to max 1 repeats do
-          r := run ~engine c ~args
-        done;
-        (Unix.gettimeofday () -. t0, !r)
-      in
-      let ti, ri = time Engine.Interp in
-      let tc, rc = time Engine.Compiled in
-      let bits (r : run_result) = List.map (List.map Int64.bits_of_float) r.outputs in
-      let choices (r : run_result) =
-        List.rev_map
-          (fun (l : Runtime.launch_record) -> (l.Runtime.kernel, l.Runtime.alternative))
-          r.records
-      in
-      {
-        eng_bench = b.Bench_def.name;
-        eng_target = target.Descriptor.name;
-        interp_seconds = ti;
-        compiled_seconds = tc;
-        engine_speedup = ti /. Float.max tc 1e-9;
-        identical =
-          bits ri = bits rc
-          && Float.equal ri.composite_seconds rc.composite_seconds
-          && choices ri = choices rc;
-      })
-    benches
-
-(** Print the engine comparison and return the per-bench data plus the
-    geomean speedup. Raises [Failure] when any bench diverges between
-    the engines or when compiled is slower overall — the bench
-    harness's smoke assertion. *)
-let engine_bench ?benches ?target ?repeats () : engine_entry list * float =
-  fpr "== Execution engines: slot-indexed compiled kernels vs the tree-walker ==@.";
-  let data = engine_bench_data ?benches ?target ?repeats () in
-  let rows =
-    List.map
-      (fun e ->
-        [
-          e.eng_bench;
-          Fmt.str "%.2f" (e.interp_seconds *. 1e3);
-          Fmt.str "%.2f" (e.compiled_seconds *. 1e3);
-          Fmt.str "%.2f" e.engine_speedup;
-          (if e.identical then "yes" else "NO");
-        ])
-      data
-  in
-  print_table [ "benchmark"; "interp (ms)"; "compiled (ms)"; "speedup"; "bit-identical" ] rows;
-  let geo = Stats.geomean (List.map (fun e -> e.engine_speedup) data) in
-  fpr "geomean speedup: %.2fx@.@." geo;
-  let diverged = List.filter (fun e -> not e.identical) data in
-  if diverged <> [] then
-    Pgpu_support.Util.failf "engine divergence on: %s"
-      (String.concat ", " (List.map (fun e -> e.eng_bench) diverged));
-  if geo < 1. then
-    Pgpu_support.Util.failf "compiled engine slower than interp (geomean %.2fx)" geo;
-  (data, geo)
-
-let json_of_engine_bench ((data : engine_entry list), geomean) : Json.t =
-  Json.Obj
-    [
-      ("geomean_speedup", Json.Float geomean);
-      ( "benchmarks",
-        Json.List
-          (List.map
-             (fun e ->
-               Json.Obj
-                 [
-                   ("benchmark", Json.Str e.eng_bench);
-                   ("target", Json.Str e.eng_target);
-                   ("interp_seconds", Json.Float e.interp_seconds);
-                   ("compiled_seconds", Json.Float e.compiled_seconds);
-                   ("speedup", Json.Float e.engine_speedup);
-                   ("bit_identical", Json.Bool e.identical);
-                 ])
-             data) );
-    ]
-
-
-(* ------------------------------------------------------------------ *)
 (* Domain-parallel benchmark: worker-pool harness vs sequential        *)
 (* ------------------------------------------------------------------ *)
 

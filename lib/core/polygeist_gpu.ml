@@ -25,7 +25,6 @@ module Alternatives = Pgpu_transforms.Alternatives
 module Frontend = Pgpu_frontend.Frontend
 module Runtime = Pgpu_runtime.Runtime
 module Exec = Pgpu_gpusim.Exec
-module Engine = Pgpu_gpusim.Engine
 module Counters = Pgpu_gpusim.Counters
 module Timing = Pgpu_gpusim.Timing
 module Hipify = Pgpu_retarget.Hipify
@@ -61,7 +60,8 @@ type compiled = {
     backend will at launch time. Returns the lowered module and the
     per-kernel outcome: [Ok stats] when fission succeeded (the wrapper
     body was replaced), [Error reason] when it was refused (the
-    wrapper is kept as-is and executes via the lockstep interpreter).
+    wrapper is kept as-is and runs unfissioned, each block in lockstep
+    on its core).
     Static checking a CPU run against the lowered module keeps
     barrier diagnostics scoped to the code that actually executes. *)
 let cpu_lower_modul (m : Pgpu_ir.Instr.modul) :
@@ -147,7 +147,7 @@ type run_result = {
     @param jobs host domains for the CPU backend's block execution *)
 let run ?(tune = false) ?(fixed_choice = 0) ?(functional = true) ?(sample_blocks = 24)
     ?(jobs = 1) ?(tracer = Tracer.disabled) ?(cache = Cache.disabled) ?racecheck
-    ?(engine = Engine.default) (c : compiled) ~(args : int list) : run_result =
+    (c : compiled) ~(args : int list) : run_result =
   let config =
     {
       (Runtime.default_config c.target) with
@@ -159,7 +159,6 @@ let run ?(tune = false) ?(fixed_choice = 0) ?(functional = true) ?(sample_blocks
       tracer;
       cache;
       racecheck;
-      engine;
     }
   in
   let results, st = Runtime.run config c.modul (List.map (fun n -> Exec.UI n) args) in
@@ -190,7 +189,7 @@ let kernel_names (r : run_result) =
     depends on computed data. *)
 let run_rodinia ?(verify = false) ?(optimize = true) ?(specs = []) ?(tune = specs <> [])
     ?(perf = false) ?(tracer = Tracer.disabled) ?(cache = Cache.disabled) ?(jobs = 1)
-    ?(engine = Engine.default) ~(target : Descriptor.t) ?args (b : Bench_def.t) : run_result =
+    ~(target : Descriptor.t) ?args (b : Bench_def.t) : run_result =
   let args =
     Option.value args ~default:(if perf then b.Bench_def.perf_args else b.Bench_def.args)
   in
@@ -199,7 +198,7 @@ let run_rodinia ?(verify = false) ?(optimize = true) ?(specs = []) ?(tune = spec
   (* evaluation-scale runs sample fewer blocks per launch: the grids
      are uniform enough that 12 representative blocks extrapolate *)
   let sample_blocks = if perf then 12 else 24 in
-  let r = run ~tune ~functional ~sample_blocks ~jobs ~tracer ~cache ~engine c ~args in
+  let r = run ~tune ~functional ~sample_blocks ~jobs ~tracer ~cache c ~args in
   if verify then begin
     let expected = b.Bench_def.reference args in
     let got = List.hd r.outputs in
@@ -219,8 +218,6 @@ let run_rodinia ?(verify = false) ?(optimize = true) ?(specs = []) ?(tune = spec
 
 type cache_bench_result = {
   bench : string;
-  cold_compile_s : float;  (** wall-clock of the cold compile *)
-  warm_compile_s : float;
   cold_run_s : float;  (** wall-clock of the cold tuned run (incl. TDO trials) *)
   warm_run_s : float;
   cold_tdo_misses : int;  (** launch-signature sites trialed cold *)
@@ -233,25 +230,23 @@ type cache_bench_result = {
 
 (** Compile and autotune [b] twice against the same cache: a cold pass
     populating it, then a warm pass that must make identical choices
-    with identical outputs while skipping the TDO trials. Compilation
-    consults no cache, so the compile times differ only by warm-up.
-    Wall-clock is measured with [Sys.time] (cpu seconds). With [dir],
-    the cache also persists to disk across processes. *)
+    with identical outputs while skipping the TDO trials. The tuned
+    runs are timed with [Sys.time] (cpu seconds); compilation consults
+    no cache, so it is not timed. With [dir], the cache also persists
+    to disk across processes. *)
 let cache_bench ?(specs = specs_of_totals [ (1, 1); (4, 1); (1, 4); (2, 2) ]) ?dir
     ~(target : Descriptor.t) (b : Bench_def.t) : cache_bench_result =
   let cache = Cache.create ?dir () in
   let pass () =
-    let t0 = Sys.time () in
     let c = compile ~specs ~target ~source:b.Bench_def.source () in
-    let t1 = Sys.time () in
+    let t0 = Sys.time () in
     let r = run ~tune:true ~cache c ~args:b.Bench_def.args in
-    let t2 = Sys.time () in
-    (r, t1 -. t0, t2 -. t1)
+    (r, Sys.time () -. t0)
   in
   let _, m0, _ = Cache.ns_stats cache "tdo" in
-  let r_cold, cc, rc = pass () in
+  let r_cold, rc = pass () in
   let h1, m1, _ = Cache.ns_stats cache "tdo" in
-  let r_warm, cw, rw = pass () in
+  let r_warm, rw = pass () in
   let h2, m2, _ = Cache.ns_stats cache "tdo" in
   (* compare launches by kernel name, not wid: wrapper ids are
      renumbered by the warm re-compile *)
@@ -260,8 +255,6 @@ let cache_bench ?(specs = specs_of_totals [ (1, 1); (4, 1); (1, 4); (2, 2) ]) ?d
   in
   {
     bench = b.Bench_def.name;
-    cold_compile_s = cc;
-    warm_compile_s = cw;
     cold_run_s = rc;
     warm_run_s = rw;
     cold_tdo_misses = m1 - m0;
@@ -274,16 +267,12 @@ let cache_bench ?(specs = specs_of_totals [ (1, 1); (4, 1); (1, 4); (2, 2) ]) ?d
 
 let cache_bench_json (r : cache_bench_result) =
   let module Json = Pgpu_trace.Json in
-  let speedup cold warm = cold /. Float.max warm 1e-9 in
   Json.Obj
     [
       ("bench", Json.Str r.bench);
-      ("cold_compile_s", Json.Float r.cold_compile_s);
-      ("warm_compile_s", Json.Float r.warm_compile_s);
-      ("compile_speedup", Json.Float (speedup r.cold_compile_s r.warm_compile_s));
       ("cold_run_s", Json.Float r.cold_run_s);
       ("warm_run_s", Json.Float r.warm_run_s);
-      ("search_speedup", Json.Float (speedup r.cold_run_s r.warm_run_s));
+      ("search_speedup", Json.Float (r.cold_run_s /. Float.max r.warm_run_s 1e-9));
       ("cold_tdo_misses", Json.Int r.cold_tdo_misses);
       ("warm_tdo_hits", Json.Int r.warm_tdo_hits);
       ("warm_tdo_misses", Json.Int r.warm_tdo_misses);

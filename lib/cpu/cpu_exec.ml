@@ -1,13 +1,12 @@
 (** Domain-parallel CPU execution of retargeted kernels.
 
     A kernel region lowered by barrier fission contains only
-    barrier-free thread-level parallels, so each block can be
-    interpreted by one simulated core with no cross-thread
-    synchronization. The block grid is statically chunked across the
-    target's cores (one contiguous chunk per core), and the chunks are
-    interpreted concurrently on OCaml domains ([Util.parallel_map
-    ~jobs] bounds host parallelism; the simulated core count bounds
-    the chunking).
+    barrier-free thread-level parallels, so each block can be run by
+    one simulated core with no cross-thread synchronization. The block
+    grid is statically chunked across the target's cores (one
+    contiguous chunk per core), and the chunks run concurrently on
+    OCaml domains ([Util.parallel_map ~jobs] bounds host parallelism;
+    the simulated core count bounds the chunking).
 
     Each simulated core owns its performance state — an event-counter
     record, a private L1 and a slice of the shared last-level cache,
@@ -18,11 +17,11 @@
     Counters are merged in core order after the join, keeping results
     deterministic regardless of domain scheduling.
 
-    The per-block interpretation reuses the gpusim engines with
-    [warp_size = 1]: after fission every epoch is barrier-free, so
-    executing its threads as one lockstep group is observably
-    identical to a sequential per-thread loop. At that width the
-    memory-request model ({!Exec.requests}) takes its one-lane arm:
+    Each block runs through the compiled engine with [warp_size = 1]:
+    after fission every epoch is barrier-free, so executing its
+    threads as one lockstep group is observably identical to a
+    sequential per-thread loop. At that width the memory-request model
+    ({!Exec.requests}) takes its one-lane arm:
     every element access is one request of one 32 B sector through
     the core's L1 and L2 slice (or one shared transaction) — the
     per-element traffic a compiled CPU loop nest would issue — with
@@ -115,15 +114,13 @@ type launch_result = {
     [env] must bind every free value of the kernel region. The blocks
     to execute and the extrapolation of their counters come from the
     grid loop ({!Exec.sampled_blocks}, {!Exec.extrapolate}); each
-    core runs its contiguous chunk through a per-block runner — the
-    slot-indexed closure kernel when [compiled] is given, else the
-    tree-walker, which binds into a per-core copy of [env] so per-core
-    block indices never race. [jobs] bounds concurrent OCaml domains
-    (the simulated core count bounds the work split). Raises
-    [Exec.Device_error] on the same malformed-IR conditions as the
-    lockstep interpreter. *)
-let launch (target : Descriptor.t) ?(compiled : Compile.t option) ~(jobs : int)
-    ~(mode : Exec.mode) ~(env : Exec.env) (p : Instr.instr) : launch_result =
+    core runs its contiguous chunk through [runner], readied on that
+    core's machine. [jobs] bounds concurrent OCaml domains (the
+    simulated core count bounds the work split). Raises
+    [Exec.Device_error] on the same malformed-IR conditions as
+    {!Exec.run_grid}. *)
+let launch (target : Descriptor.t) ~(jobs : int) ~(mode : Exec.mode) ~(env : Exec.env)
+    (p : Instr.instr) (runner : Exec.runner) : launch_result =
   match p with
   | Instr.Parallel { level = Instr.Blocks; ubs; body; _ } ->
       let dims = List.map (fun u -> Exec.ui_of (Exec.lookup env u)) ubs in
@@ -137,9 +134,6 @@ let launch (target : Descriptor.t) ?(compiled : Compile.t option) ~(jobs : int)
          blocks, mirroring an OpenMP static schedule *)
       let chunk = Pgpu_support.Util.ceil_div executed ncores in
       let work = List.filter (fun c -> c * chunk < executed) (List.init ncores Fun.id) in
-      let runner =
-        match compiled with Some ck -> Compile.runner ck ~env | None -> Exec.block_runner ~env p
-      in
       let run_core c =
         let m = core_machine target in
         m.Exec.counters.Counters.launches <- 0.;

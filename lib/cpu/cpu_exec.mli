@@ -1,7 +1,7 @@
 (** Domain-parallel CPU execution of fission-lowered kernel regions.
     Blocks are statically chunked across the target's simulated cores
     (each with private counters, L1, an L2 slice, and a scratch
-    allocator) and interpreted concurrently on OCaml domains; counters
+    allocator) and run concurrently on OCaml domains; counters
     merge in core order, so results are deterministic. *)
 
 open Pgpu_ir
@@ -19,19 +19,20 @@ type launch_result = {
   cores_used : int;  (** simulated cores that received blocks *)
 }
 
-(** Launch a grid-level parallel across the target's cores. The
-    executed blocks and the counter extrapolation come from the grid
-    loop ({!Exec.sampled_blocks}, {!Exec.extrapolate}); each core
-    runs its static chunk through the compiled kernel's runner when
-    [compiled] is given, else the tree-walker's. [env] must bind every
-    free value of the kernel region. [jobs] bounds concurrent OCaml
-    domains. Raises [Exec.Device_error] on malformed IR, like the
-    lockstep interpreter. *)
+(** [launch target ~jobs ~mode ~env p runner] launches the grid-level
+    parallel [p] across the target's cores. The executed blocks and
+    the counter extrapolation come from the grid loop
+    ({!Exec.sampled_blocks}, {!Exec.extrapolate}); each core runs its
+    static chunk through [runner] (the compiled kernel's
+    {!Compile.runner}), readied on that core's machine. [env] must
+    bind every free value of the kernel region. [jobs] bounds
+    concurrent OCaml domains. Raises [Exec.Device_error] on malformed
+    IR, like {!Exec.run_grid}. *)
 val launch :
   Pgpu_target.Descriptor.t ->
-  ?compiled:Compile.t ->
   jobs:int ->
   mode:Exec.mode ->
   env:Exec.env ->
   Instr.instr ->
+  Exec.runner ->
   launch_result

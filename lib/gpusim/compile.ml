@@ -1,10 +1,12 @@
-(** Compiled execution engine: slot-indexed closure kernels.
+(** The execution engine: slot-indexed closure kernels.
 
-    The tree-walking interpreter ({!Exec}) pays for its generality on
-    every instruction of every lane of every block: hashtable
-    environment lookups, boxed [rv] values, and a fresh [Array.init]
-    per vector operation. This module removes all of it with a
-    one-time lowering pass per kernel region:
+    A tree-walking interpreter pays for its generality on every
+    instruction of every lane of every block: hashtable environment
+    lookups, boxed [rv] values, and a fresh [Array.init] per vector
+    operation. This module removes all of it with a one-time lowering
+    pass per kernel region. The tests keep such an interpreter
+    ([test/interp.ml]) as the reference semantics; "the interpreter"
+    below means that oracle.
 
     {b Slot numbering.} Every SSA value is assigned a dense integer
     slot in one of six register banks: uniform ints/floats/buffers
@@ -46,11 +48,11 @@
     {b Event parity.} The closures drive the same performance model
     entry points as the interpreter ({!Exec.count_op} per issued
     operation, {!Exec.requests} per memory instruction) in exactly the
-    interpreter's order, so the two engines are bit-identical. The
-    request model, warp coalescer and one-lane arm alike, lives only
-    in [Exec]. The race detector stays an optional instrumentation
-    hook — a single [match] on [None] per memory operation, free when
-    disabled. *)
+    interpreter's order, so the two are bit-identical; the differential
+    tests hold them to it. The request model, warp coalescer and
+    one-lane arm alike, lives only in [Exec]. The race detector stays
+    an optional instrumentation hook — a single [match] on [None] per
+    memory operation, free when disabled. *)
 
 open Pgpu_ir
 
@@ -737,7 +739,7 @@ let analyze (body : Instr.block) : unit Value.Tbl.t =
 (* Memory-operation codegen                                            *)
 (* ------------------------------------------------------------------ *)
 
-(** The modelling half of [Exec.vec_access]: optional race recording,
+(** The modelling half of a memory access: optional race recording,
     space resolution (with the shared-as-global demotion read
     dynamically), then the shared request model {!Exec.requests}. The
     functional half is inlined per load/store kind. *)
@@ -1706,7 +1708,6 @@ type instance = {
 
 type t = {
   ck_id : int;  (** process-unique, keys the frames of a {!frames} table *)
-  ck_p : Instr.instr;  (** the compiled grid-level parallel, for {!Exec.run_grid} *)
   ck_code : code array;
   ck_iv_slots : int array;  (** uniform int slots of the block coordinates *)
   ck_ubs : Value.t list;  (** grid dimensions, resolved through the env *)
@@ -1744,7 +1745,6 @@ let compile (p : Instr.instr) : t =
       let code, _ = compile_block st ~vec:false body in
       {
         ck_id = Atomic.fetch_and_add next_id 1;
-        ck_p = p;
         ck_code = code;
         ck_iv_slots = Array.of_list (List.map (fun (l : loc) -> l.l_slot) iv_locs);
         ck_ubs = ubs;
@@ -1831,28 +1831,22 @@ let run_block (inst : instance) ~(sm : int) (lb : int) : unit =
   let c = fr.m.Exec.counters in
   c.Counters.blocks <- c.Counters.blocks +. 1.
 
-let runner (ck : t) ~(env : Exec.env) : Exec.runner =
+(** The register files of one machine's launches, by kernel. *)
+type frames = { f_m : Exec.machine; f_insts : (int, instance) Hashtbl.t }
+
+let frames m = { f_m = m; f_insts = Hashtbl.create 8 }
+
+let runner ?frames (ck : t) ~(env : Exec.env) : Exec.runner =
  fun m ->
-  let inst = instantiate ck m ~env in
+  let inst =
+    match frames with
+    | Some fs when fs.f_m == m -> (
+        match Hashtbl.find_opt fs.f_insts ck.ck_id with
+        | Some inst -> rebind ck inst ~env
+        | None ->
+            let inst = instantiate ck m ~env in
+            Hashtbl.replace fs.f_insts ck.ck_id inst;
+            inst)
+    | _ -> instantiate ck m ~env
+  in
   fun ~sm lb -> run_block inst ~sm lb
-
-(** Instances reused across the launches of one machine, by kernel. *)
-type frames = (int, instance) Hashtbl.t
-
-let frames () : frames = Hashtbl.create 8
-
-let launch ?jobs ?frames (m : Exec.machine) ~(mode : Exec.mode) ~(env : Exec.env) (ck : t) :
-    Exec.launch_result =
-  Exec.run_grid ?jobs m ~mode ~env ck.ck_p (fun mg ->
-      let inst =
-        match frames with
-        | Some fs when mg == m -> (
-            match Hashtbl.find_opt fs ck.ck_id with
-            | Some inst when inst.i_fr.m == m -> rebind ck inst ~env
-            | _ ->
-                let inst = instantiate ck m ~env in
-                Hashtbl.replace fs ck.ck_id inst;
-                inst)
-        | _ -> instantiate ck mg ~env
-      in
-      fun ~sm lb -> run_block inst ~sm lb)

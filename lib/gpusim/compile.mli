@@ -1,8 +1,7 @@
-(** Compiled execution engine: slot-indexed closure kernels.
+(** The execution engine: slot-indexed closure kernels.
 
     One-time lowering from a verified kernel region (the grid-level
-    [Parallel]) to a flat executable form that replaces the
-    tree-walking interpreter on the hot path:
+    [Parallel]) to a flat executable form:
 
     - every SSA value is numbered into a dense integer {e slot} backed
       by preallocated unboxed register files ([int array] /
@@ -13,9 +12,10 @@
       (threaded code) executed by an indexed loop, with uniformity of
       every value and every branch decided once at compile time;
     - the performance model ({!Exec.count_op}, {!Exec.requests}) is
-      invoked from the closures with exactly the interpreter's event
-      order, so outputs, all counters, race reports and TDO choices
-      are bit-identical to [--engine interp].
+      invoked from the closures with exactly the event order of the
+      tree-walking reference interpreter the tests keep as its oracle
+      ([test/interp.ml]), so outputs, all counters, race reports and
+      TDO choices are bit-identical to it.
 
     Compilation is per region; compiled kernels are cached by the
     runtime keyed on the region's structural hash. *)
@@ -31,24 +31,20 @@ type t
     @raise Exec.Device_error when [p] is not a blocks-level parallel. *)
 val compile : Instr.instr -> t
 
-(** The compiled engine's per-block runner: every machine it is
-    readied on gets freshly instantiated register files, with the
-    kernel arguments of [env] loaded into their slots. [env] must bind
-    every free value of the kernel region; it is only read. *)
-val runner : t -> env:Exec.env -> Exec.runner
-
 (** Register files reused across the launches of one machine: a
     launch rebinds its kernel's instance instead of allocating a new
     one. A table belongs to whoever drives that machine (a runtime
     state, a TDO trial) and dies with it. *)
 type frames
 
-val frames : unit -> frames
+(** [frames m] is an empty register-file table for machine [m]. *)
+val frames : Exec.machine -> frames
 
-(** {!Exec.run_grid} with the compiled engine's runner: same sampling,
-    SM assignment, sharding and extrapolation as {!Exec.launch}, and
-    bit-identical results. With [frames], the blocks run on [m] itself
-    reuse the kernel's instance in that table; shard wrappers always
-    instantiate their own. *)
-val launch :
-  ?jobs:int -> ?frames:frames -> Exec.machine -> mode:Exec.mode -> env:Exec.env -> t -> Exec.launch_result
+(** The per-block runner of a compiled kernel, for {!Exec.run_grid}
+    and the CPU backend's core loop. Every machine it is readied on
+    gets register files with the kernel arguments of [env] loaded into
+    their slots. On the machine of [frames] it reuses the kernel's
+    instance in that table; shard wrappers and CPU cores instantiate
+    their own. [env] must bind every free value of the kernel region;
+    it is only read. *)
+val runner : ?frames:frames -> t -> env:Exec.env -> Exec.runner

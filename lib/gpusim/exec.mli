@@ -1,17 +1,18 @@
-(** Vectorized SPMD execution of GPU kernels — the tree-walking
-    reference interpreter.
+(** The simulated machine and the grid loop that kernels run on.
 
-    One GPU block is interpreted with *all its threads at once*: every
-    SSA value inside the thread-level parallel is either uniform or a
-    per-lane array, and divergent control flow is handled with lane
-    masks. Blocks of a grid are run by one grid loop ({!run_grid}),
+    One GPU block runs with *all its threads at once*: every SSA value
+    inside the thread-level parallel is either uniform or a per-lane
+    array, and divergent control flow is handled with lane masks.
+    Blocks of a grid are run by one grid loop ({!run_grid}),
     optionally sampled (with counter extrapolation) for large grids
     where only timing is of interest.
 
     This interface is the engine seam: the slot-indexed compiled
-    engine ({!Compile}) reuses the machine, mask, counting
+    engine ({!Compile}) executes against the machine, masks, counting
     ({!count_op}) and memory-request model ({!requests}) exposed here,
-    so both engines observe exactly the same simulated events. *)
+    and so does the tree-walking reference interpreter the tests keep
+    as its oracle ([test/interp.ml]), so both observe exactly the same
+    simulated events. *)
 
 open Pgpu_ir
 
@@ -113,11 +114,11 @@ val global_request : ctx -> is_store:bool -> int array -> mask -> int -> int -> 
 val shared_request : ctx -> is_store:bool -> int array -> mask -> int -> int -> unit
 
 (** [requests ctx ~is_store space addrs mask] models one memory
-    instruction of both engines over the active lanes of [mask], lane
-    [l] accessing byte address [addrs.(l)] of [space] (already
-    resolved: a shared access the machine demotes to global arrives as
-    [Global]). It issues one warp instruction, plus one request, per
-    warp with an active lane. Warps of [ctx.ws > 1] lanes run
+    instruction over the active lanes of [mask], lane [l] accessing
+    byte address [addrs.(l)] of [space] (already resolved: a shared
+    access the machine demotes to global arrives as [Global]). It
+    issues one warp instruction, plus one request, per warp with an
+    active lane. Warps of [ctx.ws > 1] lanes run
     {!global_request} / {!shared_request}. At [ctx.ws = 1] (the CPU
     targets) each active lane is its own warp and touches one granule,
     so the one-lane arm skips the coalescer and the bank table: a
@@ -129,20 +130,6 @@ val shared_request : ctx -> is_store:bool -> int array -> mask -> int -> int -> 
     bit-identical to it. *)
 val requests : ctx -> is_store:bool -> Types.space -> int array -> mask -> unit
 
-(** The tree-walker's masked vector memory access: computes per-lane
-    addresses, performs the functional load/store via [write], records
-    shared accesses for an attached race detector, resolves the space
-    (shared-as-global demotion included) and models the instruction
-    with {!requests}. *)
-val vec_access :
-  ctx ->
-  mask ->
-  is_store:bool ->
-  Memory.buf array ->
-  int array ->
-  (int -> Memory.buf -> int -> unit) ->
-  unit
-
 (** Uniform-scalar coercions (raise [Invalid_argument] on vectors). *)
 val ui_of : rv -> int
 
@@ -152,13 +139,6 @@ val to_ub : rv -> Memory.buf
 exception Device_error of string
 
 val device_fail : ('a, Format.formatter, unit, 'b) format4 -> 'a
-
-type terminator = T_none | T_yield of rv list | T_yield_while of rv * rv list
-
-(** Execute a block under [mask]; returns the terminator data. *)
-val exec_block : ctx -> mask -> Instr.block -> terminator
-
-val exec_instr : ctx -> mask -> Instr.instr -> unit
 
 type launch_result = {
   nblocks : int;
@@ -193,9 +173,9 @@ val extrapolate : Counters.t -> total:int -> executed:int -> unit
     [m], counting it in [m]'s block counter. *)
 type runner = machine -> sm:int -> int -> unit
 
-(** The grid loop behind every engine. Resolves the grid-level
-    parallel [p] through [env], executes the blocks [mode] selects —
-    SMs assigned round-robin by executed position, each block with the
+(** The grid loop. Resolves the grid-level parallel [p] through
+    [env], executes the blocks [mode] selects — SMs assigned
+    round-robin by executed position, each block with the
     deterministic device allocator of its linear index — and
     extrapolates the counters to the full grid.
 
@@ -206,12 +186,3 @@ type runner = machine -> sm:int -> int -> unit
     [jobs = 1]. Falls back to sequential execution when a race detector
     is attached or the grid is small. *)
 val run_grid : ?jobs:int -> machine -> mode:mode -> env:env -> Instr.instr -> runner -> launch_result
-
-(** The tree-walker's runner for the grid-level parallel [p]: each
-    machine gets a private copy of [env]. *)
-val block_runner : env:env -> Instr.instr -> runner
-
-(** {!run_grid} with the tree-walker's runner. The environment must
-    bind every free value of the kernel region (grid/block sizes,
-    device buffer pointers, scalar arguments). *)
-val launch : ?jobs:int -> machine -> mode:mode -> env:env -> Instr.instr -> launch_result

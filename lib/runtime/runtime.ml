@@ -47,9 +47,6 @@ type config = {
           launch site; a race detector keeps launches unsharded. *)
   tune : bool;  (** enable timing-driven selection of alternatives *)
   fixed_choice : int;  (** alternatives region used when [tune] is false *)
-  host_op_cost : float;  (** seconds charged per interpreted host instruction *)
-  memcpy_overhead : float;  (** fixed seconds per cudaMemcpy *)
-  seed : int;
   tracer : Tracer.t;
       (** launch/memcpy/TDO telemetry sink, timestamped in simulated
           composite time; [Tracer.disabled] = off *)
@@ -61,10 +58,6 @@ type config = {
   racecheck : Racecheck.t option;
       (** dynamic shared-memory race detector attached to the simulator
           for the whole run; [None] (the default) costs nothing *)
-  engine : Engine.t;
-      (** kernel execution engine: [Compiled] (the default) lowers each
-          launch site once to slot-indexed closure kernels; [Interp] is
-          the tree-walking reference *)
 }
 
 let default_config target =
@@ -75,13 +68,9 @@ let default_config target =
     jobs = 1;
     tune = false;
     fixed_choice = 0;
-    host_op_cost = 2e-9;
-    memcpy_overhead = 10e-6;
-    seed = 0x5eed;
     tracer = Tracer.disabled;
     cache = Cache.disabled;
     racecheck = None;
-    engine = Engine.default;
   }
 
 (** A launch site as it runs: the kernel region as launched
@@ -89,8 +78,15 @@ let default_config target =
     statistics of that region, which feed the timing model. *)
 type site = { lowered : Instr.block; stats : Backend.kernel_stats }
 
+(** A per-block runner factory, in the shape of [Compile.runner]. *)
+type reference = env:Exec.env -> Instr.instr -> Exec.runner
+
 type state = {
   config : config;
+  reference : reference option;
+      (** runs every launch in place of the compiled engine, trials
+          included: the seam the differential tests put their
+          reference interpreter in *)
   machine : Exec.machine;
   env : Exec.env;
   frames : Compile.frames;  (** compiled-kernel register files on [machine] *)
@@ -118,15 +114,15 @@ type state = {
           be identical on both sides *)
 }
 
-let create config =
+let create ?reference config =
+  let machine = Exec.create_machine config.target in
+  machine.Exec.racecheck <- config.racecheck;
   {
     config;
-    machine =
-      (let m = Exec.create_machine config.target in
-       m.Exec.racecheck <- config.racecheck;
-       m);
+    reference;
+    machine;
     env = Exec.env_create ();
-    frames = Compile.frames ();
+    frames = Compile.frames machine;
     records = [];
     composite = 0.;
     trial = false;
@@ -246,10 +242,16 @@ let eval_intrinsic st (results : Value.t list) name (args : Value.t list) =
     of Section VII-D2). *)
 let amd_shared_offload_threshold = 96 (* bytes of shared memory per thread *)
 
-(** The CPU backend replaces the lockstep launch path when the target
-    is a CPU and no dynamic race detector is attached (the detector's
-    hooks live in the single-machine lockstep interpreter, so a race
-    check forces the fallback path). *)
+(** Simulated seconds charged per interpreted host instruction. *)
+let host_op_cost = 2e-9
+
+(** Fixed simulated seconds per cudaMemcpy that crosses PCIe. *)
+let memcpy_overhead = 10e-6
+
+(** The CPU backend's core loop replaces the single-machine grid loop
+    when the target is a CPU and no dynamic race detector is attached
+    (the detector is attached to the runtime's one machine, not to the
+    per-core machines, so a race check keeps the grid loop). *)
 let cpu_mode st =
   st.config.target.Descriptor.kind = Descriptor.Cpu && st.config.racecheck = None
 
@@ -282,8 +284,9 @@ let thread_extents st (region : Instr.block) =
 (** Barrier-fission a kernel region for CPU execution, resolving
     host-computed thread extents through the live environment. A
     refusal (synchronizing [While], thread-dependent interchange
-    operand, ...) returns the region as given: it then runs through
-    the lockstep interpreter, which is always correct. *)
+    operand, ...) returns the region as given: it then runs unfissioned
+    on the compiled engine, each block in lockstep on its core, which
+    is always correct. *)
 let cpu_lower st ~wid ~alt (region : Instr.block) =
   match Fission.lower_region ~const_of_ext:(env_const st) region with
   | Ok { Fission.region = r; stats } ->
@@ -347,17 +350,14 @@ let launch st ~name ~wid ~alt (site : site) (p : Instr.instr) =
       mlp = stats.Backend.mlp;
     }
   in
-  let compiled () =
-    match st.config.engine with
-    | Engine.Compiled -> Some (compiled_kernel st p)
-    | Engine.Interp -> None
+  let runner =
+    match st.reference with
+    | Some reference -> reference ~env:st.env p
+    | None -> Compile.runner ~frames:st.frames (compiled_kernel st p) ~env:st.env
   in
   let result, breakdown =
     if cpu_mode st then begin
-      let cres =
-        Cpu_exec.launch st.config.target ?compiled:(compiled ()) ~jobs:st.config.jobs ~mode
-          ~env:st.env p
-      in
+      let cres = Cpu_exec.launch st.config.target ~jobs:st.config.jobs ~mode ~env:st.env p runner in
       let result = cres.Cpu_exec.result in
       ( result,
         Cpu_timing.estimate st.config.target ~demand
@@ -366,11 +366,7 @@ let launch st ~name ~wid ~alt (site : site) (p : Instr.instr) =
     else begin
       let jobs = st.config.jobs in
       st.machine.Exec.shared_as_global <- offload;
-      let result =
-        match compiled () with
-        | Some ck -> Compile.launch ~jobs ~frames:st.frames st.machine ~mode ~env:st.env ck
-        | None -> Exec.launch ~jobs st.machine ~mode ~env:st.env p
-      in
+      let result = Exec.run_grid ~jobs st.machine ~mode ~env:st.env p runner in
       st.machine.Exec.shared_as_global <- false;
       (result, Timing.estimate st.config.target ~demand result)
     end
@@ -637,12 +633,13 @@ and search st ~name ~wid ~signature ?ckey descs regions =
     source-idle rule requires. Returns the candidate's simulated
     seconds, [infinity] when infeasible. *)
 and trial st ~name ~wid ~descs k region =
+  let machine = Exec.clone_machine st.machine in
   let ts =
     {
       st with
-      machine = Exec.clone_machine st.machine;
+      machine;
       env = clone_trial_env st.env region;
-      frames = Compile.frames ();
+      frames = Compile.frames machine;
       records = [];
       trial = true;
     }
@@ -695,7 +692,7 @@ and exec_host_block st (block : Instr.block) : [ `Fallthrough | `Yield of Exec.r
   go block
 
 and exec_host_instr st (i : Instr.instr) : unit =
-  charge st st.config.host_op_cost;
+  charge st host_op_cost;
   match i with
   | Instr.Let (v, e) -> bind st v (eval_host_expr st v e)
   | Instr.Store { mem; idx; v } ->
@@ -733,7 +730,9 @@ and exec_host_instr st (i : Instr.instr) : unit =
       done;
       List.iter2 (fun r a -> bind st r (lookup st a)) results iter_args
   | Instr.Alloc { res; space; elt; count } ->
-      bind st res (Exec.UB (Memory.alloc st.machine.Exec.alloc space elt (as_int st count)))
+      let n = as_int st count in
+      if n < 0 then host_fail "allocation of %a with a negative count (%d)" Value.pp res n;
+      bind st res (Exec.UB (Memory.alloc st.machine.Exec.alloc space elt n))
   | Instr.Free _ -> ()
   | Instr.Memcpy { dst; src; count } ->
       let d = as_buf st dst and s = as_buf st src in
@@ -743,7 +742,7 @@ and exec_host_instr st (i : Instr.instr) : unit =
       let crosses_pcie = d.Memory.space <> s.Memory.space in
       let seconds =
         if crosses_pcie then
-          st.config.memcpy_overhead
+          memcpy_overhead
           +. (bytes /. (st.config.target.Descriptor.h2d_bandwidth_gbs *. 1e9))
         else bytes /. (st.config.target.Descriptor.mem_bandwidth_gbs *. 1e9)
       in
@@ -772,12 +771,12 @@ and exec_host_instr st (i : Instr.instr) : unit =
 (** Run function [fname] of module [m] with the given arguments.
     Returns the function results and the final state (composite time,
     launch records, buffers still bound in the environment). *)
-let run ?(fname = "main") config (m : Instr.modul) (args : Exec.rv list) =
+let run ?reference ?(fname = "main") config (m : Instr.modul) (args : Exec.rv list) =
   let f = Instr.find_func m fname in
   if List.length f.Instr.params <> List.length args then
     host_fail "%s expects %d arguments, got %d" fname (List.length f.Instr.params)
       (List.length args);
-  let st = create config in
+  let st = create ?reference config in
   List.iter2 (bind st) f.Instr.params args;
   let cache_on = Cache.enabled config.cache in
   let th0, tm0, _ = if cache_on then Cache.ns_stats config.cache "tdo" else (0, 0, 0) in

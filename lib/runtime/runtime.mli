@@ -37,9 +37,6 @@ type config = {
           bit-identical at any value *)
   tune : bool;  (** timing-driven selection of alternatives *)
   fixed_choice : int;  (** alternatives region when not tuning *)
-  host_op_cost : float;  (** seconds per interpreted host instruction *)
-  memcpy_overhead : float;  (** fixed seconds per cudaMemcpy *)
-  seed : int;
   tracer : Pgpu_trace.Tracer.t;
       (** launch/memcpy/TDO telemetry sink, timestamped in simulated
           composite time; [Tracer.disabled] (the default) = off *)
@@ -52,10 +49,6 @@ type config = {
   racecheck : Pgpu_gpusim.Racecheck.t option;
       (** dynamic shared-memory race detector attached to the simulator
           for the whole run; [None] (the default) costs nothing *)
-  engine : Pgpu_gpusim.Engine.t;
-      (** kernel execution engine: [Compiled] (the default) lowers each
-          launch site once to slot-indexed closure kernels; [Interp] is
-          the tree-walking reference, bit-identical but slower *)
 }
 
 val default_config : Descriptor.t -> config
@@ -70,9 +63,23 @@ val rand_array : int -> int -> float array
 
 val rand_int_array : int -> int -> int -> int array
 
+(** A per-block runner factory, in the shape of {!Compile.runner}. *)
+type reference = env:Exec.env -> Instr.instr -> Exec.runner
+
 (** Run function [fname] (default ["main"]) with the given arguments;
-    returns the function results and the final state. *)
-val run : ?fname:string -> config -> Instr.modul -> Exec.rv list -> Exec.rv list * state
+    returns the function results and the final state. Every kernel
+    launch, TDO trials included, runs on the compiled engine, or on
+    [reference] when one is given: the seam through which the
+    differential tests run the reference interpreter.
+    @raise Host_error on a malformed host program or input, such as an
+    allocation of a negative element count. *)
+val run :
+  ?reference:reference ->
+  ?fname:string ->
+  config ->
+  Instr.modul ->
+  Exec.rv list ->
+  Exec.rv list * state
 
 (** Launch records in program order. *)
 val records : state -> launch_record list

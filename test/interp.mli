@@ -1,0 +1,13 @@
+(** The tree-walking reference interpreter, kept in the tests as the
+    oracle for the compiled engine. *)
+
+open Pgpu_gpusim
+
+(** [runner ~env p] is the interpreter's per-block runner for the
+    grid-level parallel [p], a drop-in for {!Compile.runner}: each
+    machine it is readied on binds block indices and kernel values in
+    a private copy of [env], so shards and CPU cores never share a
+    table. Pass it to {!Exec.run_grid}, {!Pgpu_cpu.Cpu_exec.launch} or
+    [Runtime.run ~reference:Interp.runner].
+    @raise Exec.Device_error when [p] is not a blocks-level parallel. *)
+val runner : env:Exec.env -> Pgpu_ir.Instr.instr -> Exec.runner

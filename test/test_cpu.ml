@@ -10,7 +10,7 @@
     - qcheck properties over randomly generated barrier-bearing
       kernels: the fissioned module still verifies, contains no
       barrier inside any thread-level parallel, and executes (across 2
-      domains) bit-identically to the lockstep A100 interpreter;
+      domains) bit-identically to the lockstep A100 simulation;
     - a warm persistent-cache TDO run on the CPU target replays the
       tuned choices from the cache without re-trialing, with the cold
       run's outputs and composite time. *)

@@ -73,24 +73,37 @@ let cases_for (target : Descriptor.t) =
         `Slow (test_bench target b))
     benches
 
-(** Engine differential: every benchmark must produce bit-identical
-    buffers under the slot-indexed compiled engine and the tree-walking
-    interpreter reference mode. *)
-let run_engine (target : Descriptor.t) m ~engine args =
+(** Engine differential: every benchmark must run bit-identically on
+    the compiled engine and on the reference interpreter ({!Interp}):
+    the same output buffers, the same counters at every launch and the
+    same composite time. Returns those three of one run. *)
+let run_engine ?reference (target : Descriptor.t) m args =
   let m', _ = Pipeline.compile (Pipeline.default_options target) m in
-  let config = { (Runtime.default_config target) with Runtime.engine } in
-  let results, _ = Runtime.run config m' (List.map (fun n -> Exec.UI n) args) in
-  List.map Runtime.buffer_contents results
+  let results, st =
+    Runtime.run ?reference (Runtime.default_config target) m' (List.map (fun n -> Exec.UI n) args)
+  in
+  ( List.map Runtime.buffer_contents results,
+    List.map
+      (fun (r : Runtime.launch_record) -> r.Runtime.result.Exec.counters)
+      (Runtime.records st),
+    Runtime.composite_seconds st )
 
 let test_engines (target : Descriptor.t) (b : Bench_def.t) () =
   let args = b.Bench_def.test_args in
   let m = Frontend.compile_string b.Bench_def.source in
   Verify.check_exn m;
-  let interp = run_engine target m ~engine:Pgpu_gpusim.Engine.Interp args in
-  let compiled = run_engine target m ~engine:Pgpu_gpusim.Engine.Compiled args in
-  check_bitwise
-    ~what:(Fmt.str "%s engines on %s" b.Bench_def.name target.Descriptor.name)
-    interp compiled
+  let what = Fmt.str "%s engines on %s" b.Bench_def.name target.Descriptor.name in
+  let out_i, counters_i, time_i = run_engine ~reference:Interp.runner target m args in
+  let out_c, counters_c, time_c = run_engine target m args in
+  check_bitwise ~what out_i out_c;
+  if List.length counters_i <> List.length counters_c then
+    Alcotest.failf "%s: %d launches, the interpreter made %d" what (List.length counters_c)
+      (List.length counters_i);
+  List.iteri
+    (fun k (ci, cc) -> if ci <> cc then Alcotest.failf "%s: counters of launch %d differ" what k)
+    (List.combine counters_i counters_c);
+  if not (Float.equal time_i time_c) then
+    Alcotest.failf "%s: composite time %h, the interpreter's %h" what time_c time_i
 
 let engine_cases_for (target : Descriptor.t) =
   List.map

@@ -31,6 +31,13 @@ let test_vecadd_functional () =
   Alcotest.(check bool) "composite time positive" true
     (Pgpu_runtime.Runtime.composite_seconds st > 0.)
 
+(* a negative size is the host program's error, raised where it
+   allocates, before any intrinsic fills the buffer *)
+let test_vecadd_negative () =
+  match run_main (vecadd_module ()) [ Exec.UI (-1) ] with
+  | _ -> Alcotest.fail "vecadd at n = -1 ran"
+  | exception Pgpu_runtime.Runtime.Host_error _ -> ()
+
 let test_vecadd_tail_guard () =
   (* n = 1 exercises a grid of one block with 255 masked lanes *)
   let m = vecadd_module () in
@@ -79,6 +86,11 @@ let test_reduce_functional () =
   Alcotest.(check bool) "barriers observed" true (c.Counters.barriers > 0.);
   Alcotest.(check bool) "shared loads observed" true (c.Counters.shared_load_req > 0.)
 
+(** Launch the grid-level parallel [p] on [machine] through the
+    compiled engine, as the runtime does. *)
+let launch machine ~mode ~env p =
+  Exec.run_grid machine ~mode ~env p (Compile.runner (Compile.compile p) ~env)
+
 (** Direct launches for counter-level checks. *)
 let direct_launch ?(target = Descriptor.a100) ~nblocks ~nthreads body_fn =
   let machine = Exec.create_machine target in
@@ -101,8 +113,7 @@ let direct_launch ?(target = Descriptor.a100) ~nblocks ~nthreads body_fn =
     | _ -> Alcotest.fail "unexpected setup shape"
   in
   let p = setup block in
-  let result = Exec.launch machine ~mode:`All ~env p in
-  result
+  launch machine ~mode:`All ~env p
 
 let test_coalescing () =
   let alloc = Memory.allocator () in
@@ -140,7 +151,7 @@ let test_coalescing () =
       | _ -> Alcotest.fail "unexpected shape"
     in
     let p = setup (Builder.finish b) in
-    (Exec.launch machine ~mode:`All ~env p).Exec.counters
+    (launch machine ~mode:`All ~env p).Exec.counters
   in
   let unit_stride = run Descriptor.a100 1 and strided = run Descriptor.a100 32 in
   (* 256 consecutive f32 = 32 sectors; stride-32 touches one sector per lane *)
@@ -207,7 +218,7 @@ let test_sampled_launch_scales () =
     | _ -> Alcotest.fail "unexpected shape"
   in
   let p = setup (Builder.finish b) in
-  let sampled = Exec.launch machine ~mode:(`Sample 8) ~env p in
+  let sampled = launch machine ~mode:(`Sample 8) ~env p in
   let rel a b = Float.abs (a -. b) /. Float.max 1. b in
   Alcotest.(check bool) "scaled warp insts match full run" true
     (rel sampled.Exec.counters.Counters.warp_insts full.Exec.counters.Counters.warp_insts < 0.05)
@@ -247,9 +258,9 @@ let test_barrier_divergence_detected () =
 (* Differential property: compiled engine vs the tree-walker           *)
 (* ------------------------------------------------------------------ *)
 
-(** Random barrier-bearing kernels must behave identically under the
-    slot-indexed compiled engine and the interpreter reference mode on
-    every target class — NVIDIA and AMD launch geometries plus the
+(** Random barrier-bearing kernels must behave identically on the
+    slot-indexed compiled engine and on the reference interpreter
+    ({!Interp}) on every target class — NVIDIA and AMD launch geometries plus the
     barrier-fission CPU backend: bit-identical output buffers,
     identical event counters per launch, and the same simulated time. *)
 let arb_engine_kdesc =
@@ -268,15 +279,10 @@ let prop_engines_agree =
     arb_engine_kdesc (fun d ->
       let m = Test_random_kernels.build_module d in
       Verify.check_exn m;
-      let run target engine =
-        let config =
-          { (Pgpu_runtime.Runtime.default_config target) with
-            Pgpu_runtime.Runtime.engine;
-            jobs = 2;
-          }
-        in
+      let run ?reference target =
+        let config = { (Pgpu_runtime.Runtime.default_config target) with jobs = 2 } in
         let results, st =
-          Pgpu_runtime.Runtime.run config m [ Exec.UI d.Test_random_kernels.nblocks ]
+          Pgpu_runtime.Runtime.run ?reference config m [ Exec.UI d.Test_random_kernels.nblocks ]
         in
         let outputs =
           List.map
@@ -294,8 +300,8 @@ let prop_engines_agree =
       in
       List.for_all
         (fun (target : Descriptor.t) ->
-          let oi, ci, ti = run target Engine.Interp in
-          let oc, cc, tc = run target Engine.Compiled in
+          let oi, ci, ti = run ~reference:Interp.runner target in
+          let oc, cc, tc = run target in
           if oi <> oc then
             QCheck.Test.fail_reportf "%s: outputs differ between engines"
               target.Descriptor.name;
@@ -546,15 +552,15 @@ let matrix_module (operands : (Types.t * Instr.const list * shape) list) out_ty
       Builder.add b (Instr.Memcpy { dst = hout; src = dout; count = total });
       Builder.return b [ hout ])
 
-(** Run [m] under both engines on a100 and cpu; outputs must agree
-    bitwise, and so must every launch's counters. *)
+(** Run [m] on the compiled engine and on the reference interpreter,
+    on a100 and cpu; outputs must agree bitwise, and so must every
+    launch's counters. *)
 let check_engines_agree what fn =
   let m = { Instr.funcs = [ fn ] } in
-  let run target engine =
-    let config =
-      { (Pgpu_runtime.Runtime.default_config target) with Pgpu_runtime.Runtime.engine }
+  let run ?reference target =
+    let results, st =
+      Pgpu_runtime.Runtime.run ?reference (Pgpu_runtime.Runtime.default_config target) m []
     in
-    let results, st = Pgpu_runtime.Runtime.run config m [] in
     let out =
       match results with
       | [ Exec.UB { Memory.data = Memory.F a; _ } ] -> `F (Array.map Int64.bits_of_float a)
@@ -571,8 +577,8 @@ let check_engines_agree what fn =
   in
   List.iter
     (fun (target : Descriptor.t) ->
-      let out_i, cnt_i = run target Engine.Interp in
-      let out_c, cnt_c = run target Engine.Compiled in
+      let out_i, cnt_i = run ~reference:Interp.runner target in
+      let out_c, cnt_c = run target in
       if out_i <> out_c then Alcotest.failf "%s on %s: outputs differ" what target.Descriptor.name;
       if cnt_i <> cnt_c then Alcotest.failf "%s on %s: counters differ" what target.Descriptor.name)
     [ Descriptor.a100; Descriptor.cpu ]
@@ -697,6 +703,7 @@ let suite =
       [
         !:"vecadd functional" `Quick test_vecadd_functional;
         !:"vecadd tail guard" `Quick test_vecadd_tail_guard;
+        !:"vecadd with n = -1 is a host error" `Quick test_vecadd_negative;
         !:"zero-length buffers" `Quick test_zero_length_buffers;
         !:"vecadd with n = 0" `Quick test_vecadd_empty;
         !:"reduction with barriers" `Quick test_reduce_functional;
