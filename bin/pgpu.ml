@@ -168,8 +168,9 @@ let jobs_arg =
 let make_cache no_cache dir = if no_cache then P.Cache.disabled else P.Cache.create ?dir ()
 
 (** Run [f], reporting a failure of the simulated program — a host
-    error such as a negative allocation, or a device error — as such
-    with exit 123, not as an internal error. *)
+    error such as a negative allocation or a host copy out of range,
+    or a device error such as a kernel's out-of-bounds access — as
+    such with exit 123, not as an internal error. *)
 let runtime_errors f =
   try f () with
   | P.Runtime.Host_error m ->
@@ -505,8 +506,8 @@ let check_cmd =
                       kernel = name;
                       message =
                         "barrier fission refused (" ^ msg
-                        ^ "): the kernel executes on the CPU via the lockstep \
-                           interpreter";
+                        ^ "): the kernel runs unfissioned on the compiled engine, each \
+                           block in lockstep on its core";
                     })
             outcomes
         in

@@ -25,7 +25,8 @@
     every element access is one request of one 32 B sector through
     the core's L1 and L2 slice (or one shared transaction) — the
     per-element traffic a compiled CPU loop nest would issue — with
-    no warp coalescing or bank-conflict modelling to pay for. *)
+    no warp coalescing or bank-conflict modelling to pay for, and
+    consecutive accesses to one line cost the host one cache probe. *)
 
 open Pgpu_ir
 module Descriptor = Pgpu_target.Descriptor

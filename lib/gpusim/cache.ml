@@ -1,19 +1,24 @@
 (** Set-associative LRU cache model, used for the per-SM L1 caches and
-    the device-wide L2.
+    the L2 slices.
 
-    The tag store is organised per set and materialised lazily: a
-    simulated L2 can have hundreds of thousands of lines, and a run
-    frequently touches only a small fraction of its sets, so [create]
-    allocates one pointer per set rather than the full arrays.
-    Invalidation is epoch-based, making [reset] O(1) per launch
-    instead of O(cache size). Both encodings are behaviourally
-    identical to an eagerly-cleared tag store ([tag = -1],
-    [last_use = 0]), so hit/miss sequences — and therefore every
-    simulated counter — are unchanged.
+    Each set is one row of [ways + 3] ints: the owner's stamp, the
+    epoch the row was last written in, the number of resident lines,
+    then the resident lines themselves, most recently used first. A
+    hit moves its line to the front; a miss inserts the line at the
+    front and, when the set is full, drops the last (least recently
+    used) one. That is exactly true LRU: the resident set after every
+    probe is the one a tick-per-way tag store with a victim scan
+    would hold, without the ticks and without the scan.
+
+    Rows are materialised lazily: a simulated L2 can have hundreds of
+    thousands of lines, and a run frequently touches only a small
+    fraction of its sets, so [create] allocates one pointer per set
+    rather than the full rows. A row stamped with an older epoch reads
+    as empty, so [reset] is O(1) per launch instead of O(cache size).
 
     Clones are copy-on-write per set: [clone] copies the row pointers
     only, and every row carries the stamp of the one cache allowed to
-    write it in place. A cache that scans a row stamped by another
+    write it in place. A cache that probes a row stamped by another
     takes a private copy first, so a clone costs what it touches and
     never writes a row its source can see. The source, which still
     owns those rows, must not be probed while a clone of it is in
@@ -26,22 +31,18 @@ type t = {
   line_bytes : int;
   line_shift : int;  (** log2 of [line_bytes] when it is a power of two, else -1 *)
   set_data : int array array;
-      (** per set, [3 * ways + 1] ints — tags at [w], last-use ticks
-          at [ways + w], epoch stamps at [2 * ways + w], the owner's
-          [id] at [3 * ways]; [[||]] until the set is first touched. A
-          way is resident only when its stamp equals [epoch]. *)
+      (** per set, [ways + 3] ints — the owner's [id] at 0, the epoch
+          of the last write at 1, the resident count at 2, then the
+          resident lines from most to least recently used; [[||]]
+          until the set is first touched *)
   mutable epoch : int;
-  mutable tick : int;
   mutable hits : int;
   mutable misses : int;
   mutable last_line : int;
-      (** one-entry probe shortcut: the line of the most recent hit or
-          fill, resident at way [last_w] of [last_data]. Only an
-          insertion can evict a line, and every insertion rewrites
-          [last_line], so a matching probe is a hit without the set
-          scan. -1 = invalid (lines are non-negative). *)
-  mutable last_data : int array;
-  mutable last_w : int;
+      (** one-entry probe shortcut: the line of the most recent probe,
+          which is at the front of its set, so a matching probe is a
+          hit that changes no row. -1 = invalid (lines are
+          non-negative). *)
 }
 
 let log2_pow2 n =
@@ -63,110 +64,76 @@ let create ~size_bytes ~line_bytes ~ways =
     line_shift = log2_pow2 line_bytes;
     set_data = Array.make sets [||];
     epoch = 1;
-    tick = 0;
     hits = 0;
     misses = 0;
     last_line = -1;
-    last_data = [||];
-    last_w = 0;
   }
 
 (** Copy-on-write copy — used to give TDO trial machines private
     caches. Only the row pointers are copied; the clone's fresh [id]
-    makes its first scan of each shared row copy it. The one-entry
-    probe shortcut is invalidated rather than copied: [last_data] is
-    a row the source owns. An invalid shortcut only costs the next
-    probe a set scan; hit/miss outcomes are unchanged. *)
-let clone t =
-  {
-    t with
-    id = new_id ();
-    set_data = Array.copy t.set_data;
-    last_line = -1;
-    last_data = [||];
-    last_w = 0;
-  }
+    makes its first probe of each shared row copy it. The shortcut
+    carries over: its line heads a row both caches hold, and a
+    shortcut hit writes no row. *)
+let clone t = { t with id = new_id (); set_data = Array.copy t.set_data }
+
+let line t addr = if t.line_shift >= 0 then addr lsr t.line_shift else addr / t.line_bytes
 
 (** Probe the cache with a byte address; allocates on miss (allocate-on-
     read-and-write policy). Returns [true] on hit. *)
 let access t addr =
-  t.tick <- t.tick + 1;
-  let line = if t.line_shift >= 0 then addr lsr t.line_shift else addr / t.line_bytes in
+  let line = line t addr in
   if line = t.last_line then begin
-    (* resident at [last_w] of [last_data]: same transition as a scan hit *)
-    t.last_data.(t.ways + t.last_w) <- t.tick;
     t.hits <- t.hits + 1;
     true
   end
   else begin
+    t.last_line <- line;
     let set = line mod t.sets in
-    let ways = t.ways in
     let d =
       let d = t.set_data.(set) in
-      let own = 3 * ways in
-      if Array.length d > 0 && Array.unsafe_get d own = t.id then d
+      if Array.length d > 0 && Array.unsafe_get d 0 = t.id then d
       else begin
-        (* untouched: stamps start at 0 < epoch, so every way starts
-           invalid; shared with the source: copy before writing *)
-        let d = if Array.length d = 0 then Array.make (own + 1) 0 else Array.copy d in
-        d.(own) <- t.id;
+        (* untouched: epoch 0 < [t.epoch], so the row starts empty;
+           shared with the source: copy before writing *)
+        let d = if Array.length d = 0 then Array.make (t.ways + 3) 0 else Array.copy d in
+        d.(0) <- t.id;
         t.set_data.(set) <- d;
         d
       end
     in
-    let ep = t.epoch in
-    let stamp_off = 2 * ways in
-    let rec find w =
-      if w = ways then -1
-      else if Array.unsafe_get d w = line && Array.unsafe_get d (stamp_off + w) = ep then w
-      else find (w + 1)
-    in
-    let w = find 0 in
-    if w >= 0 then begin
-      d.(ways + w) <- t.tick;
-      t.hits <- t.hits + 1;
-      t.last_line <- line;
-      t.last_data <- d;
-      t.last_w <- w;
-      true
-    end
+    let n = if Array.unsafe_get d 1 = t.epoch then Array.unsafe_get d 2 else 0 in
+    let w = ref 0 in
+    while !w < n && Array.unsafe_get d (3 + !w) <> line do
+      incr w
+    done;
+    let w = !w in
+    let hit = w < n in
+    (* a hit moves its line to the front; a miss inserts it there,
+       dropping the last line of a full set *)
+    let last = if hit then w else if n < t.ways then n else n - 1 in
+    for i = 3 + last downto 4 do
+      Array.unsafe_set d i (Array.unsafe_get d (i - 1))
+    done;
+    Array.unsafe_set d 3 line;
+    if hit then t.hits <- t.hits + 1
     else begin
-      t.misses <- t.misses + 1;
-      (* evict the LRU way; a stale-epoch way counts as free
-         (last_use 0, matching the eager-clear encoding, where ties go
-         to the lowest index) *)
-      let victim = ref 0 in
-      let vu = ref (if d.(stamp_off) = ep then d.(ways) else 0) in
-      for w = 1 to ways - 1 do
-        let u =
-          if Array.unsafe_get d (stamp_off + w) = ep then Array.unsafe_get d (ways + w) else 0
-        in
-        if u < !vu then begin
-          victim := w;
-          vu := u
-        end
-      done;
-      let v = !victim in
-      d.(v) <- line;
-      d.(ways + v) <- t.tick;
-      d.(stamp_off + v) <- ep;
-      t.last_line <- line;
-      t.last_data <- d;
-      t.last_w <- v;
-      false
-    end
+      d.(1) <- t.epoch;
+      d.(2) <- last + 1;
+      t.misses <- t.misses + 1
+    end;
+    hit
   end
 
-(* O(1): invalidates every way by advancing the epoch *)
+(** [k] probes of the line holding [addr]: the first is an [access],
+    and the other [k - 1] find the line it left at the front. *)
+let access_run t addr k =
+  let hit = access t addr in
+  t.hits <- t.hits + k - 1;
+  hit
+
+(* O(1): empties every row by advancing the epoch *)
 let reset t =
   t.epoch <- t.epoch + 1;
-  t.tick <- 0;
   t.hits <- 0;
   t.misses <- 0;
-  t.last_line <- -1;
-  t.last_data <- [||];
-  t.last_w <- 0
-
-let hit_rate t =
-  let total = t.hits + t.misses in
-  if total = 0 then 0. else float_of_int t.hits /. float_of_int total
+  t.last_line <- -1

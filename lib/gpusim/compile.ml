@@ -45,14 +45,15 @@
     [[@inlined]], so a template that stops inlining fails the build
     (warning 55).
 
-    {b Event parity.} The closures drive the same performance model
-    entry points as the interpreter ({!Exec.count_op} per issued
-    operation, {!Exec.requests} per memory instruction) in exactly the
-    interpreter's order, so the two are bit-identical; the differential
-    tests hold them to it. The request model, warp coalescer and
-    one-lane arm alike, lives only in [Exec]. The race detector stays
-    an optional instrumentation hook — a single [match] on [None] per
-    memory operation, free when disabled. *)
+    {b Event parity.} The closures drive the performance model
+    ({!Exec.count_op} per issued operation, {!Exec.requests} per memory
+    instruction) in exactly the interpreter's order, and the
+    interpreter drives [count_op] and a reference request model of its
+    own in that order, so the two are bit-identical; the differential
+    tests hold them to it. The product's request model, warp coalescer
+    and one-lane arm alike, lives only in [Exec]. The race detector
+    stays an optional instrumentation hook — a single [match] on
+    [None] per memory operation, free when disabled. *)
 
 open Pgpu_ir
 
@@ -1789,7 +1790,7 @@ let instantiate (ck : t) (m : Exec.machine) ~(env : Exec.env) : instance =
       nlanes = 1;
       addrs = Array.make 1 0;
       ctx =
-        { Exec.m; env; nlanes = 1; ws = m.Exec.target.Pgpu_target.Descriptor.warp_size; sm = 0 };
+        { Exec.m; nlanes = 1; ws = m.Exec.target.Pgpu_target.Descriptor.warp_size; sm = 0 };
       f_nvi = ck.ck_nvi;
       f_nvf = ck.ck_nvf;
       f_nvb = ck.ck_nvb;
@@ -1814,7 +1815,7 @@ let instantiate (ck : t) (m : Exec.machine) ~(env : Exec.env) : instance =
     memos. Behaviourally identical to a fresh {!instantiate}. *)
 let rebind (ck : t) (inst : instance) ~(env : Exec.env) : instance =
   let fr = inst.i_fr in
-  fr.ctx <- { fr.ctx with Exec.env; nlanes = 1; sm = 0 };
+  fr.ctx <- { fr.ctx with Exec.nlanes = 1; sm = 0 };
   fr.nlanes <- 1;
   let dx, dy = bind_launch ck fr ~env in
   { inst with i_dx = dx; i_dy = dy }

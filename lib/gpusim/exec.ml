@@ -13,9 +13,13 @@
     ({!Compile}) executes instructions against them. Blocks of a grid
     are run by one grid loop ({!run_grid}), optionally sampled (with
     counter extrapolation) for large grids where only timing is of
-    interest. The compiled engine and the tree-walking reference
-    interpreter the tests compare it against ([test/interp.ml]) differ
-    only in the per-block runner they hand it. *)
+    interest. The request model coalesces each warp's active lanes
+    into ascending distinct sectors in one pass, and probes the caches
+    once per run of sectors that share a line ({!Cache.access_run}),
+    not once per sector. The tree-walking reference interpreter the
+    tests compare the engine against ([test/interp.ml]) runs under the
+    same grid loop with its own per-block runner and its own,
+    per-sector request model. *)
 
 open Pgpu_ir
 
@@ -119,7 +123,6 @@ type mask = { bits : bool array; active : int; warps : int }
 
 type ctx = {
   m : machine;
-  env : env;
   nlanes : int;
   ws : int;  (** warp size *)
   sm : int;  (** SM executing the current block *)
@@ -182,29 +185,32 @@ let class_of_unop (ty : Types.t) (op : Ops.unop) =
 (* ------------------------------------------------------------------ *)
 
 (** Collect the distinct values of [addrs.(l) lsr shift] over the
-    active lanes of one warp into the machine's scratch; returns their
-    count. Addresses are non-negative, so the shift is an exact
-    division by the (power-of-two) granule. Coalesced accesses arrive
-    already sorted: sortedness is detected during collection and the
-    insertion sort (at most 64 entries, allocation-free) only runs on
-    the shuffled minority. *)
-let distinct_shifted ctx shift (addrs : int array) (mask : mask) lo hi =
+    active lanes [lo, hi) of one warp into the machine's scratch,
+    ascending; returns their count. Addresses are non-negative, so the
+    shift is an exact division by the (power-of-two) granule. One pass
+    drops repeats of the previous value and notes any decrease: a
+    coalesced warp arrives ascending and is done, and only the
+    shuffled minority is insertion-sorted (at most 64 entries,
+    allocation-free) and compacted. *)
+let coalesce ctx shift (addrs : int array) (bits : bool array) lo hi =
   let scratch = ctx.m.scratch in
-  let bits = mask.bits in
   let n = ref 0 in
   let sorted = ref true in
-  let prev = ref min_int in
+  let prev = ref (-1) in
   for l = lo to hi - 1 do
     if Array.unsafe_get bits l then begin
       let v = Array.unsafe_get addrs l lsr shift in
-      if v < !prev then sorted := false;
-      prev := v;
-      Array.unsafe_set scratch !n v;
-      incr n
+      if v <> !prev then begin
+        if v < !prev then sorted := false;
+        prev := v;
+        Array.unsafe_set scratch !n v;
+        incr n
+      end
     end
   done;
   let k = !n in
-  if not !sorted then
+  if !sorted then k
+  else begin
     for i = 1 to k - 1 do
       let v = scratch.(i) in
       let j = ref (i - 1) in
@@ -214,141 +220,165 @@ let distinct_shifted ctx shift (addrs : int array) (mask : mask) lo hi =
       done;
       scratch.(!j + 1) <- v
     done;
-  (* compact duplicates *)
-  let d = ref 0 in
-  for i = 0 to k - 1 do
-    let v = Array.unsafe_get scratch i in
-    if i = 0 || v <> Array.unsafe_get scratch (!d - 1) then begin
-      Array.unsafe_set scratch !d v;
-      incr d
-    end
-  done;
-  !d
+    let d = ref 1 in
+    for i = 1 to k - 1 do
+      let v = Array.unsafe_get scratch i in
+      if v <> Array.unsafe_get scratch (!d - 1) then begin
+        Array.unsafe_set scratch !d v;
+        incr d
+      end
+    done;
+    !d
+  end
 
-(** Model one warp-level global-memory request: compute the 32 B
-    sectors the active lanes touch, walk them through L1 (per-SM) and
-    L2, and account traffic. Loads allocate in L1; stores are
-    write-through, no-allocate. *)
-let global_request ctx ~(is_store : bool) (addrs : int array) (mask : mask) lo hi =
+(** Count [reqs] global requests touching [sectors] sectors in all. *)
+let count_global ctx ~is_store reqs sectors =
   let c = ctx.m.counters in
-  let scratch = ctx.m.scratch in
-  let shift = Counters.sector_shift in
-  let nsec_i = distinct_shifted ctx shift addrs mask lo hi in
-  let nsec = float_of_int nsec_i in
+  let reqs = float_of_int reqs and sectors = float_of_int sectors in
   if is_store then begin
-    c.Counters.global_store_req <- c.Counters.global_store_req +. 1.;
-    c.Counters.store_sectors <- c.Counters.store_sectors +. nsec;
-    c.Counters.store_l2_sectors <- c.Counters.store_l2_sectors +. nsec;
-    for i = 0 to nsec_i - 1 do
-      if not (Cache.access ctx.m.l2s.(ctx.sm) (Array.unsafe_get scratch i lsl shift)) then
-        c.Counters.l2_store_miss_sectors <- c.Counters.l2_store_miss_sectors +. 1.
-    done
+    c.Counters.global_store_req <- c.Counters.global_store_req +. reqs;
+    c.Counters.store_sectors <- c.Counters.store_sectors +. sectors;
+    c.Counters.store_l2_sectors <- c.Counters.store_l2_sectors +. sectors
   end
   else begin
-    c.Counters.global_load_req <- c.Counters.global_load_req +. 1.;
-    c.Counters.load_sectors <- c.Counters.load_sectors +. nsec;
-    for i = 0 to nsec_i - 1 do
-      if not (Cache.access ctx.m.l1s.(ctx.sm) (Array.unsafe_get scratch i lsl shift)) then begin
-        c.Counters.l1_load_miss_sectors <- c.Counters.l1_load_miss_sectors +. 1.;
-        if not (Cache.access ctx.m.l2s.(ctx.sm) (Array.unsafe_get scratch i lsl shift)) then
-          c.Counters.l2_load_miss_sectors <- c.Counters.l2_load_miss_sectors +. 1.
-      end
-    done
+    c.Counters.global_load_req <- c.Counters.global_load_req +. reqs;
+    c.Counters.load_sectors <- c.Counters.load_sectors +. sectors
   end
 
-(** Model one warp-level shared-memory request with bank-conflict
-    replays: the replay count is the maximum, over banks, of distinct
-    32-bit words addressed in that bank. *)
-let shared_request ctx ~(is_store : bool) (addrs : int array) (mask : mask) lo hi =
+(** Count [reqs] shared requests costing [transactions] in all. *)
+let count_shared ctx ~is_store reqs transactions =
   let c = ctx.m.counters in
+  let reqs = float_of_int reqs in
+  if is_store then c.Counters.shared_store_req <- c.Counters.shared_store_req +. reqs
+  else c.Counters.shared_load_req <- c.Counters.shared_load_req +. reqs;
+  c.Counters.shared_transactions <- c.Counters.shared_transactions +. float_of_int transactions
+
+(** [k] probes of one line, the first at sector address [a]. A load
+    probes the SM's L1 and, when that misses, fetches [a] from the
+    SM's L2 slice; the other [k - 1] sectors then hit the L1. A store
+    (write-through, no-allocate) probes only the L2 slice. Misses are
+    counted per sector. *)
+let probe_run ctx ~is_store a k =
+  let c = ctx.m.counters in
+  let l2 = ctx.m.l2s.(ctx.sm) in
+  if is_store then begin
+    if not (Cache.access_run l2 a k) then
+      c.Counters.l2_store_miss_sectors <- c.Counters.l2_store_miss_sectors +. 1.
+  end
+  else if not (Cache.access_run ctx.m.l1s.(ctx.sm) a k) then begin
+    c.Counters.l1_load_miss_sectors <- c.Counters.l1_load_miss_sectors +. 1.;
+    if not (Cache.access l2 a) then
+      c.Counters.l2_load_miss_sectors <- c.Counters.l2_load_miss_sectors +. 1.
+  end
+
+(** The cache a request's runs are cut by: the L1 for a load, the L2
+    slice for a store. *)
+let first_cache ctx ~is_store = if is_store then ctx.m.l2s.(ctx.sm) else ctx.m.l1s.(ctx.sm)
+
+(** One warp-level global-memory request over lanes [lo, hi): the 32 B
+    sectors the active lanes touch, counted per sector, probed once per
+    run of sectors in one line ({!probe_run}). Ascending sectors of one
+    line are consecutive, so this makes the hits and misses of probing
+    every sector in turn. *)
+let global_request ctx ~is_store (addrs : int array) bits lo hi =
+  let n = coalesce ctx Counters.sector_shift addrs bits lo hi in
+  count_global ctx ~is_store 1 n;
+  let cache = first_cache ctx ~is_store in
+  let scratch = ctx.m.scratch in
+  let shift = Counters.sector_shift in
+  let i = ref 0 in
+  while !i < n do
+    let a = Array.unsafe_get scratch !i lsl shift in
+    let ln = Cache.line cache a in
+    let j = ref (!i + 1) in
+    while !j < n && Cache.line cache (Array.unsafe_get scratch !j lsl shift) = ln do
+      incr j
+    done;
+    probe_run ctx ~is_store a (!j - !i);
+    i := !j
+  done
+
+(** One warp-level shared-memory request over lanes [lo, hi), costing
+    one transaction per bank-conflict replay: the most distinct 32-bit
+    words any one bank is asked for. Distinct words spanning fewer
+    than [shmem_banks] fall in distinct banks, so such a warp costs
+    one transaction without the bank table. *)
+let shared_request ctx ~is_store (addrs : int array) bits lo hi =
   let scratch = ctx.m.scratch and bank_counts = ctx.m.bank_counts in
   let banks = ctx.m.target.Pgpu_target.Descriptor.shmem_banks in
-  let nwords = distinct_shifted ctx 2 addrs mask lo hi in
-  Array.fill bank_counts 0 banks 0;
+  let nwords = coalesce ctx 2 addrs bits lo hi in
   let replays = ref 1 in
-  if banks land (banks - 1) = 0 then begin
-    let bm = banks - 1 in
+  if scratch.(nwords - 1) - scratch.(0) >= banks then begin
+    Array.fill bank_counts 0 banks 0;
+    let pow2 = banks land (banks - 1) = 0 in
     for i = 0 to nwords - 1 do
-      let b = Array.unsafe_get scratch i land bm in
-      let n = Array.unsafe_get bank_counts b + 1 in
-      Array.unsafe_set bank_counts b n;
+      let w = Array.unsafe_get scratch i in
+      let b = if pow2 then w land (banks - 1) else w mod banks in
+      let n = bank_counts.(b) + 1 in
+      bank_counts.(b) <- n;
       if n > !replays then replays := n
     done
-  end
-  else
-    for i = 0 to nwords - 1 do
-      let b = scratch.(i) mod banks in
-      bank_counts.(b) <- bank_counts.(b) + 1;
-      if bank_counts.(b) > !replays then replays := bank_counts.(b)
-    done;
-  if is_store then c.Counters.shared_store_req <- c.Counters.shared_store_req +. 1.
-  else c.Counters.shared_load_req <- c.Counters.shared_load_req +. 1.;
-  c.Counters.shared_transactions <- c.Counters.shared_transactions +. float_of_int !replays
+  end;
+  count_shared ctx ~is_store 1 !replays
+
+(** The one-lane arm of {!requests}: each active lane is a warp of one
+    sector or word. Its counters move once per instruction, by the
+    active-lane count, and consecutive active lanes whose sectors
+    share a line probe it once ({!probe_run}). *)
+let lane_requests ctx ~is_store (space : Types.space) (addrs : int array) (mask : mask) =
+  let c = ctx.m.counters in
+  let k = mask.active in
+  c.Counters.warp_insts <- c.Counters.warp_insts +. float_of_int k;
+  match space with
+  | Types.Shared -> count_shared ctx ~is_store k k
+  | Types.Global | Types.Host ->
+      count_global ctx ~is_store k k;
+      let cache = first_cache ctx ~is_store in
+      let bits = mask.bits in
+      let shift = Counters.sector_shift in
+      (* the open run: its first sector address, its line, its length *)
+      let a0 = ref 0 and ln0 = ref (-1) and run = ref 0 in
+      for l = 0 to ctx.nlanes - 1 do
+        if Array.unsafe_get bits l then begin
+          let a = (Array.unsafe_get addrs l lsr shift) lsl shift in
+          let ln = Cache.line cache a in
+          if ln = !ln0 then incr run
+          else begin
+            if !run > 0 then probe_run ctx ~is_store !a0 !run;
+            a0 := a;
+            ln0 := ln;
+            run := 1
+          end
+        end
+      done;
+      if !run > 0 then probe_run ctx ~is_store !a0 !run
 
 (** The memory-request model of one memory instruction: one warp
-    instruction, plus one request, per warp with an active lane. A
-    one-lane warp touches one granule, so its arm skips the coalescer
-    and the bank table but makes the counter increments and cache
-    probes {!global_request} and {!shared_request} make on a one-lane
-    range, in the same order: the two arms agree bit for bit at
-    [ws = 1]. *)
+    instruction, plus one request, per warp with an active lane. *)
 let requests ctx ~is_store (space : Types.space) (addrs : int array) (mask : mask) =
-  let c = ctx.m.counters in
-  let bits = mask.bits in
-  let n = ctx.nlanes in
-  if ctx.ws = 1 then begin
-    match space with
-    | Types.Global | Types.Host ->
-        let l1 = ctx.m.l1s.(ctx.sm) and l2 = ctx.m.l2s.(ctx.sm) in
-        let shift = Counters.sector_shift in
-        for l = 0 to n - 1 do
-          if Array.unsafe_get bits l then begin
-            let sector = (Array.unsafe_get addrs l lsr shift) lsl shift in
-            c.Counters.warp_insts <- c.Counters.warp_insts +. 1.;
-            if is_store then begin
-              c.Counters.global_store_req <- c.Counters.global_store_req +. 1.;
-              c.Counters.store_sectors <- c.Counters.store_sectors +. 1.;
-              c.Counters.store_l2_sectors <- c.Counters.store_l2_sectors +. 1.;
-              if not (Cache.access l2 sector) then
-                c.Counters.l2_store_miss_sectors <- c.Counters.l2_store_miss_sectors +. 1.
-            end
-            else begin
-              c.Counters.global_load_req <- c.Counters.global_load_req +. 1.;
-              c.Counters.load_sectors <- c.Counters.load_sectors +. 1.;
-              if not (Cache.access l1 sector) then begin
-                c.Counters.l1_load_miss_sectors <- c.Counters.l1_load_miss_sectors +. 1.;
-                if not (Cache.access l2 sector) then
-                  c.Counters.l2_load_miss_sectors <- c.Counters.l2_load_miss_sectors +. 1.
-              end
-            end
-          end
-        done
-    | Types.Shared ->
-        for l = 0 to n - 1 do
-          if Array.unsafe_get bits l then begin
-            c.Counters.warp_insts <- c.Counters.warp_insts +. 1.;
-            if is_store then c.Counters.shared_store_req <- c.Counters.shared_store_req +. 1.
-            else c.Counters.shared_load_req <- c.Counters.shared_load_req +. 1.;
-            c.Counters.shared_transactions <- c.Counters.shared_transactions +. 1.
-          end
-        done
-  end
-  else
+  if ctx.ws = 1 then lane_requests ctx ~is_store space addrs mask
+  else begin
+    let c = ctx.m.counters in
+    let bits = mask.bits in
+    let n = ctx.nlanes in
     let ws = ctx.ws in
+    let full = mask.active = n in
     for w = 0 to Pgpu_support.Util.ceil_div n ws - 1 do
       let lo = w * ws in
       let hi = Int.min (lo + ws) n in
-      let any = ref false in
-      for l = lo to hi - 1 do
-        if Array.unsafe_get bits l then any := true
-      done;
-      if !any then begin
+      let l = ref lo in
+      if not full then
+        while !l < hi && not (Array.unsafe_get bits !l) do
+          incr l
+        done;
+      if !l < hi then begin
         c.Counters.warp_insts <- c.Counters.warp_insts +. 1.;
         match space with
-        | Types.Global | Types.Host -> global_request ctx ~is_store addrs mask lo hi
-        | Types.Shared -> shared_request ctx ~is_store addrs mask lo hi
+        | Types.Global | Types.Host -> global_request ctx ~is_store addrs bits lo hi
+        | Types.Shared -> shared_request ctx ~is_store addrs bits lo hi
       end
     done
+  end
 
 (* ------------------------------------------------------------------ *)
 (* Uniform coercions                                                   *)

@@ -9,10 +9,11 @@
 
     This interface is the engine seam: the slot-indexed compiled
     engine ({!Compile}) executes against the machine, masks, counting
-    ({!count_op}) and memory-request model ({!requests}) exposed here,
-    and so does the tree-walking reference interpreter the tests keep
-    as its oracle ([test/interp.ml]), so both observe exactly the same
-    simulated events. *)
+    ({!count_op}) and memory-request model ({!requests}) exposed here.
+    The tree-walking reference interpreter the tests keep as its
+    oracle ([test/interp.ml]) drives the same machine, masks and
+    counting, but models memory with a reference request model of its
+    own, so engine parity checks {!requests} too. *)
 
 open Pgpu_ir
 
@@ -79,7 +80,6 @@ type mask = { bits : bool array; active : int; warps : int }
 
 type ctx = {
   m : machine;
-  env : env;
   nlanes : int;
   ws : int;  (** warp size *)
   sm : int;  (** SM executing the current block *)
@@ -97,37 +97,28 @@ val count_op : ctx -> mask -> op_class -> unit
 val class_of_binop : Types.t -> Ops.binop -> op_class
 val class_of_unop : Types.t -> Ops.unop -> op_class
 
-(** The warp arm's global request: one warp-level global-memory
-    request over lanes [lo, hi) of [mask]. The active lanes' addresses
-    coalesce into distinct 32 B sectors ({!Counters.sector_shift}),
-    each walked through the SM's L1 and then its L2 slice, with traffic
-    counted per sector. Loads allocate in L1; stores are
-    write-through, no-allocate, and probe only the L2 slice. Called by
-    {!requests} for warps wider than one lane, and by tests as the
-    reference of its one-lane arm. *)
-val global_request : ctx -> is_store:bool -> int array -> mask -> int -> int -> unit
-
-(** The warp arm's shared request: one warp-level shared-memory
-    request over lanes [lo, hi) of [mask], costing one transaction per
-    bank-conflict replay (the most distinct 32-bit words any one bank
-    is asked for). Called like {!global_request}. *)
-val shared_request : ctx -> is_store:bool -> int array -> mask -> int -> int -> unit
-
 (** [requests ctx ~is_store space addrs mask] models one memory
     instruction over the active lanes of [mask], lane [l] accessing
     byte address [addrs.(l)] of [space] (already resolved: a shared
     access the machine demotes to global arrives as [Global]). It
     issues one warp instruction, plus one request, per warp with an
-    active lane. Warps of [ctx.ws > 1] lanes run
-    {!global_request} / {!shared_request}. At [ctx.ws = 1] (the CPU
-    targets) each active lane is its own warp and touches one granule,
-    so the one-lane arm skips the coalescer and the bank table: a
-    global load probes its sector in the SM's L1, then the SM's L2
-    slice on a miss; a global store counts one write-through sector
-    and probes only the L2 slice; a shared access is one transaction.
-    It makes the same counter increments and cache probes, in the same
-    order, as the warp arm on each one-lane range, so its results are
-    bit-identical to it. *)
+    active lane.
+
+    A global request coalesces its warp's active lanes into distinct
+    32 B sectors ({!Counters.sector_shift}), counted per sector. A
+    load walks each sector through the SM's L1 and, on a miss, its L2
+    slice; a store is write-through, no-allocate, and probes only the
+    L2 slice. The probes are made once per run of ascending sectors
+    that share a line ({!Cache.access_run}), which leaves every cache
+    and counter as probing each sector in turn would. A shared request
+    costs one transaction per bank-conflict replay: the most distinct
+    32-bit words any one bank is asked for.
+
+    At [ctx.ws = 1] (the CPU targets) each active lane is its own warp
+    of one sector or word: the counters move once per instruction, by
+    the active-lane count, and consecutive active lanes in one line
+    make one probe. The results are those of the warp rule applied to
+    every lane. *)
 val requests : ctx -> is_store:bool -> Types.space -> int array -> mask -> unit
 
 (** Uniform-scalar coercions (raise [Invalid_argument] on vectors). *)

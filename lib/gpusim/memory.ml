@@ -56,10 +56,14 @@ let alloc a space elt len =
   a.next_addr <- base + Pgpu_support.Util.round_up size 256;
   { id; space; elt; len; data; base }
 
+exception Out_of_bounds of string
+
 let check_bounds b idx =
   if idx < 0 || idx >= b.len then
-    Pgpu_support.Util.failf "out-of-bounds access: index %d in buffer #%d of %d elements (%s)" idx
-      b.id b.len (Types.to_string b.elt)
+    raise
+      (Out_of_bounds
+         (Fmt.str "out-of-bounds access: index %d in buffer #%d of %d elements (%s)" idx b.id
+            b.len (Types.to_string b.elt)))
 
 let get_f b idx =
   check_bounds b idx;
@@ -84,8 +88,9 @@ let addr b idx = b.base + (idx * Types.byte_size b.elt)
     element types must match). *)
 let copy ~dst ~src count =
   if count < 0 || count > src.len || count > dst.len then
-    Pgpu_support.Util.failf "memcpy out of range: %d elements, src %d, dst %d" count src.len
-      dst.len;
+    raise
+      (Out_of_bounds
+         (Fmt.str "memcpy out of range: %d elements, src %d, dst %d" count src.len dst.len));
   match (dst.data, src.data) with
   | F d, F s -> Array.blit s 0 d 0 count
   | I d, I s -> Array.blit s 0 d 0 count

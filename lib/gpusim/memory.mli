@@ -36,8 +36,14 @@ val block_allocator : int -> allocator
 
 val elt_size : buf -> int
 
-(** @raise Failure on out-of-bounds access (the net that catches
-    transformation bugs). *)
+(** An access outside a buffer, or a copy longer than either buffer.
+    Raised where the access happens; the runtime reports it as a
+    device error when a kernel makes it and as a host error when the
+    host program does. *)
+exception Out_of_bounds of string
+
+(** @raise Out_of_bounds on an index outside [[0, len)] (the net that
+    also catches transformation bugs). *)
 val check_bounds : buf -> int -> unit
 
 val get_f : buf -> int -> float
@@ -48,7 +54,9 @@ val set_i : buf -> int -> int -> unit
 (** Byte address of element [idx]. *)
 val addr : buf -> int -> int
 
-(** Copy [count] elements (simulating cudaMemcpy). *)
+(** Copy [count] elements (simulating cudaMemcpy).
+    @raise Out_of_bounds when [count] is negative or exceeds either
+    buffer. *)
 val copy : dst:buf -> src:buf -> int -> unit
 
 val fill_f : buf -> (int -> float) -> unit

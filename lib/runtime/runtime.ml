@@ -356,20 +356,25 @@ let launch st ~name ~wid ~alt (site : site) (p : Instr.instr) =
     | None -> Compile.runner ~frames:st.frames (compiled_kernel st p) ~env:st.env
   in
   let result, breakdown =
-    if cpu_mode st then begin
-      let cres = Cpu_exec.launch st.config.target ~jobs:st.config.jobs ~mode ~env:st.env p runner in
-      let result = cres.Cpu_exec.result in
-      ( result,
-        Cpu_timing.estimate st.config.target ~demand
-          ~vector_fraction:cres.Cpu_exec.vector_fraction result )
-    end
-    else begin
-      let jobs = st.config.jobs in
-      st.machine.Exec.shared_as_global <- offload;
-      let result = Exec.run_grid ~jobs st.machine ~mode ~env:st.env p runner in
-      st.machine.Exec.shared_as_global <- false;
-      (result, Timing.estimate st.config.target ~demand result)
-    end
+    (* a fault inside the kernel is the device's *)
+    try
+      if cpu_mode st then begin
+        let cres =
+          Cpu_exec.launch st.config.target ~jobs:st.config.jobs ~mode ~env:st.env p runner
+        in
+        let result = cres.Cpu_exec.result in
+        ( result,
+          Cpu_timing.estimate st.config.target ~demand
+            ~vector_fraction:cres.Cpu_exec.vector_fraction result )
+      end
+      else begin
+        let jobs = st.config.jobs in
+        st.machine.Exec.shared_as_global <- offload;
+        let result = Exec.run_grid ~jobs st.machine ~mode ~env:st.env p runner in
+        st.machine.Exec.shared_as_global <- false;
+        (result, Timing.estimate st.config.target ~demand result)
+      end
+    with Memory.Out_of_bounds msg -> raise (Exec.Device_error msg)
   in
   let seconds = breakdown.Timing.seconds in
   let t0 = ticks st in
@@ -593,20 +598,26 @@ and search st ~name ~wid ~signature ?ckey descs regions =
     if Tracer.enabled st.config.tracer || List.exists has_nested_site regions then 1
     else st.config.jobs
   in
-  let times =
+  let trials =
     Pgpu_support.Pool.map (Pgpu_support.Pool.get ()) ~jobs
       (fun (k, region) -> trial st ~name ~wid ~descs k region)
       (List.mapi (fun k r -> (k, r)) regions)
   in
   let best = ref (-1) and best_t = ref infinity in
   List.iteri
-    (fun k t ->
+    (fun k (t, _) ->
       if t < !best_t then begin
         best := k;
         best_t := t
       end)
-    times;
-  if !best < 0 then host_fail "no feasible alternative for kernel %s" name;
+    trials;
+  if !best < 0 then begin
+    (* every candidate was rejected: a fault among them is the
+       kernel's, and reported as the commit would have reported it *)
+    match List.find_map snd trials with
+    | Some msg -> raise (Exec.Device_error msg)
+    | None -> host_fail "no feasible alternative for kernel %s" name
+  end;
   Log.debug (fun m ->
       m "TDO: kernel %s chose alternative %d (%s), %.3g s" name !best (List.nth descs !best)
         !best_t);
@@ -631,7 +642,8 @@ and search st ~name ~wid ~signature ?ckey descs regions =
     runs on, and leaves no trace on it. The live machine stays idle
     until [search] has dropped every trial state, as the clone's
     source-idle rule requires. Returns the candidate's simulated
-    seconds, [infinity] when infeasible. *)
+    seconds, [infinity] when it is infeasible or faults, and the
+    fault's message. *)
 and trial st ~name ~wid ~descs k region =
   let machine = Exec.clone_machine st.machine in
   let ts =
@@ -644,9 +656,11 @@ and trial st ~name ~wid ~descs k region =
       trial = true;
     }
   in
-  let t =
-    try exec_kernel_region ts ~name ~wid ~alt:k region
-    with Timing.Infeasible _ | Exec.Device_error _ -> infinity
+  let t, fault =
+    match exec_kernel_region ts ~name ~wid ~alt:k region with
+    | t -> (t, None)
+    | exception Timing.Infeasible _ -> (infinity, None)
+    | exception Exec.Device_error msg -> (infinity, Some msg)
   in
   Tracer.instant_at st.config.tracer ~cat:"tdo" ~ts:(ticks st)
     ~args:
@@ -658,7 +672,7 @@ and trial st ~name ~wid ~descs k region =
         ("feasible", Json.Bool (Float.is_finite t));
       ]
     "tdo:trial";
-  t
+  (t, fault)
 
 and exec_wrapper st ~name ~wid (body : Instr.block) =
   match body with
@@ -780,7 +794,10 @@ let run ?reference ?(fname = "main") config (m : Instr.modul) (args : Exec.rv li
   List.iter2 (bind st) f.Instr.params args;
   let cache_on = Cache.enabled config.cache in
   let th0, tm0, _ = if cache_on then Cache.ns_stats config.cache "tdo" else (0, 0, 0) in
+  (* launches report their own faults as device errors, so an access
+     fault that reaches here is the host program's *)
   match exec_host_block st f.Instr.body with
+  | exception Memory.Out_of_bounds msg -> raise (Host_error msg)
   | `Return vs ->
       (* per-run TDO cache telemetry (deltas over this run) and
          write-back; gated on an enabled cache so default traces are

@@ -72,7 +72,11 @@ type reference = env:Exec.env -> Instr.instr -> Exec.runner
     [reference] when one is given: the seam through which the
     differential tests run the reference interpreter.
     @raise Host_error on a malformed host program or input, such as an
-    allocation of a negative element count. *)
+    allocation of a negative element count or a host access outside a
+    buffer.
+    @raise Exec.Device_error on a fault inside a committed kernel
+    launch, such as an access outside a buffer. A TDO trial that
+    faults is rejected like an infeasible candidate instead. *)
 val run :
   ?reference:reference ->
   ?fname:string ->

@@ -19,7 +19,8 @@
     - an [If] whose branches synchronize becomes a block-level
       conditional — legal when its condition is thread-invariant;
     - a synchronizing [While] has no static trip count and is
-      rejected (the caller falls back to lockstep interpretation).
+      rejected (the kernel then runs unfissioned, each block in
+      lockstep on its core).
 
     Values that *live across* a split are per-thread state the
     separate epoch loops no longer share. Two repairs apply:
@@ -403,8 +404,8 @@ let add_stats x y =
     (wrapper body or alternative candidate) to barrier-free epochs.
     Barrier-free thread loops and host-level structure are untouched.
     [Error] reports the first construct fission cannot handle — the
-    caller is expected to fall back to lockstep SPMD interpretation,
-    which is always correct. *)
+    caller then runs the region unfissioned on the compiled engine,
+    each block in lockstep on its core, which is always correct. *)
 let lower_region ?(const_of_ext = fun (_ : Value.t) -> None) (region : Instr.block) :
     (lowered, string) result =
   let static = const_tbl region in

@@ -30,8 +30,8 @@ val const_tbl : Instr.block -> Value.t -> int option
     fission cannot handle (barrier in a [While], thread-dependent
     interchange operand, non-static thread extent, loop-carried
     values across a sync, buffer live across a barrier) — callers
-    fall back to lockstep SPMD interpretation, which is always
-    correct.
+    then run the region unfissioned on the compiled engine, each
+    block in lockstep on its core, which is always correct.
 
     [const_of_ext] resolves integer values the region itself does not
     define to constants — typically host-computed thread extents looked

@@ -4,12 +4,14 @@
     One GPU block is interpreted with *all its threads at once*: every
     SSA value inside the thread-level parallel is either uniform or a
     per-lane array in a hashtable environment, and divergent control
-    flow is handled with lane masks. It drives the same machine, masks,
-    counting ({!Exec.count_op}) and memory-request model
-    ({!Exec.requests}) as the compiled engine, and runs under the same
-    grid loop ({!Exec.run_grid}) or CPU core loop through {!runner}, so
-    the two must agree on outputs, every counter and every simulated
-    time, bit for bit. It is written for obviousness, not speed. *)
+    flow is handled with lane masks. It drives the same machine, masks
+    and counting ({!Exec.count_op}) as the compiled engine, and runs
+    under the same grid loop ({!Exec.run_grid}) or CPU core loop
+    through {!runner}, but models memory instructions with its own
+    reference request model ({!Reference_memory.requests}), so the two
+    must agree on outputs, every counter and every simulated time, bit
+    for bit, through two request models. It is written for
+    obviousness, not speed. *)
 
 open Pgpu_ir
 open Pgpu_gpusim
@@ -46,7 +48,8 @@ let to_vb n = function
 
 (** Masked vector memory access. Computes per-lane addresses, performs
     the functional load/store, records shared accesses for the race
-    detector, and models the instruction through {!Exec.requests}. *)
+    detector, and models the instruction through
+    {!Reference_memory.requests}. *)
 let vec_access ctx (mask : mask) ~is_store (bufs : Memory.buf array) (idxs : int array)
     (write : int -> Memory.buf -> int -> unit) =
   let addrs = Array.make ctx.nlanes 0 in
@@ -75,15 +78,14 @@ let vec_access ctx (mask : mask) ~is_store (bufs : Memory.buf array) (idxs : int
     | Types.Shared when ctx.m.shared_as_global -> Types.Global
     | s -> s
   in
-  requests ctx ~is_store effective_space addrs mask
+  Reference_memory.requests ctx ~is_store effective_space addrs mask
 
 (* ------------------------------------------------------------------ *)
 (* Expression evaluation                                               *)
 (* ------------------------------------------------------------------ *)
 
-let eval_expr ctx (mask : mask) (res : Value.t) (e : Instr.expr) : rv =
+let eval_expr ctx env (mask : mask) (res : Value.t) (e : Instr.expr) : rv =
   let n = ctx.nlanes in
-  let env = ctx.env in
   let ty = res.Value.ty in
   match e with
   | Instr.Const (Instr.Ci x) -> UI x
@@ -231,24 +233,22 @@ let merge_masked ctx (bits : bool array) (ty : Types.t) ~(next : rv) ~(old : rv)
 type terminator = T_none | T_yield of rv list | T_yield_while of rv * rv list
 
 (** Execute a block under [mask]; returns the terminator data. *)
-let rec exec_block ctx (mask : mask) (block : Instr.block) : terminator =
+let rec exec_block ctx env (mask : mask) (block : Instr.block) : terminator =
   let term = ref T_none in
   List.iter
     (fun i ->
       match i with
-      | Instr.Yield vs -> term := T_yield (List.map (lookup ctx.env) vs)
-      | Instr.Yield_while (c, vs) ->
-          term := T_yield_while (lookup ctx.env c, List.map (lookup ctx.env) vs)
+      | Instr.Yield vs -> term := T_yield (List.map (lookup env) vs)
+      | Instr.Yield_while (c, vs) -> term := T_yield_while (lookup env c, List.map (lookup env) vs)
       | Instr.Return _ -> device_fail "return inside device code"
-      | _ -> exec_instr ctx mask i)
+      | _ -> exec_instr ctx env mask i)
     block;
   !term
 
-and exec_instr ctx (mask : mask) (i : Instr.instr) : unit =
-  let env = ctx.env in
+and exec_instr ctx env (mask : mask) (i : Instr.instr) : unit =
   let n = ctx.nlanes in
   match i with
-  | Instr.Let (v, e) -> bind env v (eval_expr ctx mask v e)
+  | Instr.Let (v, e) -> bind env v (eval_expr ctx env mask v e)
   | Instr.Store { mem; idx; v } ->
       let bufs = to_vb n (lookup env mem) and idxs = to_vi n (lookup env idx) in
       (match ctx.m.racecheck with
@@ -267,7 +267,7 @@ and exec_instr ctx (mask : mask) (i : Instr.instr) : unit =
       count_op ctx mask Cint;
       if is_uniform rc then begin
         let branch = if ui_of rc <> 0 then then_ else else_ in
-        match exec_block ctx mask branch with
+        match exec_block ctx env mask branch with
         | T_yield vs -> List.iter2 (bind env) results vs
         | T_none when results = [] -> ()
         | T_none | T_yield_while _ -> device_fail "malformed if region"
@@ -293,7 +293,7 @@ and exec_instr ctx (mask : mask) (i : Instr.instr) : unit =
         let run m blk =
           if m.active = 0 then None
           else
-            match exec_block ctx m blk with
+            match exec_block ctx env m blk with
             | T_yield vs -> Some vs
             | T_none -> Some []
             | T_yield_while _ -> device_fail "malformed if region"
@@ -316,7 +316,7 @@ and exec_instr ctx (mask : mask) (i : Instr.instr) : unit =
           bind env iv (UI !k);
           count_op ctx mask Cint;
           count_op ctx mask Cint;
-          (match exec_block ctx mask body with
+          (match exec_block ctx env mask body with
           | T_yield vs -> List.iter2 (bind env) iter_args vs
           | T_none | T_yield_while _ -> device_fail "malformed for region");
           k := !k + s
@@ -338,7 +338,7 @@ and exec_instr ctx (mask : mask) (i : Instr.instr) : unit =
             count_op ctx am Cint;
             count_op ctx am Cint;
             let olds = List.map (lookup env) iter_args in
-            (match exec_block ctx am body with
+            (match exec_block ctx env am body with
             | T_yield vs ->
                 List.iter2
                   (fun (a : Value.t) (next, old) ->
@@ -360,7 +360,7 @@ and exec_instr ctx (mask : mask) (i : Instr.instr) : unit =
       while !continue_ do
         count_op ctx !active Cint;
         let olds = List.map (lookup env) iter_args in
-        (match exec_block ctx !active body with
+        (match exec_block ctx env !active body with
         | T_yield_while (c, vs) ->
             List.iter2
               (fun (a : Value.t) (next, old) ->
@@ -395,7 +395,7 @@ and exec_instr ctx (mask : mask) (i : Instr.instr) : unit =
             bind_dims (stride * d) rest
       in
       bind_dims 1 (List.combine ivs dims);
-      ignore (exec_block tctx (full_mask tctx) body)
+      ignore (exec_block tctx env (full_mask tctx) body)
   | Instr.Parallel { level = Instr.Blocks; _ } -> device_fail "nested blocks parallel"
   | Instr.Barrier _ ->
       if mask.active <> ctx.nlanes then
@@ -428,7 +428,7 @@ let runner ~(env : env) (p : Instr.instr) : runner =
         fun ~sm lb ->
           let coords = [ lb mod dx; lb / dx mod dy; lb / (dx * dy) ] in
           List.iteri (fun k (iv : Value.t) -> bind env iv (UI (List.nth coords k))) ivs;
-          let ctx = { m; env; nlanes = 1; ws = m.target.Pgpu_target.Descriptor.warp_size; sm } in
-          ignore (exec_block ctx (full_mask ctx) body);
+          let ctx = { m; nlanes = 1; ws = m.target.Pgpu_target.Descriptor.warp_size; sm } in
+          ignore (exec_block ctx env (full_mask ctx) body);
           m.counters.Counters.blocks <- m.counters.Counters.blocks +. 1.
   | _ -> device_fail "launch expects a blocks-level parallel"

@@ -38,6 +38,59 @@ let test_vecadd_negative () =
   | _ -> Alcotest.fail "vecadd at n = -1 ran"
   | exception Pgpu_runtime.Runtime.Host_error _ -> ()
 
+(** One 32-thread block storing to element [tid] of an [n]-element
+    global buffer without a tail guard, then copying [copy b n]
+    elements of it back to the host. *)
+let unguarded_module ~copy =
+  let n = Value.fresh ~hint:"n" Types.I32 in
+  let f =
+    Builder.func "main" [ n ] [ host_f32 ] (fun b ->
+        let h = Builder.alloc b Types.Host f32 n in
+        let d = Builder.alloc b Types.Global f32 n in
+        Builder.gpu_wrapper b "unguarded" (fun wb ->
+            let c1 = Builder.const_i wb 1 and c32 = Builder.const_i wb 32 in
+            ignore
+              (Builder.parallel wb Instr.Blocks [ c1 ] (fun bb _ _ ->
+                   ignore
+                     (Builder.parallel bb Instr.Threads [ c32 ] (fun tb _ tivs ->
+                          Builder.store tb d (List.hd tivs) (Builder.const_f tb 1.))))));
+        Builder.add b (Instr.Memcpy { dst = h; src = d; count = copy b n });
+        Builder.return b [ h ])
+  in
+  { Instr.funcs = [ f ] }
+
+(* a kernel's access past the end of a buffer is a device error, and a
+   host copy past it a host error, on either kind of target *)
+let test_out_of_bounds () =
+  List.iter
+    (fun (target : Descriptor.t) ->
+      let config = Pgpu_runtime.Runtime.default_config target in
+      let name what = Fmt.str "%s: %s" target.Descriptor.name what in
+      (match run_main ~config (unguarded_module ~copy:(fun _ n -> n)) [ Exec.UI 16 ] with
+      | _ -> Alcotest.fail (name "the unguarded kernel ran")
+      | exception Exec.Device_error _ -> ());
+      let copy b n = Builder.add_ b n (Builder.const_i b 1) in
+      match run_main ~config (unguarded_module ~copy) [ Exec.UI 32 ] with
+      | _ -> Alcotest.fail (name "the long copy ran")
+      | exception Pgpu_runtime.Runtime.Host_error _ -> ())
+    [ Descriptor.a100; Descriptor.cpu ]
+
+(* lud's closing diagonal launch is unconditional: at nt = 0 it reads
+   the empty matrix at offset -16. That is a device error whether the
+   launch is committed directly or every candidate of a TDO search
+   faults *)
+let test_lud_empty_faults () =
+  let module P = Pgpu_core.Polygeist_gpu in
+  let b = P.Rodinia.find "lud" in
+  let specs = P.specs_of_totals [ (1, 1); (2, 2) ] in
+  List.iter
+    (fun tune ->
+      let c = P.compile ~specs ~target:Descriptor.a100 ~source:b.P.Bench_def.source () in
+      match P.run ~tune c ~args:[ 0 ] with
+      | _ -> Alcotest.failf "lud at n = 0 ran (tune %b)" tune
+      | exception Exec.Device_error _ -> ())
+    [ false; true ]
+
 let test_vecadd_tail_guard () =
   (* n = 1 exercises a grid of one block with 255 masked lanes *)
   let m = vecadd_module () in
@@ -376,7 +429,102 @@ let prop_cache_clone =
       true)
 
 (* ------------------------------------------------------------------ *)
-(* The one-lane request arm                                             *)
+(* The cache against the reference LRU                                  *)
+(* ------------------------------------------------------------------ *)
+
+(** One step of a cache trace: a probe, a run of [k] probes of one
+    line, a reset, a switch to a clone, or a fork — a clone driven
+    through its own steps and dropped, after which the source resumes. *)
+type cache_step = Probe of int | Run of int * int | Reset | Clone | Fork of cache_step list
+
+let rec pp_cache_step ppf = function
+  | Probe a -> Fmt.int ppf a
+  | Run (a, k) -> Fmt.pf ppf "%dx%d" a k
+  | Reset -> Fmt.string ppf "reset"
+  | Clone -> Fmt.string ppf "clone"
+  | Fork s -> Fmt.pf ppf "fork[%a]" Fmt.(list ~sep:sp pp_cache_step) s
+
+(** A geometry with few sets (so lines conflict) and up to 300 steps
+    over a window of three cache sizes. *)
+let arb_cache_trace =
+  let gen =
+    let open QCheck.Gen in
+    let* ways = int_range 1 16
+    and* line = oneofl [ 32; 48; 64; 96; 128 ]
+    and* sets = int_range 1 6 in
+    let size = sets * ways * line in
+    let addr = int_range 0 ((3 * size) - 1) in
+    let flat =
+      frequency
+        [
+          (12, map (fun a -> Probe a) addr);
+          (3, map2 (fun a k -> Run (a, k)) addr (int_range 1 8));
+          (1, return Reset);
+          (1, return Clone);
+        ]
+    in
+    let fork = map (fun s -> Fork s) (list_size (int_range 0 60) flat) in
+    let step = frequency [ (30, flat); (1, fork) ] in
+    let+ steps = list_size (int_range 0 300) step in
+    ((size, line, ways), steps)
+  in
+  QCheck.make
+    ~print:(fun ((size, line, ways), steps) ->
+      Fmt.str "%d B, %d B lines, %d ways | %a" size line ways
+        Fmt.(list ~sep:sp pp_cache_step)
+        steps)
+    gen
+
+(** Every probe of {!Cache} must answer as the reference LRU
+    ({!Reference_memory.Lru}) does, a run as the first of [k] probes
+    of its address, and the two must end with the same hits and
+    misses — through resets, clones, and a source resumed after its
+    clone is dropped. *)
+let prop_cache_lru =
+  QCheck.Test.make ~name:"cache: LRU = reference on traces with resets and clones" ~count:300
+    ~long_factor:10 arb_cache_trace (fun ((size_bytes, line_bytes, ways), steps) ->
+      let module R = Reference_memory.Lru in
+      let n = ref 0 in
+      let same what (c : Cache.t) (r : R.t) =
+        if c.Cache.hits <> r.R.hits || c.Cache.misses <> r.R.misses then
+          QCheck.Test.fail_reportf "%s: %d/%d hits/misses, expected %d/%d" what c.Cache.hits
+            c.Cache.misses r.R.hits r.R.misses
+      in
+      let rec drive ((c, r) as both) step =
+        incr n;
+        match step with
+        | Probe a ->
+            if Cache.access c a <> R.access r a then
+              QCheck.Test.fail_reportf "step %d: probe of %d answers differently" !n a;
+            both
+        | Run (a, k) ->
+            let expected = R.access r a in
+            for _ = 2 to k do
+              ignore (R.access r a)
+            done;
+            if Cache.access_run c a k <> expected then
+              QCheck.Test.fail_reportf "step %d: run of %d answers differently" !n a;
+            both
+        | Reset ->
+            Cache.reset c;
+            R.reset r;
+            both
+        | Clone -> (Cache.clone c, R.clone r)
+        | Fork s ->
+            let c', r' = List.fold_left drive (Cache.clone c, R.clone r) s in
+            same (Fmt.str "fork ending at step %d" !n) c' r';
+            both
+      in
+      let c, r =
+        List.fold_left drive
+          (Cache.create ~size_bytes ~line_bytes ~ways, R.create ~size_bytes ~line_bytes ~ways)
+          steps
+      in
+      same "end of trace" c r;
+      true)
+
+(* ------------------------------------------------------------------ *)
+(* The request model against the reference                              *)
 (* ------------------------------------------------------------------ *)
 
 (** One memory instruction: its lanes' byte addresses, the active
@@ -389,18 +537,44 @@ type mem_inst = {
   sm : int;
 }
 
-(** Up to 40 instructions of 1-64 lanes. Addresses are a base in a
-    16 KiB window plus a stride from {0, 4, 8, 64, 132} per lane plus
-    a jitter of up to 7 bytes, so lanes share sectors and later
-    instructions revisit lines. *)
-let arb_mem_insts =
+(** A target of each warp size (cpu 1, a100 32, mi210 64), small
+    random L1 and L2-slice geometries (so lines conflict and L1 lines
+    may be wider or narrower than L2 lines), and up to 40 instructions
+    of 1-160 lanes. Addresses are a base in a 16 KiB window plus, per
+    lane, an ascending or descending stride from {0, 4, 8, 64, 132} and
+    a jitter of up to 7 bytes, or a scatter over a window of
+    64-1024 bytes, so lanes share sectors, words span about one bank
+    row, and later instructions revisit lines. Masks are full, a
+    prefix, or random. *)
+let arb_request_streams =
   let inst =
     let open QCheck.Gen in
-    let* lanes = int_range 1 64 in
-    let* base = int_range 0 16383 and* stride = oneofl [ 0; 4; 8; 64; 132 ] in
-    let* jitter = array_repeat lanes (int_range 0 7) and* bits = array_repeat lanes bool in
-    let+ store = bool and+ shared = bool and+ sm = int_range 0 15 in
-    { addrs = Array.mapi (fun l j -> base + (l * stride) + j) jitter; bits; store; shared; sm }
+    let* lanes = int_range 1 160 in
+    let* base = int_range 0 16383
+    and* stride = oneofl [ 0; 4; 8; 64; 132 ]
+    and* layout = oneofl [ `Up; `Down; `Scatter 64; `Scatter 128; `Scatter 132; `Scatter 1024 ]
+    and* offs = array_repeat lanes (int_range 0 1023) in
+    let* bits =
+      oneof
+        [
+          return (Array.make lanes true);
+          map (fun k -> Array.init lanes (fun l -> l < k)) (int_range 0 lanes);
+          array_repeat lanes bool;
+        ]
+    in
+    let+ store = bool and+ shared = bool and+ sm = int_range 0 3 in
+    let addr l =
+      match layout with
+      | `Up -> base + (l * stride) + (offs.(l) land 7)
+      | `Down -> base + ((lanes - 1 - l) * stride) + (offs.(l) land 7)
+      | `Scatter w -> base + (offs.(l) mod w)
+    in
+    { addrs = Array.init lanes addr; bits; store; shared; sm }
+  in
+  let geometry =
+    let open QCheck.Gen in
+    let+ line = oneofl [ 32; 64; 96; 128 ] and+ ways = int_range 1 8 and+ sets = int_range 1 8 in
+    (sets * ways * line, line, ways)
   in
   let pp ppf i =
     Fmt.pf ppf "%s %s sm%d [%a]"
@@ -410,39 +584,47 @@ let arb_mem_insts =
       Fmt.(array ~sep:sp string)
       (Array.mapi (fun l a -> if i.bits.(l) then string_of_int a else "_") i.addrs)
   in
+  let pp_geo ppf (size, line, ways) = Fmt.pf ppf "%d B/%d B lines/%d ways" size line ways in
   QCheck.make
-    ~print:(Fmt.str "%a" Fmt.(list ~sep:(any "@\n") pp))
-    QCheck.Gen.(list_size (int_range 0 40) inst)
+    ~print:(fun ((t, l1, l2), insts) ->
+      Fmt.str "%s, L1 %a, L2 %a@\n%a" t.Descriptor.name pp_geo l1 pp_geo l2
+        Fmt.(list ~sep:(any "@\n") pp)
+        insts)
+    QCheck.Gen.(
+      let* t = oneofl [ Descriptor.cpu; Descriptor.a100; Descriptor.mi210 ] in
+      let* l1 = geometry and* l2 = geometry in
+      let+ insts = list_size (int_range 0 40) inst in
+      ((t, l1, l2), insts))
 
-(** At one-lane warps, {!Exec.requests} must leave the same counters,
-    after every instruction, as a second machine that runs the warp arm
-    on each active lane [l] (one warp instruction plus
-    {!Exec.global_request} or {!Exec.shared_request} over [l, l+1)),
-    and every L1 and L2 slice with the same hits and misses at the
-    end. Both engines call [requests], so the engine-parity properties
-    cannot see a fault in the arm; this one compares it against the
-    coalescer. *)
-let prop_lane_arm =
-  QCheck.Test.make ~name:"requests: one-lane arm = per-lane coalescer" ~count:300 arb_mem_insts
-    (fun insts ->
-      let ma = Exec.create_machine Descriptor.cpu and mb = Exec.create_machine Descriptor.cpu in
-      let env = Exec.env_create () in
+(** {!Exec.requests} must leave the same counters, after every
+    instruction, as the reference model ({!Reference_memory.requests})
+    on a second machine, and every L1 and L2 slice with the same hits
+    and misses at the end. *)
+let prop_requests =
+  QCheck.Test.make ~name:"requests: model = reference on random streams" ~count:300
+    ~long_factor:10 arb_request_streams (fun ((target, l1, l2), insts) ->
+      let machine () =
+        let caches (size_bytes, line_bytes, ways) =
+          Array.init target.Descriptor.sm_count (fun _ ->
+              Cache.create ~size_bytes ~line_bytes ~ways)
+        in
+        { (Exec.create_machine target) with Exec.l1s = caches l1; l2s = caches l2 }
+      in
+      let ma = machine () and mb = machine () in
       List.iteri
         (fun k i ->
-          let ctx m = { Exec.m; env; nlanes = Array.length i.addrs; ws = 1; sm = i.sm } in
+          let ctx m =
+            {
+              Exec.m;
+              nlanes = Array.length i.addrs;
+              ws = target.Descriptor.warp_size;
+              sm = i.sm;
+            }
+          in
           let space = if i.shared then Types.Shared else Types.Global in
           let mask = Exec.mk_mask (ctx ma) i.bits in
           Exec.requests (ctx ma) ~is_store:i.store space i.addrs mask;
-          let cb = ctx mb in
-          Array.iteri
-            (fun l active ->
-              if active then begin
-                let c = mb.Exec.counters in
-                c.Counters.warp_insts <- c.Counters.warp_insts +. 1.;
-                (if i.shared then Exec.shared_request else Exec.global_request)
-                  cb ~is_store:i.store i.addrs mask l (l + 1)
-              end)
-            i.bits;
+          Reference_memory.requests (ctx mb) ~is_store:i.store space i.addrs mask;
           if ma.Exec.counters <> mb.Exec.counters then
             QCheck.Test.fail_reportf "counters differ after instruction %d" k)
         insts;
@@ -704,6 +886,8 @@ let suite =
         !:"vecadd functional" `Quick test_vecadd_functional;
         !:"vecadd tail guard" `Quick test_vecadd_tail_guard;
         !:"vecadd with n = -1 is a host error" `Quick test_vecadd_negative;
+        !:"out-of-bounds kernel and copy: device and host errors" `Quick test_out_of_bounds;
+        !:"lud at n = 0 is a device error" `Quick test_lud_empty_faults;
         !:"zero-length buffers" `Quick test_zero_length_buffers;
         !:"vecadd with n = 0" `Quick test_vecadd_empty;
         !:"reduction with barriers" `Quick test_reduce_functional;
@@ -715,7 +899,8 @@ let suite =
         !:"barrier divergence detected" `Quick test_barrier_divergence_detected;
         QCheck_alcotest.to_alcotest prop_engines_agree;
         QCheck_alcotest.to_alcotest prop_cache_clone;
-        QCheck_alcotest.to_alcotest prop_lane_arm;
+        QCheck_alcotest.to_alcotest prop_cache_lru;
+        QCheck_alcotest.to_alcotest prop_requests;
         !:"engine matrix: i32 binops" `Quick (test_matrix_binops Types.I32);
         !:"engine matrix: f32 binops" `Quick (test_matrix_binops Types.F32);
         !:"engine matrix: unops" `Quick test_matrix_unops;
