@@ -17,6 +17,14 @@
     Counters are merged in core order after the join, keeping results
     deterministic regardless of domain scheduling.
 
+    The cores are kept across launches by the state that owns them (a
+    runtime state, or a TDO trial's), each with its own
+    {!Compile.frames}: a launch gives every core it uses fresh
+    counters and resets its L1 and L2 slice ({!Cache.reset} leaves a
+    cache as a fresh one), and the core rebinds its kernel's register
+    files instead of allocating them. A core and its frames are driven
+    by one domain at a time; no table is shared between cores.
+
     Each block runs through the compiled engine with [warp_size = 1]:
     after fission every epoch is barrier-free, so executing its
     threads as one lockstep group is observably identical to a
@@ -40,7 +48,7 @@ module Log = (val Logs.src_log src : Logs.LOG)
 (* Per-core simulator state                                            *)
 (* ------------------------------------------------------------------ *)
 
-(** One simulated core: a single-L1 [Exec.machine] whose L2 is this
+(** One simulated core's machine: a single L1, and as its L2 this
     core's slice of the device's shared last-level capacity. *)
 let core_machine (t : Descriptor.t) : Exec.machine =
   {
@@ -65,6 +73,33 @@ let core_machine (t : Descriptor.t) : Exec.machine =
     scratch = Array.make 64 0;
     bank_counts = Array.make 64 0;
   }
+
+(** A simulated core: its machine, and the register files of the
+    kernels it has run ({!Compile.frames}), rebound at each launch. *)
+type core = { machine : Exec.machine; frames : Compile.frames }
+
+type cores = { target : Descriptor.t; mutable cores : core array }
+
+let cores target = { target; cores = [||] }
+
+(** Make the first [n] cores exist. Runs on the launching domain,
+    before the cores are handed to theirs. *)
+let ready cs n =
+  let have = Array.length cs.cores in
+  if have < n then
+    cs.cores <-
+      Array.append cs.cores
+        (Array.init (n - have) (fun _ ->
+             let machine = core_machine cs.target in
+             { machine; frames = Compile.frames machine }))
+
+(** Ready a core for a launch: fresh counters and thread count, and
+    empty caches ({!Cache.reset} leaves a cache as a fresh one). *)
+let reset { machine = m; _ } =
+  m.Exec.counters <- Counters.create ();
+  m.Exec.observed_threads <- 1;
+  Array.iter Cache.reset m.Exec.l1s;
+  Array.iter Cache.reset m.Exec.l2s
 
 (* ------------------------------------------------------------------ *)
 (* Static vectorization analysis                                       *)
@@ -111,17 +146,19 @@ type launch_result = {
   cores_used : int;  (** simulated cores that received blocks *)
 }
 
-(** Launch the grid-level parallel [p] across the cores of [target].
-    [env] must bind every free value of the kernel region. The blocks
-    to execute and the extrapolation of their counters come from the
-    grid loop ({!Exec.sampled_blocks}, {!Exec.extrapolate}); each
-    core runs its contiguous chunk through [runner], readied on that
-    core's machine. [jobs] bounds concurrent OCaml domains (the
-    simulated core count bounds the work split). Raises
+(** Launch the grid-level parallel [p] across [cs], the cores of a
+    CPU target. [env] must bind every free value of the kernel region.
+    The blocks to execute and the extrapolation of their counters come
+    from the grid loop ({!Exec.sampled_blocks}, {!Exec.extrapolate});
+    each core is reset, then runs its contiguous chunk through
+    [runner frames], readied on that core's machine with its frames.
+    [jobs] bounds concurrent OCaml domains (the simulated core count
+    bounds the work split); each core is driven by one domain. Raises
     [Exec.Device_error] on the same malformed-IR conditions as
     {!Exec.run_grid}. *)
-let launch (target : Descriptor.t) ~(jobs : int) ~(mode : Exec.mode) ~(env : Exec.env)
-    (p : Instr.instr) (runner : Exec.runner) : launch_result =
+let launch (cs : cores) ~(jobs : int) ~(mode : Exec.mode) ~(env : Exec.env) (p : Instr.instr)
+    (runner : Compile.frames -> Exec.runner) : launch_result =
+  let target = cs.target in
   match p with
   | Instr.Parallel { level = Instr.Blocks; ubs; body; _ } ->
       let dims = List.map (fun u -> Exec.ui_of (Exec.lookup env u)) ubs in
@@ -135,10 +172,12 @@ let launch (target : Descriptor.t) ~(jobs : int) ~(mode : Exec.mode) ~(env : Exe
          blocks, mirroring an OpenMP static schedule *)
       let chunk = Pgpu_support.Util.ceil_div executed ncores in
       let work = List.filter (fun c -> c * chunk < executed) (List.init ncores Fun.id) in
+      ready cs ncores;
       let run_core c =
-        let m = core_machine target in
-        m.Exec.counters.Counters.launches <- 0.;
-        let run = runner m in
+        let core = cs.cores.(c) in
+        reset core;
+        let m = core.machine in
+        let run = runner core.frames m in
         (* block-shared scratch comes from the deterministic per-block
            allocator, so simulated addresses depend only on the block
            index — never on which core (or how many) ran the block *)

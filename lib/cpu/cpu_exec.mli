@@ -2,7 +2,10 @@
     Blocks are statically chunked across the target's simulated cores
     (each with private counters, L1, an L2 slice, and a scratch
     allocator) and run concurrently on OCaml domains; counters
-    merge in core order, so results are deterministic. *)
+    merge in core order, so results are deterministic. The cores
+    outlive a launch: each keeps its machine and its kernels' register
+    files, and a launch resets its counters and caches to a fresh
+    core's, so a relaunch allocates no register banks. *)
 
 open Pgpu_ir
 open Pgpu_gpusim
@@ -19,20 +22,32 @@ type launch_result = {
   cores_used : int;  (** simulated cores that received blocks *)
 }
 
-(** [launch target ~jobs ~mode ~env p runner] launches the grid-level
+(** The simulated cores of one CPU target, kept across launches: each
+    core's machine (counters, L1, L2 slice, scratch allocator) and
+    the register files of the kernels it has run. A runtime state and
+    each TDO trial's state own one set; a set is driven by one launch
+    at a time. *)
+type cores
+
+(** [cores target] is an empty set; cores are made at first use. *)
+val cores : Pgpu_target.Descriptor.t -> cores
+
+(** [launch cores ~jobs ~mode ~env p runner] launches the grid-level
     parallel [p] across the target's cores. The executed blocks and
     the counter extrapolation come from the grid loop
-    ({!Exec.sampled_blocks}, {!Exec.extrapolate}); each core runs its
-    static chunk through [runner] (the compiled kernel's
-    {!Compile.runner}), readied on that core's machine. [env] must
+    ({!Exec.sampled_blocks}, {!Exec.extrapolate}). Each core used is
+    reset — fresh counters, empty caches — and runs its static chunk
+    through [runner frames] (the compiled kernel's {!Compile.runner}
+    on the core's frames), readied on that core's machine. [env] must
     bind every free value of the kernel region. [jobs] bounds
-    concurrent OCaml domains. Raises [Exec.Device_error] on malformed
-    IR, like {!Exec.run_grid}. *)
+    concurrent OCaml domains; each core, and its frames, is driven by
+    one domain. Raises [Exec.Device_error] on malformed IR, like
+    {!Exec.run_grid}. *)
 val launch :
-  Pgpu_target.Descriptor.t ->
+  cores ->
   jobs:int ->
   mode:Exec.mode ->
   env:Exec.env ->
   Instr.instr ->
-  Exec.runner ->
+  (Compile.frames -> Exec.runner) ->
   launch_result

@@ -28,15 +28,29 @@
     Operand locations, issue classes, uniformity of every branch and
     loop, merge copies (with compile-time staging through temporaries
     when a yield permutes its own iter-args) and error cases are all
-    resolved at compile time; the inner loop performs no allocation
-    beyond what the interpreter's observable semantics require
-    (lane-mask buffers at divergence points, exactly where the
-    interpreter allocates too).
+    resolved at compile time.
+
+    {b Allocation.} A launch allocates nothing per lane, and per block
+    only a few words whatever the block's size: the grid loop's
+    block allocator, and the record of each [__shared__] buffer (its
+    id and address come from that allocator). Everything else lives
+    in the frame, one set per node — a node never re-enters itself,
+    and each machine has frames of its own: the lane masks of a
+    varying [If] (two), [For] and [While], counted in place; the
+    induction lanes of a varying-bound [For]; the backing array of
+    each [Alloc_shared], zero-filled per block. They are made at a
+    node's first execution and again when the lane count changes.
+    Per frame, the register banks (grown with the lane capacity) and
+    the iv rows; per launch, the rebound instance ({!runner}). The
+    runtime state keeps its frames across launches, and so does each
+    CPU core.
 
     {b Lane-loop templates.} Each direct-bank lane loop (arithmetic,
     comparison, select, uniform-buffer load/store, masked merge) is
     written once, as an [[@inline]] template in this module, and
-    instantiated per operator and operand shape. Without flambda and
+    instantiated per operator and operand shape; a load or store at a
+    uniform index (a broadcast access) is the [Uni] index shape of the
+    access template. Without flambda and
     under [-opaque] this compiles to the hand-specialized loop only if
     the template lives in this module, receives the operator and the
     operand shapes as constant constructors, takes no function-valued
@@ -72,6 +86,10 @@ type loc = { l_slot : int; l_kind : kind; l_varying : bool }
 let dummy_buf : Memory.buf =
   { Memory.id = -1; space = Types.Global; elt = Types.F32; len = 0; data = Memory.F [||]; base = 0 }
 
+(* an empty placeholder; no lane count matches it, so it is never
+   counted in place *)
+let no_mask = { Exec.bits = [||]; active = 0; warps = 0 }
+
 (** Per-instance register files and execution state. The varying banks
     are reallocated when a thread-level parallel needs more lanes than
     the current capacity; no varying value is live across a parallel
@@ -88,7 +106,7 @@ type frame = {
   mutable cap : int;  (** lane capacity of the varying banks *)
   mutable nlanes : int;  (** lanes of the current zone (1 at block level) *)
   mutable addrs : int array;  (** per-lane byte addresses for the memory model *)
-  mutable ctx : Exec.ctx;  (** mask/counter context, kept in sync with [nlanes] *)
+  ctx : Exec.ctx;  (** mask/counter context, kept in sync with [nlanes] *)
   f_nvi : int;  (** varying bank sizes, for capacity growth *)
   f_nvf : int;
   f_nvb : int;
@@ -98,6 +116,15 @@ type frame = {
           blocks of a launch they are filled once and reused. *)
   tp_caps : int array;  (** cap at the time of that fill; growth refills *)
   mutable fmask : Exec.mask;  (** cached all-true mask for the threads zone *)
+  lane_masks : Exec.mask array;
+      (** per lane mask of a varying [If] (two), [For] or [While]
+          node: bits [nlanes] long, counted in place. A node never
+          re-enters itself, so one mask per node is never live
+          twice. *)
+  lane_ints : int array array;  (** per varying-bound [For]: its induction lanes *)
+  sh_bufs : Memory.buf array;  (** per [Alloc_shared] node: its last buffer *)
+  sh_stamps : int array;  (** the [blocks] count when that buffer was made *)
+  mutable blocks : int;  (** blocks this frame has run, stamping shared buffers *)
 }
 
 type code = frame -> Exec.mask -> unit
@@ -116,11 +143,25 @@ let ensure_cap (fr : frame) n =
     fr.cap <- n
   end
 
-(* [=] on int arrays is the polymorphic compare, a C call per check *)
-let int_array_equal (a : int array) (b : int array) =
-  let n = Array.length a in
-  let rec from i = i = n || (Array.unsafe_get a i = Array.unsafe_get b i && from (i + 1)) in
-  n = Array.length b && from 0
+(** Node-owned lane buffers: allocated at a node's first execution and
+    again when the lane count changes, reused in between. *)
+let lane_mask fr k n =
+  let m = Array.unsafe_get fr.lane_masks k in
+  if Array.length m.Exec.bits = n then m
+  else begin
+    let m = { Exec.bits = Array.make n false; active = 0; warps = 0 } in
+    fr.lane_masks.(k) <- m;
+    m
+  end
+
+let lane_ints fr k n =
+  let b = Array.unsafe_get fr.lane_ints k in
+  if Array.length b = n then b
+  else begin
+    let b = Array.make n 0 in
+    fr.lane_ints.(k) <- b;
+    b
+  end
 
 (* ------------------------------------------------------------------ *)
 (* Compile-time state                                                  *)
@@ -136,7 +177,21 @@ type cst = {
   mutable nvf : int;
   mutable nvb : int;
   mutable ntp : int;  (** thread-parallel nodes, for per-frame iv-row memos *)
+  mutable nmasks : int;  (** node-owned lane masks *)
+  mutable nints : int;  (** node-owned induction lanes *)
+  mutable nshared : int;  (** [Alloc_shared] nodes *)
 }
+
+(* node-owned buffer indices, numbered at compile time *)
+let new_mask st =
+  let k = st.nmasks in
+  st.nmasks <- k + 1;
+  k
+
+let new_ints st =
+  let k = st.nints in
+  st.nints <- k + 1;
+  k
 
 let alloc_slot st kind varying =
   match (kind, varying) with
@@ -169,9 +224,9 @@ let alloc_slot st kind varying =
     Slots are never reused across values, which rules out clobber
     hazards everywhere except the deliberate rebinding of iter-args,
     handled by staged copies. *)
-let new_loc st (v : Value.t) : loc =
+let new_loc ?kind st (v : Value.t) : loc =
   let varying = Value.Tbl.mem st.varying v in
-  let k = kind_of v.Value.ty in
+  let k = match kind with Some k -> k | None -> kind_of v.Value.ty in
   let l = { l_slot = alloc_slot st k varying; l_kind = k; l_varying = varying } in
   Value.Tbl.replace st.locs v l;
   l
@@ -450,11 +505,14 @@ let[@inline] bmerge sh d s (y : Memory.buf) fr bits =
 type move = Load_f | Load_i | Store_f | Store_i
 
 (** The canonical kernel access: uniform buffer [b] indexed by the int
-    row [si], with the buffer and its data-representation match
+    row [si], or by the scalar [iu] when [ish] is [Uni] (a broadcast
+    access), with the buffer and its data-representation match
     hoisted out of the lane loop. Loads write row [s]; stores read row
-    [s], or the scalar [uf]/[ui] when [sh] is [Uni]. *)
-let[@inline] ubuf_lanes mv sh (b : Memory.buf) si s (uf : float) (ui : int) fr (mask : Exec.mask)
-    =
+    [s], or the scalar [uf]/[ui] when [sh] is [Uni]. Stores run in
+    lane order, so at a uniform index the last active lane's value
+    stays. *)
+let[@inline] ubuf_lanes mv ish sh (b : Memory.buf) si (iu : int) s (uf : float) (ui : int) fr
+    (mask : Exec.mask) =
   let bits = mask.Exec.bits and cap = fr.cap in
   let bi = si * cap and bs = s * cap in
   let vf = fr.vf and vi = fr.vi and addrs = fr.addrs in
@@ -463,7 +521,7 @@ let[@inline] ubuf_lanes mv sh (b : Memory.buf) si s (uf : float) (ui : int) fr (
   | Memory.F arr ->
       for l = 0 to fr.nlanes - 1 do
         if Array.unsafe_get bits l then begin
-          let i = Array.unsafe_get vi (bi + l) in
+          let i = iget ish vi bi l iu in
           if i < 0 || i >= len then Memory.check_bounds b i;
           Array.unsafe_set addrs l (bb + (i * esz));
           match mv with
@@ -476,7 +534,7 @@ let[@inline] ubuf_lanes mv sh (b : Memory.buf) si s (uf : float) (ui : int) fr (
   | Memory.I arr ->
       for l = 0 to fr.nlanes - 1 do
         if Array.unsafe_get bits l then begin
-          let i = Array.unsafe_get vi (bi + l) in
+          let i = iget ish vi bi l iu in
           if i < 0 || i >= len then Memory.check_bounds b i;
           Array.unsafe_set addrs l (bb + (i * esz));
           match mv with
@@ -610,8 +668,12 @@ let seq (cs : (frame -> unit) list) : frame -> unit =
   | [] -> fun _ -> ()
   | [ c ] -> c
   | _ ->
+      (* an indexed loop: [Array.iter] would build a closure per call *)
       let a = Array.of_list cs in
-      fun fr -> Array.iter (fun c -> c fr) a
+      fun fr ->
+        for k = 0 to Array.length a - 1 do
+          (Array.unsafe_get a k) fr
+        done
 
 (** Copies for a parallel rebind [(src, dst) list]. The interpreter
     reads every source before writing any destination; when a source
@@ -635,7 +697,10 @@ let copies_masked st (pairs : (loc * loc) list) : frame -> bool array -> unit =
     | [ c ] -> c
     | cs ->
         let a = Array.of_list cs in
-        fun fr bits -> Array.iter (fun c -> c fr bits) a
+        fun fr bits ->
+          for k = 0 to Array.length a - 1 do
+            (Array.unsafe_get a k) fr bits
+          done
   in
   let dsts = List.map snd pairs in
   if List.exists (fun (s, _) -> List.exists (loc_same s) dsts) pairs then begin
@@ -755,12 +820,12 @@ let mem_model (rb : frame -> int -> Memory.buf) ~is_store fr (mask : Exec.mask) 
         if bits.(l) && (rb fr l).Memory.space = Types.Shared then
           Racecheck.record rc ~is_store ~lane:l ~addr:addrs.(l)
       done);
-  let space =
-    let rec first l =
-      if l >= n then Types.Global else if bits.(l) then (rb fr l).Memory.space else first (l + 1)
-    in
-    first 0
-  in
+  (* the first active lane's buffer names the space *)
+  let l = ref 0 in
+  while !l < n && not (Array.unsafe_get bits !l) do
+    incr l
+  done;
+  let space = if !l >= n then Types.Global else (rb fr !l).Memory.space in
   let effective =
     match space with Types.Shared when fr.m.Exec.shared_as_global -> Types.Global | sp -> sp
   in
@@ -769,25 +834,59 @@ let mem_model (rb : frame -> int -> Memory.buf) ~is_store fr (mask : Exec.mask) 
 let set_op_hook opname fr =
   match fr.m.Exec.racecheck with None -> () | Some rc -> Racecheck.set_op rc opname
 
+(* [Memory.get_f] and [get_i], restated: under [-opaque] the
+   cross-module call returns its float boxed. Callers check bounds
+   first. *)
+
+let[@inline] get_f (b : Memory.buf) i =
+  match b.Memory.data with
+  | Memory.F a -> Array.unsafe_get a i
+  | Memory.I a -> float_of_int (Array.unsafe_get a i)
+
+let[@inline] get_i (b : Memory.buf) i =
+  match b.Memory.data with
+  | Memory.I a -> Array.unsafe_get a i
+  | Memory.F a -> int_of_float (Array.unsafe_get a i)
+
+(** How an access indexes its buffer. [Irow] and [Iuni] — a uniform
+    buffer at an int row or at a uniform scalar — run {!ubuf_lanes};
+    [Ilanes] — a varying buffer, or an index of another kind — reads
+    both per lane through the generic readers. *)
+type index = Irow of int | Iuni | Ilanes
+
+let index_of (lmem : loc) (lidx : loc) =
+  if lmem.l_kind <> KBuf || lmem.l_varying then Ilanes
+  else
+    match vi_slot lidx with Some si -> Irow si | None -> if uni_scalar lidx then Iuni else Ilanes
+
 let compile_load st (v : Value.t) (mem : Value.t) (idx : Value.t) : code =
   let lmem = loc_of st mem and lidx = loc_of st idx in
-  let lv = new_loc st v in
-  if not (Types.is_memref mem.Value.ty) then fun _ _ -> invalid_arg "exec: expected buffer"
+  if not (Types.is_memref mem.Value.ty) then begin
+    ignore (new_loc st v);
+    fun _ _ -> invalid_arg "exec: expected buffer"
+  end
   else begin
     let rb = rd_buf lmem and ri = rd_int lidx in
     let opname = Fmt.str "load %a" Value.pp mem in
     let felt = Types.is_float (Types.elem mem.Value.ty) in
+    (* the value holds the element's kind whatever its own type, as
+       the interpreter's does: each use coerces it *)
+    let lv = new_loc ~kind:(if felt then KFloat else KInt) st v in
     let s = lv.l_slot in
     let sm = lmem.l_slot in
-    let mem_uni = lmem.l_kind = KBuf && not lmem.l_varying in
     let functional : frame -> Exec.mask -> unit =
-      match (felt, lv.l_kind, lv.l_varying, (if mem_uni then vi_slot lidx else None)) with
-      | _, KBuf, _, _ -> fun _ _ -> invalid_arg "exec: expected buffer"
-      | true, KFloat, true, Some si ->
-          fun fr m -> (ubuf_lanes [@inlined]) Load_f Row fr.ub.(sm) si s 0. 0 fr m
-      | false, KInt, true, Some si ->
-          fun fr m -> (ubuf_lanes [@inlined]) Load_i Row fr.ub.(sm) si s 0. 0 fr m
-      | true, KFloat, true, None ->
+      match (felt, lv.l_varying, index_of lmem lidx) with
+      | true, true, Irow si ->
+          fun fr m -> (ubuf_lanes [@inlined]) Load_f Row Row fr.ub.(sm) si 0 s 0. 0 fr m
+      | true, true, Iuni ->
+          let ru = ru_int lidx in
+          fun fr m -> (ubuf_lanes [@inlined]) Load_f Uni Row fr.ub.(sm) 0 (ru fr) s 0. 0 fr m
+      | false, true, Irow si ->
+          fun fr m -> (ubuf_lanes [@inlined]) Load_i Row Row fr.ub.(sm) si 0 s 0. 0 fr m
+      | false, true, Iuni ->
+          let ru = ru_int lidx in
+          fun fr m -> (ubuf_lanes [@inlined]) Load_i Uni Row fr.ub.(sm) 0 (ru fr) s 0. 0 fr m
+      | true, true, Ilanes ->
           fun fr mask ->
             let bits = mask.Exec.bits in
             let base = s * fr.cap in
@@ -797,10 +896,10 @@ let compile_load st (v : Value.t) (mem : Value.t) (idx : Value.t) : code =
                 let i = ri fr l in
                 Memory.check_bounds b i;
                 fr.addrs.(l) <- Memory.addr b i;
-                fr.vf.(base + l) <- Memory.get_f b i
+                fr.vf.(base + l) <- get_f b i
               end
             done
-      | false, KInt, true, None ->
+      | false, true, Ilanes ->
           fun fr mask ->
             let bits = mask.Exec.bits in
             let base = s * fr.cap in
@@ -810,38 +909,10 @@ let compile_load st (v : Value.t) (mem : Value.t) (idx : Value.t) : code =
                 let i = ri fr l in
                 Memory.check_bounds b i;
                 fr.addrs.(l) <- Memory.addr b i;
-                fr.vi.(base + l) <- Memory.get_i b i
+                fr.vi.(base + l) <- get_i b i
               end
             done
-      | true, KInt, true, _ ->
-          (* unverified elem/result kind mismatch: convert at the write,
-             like the interpreter's read-side [to_vi] coercion *)
-          fun fr mask ->
-            let bits = mask.Exec.bits in
-            let base = s * fr.cap in
-            for l = 0 to fr.nlanes - 1 do
-              if bits.(l) then begin
-                let b = rb fr l in
-                let i = ri fr l in
-                Memory.check_bounds b i;
-                fr.addrs.(l) <- Memory.addr b i;
-                fr.vi.(base + l) <- int_of_float (Memory.get_f b i)
-              end
-            done
-      | false, KFloat, true, _ ->
-          fun fr mask ->
-            let bits = mask.Exec.bits in
-            let base = s * fr.cap in
-            for l = 0 to fr.nlanes - 1 do
-              if bits.(l) then begin
-                let b = rb fr l in
-                let i = ri fr l in
-                Memory.check_bounds b i;
-                fr.addrs.(l) <- Memory.addr b i;
-                fr.vf.(base + l) <- float_of_int (Memory.get_i b i)
-              end
-            done
-      | _, ((KInt | KFloat) as k), false, _ ->
+      | _, false, _ ->
           (* uniform destination: only reachable at [nlanes = 1] (block
              zone); the interpreter's n=1 path binds a uniform scalar *)
           fun fr mask ->
@@ -850,14 +921,9 @@ let compile_load st (v : Value.t) (mem : Value.t) (idx : Value.t) : code =
               let i = ri fr 0 in
               Memory.check_bounds b i;
               fr.addrs.(0) <- Memory.addr b i;
-              match (felt, k) with
-              | true, KFloat -> fr.uf.(s) <- Memory.get_f b i
-              | false, KInt -> fr.ui.(s) <- Memory.get_i b i
-              | true, KInt -> fr.ui.(s) <- int_of_float (Memory.get_f b i)
-              | false, KFloat -> fr.uf.(s) <- float_of_int (Memory.get_i b i)
-              | _, KBuf -> ()
+              if felt then fr.uf.(s) <- get_f b i else fr.ui.(s) <- get_i b i
             end
-            else if k = KFloat then fr.uf.(s) <- 0.
+            else if felt then fr.uf.(s) <- 0.
             else fr.ui.(s) <- 0
     in
     fun fr mask ->
@@ -874,19 +940,33 @@ let compile_store st (mem : Value.t) (idx : Value.t) (v : Value.t) : code =
     let opname = Fmt.str "store %a" Value.pp mem in
     let felt = Types.is_float (Types.elem mem.Value.ty) in
     let sm = lmem.l_slot and sv = lval.l_slot in
-    let mem_uni = lmem.l_kind = KBuf && not lmem.l_varying in
+    let row_val = if felt then vf_slot lval <> None else vi_slot lval <> None in
     let functional : frame -> Exec.mask -> unit =
-      match (felt, (if mem_uni then vi_slot lidx else None)) with
-      | true, Some si when vf_slot lval <> None ->
-          fun fr m -> (ubuf_lanes [@inlined]) Store_f Row fr.ub.(sm) si sv 0. 0 fr m
-      | true, Some si when uni_scalar lval ->
+      match (felt, index_of lmem lidx) with
+      | true, Irow si when row_val ->
+          fun fr m -> (ubuf_lanes [@inlined]) Store_f Row Row fr.ub.(sm) si 0 sv 0. 0 fr m
+      | true, Irow si when uni_scalar lval ->
           let rv = ru_float lval in
-          fun fr m -> (ubuf_lanes [@inlined]) Store_f Uni fr.ub.(sm) si 0 (rv fr) 0 fr m
-      | false, Some si when vi_slot lval <> None ->
-          fun fr m -> (ubuf_lanes [@inlined]) Store_i Row fr.ub.(sm) si sv 0. 0 fr m
-      | false, Some si when uni_scalar lval ->
+          fun fr m -> (ubuf_lanes [@inlined]) Store_f Row Uni fr.ub.(sm) si 0 0 (rv fr) 0 fr m
+      | true, Iuni when row_val ->
+          let ru = ru_int lidx in
+          fun fr m -> (ubuf_lanes [@inlined]) Store_f Uni Row fr.ub.(sm) 0 (ru fr) sv 0. 0 fr m
+      | true, Iuni when uni_scalar lval ->
+          let ru = ru_int lidx and rv = ru_float lval in
+          fun fr m ->
+            (ubuf_lanes [@inlined]) Store_f Uni Uni fr.ub.(sm) 0 (ru fr) 0 (rv fr) 0 fr m
+      | false, Irow si when row_val ->
+          fun fr m -> (ubuf_lanes [@inlined]) Store_i Row Row fr.ub.(sm) si 0 sv 0. 0 fr m
+      | false, Irow si when uni_scalar lval ->
           let rv = ru_int lval in
-          fun fr m -> (ubuf_lanes [@inlined]) Store_i Uni fr.ub.(sm) si 0 0. (rv fr) fr m
+          fun fr m -> (ubuf_lanes [@inlined]) Store_i Row Uni fr.ub.(sm) si 0 0 0. (rv fr) fr m
+      | false, Iuni when row_val ->
+          let ru = ru_int lidx in
+          fun fr m -> (ubuf_lanes [@inlined]) Store_i Uni Row fr.ub.(sm) 0 (ru fr) sv 0. 0 fr m
+      | false, Iuni when uni_scalar lval ->
+          let ru = ru_int lidx and rv = ru_int lval in
+          fun fr m ->
+            (ubuf_lanes [@inlined]) Store_i Uni Uni fr.ub.(sm) 0 (ru fr) 0 0. (rv fr) fr m
       | true, _ ->
           let rv = rd_float lval in
           fun fr mask ->
@@ -1373,10 +1453,23 @@ and compile_instr st ~vec (i : Instr.instr) : code =
       let s = lr.l_slot in
       if lr.l_kind <> KBuf || lr.l_varying then fun _ _ ->
         invalid_arg "exec: expected uniform buffer"
-      else
+      else begin
+        let k = st.nshared in
+        st.nshared <- k + 1;
         fun fr _ ->
           let space = if fr.m.Exec.shared_as_global then Types.Global else Types.Shared in
-          fr.ub.(s) <- Memory.alloc fr.m.Exec.alloc space elt size
+          (* the node's buffer from an earlier block is dead: recycle
+             its array; a second execution in one block allocates *)
+          let prev = fr.sh_bufs.(k) in
+          let b =
+            if prev != dummy_buf && fr.sh_stamps.(k) <> fr.blocks then
+              Memory.recycle fr.m.Exec.alloc space prev
+            else Memory.alloc fr.m.Exec.alloc space elt size
+          in
+          fr.sh_bufs.(k) <- b;
+          fr.sh_stamps.(k) <- fr.blocks;
+          fr.ub.(s) <- b
+      end
   | Instr.Alloc { res; _ } ->
       ignore (new_loc st res);
       fun _ _ -> Exec.device_fail "host memory op in device code"
@@ -1408,44 +1501,52 @@ and compile_if st ~vec cond results then_ else_ : code =
       | CNone | CYield_while _ -> fun _ _ -> Exec.device_fail "malformed if region"
     in
     let tcopies = branch_copies tterm and ecopies = branch_copies eterm in
-    let rc = rd_int lc in
-    let sc = vi_slot lc in
+    (* a condition that is not an int row is converted into one first,
+       raising the interpreter's error on a buffer *)
+    let sc, cond_stage =
+      match vi_slot lc with
+      | Some si -> (si, fun (_ : frame) -> ())
+      | None ->
+          let t = { l_slot = alloc_slot st KInt true; l_kind = KInt; l_varying = true } in
+          (t.l_slot, copy_full lc t)
+    in
+    let kt = new_mask st and ke = new_mask st in
     (* one warp-strided pass builds both branch masks, their
        active/warp statistics, and the divergence counter — the
        generic path needed four scans (fill, two [mk_mask]s, warp
        recount) *)
     fun fr mask ->
       Exec.count_op fr.ctx mask Exec.Cint;
+      cond_stage fr;
       let n = fr.nlanes in
       let mb = mask.Exec.bits in
-      let tb = Array.make n false and eb = Array.make n false in
+      let tm = lane_mask fr kt n and em = lane_mask fr ke n in
+      let tb = tm.Exec.bits and eb = em.Exec.bits in
+      let vi = fr.vi and base = sc * fr.cap in
       let ws = fr.ctx.Exec.ws in
       let ta = ref 0 and ea = ref 0 and tw = ref 0 and ew = ref 0 in
       let c = fr.m.Exec.counters in
-      let lane_true =
-        match sc with
-        | Some si ->
-            let base = si * fr.cap in
-            let vi = fr.vi in
-            fun i -> Array.unsafe_get vi (base + i) <> 0
-        | None -> fun i -> rc fr i <> 0
-      in
       let l = ref 0 in
       while !l < n do
         let hi = Int.min (!l + ws) n in
         let twany = ref false and ewany = ref false in
         for i = !l to hi - 1 do
-          if Array.unsafe_get mb i then
-            if lane_true i then begin
-              Array.unsafe_set tb i true;
-              incr ta;
-              twany := true
-            end
-            else begin
-              Array.unsafe_set eb i true;
-              incr ea;
-              ewany := true
-            end
+          if not (Array.unsafe_get mb i) then begin
+            Array.unsafe_set tb i false;
+            Array.unsafe_set eb i false
+          end
+          else if Array.unsafe_get vi (base + i) <> 0 then begin
+            Array.unsafe_set tb i true;
+            Array.unsafe_set eb i false;
+            incr ta;
+            twany := true
+          end
+          else begin
+            Array.unsafe_set tb i false;
+            Array.unsafe_set eb i true;
+            incr ea;
+            ewany := true
+          end
         done;
         if !twany then incr tw;
         if !ewany then incr ew;
@@ -1453,12 +1554,16 @@ and compile_if st ~vec cond results then_ else_ : code =
           c.Counters.divergent_branches <- c.Counters.divergent_branches +. 1.;
         l := hi
       done;
+      tm.Exec.active <- !ta;
+      tm.Exec.warps <- !tw;
+      em.Exec.active <- !ea;
+      em.Exec.warps <- !ew;
       if !ta > 0 then begin
-        run tcode fr { Exec.bits = tb; active = !ta; warps = !tw };
+        run tcode fr tm;
         tcopies fr tb
       end;
       if !ea > 0 then begin
-        run ecode fr { Exec.bits = eb; active = !ea; warps = !ew };
+        run ecode fr em;
         ecopies fr eb
       end
   end
@@ -1531,9 +1636,10 @@ and compile_for st ~vec iv lb ub step iter_args inits results body : code =
       | CNone | CYield_while _ -> fun _ _ -> Exec.device_fail "malformed for region"
     in
     let r_lb = rd_int llb and r_ub = rd_int lub and r_step = rd_int lstep in
+    let kv = new_ints st and kb = new_mask st in
     fun fr mask ->
       let n = fr.nlanes in
-      let ivv = Array.make n 0 in
+      let ivv = lane_ints fr kv n in
       for l = 0 to n - 1 do
         ivv.(l) <- r_lb fr l
       done;
@@ -1541,14 +1647,17 @@ and compile_for st ~vec iv lb ub step iter_args inits results body : code =
          interpreter takes its scalar path, step check included *)
       if n = 1 && r_step fr 0 <= 0 then Exec.device_fail "for loop with non-positive step";
       init_copies fr;
-      let bits = Array.make n false in
+      (* every lane is rewritten, and recounted, before each
+         iteration reads it *)
+      let am = lane_mask fr kb n in
+      let bits = am.Exec.bits in
       let continue_ = ref true in
       while !continue_ do
         let mb = mask.Exec.bits in
         for l = 0 to n - 1 do
           bits.(l) <- mb.(l) && ivv.(l) < r_ub fr l
         done;
-        let am = Exec.mk_mask fr.ctx bits in
+        Exec.recount fr.ctx am;
         if am.Exec.active = 0 then continue_ := false
         else begin
           let base = siv * fr.cap in
@@ -1588,6 +1697,7 @@ and compile_while st ~vec iter_args inits results body : code =
       let ycm = copies_masked st (List.map2 (fun sv d -> (loc_of st sv, d)) vs larg) in
       if lc.l_varying then begin
         let rc = rd_int lc_eff in
+        let kb = new_mask st in
         fun fr mask ->
           init_copies fr;
           let active = ref mask in
@@ -1596,7 +1706,8 @@ and compile_while st ~vec iter_args inits results body : code =
              only on its own old value, so once [active] aliases [bits]
              the in-place update stays exact (the caller's mask is
              never written) *)
-          let bits = Array.make fr.nlanes false in
+          let am = lane_mask fr kb fr.nlanes in
+          let bits = am.Exec.bits in
           while !continue_ do
             Exec.count_op fr.ctx !active Exec.Cint;
             run bcode fr !active;
@@ -1607,7 +1718,7 @@ and compile_while st ~vec iter_args inits results body : code =
             for l = 0 to n - 1 do
               bits.(l) <- ab.(l) && rc fr l <> 0
             done;
-            let am = Exec.mk_mask fr.ctx bits in
+            Exec.recount fr.ctx am;
             active := am;
             if am.Exec.active = 0 then continue_ := false
           done;
@@ -1641,19 +1752,28 @@ and compile_threads st ivs ubs body : code =
   st.ntp <- tp_id + 1;
   let bcode, _ = compile_block st ~vec:true body in
   let iv_slots = Array.of_list (List.map (fun (l : loc) -> l.l_slot) iv_locs) in
+  let ndims = Array.length dim_readers in
   fun fr _mask ->
     if fr.nlanes <> 1 then Exec.device_fail "nested thread parallels";
-    let ndims = Array.length dim_readers in
-    let dims = Array.map (fun r -> r fr) dim_readers in
-    let nlanes = Array.fold_left ( * ) 1 dims in
+    (* compare with the dims of the last fill before building an array *)
+    let last = fr.tp_dims.(tp_id) in
+    let same = ref (Array.length last = ndims) in
+    let nlanes = ref 1 in
+    for k = 0 to ndims - 1 do
+      let d = dim_readers.(k) fr in
+      nlanes := !nlanes * d;
+      if !same && last.(k) <> d then same := false
+    done;
+    let nlanes = !nlanes in
     if nlanes <= 0 then Exec.device_fail "thread parallel with empty dimension";
     fr.m.Exec.observed_threads <- nlanes;
     ensure_cap fr nlanes;
     fr.nlanes <- nlanes;
-    fr.ctx <- { fr.ctx with Exec.nlanes };
+    fr.ctx.Exec.nlanes <- nlanes;
     (* iv rows depend only on the dims: fill once per launch (or after
        capacity growth) and reuse across blocks *)
-    if not (fr.tp_caps.(tp_id) = fr.cap && int_array_equal fr.tp_dims.(tp_id) dims) then begin
+    if not (!same && fr.tp_caps.(tp_id) = fr.cap) then begin
+      let dims = Array.map (fun r -> r fr) dim_readers in
       (* lane order: x fastest, matching CUDA's warp lane numbering;
          run-length fill of (l / stride) mod d, no per-lane division *)
       let vi = fr.vi in
@@ -1689,7 +1809,7 @@ and compile_threads st ivs ubs body : code =
     in
     run bcode fr mask;
     fr.nlanes <- 1;
-    fr.ctx <- { fr.ctx with Exec.nlanes = 1 }
+    fr.ctx.Exec.nlanes <- 1
 
 (* ------------------------------------------------------------------ *)
 (* Kernel compilation and launch                                       *)
@@ -1720,6 +1840,9 @@ type t = {
   ck_nvf : int;
   ck_nvb : int;
   ck_ntp : int;  (** thread-parallel nodes, sizing the per-frame iv memos *)
+  ck_nmasks : int;
+  ck_nints : int;
+  ck_nshared : int;
 }
 
 let next_id = Atomic.make 0
@@ -1739,6 +1862,9 @@ let compile (p : Instr.instr) : t =
           nvf = 0;
           nvb = 0;
           ntp = 0;
+          nmasks = 0;
+          nints = 0;
+          nshared = 0;
         }
       in
       let frees = List.map (fun v -> (v, new_loc st v)) (Instr.free_values [ p ]) in
@@ -1757,6 +1883,9 @@ let compile (p : Instr.instr) : t =
         ck_nvf = st.nvf;
         ck_nvb = st.nvb;
         ck_ntp = st.ntp;
+        ck_nmasks = st.nmasks;
+        ck_nints = st.nints;
+        ck_nshared = st.nshared;
       }
   | _ -> raise (Exec.Device_error "launch expects a blocks-level parallel")
 
@@ -1796,7 +1925,12 @@ let instantiate (ck : t) (m : Exec.machine) ~(env : Exec.env) : instance =
       f_nvb = ck.ck_nvb;
       tp_dims = Array.make (max 1 ck.ck_ntp) [||];
       tp_caps = Array.make (max 1 ck.ck_ntp) (-1);
-      fmask = { Exec.bits = [||]; active = 0; warps = 0 };
+      fmask = no_mask;
+      lane_masks = Array.make ck.ck_nmasks no_mask;
+      lane_ints = Array.make ck.ck_nints [||];
+      sh_bufs = Array.make ck.ck_nshared dummy_buf;
+      sh_stamps = Array.make ck.ck_nshared 0;
+      blocks = 0;
     }
   in
   let dx, dy = bind_launch ck fr ~env in
@@ -1815,15 +1949,18 @@ let instantiate (ck : t) (m : Exec.machine) ~(env : Exec.env) : instance =
     memos. Behaviourally identical to a fresh {!instantiate}. *)
 let rebind (ck : t) (inst : instance) ~(env : Exec.env) : instance =
   let fr = inst.i_fr in
-  fr.ctx <- { fr.ctx with Exec.nlanes = 1; sm = 0 };
+  fr.ctx.Exec.nlanes <- 1;
+  fr.ctx.Exec.sm <- 0;
   fr.nlanes <- 1;
   let dx, dy = bind_launch ck fr ~env in
   { inst with i_dx = dx; i_dy = dy }
 
 let run_block (inst : instance) ~(sm : int) (lb : int) : unit =
   let fr = inst.i_fr in
+  fr.blocks <- fr.blocks + 1;
   fr.nlanes <- 1;
-  fr.ctx <- { fr.ctx with Exec.nlanes = 1; sm };
+  fr.ctx.Exec.nlanes <- 1;
+  fr.ctx.Exec.sm <- sm;
   let ivn = Array.length inst.i_iv_slots in
   if ivn > 0 then fr.ui.(inst.i_iv_slots.(0)) <- lb mod inst.i_dx;
   if ivn > 1 then fr.ui.(inst.i_iv_slots.(1)) <- lb / inst.i_dx mod inst.i_dy;

@@ -7,7 +7,11 @@
       by preallocated unboxed register files ([int array] /
       [float array] / [Memory.buf array]), one bank for uniform
       scalars and one per-lane bank for varying values — no hashtable
-      environment, no [rv] boxing, no per-operation array allocation;
+      environment, no [rv] boxing;
+    - a launch allocates nothing per lane, and per block only a few
+      words (the block allocator, a record per [__shared__] buffer):
+      lane masks, induction lanes and [__shared__] arrays are owned by
+      the register files, one set per node, made at first use;
     - the region tree is flattened into arrays of OCaml closures
       (threaded code) executed by an indexed loop, with uniformity of
       every value and every branch decided once at compile time;
@@ -44,7 +48,8 @@ val frames : Exec.machine -> frames
     and the CPU backend's core loop. Every machine it is readied on
     gets register files with the kernel arguments of [env] loaded into
     their slots. On the machine of [frames] it reuses the kernel's
-    instance in that table; shard wrappers and CPU cores instantiate
-    their own. [env] must bind every free value of the kernel region;
-    it is only read. *)
+    instance in that table — a runtime state's machine, a TDO trial's,
+    and each CPU core have one, kept across launches; shard wrappers
+    instantiate their own per launch. [env] must bind every free value
+    of the kernel region; it is only read. *)
 val runner : ?frames:frames -> t -> env:Exec.env -> Exec.runner

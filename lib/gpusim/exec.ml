@@ -119,16 +119,17 @@ let lookup (env : env) (v : Value.t) =
   | exception Not_found -> Pgpu_support.Util.failf "exec: unbound value %a" Value.pp v
 
 (** Lane masks with cached population statistics. *)
-type mask = { bits : bool array; active : int; warps : int }
+type mask = { bits : bool array; mutable active : int; mutable warps : int }
 
 type ctx = {
   m : machine;
-  nlanes : int;
+  mutable nlanes : int;
   ws : int;  (** warp size *)
-  sm : int;  (** SM executing the current block *)
+  mutable sm : int;  (** SM executing the current block *)
 }
 
-let mk_mask ctx bits =
+let recount ctx mask =
+  let bits = mask.bits in
   let active = ref 0 and warps = ref 0 in
   let nwarps = Pgpu_support.Util.ceil_div ctx.nlanes ctx.ws in
   for w = 0 to nwarps - 1 do
@@ -141,7 +142,13 @@ let mk_mask ctx bits =
     done;
     if !any then incr warps
   done;
-  { bits; active = !active; warps = !warps }
+  mask.active <- !active;
+  mask.warps <- !warps
+
+let mk_mask ctx bits =
+  let mask = { bits; active = 0; warps = 0 } in
+  recount ctx mask;
+  mask
 
 let full_mask ctx = mk_mask ctx (Array.make ctx.nlanes true)
 

@@ -75,18 +75,24 @@ val bind : env -> Value.t -> rv -> unit
 (** @raise Failure on an unbound value. *)
 val lookup : env -> Value.t -> rv
 
-(** Lane masks with cached population statistics. *)
-type mask = { bits : bool array; active : int; warps : int }
+(** Lane masks with cached population statistics. The counts are
+    mutable so that the engine can recount a mask it owns in place
+    ({!recount}); a mask passed to an instruction is only read. *)
+type mask = { bits : bool array; mutable active : int; mutable warps : int }
 
 type ctx = {
   m : machine;
-  nlanes : int;
+  mutable nlanes : int;
   ws : int;  (** warp size *)
-  sm : int;  (** SM executing the current block *)
+  mutable sm : int;  (** SM executing the current block *)
 }
 
 val mk_mask : ctx -> bool array -> mask
 val full_mask : ctx -> mask
+
+(** [recount ctx mask] sets [mask]'s counts from its bits over
+    [ctx.nlanes] lanes: [mk_mask] without the new record. *)
+val recount : ctx -> mask -> unit
 
 (** Issue classes of the operation counters. *)
 type op_class = Cint | Cfp32 | Cfp64 | Csfu

@@ -41,13 +41,8 @@ let block_allocator lb =
 
 let elt_size b = Types.byte_size b.elt
 
-let alloc a space elt len =
-  let data =
-    match elt with
-    | Types.F32 | Types.F64 -> F (Array.make (max len 1) 0.)
-    | Types.I1 | Types.I32 | Types.I64 -> I (Array.make (max len 1) 0)
-    | Types.Memref _ -> invalid_arg "Memory.alloc: memref of memref"
-  in
+(* the id and address [alloc] hands a buffer of [len] [elt]s *)
+let place a space elt len data =
   let id = a.next_id in
   a.next_id <- id + 1;
   let size = max 1 len * Types.byte_size elt in
@@ -55,6 +50,23 @@ let alloc a space elt len =
   (* keep buffers 256-byte aligned, as CUDA allocators do *)
   a.next_addr <- base + Pgpu_support.Util.round_up size 256;
   { id; space; elt; len; data; base }
+
+let alloc a space elt len =
+  let data =
+    match elt with
+    | Types.F32 | Types.F64 -> F (Array.make (max len 1) 0.)
+    | Types.I1 | Types.I32 | Types.I64 -> I (Array.make (max len 1) 0)
+    | Types.Memref _ -> invalid_arg "Memory.alloc: memref of memref"
+  in
+  place a space elt len data
+
+(** A dead buffer's backing array, zero-filled, under a fresh id and
+    address: [alloc a space b.elt b.len] without the new array. *)
+let recycle a space b =
+  (match b.data with
+  | F arr -> Array.fill arr 0 (Array.length arr) 0.
+  | I arr -> Array.fill arr 0 (Array.length arr) 0);
+  place a space b.elt b.len b.data
 
 exception Out_of_bounds of string
 

@@ -22,6 +22,12 @@ type allocator
 val allocator : unit -> allocator
 val alloc : allocator -> Types.space -> Types.t -> int -> buf
 
+val recycle : allocator -> Types.space -> buf -> buf
+(** [recycle a space b] is [alloc a space b.elt b.len] — the same id
+    and address from [a], zero contents — backed by [b]'s array
+    instead of a new one. [b] must be dead: the engine recycles a
+    block's [__shared__] arrays for the next block. *)
+
 val clone_allocator : allocator -> allocator
 (** Independent copy of the allocator position (for private trial
     machines). *)

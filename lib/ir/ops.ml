@@ -57,8 +57,10 @@ let pp_cmpop ppf op =
 
 (** Integer semantics of a binary operator. Division and remainder
     follow C semantics (truncation towards zero), which is what the
-    benchmarks' index arithmetic assumes. *)
-let eval_int_binop op a b =
+    benchmarks' index arithmetic assumes. Operands are annotated
+    [int], here and in [eval_int_cmp], and [Min]/[Max] use
+    [Int.min]/[Int.max]: the polymorphic versions are C calls. *)
+let eval_int_binop op (a : int) (b : int) =
   match op with
   | Add -> a + b
   | Sub -> a - b
@@ -70,8 +72,8 @@ let eval_int_binop op a b =
   | Xor -> a lxor b
   | Shl -> a lsl b
   | Shr -> a asr b
-  | Min -> min a b
-  | Max -> max a b
+  | Min -> Int.min a b
+  | Max -> Int.max a b
   | Pow -> invalid_arg "Ops.eval_int_binop: pow on integers"
 
 let eval_float_binop op a b =
@@ -108,7 +110,7 @@ let eval_float_unop op a =
   | Rsqrt -> 1. /. sqrt a
   | Not -> invalid_arg "Ops.eval_float_unop: bitwise not on float"
 
-let eval_int_cmp op a b =
+let eval_int_cmp op (a : int) (b : int) =
   match op with Eq -> a = b | Ne -> a <> b | Lt -> a < b | Le -> a <= b | Gt -> a > b | Ge -> a >= b
 
 let eval_float_cmp op (a : float) (b : float) =

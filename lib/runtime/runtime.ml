@@ -90,6 +90,7 @@ type state = {
   machine : Exec.machine;
   env : Exec.env;
   frames : Compile.frames;  (** compiled-kernel register files on [machine] *)
+  cores : Cpu_exec.cores;  (** the CPU backend's core machines and their frames *)
   mutable records : launch_record list;
   mutable composite : float;
   trial : bool;  (** a TDO trial's private state: sample + don't record *)
@@ -123,6 +124,7 @@ let create ?reference config =
     machine;
     env = Exec.env_create ();
     frames = Compile.frames machine;
+    cores = Cpu_exec.cores config.target;
     records = [];
     composite = 0.;
     trial = false;
@@ -350,17 +352,21 @@ let launch st ~name ~wid ~alt (site : site) (p : Instr.instr) =
       mlp = stats.Backend.mlp;
     }
   in
-  let runner =
+  let runner : Compile.frames -> Exec.runner =
     match st.reference with
-    | Some reference -> reference ~env:st.env p
-    | None -> Compile.runner ~frames:st.frames (compiled_kernel st p) ~env:st.env
+    | Some reference ->
+        let r = reference ~env:st.env p in
+        fun _ -> r
+    | None ->
+        let ck = compiled_kernel st p in
+        fun frames -> Compile.runner ~frames ck ~env:st.env
   in
   let result, breakdown =
     (* a fault inside the kernel is the device's *)
     try
       if cpu_mode st then begin
         let cres =
-          Cpu_exec.launch st.config.target ~jobs:st.config.jobs ~mode ~env:st.env p runner
+          Cpu_exec.launch st.cores ~jobs:st.config.jobs ~mode ~env:st.env p runner
         in
         let result = cres.Cpu_exec.result in
         ( result,
@@ -370,7 +376,7 @@ let launch st ~name ~wid ~alt (site : site) (p : Instr.instr) =
       else begin
         let jobs = st.config.jobs in
         st.machine.Exec.shared_as_global <- offload;
-        let result = Exec.run_grid ~jobs st.machine ~mode ~env:st.env p runner in
+        let result = Exec.run_grid ~jobs st.machine ~mode ~env:st.env p (runner st.frames) in
         st.machine.Exec.shared_as_global <- false;
         (result, Timing.estimate st.config.target ~demand result)
       end
@@ -637,13 +643,13 @@ and search st ~name ~wid ~signature ?ckey descs regions =
 (** One trial: candidate [k] runs through the same
     [exec_kernel_region] as the commit, on a private state — a
     copy-on-write machine clone (which never race-checks), private
-    copies of the buffers the region can reach, its own env and
-    frames — so it sees exactly the pre-search machine the commit then
-    runs on, and leaves no trace on it. The live machine stays idle
-    until [search] has dropped every trial state, as the clone's
-    source-idle rule requires. Returns the candidate's simulated
-    seconds, [infinity] when it is infeasible or faults, and the
-    fault's message. *)
+    copies of the buffers the region can reach, its own env, frames
+    and CPU cores — so it sees exactly the pre-search machine the
+    commit then runs on, and leaves no trace on it. The live machine
+    stays idle until [search] has dropped every trial state, as the
+    clone's source-idle rule requires. Returns the candidate's
+    simulated seconds, [infinity] when it is infeasible or faults, and
+    the fault's message. *)
 and trial st ~name ~wid ~descs k region =
   let machine = Exec.clone_machine st.machine in
   let ts =
@@ -652,6 +658,7 @@ and trial st ~name ~wid ~descs k region =
       machine;
       env = clone_trial_env st.env region;
       frames = Compile.frames machine;
+      cores = Cpu_exec.cores st.config.target;
       records = [];
       trial = true;
     }

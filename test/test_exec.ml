@@ -672,6 +672,18 @@ let conds = ci [ 0; 1; -1; 2; 0; 0; 1; 7; 0; 1; 1; 0; -5 ]
 let matrix_blocks = 16
 let matrix_threads = 32
 
+(** The constants [vals], of type [ty], copied into a fresh global
+    buffer. *)
+let global_table b ty vals =
+  let n = Builder.const_i b (List.length vals) in
+  let h = Builder.alloc b Types.Host ty n in
+  List.iteri
+    (fun i c -> Builder.store b h (Builder.const_i b i) (Builder.let_ b ty (Instr.Const c)))
+    vals;
+  let d = Builder.alloc b Types.Global ty n in
+  Builder.add b (Instr.Memcpy { dst = d; src = h; count = n });
+  d
+
 (** One kernel over [matrix_blocks] blocks of [matrix_threads] lanes:
     operand [k] is a table of constants of element type [ty], read as
     a row or as a per-block uniform; lane [g] stores [f operands] to
@@ -681,19 +693,7 @@ let matrix_module (operands : (Types.t * Instr.const list * shape) list) out_ty
     (f : Builder.t -> Value.t list -> Value.t) =
   Builder.func "main" [] [ Types.Memref (Types.Host, out_ty) ] (fun b ->
       let tables =
-        List.map
-          (fun (ty, vals, sh) ->
-            let len = List.length vals in
-            let n = Builder.const_i b len in
-            let h = Builder.alloc b Types.Host ty n in
-            List.iteri
-              (fun i c ->
-                Builder.store b h (Builder.const_i b i) (Builder.let_ b ty (Instr.Const c)))
-              vals;
-            let d = Builder.alloc b Types.Global ty n in
-            Builder.add b (Instr.Memcpy { dst = d; src = h; count = n });
-            (d, len, sh))
-          operands
+        List.map (fun (ty, vals, sh) -> (global_table b ty vals, List.length vals, sh)) operands
       in
       let total = Builder.const_i b (matrix_blocks * matrix_threads) in
       let hout = Builder.alloc b Types.Host out_ty total in
@@ -735,9 +735,9 @@ let matrix_module (operands : (Types.t * Instr.const list * shape) list) out_ty
       Builder.return b [ hout ])
 
 (** Run [m] on the compiled engine and on the reference interpreter,
-    on a100 and cpu; outputs must agree bitwise, and so must every
-    launch's counters. *)
-let check_engines_agree what fn =
+    on [targets] (a100 and cpu by default); outputs must agree
+    bitwise, and so must every launch's counters. *)
+let check_engines_agree ?(targets = [ Descriptor.a100; Descriptor.cpu ]) what fn =
   let m = { Instr.funcs = [ fn ] } in
   let run ?reference target =
     let results, st =
@@ -763,7 +763,7 @@ let check_engines_agree what fn =
       let out_c, cnt_c = run target in
       if out_i <> out_c then Alcotest.failf "%s on %s: outputs differ" what target.Descriptor.name;
       if cnt_i <> cnt_c then Alcotest.failf "%s on %s: counters differ" what target.Descriptor.name)
-    [ Descriptor.a100; Descriptor.cpu ]
+    targets
 
 let shapes2 = [ (Row, Row); (Row, Uni); (Uni, Row); (Uni, Uni) ]
 let kind_name ty = if Types.is_float ty then "f32" else "i32"
@@ -879,6 +879,226 @@ let test_matrix_mixed_kinds () =
       (Types.I32, (Types.F32, f32_a), (Types.I32, i32_b));
     ]
 
+(* ------------------------------------------------------------------ *)
+(* Broadcast accesses and the allocation of a launch                    *)
+(* ------------------------------------------------------------------ *)
+
+let bcast_blocks = 6
+let bcast_threads = 48
+
+(** Broadcast accesses — a uniform buffer at a uniform index — under a
+    partial mask: in a divergent [if], the lanes with [tid mod 3 = 1]
+    load the f32 and i32 elements at the block's index [index bid] of
+    a global and a shared table, also as the other kind, and store a
+    varying value at uniform indices of the output and of a shared
+    table, where the last active lane's value must stay. With
+    [~taken:false] no lane takes the branch. Lane [g] writes [out[g]],
+    block [bid] [out[total + bid]]. *)
+let broadcast_module ?(taken = true) index =
+  Builder.func "main" [] [ host_f32 ] (fun b ->
+      let gf = global_table b f32 (List.filteri (fun i _ -> i < 16) f32_a) in
+      let gi = global_table b Types.I32 (List.filteri (fun i _ -> i < 16) i32_a) in
+      let total = bcast_blocks * bcast_threads in
+      let n = Builder.const_i b (total + bcast_blocks) in
+      let hout = Builder.alloc b Types.Host f32 n in
+      let dout = Builder.alloc b Types.Global f32 n in
+      Builder.gpu_wrapper b "bcast" (fun wb ->
+          let nb = Builder.const_i wb bcast_blocks and nt = Builder.const_i wb bcast_threads in
+          ignore
+            (Builder.parallel wb Instr.Blocks [ nb ] (fun bb _ bivs ->
+                 let bid = List.hd bivs in
+                 let u = index bb bid in
+                 let shf = Builder.alloc_shared bb f32 16 in
+                 let shi = Builder.alloc_shared bb Types.I32 16 in
+                 ignore
+                   (Builder.parallel bb Instr.Threads [ nt ] (fun tb tpid tivs ->
+                        let tid = List.hd tivs in
+                        let c16 = Builder.const_i tb 16 and c15 = Builder.const_i tb 15 in
+                        Builder.if0 tb (Builder.cmp tb Ops.Lt tid c16) (fun ib ->
+                            Builder.store ib shf tid (Builder.load ib gf tid);
+                            Builder.store ib shi tid (Builder.load ib gi tid));
+                        Builder.barrier tb tpid;
+                        let cond =
+                          if taken then
+                            Builder.cmp tb Ops.Eq
+                              (Builder.rem_ tb tid (Builder.const_i tb 3))
+                              (Builder.const_i tb 1)
+                          else Builder.cmp tb Ops.Gt tid nt
+                        in
+                        let r =
+                          Builder.if_ tb cond [ f32 ]
+                            (fun ib ->
+                              let a = Builder.load ib gf u and x = Builder.load ib gi u in
+                              let c = Builder.load ib shf u and y = Builder.load ib shi u in
+                              let e = Builder.let_ ib Types.I32 (Instr.Load { mem = gf; idx = u }) in
+                              let f = Builder.let_ ib f32 (Instr.Load { mem = shi; idx = u }) in
+                              let fl v = Builder.cast ib f32 v in
+                              let sum =
+                                List.fold_left (Builder.add_ ib) a [ fl x; c; fl y; fl e; f ]
+                              in
+                              let v = Builder.add_ ib sum (fl tid) in
+                              Builder.store ib dout
+                                (Builder.add_ ib (Builder.const_i ib total) bid)
+                                v;
+                              Builder.store ib shf c15 v;
+                              [ sum ])
+                            (fun ib -> [ Builder.const_f ib 0. ])
+                        in
+                        Builder.barrier tb tpid;
+                        let g = Builder.add_ tb (Builder.mul_ tb bid nt) tid in
+                        Builder.store tb dout g
+                          (Builder.add_ tb (List.hd r) (Builder.load tb shf c15)))))));
+      Builder.add b (Instr.Memcpy { dst = hout; src = dout; count = n });
+      Builder.return b [ hout ])
+
+let bcast_targets = [ Descriptor.a100; Descriptor.rx6800; Descriptor.cpu ]
+
+let test_broadcast_partial_masks () =
+  check_engines_agree ~targets:bcast_targets "broadcast accesses in a divergent if"
+    (broadcast_module (fun bb bid ->
+         Builder.rem_ bb
+           (Builder.add_ bb (Builder.mul_ bb bid (Builder.const_i bb 5)) (Builder.const_i bb 3))
+           (Builder.const_i bb 16)));
+  (* an out-of-range index in a branch no lane takes is never read *)
+  check_engines_agree ~targets:bcast_targets "broadcast index out of range, branch not taken"
+    (broadcast_module ~taken:false (fun bb bid -> Builder.add_ bb bid (Builder.const_i bb 16)))
+
+(** A [__shared__] array allocated in a block-level loop, each
+    iteration reading the array the previous one allocated: a node
+    that runs twice in one block must not recycle its live array. *)
+let test_shared_realloc_in_block () =
+  check_engines_agree ~targets:bcast_targets "__shared__ allocated per loop iteration"
+    (Builder.func "main" [] [ host_f32 ] (fun b ->
+         let n = Builder.const_i b (bcast_blocks * 4) in
+         let hout = Builder.alloc b Types.Host f32 n in
+         let dout = Builder.alloc b Types.Global f32 n in
+         Builder.gpu_wrapper b "realloc" (fun wb ->
+             let nb = Builder.const_i wb bcast_blocks and c4 = Builder.const_i wb 4 in
+             ignore
+               (Builder.parallel wb Instr.Blocks [ nb ] (fun bb _ bivs ->
+                    let bid = List.hd bivs in
+                    let first = Builder.alloc_shared bb f32 4 in
+                    let c0 = Builder.const_i bb 0 and c1 = Builder.const_i bb 1 in
+                    let last =
+                      Builder.for_ bb c0 (Builder.const_i bb 3) c1 [ first ] (fun fb k prev ->
+                          let cur = Builder.alloc_shared fb f32 4 in
+                          ignore
+                            (Builder.parallel fb Instr.Threads [ c4 ] (fun tb _ tivs ->
+                                 let tid = List.hd tivs in
+                                 let x = Builder.load tb (List.hd prev) tid in
+                                 let y = Builder.add_ tb x (Builder.cast tb f32 (Builder.add_ tb k bid)) in
+                                 Builder.store tb cur tid y));
+                          [ cur ])
+                    in
+                    ignore
+                      (Builder.parallel bb Instr.Threads [ c4 ] (fun tb _ tivs ->
+                           let tid = List.hd tivs in
+                           let g = Builder.add_ tb (Builder.mul_ tb bid c4) tid in
+                           Builder.store tb dout g (Builder.load tb (List.hd last) tid))))));
+         Builder.add b (Instr.Memcpy { dst = hout; src = dout; count = n });
+         Builder.return b [ hout ]))
+
+(** An out-of-range broadcast index in a branch some lane takes raises
+    the oracle's device error, on every target. *)
+let test_broadcast_out_of_range () =
+  let m = { Instr.funcs = [ broadcast_module (fun bb bid -> Builder.add_ bb bid (Builder.const_i bb 16)) ] } in
+  List.iter
+    (fun (target : Descriptor.t) ->
+      let fault ?reference () =
+        match
+          Pgpu_runtime.Runtime.run ?reference (Pgpu_runtime.Runtime.default_config target) m []
+        with
+        | _ -> Alcotest.failf "%s: an out-of-range broadcast ran" target.Descriptor.name
+        | exception Exec.Device_error msg -> msg
+      in
+      Alcotest.(check string)
+        (target.Descriptor.name ^ ": the oracle's device error")
+        (fault ~reference:Interp.runner ())
+        (fault ()))
+    bcast_targets
+
+(** A 256-thread kernel with a [__shared__] array, broadcast loads in a
+    uniform loop, a divergent [if] and a uniform-index store, over
+    [nb] blocks. Its buffers do not grow with the grid: lane [tid]
+    writes [out[tid]], block [bid] [out[256 + bid mod 16]]. *)
+let alloc_module () =
+  let nb = Value.fresh ~hint:"nb" Types.I32 in
+  Builder.func "main" [ nb ] [ host_f32 ] (fun b ->
+      let table = global_table b f32 f32_a in
+      let n = Builder.const_i b (256 + 16) in
+      let hout = Builder.alloc b Types.Host f32 n in
+      let dout = Builder.alloc b Types.Global f32 n in
+      Builder.gpu_wrapper b "alloc" (fun wb ->
+          let c256 = Builder.const_i wb 256 in
+          ignore
+            (Builder.parallel wb Instr.Blocks [ nb ] (fun bb _ bivs ->
+                 let bid = List.hd bivs in
+                 let sh = Builder.alloc_shared bb f32 256 in
+                 ignore
+                   (Builder.parallel bb Instr.Threads [ c256 ] (fun tb tpid tivs ->
+                        let tid = List.hd tivs in
+                        let c0 = Builder.const_i tb 0 and c1 = Builder.const_i tb 1 in
+                        let c8 = Builder.const_i tb 8 and c16 = Builder.const_i tb 16 in
+                        Builder.store tb sh tid (Builder.load tb table (Builder.rem_ tb tid c16));
+                        Builder.barrier tb tpid;
+                        let acc =
+                          Builder.for_ tb c0 c8 c1 [ Builder.const_f tb 0. ] (fun fb k accs ->
+                              let x = Builder.load fb table k and y = Builder.load fb sh k in
+                              [ Builder.add_ fb (List.hd accs) (Builder.add_ fb x y) ])
+                        in
+                        let acc = List.hd acc in
+                        let even = Builder.cmp tb Ops.Eq (Builder.rem_ tb tid (Builder.const_i tb 2)) c0 in
+                        let r =
+                          Builder.if_ tb even [ f32 ]
+                            (fun ib -> [ Builder.mul_ ib acc acc ])
+                            (fun _ -> [ acc ])
+                        in
+                        let r = List.hd r in
+                        Builder.store tb dout tid r;
+                        Builder.if0 tb (Builder.cmp tb Ops.Lt tid (Builder.const_i tb 100)) (fun ib ->
+                            let j = Builder.add_ ib c256 (Builder.rem_ ib bid c16) in
+                            Builder.store ib dout j r))))));
+      Builder.add b (Instr.Memcpy { dst = hout; src = dout; count = n });
+      Builder.return b [ hout ])
+
+(** Words [f ()] allocates, on the minor heap plus directly on the
+    major heap: the least of three runs, each started on an empty
+    minor heap. A minor collection inside the window can inflate the
+    minor count by tens of thousands of words, so one run alone is not
+    a measurement. *)
+let allocated_words f =
+  let once () =
+    Gc.minor ();
+    let minor0, promoted0, major0 = Gc.counters () in
+    f ();
+    let minor1, promoted1, major1 = Gc.counters () in
+    minor1 -. minor0 +. (major1 -. promoted1 -. (major0 -. promoted0))
+  in
+  List.fold_left Float.min infinity [ once (); once (); once () ]
+
+(** A launch allocates nothing per lane and nothing per block: the
+    words a warm run of {!alloc_module} allocates grow by fewer than 2
+    per thread per extra block. At 16 blocks and more every cpu core
+    runs in both runs. *)
+let test_launch_allocation () =
+  let m = { Instr.funcs = [ alloc_module () ] } in
+  List.iter
+    (fun (target : Descriptor.t) ->
+      let run nb () =
+        ignore
+          (Pgpu_runtime.Runtime.run (Pgpu_runtime.Runtime.default_config target) m [ Exec.UI nb ])
+      in
+      let warm nb =
+        run nb ();
+        allocated_words (run nb)
+      in
+      let small = warm 16 and large = warm 128 in
+      let per_block = (large -. small) /. float_of_int (128 - 16) in
+      if per_block >= 512. then
+        Alcotest.failf "%s: %.0f words per extra block (%.0f at 16 blocks, %.0f at 128)"
+          target.Descriptor.name per_block small large)
+    bcast_targets
+
 let suite =
   [
     ( "exec",
@@ -908,5 +1128,9 @@ let suite =
         !:"engine matrix: select" `Quick test_matrix_select;
         !:"engine matrix: casts" `Quick test_matrix_casts;
         !:"engine matrix: mixed-kind rows" `Quick test_matrix_mixed_kinds;
+        !:"broadcast accesses under partial masks" `Quick test_broadcast_partial_masks;
+        !:"out-of-range broadcast: the oracle's device error" `Quick test_broadcast_out_of_range;
+        !:"__shared__ allocated twice in one block" `Quick test_shared_realloc_in_block;
+        !:"a launch's allocation does not grow with the grid" `Quick test_launch_allocation;
       ] );
   ]

@@ -160,6 +160,32 @@ let prop_tdo_parity =
         [ Descriptor.a100; Descriptor.rx6800; Descriptor.cpu ];
       true)
 
+(** The CPU backend keeps its core machines and their register files
+    across launches: a multi-launch cpu program must give the same
+    outputs, and every launch the same counters and simulated seconds,
+    bitwise, at [jobs = 1] and [jobs = 4]. gaussian makes 254 launches
+    of two kernels untuned; lud is tuned over three configurations, so
+    its trials own cores of their own. *)
+let test_cpu_cores_jobs_parity () =
+  with_forced_cores @@ fun () ->
+  let module P = Pgpu_core.Polygeist_gpu in
+  let observe name ~specs ~jobs =
+    let r = P.run_rodinia ~specs ~jobs ~target:Descriptor.cpu (P.Rodinia.find name) in
+    let bits = List.map Int64.bits_of_float in
+    ( List.map bits r.P.outputs,
+      List.map (fun (l : Runtime.launch_record) -> l.Runtime.result.Exec.counters) r.P.records,
+      bits (List.map (fun (l : Runtime.launch_record) -> l.Runtime.seconds) r.P.records) )
+  in
+  List.iter
+    (fun (name, specs) ->
+      let out1, cnt1, sec1 = observe name ~specs ~jobs:1 in
+      let out4, cnt4, sec4 = observe name ~specs ~jobs:4 in
+      let check what ok = if not ok then Alcotest.failf "%s on cpu: %s differ at jobs 4" name what in
+      check "outputs" (out1 = out4);
+      check "launch counters" (cnt1 = cnt4);
+      check "launch seconds" (sec1 = sec4))
+    [ ("gaussian", []); ("lud", P.specs_of_totals [ (1, 1); (1, 2); (2, 2) ]) ]
+
 let suite =
   [
     ( "pool",
@@ -172,5 +198,7 @@ let suite =
         Alcotest.test_case "effective_jobs caps at the core count" `Quick
           test_effective_jobs_cap;
         QCheck_alcotest.to_alcotest prop_tdo_parity;
+        Alcotest.test_case "kept cpu cores: jobs 1 = jobs 4 on gaussian and tuned lud" `Quick
+          test_cpu_cores_jobs_parity;
       ] );
   ]
