@@ -106,16 +106,63 @@ let clone_machine m =
     bank_counts = Array.make 64 0;
   }
 
-type env = (int, rv) Hashtbl.t
+(** The host register file. A value's slot indexes all three banks,
+    and the value's type picks the one that holds it, so the int and
+    float banks keep their scalars unboxed. *)
+type env = {
+  index : (int, int) Hashtbl.t;  (** value id -> slot *)
+  mutable ints : int array;
+  mutable floats : float array;
+  mutable bufs : Memory.buf array;
+}
 
-let env_create () : env = Hashtbl.create 256
-let bind (env : env) (v : Value.t) rv = Hashtbl.replace env v.Value.id rv
+type bank = Ints | Floats | Bufs
 
-let lookup (env : env) (v : Value.t) =
-  (* [find] rather than [find_opt]: host loops resolve every operand
-     through here, and the option would be an allocation per lookup *)
-  match Hashtbl.find env v.Value.id with
-  | rv -> rv
+let bank (ty : Types.t) = if Types.is_memref ty then Bufs else if Types.is_float ty then Floats else Ints
+
+let no_buf : Memory.buf =
+  { Memory.id = -1; space = Types.Host; elt = Types.I32; len = 0; data = Memory.I [||]; base = 0 }
+
+let env_create () =
+  {
+    index = Hashtbl.create 256;
+    ints = Array.make 64 0;
+    floats = Array.make 64 0.;
+    bufs = Array.make 64 no_buf;
+  }
+
+let slot env (v : Value.t) =
+  match Hashtbl.find_opt env.index v.Value.id with
+  | Some s -> s
+  | None ->
+      let s = Hashtbl.length env.index in
+      let cap = Array.length env.ints in
+      if s = cap then begin
+        let grow a fill = Array.append a (Array.make cap fill) in
+        env.ints <- grow env.ints 0;
+        env.floats <- grow env.floats 0.;
+        env.bufs <- grow env.bufs no_buf
+      end;
+      Hashtbl.add env.index v.Value.id s;
+      s
+
+let bind env (v : Value.t) rv =
+  let s = slot env v in
+  match (bank v.Value.ty, rv) with
+  | Ints, UI x -> env.ints.(s) <- x
+  | Ints, UF x -> env.ints.(s) <- int_of_float x
+  | Floats, UF x -> env.floats.(s) <- x
+  | Floats, UI x -> env.floats.(s) <- float_of_int x
+  | Bufs, UB b -> env.bufs.(s) <- b
+  | _ -> Pgpu_support.Util.failf "exec: %a cannot hold this value in the host env" Value.pp v
+
+let lookup env (v : Value.t) =
+  match Hashtbl.find env.index v.Value.id with
+  | s -> (
+      match bank v.Value.ty with
+      | Ints -> UI env.ints.(s)
+      | Floats -> UF env.floats.(s)
+      | Bufs -> UB env.bufs.(s))
   | exception Not_found -> Pgpu_support.Util.failf "exec: unbound value %a" Value.pp v
 
 (** Lane masks with cached population statistics. *)

@@ -67,12 +67,47 @@ val clone_machine : machine -> machine
     search keeps this rule: every trial state is dropped before the
     commit runs on [m]. *)
 
-type env = (int, rv) Hashtbl.t
+(** The host register file: what host code computes, and what kernel
+    launches read their arguments and grid geometry from. Three
+    unboxed banks share one slot numbering: every value has one slot,
+    held in the bank its type picks ({!bank}): memrefs in [bufs],
+    floats in [floats], the rest in [ints]. The runtime gives every
+    host value of a run its slot ({!slot}) before the first host
+    instruction runs, and its compiled host code reads and writes the
+    banks directly. A slot no instruction has written yet reads as
+    [0], [0.] or an empty buffer.
+
+    {!bind} and {!lookup} serve what reads or writes the env once per
+    launch and the tests. The banks are only ever replaced (they grow
+    by {!slot}), so a copy of the record with copied banks is a
+    private env that shares the read-only [index]: what a TDO trial
+    runs on. *)
+type env = {
+  index : (int, int) Hashtbl.t;  (** value id -> slot *)
+  mutable ints : int array;
+  mutable floats : float array;
+  mutable bufs : Memory.buf array;
+}
+
+type bank = Ints | Floats | Bufs
+
+(** The bank a value of this type lives in. *)
+val bank : Types.t -> bank
 
 val env_create : unit -> env
+
+(** [slot env v] is [v]'s slot, given a fresh one when [v] has
+    none. *)
+val slot : env -> Value.t -> int
+
+(** Store a uniform value in [v]'s slot, with the coercions of the
+    host program's scalar reads ([UI] into a float slot converts,
+    [UF] into an int slot truncates).
+    @raise Failure on a per-lane value, or a buffer/scalar mismatch. *)
 val bind : env -> Value.t -> rv -> unit
 
-(** @raise Failure on an unbound value. *)
+(** The value in [v]'s slot, boxed by [v]'s bank.
+    @raise Failure on a value without a slot. *)
 val lookup : env -> Value.t -> rv
 
 (** Lane masks with cached population statistics. The counts are

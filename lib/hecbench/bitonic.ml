@@ -55,7 +55,7 @@ let reference args =
   let data = Bench_def.rand_array 271 n in
   for b = 0 to nblocks - 1 do
     let seg = Array.sub data (b * 256) 256 in
-    Array.sort compare seg;
+    Array.sort Float.compare seg;
     Array.blit seg 0 data (b * 256) 256
   done;
   data

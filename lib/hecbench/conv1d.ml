@@ -64,7 +64,7 @@ let reference args =
       let acc = ref 0. in
       for k = 0 to 2 * radius do
         let src = i - radius + k in
-        let src = max 0 (min (n - 1) src) in
+        let src = Int.max 0 (Int.min (n - 1) src) in
         acc := !acc +. (coeff.(k) *. input.(src))
       done;
       !acc)

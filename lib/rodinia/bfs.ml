@@ -116,8 +116,8 @@ let reference args =
               end
             done)
           (* visit in index order to stay deterministic *)
-          (List.sort_uniq compare !frontier);
-        frontier := List.sort_uniq compare !next
+          (List.sort_uniq Int.compare !frontier);
+        frontier := List.sort_uniq Int.compare !next
       done;
       Array.map float_of_int cost
   | _ -> invalid_arg "bfs expects [n; maxdeg]"

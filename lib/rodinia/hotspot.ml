@@ -87,7 +87,7 @@ let reference args =
         for gy = 0 to n - 1 do
           for gx = 0 to n - 1 do
             let at y x =
-              let y = max 0 (min (n - 1) y) and x = max 0 (min (n - 1) x) in
+              let y = Int.max 0 (Int.min (n - 1) y) and x = Int.max 0 (Int.min (n - 1) x) in
               src.((y * n) + x)
             in
             let c = src.((gy * n) + gx) in

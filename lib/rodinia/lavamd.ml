@@ -90,7 +90,7 @@ let reference args =
       let xi = x.(i) and yi = y.(i) and zi = z.(i) in
       let acc = ref 0. in
       for nn = 0 to 2 do
-        let nbx = max 0 (min (nboxes - 1) (b + nn - 1)) in
+        let nbx = Int.max 0 (Int.min (nboxes - 1) (b + nn - 1)) in
         for j = 0 to ppb - 1 do
           let k = (nbx * ppb) + j in
           let dx = xi -. x.(k) and dy = yi -. y.(k) and dz = zi -. z.(k) in

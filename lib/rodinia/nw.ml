@@ -144,7 +144,7 @@ let reference args =
       let d = data.(((y - 1) * cols) + x - 1) + refm.((y * cols) + x) in
       let l = data.((y * cols) + x - 1) - pen in
       let u = data.(((y - 1) * cols) + x) - pen in
-      data.((y * cols) + x) <- max d (max l u)
+      data.((y * cols) + x) <- Int.max d (Int.max l u)
     done
   done;
   Array.map float_of_int data

@@ -80,7 +80,7 @@ let reference args =
               let left = if x = 0 then src.(0) else src.(x - 1) in
               let up = src.(x) in
               let right = if x = cols - 1 then src.(x) else src.(x + 1) in
-              wall.((row * cols) + x) + min left (min up right))
+              wall.((row * cols) + x) + Int.min left (Int.min up right))
         in
         cur := dst
       done;

@@ -1,9 +1,16 @@
-(** Host-side runtime: interprets the host portion of a compiled
-    module, launches kernels on the GPU simulator, accounts composite
-    time (host logic + transfers + kernel time — the paper's
-    "composite measurement"), and implements the timing-driven
-    optimization that picks the best [Alternatives] region per launch
-    site (Section VI). *)
+(** Host-side runtime: runs the host portion of a compiled module,
+    launches kernels on the GPU simulator, accounts composite time
+    (host logic + transfers + kernel time, the paper's "composite
+    measurement"), and implements the timing-driven optimization that
+    picks the best [Alternatives] region per launch site (Section VI).
+
+    Host code is compiled once per run, before its first instruction
+    runs, into closures over the slot-indexed register file
+    ({!Exec.env}): every host value gets a slot, and each instruction
+    reads and writes the unboxed banks directly. A kernel region
+    compiles to steps that either run a host instruction or launch
+    one of its grid-level parallels. Every executed host instruction
+    but a terminator charges {!host_op_cost} before it runs. *)
 
 open Pgpu_ir
 open Pgpu_gpusim
@@ -63,17 +70,24 @@ val rand_array : int -> int -> float array
 
 val rand_int_array : int -> int -> int -> int array
 
+(** Simulated seconds charged per executed host instruction (every
+    instruction of host code but a terminator, charged before it
+    runs). *)
+val host_op_cost : float
+
 (** A per-block runner factory, in the shape of {!Compile.runner}. *)
 type reference = env:Exec.env -> Instr.instr -> Exec.runner
 
 (** Run function [fname] (default ["main"]) with the given arguments;
-    returns the function results and the final state. Every kernel
+    returns the function results and the final state. The function's
+    host code, alternatives regions included, is compiled for this
+    run only: no compiled code outlives it. Every kernel
     launch, TDO trials included, runs on the compiled engine, or on
     [reference] when one is given: the seam through which the
     differential tests run the reference interpreter.
     @raise Host_error on a malformed host program or input, such as an
     allocation of a negative element count or a host access outside a
-    buffer.
+    buffer, when the faulty instruction executes.
     @raise Exec.Device_error on a fault inside a committed kernel
     launch, such as an access outside a buffer. A TDO trial that
     faults is rejected like an infeasible candidate instead. *)

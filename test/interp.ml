@@ -18,6 +18,21 @@ open Pgpu_gpusim
 open Exec
 
 (* ------------------------------------------------------------------ *)
+(* Environment                                                         *)
+(* ------------------------------------------------------------------ *)
+
+(** Kernel-internal values, per-lane vectors included, live in a
+    table of the interpreter's own, layered over the product env that
+    holds the host's values: a lookup that misses the table reads the
+    product env, and a bind writes only the table. *)
+type env = { local : (int, rv) Hashtbl.t; host : Exec.env }
+
+let lookup env (v : Value.t) =
+  match Hashtbl.find_opt env.local v.Value.id with Some rv -> rv | None -> Exec.lookup env.host v
+
+let bind env (v : Value.t) rv = Hashtbl.replace env.local v.Value.id rv
+
+(* ------------------------------------------------------------------ *)
 (* Value conversions                                                   *)
 (* ------------------------------------------------------------------ *)
 
@@ -417,14 +432,14 @@ and exec_instr ctx env (mask : mask) (i : Instr.instr) : unit =
 (* Block runner                                                        *)
 (* ------------------------------------------------------------------ *)
 
-let runner ~(env : env) (p : Instr.instr) : runner =
+let runner ~(env : Exec.env) (p : Instr.instr) : runner =
   match p with
   | Instr.Parallel { level = Instr.Blocks; ivs; ubs; body; _ } ->
-      let dims = List.map (fun u -> ui_of (lookup env u)) ubs in
+      let dims = List.map (fun u -> ui_of (Exec.lookup env u)) ubs in
       let dx = match dims with d :: _ -> d | [] -> 1 in
       let dy = match dims with _ :: d :: _ -> d | _ -> 1 in
       fun m ->
-        let env = Hashtbl.copy env in
+        let env = { local = Hashtbl.create 64; host = env } in
         fun ~sm lb ->
           let coords = [ lb mod dx; lb / dx mod dy; lb / (dx * dy) ] in
           List.iteri (fun k (iv : Value.t) -> bind env iv (UI (List.nth coords k))) ivs;
@@ -432,3 +447,165 @@ let runner ~(env : env) (p : Instr.instr) : runner =
           ignore (exec_block ctx env (full_mask ctx) body);
           m.counters.Counters.blocks <- m.counters.Counters.blocks +. 1.
   | _ -> device_fail "launch expects a blocks-level parallel"
+
+(* ------------------------------------------------------------------ *)
+(* Host code                                                           *)
+(* ------------------------------------------------------------------ *)
+
+(* The host half of the tree-walker the runtime ran host code with
+   before it compiled it: the oracle of [Runtime.run] on modules
+   without launches or memcpys. Values are boxed in a hashtable env,
+   and each instruction but a terminator charges
+   [Runtime.host_op_cost] before it runs. *)
+
+module Runtime = Pgpu_runtime.Runtime
+
+type host = { vars : (int, rv) Hashtbl.t; alloc : Memory.allocator; mutable composite : float }
+
+let host_fail fmt = Fmt.kstr (fun s -> raise (Runtime.Host_error s)) fmt
+
+let hlookup h (v : Value.t) =
+  match Hashtbl.find_opt h.vars v.Value.id with
+  | Some rv -> rv
+  | None -> Pgpu_support.Util.failf "exec: unbound value %a" Value.pp v
+
+let hbind h (v : Value.t) rv = Hashtbl.replace h.vars v.Value.id rv
+
+let as_int h v =
+  match hlookup h v with
+  | UI x -> x
+  | UF x -> int_of_float x
+  | _ -> host_fail "expected host scalar int %a" Value.pp v
+
+let as_float h v =
+  match hlookup h v with
+  | UF x -> x
+  | UI x -> float_of_int x
+  | _ -> host_fail "expected host scalar float %a" Value.pp v
+
+let as_buf h v = match hlookup h v with UB b -> b | _ -> host_fail "expected buffer %a" Value.pp v
+
+let eval_host_expr h (res : Value.t) (e : Instr.expr) : rv =
+  let ty = res.Value.ty in
+  match e with
+  | Instr.Const (Instr.Ci n) -> UI n
+  | Instr.Const (Instr.Cf f) -> UF f
+  | Instr.Binop (op, a, b) ->
+      if Types.is_float ty then UF (Ops.eval_float_binop op (as_float h a) (as_float h b))
+      else UI (Ops.eval_int_binop op (as_int h a) (as_int h b))
+  | Instr.Unop (op, a) ->
+      if Types.is_float ty then UF (Ops.eval_float_unop op (as_float h a))
+      else UI (Ops.eval_int_unop op (as_int h a))
+  | Instr.Cmp (op, a, b) ->
+      let r =
+        if Types.is_float a.Value.ty then Ops.eval_float_cmp op (as_float h a) (as_float h b)
+        else Ops.eval_int_cmp op (as_int h a) (as_int h b)
+      in
+      UI (if r then 1 else 0)
+  | Instr.Select (c, a, b) -> if as_int h c <> 0 then hlookup h a else hlookup h b
+  | Instr.Cast a -> (
+      match (Types.is_float ty, hlookup h a) with
+      | true, UI x -> UF (float_of_int x)
+      | true, (UF _ as v) -> v
+      | false, UF x -> UI (int_of_float x)
+      | _, v -> v)
+  | Instr.Load { mem; idx } ->
+      let b = as_buf h mem and i = as_int h idx in
+      if Types.is_float (Types.elem mem.Value.ty) then UF (Memory.get_f b i) else UI (Memory.get_i b i)
+
+(** The fills as the runtime once made them: the whole stream drawn
+    into an array first ({!Runtime.rand_array}), then copied. *)
+let eval_intrinsic h name (args : Value.t list) =
+  match (name, args) with
+  | "fill_rand", [ buf; seed ] ->
+      let b = as_buf h buf in
+      let data = Runtime.rand_array (as_int h seed) b.Memory.len in
+      Memory.fill_f b (fun i -> data.(i))
+  | "fill_rand_range", [ buf; seed; lo; hi ] ->
+      let b = as_buf h buf in
+      let lo = as_float h lo and hi = as_float h hi in
+      let data = Runtime.rand_array (as_int h seed) b.Memory.len in
+      Memory.fill_f b (fun i -> lo +. ((hi -. lo) *. data.(i)))
+  | "fill_int_rand", [ buf; seed; bound ] ->
+      let b = as_buf h buf in
+      let data = Runtime.rand_int_array (as_int h seed) (as_int h bound) b.Memory.len in
+      Memory.fill_i b (fun i -> data.(i))
+  | "fill_const", [ buf; c ] ->
+      let b = as_buf h buf in
+      if Types.is_float b.Memory.elt then Memory.fill_f b (fun _ -> as_float h c)
+      else Memory.fill_i b (fun _ -> as_int h c)
+  | "fill_seq", [ buf ] -> Memory.fill_i (as_buf h buf) (fun i -> i)
+  | _ -> host_fail "intrinsic %S with %d args is not in the host oracle" name (List.length args)
+
+let rec exec_host_block h (block : Instr.block) =
+  let rec go = function
+    | [] -> `Fallthrough
+    | i :: rest -> (
+        match i with
+        | Instr.Yield vs -> `Yield (List.map (hlookup h) vs)
+        | Instr.Yield_while (c, vs) -> `Yield_while (as_int h c <> 0, List.map (hlookup h) vs)
+        | Instr.Return vs -> `Return (List.map (hlookup h) vs)
+        | _ ->
+            exec_host_instr h i;
+            go rest)
+  in
+  go block
+
+and exec_host_instr h (i : Instr.instr) : unit =
+  h.composite <- h.composite +. Runtime.host_op_cost;
+  match i with
+  | Instr.Let (v, e) -> hbind h v (eval_host_expr h v e)
+  | Instr.Store { mem; idx; v } ->
+      let b = as_buf h mem and k = as_int h idx in
+      if Types.is_float (Types.elem mem.Value.ty) then Memory.set_f b k (as_float h v)
+      else Memory.set_i b k (as_int h v)
+  | Instr.If { cond; results; then_; else_ } -> (
+      let branch = if as_int h cond <> 0 then then_ else else_ in
+      match exec_host_block h branch with
+      | `Yield vs -> List.iter2 (hbind h) results vs
+      | `Fallthrough when results = [] -> ()
+      | _ -> host_fail "malformed host if")
+  | Instr.For { iv; lb; ub; step; iter_args; inits; results; body } ->
+      let l0 = as_int h lb and u = as_int h ub and s = as_int h step in
+      if s <= 0 then host_fail "host for loop with non-positive step";
+      List.iter2 (fun a init -> hbind h a (hlookup h init)) iter_args inits;
+      let k = ref l0 in
+      while !k < u do
+        hbind h iv (UI !k);
+        (match exec_host_block h body with
+        | `Yield vs -> List.iter2 (hbind h) iter_args vs
+        | _ -> host_fail "malformed host for");
+        k := !k + s
+      done;
+      List.iter2 (fun r a -> hbind h r (hlookup h a)) results iter_args
+  | Instr.While { iter_args; inits; results; body } ->
+      List.iter2 (fun a init -> hbind h a (hlookup h init)) iter_args inits;
+      let continue_ = ref true in
+      while !continue_ do
+        match exec_host_block h body with
+        | `Yield_while (c, vs) ->
+            List.iter2 (hbind h) iter_args vs;
+            if not c then continue_ := false
+        | _ -> host_fail "malformed host while"
+      done;
+      List.iter2 (fun r a -> hbind h r (hlookup h a)) results iter_args
+  | Instr.Alloc { res; space; elt; count } ->
+      let n = as_int h count in
+      if n < 0 then host_fail "allocation of %a with a negative count (%d)" Value.pp res n;
+      hbind h res (UB (Memory.alloc h.alloc space elt n))
+  | Instr.Free _ -> ()
+  | Instr.Intrinsic { name; args; _ } -> eval_intrinsic h name args
+  | Instr.Memcpy _ | Instr.Gpu_wrapper _ -> host_fail "the host oracle runs no copies or launches"
+  | Instr.Alternatives _ -> host_fail "alternatives outside gpu_wrapper"
+  | Instr.Parallel _ | Instr.Barrier _ | Instr.Alloc_shared _ ->
+      host_fail "device construct in host code"
+  | Instr.Yield _ | Instr.Yield_while _ | Instr.Return _ -> host_fail "stray terminator"
+
+let run_host ?(fname = "main") (m : Instr.modul) (args : rv list) =
+  let f = Instr.find_func m fname in
+  let h = { vars = Hashtbl.create 64; alloc = Memory.allocator (); composite = 0. } in
+  List.iter2 (hbind h) f.Instr.params args;
+  match exec_host_block h f.Instr.body with
+  | exception Memory.Out_of_bounds msg -> raise (Runtime.Host_error msg)
+  | `Return vs -> (vs, h.composite)
+  | _ -> host_fail "%s did not return" fname

@@ -219,6 +219,75 @@ let test_aliased (target : Descriptor.t) () =
       ("aliased select", select);
     ]
 
+(* ------------------------------------------------------------------ *)
+(* Buffers written through a picked memref                              *)
+(* ------------------------------------------------------------------ *)
+
+(** Two device buffers hold the same inputs; the kernel region picks
+    one of them, by a select or by an if that yields it, and updates
+    it in place through the pick: [x <- x * 0.5 + 1]. Neither free
+    buffer is stored to directly, yet both can be written, so a trial
+    must copy both: one that wrote the live buffer would leave the
+    commit updating its sampled blocks twice. *)
+let picked_module ~by_yield =
+  let f32 = Types.F32 in
+  let n = Value.fresh ~hint:"n" Types.I32 in
+  let f =
+    Builder.func "main" [ n ] [ Types.Memref (Types.Host, f32) ] (fun b ->
+        let h = Builder.alloc b Types.Host f32 n in
+        let seed = Builder.const_i b 7 in
+        let lo = Builder.const_f b 0. and hi = Builder.const_f b 16. in
+        ignore (Builder.intrinsic b "fill_rand_range" [] [ h; seed; lo; hi ]);
+        let a = Builder.alloc b Types.Global f32 n and other = Builder.alloc b Types.Global f32 n in
+        Builder.add b (Instr.Memcpy { dst = a; src = h; count = n });
+        Builder.add b (Instr.Memcpy { dst = other; src = h; count = n });
+        Builder.gpu_wrapper b "update_picked" (fun wb ->
+            let c = Builder.cmp wb Ops.Gt n (Builder.const_i wb 0) in
+            let e =
+              if by_yield then
+                List.hd (Builder.if_ wb c [ a.Value.ty ] (fun _ -> [ a ]) (fun _ -> [ other ]))
+              else Builder.select wb c a other
+            in
+            let c64 = Builder.const_i wb 64 in
+            let grid = Builder.div_ wb (Builder.add_ wb n (Builder.const_i wb 63)) c64 in
+            ignore
+              (Builder.parallel wb Instr.Blocks [ grid ] (fun bb _ bivs ->
+                   ignore
+                     (Builder.parallel bb Instr.Threads [ c64 ] (fun tb _ tivs ->
+                          let i = Builder.add_ tb (Builder.mul_ tb (List.hd bivs) c64) (List.hd tivs) in
+                          Builder.if0 tb (Builder.cmp tb Ops.Lt i n) (fun ib ->
+                              let x = Builder.load ib e i in
+                              let half = Builder.const_f ib 0.5 and one = Builder.const_f ib 1. in
+                              Builder.store ib e i (Builder.add_ ib (Builder.mul_ ib x half) one)))))));
+        Builder.add b (Instr.Memcpy { dst = h; src = a; count = n });
+        Builder.return b [ h ])
+  in
+  { Instr.funcs = [ f ] }
+
+(** On both programs: every tuned site's winning trial equals its
+    commit, the untuned output is one update of the inputs, and the
+    tuned output equals it bitwise. *)
+let test_picked (target : Descriptor.t) () =
+  let n = 3000 in
+  let args = [ n ] in
+  let expected = List.map (fun x -> (16. *. x *. 0.5) +. 1.) (Array.to_list (Pgpu_runtime.Runtime.rand_array 7 n)) in
+  List.iter
+    (fun by_yield ->
+      let what = (if by_yield then "yielded" else "selected") ^ "/" ^ target.Descriptor.name in
+      let modul, report =
+        P.Pipeline.compile
+          { (P.Pipeline.default_options target) with P.Pipeline.coarsen_specs = specs }
+          (picked_module ~by_yield)
+      in
+      let c = { P.target; modul; report } in
+      check_tuned_sites ~what c ~args;
+      let untuned = P.run c ~args in
+      Kernels.check_floats ~tol:1e-6 what expected (List.hd untuned.P.outputs);
+      let bits (r : P.run_result) = List.map (List.map Int64.bits_of_float) r.P.outputs in
+      if bits (P.run ~tune:true c ~args) <> bits untuned then
+        Alcotest.failf "%s: tuned output differs from untuned" what)
+    [ false; true ]
+
 let suite =
   let targets = [ Descriptor.a100; Descriptor.rx6800; Descriptor.cpu ] in
   let cases name test =
@@ -229,5 +298,6 @@ let suite =
   [
     ( "tdo",
       cases "trial time = committed time on " test_trial_is_commit
-      @ cases "aliased arguments: trial = commit on " test_aliased );
+      @ cases "aliased arguments: trial = commit on " test_aliased
+      @ cases "a buffer written through a picked memref: trial = commit on " test_picked );
   ]
