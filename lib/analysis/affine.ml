@@ -43,14 +43,26 @@
       [if (ty % (2*s) == 0)].
 
     Each query is put in dense form once: one int array holding the
-    case-split depth, every symbol's bounds in [sid] order and every
-    equality and inequality row over the dense numbering. That array is
-    the whole input of the stack and also the key of a verdict memo the
-    caller owns and passes in ({!memo}): equal arrays get equal
-    verdicts, and systems that differ only in symbol names, kinds or
-    [sid]s — the renamed instances of coarsened replicas, say — share
-    one entry. The modulus-interval case splits are queries of the same
-    memo. *)
+    case-split depth, every symbol's bounds and every equality and
+    inequality row over the dense numbering. That array is the whole
+    input of the stack and also the key of a verdict memo the caller
+    owns and passes in ({!memo}): equal arrays get equal verdicts, and
+    systems that differ only in symbol names, kinds or [sid]s — the
+    renamed instances of coarsened replicas, say — share one entry. The
+    modulus-interval case splits are queries of the same memo, and one
+    lookup hashes its array once.
+
+    The race checker's queries are built straight from the expressions
+    of one pair of accesses ({!query}): a row is a sum of expressions,
+    each taken under an {!instance}, and the per-instance symbols of the
+    two instances are numbered in the order the checker meets them
+    ({!numbering}), as if each had been renamed to a fresh symbol at
+    that moment. Nothing is renamed or sorted: the array comes out as
+    the one the renamed system would give, with the symbols taken as
+    they are first, in [sid] order, and the renamed ones after them in
+    numbering order. A query one row longer than a built one is derived
+    from it by inserting the row ({!and_ge}, {!and_eq}) when the row has
+    no new symbol. *)
 
 type kind =
   | Thread of int  (** thread induction variable, dimension index *)
@@ -109,15 +121,6 @@ let is_thread_dep a = not (is_uniform a)
     counter, which is per-instance but not a thread index). *)
 let has_thread a =
   List.exists (fun (s, _) -> match s.kind with Thread _ -> true | Local | Shared -> false) a.terms
-
-(** Rename the per-instance symbols (thread ivs and local loop
-    counters); shared symbols are preserved so both instances agree on
-    them. *)
-let rename (f : sym -> sym) a =
-  let terms =
-    List.map (fun (s, c) -> ((match s.kind with Shared -> s | Thread _ | Local -> f s), c)) a.terms
-  in
-  { a with terms = List.sort (fun (s1, _) (s2, _) -> compare s1.sid s2.sid) terms }
 
 let pp ppf a =
   let pp_term first ppf (s, c) =
@@ -213,17 +216,25 @@ let cdiv a b =
 (* Solver rows are dense. The symbols of one system are numbered
    0..n-1 in [sid] order; a row is a coefficient vector [c] plus a
    constant [k], read as [k + sum c.(i) * x_i >= 0] (or [= 0] for an
-   equality). [Rows] keys the row set of an elimination by [c], and
-   the verdict memo by a whole query. *)
+   equality). [Rows] keys the row set of an elimination by [c]; the
+   verdict memo keys a whole query the same way. *)
+let rec equal_from (a : int array) (b : int array) i =
+  i = Array.length a || (a.(i) = b.(i) && equal_from a b (i + 1))
+
+let equal_arrays (a : int array) b = Array.length a = Array.length b && equal_from a b 0
+
+let hash_array (a : int array) =
+  let h = ref 0 in
+  for i = 0 to Array.length a - 1 do
+    h := (!h * 31) + a.(i)
+  done;
+  !h land max_int
+
 module Rows = Hashtbl.Make (struct
   type t = int array
 
-  let equal (a : t) (b : t) =
-    let n = Array.length a in
-    let rec go i = i = n || (a.(i) = b.(i) && go (i + 1)) in
-    n = Array.length b && go 0
-
-  let hash (a : t) = Array.fold_left (fun h x -> (h * 31) + x) 0 a land max_int
+  let equal = equal_arrays
+  let hash = hash_array
 end)
 
 (* A cap on the rows of one elimination step: systems here are tiny
@@ -246,7 +257,8 @@ let add_ge (set : int Rows.t) c k =
     let c, k = if g = 1 then (c, k) else (Array.map (fun x -> x / g) c, fdiv k g) in
     match Rows.find_opt set c with
     | Some k' when k' <= k -> ()
-    | _ -> Rows.replace set c k
+    | Some _ -> Rows.replace set c k
+    | None -> Rows.add set c k
   end
 
 (** One Fourier–Motzkin step: eliminate the variable with the fewest
@@ -256,9 +268,9 @@ let eliminate n (set : int Rows.t) : int Rows.t option =
   let pos = Array.make n 0 and neg = Array.make n 0 in
   Rows.iter
     (fun c _ ->
-      Array.iteri
-        (fun i x -> if x > 0 then pos.(i) <- pos.(i) + 1 else if x < 0 then neg.(i) <- neg.(i) + 1)
-        c)
+      for i = 0 to n - 1 do
+        if c.(i) > 0 then pos.(i) <- pos.(i) + 1 else if c.(i) < 0 then neg.(i) <- neg.(i) + 1
+      done)
     set;
   let v = ref (-1) and cost = ref max_int in
   for i = 0 to n - 1 do
@@ -276,7 +288,7 @@ let eliminate n (set : int Rows.t) : int Rows.t option =
       (fun c k ->
         if c.(v) > 0 then ps := (c, k) :: !ps
         else if c.(v) < 0 then ns := (c, k) :: !ns
-        else Rows.replace next c k)
+        else Rows.add next c k (* keys of [set] are distinct *))
       set;
     List.iter
       (fun (cp, kp) ->
@@ -284,7 +296,11 @@ let eliminate n (set : int Rows.t) : int Rows.t option =
         List.iter
           (fun (cn, kn) ->
             let b = neg_c cn.(v) in
-            add_ge next (Array.init n (fun i -> comb b cp.(i) a cn.(i))) (comb b kp a kn);
+            let k = comb b kp a kn and c = Array.make n 0 in
+            for i = 0 to n - 1 do
+              c.(i) <- comb b cp.(i) a cn.(i)
+            done;
+            add_ge next c k;
             if Rows.length next > max_rows then raise Too_big)
           !ns)
       !ps;
@@ -325,7 +341,7 @@ let rec substitute eqs ges =
       substitute (List.map elim eqs) (List.map elim ges)
 
 (* ------------------------------------------------------------------ *)
-(* Queries and the verdict memo                                        *)
+(* Queries                                                             *)
 (* ------------------------------------------------------------------ *)
 
 (* A query is the procedure's whole input in dense form, one int
@@ -348,44 +364,246 @@ let row_at q r = rows_start q + (r * (q.(1) + 1))
 let lo_of q i = if q.(header + (3 * i)) land 1 <> 0 then Some q.(header + (3 * i) + 1) else None
 let hi_of q i = if q.(header + (3 * i)) land 2 <> 0 then Some q.(header + (3 * i) + 2) else None
 
-(** The query of [sys] at [depth]. *)
-let query ~depth (sys : system) : int array =
-  let syms =
-    List.sort_uniq
-      (fun (s1 : sym) (s2 : sym) -> Int.compare s1.sid s2.sid)
-      (List.concat_map syms sys.eqs @ List.concat_map syms sys.ges)
-    |> Array.of_list
+type instance = Orig | First | Second
+type row = (instance * t) list
+
+(* The key of symbol [s] under [inst]: [3 * sid] when the symbol is
+   taken as it is (every [Shared] one, and any under [Orig]), [3 * sid
+   + 1] or [3 * sid + 2] when it is renamed to the first or second
+   instance. *)
+let key inst (s : sym) =
+  match (s.kind, inst) with
+  | Shared, _ | _, Orig -> 3 * s.sid
+  | (Thread _ | Local), First -> (3 * s.sid) + 1
+  | (Thread _ | Local), Second -> (3 * s.sid) + 2
+
+let renamed k = k mod 3 <> 0
+
+type numbering = { mutable keys : int array; mutable count : int }
+
+let numbering () = { keys = Array.make 16 0; count = 0 }
+
+let rec find_key (keys : int array) count k i =
+  if i = count then -1 else if keys.(i) = k then i else find_key keys count k (i + 1)
+
+(* The rank of renamed key [k], which is numbered now if it is new. *)
+let rank num k =
+  match find_key num.keys num.count k 0 with
+  | -1 ->
+      if num.count = Array.length num.keys then begin
+        let keys = Array.make (2 * num.count) 0 in
+        Array.blit num.keys 0 keys 0 num.count;
+        num.keys <- keys
+      end;
+      num.keys.(num.count) <- k;
+      num.count <- num.count + 1;
+      num.count - 1
+  | r -> r
+
+let rec number_terms num inst = function
+  | [] -> ()
+  | (s, _) :: rest ->
+      let k = key inst s in
+      if renamed k then ignore (rank num k);
+      number_terms num inst rest
+
+let number num inst (a : t) = number_terms num inst a.terms
+
+type query = {
+  q : int array;
+  keys : int array;  (** the key of each dense symbol *)
+  num : numbering;
+  eqs : row list;
+  ges : row list;
+}
+
+let dense b = b.q
+
+let no_sym = { sid = 0; name = ""; kind = Shared; lo = None; hi = None }
+
+(* The scratch of one build: a column per key met, in order of first
+   meeting, and the column of every term in row order. *)
+type scratch = {
+  ckey : int array;
+  csym : sym array;
+  tcol : int array;
+  mutable ncol : int;
+  mutable t : int;
+}
+
+let rec count_row acc = function
+  | [] -> acc
+  | ((_, a) : instance * t) :: rest -> count_row (acc + List.length a.terms) rest
+
+let rec count_rows acc = function [] -> acc | row :: rest -> count_rows (count_row acc row) rest
+
+let rec meet_terms sc inst = function
+  | [] -> ()
+  | (s, _) :: rest ->
+      let k = key inst s in
+      let j = find_key sc.ckey sc.ncol k 0 in
+      let j =
+        if j >= 0 then j
+        else begin
+          sc.ckey.(sc.ncol) <- k;
+          sc.csym.(sc.ncol) <- s;
+          sc.ncol <- sc.ncol + 1;
+          sc.ncol - 1
+        end
+      in
+      sc.tcol.(sc.t) <- j;
+      sc.t <- sc.t + 1;
+      meet_terms sc inst rest
+
+let rec meet_rows sc = function
+  | [] -> ()
+  | [] :: rows -> meet_rows sc rows
+  | (((inst, a) : instance * t) :: parts) :: rows ->
+      meet_terms sc inst a.terms;
+      meet_rows sc (parts :: rows)
+
+(* Sum the terms into row offset [o] of [q], column [pos] of each
+   term's column. *)
+let rec put_terms q o pos sc = function
+  | [] -> ()
+  | (_, c) :: rest ->
+      let i = o + pos.(sc.tcol.(sc.t)) in
+      q.(i) <- q.(i) + c;
+      sc.t <- sc.t + 1;
+      put_terms q o pos sc rest
+
+let rec put_rows q r pos sc = function
+  | [] -> ()
+  | [] :: rows -> put_rows q (r + 1) pos sc rows
+  | (((_, a) : instance * t) :: parts) :: rows ->
+      let o = row_at q r in
+      q.(o + q.(1)) <- q.(o + q.(1)) + a.const;
+      put_terms q o pos sc a.terms;
+      put_rows q r pos sc (parts :: rows)
+
+let rec used q i r = r < q.(2) + q.(3) && (q.(row_at q r + i) <> 0 || used q i (r + 1))
+
+(* [q] without the symbols of [drop]: their columns are all zeros *)
+let compact q n (drop : bool array) =
+  let kept = List.filter (fun i -> not drop.(i)) (List.init n Fun.id) in
+  let n' = List.length kept and rows = q.(2) + q.(3) in
+  let q' = Array.make (header + (3 * n') + (rows * (n' + 1))) 0 in
+  Array.blit q 0 q' 0 header;
+  q'.(1) <- n';
+  for r = 0 to rows - 1 do
+    let o = row_at q r and o' = row_at q' r in
+    List.iteri (fun i' i -> q'.(o' + i') <- q.(o + i)) kept;
+    q'.(o' + n') <- q.(o + n)
+  done;
+  (q', kept)
+
+(** The query of the system [eqs] = 0, [ges] >= 0 at [depth]. A first
+    pass gives every key a column, in order of first meeting, and notes
+    each term's column; the second sums the rows straight into the
+    array, its columns in dense order. A column whose terms all cancel
+    names no symbol and is dropped. Renamed keys not numbered yet are
+    numbered in meeting order. *)
+let query num ~depth ~(eqs : row list) ~(ges : row list) : query =
+  let e = List.length eqs and g = List.length ges in
+  let cap = count_rows (count_rows 0 eqs) ges in
+  let sc =
+    { ckey = Array.make cap 0; csym = Array.make cap no_sym; tcol = Array.make cap 0; ncol = 0; t = 0 }
   in
-  let n = Array.length syms and e = List.length sys.eqs and g = List.length sys.ges in
+  meet_rows sc eqs;
+  meet_rows sc ges;
+  let n = sc.ncol in
+  (* dense order: the keys taken as they are by [sid], then the renamed
+     ones by rank; [cols] lists the columns in that order *)
+  let ord = Array.make n 0 in
+  for j = 0 to n - 1 do
+    let k = sc.ckey.(j) in
+    ord.(j) <- (if renamed k then rank num k else k)
+  done;
+  let cols = Array.make n 0 in
+  for j = 0 to n - 1 do
+    let rj = renamed sc.ckey.(j) in
+    let i = ref j in
+    while
+      !i > 0
+      &&
+      let c = cols.(!i - 1) in
+      let rc = renamed sc.ckey.(c) in
+      (rc && not rj) || (rc = rj && ord.(j) < ord.(c))
+    do
+      cols.(!i) <- cols.(!i - 1);
+      decr i
+    done;
+    cols.(!i) <- j
+  done;
+  let pos = Array.make n 0 in
+  for i = 0 to n - 1 do
+    pos.(cols.(i)) <- i
+  done;
   let q = Array.make (header + (3 * n) + ((e + g) * (n + 1))) 0 in
   q.(0) <- depth;
   q.(1) <- n;
   q.(2) <- e;
   q.(3) <- g;
-  Array.iteri
-    (fun i s ->
-      let o = header + (3 * i) in
-      Option.iter (fun lo -> q.(o) <- 1; q.(o + 1) <- lo) s.lo;
-      Option.iter (fun hi -> q.(o) <- q.(o) lor 2; q.(o + 2) <- hi) s.hi)
-    syms;
-  let put r a =
-    let o = row_at q r in
-    (* terms are sorted by [sid]: one forward scan of [syms] places them *)
-    let rec go i = function
-      | [] -> ()
-      | ((s, x) :: rest) as terms ->
-          if syms.(i).sid = s.sid then begin
-            q.(o + i) <- add_c q.(o + i) x;
-            go i rest
-          end
-          else go (i + 1) terms
-    in
-    go 0 a.terms;
-    q.(o + n) <- a.const
+  sc.t <- 0;
+  put_rows q 0 pos sc eqs;
+  put_rows q e pos sc ges;
+  let drop = Array.init n (fun i -> not (used q i 0)) in
+  let q, cols =
+    if Array.exists Fun.id drop then
+      let q', kept = compact q n drop in
+      (q', Array.of_list (List.map (fun i -> cols.(i)) kept))
+    else (q, cols)
   in
-  List.iteri put sys.eqs;
-  List.iteri (fun r a -> put (e + r) a) sys.ges;
-  q
+  let n = q.(1) in
+  let keys = Array.make n 0 in
+  for i = 0 to n - 1 do
+    let s = sc.csym.(cols.(i)) and o = header + (3 * i) in
+    keys.(i) <- sc.ckey.(cols.(i));
+    (match s.lo with Some lo -> q.(o) <- 1; q.(o + 1) <- lo | None -> ());
+    match s.hi with Some hi -> q.(o) <- q.(o) lor 2; q.(o + 2) <- hi | None -> ()
+  done;
+  { q; keys; num; eqs; ges }
+
+(* Sum the row's terms into [q] at [at], the columns of [keys];
+   [false] when some key is not among them. *)
+let rec sum_terms q at keys inst = function
+  | [] -> true
+  | (s, c) :: rest ->
+      let i = find_key keys (Array.length keys) (key inst s) 0 in
+      i >= 0
+      && begin
+           q.(at + i) <- q.(at + i) + c;
+           sum_terms q at keys inst rest
+         end
+
+let rec sum_row q at keys = function
+  | [] -> true
+  | ((inst, a) : instance * t) :: parts ->
+      let n = Array.length keys in
+      q.(at + n) <- q.(at + n) + a.const;
+      sum_terms q at keys inst a.terms && sum_row q at keys parts
+
+(* [b] with [row] in front of its equalities ([eq]) or inequalities, at
+   [depth]. When every key of the row is a symbol of [b], the row goes
+   straight into a copy of [b]'s array; otherwise the longer system is
+   built afresh. *)
+let extend ~eq ~depth (b : query) (row : row) : query =
+  let q = b.q in
+  let n = q.(1) and len = Array.length q in
+  let at = if eq then rows_start q else row_at q q.(2) in
+  let q' = Array.make (len + n + 1) 0 in
+  let eqs, ges = if eq then (row :: b.eqs, b.ges) else (b.eqs, row :: b.ges) in
+  if sum_row q' at b.keys row then begin
+    Array.blit q 0 q' 0 at;
+    Array.blit q at q' (at + n + 1) (len - at);
+    q'.(0) <- depth;
+    if eq then q'.(2) <- q.(2) + 1 else q'.(3) <- q.(3) + 1;
+    { b with q = q'; eqs; ges }
+  end
+  else query b.num ~depth ~eqs ~ges
+
+let and_ge ?depth b row = extend ~eq:false ~depth:(Option.value depth ~default:b.q.(0)) b row
+let and_eq ?depth b row = extend ~eq:true ~depth:(Option.value depth ~default:b.q.(0)) b row
 
 (** Equality substitution, then Fourier–Motzkin elimination over the
     rationals with integer tightening on one deduplicated row set.
@@ -467,17 +685,31 @@ let with_residue q o m j =
   Array.blit q base q' (base + n + 1) (Array.length q - base);
   q'
 
-type memo = bool Rows.t
+(* The memo keys a query by its array and the array's hash, so that a
+   lookup and the insertion after a miss hash the array once. *)
+type memo_key = { hash : int; arr : int array }
 
-let memo () : memo = Rows.create 64
-let memo_entries (memo : memo) = Rows.length memo
+module Memo = Hashtbl.Make (struct
+  type t = memo_key
 
-let rec decide (memo : memo) q =
-  match Rows.find_opt memo q with
+  let equal a b = a.hash = b.hash && equal_arrays a.arr b.arr
+  let hash k = k.hash
+end)
+
+type memo = bool Memo.t
+
+let memo () : memo = Memo.create 64
+let memo_entries (memo : memo) = Memo.length memo
+
+let rec decide_array (memo : memo) q =
+  let k = { hash = hash_array q; arr = q } in
+  match Memo.find_opt memo k with
   | Some v -> v
   | None ->
+      (* the case splits are one level shallower, so none of them is
+         [q] itself: [q] is still absent when [v] is known *)
       let v = fm_infeasible q || (q.(0) > 0 && modulus_infeasible memo q) in
-      Rows.replace memo q v;
+      Memo.add memo k v;
       v
 
 (* For each equality [E = 0] and candidate modulus [m]: S = the part
@@ -498,7 +730,7 @@ and modulus_infeasible memo q =
                 try
                   sub_c last first < 8
                   && List.for_all
-                       (fun j -> decide memo (with_residue q o m j))
+                       (fun j -> decide_array memo (with_residue q o m j))
                        (List.init (max 0 (last - first + 1)) (fun i -> first + i))
                 with Overflow -> false)
             | _ -> false)
@@ -507,8 +739,7 @@ and modulus_infeasible memo q =
   in
   from 0
 
-let infeasible memo ?(depth = 2) (sys : system) : bool =
-  match query ~depth sys with q -> decide memo q | exception Overflow -> false
+let decide memo b = decide_array memo b.q
 
 (** The congruence rule for a pair of modulo guards: both instances
     satisfy [e ≡ 0 (mod m)] for the same uniform [m], so
@@ -516,7 +747,17 @@ let infeasible memo ?(depth = 2) (sys : system) : bool =
     [d <= -m] and [d = 0] all infeasible, the system itself is
     infeasible. Requires [m >= 1] to be implied by the system (symbol
     intervals). *)
+let mod_guard memo ?(depth = 1) b ~(d : row) ~(m : t) =
+  let less_m = (Orig, neg m) in
+  decide memo (and_ge ~depth b (less_m :: d))
+  && decide memo (and_ge ~depth b (less_m :: List.map (fun (inst, a) -> (inst, neg a)) d))
+  && decide memo (and_eq ~depth b d)
+
+let of_system ~depth (sys : system) =
+  let rows = List.map (fun a -> [ (Orig, a) ]) in
+  query (numbering ()) ~depth ~eqs:(rows sys.eqs) ~ges:(rows sys.ges)
+
+let infeasible memo ?(depth = 2) (sys : system) : bool = decide memo (of_system ~depth sys)
+
 let mod_guard_infeasible memo ?(depth = 1) (sys : system) ~(d : t) ~(m : t) : bool =
-  infeasible memo ~depth (with_ge (sub d m) sys)
-  && infeasible memo ~depth (with_ge (sub (neg d) m) sys)
-  && infeasible memo ~depth (with_eq d sys)
+  mod_guard memo ~depth (of_system ~depth sys) ~d:[ (Orig, d) ] ~m

@@ -55,11 +55,6 @@ val is_thread_dep : t -> bool
     counter, which is per-instance but not a thread index). *)
 val has_thread : t -> bool
 
-(** Rename the per-instance symbols (thread ivs and local loop
-    counters); shared symbols are preserved so both instances agree on
-    them. *)
-val rename : (sym -> sym) -> t -> t
-
 val pp : t Fmt.t
 
 (** Raised by {!mul_c} instead of wrapping. *)
@@ -82,18 +77,18 @@ val empty : system
 val with_eq : t -> system -> system
 val with_ge : t -> system -> system
 
-(** A verdict memo: the answers of one {!infeasible} /
-    {!mod_guard_infeasible} caller, keyed by the procedure's exact
-    input. A query is densified once — the depth, each symbol's
-    [(lo, hi)] in [sid] order, then every equality row and every
-    inequality row in order, over the symbols numbered 0..n-1 in [sid]
-    order — and that one int array is both the memo key and, on a miss,
-    the procedure's input. Names, kinds and raw [sid]s stay out of it,
-    so two systems that differ only there share one entry; the
-    modulus-interval case splits go through the memo as well. A memo is
-    not synchronized: one domain at a time. The race checker keeps one
-    per check call; a caller that wants no sharing passes a fresh
-    one. *)
+(** A verdict memo: the answers of the queries asked through it, keyed
+    by the procedure's exact input. A query is densified once — the
+    depth, each symbol's [(lo, hi)], then every equality row and every
+    inequality row in order, over the symbols numbered 0..n-1 — and that
+    one int array is both the memo key and, on a miss, the procedure's
+    input. Names, kinds and raw [sid]s stay out of it, so two systems
+    that differ only there share one entry; the modulus-interval case
+    splits go through the memo as well. Verdicts are a function of the
+    array alone, so a memo may be shared by any set of queries; it is
+    not synchronized: one domain at a time. The race gate of
+    [Alternatives.expand] keeps one per expansion (one per worker slot
+    under [--jobs]), [pgpu check] one per module. *)
 type memo
 
 val memo : unit -> memo
@@ -101,9 +96,71 @@ val memo : unit -> memo
 (** Number of decided queries stored. *)
 val memo_entries : memo -> int
 
+(** {2 Queries over two instances}
+
+    The race checker asks about two instances of a thread: the
+    per-instance symbols ([Thread] and [Local]) of each are renamed
+    apart, the [Shared] ones are common. A query is built straight from
+    the unrenamed expressions. *)
+
+(** How a row takes an expression's symbols: [Orig] as they are,
+    [First] and [Second] with every per-instance symbol renamed to that
+    instance ([Shared] symbols stay as they are). *)
+type instance = Orig | First | Second
+
+(** A row: the sum of its expressions, each under its instance. *)
+type row = (instance * t) list
+
+(** The renamed symbols of one pair, numbered in the order they are
+    met — the order in which fresh symbols would have been made for
+    them. *)
+type numbering
+
+val numbering : unit -> numbering
+
+(** Number the renamed symbols of an expression under an instance that
+    are not numbered yet, in term order. *)
+val number : numbering -> instance -> t -> unit
+
+(** A built query. *)
+type query
+
+(** The query of the system [eqs] = 0, [ges] >= 0 at [depth] (the
+    modulus case-split depth). Its symbols are those with a nonzero
+    coefficient in some row: the ones taken as they are first, in
+    [sid] order, then the renamed ones in numbering order (renamed
+    symbols the numbering has not met are numbered as the rows meet
+    them). This is the array a system renamed with fresh [sid]s, in
+    numbering order, would give. Symbols with one [sid] must agree on
+    their bounds. *)
+val query : numbering -> depth:int -> eqs:row list -> ges:row list -> query
+
+(** [b] with one more inequality, in front of [b]'s, at [depth]
+    (default [b]'s). When [b] has every symbol of the row, the row is
+    inserted into a copy of [b]'s array; else the longer system is
+    built. Either way the array is the one {!query} builds. *)
+val and_ge : ?depth:int -> query -> row -> query
+
+(** [b] with one more equality, in front of [b]'s; as {!and_ge}. *)
+val and_eq : ?depth:int -> query -> row -> query
+
+(** The dense array: the memo key and the procedure's input. *)
+val dense : query -> int array
+
+(** [true] iff the query's system is certainly infeasible over the
+    integers, through [memo]. *)
+val decide : memo -> query -> bool
+
+(** The congruence rule ({!mod_guard_infeasible}) on a built query,
+    [d] a row: the three queries are derived from [b] at [depth]
+    (default 1). *)
+val mod_guard : memo -> ?depth:int -> query -> d:row -> m:t -> bool
+
+(** {2 Systems} *)
+
 (** [true] iff the system is certainly infeasible over the integers.
     [depth] (default 2) bounds the recursive modulus-interval case
-    splits. *)
+    splits. Its query takes every symbol as it is. *)
 val infeasible : memo -> ?depth:int -> system -> bool
 
 (** The congruence rule for a pair of modulo guards: both instances

@@ -8,7 +8,11 @@ module Racecheck = Pgpu_gpusim.Racecheck
 val check_modul : Instr.modul -> Report.diagnostic list
 
 val check_region :
-  ?const_of:(Value.t -> int option) -> kernel:string -> Instr.block -> Report.diagnostic list
+  memo:Affine.memo ->
+  ?const_of:(Value.t -> int option) ->
+  kernel:string ->
+  Instr.block ->
+  Report.diagnostic list
 
 (** Convert the conflicts recorded by an instrumented execution into
     ["dynamic-race"] error diagnostics ([kernel] defaults to

@@ -28,16 +28,24 @@
     flow that is merely opaque (e.g. block-index-dependent) it is a
     warning.
 
-    Solver verdicts are memoized per check call: [check_region] (the
-    gate of one candidate in [Alternatives.expand]) and [check_modul]
-    ([pgpu check]) each keep one {!Affine.memo} in their state, keyed by
-    the solver's exact input (depth, symbol bounds in [sid] order, the
+    Solver verdicts go through a memo the caller owns ({!Affine.memo}),
+    keyed by the solver's exact input (depth, symbol bounds, the
     equality and inequality rows) without names or [sid]s. Coarsening
     replicates shared accesses, and replicas at the same distance from
     each other produce the same collision system under fresh symbols,
-    so most queries of one call repeat a decided one. The memo dies
-    with the call: it needs no lock when [expand --jobs] runs gate
-    calls on several domains, and it does not grow with the process. *)
+    so most queries repeat a decided one — within one region and
+    across the candidates of one kernel. [Alternatives.expand] keeps
+    one memo per expansion (one per worker slot under [--jobs], so no
+    lock is needed) and drops it when it returns; [check_modul] keeps
+    one per module.
+
+    A pair's queries are built once, and cheaply: the guards of each
+    access become rows once per epoch, the pair numbers its renamed
+    symbols in the order it meets them instead of renaming anything,
+    and a distinctness branch is the collision query with one row
+    inserted ({!Affine.query}). Every query array is the one the
+    renamed system would give, so every verdict and the solver's
+    elimination order are those of building each system afresh. *)
 
 open Pgpu_ir
 module A = Affine
@@ -80,11 +88,13 @@ type st = {
       (** resolver for constants defined outside the region (the host
           code CSEs block dimensions and literals out of the kernel) *)
   mutable quiet : bool;  (** suppress diagnostics (loop re-walks) *)
-  mutable tsyms : A.sym list;  (** thread ivs of the parallel being checked *)
-  memo : A.memo;  (** verdicts of every solver query of this check *)
+  mutable tsyms : (A.t * A.row list) list;
+      (** thread ivs of the parallel being checked, with their
+          distinctness branches *)
+  memo : A.memo;  (** the caller's verdict memo *)
 }
 
-let mk_st ?(const_of = fun _ -> None) () =
+let mk_st ~memo ?(const_of = fun _ -> None) () =
   {
     diags = [];
     counter = 0;
@@ -93,7 +103,7 @@ let mk_st ?(const_of = fun _ -> None) () =
     const_of;
     quiet = false;
     tsyms = [];
-    memo = A.memo ();
+    memo;
   }
 
 let diag st ~kernel ~severity ~kind message =
@@ -518,49 +528,80 @@ let eq_of_guard = function Gcmp (Ops.Eq, x, y) -> Some (A.sub x y) | _ -> None
 
 type verdict = Safe | Racy | Unprovable
 
+(** Rows of one access under one instance, in query order. *)
+type side = { eqs : A.row list; inb : A.row list; ges : A.row list }
+
+(** What an access brings to the queries of each of its pairs, made
+    once per epoch: its guards' constraints in guard order (the order
+    in which the pair meets their symbols), its rows under either
+    instance, the expression its collision row compares (the index, or
+    the base of an XOR index) with its negation, and the [e], [-e] and
+    [m] of each of its modulo guards. *)
+type prepared = {
+  acc : access;
+  cons : A.t list;
+  first : side;
+  second : side;
+  at : A.t;
+  neg_at : A.t;
+  mods : (A.t * A.t * A.t) list;
+}
+
+let prepare (a : access) =
+  (* a guard has an inequality or an equality or neither *)
+  let cons =
+    List.filter_map
+      (fun g ->
+        match constraint_of_guard g with
+        | Some c -> Some (false, c)
+        | None -> Option.map (fun e -> (true, e)) (eq_of_guard g))
+      a.guards
+  in
+  (* in query order: the last guard's row first; an index's bounds *)
+  let rows eq = List.rev (List.filter_map (fun (e, c) -> if e = eq then Some c else None) cons) in
+  let eqs = rows true and ges = rows false in
+  let inb = match a.idx with Ix x -> [ x; A.sub (A.const (a.abuf.size - 1)) x ] | Ixor _ -> [] in
+  let side inst =
+    let under = List.map (fun c -> [ (inst, c) ]) in
+    { eqs = under eqs; inb = under inb; ges = under ges }
+  in
+  let at = match a.idx with Ix x -> x | Ixor { base; _ } -> base in
+  {
+    acc = a;
+    cons = List.map snd cons;
+    first = side A.First;
+    second = side A.Second;
+    at;
+    neg_at = A.neg at;
+    mods = List.filter_map (function Gmod0 { e; m } -> Some (e, A.neg e, m) | _ -> None) a.guards;
+  }
+
+(** A thread symbol with its two distinctness branches across the
+    instances, [t1 - t2 - 1 >= 0] and [t2 - t1 - 1 >= 0]. *)
+let branches (t : A.sym) =
+  let x = A.of_sym t in
+  let x_1 = A.add_const (-1) x and neg = A.neg x in
+  (x, [ [ (A.First, x_1); (A.Second, neg) ]; [ (A.Second, x_1); (A.First, neg) ] ])
+
 (** Decide one pair of accesses for two distinct thread instances.
     The collision system is decided first, without a distinctness
     branch: when no two instances can touch one element at all, one
     query proves the pair safe. Otherwise each of the 2 × dims
-    branches [t1 < t2] / [t1 > t2] must be infeasible. *)
-let check_pair st (a1 : access) (a2 : access) : verdict =
-  (* instance renamings for per-thread symbols *)
-  let inst tag =
-    let tbl = Hashtbl.create 8 in
-    fun (s : A.sym) ->
-      match Hashtbl.find_opt tbl s.A.sid with
-      | Some s' -> s'
-      | None ->
-          st.counter <- st.counter + 1;
-          let s' = { s with A.sid = st.counter; name = s.A.name ^ tag } in
-          Hashtbl.add tbl s.A.sid s';
-          s'
-  in
-  let r1 = inst "₁" and r2 = inst "₂" in
-  let guard_constraints r gs sys =
-    List.fold_left
-      (fun sys g ->
-        let sys =
-          match constraint_of_guard g with
-          | Some c -> A.with_ge (A.rename r c) sys
-          | None -> sys
-        in
-        match eq_of_guard g with Some e -> A.with_eq (A.rename r e) sys | None -> sys)
-      sys gs
-  in
-  let inbounds r (b : buf) = function
-    | Ix a ->
-        fun sys ->
-          let a = A.rename r a in
-          A.with_ge a (A.with_ge (A.sub (A.const (b.size - 1)) a) sys)
-    | Ixor _ -> fun sys -> sys
-  in
-  (* collision condition *)
-  let affine_collision =
+    branches [t1 < t2] / [t1 > t2] must be infeasible; a branch query
+    is the collision query with one more row.
+
+    The per-instance symbols are numbered in the order the pair meets
+    them — the collision's second half, then its first, the first
+    access's guards, the second's, each matching pair of modulo guards
+    (second, then first) and the thread symbols — so that every query
+    is the one the pair's system would give with its symbols renamed
+    to fresh ones in that order. *)
+let check_pair st (p1 : prepared) (p2 : prepared) : verdict =
+  let a1 = p1.acc and a2 = p2.acc in
+  let collides =
     match (a1.idx, a2.idx) with
-    | Ix x1, Ix x2 -> Some (A.sub (A.rename r1 x1) (A.rename r2 x2))
-    | Ixor { base = b1; mask = m1 }, Ixor { base = b2; mask = m2 } ->
-        if A.equal m1 m2 then Some (A.sub (A.rename r1 b1) (A.rename r2 b2)) else None
+    | Ix _, Ix _ -> Some true
+    | Ixor { mask = m1; _ }, Ixor { mask = m2; _ } -> if A.equal m1 m2 then Some true else None
     | Ix a, Ixor x | Ixor x, Ix a ->
         (* the antisymmetric swap rule: collision means a = base ^ mask;
            if both instances are guarded by (own ^ mask) > own, the
@@ -573,47 +614,60 @@ let check_pair st (a1 : access) (a2 : access) : verdict =
             gs
         in
         let ga, gx = if match a1.idx with Ix _ -> true | _ -> false then (a1.guards, a2.guards) else (a2.guards, a1.guards) in
-        if guarded a ga && guarded x.base gx then Some (A.const 1) (* unsatisfiable marker *)
-        else None
+        if guarded a ga && guarded x.base gx then Some false else None
   in
-  match affine_collision with
+  (* a collision that is a nonzero constant: no per-instance symbol,
+     and the shared ones cancel *)
+  let constant_apart () =
+    A.is_uniform p1.at && A.is_uniform p2.at
+    &&
+    let c = A.sub p1.at p2.at in
+    A.is_const c && c.A.const <> 0
+  in
+  match collides with
   | None -> Unprovable
-  | Some c when A.is_const c && c.A.const <> 0 -> Safe (* swap rule discharged it *)
-  | Some collision ->
-      let base_sys =
-        A.empty |> A.with_eq collision
-        |> guard_constraints r1 a1.guards
-        |> guard_constraints r2 a2.guards
-        |> inbounds r1 a1.abuf a1.idx |> inbounds r2 a2.abuf a2.idx
-      in
+  | Some false -> Safe (* swap rule discharged it *)
+  | Some true when constant_apart () -> Safe
+  | Some true when st.tsyms = [] -> Safe (* no thread dimension: single lane *)
+  | Some true ->
+      let num = A.numbering () in
+      A.number num A.Second p2.at;
+      A.number num A.First p1.at;
+      List.iter (A.number num A.First) p1.cons;
+      List.iter (A.number num A.Second) p2.cons;
       let mod_pairs =
         List.concat_map
-          (fun g1 ->
-            match g1 with
-            | Gmod0 { e = e1; m = m1 } ->
-                List.filter_map
-                  (function
-                    | Gmod0 { e = e2; m = m2 } when A.equal m1 m2 ->
-                        Some (A.sub (A.rename r1 e1) (A.rename r2 e2), m1)
-                    | _ -> None)
-                  a2.guards
-            | _ -> [])
-          a1.guards
+          (fun (e1, _, m1) ->
+            List.filter_map
+              (fun (e2, neg_e2, m2) ->
+                if A.equal m1 m2 then begin
+                  A.number num A.Second e2;
+                  A.number num A.First e1;
+                  Some ([ (A.First, e1); (A.Second, neg_e2) ], m1)
+                end
+                else None)
+              p2.mods)
+          p1.mods
       in
-      let infeasible sys =
-        A.infeasible st.memo sys
-        || List.exists (fun (d, m) -> A.mod_guard_infeasible st.memo sys ~d ~m) mod_pairs
+      List.iter
+        (fun (x, _) ->
+          A.number num A.First x;
+          A.number num A.Second x)
+        st.tsyms;
+      let collision = [ (A.First, p1.at); (A.Second, p2.neg_at) ] in
+      let base =
+        A.query num ~depth:2
+          ~eqs:(p2.second.eqs @ p1.first.eqs @ [ collision ])
+          ~ges:(p2.second.inb @ p1.first.inb @ p2.second.ges @ p1.first.ges)
       in
-      let distinct_branches =
-        List.concat_map
-          (fun (t : A.sym) ->
-            let t1 = A.of_sym (r1 t) and t2 = A.of_sym (r2 t) in
-            [ A.add_const (-1) (A.sub t1 t2); A.add_const (-1) (A.sub t2 t1) ])
+      let infeasible q =
+        A.decide st.memo q || List.exists (fun (d, m) -> A.mod_guard st.memo q ~d ~m) mod_pairs
+      in
+      if infeasible base then Safe (* no collision, even for one thread *)
+      else if
+        List.for_all
+          (fun (_, rows) -> List.for_all (fun row -> infeasible (A.and_ge base row)) rows)
           st.tsyms
-      in
-      if distinct_branches = [] then Safe (* no thread dimension: single lane *)
-      else if infeasible base_sys then Safe (* no collision, even for one thread *)
-      else if List.for_all (fun extra -> infeasible (A.with_ge extra base_sys)) distinct_branches
       then Safe
       else Racy
 
@@ -622,11 +676,12 @@ let check_epochs st ~kernel (epochs : access list list) =
     (fun ei accesses ->
       let arr = Array.of_list accesses in
       let n = Array.length arr in
+      let prepared = Array.map (fun a -> lazy (prepare a)) arr in
       for i = 0 to n - 1 do
         for j = i to n - 1 do
           let a1 = arr.(i) and a2 = arr.(j) in
           if a1.abuf.bid = a2.abuf.bid && (a1.write || a2.write) then
-            match check_pair st a1 a2 with
+            match check_pair st (Lazy.force prepared.(i)) (Lazy.force prepared.(j)) with
             | Safe -> ()
             | Racy ->
                 diag st ~kernel ~severity:Report.Error ~kind:"shared-race"
@@ -706,7 +761,7 @@ let rec walk_uniform st ~kernel (env : env) (b : Instr.block) : env =
                 (Env.add iv.Value.id (Aff ivc) env, tsyms @ [ s ], gs))
               (env, [], []) ivs ubs
           in
-          st.tsyms <- tsyms;
+          st.tsyms <- List.map branches tsyms;
           let fl, _ = walk_block st ~kernel ~tpid:pid env_t ~ctl:[] tguards fl0 body in
           check_epochs st ~kernel (fl.closed @ [ fl.open_ ]);
           st.tsyms <- saved_tsyms;
@@ -757,13 +812,13 @@ let dedup ds =
     constants the host code defines outside the region — without it
     thread bounds and halo offsets degrade to opaque symbols and the
     checker loses most of its precision. *)
-let check_region ?const_of ~kernel (region : Instr.block) : Report.diagnostic list =
-  let st = mk_st ?const_of () in
+let check_region ~memo ?const_of ~kernel (region : Instr.block) : Report.diagnostic list =
+  let st = mk_st ~memo ?const_of () in
   ignore (walk_uniform st ~kernel Env.empty region);
   dedup (List.rev st.diags)
 
 (** Check every kernel of a module. *)
 let check_modul (m : Instr.modul) : Report.diagnostic list =
-  let st = mk_st () in
+  let st = mk_st ~memo:(A.memo ()) () in
   List.iter (fun (f : Instr.func) -> ignore (walk_uniform st ~kernel:f.Instr.fname Env.empty f.Instr.body)) m.Instr.funcs;
   dedup (List.rev st.diags)

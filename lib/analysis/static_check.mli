@@ -12,10 +12,16 @@ open Pgpu_ir
 
 (** Check one GPU wrapper region. [const_of] resolves opaque SSA
     values to compile-time constants where the host code pins them
-    (e.g. CSE'd sizes); [kernel] names the diagnostics. *)
+    (e.g. CSE'd sizes); [kernel] names the diagnostics. Solver verdicts
+    go through [memo], which the caller may share across regions (the
+    race gate shares one across the candidates of an expansion). *)
 val check_region :
-  ?const_of:(Value.t -> int option) -> kernel:string -> Instr.block -> Report.diagnostic list
+  memo:Affine.memo ->
+  ?const_of:(Value.t -> int option) ->
+  kernel:string ->
+  Instr.block ->
+  Report.diagnostic list
 
 (** Check every kernel launch region of a module, resolving host
-    constants per wrapper. *)
+    constants per wrapper, through one memo of its own. *)
 val check_modul : Instr.modul -> Report.diagnostic list

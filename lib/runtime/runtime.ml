@@ -1093,9 +1093,11 @@ and compile_intrinsic st pre (results : Value.t list) name (args : Value.t list)
       fun st ->
         charge st host_op_cost;
         let e = st.env in
-        let bound = e.Exec.ints.(sbound) in
+        let bound = e.Exec.ints.(sbound) and b = e.Exec.bufs.(sb) in
+        if bound <= 0 && b.Memory.len > 0 then
+          host_fail "fill_int_rand: bound %d is not positive" bound;
         let rng = Pgpu_support.Rng.create e.Exec.ints.(ss) in
-        Memory.fill_i e.Exec.bufs.(sb) (fun _ -> Pgpu_support.Rng.int rng bound)
+        Memory.fill_i b (fun _ -> Pgpu_support.Rng.int rng bound)
   | "fill_const", [ b; c ] ->
       let sb = buf b and sf = float_ c and si = int_ c in
       fun st ->

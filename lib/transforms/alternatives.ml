@@ -21,7 +21,7 @@ module Backend = Pgpu_target.Backend
 module Occupancy = Pgpu_target.Occupancy
 module Tracer = Pgpu_trace.Tracer
 module Json = Pgpu_trace.Json
-module Util = Pgpu_support.Util
+module Pool = Pgpu_support.Pool
 module Analysis = Pgpu_analysis
 
 type decision =
@@ -112,7 +112,7 @@ let expand (t : Descriptor.t) ?(tracer = Tracer.disabled) ?(jobs = 1)
   let with_outer local v = match local v with Some n -> Some n | None -> outer_const v in
   let baseline = cleanup region in
   let baseline_stats = Backend.analyze t baseline in
-  let eval_spec spec =
+  let eval_spec memo spec =
     let desc = Fmt.str "%a" Coarsen.pp_spec spec in
     let fresh = Clone.block region in
     let consts = Coarsen.const_tbl [ fresh ] in
@@ -164,7 +164,7 @@ let expand (t : Descriptor.t) ?(tracer = Tracer.disabled) ?(jobs = 1)
                  warnings are conservative and would prune legal code. *)
               match
                 Analysis.Report.errors
-                  (Analysis.Check.check_region ~const_of ~kernel:desc coarsened)
+                  (Analysis.Check.check_region ~memo ~const_of ~kernel:desc coarsened)
               with
               | d :: _ ->
                   ( {
@@ -177,9 +177,14 @@ let expand (t : Descriptor.t) ?(tracer = Tracer.disabled) ?(jobs = 1)
               | [] -> ({ spec; desc; decision = Kept; stats = Some stats }, Some coarsened))
         end)
   in
-  let candidates =
-    if jobs <= 1 then List.map eval_spec specs else Util.parallel_map ~jobs eval_spec specs
-  in
+  (* the race gate's verdict memo: one per worker slot, so candidates
+     share solver answers without a lock, and all die with the call *)
+  let specs = Array.of_list specs in
+  let memos = Array.init (max 1 (min jobs (Array.length specs))) (fun _ -> Analysis.Affine.memo ()) in
+  let results = Array.make (Array.length specs) None in
+  Pool.run (Pool.get ()) ~jobs (Array.length specs) (fun ~slot i ->
+      results.(i) <- Some (eval_spec memos.(slot) specs.(i)));
+  let candidates = Array.to_list (Array.map Option.get results) in
   let report = List.map fst candidates in
   List.iter (trace_candidate tracer) report;
   (* a repeated identity spec keeps the baseline more than once: copy

@@ -528,6 +528,8 @@ let eval_intrinsic h name (args : Value.t list) =
       Memory.fill_f b (fun i -> lo +. ((hi -. lo) *. data.(i)))
   | "fill_int_rand", [ buf; seed; bound ] ->
       let b = as_buf h buf in
+      if as_int h bound <= 0 && b.Memory.len > 0 then
+        host_fail "fill_int_rand: bound %d is not positive" (as_int h bound);
       let data = Runtime.rand_int_array (as_int h seed) (as_int h bound) b.Memory.len in
       Memory.fill_i b (fun i -> data.(i))
   | "fill_const", [ buf; c ] ->

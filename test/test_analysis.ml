@@ -261,7 +261,7 @@ let arb_system =
 
 let prop_infeasible_sound =
   QCheck.Test.make ~name:"Affine.infeasible: true only on systems with no integer point"
-    ~count:1000 arb_system
+    ~count:1000 ~long_factor:10 arb_system
     (fun (syms, sys) -> (not (infeasible sys)) || not (box_feasible syms sys))
 
 (** The modulo-guard rule on a generated system plus a difference [d]
@@ -287,7 +287,7 @@ let arb_mod_guard =
 
 let prop_mod_guard_sound =
   QCheck.Test.make ~name:"Affine.mod_guard_infeasible: true only without a congruent point"
-    ~count:1000 arb_mod_guard
+    ~count:1000 ~long_factor:10 arb_mod_guard
     (fun (syms, sys, d, (msym, m)) ->
       let syms = Option.to_list msym @ syms in
       (not (mod_guard_infeasible sys ~d ~m))
@@ -358,7 +358,7 @@ let arb_planted =
 
 let prop_planted_feasible =
   QCheck.Test.make ~name:"Affine.infeasible: never true with a planted point near 2^61"
-    ~count:1000 arb_planted
+    ~count:1000 ~long_factor:10 arb_planted
     (fun (_, _, sys) -> not (infeasible sys))
 
 (* ------------------------------------------------------------------ *)
@@ -401,12 +401,92 @@ let arb_memo_sequence =
 
 let prop_memo_exact =
   QCheck.Test.make ~name:"Affine memo: shared answers equal fresh-memo answers" ~count:500
-    arb_memo_sequence
+    ~long_factor:10 arb_memo_sequence
     (fun queries ->
       let memo = A.memo () in
       List.for_all
         (fun (depth, sys) -> A.infeasible memo ~depth sys = infeasible ~depth sys)
         queries)
+
+(* ------------------------------------------------------------------ *)
+(* The query builder against the list-based one                        *)
+(* ------------------------------------------------------------------ *)
+
+module R = Reference_query
+
+(** Pair systems: 2–5 symbols, each [Shared], [Thread] or [Local] and
+    each bound present or not; equality and inequality rows of 1–3
+    parts under [Orig], [First] or [Second]; the order in which the
+    pair meets part of them (the rest is met as the rows list them);
+    one more row to derive, an equality or an inequality, and the
+    depths of both queries. *)
+let gen_pair_query =
+  let open QCheck.Gen in
+  let* k = int_range 2 5 in
+  let bound = oneof [ return None; map Option.some (int_range (-4) 4) ] in
+  let* specs = list_repeat k (triple (int_range 0 2) bound bound) in
+  let syms =
+    List.mapi
+      (fun i (kind, lo, hi) ->
+        let kind = match kind with 0 -> A.Shared | 1 -> A.Thread (i mod 2) | _ -> A.Local in
+        { A.sid = i + 1; name = Fmt.str "x%d" (i + 1); kind; lo; hi })
+      specs
+  in
+  let expr =
+    let* cs = list_repeat k (oneof [ return 0; int_range (-3) 3 ]) in
+    let+ c = int_range (-5) 5 in
+    lin (List.combine cs syms) c
+  in
+  let row = list_size (int_range 1 3) (pair (oneofl [ A.Orig; A.First; A.Second ]) expr) in
+  let* eqs = list_size (int_range 0 3) row and* ges = list_size (int_range 0 4) row in
+  let* extra = row and* eq = bool and* depth = int_range 0 2 and* depth' = int_range 0 2 in
+  let* met = shuffle_l (List.concat (extra :: (eqs @ ges))) in
+  let+ cut = int_range 0 (List.length met) in
+  (syms, List.filteri (fun i _ -> i < cut) met, eqs, ges, (extra, eq), (depth, depth'))
+
+let pp_row ppf (r : A.row) =
+  Fmt.(list ~sep:(any " + ") (pair ~sep:(any "@") A.pp string)) ppf
+    (List.map (fun (inst, a) -> (a, match inst with A.Orig -> "o" | A.First -> "1" | A.Second -> "2")) r)
+
+let arb_pair_query =
+  QCheck.make
+    ~print:(fun (syms, met, eqs, ges, (extra, eq), (depth, depth')) ->
+      Fmt.str "symbols: %a@.met: %a@.eqs: %a@.ges: %a@.then %s %a, depths %d, %d"
+        Fmt.(list ~sep:(any ", ") string)
+        (List.map
+           (fun (s : A.sym) ->
+             Fmt.str "%s%s[%a, %a]" s.A.name
+               (match s.A.kind with A.Shared -> "" | A.Thread d -> Fmt.str "/t%d" d | A.Local -> "/l")
+               Fmt.(option ~none:(any "-") int) s.A.lo Fmt.(option ~none:(any "-") int) s.A.hi)
+           syms)
+        pp_row met
+        Fmt.(list ~sep:(any "; ") pp_row) eqs
+        Fmt.(list ~sep:(any "; ") pp_row) ges
+        (if eq then "eq" else "ge") pp_row extra depth depth')
+    gen_pair_query
+
+(* the pair meets [met] first, then the rows as listed; the reference
+   renames in that same order to fresh [sid]s above every symbol's *)
+let prop_query_oracle =
+  QCheck.Test.make ~name:"Affine.query: the list-based builder's array on the renamed system"
+    ~count:1000 ~long_factor:10 arb_pair_query
+    (fun (_, met, eqs, ges, (extra, eq), (depth, depth')) ->
+      let num = A.numbering () and rn = R.renamer ~first:100 in
+      List.iter
+        (fun (inst, a) ->
+          A.number num inst a;
+          ignore (R.rename rn inst a))
+        met;
+      let b = A.query num ~depth ~eqs ~ges in
+      (* the equalities are renamed before the inequalities *)
+      let eqs' = List.map (R.row rn) eqs in
+      let sys = { A.eqs = eqs'; ges = List.map (R.row rn) ges } in
+      let expected = R.query ~depth sys in
+      (* a branch: the base query with one more row *)
+      let b' = (if eq then A.and_eq else A.and_ge) ~depth:depth' b extra in
+      let x = R.row rn extra in
+      let expected' = R.query ~depth:depth' (if eq then A.with_eq x sys else A.with_ge x sys) in
+      A.dense b = expected && A.dense b' = expected')
 
 (* each case asks through one memo two queries that differ in one key
    component only and have different verdicts *)
@@ -711,6 +791,7 @@ let suite =
         Alcotest.test_case "solver gives up on overflow near 2^61" `Quick test_affine_overflow;
         QCheck_alcotest.to_alcotest prop_planted_feasible;
         QCheck_alcotest.to_alcotest prop_memo_exact;
+        QCheck_alcotest.to_alcotest prop_query_oracle;
         Alcotest.test_case "Affine memo: the key keeps bounds, depth and row kinds" `Quick
           test_memo_key;
         Alcotest.test_case "Affine memo: systems differing only in sids share an entry" `Quick

@@ -243,6 +243,25 @@ let test_jobs_deterministic () =
       r.Pipeline.kernels
   in
   Alcotest.(check bool) "same pruning decisions" true (summary r1 = summary r4);
+  (* lud at the 11 composite configurations: every candidate passes the
+     race gate, at jobs 4 on four worker slots, each with its own memo *)
+  let lud jobs =
+    Pgpu_support.Pool.override_domain_count (Some 4);
+    Fun.protect
+      ~finally:(fun () -> Pgpu_support.Pool.override_domain_count None)
+      (fun () ->
+        let b = P.Rodinia.find "lud" in
+        (P.compile ~jobs ~specs:Pgpu_core.Experiments.composite_specs ~target:Descriptor.a100
+           ~source:b.P.Bench_def.source ())
+          .P.report)
+  in
+  let l1 = lud 1 and l4 = lud 4 in
+  Alcotest.(check int) "lud: 11 candidates per kernel" 0
+    (List.length
+       (List.filter
+          (fun (k : Pipeline.kernel_report) -> List.length k.Pipeline.candidates <> 11)
+          l1.Pipeline.kernels));
+  Alcotest.(check bool) "lud at 11 configs: same reports" true (summary l1 = summary l4);
   let run m =
     let config = { (Runtime.default_config Descriptor.a100) with Runtime.tune = true } in
     let results, st = Runtime.run config m [ Exec.UI simple_kdesc.RK.nblocks ] in

@@ -272,6 +272,49 @@ let test_faults_when_run () =
   expect_host_error_when_run "alloc of a negative count" ~n:(-1)
     (guarded (fun b n -> ignore (B.alloc b Types.Host Types.F32 n)))
 
+(** [fill_int_rand] over [n] elements with [bound]. *)
+let fill_int_rand_source bound =
+  Printf.sprintf
+    "int* main(int n) { int* h = (int*)malloc(n * sizeof(int)); fill_int_rand(h, 1, %d); return \
+     h; }"
+    bound
+
+let compile_host source =
+  (Pgpu_core.Polygeist_gpu.compile ~target:Descriptor.a100 ~source ()).Pgpu_core.Polygeist_gpu.modul
+
+(* a bound of 0 or less has nothing to draw from: a host error once an
+   element would be drawn, in the compiled code and in the oracle *)
+let test_fill_int_rand_bound () =
+  List.iter
+    (fun bound ->
+      let m = compile_host (fill_int_rand_source bound) in
+      let what = Printf.sprintf "bound %d over 4 elements" bound in
+      (match Runtime.run (Runtime.default_config Descriptor.a100) m [ Exec.UI 4 ] with
+      | _ -> Alcotest.failf "%s: no host error" what
+      | exception Runtime.Host_error _ -> ());
+      (match Interp.run_host m [ Exec.UI 4 ] with
+      | _ -> Alcotest.failf "%s: no host error in the oracle" what
+      | exception Runtime.Host_error _ -> ());
+      let results, _ = Runtime.run (Runtime.default_config Descriptor.a100) m [ Exec.UI 0 ] in
+      Alcotest.(check (list (list (float 0.))))
+        (Printf.sprintf "bound %d over an empty buffer" bound)
+        [ [] ]
+        (List.map Runtime.buffer_contents results))
+    [ 0; -3 ]
+
+(* the draws of a fill allocate nothing: what a 1 M-element fill
+   allocates on the minor heap is the run's fixed cost *)
+let test_fill_allocation () =
+  let n = 1_000_000 in
+  let m = compile_host (fill_int_rand_source 1000) in
+  let config = Runtime.default_config Descriptor.a100 in
+  ignore (Runtime.run config m [ Exec.UI 16 ]);
+  let w0 = Gc.minor_words () in
+  ignore (Runtime.run config m [ Exec.UI n ]);
+  let words = Gc.minor_words () -. w0 in
+  if words >= float_of_int n then
+    Alcotest.failf "a %d-element fill_int_rand allocated %.0f minor words" n words
+
 let suite =
   [
     ( "host",
@@ -280,5 +323,9 @@ let suite =
         Alcotest.test_case "a yield that swaps its iter-args" `Quick test_swap;
         Alcotest.test_case "faults raise when the instruction executes" `Quick
           test_faults_when_run;
+        Alcotest.test_case "fill_int_rand with a bound of 0 or less" `Quick
+          test_fill_int_rand_bound;
+        Alcotest.test_case "a 1M-element fill allocates under a word per element" `Quick
+          test_fill_allocation;
       ] );
   ]

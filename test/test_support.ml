@@ -50,6 +50,39 @@ let test_rng_deterministic () =
   done;
   Alcotest.(check bool) "different seed differs" true !differs
 
+(* MD5 of the first 1000 draws of [int _ max_int], of [float] (as IEEE
+   bits) and of [bool], each from a fresh generator, recorded from the
+   generator with a boxed [int64] state *)
+let rng_streams =
+  [
+    (0, "95b05b8fed0b0194514e3c0558c87e61", "91d5c1b1202dbbd6c9839c1e8dcb81b9",
+      "f7c4d94b044fcf7a23d586696c9927c7");
+    (1, "6699d8025e6ef85abe07680acdc6f778", "23ab70ef780f49e86cde810acfb2cba6",
+      "00d932f8eb76f2cd486c5341d80f6348");
+    (42, "811e4438e7c0d20ee43bb9e78db0231b", "5ec2ae1eb7a92c504f13f6d52fe0ef7c",
+      "93bd0665be657fd7ec4301fb616cfcc1");
+    (-7, "cfbb3a2d312a9a7f3b50a999bffe6c43", "b02cb3fb99a50030d88b447c61f01085",
+      "7e30c9a4aca3855fff44c8ddde5cc26a");
+    (max_int, "9391a3357314a25e275dbcc273b62ec1", "bf227671594f4d5407fc54c034b7f25a",
+      "e9046d2855bbfb87e85e1a0681d37d57");
+  ]
+
+let test_rng_streams () =
+  let digest seed draw =
+    let r = Rng.create seed in
+    Digest.to_hex (Digest.string (String.concat " " (List.init 1000 (fun _ -> draw r))))
+  in
+  List.iter
+    (fun (seed, ints, floats, bools) ->
+      let what kind = Printf.sprintf "seed %d: %s" seed kind in
+      Alcotest.(check string) (what "int") ints
+        (digest seed (fun r -> string_of_int (Rng.int r max_int)));
+      Alcotest.(check string) (what "float") floats
+        (digest seed (fun r -> Int64.to_string (Int64.bits_of_float (Rng.float r))));
+      Alcotest.(check string) (what "bool") bools
+        (digest seed (fun r -> string_of_bool (Rng.bool r))))
+    rng_streams
+
 let prop_balance_product =
   QCheck.Test.make ~name:"balance_factor preserves the total factor" ~count:200
     QCheck.(pair (int_range 1 64) (triple bool bool bool))
@@ -83,6 +116,7 @@ let suite =
         Alcotest.test_case "balance_factor" `Quick test_balance_factor;
         Alcotest.test_case "stats" `Quick test_stats;
         Alcotest.test_case "rng deterministic" `Quick test_rng_deterministic;
+        Alcotest.test_case "rng streams pinned" `Quick test_rng_streams;
         QCheck_alcotest.to_alcotest prop_balance_product;
         QCheck_alcotest.to_alcotest prop_divisors;
         QCheck_alcotest.to_alcotest prop_rng_range;
