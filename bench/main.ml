@@ -35,7 +35,8 @@ let metrics_dir = flag_value "--metrics-dir"
 let obs_dir = flag_value "--obs-dir"
 
 (** [--baseline FILE]: compare the gate suite against a saved
-    baseline; with [--gate], exit non-zero on regressions. *)
+    baseline; with [--gate], exit non-zero when any key's seconds
+    moved, slower or faster. *)
 let baseline_file = flag_value "--baseline"
 
 (** [--write-baseline FILE]: snapshot the gate suite as a new
@@ -43,7 +44,6 @@ let baseline_file = flag_value "--baseline"
 let write_baseline = flag_value "--write-baseline"
 
 let gate_enabled = Array.exists (String.equal "--gate") Sys.argv
-let repeats = match flag_value "--repeats" with Some r -> int_of_string r | None -> 1
 
 (** [--jobs N]: worker domains for compilation, grid sharding and TDO
     trials (also honoured via [PGPU_JOBS]; results are bit-identical
@@ -210,9 +210,9 @@ let cachebench () =
 let gate () =
   heading "Regression gate (performance observatory)";
   let benches = benches () in
-  Fmt.pr "measuring %d bench(es) x %d target(s) x %d config(s), %d repeat(s)@."
-    (List.length benches) (List.length E.obs_targets) (List.length E.obs_configs) repeats;
-  let entries = E.obs_suite ~benches ~repeats ~jobs () in
+  Fmt.pr "measuring %d bench(es) x %d target(s) x %d config(s)@." (List.length benches)
+    (List.length E.obs_targets) (List.length E.obs_configs);
+  let entries = E.obs_suite ~benches ~jobs () in
   Fmt.pr "%d run record(s) collected@." (List.length entries);
   Option.iter
     (fun dir ->
@@ -240,9 +240,9 @@ let gate () =
           Fmt.pr "vs baseline %S (rev %s): %a@." base.O.Baseline.name base.O.Baseline.rev
             O.Baseline.pp_result res;
           write_metrics "gate" (O.Baseline.json_of_result res);
-          let regressions = O.Baseline.regressions res in
-          if regressions <> [] then begin
-            Fmt.epr "%d gated regression(s) vs %s@." (List.length regressions) path;
+          let moved = O.Baseline.moved res in
+          if moved <> [] then begin
+            Fmt.epr "%d key(s) moved vs %s@." (List.length moved) path;
             if gate_enabled then gate_failed := true
           end)
 
@@ -288,7 +288,6 @@ let () =
       | "--obs-dir" :: _ :: rest
       | "--baseline" :: _ :: rest
       | "--write-baseline" :: _ :: rest
-      | "--repeats" :: _ :: rest
       | "--jobs" :: _ :: rest ->
           clean rest
       | "--quick" :: rest | "--gate" :: rest -> clean rest

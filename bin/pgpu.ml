@@ -679,7 +679,9 @@ let report_cmd =
       & opt (some file) None
       & info [ "baseline" ] ~docv:"FILE"
           ~doc:"Compare the history against a saved baseline (e.g. \
-                bench/baselines/quick.json) and include the verdicts in the report.")
+                bench/baselines/quick.json) and include the verdicts in the report. The \
+                comparison is exact: any difference in a key's simulated seconds is a \
+                regression or an improvement.")
   in
   let summary_arg =
     Arg.(
@@ -703,8 +705,8 @@ let report_cmd =
     Arg.(
       value & flag
       & info [ "gate" ]
-          ~doc:"Exit non-zero when the baseline comparison contains regressions \
-                (requires --baseline).")
+          ~doc:"Exit non-zero when any key of the baseline comparison moved, slower or \
+                faster (requires --baseline).")
   in
   let run () dir baseline summary as_json html gate =
     match P.History.load ~dir with
@@ -743,9 +745,8 @@ let report_cmd =
             Fmt.epr "HTML report written to %s@." path)
           html;
         match report.P.Obs_report.baseline with
-        | Some (_, res) when gate && P.Baseline.regressions res <> [] ->
-            Fmt.epr "pgpu report: %d gated regression(s)@."
-              (List.length (P.Baseline.regressions res));
+        | Some (_, res) when gate && P.Baseline.moved res <> [] ->
+            Fmt.epr "pgpu report: %d key(s) moved@." (List.length (P.Baseline.moved res));
             1
         | _ ->
             if gate && baseline = None then

@@ -240,43 +240,26 @@ type profile = {
 
 let table2_data ?(target = Descriptor.a100) ?(args = lud_analysis_args) () : profile list =
   let b = Rodinia.find "lud" in
-  let kernel = "lud_internal" in
   List.map
     (fun (bf, tf) ->
       let spec_ = Coarsen.spec ~block:(Coarsen.Total bf) ~thread:(Coarsen.Total tf) () in
       let c = compile ~specs:[ spec_ ] ~target ~source:b.Bench_def.source () in
       let r = run ~functional:false ~sample_blocks:8 c ~args in
-      let recs =
-        List.filter (fun (x : Runtime.launch_record) -> String.equal x.Runtime.kernel kernel)
-          r.records
-      in
-      let sum f = List.fold_left (fun acc x -> acc +. f x) 0. recs in
-      let runtime = sum (fun x -> x.Runtime.seconds) in
-      (* utilizations are taken from the dominant (largest-grid) launch,
-         which is what a profiler run of the kernel reports *)
-      let dominant =
-        List.fold_left
-          (fun acc (x : Runtime.launch_record) ->
-            match acc with
-            | Some (a : Runtime.launch_record)
-              when a.Runtime.result.Exec.nblocks >= x.Runtime.result.Exec.nblocks ->
-                acc
-            | _ -> Some x)
-          None recs
-      in
-      let util f = match dominant with Some x -> f x.Runtime.breakdown | None -> 0. in
-      let cnt f = sum (fun x -> f x.Runtime.result.Exec.counters) in
+      (* what a profiler run of the kernel reports: summed seconds and
+         counters, utilizations of the dominant launch *)
+      let k = Option.get (kernel_profile r "lud_internal") in
+      let n = k.Profile.counters in
       {
         config = Fmt.str "(%d, %d)" bf tf;
-        runtime;
-        lsu_util = util (fun b -> b.Timing.lsu_utilization);
-        fma_util = util (fun b -> b.Timing.fma_utilization);
-        l2_l1_read_mb = cnt Counters.l2_to_l1_read_bytes /. 1e6;
-        l1_l2_write_mb = cnt Counters.l1_to_l2_write_bytes /. 1e6;
-        l1_sm_read_req_m = cnt (fun c -> c.Counters.global_load_req) /. 1e6;
-        sm_l1_write_req_m = cnt (fun c -> c.Counters.global_store_req) /. 1e6;
-        shmem_read_req_m = cnt (fun c -> c.Counters.shared_load_req) /. 1e6;
-        shmem_write_req_m = cnt (fun c -> c.Counters.shared_store_req) /. 1e6;
+        runtime = k.Profile.seconds;
+        lsu_util = k.Profile.lsu_utilization;
+        fma_util = k.Profile.fma_utilization;
+        l2_l1_read_mb = Counters.l2_to_l1_read_bytes n /. 1e6;
+        l1_l2_write_mb = Counters.l1_to_l2_write_bytes n /. 1e6;
+        l1_sm_read_req_m = n.Counters.global_load_req /. 1e6;
+        sm_l1_write_req_m = n.Counters.global_store_req /. 1e6;
+        shmem_read_req_m = n.Counters.shared_load_req /. 1e6;
+        shmem_write_req_m = n.Counters.shared_store_req /. 1e6;
       })
     [ (1, 1); (4, 1); (1, 4) ]
 
@@ -794,26 +777,22 @@ let obs_specs = specs_of_totals [ (1, 1); (2, 1); (1, 2) ]
 let obs_configs = [ ("untuned", [], false); ("tdo", obs_specs, true) ]
 
 (** Run the observatory suite and return its history entries —
-    benches x targets x configs x repeats, one entry per kernel.
-    Functional (test-scale) runs on a deterministic simulator, so a
-    single repeat is exact; [repeats] exists for the median machinery.
-    [rev]/[env] are forwarded to the history stamps (tests pin them). *)
-let obs_suite ?(benches = Rodinia.all) ?(targets = obs_targets) ?(configs = obs_configs)
-    ?(repeats = 1) ?(jobs = 1) ?rev ?env () : History.entry list =
+    benches x targets x configs, one entry per kernel. Functional
+    (test-scale) runs on a deterministic simulator, so one run of each
+    is exact. [rev]/[env] are forwarded to the history stamps (tests
+    pin them). *)
+let obs_suite ?(benches = Rodinia.all) ?(jobs = 1) ?rev ?env () : History.entry list =
   List.concat_map
     (fun (b : Bench_def.t) ->
       List.concat_map
         (fun (target : Descriptor.t) ->
           List.concat_map
             (fun (config, specs, tune) ->
-              List.concat_map
-                (fun _rep ->
-                  let t0 = Unix.gettimeofday () in
-                  let r = run_rodinia ~specs ~tune ~jobs ~target b in
-                  let host_seconds = Unix.gettimeofday () -. t0 in
-                  History.entries_of_run ?rev ?env ~host_seconds ~jobs ~bench:b.Bench_def.name
-                    ~config ~target ~composite_seconds:r.composite_seconds r.records)
-                (List.init (max 1 repeats) Fun.id))
-            configs)
-        targets)
+              let t0 = Unix.gettimeofday () in
+              let r = run_rodinia ~specs ~tune ~jobs ~target b in
+              let host_seconds = Unix.gettimeofday () -. t0 in
+              History.entries_of_run ?rev ?env ~host_seconds ~jobs ~bench:b.Bench_def.name ~config
+                ~target ~composite_seconds:r.composite_seconds r.records)
+            obs_configs)
+        obs_targets)
     benches

@@ -38,7 +38,7 @@ module Bench_def = Pgpu_rodinia.Bench_def
 module Trace = Pgpu_trace
 module Tracer = Pgpu_trace.Tracer
 module Cache = Pgpu_cache.Cache
-module Profile = Pgpu_profile
+module Profile = Pgpu_obs.Profile
 module Analysis = Pgpu_analysis
 module Check = Pgpu_analysis.Check
 module Report = Pgpu_analysis.Report
@@ -168,19 +168,20 @@ let run ?(tune = false) ?(fixed_choice = 0) ?(functional = true) ?(sample_blocks
     records = Runtime.records st;
   }
 
+(** The profile of kernel [name] over a run's launches, if it was
+    launched. *)
+let kernel_profile (r : run_result) name =
+  List.find_opt
+    (fun (k : Profile.kernel_profile) -> String.equal k.Profile.kernel name)
+    (Profile.of_records r.records)
+
 (** Total simulated seconds spent in launches of kernel [name]. *)
-let kernel_seconds (r : run_result) name =
-  List.fold_left
-    (fun acc (rec_ : Runtime.launch_record) ->
-      if String.equal rec_.Runtime.kernel name then acc +. rec_.Runtime.seconds else acc)
-    0. r.records
+let kernel_seconds r name =
+  match kernel_profile r name with Some k -> k.Profile.seconds | None -> 0.
 
 (** Names of the kernels launched during a run, in first-launch order. *)
 let kernel_names (r : run_result) =
-  List.fold_left
-    (fun acc (rec_ : Runtime.launch_record) ->
-      if List.mem rec_.Runtime.kernel acc then acc else acc @ [ rec_.Runtime.kernel ])
-    [] r.records
+  List.map (fun (k : Profile.kernel_profile) -> k.Profile.kernel) (Profile.of_records r.records)
 
 (** Compile and run a Rodinia benchmark, returning the result and
     checking outputs against the CPU reference when [verify].

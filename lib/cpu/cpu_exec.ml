@@ -5,7 +5,7 @@
     one simulated core with no cross-thread synchronization. The block
     grid is statically chunked across the target's cores (one
     contiguous chunk per core), and the chunks run concurrently on
-    OCaml domains ([Util.parallel_map ~jobs] bounds host parallelism;
+    OCaml domains ([Pool.map ~jobs] bounds host parallelism;
     the simulated core count bounds the chunking).
 
     Each simulated core owns its performance state — an event-counter
@@ -187,7 +187,7 @@ let launch (cs : cores) ~(jobs : int) ~(mode : Exec.mode) ~(env : Exec.env) (p :
         done;
         (m.Exec.counters, m.Exec.observed_threads)
       in
-      let per_core = Pgpu_support.Util.parallel_map ~jobs run_core work in
+      let per_core = Pgpu_support.Pool.(map (get ())) ~jobs run_core work in
       let merged = Counters.create () in
       merged.Counters.launches <- 1.;
       let threads = ref (List.fold_left ( * ) 1 block_dims) in

@@ -10,10 +10,3 @@ let compile_string (src : string) : Pgpu_ir.Instr.modul =
   try Lower.lower_program (Parser.parse_program src) with
   | Lexer.Error m -> raise (Error m)
   | Lower.Error m -> raise (Error m)
-
-let compile_file path =
-  let ic = open_in_bin path in
-  let len = in_channel_length ic in
-  let src = really_input_string ic len in
-  close_in ic;
-  compile_string src

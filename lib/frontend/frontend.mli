@@ -8,5 +8,3 @@ exception Error of string
 (** Parse and lower a mini-CUDA translation unit.
     @raise Error with a diagnostic on invalid input. *)
 val compile_string : string -> Pgpu_ir.Instr.modul
-
-val compile_file : string -> Pgpu_ir.Instr.modul

@@ -198,18 +198,3 @@ let terms (b : breakdown) =
     ("dram", b.dram_cycles);
     ("latency", b.latency_cycles);
   ]
-
-let pp_breakdown ppf b =
-  Fmt.pf ppf
-    "@[<v>cycles       : %.0f (util %.2f, occ %.2f [%s], %d blk/SM)@,\
-     issue        : %.0f@,\
-     fp32/fp64    : %.0f / %.0f@,\
-     int/sfu      : %.0f / %.0f@,\
-     lsu/l1/shmem : %.0f / %.0f / %.0f@,\
-     l2/dram      : %.0f / %.0f (l3-served %.0f)@,\
-     latency      : %.0f@,\
-     time         : %.6f s@]"
-    b.cycles b.utilization b.occupancy.Occupancy.occupancy b.occupancy.Occupancy.limiter
-    b.occupancy.Occupancy.blocks_per_sm b.issue_cycles b.fp32_cycles b.fp64_cycles b.int_cycles
-    b.sfu_cycles b.lsu_cycles b.l1_cycles b.shared_cycles b.l2_cycles b.dram_cycles b.l3_cycles
-    b.latency_cycles b.seconds

@@ -51,5 +51,3 @@ val estimate : Descriptor.t -> demand:demand_source -> Exec.launch_result -> bre
     [cycles] is their maximum. Single source of truth for "what limits
     this launch" consumers (profiler, bottleneck classifier). *)
 val terms : breakdown -> (string * float) list
-
-val pp_breakdown : breakdown Fmt.t

@@ -1,26 +1,26 @@
 (** Named performance baselines and the regression comparator.
 
-    A baseline is a snapshot of the history reduced to medians: for
-    every (bench, kernel, target, config) key, the median simulated
-    seconds over however many entries the history holds for it. The
-    comparator reduces a fresh batch of entries the same way and
-    classifies each shared key as improved / regressed / unchanged
-    against a multiplicative noise threshold; keys present on only one
+    A baseline is a snapshot of the history: for every (bench, kernel,
+    target, config) key, the simulated seconds of the last entry
+    written for it ([latest]). The simulator is deterministic, so every
+    repeat of a key on one tree is bit-identical and one entry speaks
+    for all of them. The comparator takes the latest entries of a fresh
+    batch the same way and classifies each shared key by the sign of
+    the difference: equal seconds are unchanged, anything slower has
+    regressed, anything faster has improved. Keys present on only one
     side are reported separately ([added] / [missing]) and never gate.
 
-    The thresholds are symmetric by construction — [Regressed] iff
-    [ratio > 1 + noise], [Improved] iff [ratio < 1 / (1 + noise)] — so
-    swapping baseline and current exactly swaps the two verdicts, and a
-    run compared against itself is always [Unchanged]. Both properties
-    are pinned by qcheck tests. *)
+    The classification is antisymmetric by construction, so swapping
+    baseline and current exactly swaps the two verdicts, and a run
+    compared against itself is always [Unchanged]. Both properties are
+    pinned by qcheck tests. *)
 
 module Json = Pgpu_trace.Json
 
 let ( let* ) = Result.bind
 
 type key = { bench : string; kernel : string; target : string; config : string }
-type stat = { median_seconds : float; n : int; bottleneck : string }
-type t = { name : string; rev : string; entries : (key * stat) list }
+type t = { name : string; rev : string; entries : (key * float) list }
 
 let compare_key (a : key) (b : key) =
   match String.compare a.bench b.bench with
@@ -35,14 +35,6 @@ let compare_key (a : key) (b : key) =
 
 let pp_key ppf k = Fmt.pf ppf "%s/%s@@%s[%s]" k.bench k.kernel k.target k.config
 
-let median = function
-  | [] -> 0.
-  | xs ->
-      let a = Array.of_list xs in
-      Array.sort Float.compare a;
-      let n = Array.length a in
-      if n mod 2 = 1 then a.(n / 2) else (a.((n / 2) - 1) +. a.(n / 2)) /. 2.
-
 (* ------------------------------------------------------------------ *)
 (* Snapshot                                                            *)
 (* ------------------------------------------------------------------ *)
@@ -55,50 +47,28 @@ let key_of_entry (e : History.entry) =
     config = e.History.config;
   }
 
-let reduce (entries : History.entry list) : (key * stat) list =
-  let tbl = Hashtbl.create 64 in
+let latest (entries : History.entry list) : History.entry list =
+  let last = Hashtbl.create 64 in
   let order = ref [] in
   List.iter
     (fun (e : History.entry) ->
       let k = key_of_entry e in
-      match Hashtbl.find_opt tbl k with
-      | Some es -> Hashtbl.replace tbl k (e :: es)
-      | None ->
-          Hashtbl.add tbl k [ e ];
-          order := k :: !order)
+      if not (Hashtbl.mem last k) then order := k :: !order;
+      Hashtbl.replace last k e)
     entries;
+  List.rev_map (Hashtbl.find last) !order
+
+(* each key's latest seconds, in key order *)
+let seconds_by_key entries =
   List.sort
     (fun (a, _) (b, _) -> compare_key a b)
-    (List.rev_map
-       (fun k ->
-         let es = Hashtbl.find tbl k in
-         let seconds = List.map (fun (e : History.entry) -> e.History.seconds) es in
-         (* label of the median-nearest entry, i.e. the representative run *)
-         let med = median seconds in
-         let best =
-           List.fold_left
-             (fun acc (e : History.entry) ->
-               match acc with
-               | Some (a : History.entry)
-                 when Float.abs (a.History.seconds -. med) <= Float.abs (e.History.seconds -. med)
-                 ->
-                   acc
-               | _ -> Some e)
-             None es
-         in
-         let bottleneck =
-           match best with
-           | Some e -> Pgpu_gpusim.Bottleneck.label_name e.History.bottleneck.Pgpu_gpusim.Bottleneck.label
-           | None -> "unknown"
-         in
-         (k, { median_seconds = med; n = List.length es; bottleneck }))
-       !order)
+    (List.map (fun (e : History.entry) -> (key_of_entry e, e.History.seconds)) (latest entries))
 
 let snapshot ?(name = "baseline") (entries : History.entry list) : t =
   let rev =
     match entries with e :: _ -> e.History.rev | [] -> History.git_rev ()
   in
-  { name; rev; entries = reduce entries }
+  { name; rev; entries = seconds_by_key entries }
 
 (* ------------------------------------------------------------------ *)
 (* Persistence                                                         *)
@@ -113,16 +83,14 @@ let json_of_t (b : t) =
       ( "entries",
         Json.List
           (List.map
-             (fun (k, s) ->
+             (fun (k, seconds) ->
                Json.Obj
                  [
                    ("bench", Json.Str k.bench);
                    ("kernel", Json.Str k.kernel);
                    ("target", Json.Str k.target);
                    ("config", Json.Str k.config);
-                   ("median_seconds", Json.Float s.median_seconds);
-                   ("n", Json.Int s.n);
-                   ("bottleneck", Json.Str s.bottleneck);
+                   ("seconds", Json.Float seconds);
                  ])
              b.entries) );
     ]
@@ -142,10 +110,8 @@ let of_json j =
             let* kernel = History.str_field "kernel" e in
             let* target = History.str_field "target" e in
             let* config = History.str_field "config" e in
-            let* median_seconds = History.num_field "median_seconds" e in
-            let* n = History.int_field "n" e in
-            let* bottleneck = History.str_field "bottleneck" e in
-            Ok (({ bench; kernel; target; config }, { median_seconds; n; bottleneck }) :: acc))
+            let* seconds = History.num_field "seconds" e in
+            Ok (({ bench; kernel; target; config }, seconds) :: acc))
           (Ok []) es
         |> Result.map List.rev
     | _ -> Error "missing field \"entries\""
@@ -177,9 +143,9 @@ let verdict_name = function
 
 type comparison = {
   key : key;
-  baseline : stat;
-  current : stat;
-  ratio : float;  (** current / baseline median seconds *)
+  baseline : float;
+  current : float;
+  ratio : float;  (** current / baseline seconds *)
   verdict : verdict;
 }
 
@@ -189,49 +155,34 @@ type result = {
   added : key list;  (** in the current batch, absent from the baseline *)
 }
 
-let default_noise = 0.02
-let default_min_seconds = 1e-9
+(* simulated time is deterministic: any difference is a move *)
+let judge ~base ~cur =
+  match Float.compare cur base with
+  | 0 -> (1., Unchanged)
+  | c -> (cur /. base, if c > 0 then Regressed else Improved)
 
-let judge ~noise ~min_seconds ~base ~cur =
-  if base < min_seconds && cur < min_seconds then (1., Unchanged)
-  else if base <= 0. then (Float.infinity, Regressed)
-  else
-    let ratio = cur /. base in
-    if ratio > 1. +. noise then (ratio, Regressed)
-    else if ratio < 1. /. (1. +. noise) then (ratio, Improved)
-    else (ratio, Unchanged)
-
-let compare_runs ?(noise = default_noise) ?(min_seconds = default_min_seconds) (base : t)
-    (entries : History.entry list) : result =
-  let current = reduce entries in
+let compare_runs (base : t) (entries : History.entry list) : result =
+  let current = seconds_by_key entries in
   let comparisons =
     List.filter_map
-      (fun (k, (bs : stat)) ->
-        match List.find_opt (fun (k', _) -> compare_key k k' = 0) current with
-        | None -> None
-        | Some (_, cs) ->
-            let ratio, verdict =
-              judge ~noise ~min_seconds ~base:bs.median_seconds ~cur:cs.median_seconds
-            in
-            Some { key = k; baseline = bs; current = cs; ratio; verdict })
+      (fun (key, baseline) ->
+        Option.map
+          (fun cur ->
+            let ratio, verdict = judge ~base:baseline ~cur in
+            { key; baseline; current = cur; ratio; verdict })
+          (List.assoc_opt key current))
       base.entries
   in
-  let missing =
-    List.filter_map
-      (fun (k, _) ->
-        if List.exists (fun (k', _) -> compare_key k k' = 0) current then None else Some k)
-      base.entries
-  in
-  let added =
-    List.filter_map
-      (fun (k, _) ->
-        if List.exists (fun (k', _) -> compare_key k k' = 0) base.entries then None else Some k)
-      current
-  in
-  { comparisons; missing; added }
+  let absent from (k, _) = if List.mem_assoc k from then None else Some k in
+  {
+    comparisons;
+    missing = List.filter_map (absent current) base.entries;
+    added = List.filter_map (absent base.entries) current;
+  }
 
 let regressions r = List.filter (fun c -> c.verdict = Regressed) r.comparisons
 let improvements r = List.filter (fun c -> c.verdict = Improved) r.comparisons
+let moved r = List.filter (fun c -> c.verdict <> Unchanged) r.comparisons
 
 (* ------------------------------------------------------------------ *)
 (* Rendering                                                           *)
@@ -244,8 +195,8 @@ let json_of_comparison c =
       ("kernel", Json.Str c.key.kernel);
       ("target", Json.Str c.key.target);
       ("config", Json.Str c.key.config);
-      ("baseline_seconds", Json.Float c.baseline.median_seconds);
-      ("current_seconds", Json.Float c.current.median_seconds);
+      ("baseline_seconds", Json.Float c.baseline);
+      ("current_seconds", Json.Float c.current);
       ("ratio", Json.Float c.ratio);
       ("verdict", Json.Str (verdict_name c.verdict));
     ]
@@ -271,7 +222,7 @@ let json_of_result (r : result) =
 
 let pp_comparison ppf c =
   Fmt.pf ppf "%-10s %a  %.6fs -> %.6fs  (x%.3f)" (verdict_name c.verdict) pp_key c.key
-    c.baseline.median_seconds c.current.median_seconds c.ratio
+    c.baseline c.current c.ratio
 
 let pp_result ppf (r : result) =
   let reg = regressions r and imp = improvements r in

@@ -1,36 +1,28 @@
-(** Named performance baselines (median-of-N snapshots of the history)
-    and the regression comparator. Verdict thresholds are symmetric —
-    [Regressed] iff [ratio > 1 + noise], [Improved] iff
-    [ratio < 1 / (1 + noise)] — so swapping baseline and current swaps
-    the verdicts, and a run against itself is always [Unchanged]. *)
+(** Named performance baselines (the latest seconds of every key in
+    the history) and the exact regression comparator. The simulator is
+    deterministic, so a key whose seconds differ by any amount has
+    moved: [Regressed] iff current > baseline, [Improved] iff
+    current < baseline. Swapping baseline and current swaps the
+    verdicts, and a run against itself is always [Unchanged]. *)
 
 module Json = Pgpu_trace.Json
 
 type key = { bench : string; kernel : string; target : string; config : string }
-
-type stat = {
-  median_seconds : float;
-  n : int;  (** sample count behind the median *)
-  bottleneck : string;  (** label of the median-nearest run *)
-}
-
-type t = { name : string; rev : string; entries : (key * stat) list }
+type t = { name : string; rev : string; entries : (key * float) list  (** seconds, key order *) }
 
 val compare_key : key -> key -> int
 val pp_key : key Fmt.t
-
-(** Median of a float list; [0.] on the empty list. *)
-val median : float list -> float
-
 val key_of_entry : History.entry -> key
 
-(** Group entries by key and reduce each group to its [stat]
-    (median seconds, sample count, representative bottleneck), sorted
-    by key. *)
-val reduce : History.entry list -> (key * stat) list
+(** The last entry written for each key, keys in first-appearance
+    order. Every repeat of a key on one tree is bit-identical, so this
+    is the run's value; over a history that spans revisions it is the
+    newest one's. *)
+val latest : History.entry list -> History.entry list
 
 (** [snapshot ?name entries]: a baseline named [name] (default
-    ["baseline"]) at the revision of the first entry. *)
+    ["baseline"]) at the revision of the first entry, holding each
+    key's [latest] seconds. *)
 val snapshot : ?name:string -> History.entry list -> t
 
 val json_of_t : t -> Json.t
@@ -43,9 +35,9 @@ val verdict_name : verdict -> string
 
 type comparison = {
   key : key;
-  baseline : stat;
-  current : stat;
-  ratio : float;  (** current / baseline median seconds *)
+  baseline : float;  (** seconds *)
+  current : float;
+  ratio : float;  (** current / baseline seconds *)
   verdict : verdict;
 }
 
@@ -55,18 +47,17 @@ type result = {
   added : key list;  (** in the current batch, absent from the baseline *)
 }
 
-val default_noise : float
-(** 0.02: 2% multiplicative noise threshold. *)
-
-val default_min_seconds : float
-(** Floor below which both sides count as unchanged. *)
-
-(** Reduce [entries] and classify every baseline key present in them.
-    [missing]/[added] keys never produce a verdict. *)
-val compare_runs : ?noise:float -> ?min_seconds:float -> t -> History.entry list -> result
+(** Take the [latest] of [entries] and classify every baseline key
+    present in them. [missing]/[added] keys never produce a verdict. *)
+val compare_runs : t -> History.entry list -> result
 
 val regressions : result -> comparison list
 val improvements : result -> comparison list
+
+(** Regressions and improvements: every comparison that is not
+    [Unchanged], what [--gate] fails on. *)
+val moved : result -> comparison list
+
 val json_of_result : result -> Json.t
 val pp_comparison : comparison Fmt.t
 

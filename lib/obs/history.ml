@@ -123,30 +123,30 @@ let entries_of_run ?rev ?env ?(host_seconds = 0.) ?(jobs = 1) ~bench ~config
   let rev = match rev with Some r -> r | None -> git_rev () in
   let env = match env with Some e -> e | None -> env_fingerprint () in
   List.map
-    (fun (k : Pgpu_profile.kernel_profile) ->
+    (fun (k : Profile.kernel_profile) ->
       {
         bench;
-        kernel = k.Pgpu_profile.kernel;
+        kernel = k.Profile.kernel;
         target = target.Descriptor.name;
         config;
         rev;
         env;
-        launches = k.Pgpu_profile.launches;
-        alternative = k.Pgpu_profile.alternative;
-        seconds = k.Pgpu_profile.seconds;
+        launches = k.Profile.launches;
+        alternative = k.Profile.alternative;
+        seconds = k.Profile.seconds;
         composite_seconds;
         host_seconds;
         jobs;
-        cycles = k.Pgpu_profile.cycles;
-        occupancy = k.Pgpu_profile.occupancy;
-        bottleneck = k.Pgpu_profile.bottleneck;
-        warp_insts = k.Pgpu_profile.counters.Counters.warp_insts;
+        cycles = k.Profile.cycles;
+        occupancy = k.Profile.occupancy;
+        bottleneck = k.Profile.bottleneck;
+        warp_insts = k.Profile.counters.Counters.warp_insts;
         dram_bytes =
-          Counters.dram_read_bytes k.Pgpu_profile.counters
-          +. Counters.dram_write_bytes k.Pgpu_profile.counters;
-        divergent_branches = k.Pgpu_profile.counters.Counters.divergent_branches;
+          Counters.dram_read_bytes k.Profile.counters
+          +. Counters.dram_write_bytes k.Profile.counters;
+        divergent_branches = k.Profile.counters.Counters.divergent_branches;
       })
-    (Pgpu_profile.of_records records)
+    (Profile.of_records records)
 
 (* ------------------------------------------------------------------ *)
 (* JSON codec                                                          *)

@@ -71,7 +71,6 @@ val entry_of_json : Json.t -> (entry, string) result
 val str_field : string -> Json.t -> (string, string) result
 
 val num_field : string -> Json.t -> (float, string) result
-val int_field : string -> Json.t -> (int, string) result
 
 (** The storage file, [dir/runs.jsonl]. *)
 val file : dir:string -> string

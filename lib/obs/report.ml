@@ -1,10 +1,11 @@
 (** Cross-target performance report over the run history.
 
-    Renders history entries as per-target tables — one row per
-    (bench, kernel), one column per configuration with its speedup
-    against the reference configuration (["untuned"] when present) —
-    plus a bottleneck breakdown per target, an optional baseline
-    comparison, and an optional embedded bench [summary.json]. Three
+    Renders each key's latest history entry ([Baseline.latest]) as
+    per-target tables — one row per (bench, kernel), one column per
+    configuration with its speedup against the reference
+    configuration (["untuned"] when present) — plus a bottleneck
+    breakdown per target, an optional baseline comparison, and an
+    optional embedded bench [summary.json]. Three
     output forms from the same structure: text ([pp]), JSON
     ([to_json]) and a self-contained HTML dashboard ([to_html], inline
     CSS, no external assets). *)
@@ -14,9 +15,8 @@ module Bottleneck = Pgpu_gpusim.Bottleneck
 
 type config_cell = {
   config : string;
-  seconds : float;  (** median simulated kernel seconds *)
+  seconds : float;  (** simulated kernel seconds *)
   speedup : float;  (** reference config seconds / this config seconds *)
-  n : int;
 }
 
 type kernel_row = {
@@ -24,16 +24,16 @@ type kernel_row = {
   kernel : string;
   cells : config_cell list;  (** one per configuration seen on this target *)
   best_config : string;  (** fastest configuration *)
-  bottleneck : Bottleneck.t;  (** of the best configuration's representative run *)
+  bottleneck : Bottleneck.t;  (** of the best configuration's run *)
   occupancy : float;
   alternative : int option;
   host_seconds : float;
-      (** host wall-clock of the representative run's whole process
+      (** host wall-clock of the best configuration's whole process
           (compile + execute); 0 when the history predates the field *)
   host_throughput : float;
-      (** simulated warp instructions retired per host second by the
-          representative run — the engine's simulation speed; 0 when
-          wall-clock was not recorded *)
+      (** simulated warp instructions retired per host second by that
+          run — the engine's simulation speed; 0 when wall-clock was
+          not recorded *)
 }
 
 type target_section = {
@@ -60,23 +60,9 @@ type t = {
 let uniq xs =
   List.fold_left (fun acc x -> if List.mem x acc then acc else acc @ [ x ]) [] xs
 
-(* median seconds plus the median-nearest entry of a group *)
-let reduce_group (es : History.entry list) =
-  let med = Baseline.median (List.map (fun (e : History.entry) -> e.History.seconds) es) in
-  let repr =
-    List.fold_left
-      (fun acc (e : History.entry) ->
-        match acc with
-        | Some (a : History.entry)
-          when Float.abs (a.History.seconds -. med) <= Float.abs (e.History.seconds -. med) ->
-            acc
-        | _ -> Some e)
-      None es
-  in
-  (med, Option.get repr)
-
-let build_section (entries : History.entry list) target : target_section =
-  let of_target = List.filter (fun (e : History.entry) -> String.equal e.History.target target) entries in
+(* [latest] holds one entry per (bench, kernel, target, config) key *)
+let build_section (latest : History.entry list) target : target_section =
+  let of_target = List.filter (fun (e : History.entry) -> String.equal e.History.target target) latest in
   let configs = uniq (List.map (fun (e : History.entry) -> e.History.config) of_target) in
   let reference = if List.mem "untuned" configs then "untuned" else List.hd configs in
   let kernels =
@@ -85,55 +71,50 @@ let build_section (entries : History.entry list) target : target_section =
   let rows =
     List.map
       (fun (bench, kernel) ->
-        let mine =
-          List.filter
-            (fun (e : History.entry) ->
-              String.equal e.History.bench bench && String.equal e.History.kernel kernel)
-            of_target
-        in
-        let groups =
+        let runs =
           List.filter_map
             (fun config ->
-              match
-                List.filter (fun (e : History.entry) -> String.equal e.History.config config) mine
-              with
-              | [] -> None
-              | es -> Some (config, reduce_group es))
+              List.find_opt
+                (fun (e : History.entry) ->
+                  String.equal e.History.bench bench
+                  && String.equal e.History.kernel kernel
+                  && String.equal e.History.config config)
+                of_target)
             configs
         in
-        let ref_seconds =
-          match List.assoc_opt reference groups with
-          | Some (s, _) -> s
-          | None -> fst (snd (List.hd groups))
+        let ref_run =
+          Option.value ~default:(List.hd runs)
+            (List.find_opt (fun (e : History.entry) -> String.equal e.History.config reference) runs)
         in
         let cells =
           List.map
-            (fun (config, (seconds, _)) ->
+            (fun (e : History.entry) ->
+              let seconds = e.History.seconds in
               {
-                config;
+                config = e.History.config;
                 seconds;
-                speedup = (if seconds > 0. then ref_seconds /. seconds else 1.);
-                n = List.length (List.filter (fun (e : History.entry) -> String.equal e.History.config config) mine);
+                speedup = (if seconds > 0. then ref_run.History.seconds /. seconds else 1.);
               })
-            groups
+            runs
         in
-        let best_config, (_, best_repr) =
+        let best =
           List.fold_left
-            (fun ((_, (bs, _)) as acc) ((_, (s, _)) as g) -> if s < bs then g else acc)
-            (List.hd groups) (List.tl groups)
+            (fun (b : History.entry) (e : History.entry) ->
+              if e.History.seconds < b.History.seconds then e else b)
+            (List.hd runs) (List.tl runs)
         in
         {
           bench;
           kernel;
           cells;
-          best_config;
-          bottleneck = best_repr.History.bottleneck;
-          occupancy = best_repr.History.occupancy;
-          alternative = best_repr.History.alternative;
-          host_seconds = best_repr.History.host_seconds;
+          best_config = best.History.config;
+          bottleneck = best.History.bottleneck;
+          occupancy = best.History.occupancy;
+          alternative = best.History.alternative;
+          host_seconds = best.History.host_seconds;
           host_throughput =
-            (if best_repr.History.host_seconds > 0. then
-               best_repr.History.warp_insts /. best_repr.History.host_seconds
+            (if best.History.host_seconds > 0. then
+               best.History.warp_insts /. best.History.host_seconds
              else 0.);
         })
       kernels
@@ -155,12 +136,13 @@ let build_section (entries : History.entry list) target : target_section =
   { target; reference; configs; rows; bottlenecks }
 
 let build ?baseline ?summary (entries : History.entry list) : t =
-  let targets = uniq (List.map (fun (e : History.entry) -> e.History.target) entries) in
+  let latest = Baseline.latest entries in
+  let targets = uniq (List.map (fun (e : History.entry) -> e.History.target) latest) in
   {
     n_entries = List.length entries;
     revs = uniq (List.map (fun (e : History.entry) -> e.History.rev) entries);
     envs = uniq (List.map (fun (e : History.entry) -> e.History.env) entries);
-    sections = List.map (build_section entries) targets;
+    sections = List.map (build_section latest) targets;
     baseline =
       Option.map (fun b -> (b, Baseline.compare_runs b entries)) baseline;
     summary;
@@ -229,12 +211,7 @@ let to_string r = Fmt.str "%a" pp r
 (* ------------------------------------------------------------------ *)
 
 let json_of_cell c =
-  Json.Obj
-    [
-      ("seconds", Json.Float c.seconds);
-      ("speedup", Json.Float c.speedup);
-      ("n", Json.Int c.n);
-    ]
+  Json.Obj [ ("seconds", Json.Float c.seconds); ("speedup", Json.Float c.speedup) ]
 
 let json_of_row (r : kernel_row) =
   Json.Obj
@@ -379,7 +356,7 @@ let to_html (r : t) =
             "<tr><td class=\"name\">%s</td><td>%.6f</td><td>%.6f</td><td>%.3f</td><td \
              class=\"%s\">%s</td></tr>\n"
             (html_escape (Fmt.str "%a" Baseline.pp_key c.Baseline.key))
-            c.Baseline.baseline.Baseline.median_seconds c.Baseline.current.Baseline.median_seconds
+            c.Baseline.baseline c.Baseline.current
             c.Baseline.ratio v v)
         res.Baseline.comparisons;
       pf "</table>\n");

@@ -10,9 +10,8 @@ module Bottleneck = Pgpu_gpusim.Bottleneck
 
 type config_cell = {
   config : string;
-  seconds : float;  (** median simulated kernel seconds *)
+  seconds : float;  (** simulated kernel seconds *)
   speedup : float;  (** reference config seconds / this config seconds *)
-  n : int;  (** samples behind the median *)
 }
 
 type kernel_row = {
@@ -20,10 +19,10 @@ type kernel_row = {
   kernel : string;
   cells : config_cell list;
   best_config : string;  (** fastest configuration *)
-  bottleneck : Bottleneck.t;  (** of the best configuration's representative run *)
+  bottleneck : Bottleneck.t;  (** of the best configuration's run *)
   occupancy : float;
   alternative : int option;
-  host_seconds : float;  (** representative run's host wall-clock; 0 if unrecorded *)
+  host_seconds : float;  (** that run's host wall-clock; 0 if unrecorded *)
   host_throughput : float;
       (** simulated warp instructions per host second (simulation
           speed); 0 when wall-clock was not recorded *)
@@ -46,8 +45,8 @@ type t = {
   summary : Json.t option;
 }
 
-(** Assemble the report; when [baseline] is given the entries are also
-    compared against it (with default comparator thresholds). *)
+(** Assemble the report from each key's [Baseline.latest] entry; when
+    [baseline] is given the entries are also compared against it. *)
 val build : ?baseline:Baseline.t -> ?summary:Json.t -> History.entry list -> t
 
 val pp : t Fmt.t

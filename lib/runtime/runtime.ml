@@ -197,6 +197,15 @@ let rand_int_array seed bound n =
   let rng = Pgpu_support.Rng.create seed in
   Array.init n (fun _ -> Pgpu_support.Rng.int rng bound)
 
+(* [fill_rand] and [fill_rand_range]: [lo + span * u] for each draw [u]
+   of the seed's [Rng.float] stream, straight into a float buffer's
+   unboxed array; an int buffer truncates each value *)
+let fill_uniform (e : Exec.env) sb ss ~lo ~span =
+  let rng = Pgpu_support.Rng.create e.Exec.ints.(ss) and b = e.Exec.bufs.(sb) in
+  match b.Memory.data with
+  | Memory.F arr -> Pgpu_support.Rng.fill_uniform rng arr b.Memory.len ~lo ~span
+  | Memory.I _ -> Memory.fill_f b (fun _ -> lo +. (span *. Pgpu_support.Rng.float rng))
+
 (* ------------------------------------------------------------------ *)
 (* Kernel launches                                                     *)
 (* ------------------------------------------------------------------ *)
@@ -1077,17 +1086,15 @@ and compile_intrinsic st pre (results : Value.t list) name (args : Value.t list)
       let sb = buf b and ss = int_ seed in
       fun st ->
         charge st host_op_cost;
-        let e = st.env in
-        let rng = Pgpu_support.Rng.create e.Exec.ints.(ss) in
-        Memory.fill_f e.Exec.bufs.(sb) (fun _ -> Pgpu_support.Rng.float rng)
+        (* [0 + 1 * u] is [u] for every draw [u] in [0, 1) *)
+        fill_uniform st.env sb ss ~lo:0. ~span:1.
   | "fill_rand_range", [ b; seed; lo; hi ] ->
       let sb = buf b and ss = int_ seed and slo = float_ lo and shi = float_ hi in
       fun st ->
         charge st host_op_cost;
         let e = st.env in
-        let lo = e.Exec.floats.(slo) and hi = e.Exec.floats.(shi) in
-        let rng = Pgpu_support.Rng.create e.Exec.ints.(ss) in
-        Memory.fill_f e.Exec.bufs.(sb) (fun _ -> lo +. ((hi -. lo) *. Pgpu_support.Rng.float rng))
+        let lo = e.Exec.floats.(slo) in
+        fill_uniform e sb ss ~lo ~span:(e.Exec.floats.(shi) -. lo)
   | "fill_int_rand", [ b; seed; bound ] ->
       let sb = buf b and ss = int_ seed and sbound = int_ bound in
       fun st ->

@@ -1,10 +1,9 @@
 (** Persistent worker-domain pool.
 
     OCaml 5 domains are heavyweight (each spawn maps a minor heap and
-    registers with the runtime), so spawning them per parallel call —
-    as the first [Util.parallel_map] did — charges a fixed fee to every
-    candidate expansion, every TDO search and every sharded launch.
-    This pool spawns each worker domain once per process and keeps it
+    registers with the runtime), so spawning them per parallel call
+    would charge a fixed fee to every candidate expansion, every TDO
+    search and every sharded launch. This pool spawns each worker domain once per process and keeps it
     parked on a condition variable between batches; submitting a batch
     costs two lock round-trips, not [jobs - 1] domain spawns.
 

@@ -6,7 +6,9 @@
 
     The 64-bit state lives unboxed in 8 bytes, and each draw is
     inlined into [int], [float] and [bool], so a draw allocates
-    nothing: the [int64] intermediates stay in registers. *)
+    nothing: the [int64] intermediates stay in registers. A [float]
+    returned to another module is boxed, so [fill_uniform] draws a
+    whole buffer here, straight into its unboxed array. *)
 
 type t = Bytes.t
 
@@ -24,8 +26,6 @@ let[@inline] draw t =
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 27)) 0x94D049BB133111EBL in
   Int64.logxor z (Int64.shift_right_logical z 31)
 
-let next_int64 t = draw t
-
 (** Uniform int in [0, bound). *)
 let int t bound =
   assert (bound > 0);
@@ -33,12 +33,14 @@ let int t bound =
   v mod bound
 
 (** Uniform float in [0, 1). *)
-let float t =
+let[@inline] float t =
   let v = Int64.to_float (Int64.shift_right_logical (draw t) 11) in
   v /. 9007199254740992. (* 2^53 *)
 
-(** Uniform float in [lo, hi). *)
-let float_range t lo hi = lo +. ((hi -. lo) *. float t)
+let fill_uniform t arr n ~lo ~span =
+  for k = 0 to n - 1 do
+    arr.(k) <- lo +. (span *. float t)
+  done
 
 let bool t = Int64.logand (draw t) 1L = 1L
 

@@ -5,7 +5,6 @@
 type t
 
 val create : int -> t
-val next_int64 : t -> int64
 
 (** Uniform int in [0, bound). *)
 val int : t -> int -> int
@@ -13,8 +12,9 @@ val int : t -> int -> int
 (** Uniform float in [0, 1). *)
 val float : t -> float
 
-(** Uniform float in [lo, hi). *)
-val float_range : t -> float -> float -> float
+(** [fill_uniform t arr n ~lo ~span] sets [arr.(0)] .. [arr.(n - 1)]
+    to [lo +. (span *. float t)], in index order, allocating nothing. *)
+val fill_uniform : t -> float array -> int -> lo:float -> span:float -> unit
 
 val bool : t -> bool
 

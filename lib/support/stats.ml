@@ -24,15 +24,6 @@ let geomean = function
 let minimum l = List.fold_left min infinity l
 let maximum l = List.fold_left max neg_infinity l
 
-(** Population standard deviation. *)
-let stddev l =
-  match l with
-  | [] | [ _ ] -> 0.
-  | _ ->
-      let m = mean l in
-      let sq = List.map (fun x -> (x -. m) ** 2.) l in
-      sqrt (mean sq)
-
 (** Speedup of [baseline] over [candidate] runtimes: > 1 means the
     candidate is faster. *)
 let speedup ~baseline ~candidate = baseline /. candidate

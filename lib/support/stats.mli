@@ -11,9 +11,6 @@ val geomean : float list -> float
 val minimum : float list -> float
 val maximum : float list -> float
 
-(** Population standard deviation. *)
-val stddev : float list -> float
-
 (** Speedup of [baseline] over [candidate] runtimes: > 1 means the
     candidate is faster. *)
 val speedup : baseline:float -> candidate:float -> float

@@ -11,15 +11,11 @@ let ceil_div a b =
 (** [round_up a b] rounds [a] up to the next multiple of [b]. *)
 let round_up a b = ceil_div a b * b
 
-let clamp lo hi x = max lo (min hi x)
-
 (** Integer log2 rounded down; [ilog2 1 = 0]. *)
 let ilog2 n =
   assert (n > 0);
   let rec go acc n = if n <= 1 then acc else go (acc + 1) (n lsr 1) in
   go 0 n
-
-let is_pow2 n = n > 0 && n land (n - 1) = 0
 
 (** All divisors of [n] in increasing order. *)
 let divisors n =
@@ -72,31 +68,9 @@ let rec take n = function [] -> [] | x :: tl -> if n <= 0 then [] else x :: take
 
 let rec drop n l = if n <= 0 then l else match l with [] -> [] | _ :: tl -> drop (n - 1) tl
 
-let sum_int l = List.fold_left ( + ) 0 l
-let sum_float l = List.fold_left ( +. ) 0. l
-
 let rec transpose = function
   | [] | [] :: _ -> []
   | rows -> List.map List.hd rows :: transpose (List.map List.tl rows)
-
-(** Cartesian product of a list of lists. *)
-let rec cartesian = function
-  | [] -> [ [] ]
-  | hd :: tl ->
-      let rest = cartesian tl in
-      List.concat_map (fun x -> List.map (fun r -> x :: r) rest) hd
-
-let option_value_exn ~msg = function Some x -> x | None -> failwith msg
-
-(** [parallel_map ~jobs f l] is [List.map f l] computed on up to
-    [jobs] domains (the calling domain included), preserving order.
-    Work runs on the persistent process-global {!Pool}, so domains are
-    spawned once per process rather than once per call; uneven item
-    costs balance out via the pool's work-stealing cursor. Falls back
-    to a plain map when [jobs <= 1] or the list has fewer than two
-    elements; the lowest-index exception raised by [f] is re-raised in
-    the caller after the batch completes. *)
-let parallel_map ~jobs f l = Pool.map (Pool.get ()) ~jobs f l
 
 (** Default worker count for parallel compilation phases: the
     [PGPU_JOBS] environment variable when set, otherwise the number of

@@ -8,12 +8,8 @@ val ceil_div : int -> int -> int
 (** [round_up a b] rounds [a] up to the next multiple of [b]. *)
 val round_up : int -> int -> int
 
-val clamp : int -> int -> int -> int
-
 (** Integer log2 rounded down; [ilog2 1 = 0]. *)
 val ilog2 : int -> int
-
-val is_pow2 : int -> bool
 
 (** All divisors of [n] in increasing order. *)
 val divisors : int -> int list
@@ -28,20 +24,7 @@ val balance_factor : usable:bool list -> int -> int list
 
 val take : int -> 'a list -> 'a list
 val drop : int -> 'a list -> 'a list
-val sum_int : int list -> int
-val sum_float : float list -> float
 val transpose : 'a list list -> 'a list list
-
-(** Cartesian product of a list of lists. *)
-val cartesian : 'a list list -> 'a list list
-
-val option_value_exn : msg:string -> 'a option -> 'a
-
-(** [parallel_map ~jobs f l] is [List.map f l] computed on up to
-    [jobs] domains, preserving order; plain map when [jobs <= 1] or
-    the list is shorter than two elements. Exceptions from [f] are
-    re-raised in the caller after all domains have joined. *)
-val parallel_map : jobs:int -> ('a -> 'b) -> 'a list -> 'b list
 
 (** Worker count for parallel compilation phases: [PGPU_JOBS] when
     set, else available cores capped at 4 (min 1). *)

@@ -308,16 +308,11 @@ let epyc7763 =
 
 let all = [ a4000; a100; rx6800; mi210; cpu; epyc7763 ]
 let gpus = List.filter (fun t -> t.kind = Gpu) all
-let cpus = List.filter (fun t -> t.kind = Cpu) all
 
 let pp_vendor ppf = function
   | Nvidia -> Fmt.string ppf "NVIDIA"
   | Amd -> Fmt.string ppf "AMD"
   | Generic -> Fmt.string ppf "Generic"
-
-let pp_kind ppf = function
-  | Gpu -> Fmt.string ppf "GPU"
-  | Cpu -> Fmt.string ppf "CPU"
 
 let pp ppf t =
   Fmt.pf ppf "%-8s %-8s %a  %3d %s, warp %2d, %.2f GHz, %5.2f/%5.2f TFLOP/s f32/f64, %4.0f GB/s"

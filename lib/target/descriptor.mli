@@ -80,9 +80,7 @@ val epyc7763 : t
 val all : t list
 
 val gpus : t list
-val cpus : t list
 val pp_vendor : vendor Fmt.t
-val pp_kind : kind Fmt.t
 val pp : t Fmt.t
 
 (** Header and rows of the paper's Table I (GPU targets), rendered

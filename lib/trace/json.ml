@@ -26,8 +26,6 @@ let bool b = Bool b
 let list l = List l
 let obj fields = Obj fields
 
-let of_float_list l = List (List.map (fun f -> Float f) l)
-
 (* --- writer --- *)
 
 let add_escaped buf s =

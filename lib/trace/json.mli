@@ -19,7 +19,6 @@ val float : float -> t
 val bool : bool -> t
 val list : t list -> t
 val obj : (string * t) list -> t
-val of_float_list : float list -> t
 
 (** Compact (single-line) serialization. Non-finite floats are written
     as [null] so the output is always valid JSON. *)

@@ -27,7 +27,7 @@ type open_span = { o_name : string; o_cat : string; o_ts : float; o_args : (stri
 
 type t = {
   enabled : bool;
-  mutable clock : unit -> float;
+  clock : unit -> float;
   mutable events : event list;  (** reverse emission order *)
   mutable stack : open_span list;
 }
@@ -47,7 +47,6 @@ let create ?clock () =
   { enabled = true; clock; events = []; stack = [] }
 
 let enabled t = t.enabled
-let set_clock t clock = if t.enabled then t.clock <- clock
 let now t = if t.enabled then t.clock () else 0.
 
 let emit t e = t.events <- e :: t.events
@@ -121,8 +120,6 @@ let clear t =
 
 let event_name = function
   | Span { name; _ } | Instant { name; _ } | Counter { name; _ } -> name
-
-let event_ts = function Span { ts; _ } | Instant { ts; _ } | Counter { ts; _ } -> ts
 
 let pp_event ppf = function
   | Span { name; cat; ts; dur; args } ->

@@ -27,7 +27,6 @@ val create : ?clock:(unit -> float) -> unit -> t
 val seq_clock : unit -> unit -> float
 
 val enabled : t -> bool
-val set_clock : t -> (unit -> float) -> unit
 
 (** The current clock value (advances sequence clocks); 0 when
     disabled. *)
@@ -63,5 +62,4 @@ val events : t -> event list
 
 val clear : t -> unit
 val event_name : event -> string
-val event_ts : event -> float
 val pp_event : event Fmt.t

@@ -438,7 +438,3 @@ let lower_region ?(const_of_ext = fun (_ : Value.t) -> None) (region : Instr.blo
   match walk region with
   | region -> Ok { region; stats = !stats }
   | exception Failure_ msg -> Error msg
-
-(** Like [lower_region] but raising [Failure_]. *)
-let lower_region_exn ?const_of_ext region =
-  match lower_region ?const_of_ext region with Ok l -> l | Error msg -> raise (Failure_ msg)

@@ -40,6 +40,3 @@ val const_tbl : Instr.block -> Value.t -> int option
     its cache on the resolved extents. *)
 val lower_region :
   ?const_of_ext:(Value.t -> int option) -> Instr.block -> (lowered, string) result
-
-(** Like {!lower_region} but raising {!Failure_}. *)
-val lower_region_exn : ?const_of_ext:(Value.t -> int option) -> Instr.block -> lowered

@@ -141,7 +141,7 @@ let test_store_corrupt () =
 
 let test_atomic_fresh () =
   let ids =
-    Pgpu_support.Util.parallel_map ~jobs:4
+    Pgpu_support.Pool.(map (get ())) ~jobs:4
       (fun _ -> List.init 200 (fun _ -> (Value.fresh Types.I32).Value.id))
       (List.init 8 Fun.id)
   in

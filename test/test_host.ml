@@ -272,12 +272,14 @@ let test_faults_when_run () =
   expect_host_error_when_run "alloc of a negative count" ~n:(-1)
     (guarded (fun b n -> ignore (B.alloc b Types.Host Types.F32 n)))
 
+(** A host-only [main] that allocates [n] elements of [ty] as [h] and
+    fills them with [fill]. *)
+let fill_source ty fill =
+  Printf.sprintf "%s* main(int n) { %s* h = (%s*)malloc(n * sizeof(%s)); %s; return h; }" ty ty
+    ty ty fill
+
 (** [fill_int_rand] over [n] elements with [bound]. *)
-let fill_int_rand_source bound =
-  Printf.sprintf
-    "int* main(int n) { int* h = (int*)malloc(n * sizeof(int)); fill_int_rand(h, 1, %d); return \
-     h; }"
-    bound
+let fill_int_rand_source bound = fill_source "int" (Printf.sprintf "fill_int_rand(h, 1, %d)" bound)
 
 let compile_host source =
   (Pgpu_core.Polygeist_gpu.compile ~target:Descriptor.a100 ~source ()).Pgpu_core.Polygeist_gpu.modul
@@ -306,14 +308,21 @@ let test_fill_int_rand_bound () =
    allocates on the minor heap is the run's fixed cost *)
 let test_fill_allocation () =
   let n = 1_000_000 in
-  let m = compile_host (fill_int_rand_source 1000) in
   let config = Runtime.default_config Descriptor.a100 in
-  ignore (Runtime.run config m [ Exec.UI 16 ]);
-  let w0 = Gc.minor_words () in
-  ignore (Runtime.run config m [ Exec.UI n ]);
-  let words = Gc.minor_words () -. w0 in
-  if words >= float_of_int n then
-    Alcotest.failf "a %d-element fill_int_rand allocated %.0f minor words" n words
+  List.iter
+    (fun (name, source) ->
+      let m = compile_host source in
+      ignore (Runtime.run config m [ Exec.UI 16 ]);
+      let w0 = Gc.minor_words () in
+      ignore (Runtime.run config m [ Exec.UI n ]);
+      let words = Gc.minor_words () -. w0 in
+      if words >= float_of_int n then
+        Alcotest.failf "a %d-element %s allocated %.0f minor words" n name words)
+    [
+      ("fill_int_rand", fill_int_rand_source 1000);
+      ("fill_rand", fill_source "float" "fill_rand(h, 1)");
+      ("fill_rand_range", fill_source "float" "fill_rand_range(h, 1, -0.5f, 0.5f)");
+    ]
 
 let suite =
   [

@@ -4,9 +4,10 @@
     itself and symmetric under swapping baseline and current (qcheck),
     the bottleneck classifier is total and invariant under uniform
     scaling of counters and cycle terms (qcheck), the committed quick
-    baseline gates the quick suite with zero regressions while an
-    artificially slowed kernel is flagged, and the report builder pins
-    a golden JSON rendering plus a bottleneck label for every
+    baseline gates the quick suite with no key moved while a kernel
+    moved by one ulp or 1 % either way is flagged, Table II matches
+    its committed file byte for byte, and the report builder pins a
+    golden JSON rendering plus a bottleneck label for every
     quick-suite kernel in the HTML dashboard. *)
 
 module History = Pgpu_obs.History
@@ -109,8 +110,8 @@ let gen_key =
       (oneofl [ "a100"; "cpu" ])
       (oneofl [ "untuned"; "tdo" ]))
 
-(* Discrete microsecond grid: ratios are quotients of small integers,
-   comfortably away from the float boundaries of the 2% threshold. *)
+(* Discrete microsecond grid: coarse enough that two runs often give a
+   key equal seconds, so unchanged verdicts occur next to moves. *)
 let gen_seconds = QCheck.Gen.(map (fun n -> float_of_int (1 + n) *. 1e-6) (int_bound 999))
 
 let entry_of ((b, k, t, c), s) = mk ~bench:b ~kernel:k ~target:t ~config:c s
@@ -303,6 +304,39 @@ let test_gate_flags_artificial_slowdown () =
     (keys (Baseline.improvements sped));
   Alcotest.(check int) "speed-up is not a regression" 0 (List.length (Baseline.regressions sped))
 
+(* the comparator is exact: one ulp or 1 % either way moves exactly the
+   scaled key; a 2 % noise band called all three unchanged *)
+let test_gate_exact () =
+  let entries = Lazy.force quick_entries in
+  let base = load_baseline () in
+  let victim = Baseline.key_of_entry (List.hd entries) in
+  List.iter
+    (fun (k, verdict) ->
+      let r = Baseline.compare_runs base (with_seconds_scaled victim k entries) in
+      let moved =
+        List.map
+          (fun (c : Baseline.comparison) ->
+            Fmt.str "%a %s" Baseline.pp_key c.Baseline.key (Baseline.verdict_name c.Baseline.verdict))
+          (Baseline.moved r)
+      in
+      Alcotest.(check (list string))
+        (Fmt.str "seconds x %h" k)
+        [ Fmt.str "%a %s" Baseline.pp_key victim (Baseline.verdict_name verdict) ]
+        moved)
+    [ (1.01, Baseline.Regressed); (Float.succ 1., Baseline.Regressed); (0.99, Baseline.Improved) ]
+
+(* ------------------------------------------------------------------ *)
+(* Table II against its committed file                                 *)
+(* ------------------------------------------------------------------ *)
+
+let test_table2_pinned () =
+  let path =
+    List.find Sys.file_exists [ "../bench/baselines/table2.json"; "bench/baselines/table2.json" ]
+  in
+  Alcotest.(check string) "Table II as bench/main.exe table2 --metrics-dir writes it"
+    (In_channel.with_open_bin path In_channel.input_all)
+    (Json.to_string_pretty (E.json_of_table2 (E.table2_data ())))
+
 (* ------------------------------------------------------------------ *)
 (* Report                                                              *)
 (* ------------------------------------------------------------------ *)
@@ -388,13 +422,11 @@ let golden_expected = {golden|{
           "configs": {
             "untuned": {
               "seconds": 0.002,
-              "speedup": 1.0,
-              "n": 1
+              "speedup": 1.0
             },
             "tdo": {
               "seconds": 0.001,
-              "speedup": 2.0,
-              "n": 1
+              "speedup": 2.0
             }
           },
           "best_config": "tdo",
@@ -424,8 +456,7 @@ let golden_expected = {golden|{
           "configs": {
             "untuned": {
               "seconds": 0.004,
-              "speedup": 1.0,
-              "n": 1
+              "speedup": 1.0
             }
           },
           "best_config": "untuned",
@@ -513,6 +544,8 @@ let suite =
         Alcotest.test_case "quick gate: clean tree matches committed baseline" `Slow test_gate_clean;
         Alcotest.test_case "quick gate: artificial slowdown is flagged" `Slow
           test_gate_flags_artificial_slowdown;
+        Alcotest.test_case "quick gate: a move of one ulp or 1 % is flagged" `Slow test_gate_exact;
+        Alcotest.test_case "Table II matches bench/baselines/table2.json" `Slow test_table2_pinned;
         Alcotest.test_case "report covers every quick-suite kernel" `Slow test_report_quick_suite;
       ] );
   ]
