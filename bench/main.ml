@@ -50,8 +50,14 @@ let gate_enabled = Array.exists (String.equal "--gate") Sys.argv
     at any value). *)
 let jobs =
   match flag_value "--jobs" with
-  | Some j -> int_of_string j
   | None -> Pgpu_support.Util.default_jobs ()
+  | Some j -> (
+      match int_of_string_opt j with
+      | Some n when n >= 1 -> n
+      | _ ->
+          Fmt.epr "--jobs takes an integer of at least 1, got %S@." j;
+          exit 1)
+
 let gate_failed = ref false
 let harness_t0 = Unix.gettimeofday ()
 

@@ -50,14 +50,15 @@
     written once, as an [[@inline]] template in this module, and
     instantiated per operator and operand shape; a load or store at a
     uniform index (a broadcast access) is the [Uni] index shape of the
-    access template. Without flambda and
-    under [-opaque] this compiles to the hand-specialized loop only if
-    the template lives in this module, receives the operator and the
-    operand shapes as constant constructors, takes no function-valued
-    parameter and builds no closure, and matches the operator per lane
-    with one arm per constructor. Call sites mark each instantiation
-    [[@inlined]], so a template that stops inlining fails the build
-    (warning 55).
+    access template. The per-lane operator semantics are [Ops]' own
+    [[@inline]] [eval_*] functions, which the tree's one optimising
+    build (no [-opaque]) inlines across modules. Without flambda, an
+    instantiation compiles to the hand-specialized loop only if it
+    receives the operator and the operand shapes as constant
+    constructors, takes no function-valued parameter and builds no
+    closure, and the operator is matched per lane with one arm per
+    constructor. Call sites mark each instantiation [[@inlined]], so a
+    template that stops inlining fails the build (warning 55).
 
     {b Event parity.} The closures drive the performance model
     ({!Exec.count_op} per issued operation, {!Exec.requests} per memory
@@ -308,21 +309,25 @@ let ru_buf (l : loc) : frame -> Memory.buf =
    pattern-match operand locations at compile time and run loops that
    index the bank arrays directly: unboxed reads and writes, no calls
    in the lane loop. Each such loop is written once, as an [[@inline]]
-   template below, under rules that let ocamlopt without flambda
-   compile every instantiation to the loop a hand-written copy would
-   be:
+   template below that calls [Ops]' [[@inline]] [eval_*] per lane; the
+   tree builds without [-opaque], so those calls inline across modules.
+   These rules let ocamlopt without flambda compile every
+   instantiation to the loop a hand-written copy would be:
 
-   - Templates live in this module: under [-opaque] nothing inlines
-     across modules, so [Ops]' operator semantics are restated here.
    - Every call site passes the operator and the operand shapes as
-     constant constructors, so inlining resolves each [match] on them.
+     constant constructors, so inlining resolves each [match] on them,
+     [Ops]' included.
    - A template has no function-valued parameter and creates no
      closure. The per-instruction closure is written at the call site,
      around a template call marked [[@inlined]]; warning 55 (an error
-     in dune's dev profile) flags any instantiation that stops
-     inlining.
-   - A per-lane operator match has one arm per constructor: a [_] or
-     or-pattern arm leaves a shared handler that boxes in the loop.
+     in the tree's flags) flags any instantiation that stops inlining.
+   - A per-lane operator match has one arm per constructor, as [Ops]
+     writes them: a [_] or or-pattern arm leaves a shared handler that
+     boxes in the loop.
+
+   Under [--profile dev], [-opaque] keeps each [Ops] call a real call,
+   which boxes its floats; the allocation guards of the [exec] and
+   [host] tests fail there.
 
    [Array.unsafe_get]/[unsafe_set] are safe here by construction: slot
    < bank count and lane < nlanes <= cap, so [slot * cap + lane] is
@@ -352,80 +357,13 @@ let[@inline] iget sh (vi : int array) base l (u : int) =
 let[@inline] bget sh (vb : Memory.buf array) base l (u : Memory.buf) =
   match sh with Row -> Array.unsafe_get vb (base + l) | Uni -> u
 
-(* [Ops.eval_*], one arm per operator; the operators [Ops] rejects for
-   a kind raise its error through it *)
-
-let[@inline] fbin op (x : float) y =
-  match op with
-  | Ops.Add -> x +. y
-  | Ops.Sub -> x -. y
-  | Ops.Mul -> x *. y
-  | Ops.Div -> x /. y
-  | Ops.Rem -> Float.rem x y
-  | Ops.Min -> Float.min x y
-  | Ops.Max -> Float.max x y
-  | Ops.Pow -> Float.pow x y
-  | Ops.And -> Ops.eval_float_binop Ops.And x y
-  | Ops.Or -> Ops.eval_float_binop Ops.Or x y
-  | Ops.Xor -> Ops.eval_float_binop Ops.Xor x y
-  | Ops.Shl -> Ops.eval_float_binop Ops.Shl x y
-  | Ops.Shr -> Ops.eval_float_binop Ops.Shr x y
-
-let[@inline] ibin op (x : int) y =
-  match op with
-  | Ops.Add -> x + y
-  | Ops.Sub -> x - y
-  | Ops.Mul -> x * y
-  | Ops.Div -> if y = 0 then 0 else x / y
-  | Ops.Rem -> if y = 0 then 0 else x mod y
-  | Ops.And -> x land y
-  | Ops.Or -> x lor y
-  | Ops.Xor -> x lxor y
-  | Ops.Shl -> x lsl y
-  | Ops.Shr -> x asr y
-  | Ops.Min -> if x <= y then x else y
-  | Ops.Max -> if x >= y then x else y
-  | Ops.Pow -> Ops.eval_int_binop Ops.Pow x y
-
-let[@inline] fun1 op (x : float) =
-  match op with
-  | Ops.Neg -> -.x
-  | Ops.Sqrt -> sqrt x
-  | Ops.Exp -> exp x
-  | Ops.Log -> log x
-  | Ops.Sin -> sin x
-  | Ops.Cos -> cos x
-  | Ops.Abs -> Float.abs x
-  | Ops.Floor -> Float.floor x
-  | Ops.Ceil -> Float.ceil x
-  | Ops.Rsqrt -> 1. /. sqrt x
-  | Ops.Not -> Ops.eval_float_unop Ops.Not x
-
-let[@inline] fcmp op (x : float) y =
-  match op with
-  | Ops.Eq -> x = y
-  | Ops.Ne -> x <> y
-  | Ops.Lt -> x < y
-  | Ops.Le -> x <= y
-  | Ops.Gt -> x > y
-  | Ops.Ge -> x >= y
-
-let[@inline] icmp op (x : int) y =
-  match op with
-  | Ops.Eq -> x = y
-  | Ops.Ne -> x <> y
-  | Ops.Lt -> x < y
-  | Ops.Le -> x <= y
-  | Ops.Gt -> x > y
-  | Ops.Ge -> x >= y
-
 (** Float row [d] <- [op a b]; a [Uni] operand reads [x] (resp. [y]). *)
 let[@inline] fbin_lanes op sa sb cls d a b x y fr mask =
   Exec.count_op fr.ctx mask cls;
   let vf = fr.vf and cap = fr.cap in
   let bd = d * cap and ba = a * cap and bb = b * cap in
   for l = 0 to fr.nlanes - 1 do
-    Array.unsafe_set vf (bd + l) (fbin op (fget sa vf ba l x) (fget sb vf bb l y))
+    Array.unsafe_set vf (bd + l) (Ops.eval_float_binop op (fget sa vf ba l x) (fget sb vf bb l y))
   done
 
 let[@inline] ibin_lanes op sa sb cls d a b x y fr mask =
@@ -433,7 +371,7 @@ let[@inline] ibin_lanes op sa sb cls d a b x y fr mask =
   let vi = fr.vi and cap = fr.cap in
   let bd = d * cap and ba = a * cap and bb = b * cap in
   for l = 0 to fr.nlanes - 1 do
-    Array.unsafe_set vi (bd + l) (ibin op (iget sa vi ba l x) (iget sb vi bb l y))
+    Array.unsafe_set vi (bd + l) (Ops.eval_int_binop op (iget sa vi ba l x) (iget sb vi bb l y))
   done
 
 let[@inline] fun_lanes op cls d a fr mask =
@@ -441,7 +379,7 @@ let[@inline] fun_lanes op cls d a fr mask =
   let vf = fr.vf and cap = fr.cap in
   let bd = d * cap and ba = a * cap in
   for l = 0 to fr.nlanes - 1 do
-    Array.unsafe_set vf (bd + l) (fun1 op (Array.unsafe_get vf (ba + l)))
+    Array.unsafe_set vf (bd + l) (Ops.eval_float_unop op (Array.unsafe_get vf (ba + l)))
   done
 
 (** Int row [d] <- [op a b] as 1/0, comparing float operands. *)
@@ -450,7 +388,8 @@ let[@inline] fcmp_lanes op sa sb d a b x y fr mask =
   let vf = fr.vf and vi = fr.vi and cap = fr.cap in
   let bd = d * cap and ba = a * cap and bb = b * cap in
   for l = 0 to fr.nlanes - 1 do
-    Array.unsafe_set vi (bd + l) (if fcmp op (fget sa vf ba l x) (fget sb vf bb l y) then 1 else 0)
+    Array.unsafe_set vi (bd + l)
+      (if Ops.eval_float_cmp op (fget sa vf ba l x) (fget sb vf bb l y) then 1 else 0)
   done
 
 let[@inline] icmp_lanes op sa sb d a b x y fr mask =
@@ -458,7 +397,8 @@ let[@inline] icmp_lanes op sa sb d a b x y fr mask =
   let vi = fr.vi and cap = fr.cap in
   let bd = d * cap and ba = a * cap and bb = b * cap in
   for l = 0 to fr.nlanes - 1 do
-    Array.unsafe_set vi (bd + l) (if icmp op (iget sa vi ba l x) (iget sb vi bb l y) then 1 else 0)
+    Array.unsafe_set vi (bd + l)
+      (if Ops.eval_int_cmp op (iget sa vi ba l x) (iget sb vi bb l y) then 1 else 0)
   done
 
 (** Float row [d] <- [c ? a : b] over the int condition row [c]. *)
@@ -834,20 +774,6 @@ let mem_model (rb : frame -> int -> Memory.buf) ~is_store fr (mask : Exec.mask) 
 let set_op_hook opname fr =
   match fr.m.Exec.racecheck with None -> () | Some rc -> Racecheck.set_op rc opname
 
-(* [Memory.get_f] and [get_i], restated: under [-opaque] the
-   cross-module call returns its float boxed. Callers check bounds
-   first. *)
-
-let[@inline] get_f (b : Memory.buf) i =
-  match b.Memory.data with
-  | Memory.F a -> Array.unsafe_get a i
-  | Memory.I a -> float_of_int (Array.unsafe_get a i)
-
-let[@inline] get_i (b : Memory.buf) i =
-  match b.Memory.data with
-  | Memory.I a -> Array.unsafe_get a i
-  | Memory.F a -> int_of_float (Array.unsafe_get a i)
-
 (** How an access indexes its buffer. [Irow] and [Iuni] — a uniform
     buffer at an int row or at a uniform scalar — run {!ubuf_lanes};
     [Ilanes] — a varying buffer, or an index of another kind — reads
@@ -894,9 +820,8 @@ let compile_load st (v : Value.t) (mem : Value.t) (idx : Value.t) : code =
               if bits.(l) then begin
                 let b = rb fr l in
                 let i = ri fr l in
-                Memory.check_bounds b i;
                 fr.addrs.(l) <- Memory.addr b i;
-                fr.vf.(base + l) <- get_f b i
+                fr.vf.(base + l) <- Memory.get_f b i
               end
             done
       | false, true, Ilanes ->
@@ -907,9 +832,8 @@ let compile_load st (v : Value.t) (mem : Value.t) (idx : Value.t) : code =
               if bits.(l) then begin
                 let b = rb fr l in
                 let i = ri fr l in
-                Memory.check_bounds b i;
                 fr.addrs.(l) <- Memory.addr b i;
-                fr.vi.(base + l) <- get_i b i
+                fr.vi.(base + l) <- Memory.get_i b i
               end
             done
       | _, false, _ ->
@@ -919,9 +843,8 @@ let compile_load st (v : Value.t) (mem : Value.t) (idx : Value.t) : code =
             if mask.Exec.bits.(0) then begin
               let b = rb fr 0 in
               let i = ri fr 0 in
-              Memory.check_bounds b i;
               fr.addrs.(0) <- Memory.addr b i;
-              if felt then fr.uf.(s) <- get_f b i else fr.ui.(s) <- get_i b i
+              if felt then fr.uf.(s) <- Memory.get_f b i else fr.ui.(s) <- Memory.get_i b i
             end
             else if felt then fr.uf.(s) <- 0.
             else fr.ui.(s) <- 0

@@ -55,12 +55,26 @@ let pp_cmpop ppf op =
   Fmt.string ppf
     (match op with Eq -> "eq" | Ne -> "ne" | Lt -> "lt" | Le -> "le" | Gt -> "gt" | Ge -> "ge")
 
+(* The [eval_*] functions are the IR's only scalar semantics: the
+   compiled engine, the host code and the constant folder all call
+   them. Each is [[@inline]] and matches one arm per constructor, so a
+   call with a constant operator inlines to that arm alone, and a
+   per-lane call keeps its floats unboxed; an operator a kind rejects
+   raises through [reject], a call of its own rather than an arm shared
+   by an or-pattern. *)
+
+let[@inline never] reject msg = invalid_arg msg
+let pow_on_ints = "Ops.eval_int_binop: pow on integers"
+let bitwise_on_floats = "Ops.eval_float_binop: bitwise op on floats"
+let float_only_on_ints = "Ops.eval_int_unop: float-only unop on integer"
+let not_on_floats = "Ops.eval_float_unop: bitwise not on float"
+
 (** Integer semantics of a binary operator. Division and remainder
     follow C semantics (truncation towards zero), which is what the
     benchmarks' index arithmetic assumes. Operands are annotated
     [int], here and in [eval_int_cmp], and [Min]/[Max] use
     [Int.min]/[Int.max]: the polymorphic versions are C calls. *)
-let eval_int_binop op (a : int) (b : int) =
+let[@inline] eval_int_binop op (a : int) (b : int) =
   match op with
   | Add -> a + b
   | Sub -> a - b
@@ -74,9 +88,9 @@ let eval_int_binop op (a : int) (b : int) =
   | Shr -> a asr b
   | Min -> Int.min a b
   | Max -> Int.max a b
-  | Pow -> invalid_arg "Ops.eval_int_binop: pow on integers"
+  | Pow -> reject pow_on_ints
 
-let eval_float_binop op a b =
+let[@inline] eval_float_binop op (a : float) (b : float) =
   match op with
   | Add -> a +. b
   | Sub -> a -. b
@@ -86,17 +100,27 @@ let eval_float_binop op a b =
   | Min -> Float.min a b
   | Max -> Float.max a b
   | Pow -> Float.pow a b
-  | And | Or | Xor | Shl | Shr -> invalid_arg "Ops.eval_float_binop: bitwise op on floats"
+  | And -> reject bitwise_on_floats
+  | Or -> reject bitwise_on_floats
+  | Xor -> reject bitwise_on_floats
+  | Shl -> reject bitwise_on_floats
+  | Shr -> reject bitwise_on_floats
 
-let eval_int_unop op a =
+let[@inline] eval_int_unop op (a : int) =
   match op with
   | Neg -> -a
   | Not -> lnot a
   | Abs -> abs a
-  | Sqrt | Exp | Log | Sin | Cos | Floor | Ceil | Rsqrt ->
-      invalid_arg "Ops.eval_int_unop: float-only unop on integer"
+  | Sqrt -> reject float_only_on_ints
+  | Exp -> reject float_only_on_ints
+  | Log -> reject float_only_on_ints
+  | Sin -> reject float_only_on_ints
+  | Cos -> reject float_only_on_ints
+  | Floor -> reject float_only_on_ints
+  | Ceil -> reject float_only_on_ints
+  | Rsqrt -> reject float_only_on_ints
 
-let eval_float_unop op a =
+let[@inline] eval_float_unop op (a : float) =
   match op with
   | Neg -> -.a
   | Sqrt -> sqrt a
@@ -108,12 +132,12 @@ let eval_float_unop op a =
   | Floor -> Float.floor a
   | Ceil -> Float.ceil a
   | Rsqrt -> 1. /. sqrt a
-  | Not -> invalid_arg "Ops.eval_float_unop: bitwise not on float"
+  | Not -> reject not_on_floats
 
-let eval_int_cmp op (a : int) (b : int) =
+let[@inline] eval_int_cmp op (a : int) (b : int) =
   match op with Eq -> a = b | Ne -> a <> b | Lt -> a < b | Le -> a <= b | Gt -> a > b | Ge -> a >= b
 
-let eval_float_cmp op (a : float) (b : float) =
+let[@inline] eval_float_cmp op (a : float) (b : float) =
   match op with Eq -> a = b | Ne -> a <> b | Lt -> a < b | Le -> a <= b | Gt -> a > b | Ge -> a >= b
 
 (** Whether the operator is commutative — used by CSE/canonicalization

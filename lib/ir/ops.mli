@@ -23,6 +23,14 @@ val pp_binop : binop Fmt.t
 val pp_unop : unop Fmt.t
 val pp_cmpop : cmpop Fmt.t
 
+(** {1 Scalar semantics}
+
+    The IR's only per-operator semantics, read by the execution engine,
+    the host code and the constant folder. Each is [[@inline]] with one
+    match arm per constructor, so a call from another module inlines
+    (the tree builds without [-opaque]) and keeps its floats unboxed.
+    An operator a kind rejects raises [Invalid_argument]. *)
+
 (** Integer semantics (C-like: division truncates towards zero;
     division/remainder by zero yield 0 rather than trapping). *)
 val eval_int_binop : binop -> int -> int -> int

@@ -199,11 +199,15 @@ let rand_int_array seed bound n =
 
 (* [fill_rand] and [fill_rand_range]: [lo + span * u] for each draw [u]
    of the seed's [Rng.float] stream, straight into a float buffer's
-   unboxed array; an int buffer truncates each value *)
+   unboxed array (a closure returning the draw would box it); an int
+   buffer truncates each value *)
 let fill_uniform (e : Exec.env) sb ss ~lo ~span =
   let rng = Pgpu_support.Rng.create e.Exec.ints.(ss) and b = e.Exec.bufs.(sb) in
   match b.Memory.data with
-  | Memory.F arr -> Pgpu_support.Rng.fill_uniform rng arr b.Memory.len ~lo ~span
+  | Memory.F arr ->
+      for k = 0 to b.Memory.len - 1 do
+        arr.(k) <- lo +. (span *. Pgpu_support.Rng.float rng)
+      done
   | Memory.I _ -> Memory.fill_f b (fun _ -> lo +. (span *. Pgpu_support.Rng.float rng))
 
 (* ------------------------------------------------------------------ *)
@@ -757,29 +761,6 @@ let bind_values st (dsts : Value.t list) (srcs : Value.t list) : code option =
 let elem_is_float (v : Value.t) =
   match v.Value.ty with Types.Memref (_, t) -> Types.is_float t | _ -> false
 
-(** The float semantics of {!Ops.eval_float_binop}, inlined so that no
-    float is boxed; the operators it rejects delegate to it. *)
-let[@inline] fbin (op : Ops.binop) (a : float) (b : float) =
-  match op with
-  | Ops.Add -> a +. b
-  | Ops.Sub -> a -. b
-  | Ops.Mul -> a *. b
-  | Ops.Div -> a /. b
-  | Ops.Rem -> Float.rem a b
-  | Ops.Min -> Float.min a b
-  | Ops.Max -> Float.max a b
-  | Ops.Pow -> Float.pow a b
-  | Ops.And | Ops.Or | Ops.Xor | Ops.Shl | Ops.Shr -> Ops.eval_float_binop op a b
-
-let[@inline] fcmp (op : Ops.cmpop) (a : float) (b : float) =
-  match op with
-  | Ops.Eq -> a = b
-  | Ops.Ne -> a <> b
-  | Ops.Lt -> a < b
-  | Ops.Le -> a <= b
-  | Ops.Gt -> a > b
-  | Ops.Ge -> a >= b
-
 (** The memref values [block] may write through: those with a use
     other than a load's buffer or a memcpy's source (a store, a memcpy
     destination, an intrinsic argument, a select, a yield, an iter-arg,
@@ -850,7 +831,7 @@ and compile_instr st (i : Instr.instr) : code =
             fun st ->
               charge st host_op_cost;
               let f = st.env.Exec.floats in
-              f.(d) <- fbin op f.(sa) f.(sb)
+              f.(d) <- Ops.eval_float_binop op f.(sa) f.(sb)
         | Instr.Binop (op, a, b) ->
             let sa = int_ a and sb = int_ b in
             let d = result Exec.Ints v in
@@ -878,7 +859,7 @@ and compile_instr st (i : Instr.instr) : code =
             fun st ->
               charge st host_op_cost;
               let f = st.env.Exec.floats in
-              st.env.Exec.ints.(d) <- (if fcmp op f.(sa) f.(sb) then 1 else 0)
+              st.env.Exec.ints.(d) <- (if Ops.eval_float_cmp op f.(sa) f.(sb) then 1 else 0)
         | Instr.Cmp (op, a, b) ->
             let sa = int_ a and sb = int_ b in
             let d = result Exec.Ints v in
@@ -901,44 +882,32 @@ and compile_instr st (i : Instr.instr) : code =
             fun st ->
               charge st host_op_cost;
               copy st
-        (* loads and stores inline [Memory.get_f] and friends: no
-           float is boxed, and no call is made but the bounds check *)
         | Instr.Load { mem; idx } when elem_is_float mem ->
             let sm = buf mem and si = int_ idx in
             let d = result Exec.Floats v in
             fun st ->
               charge st host_op_cost;
               let e = st.env in
-              let b = e.Exec.bufs.(sm) and k = e.Exec.ints.(si) in
-              Memory.check_bounds b k;
-              e.Exec.floats.(d) <-
-                (match b.Memory.data with Memory.F a -> a.(k) | Memory.I a -> float_of_int a.(k))
+              e.Exec.floats.(d) <- Memory.get_f e.Exec.bufs.(sm) e.Exec.ints.(si)
         | Instr.Load { mem; idx } ->
             let sm = buf mem and si = int_ idx in
             let d = result Exec.Ints v in
             fun st ->
               charge st host_op_cost;
               let e = st.env in
-              let b = e.Exec.bufs.(sm) and k = e.Exec.ints.(si) in
-              Memory.check_bounds b k;
-              e.Exec.ints.(d) <-
-                (match b.Memory.data with Memory.I a -> a.(k) | Memory.F a -> int_of_float a.(k)))
+              e.Exec.ints.(d) <- Memory.get_i e.Exec.bufs.(sm) e.Exec.ints.(si))
     | Instr.Store { mem; idx; v } when elem_is_float mem ->
         let sm = buf mem and si = int_ idx and sv = float_ v in
         fun st ->
           charge st host_op_cost;
           let e = st.env in
-          let b = e.Exec.bufs.(sm) and k = e.Exec.ints.(si) and x = e.Exec.floats.(sv) in
-          Memory.check_bounds b k;
-          (match b.Memory.data with Memory.F a -> a.(k) <- x | Memory.I a -> a.(k) <- int_of_float x)
+          Memory.set_f e.Exec.bufs.(sm) e.Exec.ints.(si) e.Exec.floats.(sv)
     | Instr.Store { mem; idx; v } ->
         let sm = buf mem and si = int_ idx and sv = int_ v in
         fun st ->
           charge st host_op_cost;
           let e = st.env in
-          let b = e.Exec.bufs.(sm) and k = e.Exec.ints.(si) and x = e.Exec.ints.(sv) in
-          Memory.check_bounds b k;
-          (match b.Memory.data with Memory.I a -> a.(k) <- x | Memory.F a -> a.(k) <- float_of_int x)
+          Memory.set_i e.Exec.bufs.(sm) e.Exec.ints.(si) e.Exec.ints.(sv)
     | Instr.If { cond; results; then_; else_ } ->
         let sc = int_ cond in
         let branch blk =

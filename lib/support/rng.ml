@@ -6,9 +6,7 @@
 
     The 64-bit state lives unboxed in 8 bytes, and each draw is
     inlined into [int], [float] and [bool], so a draw allocates
-    nothing: the [int64] intermediates stay in registers. A [float]
-    returned to another module is boxed, so [fill_uniform] draws a
-    whole buffer here, straight into its unboxed array. *)
+    nothing: the [int64] intermediates stay in registers. *)
 
 type t = Bytes.t
 
@@ -36,11 +34,6 @@ let int t bound =
 let[@inline] float t =
   let v = Int64.to_float (Int64.shift_right_logical (draw t) 11) in
   v /. 9007199254740992. (* 2^53 *)
-
-let fill_uniform t arr n ~lo ~span =
-  for k = 0 to n - 1 do
-    arr.(k) <- lo +. (span *. float t)
-  done
 
 let bool t = Int64.logand (draw t) 1L = 1L
 

@@ -12,10 +12,6 @@ val int : t -> int -> int
 (** Uniform float in [0, 1). *)
 val float : t -> float
 
-(** [fill_uniform t arr n ~lo ~span] sets [arr.(0)] .. [arr.(n - 1)]
-    to [lo +. (span *. float t)], in index order, allocating nothing. *)
-val fill_uniform : t -> float array -> int -> lo:float -> span:float -> unit
-
 val bool : t -> bool
 
 (** Fisher-Yates shuffle, in place. *)

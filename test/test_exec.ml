@@ -1018,9 +1018,11 @@ let test_broadcast_out_of_range () =
     bcast_targets
 
 (** A 256-thread kernel with a [__shared__] array, broadcast loads in a
-    uniform loop, a divergent [if] and a uniform-index store, over
-    [nb] blocks. Its buffers do not grow with the grid: lane [tid]
-    writes [out[tid]], block [bid] [out[256 + bid mod 16]]. *)
+    uniform loop, f32 [sqrt]/[exp]/div/min/max, a float compare feeding
+    a select, i32 min/max/shl, an f64 add, a divergent [if] and a
+    uniform-index store, over [nb] blocks. Its buffers do not grow with
+    the grid: lane [tid] writes [out[tid]], block [bid]
+    [out[256 + bid mod 16]]. *)
 let alloc_module () =
   let nb = Value.fresh ~hint:"nb" Types.I32 in
   Builder.func "main" [ nb ] [ host_f32 ] (fun b ->
@@ -1047,6 +1049,24 @@ let alloc_module () =
                               [ Builder.add_ fb (List.hd accs) (Builder.add_ fb x y) ])
                         in
                         let acc = List.hd acc in
+                        let x = Builder.load tb table (Builder.rem_ tb tid c16) in
+                        let unop op a = Builder.let_ tb f32 (Instr.Unop (op, a)) in
+                        let q =
+                          Builder.div_ tb
+                            (unop Ops.Sqrt (Builder.max_ tb acc x))
+                            (unop Ops.Exp (Builder.min_ tb acc x))
+                        in
+                        let q = Builder.select tb (Builder.cmp tb Ops.Lt q acc) q acc in
+                        let k =
+                          Builder.binop tb Ops.Shl (Builder.min_ tb tid c16)
+                            (Builder.max_ tb (Builder.rem_ tb tid c8) c1)
+                        in
+                        let q = Builder.add_ tb q (Builder.cast tb f32 k) in
+                        let wide = Builder.cast tb Types.F64 q in
+                        let acc =
+                          Builder.cast tb f32
+                            (Builder.add_ tb wide (Builder.const_f tb ~ty:Types.F64 0.5))
+                        in
                         let even = Builder.cmp tb Ops.Eq (Builder.rem_ tb tid (Builder.const_i tb 2)) c0 in
                         let r =
                           Builder.if_ tb even [ f32 ]
@@ -1063,15 +1083,18 @@ let alloc_module () =
 
 (** Words [f ()] allocates, on the minor heap plus directly on the
     major heap: the least of three runs, each started on an empty
-    minor heap. A minor collection inside the window can inflate the
-    minor count by tens of thousands of words, so one run alone is not
-    a measurement. *)
+    minor heap. The minor heap is read from [Gc.minor_words], which
+    counts to the last word: in OCaml 5, [Gc.counters]' minor count
+    lags until the next minor collection, so a window smaller than the
+    minor heap read as next to nothing. *)
 let allocated_words f =
   let once () =
     Gc.minor ();
-    let minor0, promoted0, major0 = Gc.counters () in
+    let _, promoted0, major0 = Gc.counters () in
+    let minor0 = Gc.minor_words () in
     f ();
-    let minor1, promoted1, major1 = Gc.counters () in
+    let minor1 = Gc.minor_words () in
+    let _, promoted1, major1 = Gc.counters () in
     minor1 -. minor0 +. (major1 -. promoted1 -. (major0 -. promoted0))
   in
   List.fold_left Float.min infinity [ once (); once (); once () ]

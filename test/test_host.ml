@@ -324,6 +324,25 @@ let test_fill_allocation () =
       ("fill_rand_range", fill_source "float" "fill_rand_range(h, 1, -0.5f, 0.5f)");
     ]
 
+(* a host loop's float arithmetic allocates nothing per iteration:
+   what 1 M iterations of add, mul, compare and select allocate on the
+   minor heap is the run's fixed cost *)
+let test_loop_allocation () =
+  let n = 1_000_000 in
+  let config = Runtime.default_config Descriptor.a100 in
+  let m =
+    compile_host
+      "float* main(int n) { float* h = (float*)malloc(sizeof(float)); float x = 0.5f; \
+       float y = 0.0f; for (int i = 0; i < n; i++) { x = x * 0.999f + 0.25f; \
+       y = (x > y) ? x : y + 1.0f; } h[0] = x + y; return h; }"
+  in
+  ignore (Runtime.run config m [ Exec.UI 16 ]);
+  let w0 = Gc.minor_words () in
+  ignore (Runtime.run config m [ Exec.UI n ]);
+  let words = Gc.minor_words () -. w0 in
+  if words >= float_of_int n then
+    Alcotest.failf "a %d-iteration host loop allocated %.0f minor words" n words
+
 let suite =
   [
     ( "host",
@@ -336,5 +355,7 @@ let suite =
           test_fill_int_rand_bound;
         Alcotest.test_case "a 1M-element fill allocates under a word per element" `Quick
           test_fill_allocation;
+        Alcotest.test_case "a 1M-iteration float loop allocates under a word per iteration"
+          `Quick test_loop_allocation;
       ] );
   ]
