@@ -46,8 +46,8 @@ let write_baseline = flag_value "--write-baseline"
 let gate_enabled = Array.exists (String.equal "--gate") Sys.argv
 
 (** [--jobs N]: worker domains for compilation, grid sharding and TDO
-    trials (also honoured via [PGPU_JOBS]; results are bit-identical
-    at any value). *)
+    trials (default: the available cores, capped at 4; results are
+    bit-identical at any value). *)
 let jobs =
   match flag_value "--jobs" with
   | None -> Pgpu_support.Util.default_jobs ()

@@ -152,18 +152,25 @@ let cache_stats_arg =
     & info [ "cache-stats" ] ~docv:"FILE"
         ~doc:"Write cache hit/miss/store statistics as JSON to $(docv).")
 
+(* a worker count of at least 1 *)
+let jobs_conv =
+  let parse s =
+    match Arg.conv_parser Arg.int s with
+    | Ok n when n < 1 -> Error (`Msg (Fmt.str "%S: the worker count must be at least 1" s))
+    | r -> r
+  in
+  Arg.conv ~docv:"N" (parse, Arg.conv_printer Arg.int)
+
 let jobs_arg =
   Arg.(
-    value & opt int 1
+    value & opt jobs_conv 1
     & info [ "j"; "jobs" ] ~docv:"N"
         ~doc:
-          "Worker domains from the persistent pool (default 1: sequential; also settable \
-           via $(b,PGPU_JOBS)). Parallelises candidate expansion at compile time and, at \
-           run time, the TDO trial batch (one search, inline at 1) and sharded grid \
-           simulation. Outputs, counters and TDO choices are bit-identical at any value. \
-           With $(b,--trace) or $(b,--metrics) the trials of a search run one at a time, \
-           so their events come out in order; launches still shard. Trials never \
-           race-check.")
+          "Worker domains from the persistent pool, at least 1 (default 1: sequential). \
+           Parallelises candidate expansion at compile time and, at run time, the TDO \
+           trial batch (one search, inline at 1) and sharded grid simulation on every \
+           target. Outputs, counters, traces and TDO choices are bit-identical at any \
+           value. Trials never race-check.")
 
 let make_cache no_cache dir = if no_cache then P.Cache.disabled else P.Cache.create ?dir ()
 

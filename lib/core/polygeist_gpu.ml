@@ -30,8 +30,7 @@ module Timing = Pgpu_gpusim.Timing
 module Hipify = Pgpu_retarget.Hipify
 module Retarget = Pgpu_retarget.Retarget
 module Fission = Pgpu_transforms.Fission
-module Cpu_exec = Pgpu_cpu.Cpu_exec
-module Cpu_timing = Pgpu_cpu.Cpu_timing
+module Cpu_timing = Pgpu_gpusim.Cpu_timing
 module Rodinia = Pgpu_rodinia.Registry
 module Hecbench = Pgpu_hecbench.Registry
 module Bench_def = Pgpu_rodinia.Bench_def

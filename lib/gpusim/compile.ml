@@ -42,8 +42,7 @@
     node's first execution and again when the lane count changes.
     Per frame, the register banks (grown with the lane capacity) and
     the iv rows; per launch, the rebound instance ({!runner}). The
-    runtime state keeps its frames across launches, and so does each
-    CPU core.
+    runtime state keeps its frames across launches.
 
     {b Lane-loop templates.} Each direct-bank lane loop (arithmetic,
     comparison, select, uniform-buffer load/store, masked merge) is
@@ -1689,7 +1688,7 @@ and compile_threads st ivs ubs body : code =
     done;
     let nlanes = !nlanes in
     if nlanes <= 0 then Exec.device_fail "thread parallel with empty dimension";
-    fr.m.Exec.observed_threads <- nlanes;
+    if nlanes > fr.m.Exec.observed_threads then fr.m.Exec.observed_threads <- nlanes;
     ensure_cap fr nlanes;
     fr.nlanes <- nlanes;
     fr.ctx.Exec.nlanes <- nlanes;

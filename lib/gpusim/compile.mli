@@ -44,12 +44,11 @@ type frames
 (** [frames m] is an empty register-file table for machine [m]. *)
 val frames : Exec.machine -> frames
 
-(** The per-block runner of a compiled kernel, for {!Exec.run_grid}
-    and the CPU backend's core loop. Every machine it is readied on
-    gets register files with the kernel arguments of [env] loaded into
-    their slots. On the machine of [frames] it reuses the kernel's
-    instance in that table — a runtime state's machine, a TDO trial's,
-    and each CPU core have one, kept across launches; shard wrappers
-    instantiate their own per launch. [env] must bind every free value
-    of the kernel region; it is only read. *)
+(** The per-block runner of a compiled kernel, for {!Exec.run_grid}.
+    Every machine it is readied on gets register files with the kernel
+    arguments of [env] loaded into their slots. On the machine of
+    [frames] it reuses the kernel's instance in that table — a runtime
+    state's machine and a TDO trial's have one, kept across launches;
+    shard wrappers instantiate their own per launch. [env] must bind
+    every free value of the kernel region; it is only read. *)
 val runner : ?frames:frames -> t -> env:Exec.env -> Exec.runner

@@ -11,12 +11,13 @@
     This module holds the machine, the lane masks, the operation
     counting and the memory-request model; the compiled engine
     ({!Compile}) executes instructions against them. Blocks of a grid
-    are run by one grid loop ({!run_grid}), optionally sampled (with
-    counter extrapolation) for large grids where only timing is of
-    interest. The request model coalesces each warp's active lanes
-    into ascending distinct sectors in one pass, and probes the caches
-    once per run of sectors that share a line ({!Cache.access_run}),
-    not once per sector. The tree-walking reference interpreter the
+    are run by one grid loop ({!run_grid}) on every target, GPU or
+    CPU, optionally sampled (with counter extrapolation) for large
+    grids where only timing is of interest; the target's kind picks
+    how the loop schedules blocks onto SMs or cores. The request model
+    coalesces each warp's active lanes into ascending distinct sectors
+    in one pass, and probes the caches once per run of sectors that
+    share a line ({!Cache.access_run}), not once per sector. The tree-walking reference interpreter the
     tests compare the engine against ([test/interp.ml]) runs under the
     same grid loop with its own per-block runner and its own,
     per-sector request model. *)
@@ -51,8 +52,10 @@ type machine = {
           sequential ones. *)
   l1s : Cache.t array;
   mutable counters : Counters.t;
-  mutable next_sm : int;
-  mutable observed_threads : int;  (** threads/block seen by the last launch *)
+  mutable next_sm : int;  (** the SM a GPU launch's first block runs on *)
+  mutable observed_threads : int;
+      (** the largest threads/block of the thread-level parallels the
+          current launch has executed; 1 until it reaches one *)
   mutable shared_as_global : bool;
       (** AMD backend behaviour on shared-memory-heavy kernels: the
           allocation is demoted to global memory (Section VII-D2) *)
@@ -66,7 +69,14 @@ type machine = {
   bank_counts : int array;  (** per-bank distinct-word counters *)
 }
 
+(** One L1 and one L2 slice per SM, or per core on a CPU. A GPU's L2
+    has 128 B lines; a CPU's L2 slices have the core's line size. *)
 let create_machine (target : Pgpu_target.Descriptor.t) =
+  let l2_line =
+    match target.kind with
+    | Pgpu_target.Descriptor.Gpu -> 128
+    | Pgpu_target.Descriptor.Cpu -> target.l1_line_bytes
+  in
   {
     target;
     alloc = Memory.allocator ();
@@ -74,7 +84,7 @@ let create_machine (target : Pgpu_target.Descriptor.t) =
       Array.init target.sm_count (fun _ ->
           Cache.create
             ~size_bytes:(max 4096 (target.l2_bytes / max 1 target.sm_count))
-            ~line_bytes:128 ~ways:16);
+            ~line_bytes:l2_line ~ways:16);
     l1s =
       Array.init target.sm_count (fun _ ->
           Cache.create ~size_bytes:target.l1_bytes_per_sm ~line_bytes:target.l1_line_bytes ~ways:8);
@@ -519,9 +529,23 @@ let extrapolate (c : Counters.t) ~total ~executed =
 type runner = machine -> sm:int -> int -> unit
 
 (** Drive the grid-level parallel [p] on machine [m]: resolve the grid
-    through [env], pick the executed blocks, assign them to SMs
-    round-robin by executed position, run each through [runner] with
-    the deterministic allocator of its linear index, and extrapolate.
+    through [env], pick the executed blocks, assign each to an SM (a
+    core on a CPU), run each through [runner] with the deterministic
+    allocator of its linear index, and extrapolate.
+
+    The target's kind picks the schedule. A GPU assigns SMs
+    round-robin by executed position, starting where the previous
+    launch stopped ([next_sm]), and its L2 slices persist across
+    launches. A CPU gives core [j / chunk] the block at executed
+    position [j], with [chunk = ceil (executed / min cores executed)]
+    (one contiguous chunk per core, as an OpenMP static schedule),
+    starts every launch at core 0, and empties its L2 slices at every
+    launch. Every launch empties the L1s.
+
+    The launch's thread count is the larger of the first thread-level
+    parallel's extents ({!block_dims_of}) and the largest thread count
+    an executed block reached, so a launch whose blocks reach none
+    reports its static block size, not a previous launch's.
 
     With [jobs > 1] (and no race detector attached) the executed
     blocks are sharded over the persistent domain pool, grouped by the
@@ -540,10 +564,13 @@ let run_grid ?(jobs = 1) (m : machine) ~(mode : mode) ~(env : env) (p : Instr.in
   | Instr.Parallel { level = Instr.Blocks; ubs; body; _ } ->
       let dims = List.map (fun u -> ui_of (lookup env u)) ubs in
       let total = List.fold_left ( * ) 1 dims in
+      let cpu = m.target.Pgpu_target.Descriptor.kind = Pgpu_target.Descriptor.Cpu in
       let saved = m.counters in
       m.counters <- Counters.create ();
       m.counters.Counters.launches <- 1.;
+      m.observed_threads <- 1;
       Array.iter Cache.reset m.l1s;
+      if cpu then Array.iter Cache.reset m.l2s;
       let block_dims = block_dims_of env body in
       let result_threads = ref (List.fold_left ( * ) 1 block_dims) in
       let indices = sampled_blocks mode total in
@@ -551,9 +578,15 @@ let run_grid ?(jobs = 1) (m : machine) ~(mode : mode) ~(env : env) (p : Instr.in
       if executed > 0 then begin
         let sm_count = m.target.Pgpu_target.Descriptor.sm_count in
         let start_sm = m.next_sm in
-        (* round-robin by executed position, identical to advancing
-           [next_sm] once per block *)
-        let sm_of j = (start_sm + j) mod sm_count in
+        (* a GPU assigns SMs round-robin by executed position, from
+           where the last launch stopped; a CPU gives each core one
+           contiguous chunk, from core 0 *)
+        let sm_of =
+          if cpu then
+            let chunk = Pgpu_support.Util.ceil_div executed (min sm_count executed) in
+            fun j -> j / chunk
+          else fun j -> (start_sm + j) mod sm_count
+        in
         let run_blocks (mg : machine) keep =
           let run = runner mg in
           for j = 0 to executed - 1 do
@@ -588,17 +621,13 @@ let run_grid ?(jobs = 1) (m : machine) ~(mode : mode) ~(env : env) (p : Instr.in
               Array.iter
                 (fun (w : machine) ->
                   Counters.accumulate m.counters w.counters;
-                  (* every shard that ran a block carries the same
-                     post-launch value (thread extents are uniform
-                     across a launch), so any of them is authoritative *)
-                  if w.counters.Counters.blocks > 0. then
-                    m.observed_threads <- w.observed_threads)
+                  m.observed_threads <- max m.observed_threads w.observed_threads)
                 wrappers
             end
             else run_blocks m (fun _ -> true));
-        m.next_sm <- (start_sm + executed) mod sm_count;
+        if not cpu then m.next_sm <- (start_sm + executed) mod sm_count;
         extrapolate m.counters ~total ~executed;
-        result_threads := m.observed_threads
+        result_threads := max !result_threads m.observed_threads
       end;
       let delta = m.counters in
       Counters.accumulate saved delta;

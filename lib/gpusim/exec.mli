@@ -3,9 +3,9 @@
     One GPU block runs with *all its threads at once*: every SSA value
     inside the thread-level parallel is either uniform or a per-lane
     array, and divergent control flow is handled with lane masks.
-    Blocks of a grid are run by one grid loop ({!run_grid}),
-    optionally sampled (with counter extrapolation) for large grids
-    where only timing is of interest.
+    Blocks of a grid are run by one grid loop ({!run_grid}) on every
+    target, GPU or CPU, optionally sampled (with counter
+    extrapolation) for large grids where only timing is of interest.
 
     This interface is the engine seam: the slot-indexed compiled
     engine ({!Compile}) executes against the machine, masks, counting
@@ -37,8 +37,10 @@ type machine = {
           sharded launches are bit-identical to sequential ones *)
   l1s : Cache.t array;
   mutable counters : Counters.t;
-  mutable next_sm : int;
-  mutable observed_threads : int;  (** threads/block seen by the last launch *)
+  mutable next_sm : int;  (** the SM a GPU launch's first block runs on *)
+  mutable observed_threads : int;
+      (** the largest threads/block of the thread-level parallels the
+          current launch has executed; 1 until it reaches one *)
   mutable shared_as_global : bool;
       (** AMD backend behaviour on shared-memory-heavy kernels: the
           allocation is demoted to global memory (Section VII-D2) *)
@@ -52,6 +54,9 @@ type machine = {
   bank_counts : int array;  (** per-bank distinct-word counters *)
 }
 
+(** A fresh machine: one L1 and one L2 slice per SM, or per core on a
+    CPU target. A GPU's L2 slices have 128 B lines, a CPU's the core's
+    line size ([l1_line_bytes]). *)
 val create_machine : Pgpu_target.Descriptor.t -> machine
 
 val clone_machine : machine -> machine
@@ -191,25 +196,26 @@ type mode = [ `All | `Sample of int ]
     block body, resolved through [env]. *)
 val block_dims_of : env -> Instr.block -> int list
 
-(** Linear indices of the blocks a launch of [total] blocks executes
-    under [mode]: all of them, or evenly spaced representatives. *)
-val sampled_blocks : mode -> int -> int array
-
-(** [extrapolate c ~total ~executed] scales counters measured on
-    [executed] blocks to the full grid of [total] blocks. *)
-val extrapolate : Counters.t -> total:int -> executed:int -> unit
-
 (** A per-block runner: [runner m] readies a kernel to execute on
-    machine [m] (a launch machine, a shard's wrapper of one, or a CPU
-    core) and returns the function that runs block [lb] on SM [sm] of
-    [m], counting it in [m]'s block counter. *)
+    machine [m] (a launch machine or a shard's wrapper of one) and
+    returns the function that runs block [lb] on SM [sm] of [m],
+    counting it in [m]'s block counter. *)
 type runner = machine -> sm:int -> int -> unit
 
-(** The grid loop. Resolves the grid-level parallel [p] through
-    [env], executes the blocks [mode] selects — SMs assigned
-    round-robin by executed position, each block with the
-    deterministic device allocator of its linear index — and
-    extrapolates the counters to the full grid.
+(** The grid loop, for every target. Resolves the grid-level parallel
+    [p] through [env], executes the blocks [mode] selects — each on an
+    SM (a core on a CPU), with the deterministic device allocator of
+    its linear index — and extrapolates the counters to the full grid.
+
+    The target's kind picks the schedule. On a GPU, SMs are assigned
+    round-robin by executed position, from where the previous launch
+    stopped, and the L2 slices persist across launches. On a CPU, core
+    [c] runs the [c]-th contiguous chunk of
+    [ceil (executed / min cores executed)] executed blocks, every
+    launch starts at core 0, and the L2 slices are emptied at every
+    launch. Every launch empties the L1s. [threads_per_block] is the
+    larger of the static block size ({!block_dims_of}) and the largest
+    thread count an executed block reached.
 
     [jobs] (default 1) shards the executed blocks over the persistent
     domain pool, grouping blocks by their assigned SM so every per-SM

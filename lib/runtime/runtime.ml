@@ -20,8 +20,6 @@ module Tracer = Pgpu_trace.Tracer
 module Json = Pgpu_trace.Json
 module Cache = Pgpu_cache.Cache
 module Fission = Pgpu_transforms.Fission
-module Cpu_exec = Pgpu_cpu.Cpu_exec
-module Cpu_timing = Pgpu_cpu.Cpu_timing
 
 let src = Logs.Src.create "pgpu.runtime" ~doc:"Polygeist-GPU host runtime"
 
@@ -46,12 +44,10 @@ type config = {
   sample_blocks : int;  (** blocks executed per launch when sampling *)
   jobs : int;
       (** host OCaml domains (from the persistent {!Pgpu_support.Pool})
-          used by the CPU backend's chunked block execution, by the
-          GPU simulator's sharded launches and by the TDO trial batch.
-          Results are bit-identical for every value of [jobs]. The
-          trial batch runs with one job under a tracer (trial events
-          are emitted in order) and when a candidate contains a nested
-          launch site; a race detector keeps launches unsharded. *)
+          used by sharded launches and by the TDO trial batch. Results
+          are bit-identical for every value of [jobs]. The trial batch
+          runs with one job when a candidate contains a nested launch
+          site; a race detector keeps launches unsharded. *)
   tune : bool;  (** enable timing-driven selection of alternatives *)
   fixed_choice : int;  (** alternatives region used when [tune] is false *)
   tracer : Tracer.t;
@@ -81,9 +77,16 @@ let default_config target =
   }
 
 (** A launch site as it runs: the kernel region as launched
-    (barrier-fissioned on a CPU target, else as given) and the backend
-    statistics of that region, which feed the timing model. *)
-type site = { lowered : Instr.block; stats : Backend.kernel_stats }
+    (barrier-fissioned on a CPU target, else as given) and what feeds
+    the timing model: the backend statistics of that region and, on a
+    CPU target, the vectorizable share of the grid-level parallel at
+    each position of it ({!Cpu_timing.vector_fraction}; empty on a
+    GPU). *)
+type site = {
+  lowered : Instr.block;
+  stats : Backend.kernel_stats;
+  vector_fractions : float array;
+}
 
 (** A per-block runner factory, in the shape of [Compile.runner]. *)
 type reference = env:Exec.env -> Instr.instr -> Exec.runner
@@ -103,7 +106,6 @@ type state = {
       (** the register file; every host value of the run has its slot
           before the first host instruction runs *)
   frames : Compile.frames;  (** compiled-kernel register files on [machine] *)
-  cores : Cpu_exec.cores;  (** the CPU backend's core machines and their frames *)
   mutable records : launch_record list;
   clock : clock;
   trial : bool;  (** a TDO trial's private state: sample + don't record *)
@@ -166,7 +168,6 @@ let create ?reference config =
     machine;
     env = Exec.env_create ();
     frames = Compile.frames machine;
-    cores = Cpu_exec.cores config.target;
     records = [];
     clock = { composite = 0. };
     trial = false;
@@ -225,11 +226,10 @@ let host_op_cost = 2e-9
 (** Fixed simulated seconds per cudaMemcpy that crosses PCIe. *)
 let memcpy_overhead = 10e-6
 
-(** The CPU backend's core loop replaces the single-machine grid loop
-    when the target is a CPU and no dynamic race detector is attached
-    (the detector is attached to the runtime's one machine, not to the
-    per-core machines, so a race check keeps the grid loop). *)
-let cpu_mode st =
+(** A CPU target runs kernel regions barrier-fissioned, except under a
+    dynamic race detector: fission removes the barriers the detector's
+    epochs hang on, so a race-checked run keeps the region as given. *)
+let fissions st =
   st.config.target.Descriptor.kind = Descriptor.Cpu && st.config.racecheck = None
 
 (** Slot-indexed compilation of a launch site's grid-level parallel,
@@ -299,15 +299,24 @@ let cpu_lower st ~wid ~alt (region : Instr.block) =
     relaunch with different block dimensions re-lowers instead of
     replaying a stale region; GPU sites do not depend on them. *)
 let site st ~wid ~alt (region : Instr.block) : site =
-  let key = (wid, alt, if cpu_mode st then thread_extents st region else []) in
+  let key = (wid, alt, if fissions st then thread_extents st region else []) in
   Cache.Memo.find_or_add st.sites ~hash:(Hashtbl.hash key) ~equal:( = ) key (fun () ->
-      let lowered = if cpu_mode st then cpu_lower st ~wid ~alt region else region in
-      { lowered; stats = Backend.analyze st.config.target lowered })
+      let target = st.config.target in
+      let lowered = if fissions st then cpu_lower st ~wid ~alt region else region in
+      let vector_fractions =
+        match target.Descriptor.kind with
+        | Descriptor.Gpu -> [||]
+        | Descriptor.Cpu ->
+            Array.of_list (List.map (fun i -> Cpu_timing.vector_fraction [ i ]) lowered)
+      in
+      { lowered; stats = Backend.analyze target lowered; vector_fractions })
 
-(** Launch one grid-level parallel [p] of [site] and account for it:
-    charged to the composite time and recorded unless in a trial.
-    Returns the launch's simulated seconds. *)
-let launch st ~name ~wid ~alt (site : site) (p : Instr.instr) =
+(** Launch the grid-level parallel at position [j] of [site] through
+    the grid loop and account for it: charged to the composite time
+    and recorded unless in a trial. Returns the launch's simulated
+    seconds. *)
+let launch st ~name ~wid ~alt (site : site) j =
+  let p = List.nth site.lowered j in
   let stats = site.stats in
   let mode : Exec.mode =
     if st.trial || not st.config.functional then `Sample st.config.sample_blocks else `All
@@ -332,34 +341,25 @@ let launch st ~name ~wid ~alt (site : site) (p : Instr.instr) =
       mlp = stats.Backend.mlp;
     }
   in
-  let runner : Compile.frames -> Exec.runner =
+  let runner =
     match st.reference with
-    | Some reference ->
-        let r = reference ~env:st.env p in
-        fun _ -> r
-    | None ->
-        let ck = compiled_kernel st p in
-        fun frames -> Compile.runner ~frames ck ~env:st.env
+    | Some reference -> reference ~env:st.env p
+    | None -> Compile.runner ~frames:st.frames (compiled_kernel st p) ~env:st.env
   in
+  let target = st.config.target in
   let result, breakdown =
     (* a fault inside the kernel is the device's *)
     try
-      if cpu_mode st then begin
-        let cres =
-          Cpu_exec.launch st.cores ~jobs:st.config.jobs ~mode ~env:st.env p runner
-        in
-        let result = cres.Cpu_exec.result in
-        ( result,
-          Cpu_timing.estimate st.config.target ~demand
-            ~vector_fraction:cres.Cpu_exec.vector_fraction result )
-      end
-      else begin
-        let jobs = st.config.jobs in
-        st.machine.Exec.shared_as_global <- offload;
-        let result = Exec.run_grid ~jobs st.machine ~mode ~env:st.env p (runner st.frames) in
-        st.machine.Exec.shared_as_global <- false;
-        (result, Timing.estimate st.config.target ~demand result)
-      end
+      st.machine.Exec.shared_as_global <- offload;
+      let result = Exec.run_grid ~jobs:st.config.jobs st.machine ~mode ~env:st.env p runner in
+      st.machine.Exec.shared_as_global <- false;
+      let breakdown =
+        match target.Descriptor.kind with
+        | Descriptor.Gpu -> Timing.estimate target ~demand result
+        | Descriptor.Cpu ->
+            Cpu_timing.estimate target ~demand ~vector_fraction:site.vector_fractions.(j) result
+      in
+      (result, breakdown)
     with Memory.Out_of_bounds msg -> raise (Exec.Device_error msg)
   in
   let seconds = breakdown.Timing.seconds in
@@ -483,7 +483,7 @@ let rec exec_kernel_region st ~name ~wid ~alt (r : region) =
       | Host code -> code st
       | Launch j ->
           let s = site st ~wid ~alt r.block in
-          seconds := !seconds +. launch st ~name ~wid ~alt s (List.nth s.lowered j))
+          seconds := !seconds +. launch st ~name ~wid ~alt s j)
     r.steps;
   !seconds
 
@@ -561,23 +561,23 @@ and choose_alternative st ~name ~wid ~signature ?ckey (aid : int) (descs : strin
 (** The TDO search: one trial per candidate, batched on the
     persistent pool ([jobs = 1] runs the batch inline), then a stable
     argmin — strictly-less in index order — so the committed choice is
-    identical however the trials were scheduled. The batch runs with
-    one job under a tracer, whose [tdo:trial] and [cpu:fission] events
-    must come out in trial order, and when a candidate contains a
-    nested launch site. *)
+    identical however the trials were scheduled. Each trial records
+    its events ([cpu:fission], [tdo:trial]) in a buffer of its own,
+    and the buffers join the run's trace in candidate order, so a
+    traced search schedules its trials as an untraced one does. The
+    batch runs with one job when a candidate contains a nested launch
+    site. *)
 and search st ~name ~wid ~signature ?ckey descs regions =
-  let jobs =
-    if Tracer.enabled st.config.tracer || Array.exists (fun r -> r.nested) regions then 1
-    else st.config.jobs
-  in
+  let jobs = if Array.exists (fun r -> r.nested) regions then 1 else st.config.jobs in
   let trials =
     Pgpu_support.Pool.map (Pgpu_support.Pool.get ()) ~jobs
       (fun (k, region) -> trial st ~name ~wid ~descs k region)
       (List.mapi (fun k r -> (k, r)) (Array.to_list regions))
   in
+  List.iter (fun (_, _, events) -> Tracer.append st.config.tracer events) trials;
   let best = ref (-1) and best_t = ref infinity in
   List.iteri
-    (fun k (t, _) ->
+    (fun k (t, _, _) ->
       if t < !best_t then begin
         best := k;
         best_t := t
@@ -586,7 +586,7 @@ and search st ~name ~wid ~signature ?ckey descs regions =
   if !best < 0 then begin
     (* every candidate was rejected: a fault among them is the
        kernel's, and reported as the commit would have reported it *)
-    match List.find_map snd trials with
+    match List.find_map (fun (_, fault, _) -> fault) trials with
     | Some msg -> raise (Exec.Device_error msg)
     | None -> host_fail "no feasible alternative for kernel %s" name
   end;
@@ -610,21 +610,23 @@ and search st ~name ~wid ~signature ?ckey descs regions =
     [exec_kernel_region] as the commit, on a private state — a
     copy-on-write machine clone (which never race-checks), its own
     register file with private copies of the buffers the region can
-    write ({!clone_trial_env}), its own frames and CPU cores — so it
-    sees exactly the pre-search machine the commit then runs on, and
-    leaves no trace on it. The live machine stays idle until [search]
-    has dropped every trial state, as the clone's source-idle rule
-    requires. Returns the candidate's simulated seconds, [infinity]
-    when it is infeasible or faults, and the fault's message. *)
+    write ({!clone_trial_env}), its own frames and its own event
+    buffer when the run is traced — so it sees exactly the pre-search
+    machine the commit then runs on, and leaves no trace on it. The
+    live machine stays idle until [search] has dropped every trial
+    state, as the clone's source-idle rule requires. Returns the
+    candidate's simulated seconds, [infinity] when it is infeasible or
+    faults, the fault's message, and the trial's events. *)
 and trial st ~name ~wid ~descs k region =
   let machine = Exec.clone_machine st.machine in
+  let tracer = if Tracer.enabled st.config.tracer then Tracer.create () else Tracer.disabled in
   let ts =
     {
       st with
+      config = { st.config with tracer };
       machine;
       env = clone_trial_env st.env region;
       frames = Compile.frames machine;
-      cores = Cpu_exec.cores st.config.target;
       records = [];
       trial = true;
     }
@@ -635,7 +637,7 @@ and trial st ~name ~wid ~descs k region =
     | exception Timing.Infeasible _ -> (infinity, None)
     | exception Exec.Device_error msg -> (infinity, Some msg)
   in
-  Tracer.instant_at st.config.tracer ~cat:"tdo" ~ts:(ticks st)
+  Tracer.instant_at tracer ~cat:"tdo" ~ts:(ticks st)
     ~args:
       [
         ("kernel", Json.Str name);
@@ -645,7 +647,7 @@ and trial st ~name ~wid ~descs k region =
         ("feasible", Json.Bool (Float.is_finite t));
       ]
     "tdo:trial";
-  (t, fault)
+  (t, fault, Tracer.events tracer)
 
 and exec_wrapper st (w : wrapper) =
   let name = w.name and wid = w.wid in

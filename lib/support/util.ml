@@ -72,11 +72,7 @@ let rec transpose = function
   | [] | [] :: _ -> []
   | rows -> List.map List.hd rows :: transpose (List.map List.tl rows)
 
-(** Default worker count for parallel compilation phases: the
-    [PGPU_JOBS] environment variable when set, otherwise the number of
-    available cores, capped at 4 (candidate expansion saturates well
+(** Default worker count for parallel compilation phases: the number
+    of available cores, capped at 4 (candidate expansion saturates well
     before that on the small kernels of the evaluation suite). *)
-let default_jobs () =
-  match Sys.getenv_opt "PGPU_JOBS" with
-  | Some s -> ( match int_of_string_opt (String.trim s) with Some n -> max 1 n | None -> 1)
-  | None -> max 1 (min 4 (Domain.recommended_domain_count ()))
+let default_jobs () = max 1 (min 4 (Domain.recommended_domain_count ()))

@@ -26,6 +26,6 @@ val take : int -> 'a list -> 'a list
 val drop : int -> 'a list -> 'a list
 val transpose : 'a list list -> 'a list list
 
-(** Worker count for parallel compilation phases: [PGPU_JOBS] when
-    set, else available cores capped at 4 (min 1). *)
+(** Worker count for parallel compilation phases: the available
+    cores, capped at 4 (min 1). *)
 val default_jobs : unit -> int

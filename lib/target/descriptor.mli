@@ -9,10 +9,11 @@
 
 type vendor = Nvidia | Amd | Generic
 
-(** Whether the descriptor models a GPU (SPMD warps on SMs/CUs, the
-    gpusim executor) or a CPU (barrier-fissioned loop nests executed
-    sequentially per core by [lib/cpu]). For CPU descriptors the per-SM
-    fields are reinterpreted per core and [warp_size] is 1. *)
+(** Whether the descriptor models a GPU (SPMD warps on SMs/CUs) or a
+    CPU (barrier-fissioned loop nests, each block run sequentially on
+    one core). The simulator's one grid loop picks its block schedule
+    and L2 policy from it. For CPU descriptors the per-SM fields are
+    reinterpreted per core and [warp_size] is 1. *)
 type kind = Gpu | Cpu
 
 type t = {

@@ -112,6 +112,8 @@ let depth t = List.length t.stack
 (** Events in emission order (spans appear at their end time). *)
 let events t = List.rev t.events
 
+let append t events = if t.enabled then List.iter (emit t) events
+
 let clear t =
   if t.enabled then begin
     t.events <- [];

@@ -60,6 +60,11 @@ val depth : t -> int
 (** Events in emission order (a span appears at its end time). *)
 val events : t -> event list
 
+(** [append t events] records [events], in order, after [t]'s own; a
+    no-op when [t] is disabled. A batch that ran on private tracers
+    joins the run's trace this way, in an order of its choosing. *)
+val append : t -> event list -> unit
+
 val clear : t -> unit
 val event_name : event -> string
 val pp_event : event Fmt.t

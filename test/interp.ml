@@ -6,12 +6,11 @@
     per-lane array in a hashtable environment, and divergent control
     flow is handled with lane masks. It drives the same machine, masks
     and counting ({!Exec.count_op}) as the compiled engine, and runs
-    under the same grid loop ({!Exec.run_grid}) or CPU core loop
-    through {!runner}, but models memory instructions with its own
-    reference request model ({!Reference_memory.requests}), so the two
-    must agree on outputs, every counter and every simulated time, bit
-    for bit, through two request models. It is written for
-    obviousness, not speed. *)
+    under the same grid loop ({!Exec.run_grid}) through {!runner}, but
+    models memory instructions with its own reference request model
+    ({!Reference_memory.requests}), so the two must agree on outputs,
+    every counter and every simulated time, bit for bit, through two
+    request models. It is written for obviousness, not speed. *)
 
 open Pgpu_ir
 open Pgpu_gpusim
@@ -400,7 +399,7 @@ and exec_instr ctx env (mask : mask) (i : Instr.instr) : unit =
       let dims = List.map (fun u -> ui_of (lookup env u)) ubs in
       let nlanes = List.fold_left ( * ) 1 dims in
       if nlanes <= 0 then device_fail "thread parallel with empty dimension";
-      ctx.m.observed_threads <- nlanes;
+      if nlanes > ctx.m.observed_threads then ctx.m.observed_threads <- nlanes;
       let tctx = { ctx with nlanes } in
       (* lane order: x fastest, matching CUDA's warp lane numbering *)
       let rec bind_dims stride = function

@@ -7,7 +7,7 @@ open Pgpu_gpusim
     grid-level parallel [p], a drop-in for {!Compile.runner}: each
     machine it is readied on binds block indices and kernel values in
     a table of its own layered over [env], which it only reads, so
-    shards and CPU cores never share a table. Pass it to {!Exec.run_grid}, {!Pgpu_cpu.Cpu_exec.launch} or
+    shards never share a table. Pass it to {!Exec.run_grid} or
     [Runtime.run ~reference:Interp.runner].
     @raise Exec.Device_error when [p] is not a blocks-level parallel. *)
 val runner : env:Exec.env -> Pgpu_ir.Instr.instr -> Exec.runner

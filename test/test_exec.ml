@@ -213,16 +213,17 @@ let test_coalescing () =
   Alcotest.(check (float 0.1)) "requests equal" unit_stride.Counters.global_load_req
     strided.Counters.global_load_req;
   (* one-lane warps: every lane is a request of one sector; 1 KiB of
-     unit-stride loads fills 16 of the cpu's 64 B L1 lines and 8 of
-     its 128 B L2-slice lines, and the stores that follow hit the
-     slice; at stride 32 (128 B) every lane opens a line of each *)
+     unit-stride loads fills 16 of the cpu's 64 B L1 lines and 16 of
+     its L2-slice lines (a CPU's slices have the core's line size),
+     and the stores that follow hit the slice; at stride 32 (128 B)
+     every lane opens a line of each *)
   let unit_stride = run Descriptor.cpu 1 and strided = run Descriptor.cpu 32 in
   let check what expected got = Alcotest.(check (float 0.1)) ("cpu: " ^ what) expected got in
   check "load requests" 256. unit_stride.Counters.global_load_req;
   check "store requests" 256. unit_stride.Counters.global_store_req;
   check "load sectors" 256. unit_stride.Counters.load_sectors;
   check "L1 load misses" 16. unit_stride.Counters.l1_load_miss_sectors;
-  check "L2 load misses" 8. unit_stride.Counters.l2_load_miss_sectors;
+  check "L2 load misses" 16. unit_stride.Counters.l2_load_miss_sectors;
   check "L2 store misses" 0. unit_stride.Counters.l2_store_miss_sectors;
   check "strided L1 load misses" 256. strided.Counters.l1_load_miss_sectors;
   check "strided L2 load misses" 256. strided.Counters.l2_load_miss_sectors
@@ -248,6 +249,60 @@ let test_partial_warp_lanes () =
   Alcotest.(check int) "nblocks" 4 r.Exec.nblocks;
   (* each add issues 1 warp inst per block with 16 active lanes *)
   Alcotest.(check bool) "lanes counted" true (r.Exec.counters.Counters.lane_int >= 4. *. 16.)
+
+(** A 256-thread kernel over 1 024 elements, then a kernel whose
+    128-thread loop sits under a block-level [if] that no launched
+    block takes (no block id reaches the grid size). *)
+let untaken_threads_module () =
+  let n = Value.fresh ~hint:"n" Types.I32 in
+  let store_in b d bid width x =
+    ignore
+      (Builder.parallel b Instr.Threads [ width ] (fun tb _ tivs ->
+           let i = Builder.add_ tb (Builder.mul_ tb bid width) (List.hd tivs) in
+           Builder.store tb d i (Builder.const_f tb x)))
+  in
+  let f =
+    Builder.func "main" [ n ] [ host_f32 ] (fun b ->
+        let h = Builder.alloc b Types.Host f32 n in
+        let d = Builder.alloc b Types.Global f32 n in
+        Builder.add b (Instr.Memcpy { dst = d; src = h; count = n });
+        Builder.gpu_wrapper b "wide" (fun wb ->
+            let c256 = Builder.const_i wb 256 in
+            let grid = Builder.div_ wb n c256 in
+            ignore
+              (Builder.parallel wb Instr.Blocks [ grid ] (fun bb _ bivs ->
+                   store_in bb d (List.hd bivs) c256 1.)));
+        Builder.gpu_wrapper b "untaken" (fun wb ->
+            let c128 = Builder.const_i wb 128 in
+            let grid = Builder.div_ wb n c128 in
+            ignore
+              (Builder.parallel wb Instr.Blocks [ grid ] (fun bb _ bivs ->
+                   let bid = List.hd bivs in
+                   let taken = Builder.cmp bb Ops.Ge bid grid in
+                   Builder.if0 bb taken (fun ib -> store_in ib d bid c128 2.))));
+        Builder.add b (Instr.Memcpy { dst = h; src = d; count = n });
+        Builder.return b [ h ])
+  in
+  { Instr.funcs = [ f ] }
+
+(** A launch whose blocks reach no thread-level parallel reports its
+    static block size, not the thread count of the launch before it. *)
+let test_untaken_threads () =
+  let m = untaken_threads_module () in
+  Verify.check_exn m;
+  List.iter
+    (fun (target : Descriptor.t) ->
+      let config = Pgpu_runtime.Runtime.default_config target in
+      let _, st = run_main ~config m [ Exec.UI 1024 ] in
+      let threads =
+        List.map
+          (fun (r : Pgpu_runtime.Runtime.launch_record) ->
+            r.Pgpu_runtime.Runtime.result.Exec.threads_per_block)
+          (Pgpu_runtime.Runtime.records st)
+      in
+      Alcotest.(check (list int)) (target.Descriptor.name ^ ": threads per block") [ 256; 128 ]
+        threads)
+    [ Descriptor.a100; Descriptor.rx6800; Descriptor.cpu ]
 
 let test_sampled_launch_scales () =
   let full =
@@ -1137,6 +1192,7 @@ let suite =
         !:"coalescing sectors" `Quick test_coalescing;
         !:"divergence counter" `Quick test_divergence_counter;
         !:"partial warps" `Quick test_partial_warp_lanes;
+        !:"untaken thread loop: the launch's own block size" `Quick test_untaken_threads;
         !:"sampled launch scales counters" `Quick test_sampled_launch_scales;
         !:"shared-memory bank conflicts" `Quick test_bank_conflicts;
         !:"barrier divergence detected" `Quick test_barrier_divergence_detected;

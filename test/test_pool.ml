@@ -8,7 +8,8 @@
       alternatives and produces identical outputs, counters and
       simulated times on random barrier kernels whatever the [jobs]
       setting and whether a tracer is attached ({1, 2, 4, 4 traced} x
-      {a100, rx6800, cpu}).
+      {a100, rx6800, cpu}), and that a traced run records the same
+      events at every [jobs].
 
     The container running the tests may have a single core, which would
     make [Pool.effective_jobs] collapse every parallel request to
@@ -147,26 +148,30 @@ let prop_tdo_parity =
       List.iter
         (fun target ->
           let seq = observe target m ~nblocks ~jobs:1 in
+          let seq_tracer = Tracer.create () in
+          ignore (observe ~tracer:seq_tracer target m ~nblocks ~jobs:1);
           List.iter
             (fun (jobs, traced) ->
               let tracer = if traced then Tracer.create () else Tracer.disabled in
               let par = observe ~tracer target m ~nblocks ~jobs in
-              check_parity
-                ~what:
-                  (Fmt.str "%s at jobs=%d%s" target.Descriptor.name jobs
-                     (if traced then ", traced" else ""))
-                seq par)
+              let what =
+                Fmt.str "%s at jobs=%d%s" target.Descriptor.name jobs
+                  (if traced then ", traced" else "")
+              in
+              check_parity ~what seq par;
+              if traced && compare (Tracer.events tracer) (Tracer.events seq_tracer) <> 0 then
+                QCheck.Test.fail_reportf "%s: events differ from a traced jobs=1 run's" what)
             [ (2, false); (4, false); (4, true) ])
         [ Descriptor.a100; Descriptor.rx6800; Descriptor.cpu ];
       true)
 
-(** The CPU backend keeps its core machines and their register files
-    across launches: a multi-launch cpu program must give the same
-    outputs, and every launch the same counters and simulated seconds,
-    bitwise, at [jobs = 1] and [jobs = 4]. gaussian makes 254 launches
-    of two kernels untuned; lud is tuned over three configurations, so
-    its trials own cores of their own. *)
-let test_cpu_cores_jobs_parity () =
+(** CPU launches shard through the grid loop like GPU ones, each core
+    touched by one shard: a multi-launch cpu program must give the
+    same outputs, and every launch the same counters and simulated
+    seconds, bitwise, at [jobs = 1] and [jobs = 4]. gaussian makes 254
+    launches of two kernels untuned; lud is tuned over three
+    configurations, so its trials shard on machine clones. *)
+let test_cpu_jobs_parity () =
   with_forced_cores @@ fun () ->
   let module P = Pgpu_core.Polygeist_gpu in
   let observe name ~specs ~jobs =
@@ -198,7 +203,6 @@ let suite =
         Alcotest.test_case "effective_jobs caps at the core count" `Quick
           test_effective_jobs_cap;
         QCheck_alcotest.to_alcotest prop_tdo_parity;
-        Alcotest.test_case "kept cpu cores: jobs 1 = jobs 4 on gaussian and tuned lud" `Quick
-          test_cpu_cores_jobs_parity;
+        Alcotest.test_case "cpu launches shard bit for bit" `Quick test_cpu_jobs_parity;
       ] );
   ]
