@@ -187,10 +187,25 @@ let runtime_errors f =
       Fmt.epr "pgpu: device error: %s@." m;
       Cmd.Exit.some_error
 
-(** The exit codes of the commands that run a program. *)
-let run_exits =
-  Cmd.Exit.info Cmd.Exit.some_error ~doc:"on a host or device error while the program runs."
+(** A command's exit codes, [doc] saying when it exits 123. *)
+let exits doc =
+  Cmd.Exit.info Cmd.Exit.some_error ~doc
   :: List.filter (fun i -> Cmd.Exit.info_code i <> Cmd.Exit.some_error) Cmd.Exit.defaults
+
+let source_exits = exits "on a source the frontend rejects."
+
+let run_exits =
+  exits "on a source the frontend rejects, or a host or device error while the program runs."
+
+(** [k] of the program [compile] makes of [file]'s source. A source the
+    frontend rejects is malformed input, reported as such with exit
+    123, not as an internal error. For a [Term.ret] term. *)
+let with_source file compile k =
+  match compile () with
+  | c -> k c
+  | exception P.Frontend.Error m ->
+      Fmt.epr "pgpu: %s: source error: %s@." file m;
+      `Ok Cmd.Exit.some_error
 
 (** Run [k] when [args] match the parameters of [m]'s [main]; a
     mismatch is a usage error (exit 124), reported before anything
@@ -273,10 +288,10 @@ let compile_cmd =
   let dump_ir = Arg.(value & flag & info [ "dump-ir" ] ~doc:"Print the final IR module.") in
   let run () file target no_opt coarsen dump trace metrics jobs =
     with_tracer trace metrics @@ fun tracer ->
-    let c =
-      P.compile ~optimize:(not no_opt) ~specs:(specs_of coarsen) ~tracer ~jobs ~target
-        ~source:(read_file file) ()
-    in
+    with_source file (fun () ->
+        P.compile ~optimize:(not no_opt) ~specs:(specs_of coarsen) ~tracer ~jobs ~target
+          ~source:(read_file file) ())
+    @@ fun c ->
     List.iter
       (fun (k : P.Pipeline.kernel_report) ->
         Fmt.pr "kernel %s:@." k.P.Pipeline.kernel;
@@ -291,13 +306,15 @@ let compile_cmd =
           k.P.Pipeline.candidates)
       c.P.report.P.Pipeline.kernels;
     if dump then Fmt.pr "%a@." Pgpu_ir.Instr.pp_modul c.P.modul;
-    0
+    `Ok 0
   in
   Cmd.v
-    (Cmd.info "compile" ~doc:"Compile a mini-CUDA file and report multi-versioning decisions.")
+    (Cmd.info "compile" ~exits:source_exits
+       ~doc:"Compile a mini-CUDA file and report multi-versioning decisions.")
     Term.(
-      const run $ setup_logs_t $ file_arg $ target_arg $ no_opt_arg $ coarsen_arg $ dump_ir
-      $ trace_arg $ metrics_arg $ jobs_arg)
+      ret
+        (const run $ setup_logs_t $ file_arg $ target_arg $ no_opt_arg $ coarsen_arg $ dump_ir
+       $ trace_arg $ metrics_arg $ jobs_arg))
 
 (* --- run --- *)
 
@@ -323,10 +340,10 @@ let run_cmd =
     with_tracer trace metrics @@ fun tracer ->
     let cache = make_cache no_cache cache_dir in
     let t0 = Unix.gettimeofday () in
-    let c =
-      P.compile ~optimize:(not no_opt) ~specs:(specs_of coarsen) ~tracer ~jobs ~target
-        ~source:(read_file file) ()
-    in
+    with_source file (fun () ->
+        P.compile ~optimize:(not no_opt) ~specs:(specs_of coarsen) ~tracer ~jobs ~target
+          ~source:(read_file file) ())
+    @@ fun c ->
     with_main_args c.P.modul args @@ fun () ->
     runtime_errors @@ fun () ->
     let r = P.run ~tune ~fixed_choice:choice ~jobs ~tracer ~cache c ~args in
@@ -408,7 +425,9 @@ let bench_cmd =
     end
   in
   Cmd.v
-    (Cmd.info "bench" ~exits:run_exits ~doc:"Run a bundled Rodinia benchmark.")
+    (Cmd.info "bench"
+       ~exits:(exits "on a host or device error while the program runs.")
+       ~doc:"Run a bundled Rodinia benchmark.")
     Term.(
       ret
         (const run $ setup_logs_t $ name_arg $ target_arg $ no_opt_arg $ coarsen_arg $ tune_arg
@@ -423,10 +442,10 @@ let profile_cmd =
   in
   let run () file target no_opt coarsen tune choice args trace metrics as_json =
     with_tracer trace metrics @@ fun tracer ->
-    let c =
-      P.compile ~optimize:(not no_opt) ~specs:(specs_of coarsen) ~tracer ~target
-        ~source:(read_file file) ()
-    in
+    with_source file (fun () ->
+        P.compile ~optimize:(not no_opt) ~specs:(specs_of coarsen) ~tracer ~target
+          ~source:(read_file file) ())
+    @@ fun c ->
     with_main_args c.P.modul args @@ fun () ->
     runtime_errors @@ fun () ->
     let r = P.run ~tune ~fixed_choice:choice ~tracer c ~args in
@@ -463,12 +482,13 @@ let check_cmd =
       & info [ "bench" ] ~docv:"NAME"
           ~doc:"Check a bundled benchmark instead of a source file (see $(b,pgpu list)).")
   in
-  (* the program's source, and its benchmark definition for --bench *)
+  (* the program's name and source, and its benchmark definition for
+     --bench *)
   let source_t =
     let pick file bench =
       match (bench, file) with
-      | Some (b : P.Bench_def.t), _ -> `Ok (b.P.Bench_def.source, Some b)
-      | None, Some f -> `Ok (read_file f, None)
+      | Some (b : P.Bench_def.t), _ -> `Ok (b.P.Bench_def.name, b.P.Bench_def.source, Some b)
+      | None, Some f -> `Ok (f, read_file f, None)
       | None, None -> `Error (true, "need a FILE or --bench NAME")
     in
     Term.(ret (const pick $ file_arg $ bench_arg))
@@ -489,8 +509,10 @@ let check_cmd =
       & opt (some string) None
       & info [ "json" ] ~docv:"FILE" ~doc:"Also write the report as JSON to $(docv).")
   in
-  let run () (source, bench_def) target no_opt coarsen dynamic args json =
-    let c = P.compile ~optimize:(not no_opt) ~specs:(specs_of coarsen) ~target ~source () in
+  let run () (name, source, bench_def) target no_opt coarsen dynamic args json =
+    with_source name (fun () ->
+        P.compile ~optimize:(not no_opt) ~specs:(specs_of coarsen) ~target ~source ())
+    @@ fun c ->
     (* static diagnostics over everything the compile shipped (the
        baseline and every kept alternative). CPU targets analyze the
        barrier-fissioned form of each kernel — the code that actually
@@ -584,16 +606,17 @@ let check_cmd =
         P.Trace.Json.to_file path (P.Report.to_json diags);
         Logs.info (fun m -> m "report written to %s" path))
       json;
-    if P.Report.has_errors diags then 1 else 0
+    `Ok (if P.Report.has_errors diags then 1 else 0)
   in
   Cmd.v
-    (Cmd.info "check"
+    (Cmd.info "check" ~exits:source_exits
        ~doc:
          "Static shared-memory race and barrier-safety analysis of every kernel (and every \
           coarsened alternative), with an optional simulator-backed dynamic race detector.")
     Term.(
-      const run $ setup_logs_t $ source_t $ target_arg $ no_opt_arg $ coarsen_arg $ dynamic_arg
-      $ args_arg $ json_arg)
+      ret
+        (const run $ setup_logs_t $ source_t $ target_arg $ no_opt_arg $ coarsen_arg
+       $ dynamic_arg $ args_arg $ json_arg))
 
 (* --- hipify --- *)
 

@@ -3,7 +3,9 @@
     scopes referencing enclosing parallel loops, placement of GPU
     constructs (shared allocations inside blocks, host memory ops
     outside wrappers). Runs between pipeline stages, in the spirit of
-    the MLIR verifier. *)
+    the MLIR verifier, in one walk of the module: each function keeps
+    one table of the values it has defined, and each region an undo
+    log of what it defined, hidden again when the region ends. *)
 
 exception Invalid of string
 

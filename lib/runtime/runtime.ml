@@ -406,9 +406,13 @@ let launch st ~name ~wid ~alt (site : site) j =
 
 (** A trial's env for [r]: the three banks copied, the index shared
     (it is read-only while the run executes), and the buffers [r] may
-    write (see {!written_values}) deep-copied, once per buffer id, with
-    every free value of [r] bound to such a buffer rebound to its copy:
-    aliased arguments still share one buffer, as in the commit.
+    write (see {!written_values}) copied into [scratch], once per buffer
+    id, with every free value of [r] bound to such a buffer rebound to
+    its copy: aliased arguments still share one buffer, as in the
+    commit. [scratch] holds a worker slot's private copy of each buffer,
+    by id: made by its first trial that writes the buffer, refilled
+    from the live buffer by each later one, as the slot runs one trial
+    at a time.
     Scalars live in the copied banks; the buffers [r] only reads stay
     shared, and so do the buffers it cannot reach: a region reaches
     memory only through its free values and its own allocations, and
@@ -417,19 +421,29 @@ let launch st ~name ~wid ~alt (site : site) j =
     copy-on-write machine clone, the live side must stay idle while
     the trial runs: [search] touches neither the live env nor its
     buffers until every trial is done. *)
-let clone_trial_env (env : Exec.env) (r : region) : Exec.env =
+let clone_trial_env scratch (env : Exec.env) (r : region) : Exec.env =
   let bufs = Array.copy env.Exec.bufs in
   let copies = Hashtbl.create 8 in
   Array.iter
     (fun s ->
       let (b : Memory.buf) = bufs.(s) in
       if not (Hashtbl.mem copies b.Memory.id) then
-        let data =
-          match b.Memory.data with
-          | Memory.I a -> Memory.I (Array.copy a)
-          | Memory.F a -> Memory.F (Array.copy a)
+        let copy =
+          match Hashtbl.find_opt scratch b.Memory.id with
+          | Some copy ->
+              Memory.copy ~dst:copy ~src:b b.Memory.len;
+              copy
+          | None ->
+              let data =
+                match b.Memory.data with
+                | Memory.I a -> Memory.I (Array.copy a)
+                | Memory.F a -> Memory.F (Array.copy a)
+              in
+              let copy = { b with Memory.data } in
+              Hashtbl.replace scratch b.Memory.id copy;
+              copy
         in
-        Hashtbl.replace copies b.Memory.id { b with Memory.data })
+        Hashtbl.replace copies b.Memory.id copy)
     r.written;
   Array.iter
     (fun s ->
@@ -566,14 +580,17 @@ and choose_alternative st ~name ~wid ~signature ?ckey (aid : int) (descs : strin
     and the buffers join the run's trace in candidate order, so a
     traced search schedules its trials as an untraced one does. The
     batch runs with one job when a candidate contains a nested launch
-    site. *)
+    site. Each worker slot keeps one trial copy of each buffer the
+    candidates write, and all die with the call, so a nested search
+    owns its own. *)
 and search st ~name ~wid ~signature ?ckey descs regions =
   let jobs = if Array.exists (fun r -> r.nested) regions then 1 else st.config.jobs in
-  let trials =
-    Pgpu_support.Pool.map (Pgpu_support.Pool.get ()) ~jobs
-      (fun (k, region) -> trial st ~name ~wid ~descs k region)
-      (List.mapi (fun k r -> (k, r)) (Array.to_list regions))
-  in
+  let n = Array.length regions in
+  let scratch = Array.init (max 1 (min jobs n)) (fun _ -> Hashtbl.create 8) in
+  let trials = Array.make n (infinity, None, []) in
+  Pgpu_support.Pool.run (Pgpu_support.Pool.get ()) ~jobs n (fun ~slot k ->
+      trials.(k) <- trial st ~scratch:scratch.(slot) ~name ~wid ~descs k regions.(k));
+  let trials = Array.to_list trials in
   List.iter (fun (_, _, events) -> Tracer.append st.config.tracer events) trials;
   let best = ref (-1) and best_t = ref infinity in
   List.iteri
@@ -617,7 +634,7 @@ and search st ~name ~wid ~signature ?ckey descs regions =
     state, as the clone's source-idle rule requires. Returns the
     candidate's simulated seconds, [infinity] when it is infeasible or
     faults, the fault's message, and the trial's events. *)
-and trial st ~name ~wid ~descs k region =
+and trial st ~scratch ~name ~wid ~descs k region =
   let machine = Exec.clone_machine st.machine in
   let tracer = if Tracer.enabled st.config.tracer then Tracer.create () else Tracer.disabled in
   let ts =
@@ -625,7 +642,7 @@ and trial st ~name ~wid ~descs k region =
       st with
       config = { st.config with tracer };
       machine;
-      env = clone_trial_env st.env region;
+      env = clone_trial_env scratch st.env region;
       frames = Compile.frames machine;
       records = [];
       trial = true;

@@ -7,4 +7,4 @@ let () =
     @ Test_random_kernels.suite @ Test_trace.suite @ Test_trace_golden.suite
     @ Test_cache.suite @ Test_analysis.suite @ Test_differential.suite @ Test_cpu.suite
     @ Test_pool.suite @ Test_tdo.suite @ Test_obs.suite @ Test_composite.suite
-    @ Test_host.suite @ Test_verdicts.suite)
+    @ Test_host.suite @ Test_verdicts.suite @ Test_verify.suite)
