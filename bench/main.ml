@@ -1,7 +1,7 @@
 (** Benchmark harness: regenerates every table and figure of the
     paper's evaluation on the simulated GPUs, plus the host-side
-    harness checks (parallel and cold/warm runs) and the regression
-    gate.
+    harness checks (parallel and cold/warm runs) and the observatory
+    suite whose profiles [bench/baselines/quick.json] pins.
 
     Usage: [main.exe [table1|fig13|fig14|fig15|table2|fig16|fig17|
     hipify|cpu|vii-b|parbench|ablation|cachebench|gate|all ...]]; no
@@ -34,17 +34,6 @@ let metrics_dir = flag_value "--metrics-dir"
     history database under DIR. *)
 let obs_dir = flag_value "--obs-dir"
 
-(** [--baseline FILE]: compare the gate suite against a saved
-    baseline; with [--gate], exit non-zero when any key's seconds
-    moved, slower or faster. *)
-let baseline_file = flag_value "--baseline"
-
-(** [--write-baseline FILE]: snapshot the gate suite as a new
-    baseline (how [bench/baselines/quick.json] is refreshed). *)
-let write_baseline = flag_value "--write-baseline"
-
-let gate_enabled = Array.exists (String.equal "--gate") Sys.argv
-
 (** [--jobs N]: worker domains for compilation, grid sharding and TDO
     trials (default: the available cores, capped at 4; results are
     bit-identical at any value). *)
@@ -58,7 +47,6 @@ let jobs =
           Fmt.epr "--jobs takes an integer of at least 1, got %S@." j;
           exit 1)
 
-let gate_failed = ref false
 let harness_t0 = Unix.gettimeofday ()
 
 (* every experiment's JSON, accumulated for summary.json *)
@@ -210,47 +198,24 @@ let cachebench () =
   write_metrics "cachebench" (Pgpu_trace.Json.Obj rows)
 
 (* ------------------------------------------------------------------ *)
-(* Regression gate: history store + baseline comparator                *)
+(* Regression gate: the observatory suite's profiles and history       *)
 (* ------------------------------------------------------------------ *)
 
+(* [gate --quick --metrics-dir DIR] writes DIR/gate.json, which must be
+   the bytes of bench/baselines/quick.json *)
 let gate () =
   heading "Regression gate (performance observatory)";
   let benches = benches () in
   Fmt.pr "measuring %d bench(es) x %d target(s) x %d config(s)@." (List.length benches)
     (List.length E.obs_targets) (List.length E.obs_configs);
-  let entries = E.obs_suite ~benches ~jobs () in
-  Fmt.pr "%d run record(s) collected@." (List.length entries);
+  let runs = E.obs_suite ~benches ~jobs () in
+  Fmt.pr "%d run(s) collected@." (List.length runs);
   Option.iter
     (fun dir ->
-      O.History.append ~dir entries;
+      O.History.append ~dir (E.obs_history ~jobs runs);
       Fmt.pr "history appended to %s@." (O.History.file ~dir))
     obs_dir;
-  Option.iter
-    (fun path ->
-      let b = O.Baseline.snapshot ~name:"quick" entries in
-      O.Baseline.save path b;
-      Fmt.pr "baseline %S (%d key(s), rev %s) written to %s@." b.O.Baseline.name
-        (List.length b.O.Baseline.entries) b.O.Baseline.rev path)
-    write_baseline;
-  match baseline_file with
-  | None ->
-      if gate_enabled && write_baseline = None then
-        Fmt.epr "warning: --gate without --baseline FILE gates nothing@."
-  | Some path -> (
-      match O.Baseline.load path with
-      | Error e ->
-          Fmt.epr "cannot load baseline: %s@." e;
-          exit 2
-      | Ok base ->
-          let res = O.Baseline.compare_runs base entries in
-          Fmt.pr "vs baseline %S (rev %s): %a@." base.O.Baseline.name base.O.Baseline.rev
-            O.Baseline.pp_result res;
-          write_metrics "gate" (O.Baseline.json_of_result res);
-          let moved = O.Baseline.moved res in
-          if moved <> [] then begin
-            Fmt.epr "%d key(s) moved vs %s@." (List.length moved) path;
-            if gate_enabled then gate_failed := true
-          end)
+  write_metrics "gate" (E.json_of_obs_suite runs)
 
 let all () =
   table1 ();
@@ -292,11 +257,9 @@ let () =
     let rec clean = function
       | "--metrics-dir" :: _ :: rest
       | "--obs-dir" :: _ :: rest
-      | "--baseline" :: _ :: rest
-      | "--write-baseline" :: _ :: rest
       | "--jobs" :: _ :: rest ->
           clean rest
-      | "--quick" :: rest | "--gate" :: rest -> clean rest
+      | "--quick" :: rest -> clean rest
       | a :: rest -> a :: clean rest
       | [] -> []
     in
@@ -315,5 +278,4 @@ let () =
                 (List.map fst cmds);
               exit 1)
         names);
-  write_summary ();
-  if !gate_failed then exit 1
+  write_summary ()

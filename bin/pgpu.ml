@@ -197,25 +197,34 @@ let source_exits = exits "on a source the frontend rejects."
 let run_exits =
   exits "on a source the frontend rejects, or a host or device error while the program runs."
 
-(** [k] of the program [compile] makes of [file]'s source. A source the
-    frontend rejects is malformed input, reported as such with exit
-    123, not as an internal error. For a [Term.ret] term. *)
+(** Malformed input, reported as such with exit 123, not as an
+    internal error. For a [Term.ret] term. *)
+let source_error file msg =
+  Fmt.epr "pgpu: %s: source error: %s@." file msg;
+  `Ok Cmd.Exit.some_error
+
+(** [k] of the program [compile] makes of [file]'s source, or a
+    [source_error] when the frontend rejects it. *)
 let with_source file compile k =
-  match compile () with
-  | c -> k c
-  | exception P.Frontend.Error m ->
-      Fmt.epr "pgpu: %s: source error: %s@." file m;
-      `Ok Cmd.Exit.some_error
+  match compile () with c -> k c | exception P.Frontend.Error m -> source_error file m
 
 (** Run [k] when [args] match the parameters of [m]'s [main]; a
-    mismatch is a usage error (exit 124), reported before anything
-    runs. For a [Term.ret] term. *)
-let with_main_args (m : Pgpu_ir.Instr.modul) args k =
-  let n = List.length (Pgpu_ir.Instr.find_func m "main").Pgpu_ir.Instr.params in
-  if List.length args = n then `Ok (k ())
-  else
-    `Error
-      (true, Fmt.str "main expects %d argument(s), got %d (see --args)" n (List.length args))
+    mismatch is a usage error (exit 124), and a [file] without [main]
+    a [source_error], both reported before anything runs. For a
+    [Term.ret] term. *)
+let with_main_args ~file (m : Pgpu_ir.Instr.modul) args k =
+  match
+    List.find_opt
+      (fun (f : Pgpu_ir.Instr.func) -> String.equal f.Pgpu_ir.Instr.fname "main")
+      m.Pgpu_ir.Instr.funcs
+  with
+  | None -> source_error file "no function main"
+  | Some main ->
+      let n = List.length main.Pgpu_ir.Instr.params in
+      if List.length args = n then `Ok (k ())
+      else
+        `Error
+          (true, Fmt.str "main expects %d argument(s), got %d (see --args)" n (List.length args))
 
 let write_cache_stats cache path =
   Option.iter
@@ -276,7 +285,7 @@ let record_history ~obs_dir ?host_seconds ?jobs ~bench ~config ~target (r : P.ru
     (fun dir ->
       let entries =
         P.History.entries_of_run ?host_seconds ?jobs ~bench ~config ~target
-          ~composite_seconds:r.P.composite_seconds r.P.records
+          (P.Profile.of_run ~composite_seconds:r.P.composite_seconds r.P.records)
       in
       P.History.append ~dir entries;
       Fmt.pr "%d run record(s) appended to %s@." (List.length entries) (P.History.file ~dir))
@@ -344,7 +353,7 @@ let run_cmd =
         P.compile ~optimize:(not no_opt) ~specs:(specs_of coarsen) ~tracer ~jobs ~target
           ~source:(read_file file) ())
     @@ fun c ->
-    with_main_args c.P.modul args @@ fun () ->
+    with_main_args ~file c.P.modul args @@ fun () ->
     runtime_errors @@ fun () ->
     let r = P.run ~tune ~fixed_choice:choice ~jobs ~tracer ~cache c ~args in
     let host_seconds = Unix.gettimeofday () -. t0 in
@@ -405,7 +414,7 @@ let bench_cmd =
       (* the default arguments fit main; a given --args list must too *)
       let fits =
         if args = [] then fun k -> `Ok (k ())
-        else with_main_args (P.Frontend.compile_string b.P.Bench_def.source) args
+        else with_main_args ~file:name (P.Frontend.compile_string b.P.Bench_def.source) args
       in
       fits @@ fun () ->
       runtime_errors @@ fun () ->
@@ -446,7 +455,7 @@ let profile_cmd =
         P.compile ~optimize:(not no_opt) ~specs:(specs_of coarsen) ~tracer ~target
           ~source:(read_file file) ())
     @@ fun c ->
-    with_main_args c.P.modul args @@ fun () ->
+    with_main_args ~file c.P.modul args @@ fun () ->
     runtime_errors @@ fun () ->
     let r = P.run ~tune ~fixed_choice:choice ~tracer c ~args in
     let report = P.Profile.of_run ~composite_seconds:r.P.composite_seconds r.P.records in
@@ -703,16 +712,6 @@ let report_cmd =
                 $(b,pgpu run --obs-dir), $(b,pgpu bench --obs-dir) or the bench harness's \
                 $(b,gate) experiment.")
   in
-  let baseline_arg =
-    Arg.(
-      value
-      & opt (some file) None
-      & info [ "baseline" ] ~docv:"FILE"
-          ~doc:"Compare the history against a saved baseline (e.g. \
-                bench/baselines/quick.json) and include the verdicts in the report. The \
-                comparison is exact: any difference in a key's simulated seconds is a \
-                regression or an improvement.")
-  in
   let summary_arg =
     Arg.(
       value
@@ -729,31 +728,14 @@ let report_cmd =
       & opt (some string) None
       & info [ "html" ] ~docv:"FILE"
           ~doc:"Also write a self-contained HTML dashboard (per-target speedup tables, \
-                bottleneck badges, baseline verdicts) to $(docv).")
+                bottleneck badges) to $(docv).")
   in
-  let gate_arg =
-    Arg.(
-      value & flag
-      & info [ "gate" ]
-          ~doc:"Exit non-zero when any key of the baseline comparison moved, slower or \
-                faster (requires --baseline).")
-  in
-  let run () dir baseline summary as_json html gate =
+  let run () dir summary as_json html =
     match P.History.load ~dir with
     | Error e ->
         Fmt.epr "pgpu report: %s@." e;
         1
-    | Ok entries -> (
-        let baseline =
-          Option.map
-            (fun path ->
-              match P.Baseline.load path with
-              | Ok b -> b
-              | Error e ->
-                  Fmt.epr "pgpu report: %s@." e;
-                  exit 2)
-            baseline
-        in
+    | Ok entries ->
         let summary =
           Option.map
             (fun path ->
@@ -764,7 +746,7 @@ let report_cmd =
                   exit 2)
             summary
         in
-        let report = P.Obs_report.build ?baseline ?summary entries in
+        let report = P.Obs_report.build ?summary entries in
         if as_json then Fmt.pr "%s@." (P.Trace.Json.to_string_pretty (P.Obs_report.to_json report))
         else Fmt.pr "%a" P.Obs_report.pp report;
         Option.iter
@@ -774,24 +756,15 @@ let report_cmd =
             close_out oc;
             Fmt.epr "HTML report written to %s@." path)
           html;
-        match report.P.Obs_report.baseline with
-        | Some (_, res) when gate && P.Baseline.moved res <> [] ->
-            Fmt.epr "pgpu report: %d key(s) moved@." (List.length (P.Baseline.moved res));
-            1
-        | _ ->
-            if gate && baseline = None then
-              Fmt.epr "pgpu report: --gate without --baseline gates nothing@.";
-            0)
+        0
   in
   Cmd.v
     (Cmd.info "report"
        ~doc:
-         "Render the performance-observatory history: per-target speedup tables, per-kernel \
-          bottleneck attribution, and optional baseline regression verdicts — as text, JSON \
-          or a self-contained HTML dashboard.")
-    Term.(
-      const run $ setup_logs_t $ dir_arg $ baseline_arg $ summary_arg $ json_arg $ html_arg
-      $ gate_arg)
+         "Render the performance-observatory history: per-target speedup tables and \
+          per-kernel bottleneck attribution — as text, JSON or a self-contained HTML \
+          dashboard.")
+    Term.(const run $ setup_logs_t $ dir_arg $ summary_arg $ json_arg $ html_arg)
 
 (* --- list --- *)
 

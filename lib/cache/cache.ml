@@ -27,13 +27,9 @@ type stats = { mutable hits : int; mutable misses : int; mutable stores : int }
 let stats_zero () = { hits = 0; misses = 0; stores = 0 }
 
 module Memo = struct
-  type ('a, 'b) t = {
-    tbl : (int, ('a * 'b) list) Hashtbl.t;
-    lock : Mutex.t;
-    stats : stats;
-  }
+  type ('a, 'b) t = { tbl : (int, ('a * 'b) list) Hashtbl.t; lock : Mutex.t }
 
-  let create () = { tbl = Hashtbl.create 64; lock = Mutex.create (); stats = stats_zero () }
+  let create () = { tbl = Hashtbl.create 64; lock = Mutex.create () }
 
   let locked m f =
     Mutex.lock m.lock;
@@ -52,20 +48,14 @@ module Memo = struct
           | Some bucket -> Option.map snd (List.find_opt (fun (k, _) -> equal k key) bucket))
     in
     match cached with
-    | Some v ->
-        locked m (fun () -> m.stats.hits <- m.stats.hits + 1);
-        v
+    | Some v -> v
     | None ->
         let v = compute () in
         locked m (fun () ->
-            m.stats.misses <- m.stats.misses + 1;
             let bucket = Option.value (Hashtbl.find_opt m.tbl hash) ~default:[] in
             if not (List.exists (fun (k, _) -> equal k key) bucket) then
               Hashtbl.replace m.tbl hash ((key, v) :: bucket));
         v
-
-  let hits m = m.stats.hits
-  let misses m = m.stats.misses
 end
 
 (* ------------------------------------------------------------------ *)

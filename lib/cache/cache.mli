@@ -35,9 +35,6 @@ module Memo : sig
       wasted work, never a wrong answer. *)
   val find_or_add :
     ('a, 'b) t -> hash:int -> equal:('a -> 'a -> bool) -> 'a -> (unit -> 'b) -> 'b
-
-  val hits : ('a, 'b) t -> int
-  val misses : ('a, 'b) t -> int
 end
 
 type t

@@ -644,7 +644,8 @@ let json_of_cpu_compare (data : cpu_entry list) : Json.t =
 (* ------------------------------------------------------------------ *)
 
 (** The quick-mode benchmark subset shared by the bench harness
-    ([--quick]) and the committed regression baseline. *)
+    ([--quick]) and the pinned quick suite
+    ([bench/baselines/quick.json]). *)
 let quick_names = [ "lud"; "gaussian"; "nw"; "hotspot"; "nn" ]
 
 let quick_benches () =
@@ -776,23 +777,60 @@ let obs_specs = specs_of_totals [ (1, 1); (2, 1); (1, 2) ]
     name, coarsening specs, tune. *)
 let obs_configs = [ ("untuned", [], false); ("tdo", obs_specs, true) ]
 
-(** Run the observatory suite and return its history entries —
-    benches x targets x configs, one entry per kernel. Functional
-    (test-scale) runs on a deterministic simulator, so one run of each
-    is exact. [rev]/[env] are forwarded to the history stamps (tests
-    pin them). *)
-let obs_suite ?(benches = Rodinia.all) ?(jobs = 1) ?rev ?env () : History.entry list =
+(** One run of the observatory suite: a bench on a target under one
+    of [obs_configs]. *)
+type obs_run = {
+  obs_bench : string;
+  obs_target : Descriptor.t;
+  obs_config : string;
+  obs_host_seconds : float;  (** host wall-clock of compile + run *)
+  obs_profile : Profile.report;
+}
+
+(** Run the observatory suite: benches x targets x configs, one
+    functional (test-scale) run each. The simulator is deterministic,
+    so one run of each is exact. *)
+let obs_suite ?(benches = Rodinia.all) ?(jobs = 1) () : obs_run list =
   List.concat_map
     (fun (b : Bench_def.t) ->
       List.concat_map
         (fun (target : Descriptor.t) ->
-          List.concat_map
+          List.map
             (fun (config, specs, tune) ->
               let t0 = Unix.gettimeofday () in
               let r = run_rodinia ~specs ~tune ~jobs ~target b in
-              let host_seconds = Unix.gettimeofday () -. t0 in
-              History.entries_of_run ?rev ?env ~host_seconds ~jobs ~bench:b.Bench_def.name ~config
-                ~target ~composite_seconds:r.composite_seconds r.records)
+              {
+                obs_bench = b.Bench_def.name;
+                obs_target = target;
+                obs_config = config;
+                obs_host_seconds = Unix.gettimeofday () -. t0;
+                obs_profile = Profile.of_run ~composite_seconds:r.composite_seconds r.records;
+              })
             obs_configs)
         obs_targets)
     benches
+
+(** The suite's history entries, for [--obs-dir] and [pgpu report]. *)
+let obs_history ~jobs (runs : obs_run list) : History.entry list =
+  List.concat_map
+    (fun r ->
+      History.entries_of_run ~host_seconds:r.obs_host_seconds ~jobs ~bench:r.obs_bench
+        ~config:r.obs_config ~target:r.obs_target r.obs_profile)
+    runs
+
+(** The suite's simulated results, as [gate --metrics-dir] writes them
+    and [bench/baselines/quick.json] pins them: every run's
+    [pgpu profile --json] report. Host wall-clock is left out, so the
+    file is the same bytes on every machine and at every [--jobs]. *)
+let json_of_obs_suite (runs : obs_run list) : Json.t =
+  Json.List
+    (List.map
+       (fun r ->
+         Json.Obj
+           [
+             ("bench", Json.Str r.obs_bench);
+             ("target", Json.Str r.obs_target.Descriptor.name);
+             ("config", Json.Str r.obs_config);
+             ("profile", Profile.json_of_report r.obs_profile);
+           ])
+       runs)

@@ -44,7 +44,6 @@ module Report = Pgpu_analysis.Report
 module Racecheck = Pgpu_gpusim.Racecheck
 module Bottleneck = Pgpu_gpusim.Bottleneck
 module History = Pgpu_obs.History
-module Baseline = Pgpu_obs.Baseline
 module Obs_report = Pgpu_obs.Report
 
 module Instr = Pgpu_ir.Instr

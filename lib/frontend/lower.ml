@@ -68,7 +68,11 @@ type device = {
   grid_dims : Value.t list;
 }
 
-type ctx = { prog : Ast.program; mutable device : device option }
+type ctx = {
+  prog : Ast.program;
+  mutable device : device option;
+  mutable launched : string list;  (** kernels lowered at a launch site *)
+}
 
 (* ------------------------------------------------------------------ *)
 (* AST analyses                                                        *)
@@ -640,38 +644,44 @@ and lower_launch ctx (b : Builder.t) (env : env) (l : Ast.stmt) : env =
             | ty -> SMap.add p.Ast.p_name (Scalar (coerce b (scalar_ty ty) v)) e)
           SMap.empty f.Ast.f_params arg_vals
       in
-      let body_ast = eliminate_returns f.Ast.f_body in
-      let shared = shared_decls body_ast in
-      Builder.gpu_wrapper b kernel (fun wb ->
-          ignore
-            (Builder.parallel wb Instr.Blocks grid_dims (fun bb _bpid bivs ->
-                 (* shared memory at block scope *)
-                 let kenv =
-                   List.fold_left
-                     (fun e (d : Ast.decl) ->
-                       let elt = scalar_ty d.Ast.d_ty in
-                       let size = List.fold_left ( * ) 1 d.Ast.d_dims in
-                       if size <= 0 then err "shared array %s has empty dims" d.Ast.d_name;
-                       let buf = Builder.alloc_shared bb ~hint:d.Ast.d_name elt size in
-                       SMap.add d.Ast.d_name (Shared_arr (buf, d.Ast.d_dims)) e)
-                     kenv shared
-                 in
-                 ignore
-                   (Builder.parallel bb Instr.Threads block_dims (fun tb tpid tivs ->
-                        let saved = ctx.device in
-                        ctx.device <-
-                          Some
-                            {
-                              thread_pid = tpid;
-                              thread_ivs = tivs;
-                              block_ivs = bivs;
-                              block_dims;
-                              grid_dims;
-                            };
-                        ignore (lower_stmts ctx tb kenv body_ast);
-                        ctx.device <- saved)))));
+      ctx.launched <- kernel :: ctx.launched;
+      lower_kernel ctx b f ~grid_dims ~block_dims kenv;
       env
   | _ -> assert false
+
+(** The [gpu_wrapper] of kernel [f] over [grid_dims] x [block_dims],
+    its parameters bound in [kenv]. *)
+and lower_kernel ctx b (f : Ast.func) ~grid_dims ~block_dims kenv =
+  let body_ast = eliminate_returns f.Ast.f_body in
+  let shared = shared_decls body_ast in
+  Builder.gpu_wrapper b f.Ast.f_name (fun wb ->
+      ignore
+        (Builder.parallel wb Instr.Blocks grid_dims (fun bb _bpid bivs ->
+             (* shared memory at block scope *)
+             let kenv =
+               List.fold_left
+                 (fun e (d : Ast.decl) ->
+                   let elt = scalar_ty d.Ast.d_ty in
+                   let size = List.fold_left ( * ) 1 d.Ast.d_dims in
+                   if size <= 0 then err "shared array %s has empty dims" d.Ast.d_name;
+                   let buf = Builder.alloc_shared bb ~hint:d.Ast.d_name elt size in
+                   SMap.add d.Ast.d_name (Shared_arr (buf, d.Ast.d_dims)) e)
+                 kenv shared
+             in
+             ignore
+               (Builder.parallel bb Instr.Threads block_dims (fun tb tpid tivs ->
+                    let saved = ctx.device in
+                    ctx.device <-
+                      Some
+                        {
+                          thread_pid = tpid;
+                          thread_ivs = tivs;
+                          block_ivs = bivs;
+                          block_dims;
+                          grid_dims;
+                        };
+                    ignore (lower_stmts ctx tb kenv body_ast);
+                    ctx.device <- saved)))))
 
 (* ------------------------------------------------------------------ *)
 (* Functions and programs                                              *)
@@ -718,9 +728,33 @@ let lower_host_func ctx (f : Ast.func) : Instr.func =
   Builder.return b ret_vals;
   { Instr.fname = f.Ast.f_name; params; ret = ret_tys; body = Builder.finish b }
 
+(** Lower kernel [f], which no launch reaches, over a 1-D grid and
+    block of unknown extent into a builder that is then dropped: the
+    kernel gets the source errors a launch of it would. *)
+let check_unlaunched ctx (f : Ast.func) =
+  let kenv =
+    List.fold_left
+      (fun e (p : Ast.param) ->
+        let v ty = Value.fresh ~hint:p.Ast.p_name ty in
+        match p.Ast.p_ty with
+        | Ast.Tptr elt ->
+            SMap.add p.Ast.p_name (Buffer (v (Types.Memref (Types.Global, scalar_ty elt)))) e
+        | ty -> SMap.add p.Ast.p_name (Scalar (v (scalar_ty ty))) e)
+      SMap.empty f.Ast.f_params
+  in
+  let extent () = [ Value.fresh ~hint:"n" Types.I32 ] in
+  lower_kernel ctx (Builder.create ()) f ~grid_dims:(extent ()) ~block_dims:(extent ()) kenv
+
 (** Lower a mini-CUDA program to an IR module. Kernels are inlined at
-    their launch sites; only host functions appear in the module. *)
+    their launch sites; only host functions appear in the module. A
+    kernel no launch reaches is checked by [check_unlaunched]. *)
 let lower_program (p : Ast.program) : Instr.modul =
-  let ctx = { prog = p; device = None } in
+  let ctx = { prog = p; device = None; launched = [] } in
   let hosts = List.filter (fun (f : Ast.func) -> f.Ast.f_kind = Ast.Host) p.Ast.funcs in
-  { Instr.funcs = List.map (lower_host_func ctx) hosts }
+  let funcs = List.map (lower_host_func ctx) hosts in
+  List.iter
+    (fun (f : Ast.func) ->
+      if f.Ast.f_kind = Ast.Kernel && not (List.mem f.Ast.f_name ctx.launched) then
+        check_unlaunched ctx f)
+    p.Ast.funcs;
+  { Instr.funcs }

@@ -118,10 +118,9 @@ let env_fingerprint () =
 (* Building entries from a run                                         *)
 (* ------------------------------------------------------------------ *)
 
-let entries_of_run ?rev ?env ?(host_seconds = 0.) ?(jobs = 1) ~bench ~config
-    ~(target : Descriptor.t) ~composite_seconds records : entry list =
-  let rev = match rev with Some r -> r | None -> git_rev () in
-  let env = match env with Some e -> e | None -> env_fingerprint () in
+let entries_of_run ?(host_seconds = 0.) ?(jobs = 1) ~bench ~config ~(target : Descriptor.t)
+    (report : Profile.report) : entry list =
+  let rev = git_rev () and env = env_fingerprint () in
   List.map
     (fun (k : Profile.kernel_profile) ->
       {
@@ -134,7 +133,7 @@ let entries_of_run ?rev ?env ?(host_seconds = 0.) ?(jobs = 1) ~bench ~config
         launches = k.Profile.launches;
         alternative = k.Profile.alternative;
         seconds = k.Profile.seconds;
-        composite_seconds;
+        composite_seconds = report.Profile.composite_seconds;
         host_seconds;
         jobs;
         cycles = k.Profile.cycles;
@@ -146,7 +145,18 @@ let entries_of_run ?rev ?env ?(host_seconds = 0.) ?(jobs = 1) ~bench ~config
           +. Counters.dram_write_bytes k.Profile.counters;
         divergent_branches = k.Profile.counters.Counters.divergent_branches;
       })
-    (Profile.of_records records)
+    report.Profile.kernels
+
+let latest (entries : entry list) : entry list =
+  let last = Hashtbl.create 64 in
+  let order = ref [] in
+  List.iter
+    (fun e ->
+      let k = (e.bench, e.kernel, e.target, e.config) in
+      if not (Hashtbl.mem last k) then order := k :: !order;
+      Hashtbl.replace last k e)
+    entries;
+  List.rev_map (Hashtbl.find last) !order
 
 (* ------------------------------------------------------------------ *)
 (* JSON codec                                                          *)

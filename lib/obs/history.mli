@@ -48,20 +48,23 @@ val git_rev : unit -> string
     (compiler version / OS / word size). *)
 val env_fingerprint : unit -> string
 
-(** Project the launch records of one run into history entries (one
-    per kernel, via the profiler's per-kernel aggregation). [rev] and
-    [env] default to [git_rev ()] / [env_fingerprint ()]. *)
+(** Project the per-kernel profile of one run into history entries
+    (one per kernel), stamped with [git_rev ()] and
+    [env_fingerprint ()]. *)
 val entries_of_run :
-  ?rev:string ->
-  ?env:string ->
   ?host_seconds:float ->
   ?jobs:int ->
   bench:string ->
   config:string ->
   target:Descriptor.t ->
-  composite_seconds:float ->
-  Pgpu_runtime.Runtime.launch_record list ->
+  Profile.report ->
   entry list
+
+(** The last entry written for each (bench, kernel, target, config)
+    key, keys in first-appearance order. Every repeat of a key on one
+    tree is bit-identical, so this is the run's value; over a history
+    that spans revisions it is the newest one's. *)
+val latest : entry list -> entry list
 
 val json_of_entry : entry -> Json.t
 val entry_of_json : Json.t -> (entry, string) result

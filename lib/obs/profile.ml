@@ -38,21 +38,12 @@ type kernel_profile = {
   utilization : float;
   lsu_utilization : float;
   fma_utilization : float;
-  bound : string;  (** the roofline resource that limits the kernel *)
   bottleneck : Bottleneck.t;  (** attribution of the dominant launch *)
   cycles : float;  (** simulated device cycles of the dominant launch *)
   counters : Counters.t;  (** aggregated over all launches *)
 }
 
 type report = { composite_seconds : float; kernels : kernel_profile list }
-
-(** Name of the timing-model resource with the largest cycle count —
-    what Nsight would call the limiting pipe. *)
-let bound_name (b : Timing.breakdown) =
-  fst
-    (List.fold_left
-       (fun (bn, bc) (n, c) -> if c > bc then (n, c) else (bn, bc))
-       ("issue", -1.) (Timing.terms b))
 
 let of_records (records : Runtime.launch_record list) : kernel_profile list =
   let names =
@@ -71,7 +62,7 @@ let of_records (records : Runtime.launch_record list) : kernel_profile list =
       List.iter
         (fun (r : Runtime.launch_record) -> Counters.accumulate counters r.Runtime.result.Exec.counters)
         recs;
-      (* utilizations, occupancy and the limiting bound come from the
+      (* utilizations, occupancy and the bottleneck come from the
          dominant (largest-grid) launch — what a profiler run of the
          kernel reports *)
       let dominant =
@@ -106,7 +97,6 @@ let of_records (records : Runtime.launch_record list) : kernel_profile list =
         utilization = b.Timing.utilization;
         lsu_utilization = b.Timing.lsu_utilization;
         fma_utilization = b.Timing.fma_utilization;
-        bound = bound_name b;
         bottleneck = d.Runtime.bottleneck;
         cycles = b.Timing.cycles;
         counters;
@@ -137,7 +127,6 @@ let pp_kernel ~composite ppf (k : kernel_profile) =
   line "Achieved Occupancy" "%.1f%%  (limiter: %s, %d blocks/SM)" (100. *. k.occupancy)
     k.occupancy_limiter k.blocks_per_sm;
   line "Grid Utilization" "%.1f%%" (100. *. k.utilization);
-  line "Limiting Resource" "%s" k.bound;
   line "Bottleneck" "%a" Bottleneck.pp k.bottleneck;
   (* the Table II counter set *)
   line "LSU Utilization" "%.0f%%" (100. *. k.lsu_utilization);
@@ -191,7 +180,6 @@ let json_of_kernel (k : kernel_profile) : Json.t =
       ("utilization", Json.Float k.utilization);
       ("lsu_utilization", Json.Float k.lsu_utilization);
       ("fma_utilization", Json.Float k.fma_utilization);
-      ("bound", Json.Str k.bound);
       ("bottleneck", Json.Str (Bottleneck.label_name k.bottleneck.Bottleneck.label));
       ("bottleneck_limiter", Json.Str k.bottleneck.Bottleneck.limiter);
       ("bottleneck_headroom", Json.Float k.bottleneck.Bottleneck.headroom);

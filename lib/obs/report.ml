@@ -1,14 +1,13 @@
 (** Cross-target performance report over the run history.
 
-    Renders each key's latest history entry ([Baseline.latest]) as
+    Renders each key's latest history entry ([History.latest]) as
     per-target tables — one row per (bench, kernel), one column per
     configuration with its speedup against the reference
     configuration (["untuned"] when present) — plus a bottleneck
-    breakdown per target, an optional baseline comparison, and an
-    optional embedded bench [summary.json]. Three
-    output forms from the same structure: text ([pp]), JSON
-    ([to_json]) and a self-contained HTML dashboard ([to_html], inline
-    CSS, no external assets). *)
+    breakdown per target and an optional embedded bench
+    [summary.json]. Three output forms from the same structure: text
+    ([pp]), JSON ([to_json]) and a self-contained HTML dashboard
+    ([to_html], inline CSS, no external assets). *)
 
 module Json = Pgpu_trace.Json
 module Bottleneck = Pgpu_gpusim.Bottleneck
@@ -49,7 +48,6 @@ type t = {
   revs : string list;
   envs : string list;
   sections : target_section list;
-  baseline : (Baseline.t * Baseline.result) option;
   summary : Json.t option;  (** bench harness summary.json, embedded verbatim *)
 }
 
@@ -135,16 +133,14 @@ let build_section (latest : History.entry list) target : target_section =
   in
   { target; reference; configs; rows; bottlenecks }
 
-let build ?baseline ?summary (entries : History.entry list) : t =
-  let latest = Baseline.latest entries in
+let build ?summary (entries : History.entry list) : t =
+  let latest = History.latest entries in
   let targets = uniq (List.map (fun (e : History.entry) -> e.History.target) latest) in
   {
     n_entries = List.length entries;
     revs = uniq (List.map (fun (e : History.entry) -> e.History.rev) entries);
     envs = uniq (List.map (fun (e : History.entry) -> e.History.env) entries);
     sections = List.map (build_section latest) targets;
-    baseline =
-      Option.map (fun b -> (b, Baseline.compare_runs b entries)) baseline;
     summary;
   }
 
@@ -187,11 +183,6 @@ let pp ppf (r : t) =
       if i > 0 then Fmt.pf ppf "@.";
       pp_section ppf s)
     r.sections;
-  (match r.baseline with
-  | None -> ()
-  | Some (b, res) ->
-      Fmt.pf ppf "@.Baseline %S (rev %s): %a@." b.Baseline.name b.Baseline.rev Baseline.pp_result
-        res);
   match r.summary with
   | None -> ()
   | Some (Json.Obj fields) when List.mem_assoc "experiments" fields -> (
@@ -246,15 +237,6 @@ let to_json (r : t) =
       ("revs", Json.List (List.map Json.str r.revs));
       ("envs", Json.List (List.map Json.str r.envs));
       ("targets", Json.List (List.map json_of_section r.sections));
-      ( "baseline",
-        match r.baseline with
-        | None -> Json.Null
-        | Some (b, res) -> (
-            match Baseline.json_of_result res with
-            | Json.Obj fields ->
-                Json.Obj
-                  (("name", Json.Str b.Baseline.name) :: ("rev", Json.Str b.Baseline.rev) :: fields)
-            | j -> j) );
       ("summary", match r.summary with None -> Json.Null | Some s -> s);
     ]
 
@@ -283,7 +265,6 @@ th{background:#eef1f5}td.name,th.name{text-align:left;font-family:ui-monospace,m
 .badge{display:inline-block;padding:.1rem .45rem;border-radius:.6rem;font-size:.8rem;color:#fff}
 .memory-bound{background:#2563eb}.compute-bound{background:#059669}.latency-bound{background:#d97706}
 .occupancy-limited{background:#7c3aed}.divergence-limited{background:#dc2626}
-.improved{color:#059669;font-weight:600}.regressed{color:#dc2626;font-weight:600}.unchanged{color:#6b7280}
 .speedup{font-weight:600}.meta{color:#6b7280;font-size:.85rem}|}
 
 let to_html (r : t) =
@@ -333,33 +314,6 @@ let to_html (r : t) =
         s.rows;
       pf "</table>\n")
     r.sections;
-  (match r.baseline with
-  | None -> ()
-  | Some (b, res) ->
-      pf "<h2>Baseline <code>%s</code> (rev %s)</h2>\n" (html_escape b.Baseline.name)
-        (html_escape b.Baseline.rev);
-      let reg = Baseline.regressions res and imp = Baseline.improvements res in
-      pf "<p class=\"meta\">%d compared &middot; <span class=\"regressed\">%d regressed</span> \
-          &middot; <span class=\"improved\">%d improved</span> &middot; %d missing &middot; %d \
-          new</p>\n"
-        (List.length res.Baseline.comparisons)
-        (List.length reg) (List.length imp)
-        (List.length res.Baseline.missing)
-        (List.length res.Baseline.added);
-      pf
-        "<table><tr><th class=\"name\">key</th><th>baseline (s)</th><th>current \
-         (s)</th><th>ratio</th><th>verdict</th></tr>\n";
-      List.iter
-        (fun (c : Baseline.comparison) ->
-          let v = Baseline.verdict_name c.Baseline.verdict in
-          pf
-            "<tr><td class=\"name\">%s</td><td>%.6f</td><td>%.6f</td><td>%.3f</td><td \
-             class=\"%s\">%s</td></tr>\n"
-            (html_escape (Fmt.str "%a" Baseline.pp_key c.Baseline.key))
-            c.Baseline.baseline c.Baseline.current
-            c.Baseline.ratio v v)
-        res.Baseline.comparisons;
-      pf "</table>\n");
   (match r.summary with
   | None -> ()
   | Some s ->

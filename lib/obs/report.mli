@@ -1,9 +1,9 @@
 (** Cross-target performance report over the run history: per-target
     speedup tables (one row per bench/kernel, one column per
     configuration, speedups vs the ["untuned"] reference), a
-    bottleneck breakdown per target, an optional baseline comparison
-    and an optional embedded bench summary. Same structure rendered as
-    text, JSON, or a self-contained HTML dashboard. *)
+    bottleneck breakdown per target and an optional embedded bench
+    summary. Same structure rendered as text, JSON, or a
+    self-contained HTML dashboard. *)
 
 module Json = Pgpu_trace.Json
 module Bottleneck = Pgpu_gpusim.Bottleneck
@@ -41,13 +41,11 @@ type t = {
   revs : string list;
   envs : string list;
   sections : target_section list;
-  baseline : (Baseline.t * Baseline.result) option;
   summary : Json.t option;
 }
 
-(** Assemble the report from each key's [Baseline.latest] entry; when
-    [baseline] is given the entries are also compared against it. *)
-val build : ?baseline:Baseline.t -> ?summary:Json.t -> History.entry list -> t
+(** Assemble the report from each key's [History.latest] entry. *)
+val build : ?summary:Json.t -> History.entry list -> t
 
 val pp : t Fmt.t
 val to_string : t -> string

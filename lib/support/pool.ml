@@ -9,11 +9,10 @@
 
     Batches are indexed task sets executed under an atomic work-stealing
     cursor, so uneven item costs balance out. The caller participates
-    as a worker, results are delivered in index order, and exceptions
-    are captured per index with the lowest-index one re-raised after
-    the batch completes — the same observable behaviour as a sequential
-    [List.map] that stops at the first failing item, regardless of
-    domain scheduling.
+    as a worker, and exceptions are captured per index with the
+    lowest-index one re-raised after the batch completes — the same
+    observable behaviour as a sequential loop that stops at the first
+    failing index, regardless of domain scheduling.
 
     Each participating worker is handed a dense slot number in
     [0, jobs): slot 0 is the caller, slots 1.. are pool domains that won
@@ -201,16 +200,3 @@ let run t ~jobs n (f : slot:int -> int -> unit) : unit =
     end;
     Array.iter (function Some e -> raise e | None -> ()) errs
   end
-
-(** Order-preserving parallel map on the pool; observably identical to
-    [List.map f l] up to the timing of side effects within [f]. *)
-let map t ~jobs (f : 'a -> 'b) (l : 'a list) : 'b list =
-  match l with
-  | [] -> []
-  | [ x ] -> [ f x ]
-  | _ ->
-      let items = Array.of_list l in
-      let n = Array.length items in
-      let out = Array.make n None in
-      run t ~jobs n (fun ~slot:_ i -> out.(i) <- Some (f items.(i)));
-      Array.to_list out |> List.map (function Some x -> x | None -> assert false)

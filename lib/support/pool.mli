@@ -5,10 +5,10 @@
     (candidate expansion, TDO trials, sharded launches) pay two lock
     round-trips instead of [jobs - 1] domain spawns each.
 
-    Determinism contract: results are delivered in index order and the
-    lowest-index exception is the one re-raised, so a pool-backed map is
-    observably identical to its sequential counterpart regardless of
-    how the domains interleave.
+    Determinism contract: the lowest-index exception is the one
+    re-raised, so a batch whose items write only their own index's
+    results is observably identical to its sequential counterpart
+    regardless of how the domains interleave.
 
     The pool runs one batch at a time; a batch submitted while another
     is in flight (nested parallelism) runs inline on the submitting
@@ -45,10 +45,6 @@ val run : t -> jobs:int -> int -> (slot:int -> int -> unit) -> unit
     per-worker state. Blocks until all indices complete; re-raises the
     lowest-index exception raised by [f]. Runs inline sequentially when
     [jobs <= 1], [n <= 1], or called from within another batch. *)
-
-val map : t -> jobs:int -> ('a -> 'b) -> 'a list -> 'b list
-(** Order-preserving parallel map; observably identical to [List.map]
-    up to side-effect timing inside [f]. *)
 
 val shutdown : t -> unit
 (** Stop and join all workers. Registered via [at_exit] for the global

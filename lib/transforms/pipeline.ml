@@ -19,7 +19,6 @@ type options = {
   optimize : bool;  (** scalar optimizations (CSE, LICM, canonicalize, DCE) *)
   coarsen_specs : Coarsen.spec list;
       (** coarsening configurations to version; empty = no coarsening *)
-  verify : bool;  (** verify the module between stages *)
   tracer : Tracer.t;  (** pass/pruning telemetry sink; [Tracer.disabled] = off *)
   cache : Pgpu_cache.Cache.t;
       (** accepted and ignored: compilation consults no cache. Kept for
@@ -32,7 +31,6 @@ let default_options target =
     target;
     optimize = true;
     coarsen_specs = [];
-    verify = true;
     tracer = Tracer.disabled;
     cache = Pgpu_cache.Cache.disabled;
     jobs = 1;
@@ -120,8 +118,8 @@ let expand_kernels options (m : Instr.modul) : Instr.modul * kernel_report list 
   ({ Instr.funcs }, List.rev !reports)
 
 (** Compile a module: scalar optimization, then kernel
-    multi-versioning. Raises [Verify.Invalid] if an internal pass
-    breaks the IR (with [verify = true]). *)
+    multi-versioning, verifying the module before, between and after
+    them. Raises [Verify.Invalid] if an internal pass breaks the IR. *)
 let compile (options : options) (m : Instr.modul) : Instr.modul * report =
   let tracer = options.tracer in
   Tracer.begin_span tracer ~cat:"compile"
@@ -131,14 +129,14 @@ let compile (options : options) (m : Instr.modul) : Instr.modul * report =
         ("ops", Json.Int (if Tracer.enabled tracer then op_count m else 0));
       ]
     "pipeline";
-  if options.verify then Verify.check_exn m;
+  Verify.check_exn m;
   let m = if options.optimize then scalar_pipeline ~tracer m else m in
-  if options.verify then Verify.check_exn m;
+  Verify.check_exn m;
   let m, kernels =
     if options.coarsen_specs = [] then (m, [])
     else begin
       let m, reports = expand_kernels options m in
-      if options.verify then Verify.check_exn m;
+      Verify.check_exn m;
       (m, reports)
     end
   in

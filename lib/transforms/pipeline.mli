@@ -14,7 +14,6 @@ type options = {
   target : Descriptor.t;
   optimize : bool;  (** scalar optimizations (CSE, LICM, canonicalize, DCE, barriers) *)
   coarsen_specs : Coarsen.spec list;  (** configurations to version; empty = none *)
-  verify : bool;  (** verify the module between stages *)
   tracer : Pgpu_trace.Tracer.t;
       (** pass/pruning telemetry sink; [Tracer.disabled] (the default) = off *)
   cache : Pgpu_cache.Cache.t;
@@ -37,8 +36,8 @@ type report = { kernels : kernel_report list }
 val scalar_pipeline : ?tracer:Pgpu_trace.Tracer.t -> Instr.modul -> Instr.modul
 
 (** Compile a module: scalar optimization, then kernel
-    multi-versioning. Raises [Verify.Invalid] if an internal pass
-    breaks the IR (with [verify = true]). *)
+    multi-versioning, verifying the module before, between and after
+    them. Raises [Verify.Invalid] if an internal pass breaks the IR. *)
 val compile : options -> Instr.modul -> Instr.modul * report
 
 (** Specs from (block_total, thread_total) pairs — the paper's "total

@@ -92,8 +92,7 @@ let test_memo () =
   Alcotest.(check int) "hit returns memoized value" v1 v2;
   (* a colliding hash with a different key is not a hit *)
   let v3 = Cache.Memo.find_or_add m ~hash:7 ~equal:Int.equal 2 compute in
-  Alcotest.(check int) "collision recomputes" 20 v3;
-  Alcotest.(check (pair int int)) "counters" (1, 2) (Cache.Memo.hits m, Cache.Memo.misses m)
+  Alcotest.(check int) "collision recomputes" 20 v3
 
 (** A fresh temporary directory path (not yet created). *)
 let temp_dir () =
@@ -140,12 +139,10 @@ let test_store_corrupt () =
 (* ------------------------------------------------------------------ *)
 
 let test_atomic_fresh () =
-  let ids =
-    Pgpu_support.Pool.(map (get ())) ~jobs:4
-      (fun _ -> List.init 200 (fun _ -> (Value.fresh Types.I32).Value.id))
-      (List.init 8 Fun.id)
-  in
-  let all = List.concat ids in
+  let ids = Array.make 8 [] in
+  Pgpu_support.Pool.(run (get ())) ~jobs:4 8 (fun ~slot:_ i ->
+      ids.(i) <- List.init 200 (fun _ -> (Value.fresh Types.I32).Value.id));
+  let all = List.concat (Array.to_list ids) in
   Alcotest.(check int)
     "fresh value ids are unique across domains" (List.length all)
     (List.length (List.sort_uniq Int.compare all))

@@ -234,6 +234,25 @@ let test_parse_errors () =
       | _ -> Alcotest.failf "expected a frontend error for %S" src)
     bad
 
+(* a kernel no launch reaches gets the source error a launch of it
+   gets, and adds nothing to the module *)
+let test_unlaunched_kernel () =
+  let kernel dims =
+    Fmt.str "__global__ void k(float* a) { __shared__ float s[%d]; a[threadIdx.x] = s[0]; }@." dims
+  in
+  let launched =
+    kernel 0
+    ^ "float* main(int n) { float* d; cudaMalloc((void**)&d, n * sizeof(float)); k<<<1, \
+       32>>>(d); return d; }"
+  in
+  let error src =
+    match Frontend.compile_string src with
+    | exception Frontend.Error m -> m
+    | _ -> Alcotest.failf "expected a frontend error for %S" src
+  in
+  Alcotest.(check string) "same error as when launched" (error launched) (error (kernel 0));
+  Alcotest.(check int) "no function" 0 (List.length (Frontend.compile_string (kernel 4)).Instr.funcs)
+
 let test_double_promotion () =
   (* double-typed source must produce fp64 lane operations *)
   let src =
@@ -277,6 +296,7 @@ let suite =
         !:"early return, short-circuit, host while" `Quick test_misc;
         !:"frontend + coarsening integration" `Quick test_frontend_coarsen_integration;
         !:"parse errors" `Quick test_parse_errors;
+        !:"an unlaunched kernel is lowered once and dropped" `Quick test_unlaunched_kernel;
         !:"double precision lanes" `Quick test_double_promotion;
       ] );
   ]

@@ -1,17 +1,15 @@
 (** Tests for the performance observatory ([Pgpu_obs]): the history
     store round-trips entries through JSONL (tolerating malformed
-    lines), the baseline comparator is an identity on a run against
-    itself and symmetric under swapping baseline and current (qcheck),
-    the bottleneck classifier is total and invariant under uniform
-    scaling of counters and cycle terms (qcheck), the committed quick
-    baseline gates the quick suite with no key moved while a kernel
-    moved by one ulp or 1 % either way is flagged, Table II matches
-    its committed file byte for byte, and the report builder pins a
-    golden JSON rendering plus a bottleneck label for every
-    quick-suite kernel in the HTML dashboard. *)
+    lines), the bottleneck classifier is total and invariant under
+    uniform scaling of counters and cycle terms (qcheck), the quick
+    suite's profiles and Table II match their files under
+    [bench/baselines] byte for byte, a one-ulp move fails that check
+    at its line, and the report builder pins a golden JSON rendering
+    plus a bottleneck label for every quick-suite kernel in the HTML
+    dashboard. *)
 
 module History = Pgpu_obs.History
-module Baseline = Pgpu_obs.Baseline
+module Profile = Pgpu_obs.Profile
 module Obs_report = Pgpu_obs.Report
 module Bottleneck = Pgpu_gpusim.Bottleneck
 module Counters = Pgpu_gpusim.Counters
@@ -97,67 +95,6 @@ let test_history_skips_malformed () =
   match History.load ~dir with
   | Error m -> Alcotest.failf "load: %s" m
   | Ok got -> Alcotest.(check int) "malformed lines skipped" 2 (List.length got)
-
-(* ------------------------------------------------------------------ *)
-(* Comparator properties                                               *)
-(* ------------------------------------------------------------------ *)
-
-let gen_key =
-  QCheck.Gen.(
-    quad
-      (oneofl [ "b1"; "b2" ])
-      (oneofl [ "k1"; "k2"; "k3" ])
-      (oneofl [ "a100"; "cpu" ])
-      (oneofl [ "untuned"; "tdo" ]))
-
-(* Discrete microsecond grid: coarse enough that two runs often give a
-   key equal seconds, so unchanged verdicts occur next to moves. *)
-let gen_seconds = QCheck.Gen.(map (fun n -> float_of_int (1 + n) *. 1e-6) (int_bound 999))
-
-let entry_of ((b, k, t, c), s) = mk ~bench:b ~kernel:k ~target:t ~config:c s
-
-let print_run entries =
-  String.concat "; "
-    (List.map
-       (fun (e : History.entry) ->
-         Fmt.str "%s/%s@%s[%s]=%g" e.History.bench e.History.kernel e.History.target
-           e.History.config e.History.seconds)
-       entries)
-
-let arb_entries =
-  QCheck.make ~print:print_run
-    QCheck.Gen.(
-      map (List.map entry_of) (list_size (int_range 0 12) (pair gen_key gen_seconds)))
-
-let prop_comparator_identity =
-  QCheck.Test.make ~name:"a run against its own snapshot is never a regression" ~count:200
-    arb_entries (fun entries ->
-      let base = Baseline.snapshot entries in
-      let r = Baseline.compare_runs base entries in
-      Baseline.regressions r = []
-      && Baseline.improvements r = []
-      && r.Baseline.missing = [] && r.Baseline.added = []
-      && List.length r.Baseline.comparisons = List.length base.Baseline.entries
-      && List.for_all (fun c -> c.Baseline.verdict = Baseline.Unchanged) r.Baseline.comparisons)
-
-let arb_two_runs =
-  QCheck.make
-    ~print:(fun (a, b) -> print_run a ^ " || " ^ print_run b)
-    QCheck.Gen.(
-      map
-        (fun l ->
-          ( List.map (fun (k, sa, _) -> entry_of (k, sa)) l,
-            List.map (fun (k, _, sb) -> entry_of (k, sb)) l ))
-        (list_size (int_range 1 10) (triple gen_key gen_seconds gen_seconds)))
-
-let prop_comparator_symmetry =
-  QCheck.Test.make ~name:"swapping baseline and current swaps the verdicts" ~count:200
-    arb_two_runs (fun (run_a, run_b) ->
-      let keys cs = List.map (fun (c : Baseline.comparison) -> c.Baseline.key) cs in
-      let ab = Baseline.compare_runs (Baseline.snapshot run_a) run_b in
-      let ba = Baseline.compare_runs (Baseline.snapshot run_b) run_a in
-      keys (Baseline.regressions ab) = keys (Baseline.improvements ba)
-      && keys (Baseline.improvements ab) = keys (Baseline.regressions ba))
 
 (* ------------------------------------------------------------------ *)
 (* Classifier properties                                               *)
@@ -251,98 +188,84 @@ let test_classifier_all_zero () =
   Alcotest.(check string) "label" "compute-bound" (Bottleneck.label_name t.Bottleneck.label)
 
 (* ------------------------------------------------------------------ *)
-(* Quick-suite gate against the committed baseline                     *)
+(* Pinned files: bench/baselines against what the code computes now    *)
 (* ------------------------------------------------------------------ *)
 
-let quick_entries = lazy (E.obs_suite ~benches:(E.quick_benches ()) ~rev:"test" ~env:"test" ())
+(* [None] when bench/baselines/[file] holds exactly [computed], else
+   the first line where the two differ and the command that rewrites
+   the file: [bench/main.exe cmd --metrics-dir DIR] writes it as
+   DIR/[out]. Simulated time is deterministic, so any move, faster or
+   slower, fails. *)
+let pin_mismatch ~file ~cmd ~out computed =
+  let path =
+    List.find Sys.file_exists [ "../bench/baselines/" ^ file; "bench/baselines/" ^ file ]
+  in
+  let committed = In_channel.with_open_bin path In_channel.input_all in
+  if String.equal committed computed then None
+  else
+    let line = function l :: _ -> String.trim l | [] -> "<end of file>" in
+    let rec first n = function
+      | c :: cs, x :: xs when String.equal c x -> first (n + 1) (cs, xs)
+      | cs, xs -> (n, line cs, line xs)
+    in
+    let n, c, x =
+      first 1 (String.split_on_char '\n' committed, String.split_on_char '\n' computed)
+    in
+    Some
+      (Fmt.str
+         "bench/baselines/%s line %d differs from what the code computes:@.  committed: %s@.  \
+          computed:  %s@.If the move is intended, rewrite the file: dune exec bench/main.exe \
+          -- %s --metrics-dir DIR && cp DIR/%s bench/baselines/%s"
+         file n c x cmd out file)
 
-let baseline_path () =
-  List.find Sys.file_exists [ "../bench/baselines/quick.json"; "bench/baselines/quick.json" ]
+let quick_suite = lazy (E.obs_suite ~benches:(E.quick_benches ()) ())
+let quick_json runs = Json.to_string_pretty (E.json_of_obs_suite runs)
+let quick_mismatch = pin_mismatch ~file:"quick.json" ~cmd:"gate --quick" ~out:"gate.json"
 
-let load_baseline () =
-  match Baseline.load (baseline_path ()) with
-  | Ok b -> b
-  | Error m -> Alcotest.failf "committed baseline unreadable: %s" m
+let test_quick_pinned () =
+  Option.iter Alcotest.fail (quick_mismatch (quick_json (Lazy.force quick_suite)))
 
-let test_gate_clean () =
-  let entries = Lazy.force quick_entries in
-  let base = load_baseline () in
-  let r = Baseline.compare_runs base entries in
-  let show ks = List.map (Fmt.str "%a" Baseline.pp_key) ks in
-  Alcotest.(check (list string)) "no baseline key is missing" [] (show r.Baseline.missing);
-  Alcotest.(check (list string)) "no key beyond the baseline" [] (show r.Baseline.added);
-  Alcotest.(check int) "every baseline key compared" (List.length base.Baseline.entries)
-    (List.length r.Baseline.comparisons);
-  Alcotest.(check int) "no regressions" 0 (List.length (Baseline.regressions r));
-  Alcotest.(check int) "no improvements" 0 (List.length (Baseline.improvements r));
-  Alcotest.(check bool) "all unchanged" true
-    (List.for_all (fun c -> c.Baseline.verdict = Baseline.Unchanged) r.Baseline.comparisons)
-
-let with_seconds_scaled victim k entries =
-  List.map
-    (fun (e : History.entry) ->
-      if Baseline.compare_key (Baseline.key_of_entry e) victim = 0 then
-        { e with History.seconds = e.History.seconds *. k }
-      else e)
-    entries
-
-let test_gate_flags_artificial_slowdown () =
-  let entries = Lazy.force quick_entries in
-  let base = load_baseline () in
-  let victim_entry = List.hd entries in
-  Alcotest.(check bool) "victim is measurable" true (victim_entry.History.seconds > 1e-9);
-  let victim = Baseline.key_of_entry victim_entry in
-  let keys cs = List.map (fun (c : Baseline.comparison) -> Fmt.str "%a" Baseline.pp_key c.Baseline.key) cs in
-  let slowed = Baseline.compare_runs base (with_seconds_scaled victim 2. entries) in
-  Alcotest.(check (list string)) "slowed kernel regresses"
-    [ Fmt.str "%a" Baseline.pp_key victim ]
-    (keys (Baseline.regressions slowed));
-  Alcotest.(check int) "slowdown is not an improvement" 0 (List.length (Baseline.improvements slowed));
-  let sped = Baseline.compare_runs base (with_seconds_scaled victim 0.5 entries) in
-  Alcotest.(check (list string)) "sped-up kernel improves"
-    [ Fmt.str "%a" Baseline.pp_key victim ]
-    (keys (Baseline.improvements sped));
-  Alcotest.(check int) "speed-up is not a regression" 0 (List.length (Baseline.regressions sped))
-
-(* the comparator is exact: one ulp or 1 % either way moves exactly the
-   scaled key; a 2 % noise band called all three unchanged *)
-let test_gate_exact () =
-  let entries = Lazy.force quick_entries in
-  let base = load_baseline () in
-  let victim = Baseline.key_of_entry (List.hd entries) in
-  List.iter
-    (fun (k, verdict) ->
-      let r = Baseline.compare_runs base (with_seconds_scaled victim k entries) in
-      let moved =
-        List.map
-          (fun (c : Baseline.comparison) ->
-            Fmt.str "%a %s" Baseline.pp_key c.Baseline.key (Baseline.verdict_name c.Baseline.verdict))
-          (Baseline.moved r)
-      in
-      Alcotest.(check (list string))
-        (Fmt.str "seconds x %h" k)
-        [ Fmt.str "%a %s" Baseline.pp_key victim (Baseline.verdict_name verdict) ]
-        moved)
-    [ (1.01, Baseline.Regressed); (Float.succ 1., Baseline.Regressed); (0.99, Baseline.Improved) ]
-
-(* ------------------------------------------------------------------ *)
-(* Table II against its committed file                                 *)
-(* ------------------------------------------------------------------ *)
+(* one ulp more on the first kernel's seconds fails the check at the
+   line that holds them *)
+let test_pin_names_moved_line () =
+  let runs = Lazy.force quick_suite in
+  let r = List.hd runs in
+  let p = r.E.obs_profile in
+  let k = List.hd p.Profile.kernels in
+  let k = { k with Profile.seconds = Float.succ k.Profile.seconds } in
+  let moved =
+    { r with E.obs_profile = { p with Profile.kernels = k :: List.tl p.Profile.kernels } }
+    :: List.tl runs
+  in
+  let computed = quick_json moved in
+  let seconds = Fmt.str "\"seconds\": %s," (Json.to_string (Json.Float k.Profile.seconds)) in
+  let rec line_of n = function
+    | l :: ls -> if String.equal (String.trim l) seconds then n else line_of (n + 1) ls
+    | [] -> Alcotest.failf "no line %s" seconds
+  in
+  let n = line_of 1 (String.split_on_char '\n' computed) in
+  match quick_mismatch computed with
+  | None -> Alcotest.fail "a one-ulp move passed the check"
+  | Some msg ->
+      List.iter
+        (fun part -> Alcotest.(check bool) (Fmt.str "the message holds %S" part) true (contains msg part))
+        [
+          Fmt.str "quick.json line %d differs" n;
+          seconds;
+          "bench/main.exe -- gate --quick --metrics-dir DIR && cp DIR/gate.json";
+        ]
 
 let test_table2_pinned () =
-  let path =
-    List.find Sys.file_exists [ "../bench/baselines/table2.json"; "bench/baselines/table2.json" ]
-  in
-  Alcotest.(check string) "Table II as bench/main.exe table2 --metrics-dir writes it"
-    (In_channel.with_open_bin path In_channel.input_all)
-    (Json.to_string_pretty (E.json_of_table2 (E.table2_data ())))
+  Option.iter Alcotest.fail
+    (pin_mismatch ~file:"table2.json" ~cmd:"table2" ~out:"table2.json"
+       (Json.to_string_pretty (E.json_of_table2 (E.table2_data ()))))
 
 (* ------------------------------------------------------------------ *)
 (* Report                                                              *)
 (* ------------------------------------------------------------------ *)
 
 let test_report_quick_suite () =
-  let entries = Lazy.force quick_entries in
+  let entries = E.obs_history ~jobs:1 (Lazy.force quick_suite) in
   let r = Obs_report.build entries in
   Alcotest.(check int) "one section per target" 3 (List.length r.Obs_report.sections);
   List.iter
@@ -474,53 +397,12 @@ let golden_expected = {golden|{
       }
     }
   ],
-  "baseline": {
-    "name": "golden",
-    "rev": "test",
-    "comparisons": [
-      {
-        "bench": "bfs",
-        "kernel": "bfs_kernel",
-        "target": "a100",
-        "config": "tdo",
-        "baseline_seconds": 0.001,
-        "current_seconds": 0.001,
-        "ratio": 1.0,
-        "verdict": "unchanged"
-      },
-      {
-        "bench": "bfs",
-        "kernel": "bfs_kernel",
-        "target": "a100",
-        "config": "untuned",
-        "baseline_seconds": 0.002,
-        "current_seconds": 0.002,
-        "ratio": 1.0,
-        "verdict": "unchanged"
-      },
-      {
-        "bench": "bfs",
-        "kernel": "bfs_kernel",
-        "target": "cpu",
-        "config": "untuned",
-        "baseline_seconds": 0.004,
-        "current_seconds": 0.004,
-        "ratio": 1.0,
-        "verdict": "unchanged"
-      }
-    ],
-    "missing": [],
-    "added": [],
-    "regressions": 0,
-    "improvements": 0
-  },
   "summary": null
 }
 |golden}
 
 let test_report_golden_json () =
-  let base = Baseline.snapshot ~name:"golden" golden_entries in
-  let r = Obs_report.build ~baseline:base golden_entries in
+  let r = Obs_report.build golden_entries in
   let actual = Json.to_string_pretty (Obs_report.to_json r) in
   if not (String.equal actual golden_expected) then begin
     let oc = open_out "/tmp/obs_golden_actual.json" in
@@ -535,16 +417,13 @@ let suite =
       [
         Alcotest.test_case "history jsonl round-trip" `Quick test_history_roundtrip;
         Alcotest.test_case "history skips malformed lines" `Quick test_history_skips_malformed;
-        QCheck_alcotest.to_alcotest prop_comparator_identity;
-        QCheck_alcotest.to_alcotest prop_comparator_symmetry;
         QCheck_alcotest.to_alcotest prop_classifier_total;
         QCheck_alcotest.to_alcotest prop_classifier_scale_invariant;
         Alcotest.test_case "classifier on all-zero counters" `Quick test_classifier_all_zero;
         Alcotest.test_case "report golden json" `Quick test_report_golden_json;
-        Alcotest.test_case "quick gate: clean tree matches committed baseline" `Slow test_gate_clean;
-        Alcotest.test_case "quick gate: artificial slowdown is flagged" `Slow
-          test_gate_flags_artificial_slowdown;
-        Alcotest.test_case "quick gate: a move of one ulp or 1 % is flagged" `Slow test_gate_exact;
+        Alcotest.test_case "quick suite matches bench/baselines/quick.json" `Slow test_quick_pinned;
+        Alcotest.test_case "pin check names the line a one-ulp move changes" `Slow
+          test_pin_names_moved_line;
         Alcotest.test_case "Table II matches bench/baselines/table2.json" `Slow test_table2_pinned;
         Alcotest.test_case "report covers every quick-suite kernel" `Slow test_report_quick_suite;
       ] );
