@@ -9,7 +9,6 @@
 
 module E = Pgpu_core.Experiments
 module P = Pgpu_core.Polygeist_gpu
-module O = Pgpu_obs
 module Descriptor = Pgpu_target.Descriptor
 module Json = Pgpu_trace.Json
 
@@ -27,12 +26,9 @@ let flag_value name =
 
 (** [--metrics-dir DIR]: write each experiment's data as
     DIR/<experiment>.json next to the printed tables, plus an
-    aggregating DIR/summary.json at exit. *)
+    aggregating DIR/summary.json at exit; DIR and its missing parents
+    are created. *)
 let metrics_dir = flag_value "--metrics-dir"
-
-(** [--obs-dir DIR]: append the gate suite's run records to the
-    history database under DIR. *)
-let obs_dir = flag_value "--obs-dir"
 
 (** [--jobs N]: worker domains for compilation, grid sharding and TDO
     trials (default: the available cores, capped at 4; results are
@@ -56,7 +52,7 @@ let write_metrics name json =
   match metrics_dir with
   | None -> ()
   | Some dir ->
-      if not (Sys.file_exists dir) then Sys.mkdir dir 0o755;
+      Pgpu_support.Util.mkdir_p dir;
       let path = Filename.concat dir (name ^ ".json") in
       Pgpu_trace.Json.to_file path json;
       summaries := !summaries @ [ (name, json) ];
@@ -66,14 +62,14 @@ let write_summary () =
   match metrics_dir with
   | None -> ()
   | Some dir ->
-      if not (Sys.file_exists dir) then Sys.mkdir dir 0o755;
+      Pgpu_support.Util.mkdir_p dir;
       let path = Filename.concat dir "summary.json" in
       Pgpu_trace.Json.to_file path
         (Json.Obj
            [
              ("generated_by", Json.Str "bench/main.exe");
-             ("rev", Json.Str (O.History.git_rev ()));
-             ("env", Json.Str (O.History.env_fingerprint ()));
+             ( "env",
+               Json.Str (Fmt.str "ocaml-%s/%s/%dbit" Sys.ocaml_version Sys.os_type Sys.word_size) );
              ("quick", Json.Bool quick);
              ("jobs", Json.Int jobs);
              ("pool_size", Json.Int (Pgpu_support.Pool.size (Pgpu_support.Pool.get ())));
@@ -198,7 +194,7 @@ let cachebench () =
   write_metrics "cachebench" (Pgpu_trace.Json.Obj rows)
 
 (* ------------------------------------------------------------------ *)
-(* Regression gate: the observatory suite's profiles and history       *)
+(* Regression gate: the observatory suite's profiles                   *)
 (* ------------------------------------------------------------------ *)
 
 (* [gate --quick --metrics-dir DIR] writes DIR/gate.json, which must be
@@ -210,11 +206,6 @@ let gate () =
     (List.length E.obs_targets) (List.length E.obs_configs);
   let runs = E.obs_suite ~benches ~jobs () in
   Fmt.pr "%d run(s) collected@." (List.length runs);
-  Option.iter
-    (fun dir ->
-      O.History.append ~dir (E.obs_history ~jobs runs);
-      Fmt.pr "history appended to %s@." (O.History.file ~dir))
-    obs_dir;
   write_metrics "gate" (E.json_of_obs_suite runs)
 
 let all () =
@@ -255,10 +246,7 @@ let () =
   in
   let args =
     let rec clean = function
-      | "--metrics-dir" :: _ :: rest
-      | "--obs-dir" :: _ :: rest
-      | "--jobs" :: _ :: rest ->
-          clean rest
+      | "--metrics-dir" :: _ :: rest | "--jobs" :: _ :: rest -> clean rest
       | "--quick" :: rest -> clean rest
       | a :: rest -> a :: clean rest
       | [] -> []

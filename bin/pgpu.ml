@@ -259,38 +259,6 @@ let read_file path =
   close_in ic;
   s
 
-(* --- performance observatory plumbing --- *)
-
-let obs_dir_arg =
-  Arg.(
-    value
-    & opt (some string) None
-    & info [ "obs-dir" ] ~docv:"DIR"
-        ~doc:
-          "Append one run record per kernel (counters, simulated cycles, TDO choice, \
-           bottleneck attribution, git rev, environment fingerprint) to the history \
-           database $(docv)/runs.jsonl, consumed by $(b,pgpu report).")
-
-(** Name of the compilation configuration a run record belongs to,
-    derived from the CLI flags: the same naming the bench gate uses. *)
-let config_desc ~coarsen ~tune =
-  if coarsen = [] then if tune then "tdo" else "untuned"
-  else
-    Fmt.str "%s[%s]"
-      (if tune then "tdo" else "fixed")
-      (String.concat ";" (List.map (fun (b, t) -> Fmt.str "%d,%d" b t) coarsen))
-
-let record_history ~obs_dir ?host_seconds ?jobs ~bench ~config ~target (r : P.run_result) =
-  Option.iter
-    (fun dir ->
-      let entries =
-        P.History.entries_of_run ?host_seconds ?jobs ~bench ~config ~target
-          (P.Profile.of_run ~composite_seconds:r.P.composite_seconds r.P.records)
-      in
-      P.History.append ~dir entries;
-      Fmt.pr "%d run record(s) appended to %s@." (List.length entries) (P.History.file ~dir))
-    obs_dir
-
 (* --- compile --- *)
 
 let compile_cmd =
@@ -345,10 +313,9 @@ let print_run_summary (r : P.run_result) =
 
 let run_cmd =
   let run () file target no_opt coarsen tune choice args trace metrics cache_dir no_cache
-      cache_stats jobs obs_dir =
+      cache_stats jobs =
     with_tracer trace metrics @@ fun tracer ->
     let cache = make_cache no_cache cache_dir in
-    let t0 = Unix.gettimeofday () in
     with_source file (fun () ->
         P.compile ~optimize:(not no_opt) ~specs:(specs_of coarsen) ~tracer ~jobs ~target
           ~source:(read_file file) ())
@@ -356,12 +323,8 @@ let run_cmd =
     with_main_args ~file c.P.modul args @@ fun () ->
     runtime_errors @@ fun () ->
     let r = P.run ~tune ~fixed_choice:choice ~jobs ~tracer ~cache c ~args in
-    let host_seconds = Unix.gettimeofday () -. t0 in
     write_cache_stats cache cache_stats;
     print_run_summary r;
-    record_history ~obs_dir ~host_seconds ~jobs
-      ~bench:(Filename.remove_extension (Filename.basename file))
-      ~config:(config_desc ~coarsen ~tune) ~target r;
     0
   in
   Cmd.v
@@ -371,7 +334,7 @@ let run_cmd =
       ret
         (const run $ setup_logs_t $ file_arg $ target_arg $ no_opt_arg $ coarsen_arg $ tune_arg
        $ choice_arg $ args_arg $ trace_arg $ metrics_arg $ cache_dir_arg $ no_cache_arg
-       $ cache_stats_arg $ jobs_arg $ obs_dir_arg))
+       $ cache_stats_arg $ jobs_arg))
 
 (* --- bench --- *)
 
@@ -398,7 +361,7 @@ let bench_cmd =
              cache hits and misses, and choice/output identity as JSON.")
   in
   let run () (b : P.Bench_def.t) target no_opt coarsen tune verify perf args trace metrics
-      cache_dir no_cache cache_stats jobs cold_warm obs_dir =
+      cache_dir no_cache cache_stats jobs cold_warm =
     with_tracer trace metrics @@ fun tracer ->
     let name = b.P.Bench_def.name in
     if cold_warm then begin
@@ -419,16 +382,12 @@ let bench_cmd =
       fits @@ fun () ->
       runtime_errors @@ fun () ->
       let args = if args = [] then None else Some args in
-      let t0 = Unix.gettimeofday () in
       let r =
         P.run_rodinia ~verify ~optimize:(not no_opt) ~specs:(specs_of coarsen) ~tune ~perf
           ~tracer ~cache ~jobs ~target ?args b
       in
-      let host_seconds = Unix.gettimeofday () -. t0 in
       write_cache_stats cache cache_stats;
       print_run_summary r;
-      record_history ~obs_dir ~host_seconds ~jobs ~bench:name
-        ~config:(config_desc ~coarsen ~tune) ~target r;
       if verify then Fmt.pr "outputs verified against the CPU reference.@.";
       0
     end
@@ -441,7 +400,7 @@ let bench_cmd =
       ret
         (const run $ setup_logs_t $ name_arg $ target_arg $ no_opt_arg $ coarsen_arg $ tune_arg
        $ verify_arg $ perf_arg $ args_arg $ trace_arg $ metrics_arg $ cache_dir_arg
-       $ no_cache_arg $ cache_stats_arg $ jobs_arg $ cold_warm_arg $ obs_dir_arg))
+       $ no_cache_arg $ cache_stats_arg $ jobs_arg $ cold_warm_arg))
 
 (* --- profile --- *)
 
@@ -573,41 +532,37 @@ let check_cmd =
             kr.P.Pipeline.candidates)
         c.P.report.P.Pipeline.kernels
     in
-    let dynamic_diags =
-      if not dynamic then []
-      else begin
-        let rc = P.Racecheck.create () in
+    (* [k] of the dynamic run's diagnostics; its [main] and [--args]
+       are checked as [run] checks them *)
+    let with_dynamic_diags k =
+      if not dynamic then `Ok (k [])
+      else
         let args =
           match (args, bench_def) with
           | [], Some b -> b.P.Bench_def.args
           | args, _ -> args
         in
-        try
-          ignore (P.run ~racecheck:rc c ~args);
-          P.Check.diagnostics_of_racecheck rc
-        with
-        | P.Exec.Device_error m ->
-            P.Check.diagnostics_of_racecheck rc
-            @ [
-                {
-                  P.Report.severity = P.Report.Error;
-                  kind = "device-error";
-                  kernel = "main";
-                  message = "execution failed: " ^ m;
-                };
-              ]
-        | P.Runtime.Host_error m | Failure m ->
-            P.Check.diagnostics_of_racecheck rc
-            @ [
-                {
-                  P.Report.severity = P.Report.Error;
-                  kind = "device-error";
-                  kernel = "main";
-                  message = "host execution failed: " ^ m;
-                };
-              ]
-      end
+        with_main_args ~file:name c.P.modul args @@ fun () ->
+        let rc = P.Racecheck.create () in
+        let failed kind m =
+          [
+            {
+              P.Report.severity = P.Report.Error;
+              kind;
+              kernel = "main";
+              message = "execution failed: " ^ m;
+            };
+          ]
+        in
+        let failure =
+          match P.run ~racecheck:rc c ~args with
+          | (_ : P.run_result) -> []
+          | exception P.Exec.Device_error m -> failed "device-error" m
+          | exception P.Runtime.Host_error m -> failed "host-error" m
+        in
+        k (P.Check.diagnostics_of_racecheck rc @ failure)
     in
+    with_dynamic_diags @@ fun dynamic_diags ->
     let diags = P.Report.sort (static_diags @ pruned @ dynamic_diags) in
     Fmt.pr "%s@." (P.Report.to_string diags);
     Option.iter
@@ -615,10 +570,11 @@ let check_cmd =
         P.Trace.Json.to_file path (P.Report.to_json diags);
         Logs.info (fun m -> m "report written to %s" path))
       json;
-    `Ok (if P.Report.has_errors diags then 1 else 0)
+    if P.Report.has_errors diags then 1 else 0
   in
   Cmd.v
-    (Cmd.info "check" ~exits:source_exits
+    (Cmd.info "check"
+       ~exits:(exits "on a source the frontend rejects, or, with $(b,--dynamic), one without main.")
        ~doc:
          "Static shared-memory race and barrier-safety analysis of every kernel (and every \
           coarsened alternative), with an optional simulator-backed dynamic race detector.")
@@ -703,14 +659,14 @@ let targets_cmd =
 (* --- report --- *)
 
 let report_cmd =
-  let dir_arg =
+  let runs_arg =
     Arg.(
       required
-      & opt (some string) None
-      & info [ "obs-dir" ] ~docv:"DIR"
-          ~doc:"History database directory ($(docv)/runs.jsonl), as written by \
-                $(b,pgpu run --obs-dir), $(b,pgpu bench --obs-dir) or the bench harness's \
-                $(b,gate) experiment.")
+      & pos 0 (some file) None
+      & info [] ~docv:"FILE"
+          ~doc:
+            "A list of runs with their profiles, as $(b,bench/main.exe gate --metrics-dir DIR) \
+             writes DIR/gate.json and bench/baselines/quick.json pins it.")
   in
   let summary_arg =
     Arg.(
@@ -730,23 +686,26 @@ let report_cmd =
           ~doc:"Also write a self-contained HTML dashboard (per-target speedup tables, \
                 bottleneck badges) to $(docv).")
   in
-  let run () dir summary as_json html =
-    match P.History.load ~dir with
-    | Error e ->
-        Fmt.epr "pgpu report: %s@." e;
-        1
-    | Ok entries ->
-        let summary =
-          Option.map
-            (fun path ->
-              match P.Trace.Json.of_string (read_file path) with
-              | Ok j -> j
-              | Error e ->
-                  Fmt.epr "pgpu report: %s: %s@." path e;
-                  exit 2)
-            summary
-        in
-        let report = P.Obs_report.build ?summary entries in
+  let run () file summary as_json html =
+    let ( let* ) = Result.bind in
+    (* an input error names its file *)
+    let json path =
+      match P.Trace.Json.of_string (read_file path) with
+      | Ok j -> Ok j
+      | Error m | (exception Sys_error m) -> Error (path, m)
+    in
+    let report =
+      let* summary =
+        match summary with None -> Ok None | Some path -> Result.map Option.some (json path)
+      in
+      let* runs = json file in
+      Result.map_error (fun m -> (file, m)) (P.Obs_report.build ?summary runs)
+    in
+    match report with
+    | Error (path, m) ->
+        Fmt.epr "pgpu: %s: %s@." path m;
+        Cmd.Exit.some_error
+    | Ok report ->
         if as_json then Fmt.pr "%s@." (P.Trace.Json.to_string_pretty (P.Obs_report.to_json report))
         else Fmt.pr "%a" P.Obs_report.pp report;
         Option.iter
@@ -760,11 +719,12 @@ let report_cmd =
   in
   Cmd.v
     (Cmd.info "report"
+       ~exits:
+         (exits "on a FILE that is not a list of runs, or a $(b,--summary) file that is not JSON.")
        ~doc:
-         "Render the performance-observatory history: per-target speedup tables and \
-          per-kernel bottleneck attribution — as text, JSON or a self-contained HTML \
-          dashboard.")
-    Term.(const run $ setup_logs_t $ dir_arg $ summary_arg $ json_arg $ html_arg)
+         "Render the quick suite's profiles: per-target speedup tables and per-kernel \
+          bottleneck attribution — as text, JSON or a self-contained HTML dashboard.")
+    Term.(const run $ setup_logs_t $ runs_arg $ summary_arg $ json_arg $ html_arg)
 
 (* --- list --- *)
 

@@ -12,7 +12,7 @@ type diagnostic = {
   kind : string;
       (** stable machine-readable tag: ["barrier-divergence"],
           ["shared-race"], ["possible-race"], ["unknown-index"],
-          ["dynamic-race"], ["device-error"], ["cpu-fission"] *)
+          ["dynamic-race"], ["device-error"], ["host-error"], ["cpu-fission"] *)
   kernel : string;  (** kernel name, suffixed with the alternative desc if any *)
   message : string;
 }

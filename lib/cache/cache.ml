@@ -78,13 +78,6 @@ type t = {
 (** The shared no-op cache: never finds, never stores. *)
 let disabled = { enabled = false; dir = None; spaces = []; lock = Mutex.create () }
 
-let rec mkdir_p d =
-  if not (Sys.file_exists d) then begin
-    let parent = Filename.dirname d in
-    if parent <> d then mkdir_p parent;
-    try Sys.mkdir d 0o755 with Sys_error _ -> ()
-  end
-
 let read_file path =
   let ic = open_in_bin path in
   Fun.protect
@@ -96,7 +89,7 @@ let read_file path =
     [dir] each namespace is backed by [<dir>/<namespace>.json], loaded
     lazily on first access and written back by {!flush}. *)
 let create ?dir () =
-  Option.iter mkdir_p dir;
+  Option.iter Pgpu_support.Util.mkdir_p dir;
   { enabled = true; dir; spaces = []; lock = Mutex.create () }
 
 let enabled t = t.enabled

@@ -783,7 +783,6 @@ type obs_run = {
   obs_bench : string;
   obs_target : Descriptor.t;
   obs_config : string;
-  obs_host_seconds : float;  (** host wall-clock of compile + run *)
   obs_profile : Profile.report;
 }
 
@@ -797,31 +796,22 @@ let obs_suite ?(benches = Rodinia.all) ?(jobs = 1) () : obs_run list =
         (fun (target : Descriptor.t) ->
           List.map
             (fun (config, specs, tune) ->
-              let t0 = Unix.gettimeofday () in
               let r = run_rodinia ~specs ~tune ~jobs ~target b in
               {
                 obs_bench = b.Bench_def.name;
                 obs_target = target;
                 obs_config = config;
-                obs_host_seconds = Unix.gettimeofday () -. t0;
                 obs_profile = Profile.of_run ~composite_seconds:r.composite_seconds r.records;
               })
             obs_configs)
         obs_targets)
     benches
 
-(** The suite's history entries, for [--obs-dir] and [pgpu report]. *)
-let obs_history ~jobs (runs : obs_run list) : History.entry list =
-  List.concat_map
-    (fun r ->
-      History.entries_of_run ~host_seconds:r.obs_host_seconds ~jobs ~bench:r.obs_bench
-        ~config:r.obs_config ~target:r.obs_target r.obs_profile)
-    runs
-
 (** The suite's simulated results, as [gate --metrics-dir] writes them
     and [bench/baselines/quick.json] pins them: every run's
-    [pgpu profile --json] report. Host wall-clock is left out, so the
-    file is the same bytes on every machine and at every [--jobs]. *)
+    [pgpu profile --json] report, the input of [pgpu report]. Host
+    wall-clock is left out, so the file is the same bytes on every
+    machine and at every [--jobs]. *)
 let json_of_obs_suite (runs : obs_run list) : Json.t =
   Json.List
     (List.map

@@ -43,7 +43,6 @@ module Check = Pgpu_analysis.Check
 module Report = Pgpu_analysis.Report
 module Racecheck = Pgpu_gpusim.Racecheck
 module Bottleneck = Pgpu_gpusim.Bottleneck
-module History = Pgpu_obs.History
 module Obs_report = Pgpu_obs.Report
 
 module Instr = Pgpu_ir.Instr

@@ -1,13 +1,14 @@
-(** Cross-target performance report over the run history.
+(** Cross-target performance report over the quick suite's profiles.
 
-    Renders each key's latest history entry ([History.latest]) as
-    per-target tables — one row per (bench, kernel), one column per
-    configuration with its speedup against the reference
-    configuration (["untuned"] when present) — plus a bottleneck
-    breakdown per target and an optional embedded bench
-    [summary.json]. Three output forms from the same structure: text
-    ([pp]), JSON ([to_json]) and a self-contained HTML dashboard
-    ([to_html], inline CSS, no external assets). *)
+    Reads the list of runs that [bench/main.exe gate] writes and
+    [bench/baselines/quick.json] pins, each with its
+    [Profile.json_of_report], and renders it as per-target tables: one
+    row per (bench, kernel), one column per configuration with its
+    speedup against the reference configuration (["untuned"] when
+    present). A bottleneck breakdown per target and an optional
+    embedded bench [summary.json] follow. Three output forms from the
+    same structure: text ([pp]), JSON ([to_json]) and a self-contained
+    HTML dashboard ([to_html], inline CSS, no external assets). *)
 
 module Json = Pgpu_trace.Json
 module Bottleneck = Pgpu_gpusim.Bottleneck
@@ -26,13 +27,6 @@ type kernel_row = {
   bottleneck : Bottleneck.t;  (** of the best configuration's run *)
   occupancy : float;
   alternative : int option;
-  host_seconds : float;
-      (** host wall-clock of the best configuration's whole process
-          (compile + execute); 0 when the history predates the field *)
-  host_throughput : float;
-      (** simulated warp instructions retired per host second by that
-          run — the engine's simulation speed; 0 when wall-clock was
-          not recorded *)
 }
 
 type target_section = {
@@ -44,12 +38,94 @@ type target_section = {
 }
 
 type t = {
-  n_entries : int;
-  revs : string list;
-  envs : string list;
   sections : target_section list;
   summary : Json.t option;  (** bench harness summary.json, embedded verbatim *)
 }
+
+(* ------------------------------------------------------------------ *)
+(* Reading the runs                                                    *)
+(* ------------------------------------------------------------------ *)
+
+(* one kernel of one run: the fields of [Profile.json_of_kernel] the
+   report reads *)
+type measured = {
+  m_bench : string;
+  m_target : string;
+  m_config : string;
+  m_kernel : string;
+  m_seconds : float;
+  m_alternative : int option;
+  m_occupancy : float;
+  m_bottleneck : Bottleneck.t;
+}
+
+let ( let* ) = Result.bind
+
+(* field [k] of the object [j], when [get] accepts its value *)
+let field what get k j =
+  match Option.bind (Json.member k j) get with
+  | Some v -> Ok v
+  | None -> Error (Fmt.str "%S is missing or not %s" k what)
+
+let str = field "a string" (function Json.Str s -> Some s | _ -> None)
+
+let num =
+  field "a number" (function
+    | Json.Float f -> Some f
+    | Json.Int i -> Some (float_of_int i)
+    | _ -> None)
+
+let alternative =
+  field "an integer or null" (function
+    | Json.Int a -> Some (Some a)
+    | Json.Null -> Some None
+    | _ -> None)
+
+(* [f] over [xs], stopping at the first error, which names [what] and
+   the element's index *)
+let map_indexed what f xs =
+  let rec go i acc = function
+    | [] -> Ok (List.rev acc)
+    | x :: xs -> (
+        match f x with
+        | Ok y -> go (i + 1) (y :: acc) xs
+        | Error e -> Error (Fmt.str "%s %d: %s" what i e))
+  in
+  go 0 [] xs
+
+let measured_of_json ~bench ~target ~config j =
+  let* m_kernel = str "kernel" j in
+  let* m_seconds = num "seconds" j in
+  let* m_alternative = alternative "alternative" j in
+  let* m_occupancy = num "occupancy" j in
+  let* name = str "bottleneck" j in
+  let* limiter = str "bottleneck_limiter" j in
+  let* headroom = num "bottleneck_headroom" j in
+  match Bottleneck.label_of_name name with
+  | None -> Error (Fmt.str "\"bottleneck\" is not a bottleneck label: %S" name)
+  | Some label ->
+      Ok
+        {
+          m_bench = bench;
+          m_target = target;
+          m_config = config;
+          m_kernel;
+          m_seconds;
+          m_alternative;
+          m_occupancy;
+          m_bottleneck = { Bottleneck.label; limiter; headroom };
+        }
+
+let run_of_json j =
+  let* bench = str "bench" j in
+  let* target = str "target" j in
+  let* config = str "config" j in
+  let* kernels =
+    field "a profile with a list of kernels"
+      (fun p -> match Json.member "kernels" p with Some (Json.List ks) -> Some ks | _ -> None)
+      "profile" j
+  in
+  map_indexed "kernel" (measured_of_json ~bench ~target ~config) kernels
 
 (* ------------------------------------------------------------------ *)
 (* Building                                                            *)
@@ -58,14 +134,11 @@ type t = {
 let uniq xs =
   List.fold_left (fun acc x -> if List.mem x acc then acc else acc @ [ x ]) [] xs
 
-(* [latest] holds one entry per (bench, kernel, target, config) key *)
-let build_section (latest : History.entry list) target : target_section =
-  let of_target = List.filter (fun (e : History.entry) -> String.equal e.History.target target) latest in
-  let configs = uniq (List.map (fun (e : History.entry) -> e.History.config) of_target) in
+let build_section (measured : measured list) target : target_section =
+  let of_target = List.filter (fun m -> String.equal m.m_target target) measured in
+  let configs = uniq (List.map (fun m -> m.m_config) of_target) in
   let reference = if List.mem "untuned" configs then "untuned" else List.hd configs in
-  let kernels =
-    uniq (List.map (fun (e : History.entry) -> (e.History.bench, e.History.kernel)) of_target)
-  in
+  let kernels = uniq (List.map (fun m -> (m.m_bench, m.m_kernel)) of_target) in
   let rows =
     List.map
       (fun (bench, kernel) ->
@@ -73,47 +146,41 @@ let build_section (latest : History.entry list) target : target_section =
           List.filter_map
             (fun config ->
               List.find_opt
-                (fun (e : History.entry) ->
-                  String.equal e.History.bench bench
-                  && String.equal e.History.kernel kernel
-                  && String.equal e.History.config config)
+                (fun m ->
+                  String.equal m.m_bench bench
+                  && String.equal m.m_kernel kernel
+                  && String.equal m.m_config config)
                 of_target)
             configs
         in
         let ref_run =
           Option.value ~default:(List.hd runs)
-            (List.find_opt (fun (e : History.entry) -> String.equal e.History.config reference) runs)
+            (List.find_opt (fun m -> String.equal m.m_config reference) runs)
         in
         let cells =
           List.map
-            (fun (e : History.entry) ->
-              let seconds = e.History.seconds in
+            (fun m ->
+              let seconds = m.m_seconds in
               {
-                config = e.History.config;
+                config = m.m_config;
                 seconds;
-                speedup = (if seconds > 0. then ref_run.History.seconds /. seconds else 1.);
+                speedup = (if seconds > 0. then ref_run.m_seconds /. seconds else 1.);
               })
             runs
         in
         let best =
           List.fold_left
-            (fun (b : History.entry) (e : History.entry) ->
-              if e.History.seconds < b.History.seconds then e else b)
+            (fun b m -> if m.m_seconds < b.m_seconds then m else b)
             (List.hd runs) (List.tl runs)
         in
         {
           bench;
           kernel;
           cells;
-          best_config = best.History.config;
-          bottleneck = best.History.bottleneck;
-          occupancy = best.History.occupancy;
-          alternative = best.History.alternative;
-          host_seconds = best.History.host_seconds;
-          host_throughput =
-            (if best.History.host_seconds > 0. then
-               best.History.warp_insts /. best.History.host_seconds
-             else 0.);
+          best_config = best.m_config;
+          bottleneck = best.m_bottleneck;
+          occupancy = best.m_occupancy;
+          alternative = best.m_alternative;
         })
       kernels
   in
@@ -133,16 +200,14 @@ let build_section (latest : History.entry list) target : target_section =
   in
   { target; reference; configs; rows; bottlenecks }
 
-let build ?summary (entries : History.entry list) : t =
-  let latest = History.latest entries in
-  let targets = uniq (List.map (fun (e : History.entry) -> e.History.target) latest) in
-  {
-    n_entries = List.length entries;
-    revs = uniq (List.map (fun (e : History.entry) -> e.History.rev) entries);
-    envs = uniq (List.map (fun (e : History.entry) -> e.History.env) entries);
-    sections = List.map (build_section latest) targets;
-    summary;
-  }
+let build ?summary json =
+  match json with
+  | Json.List runs ->
+      let* runs = map_indexed "run" run_of_json runs in
+      let measured = List.concat runs in
+      let targets = uniq (List.map (fun m -> m.m_target) measured) in
+      Ok { sections = List.map (build_section measured) targets; summary }
+  | _ -> Error "not a list of runs {bench, target, config, profile}"
 
 (* ------------------------------------------------------------------ *)
 (* Text                                                                *)
@@ -154,7 +219,6 @@ let pp_section ppf (s : target_section) =
     s.reference;
   Fmt.pf ppf "  %-28s" "bench/kernel";
   List.iter (fun c -> Fmt.pf ppf " %22s" c) s.configs;
-  Fmt.pf ppf " %14s" "host";
   Fmt.pf ppf "  %s@." "bottleneck";
   List.iter
     (fun r ->
@@ -165,19 +229,16 @@ let pp_section ppf (s : target_section) =
           | Some c -> Fmt.pf ppf " %12.6fs %7.2fx" c.seconds c.speedup
           | None -> Fmt.pf ppf " %22s" "-")
         s.configs;
-      (if r.host_throughput > 0. then Fmt.pf ppf " %10.3g i/s" r.host_throughput
-       else Fmt.pf ppf " %14s" "-");
       Fmt.pf ppf "  %a@." Bottleneck.pp r.bottleneck)
     s.rows;
+  (* a literal separator: [Fmt.comma] is a break hint, which wraps
+     the list after the table's overlong lines *)
   Fmt.pf ppf "  bottlenecks: %a@."
-    Fmt.(list ~sep:comma (pair ~sep:(any " x") string int))
+    Fmt.(list ~sep:(any ", ") (pair ~sep:(any " x") string int))
     s.bottlenecks
 
 let pp ppf (r : t) =
-  Fmt.pf ppf "== Performance observatory: %d run record%s, rev %a ==@.@." r.n_entries
-    (if r.n_entries = 1 then "" else "s")
-    Fmt.(list ~sep:comma string)
-    r.revs;
+  Fmt.pf ppf "== Performance observatory ==@.@.";
   List.iteri
     (fun i s ->
       if i > 0 then Fmt.pf ppf "@.";
@@ -190,7 +251,7 @@ let pp ppf (r : t) =
       | Json.Obj exps ->
           Fmt.pf ppf "@.Bench summary: %d experiment%s (%a)@." (List.length exps)
             (if List.length exps = 1 then "" else "s")
-            Fmt.(list ~sep:comma string)
+            Fmt.(list ~sep:(any ", ") string)
             (List.map fst exps)
       | _ -> ())
   | Some _ -> Fmt.pf ppf "@.Bench summary attached.@."
@@ -216,8 +277,6 @@ let json_of_row (r : kernel_row) =
       ("bottleneck_headroom", Json.Float r.bottleneck.Bottleneck.headroom);
       ("occupancy", Json.Float r.occupancy);
       ("alternative", match r.alternative with Some a -> Json.Int a | None -> Json.Null);
-      ("host_seconds", Json.Float r.host_seconds);
-      ("host_throughput", Json.Float r.host_throughput);
     ]
 
 let json_of_section (s : target_section) =
@@ -233,9 +292,6 @@ let json_of_section (s : target_section) =
 let to_json (r : t) =
   Json.Obj
     [
-      ("entries", Json.Int r.n_entries);
-      ("revs", Json.List (List.map Json.str r.revs));
-      ("envs", Json.List (List.map Json.str r.envs));
       ("targets", Json.List (List.map json_of_section r.sections));
       ("summary", match r.summary with None -> Json.Null | Some s -> s);
     ]
@@ -276,9 +332,6 @@ let to_html (r : t) =
      <style>%s</style></head><body>\n"
     style;
   pf "<h1>Performance observatory</h1>\n";
-  pf "<p class=\"meta\">%d run record(s) &middot; rev %s &middot; env %s</p>\n" r.n_entries
-    (html_escape (String.concat ", " r.revs))
-    (html_escape (String.concat ", " r.envs));
   List.iter
     (fun (s : target_section) ->
       pf "<h2>Target <code>%s</code></h2>\n" (html_escape s.target);
@@ -292,7 +345,7 @@ let to_html (r : t) =
       List.iter
         (fun c -> pf "<th colspan=\"2\">%s (s / speedup)</th>" (html_escape c))
         s.configs;
-      pf "<th>host</th><th>occupancy</th><th>bottleneck</th></tr>\n";
+      pf "<th>occupancy</th><th>bottleneck</th></tr>\n";
       List.iter
         (fun (row : kernel_row) ->
           pf "<tr><td class=\"name\">%s/%s</td>" (html_escape row.bench) (html_escape row.kernel);
@@ -302,8 +355,6 @@ let to_html (r : t) =
               | Some c -> pf "<td>%.6f</td><td class=\"speedup\">%.2fx</td>" c.seconds c.speedup
               | None -> pf "<td>-</td><td>-</td>")
             s.configs;
-          (if row.host_throughput > 0. then pf "<td>%.3g inst/s</td>" row.host_throughput
-           else pf "<td>-</td>");
           let b = row.bottleneck in
           let label = Bottleneck.label_name b.Bottleneck.label in
           pf

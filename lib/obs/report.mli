@@ -1,5 +1,5 @@
-(** Cross-target performance report over the run history: per-target
-    speedup tables (one row per bench/kernel, one column per
+(** Cross-target performance report over the quick suite's profiles:
+    per-target speedup tables (one row per bench/kernel, one column per
     configuration, speedups vs the ["untuned"] reference), a
     bottleneck breakdown per target and an optional embedded bench
     summary. Same structure rendered as text, JSON, or a
@@ -22,10 +22,6 @@ type kernel_row = {
   bottleneck : Bottleneck.t;  (** of the best configuration's run *)
   occupancy : float;
   alternative : int option;
-  host_seconds : float;  (** that run's host wall-clock; 0 if unrecorded *)
-  host_throughput : float;
-      (** simulated warp instructions per host second (simulation
-          speed); 0 when wall-clock was not recorded *)
 }
 
 type target_section = {
@@ -36,16 +32,15 @@ type target_section = {
   bottlenecks : (string * int) list;  (** label -> kernel count *)
 }
 
-type t = {
-  n_entries : int;
-  revs : string list;
-  envs : string list;
-  sections : target_section list;
-  summary : Json.t option;
-}
+type t = { sections : target_section list; summary : Json.t option }
 
-(** Assemble the report from each key's [History.latest] entry. *)
-val build : ?summary:Json.t -> History.entry list -> t
+(** Assemble the report from a list of runs
+    [{bench, target, config, profile}], [profile] in
+    [Profile.json_of_report]'s schema: the file [bench/main.exe gate
+    --metrics-dir DIR] writes as [DIR/gate.json] and
+    [bench/baselines/quick.json] pins. [Error] names the run's index
+    and the field that is missing or wrongly typed. *)
+val build : ?summary:Json.t -> Json.t -> (t, string) result
 
 val pp : t Fmt.t
 val to_string : t -> string

@@ -72,6 +72,13 @@ let rec transpose = function
   | [] | [] :: _ -> []
   | rows -> List.map List.hd rows :: transpose (List.map List.tl rows)
 
+let rec mkdir_p dir =
+  if not (Sys.file_exists dir) then begin
+    let parent = Filename.dirname dir in
+    if parent <> dir then mkdir_p parent;
+    try Sys.mkdir dir 0o755 with Sys_error _ -> ()
+  end
+
 (** Default worker count for parallel compilation phases: the number
     of available cores, capped at 4 (candidate expansion saturates well
     before that on the small kernels of the evaluation suite). *)

@@ -26,6 +26,10 @@ val take : int -> 'a list -> 'a list
 val drop : int -> 'a list -> 'a list
 val transpose : 'a list list -> 'a list list
 
+(** Create directory [dir] and its missing parents (mode 0o755); an
+    existing directory is left as it is. *)
+val mkdir_p : string -> unit
+
 (** Worker count for parallel compilation phases: the available
     cores, capped at 4 (min 1). *)
 val default_jobs : unit -> int

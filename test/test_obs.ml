@@ -1,14 +1,13 @@
-(** Tests for the performance observatory ([Pgpu_obs]): the history
-    store round-trips entries through JSONL (tolerating malformed
-    lines), the bottleneck classifier is total and invariant under
-    uniform scaling of counters and cycle terms (qcheck), the quick
-    suite's profiles and Table II match their files under
-    [bench/baselines] byte for byte, a one-ulp move fails that check
-    at its line, and the report builder pins a golden JSON rendering
-    plus a bottleneck label for every quick-suite kernel in the HTML
-    dashboard. *)
+(** Tests for the performance observatory ([Pgpu_obs]): the bottleneck
+    classifier is total and invariant under uniform scaling of counters
+    and cycle terms (qcheck), the quick suite's profiles and Table II
+    match their files under [bench/baselines] byte for byte, a one-ulp
+    move fails that check at its line, the report over the pinned quick
+    suite labels every kernel in the HTML dashboard and prints each
+    bottleneck list on one line, and the report builder rejects
+    malformed runs by index and field and pins a golden JSON
+    rendering. *)
 
-module History = Pgpu_obs.History
 module Profile = Pgpu_obs.Profile
 module Obs_report = Pgpu_obs.Report
 module Bottleneck = Pgpu_gpusim.Bottleneck
@@ -23,78 +22,6 @@ let contains hay needle =
   let lh = String.length hay and ln = String.length needle in
   let rec go i = i + ln <= lh && (String.equal (String.sub hay i ln) needle || go (i + 1)) in
   ln = 0 || go 0
-
-(* ------------------------------------------------------------------ *)
-(* Synthetic entries                                                   *)
-(* ------------------------------------------------------------------ *)
-
-let mk ?(rev = "test") ?(env = "test") ?(alternative = Some 0) ?(label = Bottleneck.Memory_bound)
-    ?(limiter = "dram") ?(headroom = 0.5) ?(occupancy = 1.0) ~bench ~kernel ~target ~config seconds
-    : History.entry =
-  {
-    History.bench;
-    kernel;
-    target;
-    config;
-    rev;
-    env;
-    launches = 2;
-    alternative;
-    seconds;
-    composite_seconds = seconds *. 2.;
-    host_seconds = seconds *. 4.;
-    jobs = 1;
-    cycles = seconds *. 1e9;
-    occupancy;
-    bottleneck = { Bottleneck.label; limiter; headroom };
-    warp_insts = 1024.;
-    dram_bytes = 65536.;
-    divergent_branches = 0.;
-  }
-
-(* A fresh directory path under the system temp dir; [History.append]
-   creates it. *)
-let fresh_dir () =
-  let f = Filename.temp_file "pgpu-obs-" "" in
-  Sys.remove f;
-  f
-
-(* ------------------------------------------------------------------ *)
-(* History store                                                       *)
-(* ------------------------------------------------------------------ *)
-
-let test_history_roundtrip () =
-  let dir = fresh_dir () in
-  let e1 = mk ~bench:"bfs" ~kernel:"k0" ~target:"a100" ~config:"untuned" 1.5e-3 in
-  let e2 =
-    mk ~bench:"bfs" ~kernel:"k0" ~target:"a100" ~config:"tdo" ~alternative:(Some 3)
-      ~label:Bottleneck.Latency_bound ~limiter:"latency" ~headroom:0.839 ~occupancy:0.25 1.0e-3
-  in
-  let e3 =
-    { e1 with History.kernel = "k1"; alternative = None; seconds = 0.1; divergent_branches = 12.5 }
-  in
-  History.append ~dir [ e1; e2 ];
-  History.append ~dir [ e3 ];
-  match History.load ~dir with
-  | Error m -> Alcotest.failf "load: %s" m
-  | Ok got ->
-      Alcotest.(check int) "count" 3 (List.length got);
-      List.iteri
-        (fun i (want, have) ->
-          Alcotest.(check bool) (Fmt.str "entry %d round-trips" i) true (want = have))
-        (List.combine [ e1; e2; e3 ] got)
-
-let test_history_skips_malformed () =
-  let dir = fresh_dir () in
-  let e1 = mk ~bench:"nw" ~kernel:"k" ~target:"cpu" ~config:"untuned" 2e-4 in
-  History.append ~dir [ e1 ];
-  let oc = open_out_gen [ Open_append; Open_binary ] 0o644 (History.file ~dir) in
-  output_string oc "this is not json\n{\"v\":0}\n\n";
-  close_out oc;
-  History.append ~dir [ e1 ];
-  match History.load ~dir with
-  | Error m -> Alcotest.failf "load: %s" m
-  | Ok got -> Alcotest.(check int) "malformed lines skipped" 2 (List.length got)
 
 (* ------------------------------------------------------------------ *)
 (* Classifier properties                                               *)
@@ -191,16 +118,20 @@ let test_classifier_all_zero () =
 (* Pinned files: bench/baselines against what the code computes now    *)
 (* ------------------------------------------------------------------ *)
 
+(* the committed bench/baselines/[file] *)
+let baseline file =
+  let path =
+    List.find Sys.file_exists [ "../bench/baselines/" ^ file; "bench/baselines/" ^ file ]
+  in
+  In_channel.with_open_bin path In_channel.input_all
+
 (* [None] when bench/baselines/[file] holds exactly [computed], else
    the first line where the two differ and the command that rewrites
    the file: [bench/main.exe cmd --metrics-dir DIR] writes it as
    DIR/[out]. Simulated time is deterministic, so any move, faster or
    slower, fails. *)
 let pin_mismatch ~file ~cmd ~out computed =
-  let path =
-    List.find Sys.file_exists [ "../bench/baselines/" ^ file; "bench/baselines/" ^ file ]
-  in
-  let committed = In_channel.with_open_bin path In_channel.input_all in
+  let committed = baseline file in
   if String.equal committed computed then None
   else
     let line = function l :: _ -> String.trim l | [] -> "<end of file>" in
@@ -264,10 +195,35 @@ let test_table2_pinned () =
 (* Report                                                              *)
 (* ------------------------------------------------------------------ *)
 
+(* the committed quick.json and the report built from it *)
+let quick_report =
+  lazy
+    (match Json.of_string (baseline "quick.json") with
+    | Error m -> Alcotest.failf "quick.json: %s" m
+    | Ok runs -> (
+        match Obs_report.build runs with
+        | Ok r -> (runs, r)
+        | Error m -> Alcotest.failf "quick.json: %s" m))
+
 let test_report_quick_suite () =
-  let entries = E.obs_history ~jobs:1 (Lazy.force quick_suite) in
-  let r = Obs_report.build entries in
+  let runs, r = Lazy.force quick_report in
   Alcotest.(check int) "one section per target" 3 (List.length r.Obs_report.sections);
+  let kernels run =
+    match Option.bind (Json.member "profile" run) (Json.member "kernels") with
+    | Some (Json.List ks) -> List.length ks
+    | _ -> Alcotest.fail "a pinned run without kernels"
+  in
+  let pinned = match runs with Json.List rs -> List.map kernels rs | _ -> [] in
+  let cells =
+    List.concat_map
+      (fun (s : Obs_report.target_section) ->
+        List.map
+          (fun (row : Obs_report.kernel_row) -> List.length row.Obs_report.cells)
+          s.Obs_report.rows)
+      r.Obs_report.sections
+  in
+  Alcotest.(check int) "every pinned kernel is a cell" (List.fold_left ( + ) 0 pinned)
+    (List.fold_left ( + ) 0 cells);
   List.iter
     (fun (s : Obs_report.target_section) ->
       Alcotest.(check string)
@@ -312,24 +268,65 @@ let test_report_quick_suite () =
         s.Obs_report.rows)
     r.Obs_report.sections
 
-let golden_entries =
+(* [Fmt.comma] is a break hint: each bottleneck list must stay on its
+   [bottlenecks:] line after the table's overlong rows *)
+let test_report_bottlenecks_one_line () =
+  let _, r = Lazy.force quick_report in
+  let lines =
+    List.filter
+      (fun l -> contains l "bottlenecks:")
+      (String.split_on_char '\n' (Obs_report.to_string r))
+  in
+  Alcotest.(check int) "one bottlenecks line per target" (List.length r.Obs_report.sections)
+    (List.length lines);
+  List.iter2
+    (fun (s : Obs_report.target_section) line ->
+      List.iter
+        (fun (label, n) ->
+          let item = Fmt.str "%s x%d" label n in
+          Alcotest.(check bool) (Fmt.str "%s: %S holds %S" s.Obs_report.target line item) true
+            (contains line item))
+        s.Obs_report.bottlenecks)
+    r.Obs_report.sections lines
+
+(* one run of bfs_kernel with only the fields the report reads *)
+let golden_run ~target ~config ?(alternative = 0) ~bottleneck ~limiter ~headroom seconds =
+  Json.Obj
+    [
+      ("bench", Json.Str "bfs");
+      ("target", Json.Str target);
+      ("config", Json.Str config);
+      ( "profile",
+        Json.Obj
+          [
+            ( "kernels",
+              Json.List
+                [
+                  Json.Obj
+                    [
+                      ("kernel", Json.Str "bfs_kernel");
+                      ("seconds", Json.Float seconds);
+                      ("alternative", Json.Int alternative);
+                      ("occupancy", Json.Float 1.0);
+                      ("bottleneck", Json.Str bottleneck);
+                      ("bottleneck_limiter", Json.Str limiter);
+                      ("bottleneck_headroom", Json.Float headroom);
+                    ];
+                ] );
+          ] );
+    ]
+
+let golden_runs =
   [
-    mk ~bench:"bfs" ~kernel:"bfs_kernel" ~target:"a100" ~config:"untuned" ~label:Bottleneck.Memory_bound
-      ~limiter:"dram" ~headroom:0.5 0.002;
-    mk ~bench:"bfs" ~kernel:"bfs_kernel" ~target:"a100" ~config:"tdo" ~alternative:(Some 2)
-      ~label:Bottleneck.Memory_bound ~limiter:"dram" ~headroom:0.25 0.001;
-    mk ~bench:"bfs" ~kernel:"bfs_kernel" ~target:"cpu" ~config:"untuned" ~label:Bottleneck.Compute_bound
-      ~limiter:"fp32" ~headroom:0.125 0.004;
+    golden_run ~target:"a100" ~config:"untuned" ~bottleneck:"memory-bound" ~limiter:"dram"
+      ~headroom:0.5 0.002;
+    golden_run ~target:"a100" ~config:"tdo" ~alternative:2 ~bottleneck:"memory-bound"
+      ~limiter:"dram" ~headroom:0.25 0.001;
+    golden_run ~target:"cpu" ~config:"untuned" ~bottleneck:"compute-bound" ~limiter:"fp32"
+      ~headroom:0.125 0.004;
   ]
 
 let golden_expected = {golden|{
-  "entries": 3,
-  "revs": [
-    "test"
-  ],
-  "envs": [
-    "test"
-  ],
   "targets": [
     {
       "target": "a100",
@@ -357,9 +354,7 @@ let golden_expected = {golden|{
           "bottleneck_limiter": "dram",
           "bottleneck_headroom": 0.25,
           "occupancy": 1.0,
-          "alternative": 2,
-          "host_seconds": 0.004,
-          "host_throughput": 256000.0
+          "alternative": 2
         }
       ],
       "bottlenecks": {
@@ -387,9 +382,7 @@ let golden_expected = {golden|{
           "bottleneck_limiter": "fp32",
           "bottleneck_headroom": 0.125,
           "occupancy": 1.0,
-          "alternative": 0,
-          "host_seconds": 0.016,
-          "host_throughput": 64000.0
+          "alternative": 0
         }
       ],
       "bottlenecks": {
@@ -402,7 +395,7 @@ let golden_expected = {golden|{
 |golden}
 
 let test_report_golden_json () =
-  let r = Obs_report.build golden_entries in
+  let r = Result.get_ok (Obs_report.build (Json.List golden_runs)) in
   let actual = Json.to_string_pretty (Obs_report.to_json r) in
   if not (String.equal actual golden_expected) then begin
     let oc = open_out "/tmp/obs_golden_actual.json" in
@@ -411,20 +404,40 @@ let test_report_golden_json () =
     Alcotest.(check string) "golden report json" golden_expected actual
   end
 
+let test_report_rejects_malformed () =
+  let error json =
+    match Obs_report.build json with
+    | Ok _ -> Alcotest.fail "malformed runs were accepted"
+    | Error m -> m
+  in
+  Alcotest.(check string) "not a list" "not a list of runs {bench, target, config, profile}"
+    (error (Json.Obj []));
+  let no_seconds =
+    Result.get_ok
+      (Json.of_string
+         {|{"bench": "bfs", "target": "a100", "config": "tdo",
+            "profile": {"kernels": [{"kernel": "bfs_kernel", "alternative": null}]}}|})
+  in
+  Alcotest.(check string) "a kernel without seconds"
+    "run 3: kernel 0: \"seconds\" is missing or not a number"
+    (error (Json.List (golden_runs @ [ no_seconds ])))
+
 let suite =
   [
     ( "obs",
       [
-        Alcotest.test_case "history jsonl round-trip" `Quick test_history_roundtrip;
-        Alcotest.test_case "history skips malformed lines" `Quick test_history_skips_malformed;
         QCheck_alcotest.to_alcotest prop_classifier_total;
         QCheck_alcotest.to_alcotest prop_classifier_scale_invariant;
         Alcotest.test_case "classifier on all-zero counters" `Quick test_classifier_all_zero;
         Alcotest.test_case "report golden json" `Quick test_report_golden_json;
+        Alcotest.test_case "report rejects malformed runs by index and field" `Quick
+          test_report_rejects_malformed;
         Alcotest.test_case "quick suite matches bench/baselines/quick.json" `Slow test_quick_pinned;
         Alcotest.test_case "pin check names the line a one-ulp move changes" `Slow
           test_pin_names_moved_line;
         Alcotest.test_case "Table II matches bench/baselines/table2.json" `Slow test_table2_pinned;
-        Alcotest.test_case "report covers every quick-suite kernel" `Slow test_report_quick_suite;
+        Alcotest.test_case "report covers every quick-suite kernel" `Quick test_report_quick_suite;
+        Alcotest.test_case "report prints each bottleneck list on one line" `Quick
+          test_report_bottlenecks_one_line;
       ] );
   ]

@@ -36,6 +36,17 @@ let test_stats () =
   Alcotest.(check (float 1e-9)) "geomean" 2. (Stats.geomean [ 1.; 4. ]);
   Alcotest.(check (float 1e-9)) "mean" 2. (Stats.mean [ 1.; 2.; 3. ])
 
+(* missing parents are created, and a second call on the existing
+   directory is a no-op *)
+let test_mkdir_p () =
+  let root = Filename.temp_file "pgpu-mkdir-" "" in
+  Sys.remove root;
+  let dir = Filename.concat (Filename.concat root "a") "b" in
+  Util.mkdir_p dir;
+  Util.mkdir_p dir;
+  Alcotest.(check bool) "nested directory exists" true (Sys.is_directory dir);
+  List.iter Sys.rmdir [ dir; Filename.dirname dir; root ]
+
 let test_rng_deterministic () =
   let a = Pgpu_support.Rng.create 42 and b = Pgpu_support.Rng.create 42 in
   for _ = 1 to 100 do
@@ -115,6 +126,7 @@ let suite =
         Alcotest.test_case "factorize" `Quick test_factorize;
         Alcotest.test_case "balance_factor" `Quick test_balance_factor;
         Alcotest.test_case "stats" `Quick test_stats;
+        Alcotest.test_case "mkdir_p creates missing parents" `Quick test_mkdir_p;
         Alcotest.test_case "rng deterministic" `Quick test_rng_deterministic;
         Alcotest.test_case "rng streams pinned" `Quick test_rng_streams;
         QCheck_alcotest.to_alcotest prop_balance_product;
