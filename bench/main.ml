@@ -1,11 +1,11 @@
 (** Benchmark harness: regenerates every table and figure of the
     paper's evaluation on the simulated GPUs, plus the host-side
-    harness checks (parallel and cold/warm runs) and the observatory
-    suite whose profiles [bench/baselines/quick.json] pins.
+    parallel-run check and the observatory suite whose profiles
+    [bench/baselines/quick.json] pins.
 
     Usage: [main.exe [table1|fig13|fig14|fig15|table2|fig16|fig17|
-    hipify|cpu|vii-b|parbench|ablation|cachebench|gate|all ...]]; no
-    arguments = all but [gate]. *)
+    hipify|cpu|vii-b|parbench|ablation|gate|all ...]]; no arguments =
+    all but [gate]. *)
 
 module E = Pgpu_core.Experiments
 module P = Pgpu_core.Polygeist_gpu
@@ -52,7 +52,6 @@ let write_metrics name json =
   match metrics_dir with
   | None -> ()
   | Some dir ->
-      Pgpu_support.Util.mkdir_p dir;
       let path = Filename.concat dir (name ^ ".json") in
       Pgpu_trace.Json.to_file path json;
       summaries := !summaries @ [ (name, json) ];
@@ -62,7 +61,6 @@ let write_summary () =
   match metrics_dir with
   | None -> ()
   | Some dir ->
-      Pgpu_support.Util.mkdir_p dir;
       let path = Filename.concat dir "summary.json" in
       Pgpu_trace.Json.to_file path
         (Json.Obj
@@ -172,28 +170,6 @@ let ablation () =
     tdo fixed
 
 (* ------------------------------------------------------------------ *)
-(* Cold-vs-warm cache benchmark                                        *)
-(* ------------------------------------------------------------------ *)
-
-let cachebench () =
-  heading "TDO cache: cold vs warm autotune";
-  Fmt.pr "%-12s %14s %14s %9s %7s@." "bench" "cold run" "warm run" "speedup" "same?";
-  let rows =
-    List.map
-      (fun (b : P.Bench_def.t) ->
-        let r = P.cache_bench ~specs:E.composite_specs ~target:Descriptor.a100 b in
-        Fmt.pr "%-12s %12.2f ms %12.2f ms %8.1fx %7s@." r.P.bench (r.P.cold_run_s *. 1e3)
-          (r.P.warm_run_s *. 1e3)
-          (r.P.cold_run_s /. Float.max r.P.warm_run_s 1e-9)
-          (if r.P.same_choices && r.P.same_outputs && r.P.same_composite then "yes"
-           else
-             Fmt.str "NO(c=%b,o=%b,t=%b)" r.P.same_choices r.P.same_outputs r.P.same_composite);
-        (r.P.bench, P.cache_bench_json r))
-      (benches ())
-  in
-  write_metrics "cachebench" (Pgpu_trace.Json.Obj rows)
-
-(* ------------------------------------------------------------------ *)
 (* Regression gate: the observatory suite's profiles                   *)
 (* ------------------------------------------------------------------ *)
 
@@ -219,8 +195,7 @@ let all () =
   hipify ();
   cpu ();
   parbench ();
-  ablation ();
-  cachebench ()
+  ablation ()
 
 let () =
   Fmt.pr "Polygeist-GPU reproduction: evaluation harness (simulated GPUs)@.";
@@ -239,7 +214,6 @@ let () =
       ("cpu", cpu);
       ("parbench", parbench);
       ("ablation", ablation);
-      ("cachebench", cachebench);
       ("gate", gate);
       ("all", all);
     ]

@@ -137,14 +137,6 @@ let cache_dir_arg =
            kernel hash, target and launch, so the directory can be shared across programs \
            and invocations; warm runs skip TDO trial execution.")
 
-let no_cache_arg =
-  Arg.(
-    value & flag
-    & info [ "no-cache" ]
-        ~doc:
-          "Disable the content-addressed cache entirely (without this flag an in-memory \
-           cache is used even when no --cache-dir is given).")
-
 let cache_stats_arg =
   Arg.(
     value
@@ -171,8 +163,6 @@ let jobs_arg =
            trial batch (one search, inline at 1) and sharded grid simulation on every \
            target. Outputs, counters, traces and TDO choices are bit-identical at any \
            value. Trials never race-check.")
-
-let make_cache no_cache dir = if no_cache then P.Cache.disabled else P.Cache.create ?dir ()
 
 (** Run [f], reporting a failure of the simulated program — a host
     error such as a negative allocation or a host copy out of range,
@@ -312,10 +302,10 @@ let print_run_summary (r : P.run_result) =
     (P.kernel_names r)
 
 let run_cmd =
-  let run () file target no_opt coarsen tune choice args trace metrics cache_dir no_cache
-      cache_stats jobs =
+  let run () file target no_opt coarsen tune choice args trace metrics cache_dir cache_stats
+      jobs =
     with_tracer trace metrics @@ fun tracer ->
-    let cache = make_cache no_cache cache_dir in
+    let cache = P.Cache.create ?dir:cache_dir () in
     with_source file (fun () ->
         P.compile ~optimize:(not no_opt) ~specs:(specs_of coarsen) ~tracer ~jobs ~target
           ~source:(read_file file) ())
@@ -333,8 +323,8 @@ let run_cmd =
     Term.(
       ret
         (const run $ setup_logs_t $ file_arg $ target_arg $ no_opt_arg $ coarsen_arg $ tune_arg
-       $ choice_arg $ args_arg $ trace_arg $ metrics_arg $ cache_dir_arg $ no_cache_arg
-       $ cache_stats_arg $ jobs_arg))
+       $ choice_arg $ args_arg $ trace_arg $ metrics_arg $ cache_dir_arg $ cache_stats_arg
+       $ jobs_arg))
 
 (* --- bench --- *)
 
@@ -351,46 +341,27 @@ let bench_cmd =
   let perf_arg =
     Arg.(value & flag & info [ "perf" ] ~doc:"Evaluation-scale problem size, sampled grids.")
   in
-  let cold_warm_arg =
-    Arg.(
-      value & flag
-      & info [ "cold-warm" ]
-          ~doc:
-            "Compile and autotune the benchmark twice against the same cache (a cold pass \
-             populating it, then a warm pass) and report the search-time speedup, the TDO \
-             cache hits and misses, and choice/output identity as JSON.")
-  in
   let run () (b : P.Bench_def.t) target no_opt coarsen tune verify perf args trace metrics
-      cache_dir no_cache cache_stats jobs cold_warm =
+      cache_dir cache_stats jobs =
     with_tracer trace metrics @@ fun tracer ->
     let name = b.P.Bench_def.name in
-    if cold_warm then begin
-      let specs = if coarsen = [] then None else Some (specs_of coarsen) in
-      `Ok
-        (runtime_errors @@ fun () ->
-         let r = P.cache_bench ?specs ?dir:cache_dir ~target b in
-         Fmt.pr "%s@." (P.Trace.Json.to_string_pretty (P.cache_bench_json r));
-         0)
-    end
-    else begin
-      let cache = make_cache no_cache cache_dir in
-      (* the default arguments fit main; a given --args list must too *)
-      let fits =
-        if args = [] then fun k -> `Ok (k ())
-        else with_main_args ~file:name (P.Frontend.compile_string b.P.Bench_def.source) args
-      in
-      fits @@ fun () ->
-      runtime_errors @@ fun () ->
-      let args = if args = [] then None else Some args in
-      let r =
-        P.run_rodinia ~verify ~optimize:(not no_opt) ~specs:(specs_of coarsen) ~tune ~perf
-          ~tracer ~cache ~jobs ~target ?args b
-      in
-      write_cache_stats cache cache_stats;
-      print_run_summary r;
-      if verify then Fmt.pr "outputs verified against the CPU reference.@.";
-      0
-    end
+    let cache = P.Cache.create ?dir:cache_dir () in
+    (* the default arguments fit main; a given --args list must too *)
+    let fits =
+      if args = [] then fun k -> `Ok (k ())
+      else with_main_args ~file:name (P.Frontend.compile_string b.P.Bench_def.source) args
+    in
+    fits @@ fun () ->
+    runtime_errors @@ fun () ->
+    let args = if args = [] then None else Some args in
+    let r =
+      P.run_rodinia ~verify ~optimize:(not no_opt) ~specs:(specs_of coarsen) ~tune ~perf ~tracer
+        ~cache ~jobs ~target ?args b
+    in
+    write_cache_stats cache cache_stats;
+    print_run_summary r;
+    if verify then Fmt.pr "outputs verified against the CPU reference.@.";
+    0
   in
   Cmd.v
     (Cmd.info "bench"
@@ -400,7 +371,7 @@ let bench_cmd =
       ret
         (const run $ setup_logs_t $ name_arg $ target_arg $ no_opt_arg $ coarsen_arg $ tune_arg
        $ verify_arg $ perf_arg $ args_arg $ trace_arg $ metrics_arg $ cache_dir_arg
-       $ no_cache_arg $ cache_stats_arg $ jobs_arg $ cold_warm_arg))
+       $ cache_stats_arg $ jobs_arg))
 
 (* --- profile --- *)
 
@@ -710,9 +681,7 @@ let report_cmd =
         else Fmt.pr "%a" P.Obs_report.pp report;
         Option.iter
           (fun path ->
-            let oc = open_out_bin path in
-            output_string oc (P.Obs_report.to_html report);
-            close_out oc;
+            Pgpu_support.Util.write_file path (P.Obs_report.to_html report);
             Fmt.epr "HTML report written to %s@." path)
           html;
         0

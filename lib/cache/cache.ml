@@ -1,62 +1,23 @@
-(** Content-addressed caching for the runtime.
-
-    Two parts:
-
-    - a generic mutex-protected {!Memo} table for in-process
-      memoization of OCaml values (the runtime's compiled kernels and
-      lowered launch sites), keyed by a hash with a caller-supplied
-      equality check so hash collisions can never alias;
-    - a persistent, namespaced string-keyed store of {!Json} values,
-      loaded from and flushed to [<dir>/<namespace>.json] when a cache
-      directory is configured, and purely in-memory otherwise. Its one
-      namespace, ["tdo"], holds the autotuner's choices.
+(** The autotuner's persistent choice store: a namespaced,
+    string-keyed store of {!Json} values, loaded from and flushed to
+    [<dir>/<namespace>.json] when a cache directory is configured, and
+    purely in-memory otherwise. Its one namespace, ["tdo"], holds the
+    TDO choices.
 
     Keys follow a content-addressed scheme: an alpha-invariant region
-    hash ([Instr.hash_block ~closed:true]) joined with the target
-    descriptor name and the launch parameters, so a cache directory can
-    be shared across targets and programs — an entry is only ever found
-    again for structurally identical code on the same target. Every
-    operation on a [disabled] cache is a no-op, so instrumented call
-    sites need no conditionals. All operations are thread-safe: a
-    memo may be consulted from several domains concurrently. *)
+    hash ([Instr.hash_block]) joined with the target descriptor name
+    and the launch parameters, so a cache directory can be shared
+    across targets and programs — an entry is only ever found again for
+    structurally identical code on the same target. Every operation on
+    a [disabled] cache is a no-op, so instrumented call sites need no
+    conditionals. All operations are thread-safe: a store may be
+    consulted from several domains concurrently. *)
 
 module Json = Pgpu_trace.Json
 
 type stats = { mutable hits : int; mutable misses : int; mutable stores : int }
 
 let stats_zero () = { hits = 0; misses = 0; stores = 0 }
-
-module Memo = struct
-  type ('a, 'b) t = { tbl : (int, ('a * 'b) list) Hashtbl.t; lock : Mutex.t }
-
-  let create () = { tbl = Hashtbl.create 64; lock = Mutex.create () }
-
-  let locked m f =
-    Mutex.lock m.lock;
-    Fun.protect ~finally:(fun () -> Mutex.unlock m.lock) f
-
-  (** [find_or_add m ~hash ~equal key compute] returns the memoized
-      value for a key equal to [key], or runs [compute] and records the
-      result. [compute] runs outside the lock: two domains racing on
-      the same key may both compute it (the table keeps one result) —
-      wasted work, never a wrong answer. *)
-  let find_or_add m ~hash ~equal key compute =
-    let cached =
-      locked m (fun () ->
-          match Hashtbl.find_opt m.tbl hash with
-          | None -> None
-          | Some bucket -> Option.map snd (List.find_opt (fun (k, _) -> equal k key) bucket))
-    in
-    match cached with
-    | Some v -> v
-    | None ->
-        let v = compute () in
-        locked m (fun () ->
-            let bucket = Option.value (Hashtbl.find_opt m.tbl hash) ~default:[] in
-            if not (List.exists (fun (k, _) -> equal k key) bucket) then
-              Hashtbl.replace m.tbl hash ((key, v) :: bucket));
-        v
-end
 
 (* ------------------------------------------------------------------ *)
 (* Persistent namespaced store                                         *)
@@ -87,13 +48,11 @@ let read_file path =
 (** A fresh cache. Without [dir] it is memory-only (still useful: a
     repeated tuned run in one process replays its TDO choices). With
     [dir] each namespace is backed by [<dir>/<namespace>.json], loaded
-    lazily on first access and written back by {!flush}. *)
-let create ?dir () =
-  Option.iter Pgpu_support.Util.mkdir_p dir;
-  { enabled = true; dir; spaces = []; lock = Mutex.create () }
+    lazily on first access and written back by {!flush}, which creates
+    [dir] and its missing parents. *)
+let create ?dir () = { enabled = true; dir; spaces = []; lock = Mutex.create () }
 
 let enabled t = t.enabled
-let dir t = t.dir
 
 let locked t f =
   Mutex.lock t.lock;
@@ -174,15 +133,6 @@ let ns_stats t ns =
       | None -> (0, 0, 0))
 
 let hits t ~ns = match ns_stats t ns with h, _, _ -> h
-let misses t ~ns = match ns_stats t ns with _, m, _ -> m
-
-(** Total (hits, misses, stores) over every namespace touched. *)
-let totals t =
-  locked t (fun () ->
-      List.fold_left
-        (fun (h, m, s) (_, sp) ->
-          (h + sp.ns_stats.hits, m + sp.ns_stats.misses, s + sp.ns_stats.stores))
-        (0, 0, 0) t.spaces)
 
 (** Machine-readable report: per-namespace entry counts and hit/miss/
     store counters, plus the backing directory. The CI cache smoke step

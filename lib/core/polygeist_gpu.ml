@@ -209,72 +209,3 @@ let run_rodinia ?(verify = false) ?(optimize = true) ?(specs = []) ?(tune = spec
       got
   end;
   r
-
-(* ------------------------------------------------------------------ *)
-(* Cold-vs-warm cache benchmark                                        *)
-(* ------------------------------------------------------------------ *)
-
-type cache_bench_result = {
-  bench : string;
-  cold_run_s : float;  (** wall-clock of the cold tuned run (incl. TDO trials) *)
-  warm_run_s : float;
-  cold_tdo_misses : int;  (** launch-signature sites trialed cold *)
-  warm_tdo_hits : int;  (** sites answered from the cache when warm *)
-  warm_tdo_misses : int;  (** sites trialed again when warm (0 when the replay is complete) *)
-  same_choices : bool;  (** warm run picked the same alternatives *)
-  same_outputs : bool;  (** warm outputs are bit-identical *)
-  same_composite : bool;  (** warm composite time is bit-identical *)
-}
-
-(** Compile and autotune [b] twice against the same cache: a cold pass
-    populating it, then a warm pass that must make identical choices
-    with identical outputs while skipping the TDO trials. The tuned
-    runs are timed with [Sys.time] (cpu seconds); compilation consults
-    no cache, so it is not timed. With [dir], the cache also persists
-    to disk across processes. *)
-let cache_bench ?(specs = specs_of_totals [ (1, 1); (4, 1); (1, 4); (2, 2) ]) ?dir
-    ~(target : Descriptor.t) (b : Bench_def.t) : cache_bench_result =
-  let cache = Cache.create ?dir () in
-  let pass () =
-    let c = compile ~specs ~target ~source:b.Bench_def.source () in
-    let t0 = Sys.time () in
-    let r = run ~tune:true ~cache c ~args:b.Bench_def.args in
-    (r, Sys.time () -. t0)
-  in
-  let _, m0, _ = Cache.ns_stats cache "tdo" in
-  let r_cold, rc = pass () in
-  let h1, m1, _ = Cache.ns_stats cache "tdo" in
-  let r_warm, rw = pass () in
-  let h2, m2, _ = Cache.ns_stats cache "tdo" in
-  (* compare launches by kernel name, not wid: wrapper ids are
-     renumbered by the warm re-compile *)
-  let choices r =
-    List.map (fun (l : Runtime.launch_record) -> (l.Runtime.kernel, l.Runtime.alternative)) r.records
-  in
-  {
-    bench = b.Bench_def.name;
-    cold_run_s = rc;
-    warm_run_s = rw;
-    cold_tdo_misses = m1 - m0;
-    warm_tdo_hits = h2 - h1;
-    warm_tdo_misses = m2 - m1;
-    same_choices = choices r_cold = choices r_warm;
-    same_outputs = r_cold.outputs = r_warm.outputs;
-    same_composite = Float.equal r_cold.composite_seconds r_warm.composite_seconds;
-  }
-
-let cache_bench_json (r : cache_bench_result) =
-  let module Json = Pgpu_trace.Json in
-  Json.Obj
-    [
-      ("bench", Json.Str r.bench);
-      ("cold_run_s", Json.Float r.cold_run_s);
-      ("warm_run_s", Json.Float r.warm_run_s);
-      ("search_speedup", Json.Float (r.cold_run_s /. Float.max r.warm_run_s 1e-9));
-      ("cold_tdo_misses", Json.Int r.cold_tdo_misses);
-      ("warm_tdo_hits", Json.Int r.warm_tdo_hits);
-      ("warm_tdo_misses", Json.Int r.warm_tdo_misses);
-      ("same_choices", Json.Bool r.same_choices);
-      ("same_outputs", Json.Bool r.same_outputs);
-      ("same_composite", Json.Bool r.same_composite);
-    ]

@@ -21,8 +21,9 @@
       ([test/interp.ml]), so outputs, all counters, race reports and
       TDO choices are bit-identical to it.
 
-    Compilation is per region; compiled kernels are cached by the
-    runtime keyed on the region's structural hash. *)
+    Compilation is per region: the runtime compiles each grid-level
+    parallel of a launch site once, when it resolves the site, and
+    every launch of the site, TDO trials included, reuses it. *)
 
 open Pgpu_ir
 

@@ -210,44 +210,37 @@ let is_pure = function
   | Yield _ | Yield_while _ | Return _ -> false
 
 (* ------------------------------------------------------------------ *)
-(* Structural hashing and equality                                     *)
+(* Structural hashing                                                  *)
 (* ------------------------------------------------------------------ *)
 
 (* Alpha-invariant canonicalization: values defined inside the block
-   (including region arguments) are numbered in traversal order, and
-   parallel-loop ids are numbered as encountered, so two blocks that
-   differ only by [Clone.block]'s renaming hash and compare equal.
-   Per-instance ids that cloning refreshes (wid, aid) are ignored. *)
+   (including region arguments) are numbered in traversal order, values
+   defined outside it by first use, and parallel-loop ids as
+   encountered, so two blocks of the same shape hash equal whatever
+   their value ids: [Clone.block]'s renaming, or another build of the
+   same program. Per-instance ids that cloning refreshes (wid, aid) are
+   ignored. *)
 
 type hasher = {
   h_idx : int Value.Tbl.t;  (** canonical number per value *)
   h_pids : (int, int) Hashtbl.t;  (** canonical number per parallel id *)
   mutable h_next : int;
   mutable h_acc : int;
-  h_closed : bool;  (** canonicalize free values too (cross-process keys) *)
 }
 
 let h_mix st n = st.h_acc <- (st.h_acc * 1000003) lxor n
 
-(** Hash a *use*. Bound values hash by canonical number. Free values
-    hash by their id when [closed] is false — the contract matched by
-    [Clone.block], which preserves uses of outer values — and by a
-    canonical first-use number when [closed] is true, making the hash a
-    pure function of the block's shape (stable across processes). *)
+(** Hash a *use*. Bound values hash by canonical number, free values by
+    a canonical first-use number, so the hash is a pure function of the
+    block's shape (stable across processes). *)
 let h_value st (v : Value.t) =
   (match Value.Tbl.find_opt st.h_idx v with
   | Some k -> h_mix st k
   | None ->
-      if st.h_closed then begin
-        st.h_next <- st.h_next + 1;
-        let k = -st.h_next in
-        Value.Tbl.replace st.h_idx v k;
-        h_mix st k
-      end
-      else begin
-        h_mix st 0x5eed;
-        h_mix st v.Value.id
-      end);
+      st.h_next <- st.h_next + 1;
+      let k = -st.h_next in
+      Value.Tbl.replace st.h_idx v k;
+      h_mix st k);
   h_mix st (Hashtbl.hash v.Value.ty)
 
 let h_bind st (v : Value.t) =
@@ -381,124 +374,15 @@ and h_block_inner st b =
 
 (** Structural hash of a block, invariant under [Clone.block]'s
     renaming of defined values, parallel-loop ids and wrapper ids.
-    With [closed] (default false), values defined *outside* the block
-    are also canonicalized by first use, so the hash depends only on
-    the block's shape — the form used for cross-process cache keys. *)
-let hash_block ?(closed = false) block =
+    Values defined *outside* the block are canonicalized by first use,
+    so the hash depends only on the block's shape: the persistent TDO
+    choice key. *)
+let hash_block block =
   let st =
-    {
-      h_idx = Value.Tbl.create 64;
-      h_pids = Hashtbl.create 8;
-      h_next = 0;
-      h_acc = 0x811c9dc5;
-      h_closed = closed;
-    }
+    { h_idx = Value.Tbl.create 64; h_pids = Hashtbl.create 8; h_next = 0; h_acc = 0x811c9dc5 }
   in
   h_block_inner st block;
   st.h_acc land max_int
-
-type eq_env = {
-  e_l : int Value.Tbl.t;
-  e_r : int Value.Tbl.t;
-  e_pl : (int, int) Hashtbl.t;
-  e_pr : (int, int) Hashtbl.t;
-  mutable e_next : int;
-}
-
-let eq_value env (a : Value.t) (b : Value.t) =
-  a.Value.ty = b.Value.ty
-  &&
-  match (Value.Tbl.find_opt env.e_l a, Value.Tbl.find_opt env.e_r b) with
-  | Some i, Some j -> i = j
-  | None, None -> Value.equal a b (* free on both sides: same outer value *)
-  | _ -> false
-
-let eq_bind env (a : Value.t) (b : Value.t) =
-  env.e_next <- env.e_next + 1;
-  Value.Tbl.replace env.e_l a env.e_next;
-  Value.Tbl.replace env.e_r b env.e_next;
-  a.Value.ty = b.Value.ty
-
-let eq_const a b =
-  match (a, b) with
-  | Ci x, Ci y -> x = y
-  | Cf x, Cf y -> Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y)
-  | _ -> false
-
-let eq_expr_shape a b =
-  match (a, b) with
-  | Const x, Const y -> eq_const x y
-  | Binop (oa, _, _), Binop (ob, _, _) -> oa = ob
-  | Unop (oa, _), Unop (ob, _) -> oa = ob
-  | Cmp (oa, _, _), Cmp (ob, _, _) -> oa = ob
-  | Select _, Select _ | Cast _, Cast _ | Load _, Load _ -> true
-  | _ -> false
-
-(** Constructor and scalar-payload equality; value operands, regions
-    and defs are compared generically by the caller. Binds parallel-id
-    pairs as a side effect. *)
-let eq_shape env a b =
-  match (a, b) with
-  | Let (_, ea), Let (_, eb) -> eq_expr_shape ea eb
-  | Store _, Store _ | If _, If _ | For _, For _ | While _, While _ -> true
-  | Parallel { pid = pa; level = la; _ }, Parallel { pid = pb; level = lb; _ } ->
-      la = lb
-      && begin
-           env.e_next <- env.e_next + 1;
-           Hashtbl.replace env.e_pl pa env.e_next;
-           Hashtbl.replace env.e_pr pb env.e_next;
-           true
-         end
-  | Barrier { scope = sa }, Barrier { scope = sb } -> (
-      match (Hashtbl.find_opt env.e_pl sa, Hashtbl.find_opt env.e_pr sb) with
-      | Some i, Some j -> i = j
-      | None, None -> sa = sb
-      | _ -> false)
-  | Alloc_shared { elt = ea; size = sa; _ }, Alloc_shared { elt = eb; size = sb; _ } ->
-      ea = eb && sa = sb
-  | Alloc { space = spa; elt = ea; _ }, Alloc { space = spb; elt = eb; _ } -> spa = spb && ea = eb
-  | Free _, Free _ | Memcpy _, Memcpy _ -> true
-  | Gpu_wrapper { name = na; _ }, Gpu_wrapper { name = nb; _ } -> String.equal na nb
-  | Alternatives { descs = da; _ }, Alternatives { descs = db; _ } ->
-      List.length da = List.length db && List.for_all2 String.equal da db
-  | Intrinsic { name = na; _ }, Intrinsic { name = nb; _ } -> String.equal na nb
-  | Yield _, Yield _ | Yield_while _, Yield_while _ | Return _, Return _ -> true
-  | _ -> false
-
-let rec eq_instr env a b =
-  eq_shape env a b
-  && (let ua = direct_uses a and ub = direct_uses b in
-      List.length ua = List.length ub && List.for_all2 (eq_value env) ua ub)
-  && (let ra = regions a and rb = regions b in
-      List.length ra = List.length rb
-      && List.for_all2
-           (fun (argsa, ba) (argsb, bb) ->
-             List.length argsa = List.length argsb
-             && List.for_all2 (eq_bind env) argsa argsb
-             && eq_block_inner env ba bb)
-           ra rb)
-  &&
-  let da = defs a and db = defs b in
-  List.length da = List.length db && List.for_all2 (eq_bind env) da db
-
-and eq_block_inner env a b = List.length a = List.length b && List.for_all2 (eq_instr env) a b
-
-(** Alpha-invariant structural equality, the exact decision procedure
-    behind [hash_block] (open form): [equal_block a b] implies
-    [hash_block a = hash_block b], and [equal_block b (Clone.block b)]
-    always holds. Free values must be the *same* outer values on both
-    sides — the property memo tables need to reuse a result region. *)
-let equal_block a b =
-  let env =
-    {
-      e_l = Value.Tbl.create 64;
-      e_r = Value.Tbl.create 64;
-      e_pl = Hashtbl.create 8;
-      e_pr = Hashtbl.create 8;
-      e_next = 0;
-    }
-  in
-  eq_block_inner env a b
 
 (* ------------------------------------------------------------------ *)
 (* Printing                                                            *)

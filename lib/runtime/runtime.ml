@@ -81,9 +81,14 @@ let default_config target =
     the timing model: the backend statistics of that region and, on a
     CPU target, the vectorizable share of the grid-level parallel at
     each position of it ({!Cpu_timing.vector_fraction}; empty on a
-    GPU). *)
+    GPU). Every launch of the site, trials included, runs its compiled
+    kernels. *)
 type site = {
   lowered : Instr.block;
+  kernels : Compile.t option array;
+      (** the compiled grid-level parallel at each position of
+          [lowered]; [None] elsewhere, and everywhere on a run with a
+          reference runner *)
   stats : Backend.kernel_stats;
   vector_fractions : float array;
 }
@@ -115,15 +120,11 @@ type state = {
           magnitude, so sites whose grids shrink across a host loop
           (e.g. gaussian, lud, nw) are re-tuned when the scale changes
           but not on every iteration. *)
-  sites : (int * int * int list, site) Cache.Memo.t;
+  sites : (int * int * int list, site) Hashtbl.t;
       (** (wrapper id, alternative, resolved thread extents) -> the
           site as launched; shared with trials, which may resolve
-          sites from several domains *)
-  compiled_cache : (Instr.instr, Compile.t) Cache.Memo.t;
-      (** structural-hash-memoized slot-indexed kernels; sound across
-          cloned regions because [Instr.equal_block] requires free
-          values (the kernel arguments a compiled kernel captures) to
-          be identical on both sides *)
+          sites from several domains, under [sites_lock] *)
+  sites_lock : Mutex.t;
 }
 
 (** One compiled host instruction. *)
@@ -155,8 +156,8 @@ type wrapper = {
           launch signature: the slot of each integer one, [-1] for the
           others (filled only when tuning) *)
   khash : int;
-      (** the closed structural hash of the body, the persistent TDO
-          key (computed only when tuning with the cache on) *)
+      (** the structural hash of the body, the persistent TDO key
+          (computed only when tuning with the cache on) *)
 }
 
 let create ?reference config =
@@ -172,8 +173,8 @@ let create ?reference config =
     clock = { composite = 0. };
     trial = false;
     choices = Hashtbl.create 8;
-    sites = Cache.Memo.create ();
-    compiled_cache = Cache.Memo.create ();
+    sites = Hashtbl.create 8;
+    sites_lock = Mutex.create ();
   }
 
 exception Host_error of string
@@ -232,16 +233,6 @@ let memcpy_overhead = 10e-6
 let fissions st =
   st.config.target.Descriptor.kind = Descriptor.Cpu && st.config.racecheck = None
 
-(** Slot-indexed compilation of a launch site's grid-level parallel,
-    memoized in the content-addressed store on the region's structural
-    hash. TDO trials, the committed execution and host-loop relaunches
-    of the same site all reuse one compiled kernel. *)
-let compiled_kernel st (i : Instr.instr) : Compile.t =
-  Cache.Memo.find_or_add st.compiled_cache ~hash:(Instr.hash_block [ i ])
-    ~equal:(fun a b -> Instr.equal_block [ a ] [ b ])
-    i
-    (fun () -> Compile.compile i)
-
 (** The integer a host value holds; [None] for a kernel-internal
     value, which has no slot. A region's host value that no
     instruction has written yet (an extent computed after the region's
@@ -297,19 +288,31 @@ let cpu_lower st ~wid ~alt (region : Instr.block) =
     [bs / f] is known — memoized on (wrapper, alternative, resolved
     thread extents). The lowering sizes scratch from the extents, so a
     relaunch with different block dimensions re-lowers instead of
-    replaying a stale region; GPU sites do not depend on them. *)
+    replaying a stale region; GPU sites do not depend on them. A site
+    is resolved outside the lock: two trials racing on one key may
+    both resolve it — wasted work, never a wrong answer. *)
 let site st ~wid ~alt (region : Instr.block) : site =
   let key = (wid, alt, if fissions st then thread_extents st region else []) in
-  Cache.Memo.find_or_add st.sites ~hash:(Hashtbl.hash key) ~equal:( = ) key (fun () ->
+  match Mutex.protect st.sites_lock (fun () -> Hashtbl.find_opt st.sites key) with
+  | Some s -> s
+  | None ->
       let target = st.config.target in
       let lowered = if fissions st then cpu_lower st ~wid ~alt region else region in
+      let compile = function
+        | Instr.Parallel { level = Instr.Blocks; _ } as p when Option.is_none st.reference ->
+            Some (Compile.compile p)
+        | _ -> None
+      in
+      let kernels = Array.of_list (List.map compile lowered) in
       let vector_fractions =
         match target.Descriptor.kind with
         | Descriptor.Gpu -> [||]
         | Descriptor.Cpu ->
             Array.of_list (List.map (fun i -> Cpu_timing.vector_fraction [ i ]) lowered)
       in
-      { lowered; stats = Backend.analyze target lowered; vector_fractions })
+      let s = { lowered; kernels; stats = Backend.analyze target lowered; vector_fractions } in
+      Mutex.protect st.sites_lock (fun () -> Hashtbl.replace st.sites key s);
+      s
 
 (** Launch the grid-level parallel at position [j] of [site] through
     the grid loop and account for it: charged to the composite time
@@ -342,9 +345,9 @@ let launch st ~name ~wid ~alt (site : site) j =
     }
   in
   let runner =
-    match st.reference with
-    | Some reference -> reference ~env:st.env p
-    | None -> Compile.runner ~frames:st.frames (compiled_kernel st p) ~env:st.env
+    match site.kernels.(j) with
+    | Some kernel -> Compile.runner ~frames:st.frames kernel ~env:st.env
+    | None -> (Option.get st.reference) ~env:st.env p
   in
   let target = st.config.target in
   let result, breakdown =
@@ -517,8 +520,8 @@ and launch_signature st (w : wrapper) =
     w.signature_slots;
   Buffer.contents buf
 
-(** Persistent TDO cache key for a launch site: the closed structural
-    hash of the wrapper body (stable across processes) joined with the
+(** Persistent TDO cache key for a launch site: the structural hash
+    of the wrapper body (stable across processes) joined with the
     target name, the launch signature and the alternative
     descriptions. Every alternatives region computes the same result,
     so even a hash collision could only ever affect which (correct)
@@ -1172,7 +1175,7 @@ and compile_wrapper st ~wid ~name (body : Instr.block) : wrapper =
   in
   let khash =
     if st.config.tune && Cache.enabled st.config.cache then
-      Instr.hash_block ~closed:true body
+      Instr.hash_block body
     else 0
   in
   { wid; name; alternatives; regions; signature_slots; khash }

@@ -79,6 +79,10 @@ let rec mkdir_p dir =
     try Sys.mkdir dir 0o755 with Sys_error _ -> ()
   end
 
+let write_file path contents =
+  mkdir_p (Filename.dirname path);
+  Out_channel.with_open_bin path (fun oc -> Out_channel.output_string oc contents)
+
 (** Default worker count for parallel compilation phases: the number
     of available cores, capped at 4 (candidate expansion saturates well
     before that on the small kernels of the evaluation suite). *)

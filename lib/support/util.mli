@@ -30,6 +30,11 @@ val transpose : 'a list list -> 'a list list
     existing directory is left as it is. *)
 val mkdir_p : string -> unit
 
+(** [write_file path contents] writes [contents] to [path], replacing
+    the file, after creating its missing parent directories: every
+    file the tools write goes through here. *)
+val write_file : string -> string -> unit
+
 (** Worker count for parallel compilation phases: the available
     cores, capped at 4 (min 1). *)
 val default_jobs : unit -> int

@@ -127,11 +127,7 @@ let to_string_pretty v =
 
 let pp ppf v = Fmt.string ppf (to_string v)
 
-let to_file path v =
-  let oc = open_out_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () -> output_string oc (to_string_pretty v))
+let to_file path v = Pgpu_support.Util.write_file path (to_string_pretty v)
 
 (* --- reader --- *)
 

@@ -30,7 +30,8 @@ val to_string_pretty : t -> string
 val write : Buffer.t -> t -> unit
 val pp : t Fmt.t
 
-(** Write the pretty form to a file. *)
+(** Write the pretty form to a file, creating its missing parent
+    directories ({!Pgpu_support.Util.write_file}). *)
 val to_file : string -> t -> unit
 
 (** Parse a JSON document; rejects trailing garbage. *)

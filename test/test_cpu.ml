@@ -12,8 +12,9 @@
       barrier inside any thread-level parallel, and executes (across 2
       domains) bit-identically to the lockstep A100 simulation;
     - a warm persistent-cache TDO run on the CPU target replays the
-      tuned choices from the cache without re-trialing, with the cold
-      run's outputs and composite time. *)
+      tuned choices from the cache directory without re-trialing, with
+      the cold run's outputs and composite time: the cpu rows of
+      [Test_cache]'s replay table. *)
 
 module P = Pgpu_core.Polygeist_gpu
 module Bench_def = Pgpu_rodinia.Bench_def
@@ -139,27 +140,6 @@ let prop_fission_preserves_semantics =
       check_bitwise ~what:"random kernel on cpu" a c;
       true)
 
-(* ------------------------------------------------------------------ *)
-(* Warm persistent-cache TDO replay on the CPU target                  *)
-(* ------------------------------------------------------------------ *)
-
-(* lud, nw, pathfinder and conv1d compute a coarsened thread extent in
-   the candidate region's own host prelude: the warm run, which makes
-   no trials, must still lower each region as the cold commit did *)
-let test_warm_tdo_cpu () =
-  List.iter
-    (fun name ->
-      let b = try P.Rodinia.find name with Failure _ -> P.Hecbench.find name in
-      let r = P.cache_bench ~target:Descriptor.cpu b in
-      let check what = Alcotest.(check bool) (name ^ ": " ^ what) true in
-      check "cold run trialed at least one site" (r.P.cold_tdo_misses > 0);
-      Alcotest.(check int) (name ^ ": warm run answered every site from the cache") 0
-        r.P.warm_tdo_misses;
-      check "warm run replays the tuned choices" r.P.same_choices;
-      check "warm outputs bit-identical" r.P.same_outputs;
-      check "warm composite identical" r.P.same_composite)
-    [ "backprop"; "lud"; "nw"; "pathfinder"; "conv1d" ]
-
 let suite =
   [
     ( "cpu",
@@ -167,6 +147,6 @@ let suite =
       @ [
           QCheck_alcotest.to_alcotest prop_fission_wellformed;
           QCheck_alcotest.to_alcotest prop_fission_preserves_semantics;
-          Alcotest.test_case "warm TDO cache replay on cpu" `Quick test_warm_tdo_cpu;
+          Alcotest.test_case "warm TDO cache replay on cpu" `Quick Test_cache.test_warm_tdo_cpu;
         ] );
   ]

@@ -47,6 +47,23 @@ let test_mkdir_p () =
   Alcotest.(check bool) "nested directory exists" true (Sys.is_directory dir);
   List.iter Sys.rmdir [ dir; Filename.dirname dir; root ]
 
+(* every file the tools write goes through [Util.write_file], which
+   creates the missing directories above it; [Json.to_file] too *)
+let test_write_file () =
+  let root = Filename.temp_file "pgpu-write-" "" in
+  Sys.remove root;
+  let path = Filename.concat (Filename.concat root "a") "f.txt" in
+  Util.write_file path "one";
+  Util.write_file path "two";
+  Alcotest.(check string)
+    "replaced contents" "two"
+    (In_channel.with_open_bin path In_channel.input_all);
+  let json = Filename.concat (Filename.concat root "b") "g.json" in
+  Pgpu_trace.Json.to_file json (Pgpu_trace.Json.Int 1);
+  Alcotest.(check bool) "json file written" true (Sys.file_exists json);
+  List.iter Sys.remove [ path; json ];
+  List.iter Sys.rmdir [ Filename.dirname path; Filename.dirname json; root ]
+
 let test_rng_deterministic () =
   let a = Pgpu_support.Rng.create 42 and b = Pgpu_support.Rng.create 42 in
   for _ = 1 to 100 do
@@ -127,6 +144,7 @@ let suite =
         Alcotest.test_case "balance_factor" `Quick test_balance_factor;
         Alcotest.test_case "stats" `Quick test_stats;
         Alcotest.test_case "mkdir_p creates missing parents" `Quick test_mkdir_p;
+        Alcotest.test_case "write_file creates missing parents" `Quick test_write_file;
         Alcotest.test_case "rng deterministic" `Quick test_rng_deterministic;
         Alcotest.test_case "rng streams pinned" `Quick test_rng_streams;
         QCheck_alcotest.to_alcotest prop_balance_product;
