@@ -177,21 +177,31 @@ let runtime_errors f =
       Fmt.epr "pgpu: device error: %s@." m;
       Cmd.Exit.some_error
 
-(** A command's exit codes, [doc] saying when it exits 123. *)
+(** A command's exit codes, [doc] saying when it exits 123 besides on
+    an output file it cannot write. *)
 let exits doc =
-  Cmd.Exit.info Cmd.Exit.some_error ~doc
+  Cmd.Exit.info Cmd.Exit.some_error ~doc:(doc ^ ", or an output file it cannot write.")
   :: List.filter (fun i -> Cmd.Exit.info_code i <> Cmd.Exit.some_error) Cmd.Exit.defaults
 
-let source_exits = exits "on a source the frontend rejects."
+let source_exits = exits "on a source the frontend rejects"
 
 let run_exits =
-  exits "on a source the frontend rejects, or a host or device error while the program runs."
+  exits "on a source the frontend rejects, or a host or device error while the program runs"
 
 (** Malformed input, reported as such with exit 123, not as an
     internal error. For a [Term.ret] term. *)
 let source_error file msg =
   Fmt.epr "pgpu: %s: source error: %s@." file msg;
   `Ok Cmd.Exit.some_error
+
+(** [f ()], with an output file it cannot write (a directory on its
+    path is a regular file, say) an input error naming the path, exit
+    123. For a [Term.ret] term. *)
+let output_errors f =
+  try f ()
+  with Pgpu_support.Util.Write_error m ->
+    Fmt.epr "pgpu: cannot write %s@." m;
+    `Ok Cmd.Exit.some_error
 
 (** [k] of the program [compile] makes of [file]'s source, or a
     [source_error] when the frontend rejects it. *)
@@ -224,8 +234,9 @@ let write_cache_stats cache path =
     path
 
 (** Run [f] with a tracer (live only when some output was requested),
-    then write the requested trace/metrics files. *)
+    then write the requested trace/metrics files, under [output_errors]. *)
 let with_tracer trace metrics f =
+  output_errors @@ fun () ->
   let tracer =
     if trace = None && metrics = None then P.Tracer.disabled else P.Tracer.create ()
   in
@@ -242,12 +253,7 @@ let with_tracer trace metrics f =
     metrics;
   code
 
-let read_file path =
-  let ic = open_in_bin path in
-  let n = in_channel_length ic in
-  let s = really_input_string ic n in
-  close_in ic;
-  s
+let read_file path = In_channel.with_open_bin path In_channel.input_all
 
 (* --- compile --- *)
 
@@ -365,7 +371,7 @@ let bench_cmd =
   in
   Cmd.v
     (Cmd.info "bench"
-       ~exits:(exits "on a host or device error while the program runs.")
+       ~exits:(exits "on a host or device error while the program runs")
        ~doc:"Run a bundled Rodinia benchmark.")
     Term.(
       ret
@@ -449,6 +455,7 @@ let check_cmd =
       & info [ "json" ] ~docv:"FILE" ~doc:"Also write the report as JSON to $(docv).")
   in
   let run () (name, source, bench_def) target no_opt coarsen dynamic args json =
+    output_errors @@ fun () ->
     with_source name (fun () ->
         P.compile ~optimize:(not no_opt) ~specs:(specs_of coarsen) ~target ~source ())
     @@ fun c ->
@@ -545,7 +552,7 @@ let check_cmd =
   in
   Cmd.v
     (Cmd.info "check"
-       ~exits:(exits "on a source the frontend rejects, or, with $(b,--dynamic), one without main.")
+       ~exits:(exits "on a source the frontend rejects, or, with $(b,--dynamic), one without main")
        ~doc:
          "Static shared-memory race and barrier-safety analysis of every kernel (and every \
           coarsened alternative), with an optional simulator-backed dynamic race detector.")
@@ -636,8 +643,8 @@ let report_cmd =
       & pos 0 (some file) None
       & info [] ~docv:"FILE"
           ~doc:
-            "A list of runs with their profiles, as $(b,bench/main.exe gate --metrics-dir DIR) \
-             writes DIR/gate.json and bench/baselines/quick.json pins it.")
+            "A list of runs with their profiles, as $(b,bench/main.exe EXPERIMENT --metrics-dir \
+             DIR) writes DIR/EXPERIMENT.json and the files under bench/baselines pin them.")
   in
   let summary_arg =
     Arg.(
@@ -675,25 +682,26 @@ let report_cmd =
     match report with
     | Error (path, m) ->
         Fmt.epr "pgpu: %s: %s@." path m;
-        Cmd.Exit.some_error
+        `Ok Cmd.Exit.some_error
     | Ok report ->
         if as_json then Fmt.pr "%s@." (P.Trace.Json.to_string_pretty (P.Obs_report.to_json report))
         else Fmt.pr "%a" P.Obs_report.pp report;
+        output_errors @@ fun () ->
         Option.iter
           (fun path ->
             Pgpu_support.Util.write_file path (P.Obs_report.to_html report);
             Fmt.epr "HTML report written to %s@." path)
           html;
-        0
+        `Ok 0
   in
   Cmd.v
     (Cmd.info "report"
        ~exits:
-         (exits "on a FILE that is not a list of runs, or a $(b,--summary) file that is not JSON.")
+         (exits "on a FILE that is not a list of runs, or a $(b,--summary) file that is not JSON")
        ~doc:
-         "Render the quick suite's profiles: per-target speedup tables and per-kernel \
-          bottleneck attribution — as text, JSON or a self-contained HTML dashboard.")
-    Term.(const run $ setup_logs_t $ runs_arg $ summary_arg $ json_arg $ html_arg)
+         "Render a list of profiled runs, such as a file under bench/baselines: per-target \
+          speedups and per-kernel bottlenecks, as text, JSON or a self-contained HTML dashboard.")
+    Term.(ret (const run $ setup_logs_t $ runs_arg $ summary_arg $ json_arg $ html_arg))
 
 (* --- list --- *)
 

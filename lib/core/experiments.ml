@@ -1,10 +1,16 @@
 (** Reproduction of every table and figure of the paper's evaluation
-    (Section VII). Each experiment returns structured data and renders
-    the same rows/series the paper reports; the bench harness
+    (Section VII). Each experiment is a declared list of runs and a
+    renderer over their profiles. A run splits what is compiled from
+    how it runs, as CUDAnative's [split_kwargs] splits the keywords of
+    a launch; one table per process compiles and runs each distinct
+    run once, so figures that share runs share their results, and one
+    encoder writes every experiment's runs in the schema that
+    [bench/baselines/quick.json] pins. The bench harness
     ([bench/main.exe]) drives them. *)
 
 open Polygeist_gpu
 module Stats = Pgpu_support.Stats
+module Json = Pgpu_trace.Json
 
 let fpr = Fmt.pr
 
@@ -27,20 +33,178 @@ let composite_specs =
   specs_of_totals
     [ (1, 1); (2, 1); (4, 1); (8, 1); (16, 1); (3, 1); (1, 2); (1, 4); (2, 2); (4, 2); (8, 2) ]
 
-let run_bench ?(optimize = true) ?(specs = []) ~target (b : Bench_def.t) =
-  run_rodinia ~optimize ~specs ~tune:(specs <> []) ~perf:true ~target b
+(** Targets the observatory measures: one NVIDIA GPU, one AMD GPU and
+    the barrier-fission CPU backend. *)
+let obs_targets = [ Descriptor.a100; Descriptor.rx6800; Descriptor.cpu ]
+
+(** A small TDO sweep: enough alternatives to exercise tuning without
+    dominating gate wall-clock. *)
+let obs_specs = specs_of_totals [ (1, 1); (2, 1); (1, 2) ]
+
+(** The quick-mode benchmark subset shared by the bench harness
+    ([--quick]) and the pinned quick suite
+    ([bench/baselines/quick.json]). *)
+let quick_benches () =
+  let quick = [ "lud"; "gaussian"; "nw"; "hotspot"; "nn" ] in
+  List.filter (fun (b : Bench_def.t) -> List.mem b.Bench_def.name quick) Rodinia.all
+
+(* ------------------------------------------------------------------ *)
+(* Runs and the table that computes each once                          *)
+(* ------------------------------------------------------------------ *)
+
+(** What is compiled. *)
+type compile_key = {
+  source : string;  (** hipified for the AMD baseline route *)
+  target : Descriptor.t;
+  optimize : bool;
+  specs : Coarsen.spec list;
+}
+
+(** How the compiled program runs. The worker count is not part of
+    it: results are bit-identical at every [--jobs]. *)
+type run_key = { args : int list; tune : bool; functional : bool; sample_blocks : int }
+
+type run = {
+  bench : string;
+  config : string;  (** the experiment's label for the run; not part of its key *)
+  compile : compile_key;
+  exec : run_key;
+}
+
+(** [b] on [target] as [Polygeist_gpu.run_rodinia] runs it
+    ([bench_exec]): at its default size, or with [perf] at evaluation
+    scale. *)
+let bench_run ?(optimize = true) ?source ?(specs = []) ?(tune = specs <> []) ?(perf = false)
+    ~config target (b : Bench_def.t) =
+  let args, functional, sample_blocks = bench_exec ~perf b in
+  {
+    bench = b.Bench_def.name;
+    config;
+    compile = { source = Option.value source ~default:b.Bench_def.source; target; optimize; specs };
+    exec = { args; tune; functional; sample_blocks };
+  }
+
+(** What the table keeps of a run: its profile, with a digest of its
+    output bits when every block ran; or, for a fixed configuration
+    the compiler rejected, each kernel it was rejected on. Never the
+    outputs or the launch records. *)
+type outcome =
+  | Profiled of Profile.report * Digest.t option
+  | Pruned of (string * Alternatives.decision) list
+
+(* the kernels on which the compiler rejected [r]'s configuration,
+   when [r] fixes one (a single spec, untuned): for shared memory,
+   spills, occupancy or a race. A coarsening that does not apply to a
+   kernel leaves that kernel as it is, and the run goes ahead. *)
+let rejections (r : run) (c : compiled) =
+  if r.exec.tune || List.length r.compile.specs <> 1 then []
+  else
+    List.sort_uniq compare
+      (List.concat_map
+         (fun (k : Pipeline.kernel_report) ->
+           List.filter_map
+             (fun (cand : Alternatives.candidate) ->
+               match cand.Alternatives.decision with
+               | Alternatives.Kept | Alternatives.Rejected_illegal _ -> None
+               | d -> Some (k.Pipeline.kernel, d))
+             k.Pipeline.candidates)
+         c.report.Pipeline.kernels)
+
+let perform ~jobs (r : run) =
+  let k = r.compile and x = r.exec in
+  let c = compile ~optimize:k.optimize ~specs:k.specs ~jobs ~target:k.target ~source:k.source () in
+  match rejections r c with
+  | _ :: _ as rejected -> Pruned rejected
+  | [] ->
+      let { outputs; composite_seconds; records } =
+        run ~tune:x.tune ~functional:x.functional ~sample_blocks:x.sample_blocks ~jobs c
+          ~args:x.args
+      in
+      let bits = List.map (List.map Int64.bits_of_float) outputs in
+      Profiled
+        ( Profile.of_run ~composite_seconds records,
+          if x.functional then Some (Digest.string (Marshal.to_string bits [ Marshal.No_sharing ]))
+          else None )
+
+(** The runs of one process by key, each computed on [jobs] worker
+    domains when an experiment first needs it. *)
+type table = { jobs : int; entries : (compile_key * run_key, outcome Lazy.t) Hashtbl.t }
+
+let table ~jobs () = { jobs; entries = Hashtbl.create 64 }
+
+(** [r]'s entry, added unevaluated when its key is new: runs with
+    equal keys share one entry, whatever their labels. *)
+let entry t (r : run) =
+  let key = (r.compile, r.exec) in
+  match Hashtbl.find_opt t.entries key with
+  | Some e -> e
+  | None ->
+      let e = lazy (perform ~jobs:t.jobs r) in
+      Hashtbl.add t.entries key e;
+      e
+
+(** An experiment: its runs, and the tables it prints from their
+    outcomes, given in declared order. *)
+type experiment = {
+  name : string;  (** the harness sub-command; [--metrics-dir DIR] writes DIR/<name>.json *)
+  runs : run list;
+  render : (run * outcome) list -> unit;
+}
+
+(** [e]'s runs with their outcomes, each computed unless [t] holds it. *)
+let measure t e = List.map (fun r -> (r, Lazy.force (entry t r))) e.runs
+
+(** Every experiment's file: each run as [{bench, target, config,
+    profile}], the profile being the report [pgpu profile --json]
+    prints, so [pgpu report] renders any of them. A run whose
+    configuration the compiler rejected holds its rejections as
+    [pruned] in place of a profile. Host wall-clock is left out, so a
+    file is the same bytes on every machine and at every [--jobs]. *)
+let json_of_runs ms : Json.t =
+  Json.List
+    (List.map
+       (fun ((r : run), o) ->
+         Json.Obj
+           [
+             ("bench", Json.Str r.bench);
+             ("target", Json.Str r.compile.target.Descriptor.name);
+             ("config", Json.Str r.config);
+             (match o with
+             | Profiled (p, _) -> ("profile", Profile.json_of_report p)
+             | Pruned ds ->
+                 let rejected (k, d) = Json.Str (Fmt.str "%s: %a" k Alternatives.pp_decision d) in
+                 ("pruned", Json.List (List.map rejected ds)));
+           ])
+       ms)
+
+(* the outcome of the run of [bench] on [target] labelled [config] *)
+let find ms ~bench (target : Descriptor.t) config =
+  let key (r : run) = (r.bench, r.compile.target.Descriptor.name, r.config) in
+  snd (List.find (fun (r, _) -> key r = (bench, target.Descriptor.name, config)) ms)
+
+let profile = function
+  | Profiled (p, _) -> p
+  | Pruned _ -> invalid_arg "Experiments.profile: the compiler rejected the run's configuration"
+
+let kernel o name =
+  let is (k : Profile.kernel_profile) = String.equal k.Profile.kernel name in
+  List.find_opt is (profile o).Profile.kernels
+
+(* simulated seconds spent in launches of kernel [name]; 0 when it
+   was not launched *)
+let kernel_seconds o name =
+  match kernel o name with Some k -> k.Profile.seconds | None -> 0.
+
+(* the composite seconds of [b]'s run labelled [config] on [target] *)
+let composite_of ms (b : Bench_def.t) target config =
+  (profile (find ms ~bench:b.Bench_def.name target config)).Profile.composite_seconds
+
+(* the geomean of [f] over [data] as a gain in percent *)
+let gain f data = (Stats.geomean (List.map f data) -. 1.) *. 100.
 
 (* ------------------------------------------------------------------ *)
 (* Table I                                                             *)
 (* ------------------------------------------------------------------ *)
-
-let print_row widths cells =
-  List.iteri
-    (fun i c ->
-      let w = List.nth widths i in
-      fpr "%-*s  " w c)
-    cells;
-  fpr "@."
 
 let print_table header rows =
   let widths =
@@ -50,9 +214,13 @@ let print_table header rows =
           (String.length h) rows)
       header
   in
-  print_row widths header;
-  print_row widths (List.map (fun w -> String.make w '-') widths);
-  List.iter (print_row widths) rows
+  let print_row cells =
+    List.iter2 (fun w c -> fpr "%-*s  " w c) widths cells;
+    fpr "@."
+  in
+  print_row header;
+  print_row (List.map (fun w -> String.make w '-') widths);
+  List.iter print_row rows
 
 let table1 () =
   fpr "== Table I: GPUs used for evaluation and their specifications ==@.";
@@ -64,14 +232,6 @@ let table1 () =
 (* Kernel-level strategy comparison (Fig. 13 and Section VII-B)        *)
 (* ------------------------------------------------------------------ *)
 
-type kernel_speedups = {
-  bench : string;
-  kernel : string;
-  thread_only : float;  (** best-of-strategy speedup over baseline *)
-  block_only : float;
-  combined : float;
-}
-
 (** Minimum kernel runtime considered (the paper discards runtimes
     below 0.1 ms). *)
 let min_kernel_seconds = 1e-4
@@ -80,63 +240,59 @@ let min_kernel_seconds = 1e-4
     paper. *)
 let fig13_benches () = Rodinia.all @ Hecbench.all
 
-let fig13_data ?(target = Descriptor.a100) ?(benches = fig13_benches ()) () :
-    kernel_speedups list =
-  List.concat_map
-    (fun (b : Bench_def.t) ->
-      let base = run_bench ~target b in
-      let strategies =
-        [ thread_only_specs; block_only_specs; combined_specs ]
-        |> List.map (fun specs -> run_bench ~specs ~target b)
-      in
-      let kernels = kernel_names base in
-      List.filter_map
-        (fun k ->
-          let t0 = kernel_seconds base k in
-          if t0 < min_kernel_seconds then None
-          else
-            match List.map (fun r -> t0 /. kernel_seconds r k) strategies with
-            | [ thread_only; block_only; combined ] ->
-                Some { bench = b.Bench_def.name; kernel = k; thread_only; block_only; combined }
-            | _ -> None)
-        kernels)
-    benches
+let strategies =
+  [
+    ("thread-only", thread_only_specs); ("block-only", block_only_specs); ("combined", combined_specs);
+  ]
 
-let fig13 ?target ?benches () =
-  let data = fig13_data ?target ?benches () in
-  fpr "== Fig. 13 / Section VII-B: thread vs block vs combined coarsening (kernel level) ==@.";
-  let rows =
-    List.map
-      (fun e ->
-        [
-          e.bench;
-          e.kernel;
-          Fmt.str "%.3f" e.thread_only;
-          Fmt.str "%.3f" e.block_only;
-          Fmt.str "%.3f" e.combined;
-        ])
-      data
+(** Each kernel of [benches] on the A100 at evaluation scale, untuned
+    and tuned over each strategy's factors: a kernel's speedup under a
+    strategy is its untuned seconds over its seconds under the
+    strategy's best configuration. *)
+let fig13 benches =
+  let target = Descriptor.a100 in
+  let runs (b : Bench_def.t) =
+    bench_run ~perf:true ~config:"untuned" target b
+    :: List.map (fun (config, specs) -> bench_run ~perf:true ~specs ~config target b) strategies
   in
-  print_table [ "benchmark"; "kernel"; "thread-only"; "block-only"; "combined" ] rows;
-  let gm f = Stats.geomean (List.map f data) in
-  fpr "@.geomean speedups: thread-only %.1f%%  block-only %.1f%%  combined %.1f%%@."
-    ((gm (fun e -> e.thread_only) -. 1.) *. 100.)
-    ((gm (fun e -> e.block_only) -. 1.) *. 100.)
-    ((gm (fun e -> e.combined) -. 1.) *. 100.);
-  let improved = List.filter (fun e -> max e.thread_only (max e.block_only e.combined) > 1.01) data in
-  fpr "kernels with >1%% speedup in some strategy: %d of %d@." (List.length improved)
-    (List.length data);
-  let wins =
-    List.length (List.filter (fun e -> e.combined >= e.thread_only -. 1e-9) improved)
+  let render ms =
+    let data =
+      List.concat_map
+        (fun (b : Bench_def.t) ->
+          let get = find ms ~bench:b.Bench_def.name target in
+          List.filter_map
+            (fun (k : Profile.kernel_profile) ->
+              let t0 = k.Profile.seconds in
+              if t0 < min_kernel_seconds then None
+              else
+                Some
+                  ( b.Bench_def.name,
+                    k.Profile.kernel,
+                    List.map
+                      (fun (config, _) -> t0 /. kernel_seconds (get config) k.Profile.kernel)
+                      strategies ))
+            (profile (get "untuned")).Profile.kernels)
+        benches
+    in
+    fpr "== Fig. 13 / Section VII-B: thread vs block vs combined coarsening (kernel level) ==@.";
+    print_table
+      [ "benchmark"; "kernel"; "thread-only"; "block-only"; "combined" ]
+      (List.map (fun (b, k, s) -> b :: k :: List.map (Fmt.str "%.3f") s) data);
+    let gm i = gain (fun (_, _, s) -> List.nth s i) data in
+    fpr "@.geomean speedups: thread-only %.1f%%  block-only %.1f%%  combined %.1f%%@." (gm 0) (gm 1)
+      (gm 2);
+    let improved = List.filter (fun (_, _, s) -> List.exists (fun x -> x > 1.01) s) data in
+    fpr "kernels with >1%% speedup in some strategy: %d of %d@." (List.length improved)
+      (List.length data);
+    let wins = List.filter (fun (_, _, s) -> List.nth s 2 >= List.nth s 0 -. 1e-9) improved in
+    fpr "combined >= thread-only on %d of %d improved kernels@.@." (List.length wins)
+      (List.length improved)
   in
-  fpr "combined >= thread-only on %d of %d improved kernels@.@." wins (List.length improved);
-  data
+  { name = "fig13"; runs = List.concat_map runs benches; render }
 
 (* ------------------------------------------------------------------ *)
-(* Fig. 14: lud coarsening-factor heat map                             *)
+(* The lud analyses: Fig. 14, Table II and Fig. 15                     *)
 (* ------------------------------------------------------------------ *)
-
-
 
 (** Problem size for the lud kernel analyses: a 2048x2048 matrix, as
     in the paper, so the grids are large enough for coarsening to
@@ -144,512 +300,320 @@ let fig13 ?target ?benches () =
     does not depend on device data, so this is safe. *)
 let lud_analysis_args = [ 128 ]
 
-(** Run lud with one (block_total, thread_total) configuration and
-    return the time of the main kernel (lud_internal); [None] when the
-    configuration is infeasible on the target (e.g. exceeds the
-    shared-memory limit). *)
-let lud_config_time ?(target = Descriptor.a100) ?(args = lud_analysis_args)
-    ?(kernel = "lud_internal") spec_ =
-  let b = Rodinia.find "lud" in
-  let c = compile ~specs:[ spec_ ] ~target ~source:b.Bench_def.source () in
-  (* was the requested configuration pruned for the main kernel? *)
-  let decision =
-    List.find_map
-      (fun (k : Pipeline.kernel_report) ->
-        if String.equal k.Pipeline.kernel kernel then
-          List.find_map
-            (fun (cand : Alternatives.candidate) -> Some cand.Alternatives.decision)
-            k.Pipeline.candidates
-        else None)
-      c.report.Pipeline.kernels
-  in
-  match decision with
-  | Some Alternatives.Kept | None ->
-      let r = run ~functional:false ~sample_blocks:8 c ~args in
-      Ok (kernel_seconds r kernel)
-  | Some d -> Error d
+(* lud on the A100 under one configuration at [lud_analysis_args],
+   timing-only on 8 sampled blocks per launch *)
+let lud_run ~config spec =
+  {
+    (bench_run ~specs:[ spec ] ~tune:false ~config Descriptor.a100 (Rodinia.find "lud")) with
+    exec = { args = lud_analysis_args; tune = false; functional = false; sample_blocks = 8 };
+  }
 
-type sweep_outcome = Speedup of float | Pruned of Alternatives.decision
-type sweep_cell = { block_f : int; thread_f : int; speedup : sweep_outcome }
+let pair (x, y) = Fmt.str "(%d, %d)" x y
+let totals_spec b t = Coarsen.spec ~block:(Coarsen.Total b) ~thread:(Coarsen.Total t) ()
 
-let fig14_data ?(target = Descriptor.a100) ?(args = lud_analysis_args) () : sweep_cell list =
-  let base =
-    match lud_config_time ~target ~args (Coarsen.spec ()) with
-    | Ok t -> t
-    | Error _ -> invalid_arg "baseline lud infeasible"
+(* lud_internal under [spec r c] for each factor pair of [rows] x
+   [cols], as speedups over lud's uncoarsened configuration ("base");
+   [row] names the row factor *)
+let sweep ~name ~title ~row ~rows ~cols spec =
+  let cells = List.concat_map (fun r -> List.map (fun c -> (r, c)) cols) rows in
+  let render ms =
+    let get = find ms ~bench:"lud" Descriptor.a100 in
+    let base = kernel_seconds (get "base") "lud_internal" in
+    let speedup p =
+      match get (pair p) with
+      | Profiled _ as o -> Ok (base /. kernel_seconds o "lud_internal")
+      | Pruned ds -> Error (List.assoc_opt "lud_internal" ds)
+    in
+    let text p =
+      match speedup p with
+      | Ok s -> Fmt.str "%.2f" s
+      | Error (Some (Alternatives.Rejected_shmem _)) -> "shmem!"
+      | Error (Some (Alternatives.Rejected_spill _)) -> "spill!"
+      | Error _ -> "pruned"
+    in
+    fpr "== %s ==@." title;
+    print_table
+      ("" :: List.map (Fmt.str "thr %d") cols)
+      (List.map (fun r -> Fmt.str "%s %2d" row r :: List.map (fun c -> text (r, c)) cols) rows);
+    let best =
+      List.fold_left
+        (fun acc p ->
+          match speedup p with
+          | Ok s when s > (match acc with Some (_, b) -> b | None -> 0.) -> Some (p, s)
+          | _ -> acc)
+        None cells
+    in
+    Option.iter
+      (fun ((r, c), s) -> fpr "@.peak: %.2fx at (%s, thread) = (%d, %d)@.@." s row r c)
+      best
   in
-  List.concat_map
-    (fun bf ->
-      List.map
-        (fun tf ->
-          let s = Coarsen.spec ~block:(Coarsen.Total bf) ~thread:(Coarsen.Total tf) () in
-          let speedup =
-            match lud_config_time ~target ~args s with
-            | Ok t -> Speedup (base /. t)
-            | Error d -> Pruned d
-          in
-          { block_f = bf; thread_f = tf; speedup })
-        totals)
-    totals
+  let cell (r, c) = lud_run ~config:(pair (r, c)) (spec r c) in
+  { name; runs = lud_run ~config:"base" (Coarsen.spec ()) :: List.map cell cells; render }
 
-let fig14 ?target ?args () =
-  let data = fig14_data ?target ?args () in
-  fpr "== Fig. 14: lud main kernel, relative performance per (block, thread) total factor ==@.";
-  let cell bf tf =
-    match List.find_opt (fun c -> c.block_f = bf && c.thread_f = tf) data with
-    | Some { speedup = Speedup s; _ } -> Fmt.str "%.2f" s
-    | Some { speedup = Pruned (Alternatives.Rejected_shmem _); _ } -> "shmem!"
-    | Some { speedup = Pruned (Alternatives.Rejected_spill _); _ } -> "spill!"
-    | Some { speedup = Pruned _; _ } -> "pruned"
-    | None -> "-"
+(** Fig. 14: lud's main kernel per (block, thread) total factor. *)
+let fig14 () =
+  sweep ~name:"fig14"
+    ~title:"Fig. 14: lud main kernel, relative performance per (block, thread) total factor"
+    ~row:"block" ~rows:totals ~cols:totals totals_spec
+
+(** Table II: what a profiler run of lud's main kernel reports at
+    (1,1), (4,1) and (1,4): summed seconds and counters, and the
+    utilizations of the dominant launch. *)
+let table2 () =
+  let render ms =
+    let ks =
+      List.map (fun ((r : run), o) -> (r.config, Option.get (kernel o "lud_internal"))) ms
+    in
+    fpr "== Table II: profiling data for lud (main kernel) ==@.";
+    let row label f = label :: List.map (fun (_, k) -> f k) ks in
+    let n (k : Profile.kernel_profile) = k.Profile.counters in
+    print_table
+      ("(block, thread) factors" :: List.map fst ks)
+      [
+        row "Runtime" (fun k -> Fmt.str "%.4f s" k.Profile.seconds);
+        row "LSU utilization" (fun k -> Fmt.str "%.0f%%" (k.Profile.lsu_utilization *. 100.));
+        row "FMA utilization" (fun k -> Fmt.str "%.0f%%" (k.Profile.fma_utilization *. 100.));
+        row "L2->L1 Read" (fun k -> Fmt.str "%.1f MB" (Counters.l2_to_l1_read_bytes (n k) /. 1e6));
+        row "L1->L2 Write" (fun k ->
+            Fmt.str "%.1f MB" (Counters.l1_to_l2_write_bytes (n k) /. 1e6));
+        row "L1->SM Read Req." (fun k -> Fmt.str "%.2f M" ((n k).Counters.global_load_req /. 1e6));
+        row "SM->L1 Write Req." (fun k ->
+            Fmt.str "%.2f M" ((n k).Counters.global_store_req /. 1e6));
+        row "ShMem->SM Read Req." (fun k ->
+            Fmt.str "%.2f M" ((n k).Counters.shared_load_req /. 1e6));
+        row "SM->ShMem Write Req." (fun k ->
+            Fmt.str "%.2f M" ((n k).Counters.shared_store_req /. 1e6));
+      ];
+    fpr "@."
   in
-  let rows =
-    List.map (fun bf -> Fmt.str "block %2d" bf :: List.map (fun tf -> cell bf tf) totals) totals
-  in
-  print_table ("" :: List.map (fun t -> Fmt.str "thr %d" t) totals) rows;
-  let best =
-    List.fold_left
-      (fun acc c ->
-        match c.speedup with
-        | Speedup s when s > (match acc with Some (_, _, b) -> b | None -> 0.) ->
-            Some (c.block_f, c.thread_f, s)
-        | _ -> acc)
-      None data
-  in
-  (match best with
-  | Some (bf, tf, s) -> fpr "@.peak: %.2fx at (block, thread) = (%d, %d)@.@." s bf tf
-  | None -> ());
-  data
+  let run (b, t) = lud_run ~config:(pair (b, t)) (totals_spec b t) in
+  { name = "table2"; runs = List.map run [ (1, 1); (4, 1); (1, 4) ]; render }
+
+(** Fig. 15: lud's main kernel with blocks coarsened in x only. *)
+let fig15 () =
+  sweep ~name:"fig15" ~title:"Fig. 15: lud main kernel, block coarsening in x only vs thread factor"
+    ~row:"block.x" ~rows:[ 1; 2; 3; 4; 5; 6; 7; 8; 9 ] ~cols:[ 1; 2; 4; 8 ] (fun bx tf ->
+      Coarsen.spec
+        ~block:(Coarsen.Explicit { Coarsen.x = bx; y = 1; z = 1 })
+        ~thread:(Coarsen.Total tf) ())
 
 (* ------------------------------------------------------------------ *)
-(* Table II: lud profiling counters                                    *)
+(* Fig. 16 and Fig. 17: composite runtimes against the baseline        *)
 (* ------------------------------------------------------------------ *)
 
-type profile = {
-  config : string;
-  runtime : float;
-  lsu_util : float;
-  fma_util : float;
-  l2_l1_read_mb : float;
-  l1_l2_write_mb : float;
-  l1_sm_read_req_m : float;
-  sm_l1_write_req_m : float;
-  shmem_read_req_m : float;
-  shmem_write_req_m : float;
-}
+(** The GPUs of Fig. 16. *)
+let fig16_gpus = [ Descriptor.a4000; Descriptor.a100; Descriptor.rx6800; Descriptor.mi210 ]
 
-let table2_data ?(target = Descriptor.a100) ?(args = lud_analysis_args) () : profile list =
-  let b = Rodinia.find "lud" in
-  List.map
-    (fun (bf, tf) ->
-      let spec_ = Coarsen.spec ~block:(Coarsen.Total bf) ~thread:(Coarsen.Total tf) () in
-      let c = compile ~specs:[ spec_ ] ~target ~source:b.Bench_def.source () in
-      let r = run ~functional:false ~sample_blocks:8 c ~args in
-      (* what a profiler run of the kernel reports: summed seconds and
-         counters, utilizations of the dominant launch *)
-      let k = Option.get (kernel_profile r "lud_internal") in
-      let n = k.Profile.counters in
-      {
-        config = Fmt.str "(%d, %d)" bf tf;
-        runtime = k.Profile.seconds;
-        lsu_util = k.Profile.lsu_utilization;
-        fma_util = k.Profile.fma_utilization;
-        l2_l1_read_mb = Counters.l2_to_l1_read_bytes n /. 1e6;
-        l1_l2_write_mb = Counters.l1_to_l2_write_bytes n /. 1e6;
-        l1_sm_read_req_m = n.Counters.global_load_req /. 1e6;
-        sm_l1_write_req_m = n.Counters.global_store_req /. 1e6;
-        shmem_read_req_m = n.Counters.shared_load_req /. 1e6;
-        shmem_write_req_m = n.Counters.shared_store_req /. 1e6;
-      })
-    [ (1, 1); (4, 1); (1, 4) ]
+(* the baseline compiler of [target]'s vendor *)
+let baseline (target : Descriptor.t) =
+  match target.Descriptor.vendor with
+  | Descriptor.Nvidia | Descriptor.Generic -> "clang"
+  | Descriptor.Amd -> "hipify+clang"
 
-let table2 ?target ?args () =
-  let data = table2_data ?target ?args () in
-  fpr "== Table II: profiling data for lud (main kernel) ==@.";
-  let row label f = label :: List.map f data in
-  let rows =
-    [
-      row "Runtime" (fun p -> Fmt.str "%.4f s" p.runtime);
-      row "LSU utilization" (fun p -> Fmt.str "%.0f%%" (p.lsu_util *. 100.));
-      row "FMA utilization" (fun p -> Fmt.str "%.0f%%" (p.fma_util *. 100.));
-      row "L2->L1 Read" (fun p -> Fmt.str "%.1f MB" p.l2_l1_read_mb);
-      row "L1->L2 Write" (fun p -> Fmt.str "%.1f MB" p.l1_l2_write_mb);
-      row "L1->SM Read Req." (fun p -> Fmt.str "%.2f M" p.l1_sm_read_req_m);
-      row "SM->L1 Write Req." (fun p -> Fmt.str "%.2f M" p.sm_l1_write_req_m);
-      row "ShMem->SM Read Req." (fun p -> Fmt.str "%.2f M" p.shmem_read_req_m);
-      row "SM->ShMem Write Req." (fun p -> Fmt.str "%.2f M" p.shmem_write_req_m);
-    ]
-  in
-  print_table ("(block, thread) factors" :: List.map (fun p -> p.config) data) rows;
-  fpr "@.";
-  data
-
-(* ------------------------------------------------------------------ *)
-(* Fig. 15: per-dimension block coarsening for lud                     *)
-(* ------------------------------------------------------------------ *)
-
-let fig15_data ?(target = Descriptor.a100) ?(args = lud_analysis_args) () =
-  let base =
-    match lud_config_time ~target ~args (Coarsen.spec ()) with
-    | Ok t -> t
-    | Error _ -> invalid_arg "baseline lud infeasible"
-  in
-  List.concat_map
-    (fun bx ->
-      List.map
-        (fun tf ->
-          let s =
-            Coarsen.spec
-              ~block:(Coarsen.Explicit { Coarsen.x = bx; y = 1; z = 1 })
-              ~thread:(Coarsen.Total tf) ()
-          in
-          let speedup =
-            match lud_config_time ~target ~args s with
-            | Ok t -> Speedup (base /. t)
-            | Error d -> Pruned d
-          in
-          { block_f = bx; thread_f = tf; speedup })
-        [ 1; 2; 4; 8 ])
-    [ 1; 2; 3; 4; 5; 6; 7; 8; 9 ]
-
-let fig15 ?target ?args () =
-  let data = fig15_data ?target ?args () in
-  fpr "== Fig. 15: lud main kernel, block coarsening in x only vs thread factor ==@.";
-  let threads = [ 1; 2; 4; 8 ] in
-  let rows =
-    List.map
-      (fun bx ->
-        Fmt.str "block.x %2d" bx
-        :: List.map
-             (fun tf ->
-               match List.find_opt (fun c -> c.block_f = bx && c.thread_f = tf) data with
-               | Some { speedup = Speedup s; _ } -> Fmt.str "%.2f" s
-               | Some { speedup = Pruned _; _ } -> "pruned"
-               | None -> "-")
-             threads)
-      [ 1; 2; 3; 4; 5; 6; 7; 8; 9 ]
-  in
-  print_table ("" :: List.map (fun t -> Fmt.str "thr %d" t) threads) rows;
-  let best =
-    List.fold_left
-      (fun acc c ->
-        match c.speedup with
-        | Speedup s when s > (match acc with Some (_, _, b) -> b | None -> 0.) ->
-            Some (c.block_f, c.thread_f, s)
-        | _ -> acc)
-      None data
-  in
-  (match best with
-  | Some (bx, tf, s) -> fpr "@.peak: %.2fx at (block.x, thread) = (%d, %d)@.@." s bx tf
-  | None -> ());
-  data
-
-(* ------------------------------------------------------------------ *)
-(* Fig. 16: composite comparison against the mainstream compiler       *)
-(* ------------------------------------------------------------------ *)
-
-type composite_entry = {
-  bench_name : string;
-  clang : float;  (** baseline compiler (hipify+clang on AMD targets) *)
-  pg : float;  (** Polygeist-GPU without parallel optimizations *)
-  pg_opt : float;  (** Polygeist-GPU with coarsening + TDO *)
-}
-
-let fig16_target ?(benches = Rodinia.all) (target : Descriptor.t) : composite_entry list =
-  List.map
-    (fun (b : Bench_def.t) ->
-      let source =
-        match target.Descriptor.vendor with
-        | Descriptor.Nvidia | Descriptor.Generic -> b.Bench_def.source
-        | Descriptor.Amd ->
-            (* the baseline route goes through hipify; the IR route
-               compiles the CUDA source unchanged. Both parse to the
-               same module here, which mirrors the paper's setup where
-               the two pipelines share front- and backend. *)
-            fst (Hipify.hipify b.Bench_def.source)
-      in
-      let clang =
-        (run ~tune:false
-           ~functional:b.Bench_def.data_dependent_host
-           (compile ~optimize:false ~target ~source ())
-           ~args:b.Bench_def.perf_args)
-          .composite_seconds
-      in
-      let pg = (run_bench ~target b).composite_seconds in
-      let pg_opt = (run_bench ~specs:composite_specs ~target b).composite_seconds in
-      { bench_name = b.Bench_def.name; clang; pg; pg_opt })
-    benches
-
-let fig16_print_target target (data : composite_entry list) =
-  let vendor_baseline =
+(* The three runs of [b] on [target] that Fig. 16 compares, all at
+   evaluation scale: the baseline compiler, without the scalar passes
+   of the parallel representation; Polygeist-GPU (P-G); and P-G opt,
+   tuned over [composite_specs]. *)
+let baseline_run (target : Descriptor.t) (b : Bench_def.t) =
+  let source =
     match target.Descriptor.vendor with
-    | Descriptor.Nvidia | Descriptor.Generic -> "clang"
-    | Descriptor.Amd -> "hipify+clang"
+    | Descriptor.Nvidia | Descriptor.Generic -> b.Bench_def.source
+    | Descriptor.Amd ->
+        (* the baseline route goes through hipify; the IR route
+           compiles the CUDA source unchanged. Both parse to the
+           same module here, which mirrors the paper's setup where
+           the two pipelines share front- and backend. *)
+        fst (Hipify.hipify b.Bench_def.source)
   in
-  fpr "-- %a (baseline: %s) --@." Descriptor.pp target vendor_baseline;
-  let rows =
-    List.map
-      (fun e ->
-        [
-          e.bench_name;
-          Fmt.str "%.5f" e.clang;
-          Fmt.str "%.5f" e.pg;
-          Fmt.str "%.5f" e.pg_opt;
-          Fmt.str "%.2f" (e.clang /. e.pg);
-          Fmt.str "%.2f" (e.clang /. e.pg_opt);
-        ])
-      data
+  bench_run ~perf:true ~optimize:false ~source ~config:(baseline target) target b
+
+let pg_run target b = bench_run ~perf:true ~config:"P-G" target b
+let pg_opt_run target b = bench_run ~perf:true ~specs:composite_specs ~config:"P-G opt" target b
+
+let fig16 benches =
+  let render ms =
+    fpr "== Fig. 16: composite runtimes, Polygeist-GPU vs the baseline compiler ==@.";
+    List.iter
+      (fun target ->
+        let base = baseline target in
+        fpr "-- %a (baseline: %s) --@." Descriptor.pp target base;
+        let get b config = composite_of ms b target config in
+        let data = List.map (fun b -> (b, get b base, get b "P-G", get b "P-G opt")) benches in
+        print_table
+          [ "benchmark"; base ^ " (s)"; "P-G (s)"; "P-G opt (s)"; "P-G x"; "P-G opt x" ]
+          (List.map
+             (fun ((b : Bench_def.t), clang, pg, opt) ->
+               (b.Bench_def.name :: List.map (Fmt.str "%.5f") [ clang; pg; opt ])
+               @ List.map (Fmt.str "%.2f") [ clang /. pg; clang /. opt ])
+             data);
+        fpr "geomean speedup: P-G %.1f%%  P-G opt %.1f%%@.@."
+          (gain (fun (_, clang, pg, _) -> clang /. pg) data)
+          (gain (fun (_, clang, _, opt) -> clang /. opt) data))
+      fig16_gpus
   in
-  print_table
-    [ "benchmark"; vendor_baseline ^ " (s)"; "P-G (s)"; "P-G opt (s)"; "P-G x"; "P-G opt x" ]
-    rows;
-  let gm f = Stats.geomean (List.map f data) in
-  fpr "geomean speedup: P-G %.1f%%  P-G opt %.1f%%@.@."
-    ((gm (fun e -> e.clang /. e.pg) -. 1.) *. 100.)
-    ((gm (fun e -> e.clang /. e.pg_opt) -. 1.) *. 100.)
+  let runs target b = [ baseline_run target b; pg_run target b; pg_opt_run target b ] in
+  let runs = List.concat_map (fun t -> List.concat_map (runs t) benches) fig16_gpus in
+  { name = "fig16"; runs; render }
 
-let fig16 ?(targets = [ Descriptor.a4000; Descriptor.a100; Descriptor.rx6800; Descriptor.mi210 ])
-    ?benches () =
-  fpr "== Fig. 16: composite runtimes, Polygeist-GPU vs the baseline compiler ==@.";
-  List.map
-    (fun t ->
-      let data = fig16_target ?benches t in
-      fig16_print_target t data;
-      (t, data))
-    targets
-
-(* ------------------------------------------------------------------ *)
-(* Fig. 17: NVIDIA vs AMD with comparable specifications               *)
-(* ------------------------------------------------------------------ *)
-
-let fig17 ?(benches = Rodinia.all) () =
-  fpr "== Fig. 17: A4000 (clang), A4000 (P-G) and RX6800 (P-G), relative to A4000 clang ==@.";
-  let nv = fig16_target ~benches Descriptor.a4000 in
-  let amd = fig16_target ~benches Descriptor.rx6800 in
-  let rows =
-    List.map2
-      (fun (n : composite_entry) (a : composite_entry) ->
-        [
-          n.bench_name;
-          "1.00";
-          Fmt.str "%.2f" (n.clang /. n.pg_opt);
-          Fmt.str "%.2f" (n.clang /. a.pg_opt);
-        ])
-      nv amd
+(** Fig. 17: NVIDIA vs AMD with comparable specifications, from three
+    of Fig. 16's runs per benchmark. *)
+let fig17 benches =
+  let nv = Descriptor.a4000 and amd = Descriptor.rx6800 in
+  let render ms =
+    fpr "== Fig. 17: A4000 (clang), A4000 (P-G) and RX6800 (P-G), relative to A4000 clang ==@.";
+    let data =
+      List.map
+        (fun b ->
+          let get = composite_of ms b in
+          (b, get nv (baseline nv), get nv "P-G opt", get amd "P-G opt"))
+        benches
+    in
+    print_table
+      [ "benchmark"; "A4000 clang"; "A4000 P-G"; "RX6800 P-G" ]
+      (List.map
+         (fun ((b : Bench_def.t), clang, nv_opt, amd_opt) ->
+           let ratios = [ clang /. nv_opt; clang /. amd_opt ] in
+           b.Bench_def.name :: "1.00" :: List.map (Fmt.str "%.2f") ratios)
+         data);
+    fpr "geomean: RX6800 (P-G) vs A4000 (clang): %.1f%%; vs A4000 (P-G): %.1f%%@.@."
+      (gain (fun (_, clang, _, amd_opt) -> clang /. amd_opt) data)
+      (gain (fun (_, _, nv_opt, amd_opt) -> nv_opt /. amd_opt) data)
   in
-  print_table [ "benchmark"; "A4000 clang"; "A4000 P-G"; "RX6800 P-G" ] rows;
-  let gm f = Stats.geomean (List.map2 f nv amd) in
-  fpr "geomean: RX6800 (P-G) vs A4000 (clang): %.1f%%; vs A4000 (P-G): %.1f%%@.@."
-    ((gm (fun n a -> n.clang /. a.pg_opt) -. 1.) *. 100.)
-    ((gm (fun n a -> n.pg_opt /. a.pg_opt) -. 1.) *. 100.);
-  (nv, amd)
+  let runs b = [ baseline_run nv b; pg_opt_run nv b; pg_opt_run amd b ] in
+  { name = "fig17"; runs = List.concat_map runs benches; render }
 
 (* ------------------------------------------------------------------ *)
 (* CPU retargeting: barrier-fission backend vs the GPU simulator       *)
 (* ------------------------------------------------------------------ *)
-
-type cpu_entry = {
-  cpu_bench : string;
-  gpu_seconds : float;  (** A100 composite, untuned *)
-  cpu_seconds : float;  (** desktop CPU composite, untuned *)
-  cpu_tuned_seconds : float;  (** desktop CPU composite after TDO over coarsenings *)
-  epyc_seconds : float;  (** 64-core EPYC composite, untuned *)
-  bit_identical : bool;  (** functional outputs match the A100 run bitwise *)
-}
 
 (** Modest TDO sweep for the CPU columns: coarsening factors double as
     unroll/interleave factors on the CPU, so thread-total coarsening is
     the interesting axis. *)
 let cpu_specs = specs_of_totals [ (1, 1); (1, 2); (1, 4); (2, 1); (2, 2) ]
 
-let cpu_compare_data ?(benches = Rodinia.all @ Hecbench.all) ?(jobs = 2) () : cpu_entry list =
-  List.map
-    (fun (b : Bench_def.t) ->
-      let gpu = run_bench ~target:Descriptor.a100 b in
-      let cpu = run_rodinia ~perf:true ~jobs ~target:Descriptor.cpu b in
-      let cpu_tuned =
-        run_rodinia ~perf:true ~jobs ~specs:cpu_specs ~tune:true ~target:Descriptor.cpu b
-      in
-      let epyc = run_rodinia ~perf:true ~jobs ~target:Descriptor.epyc7763 b in
+let cpu_compare benches =
+  let a100 = Descriptor.a100 and cpu = Descriptor.cpu and epyc = Descriptor.epyc7763 in
+  let runs b =
+    [
+      bench_run ~perf:true ~config:"untuned" a100 b;
+      bench_run ~perf:true ~config:"untuned" cpu b;
+      bench_run ~perf:true ~specs:cpu_specs ~config:"tdo" cpu b;
+      bench_run ~perf:true ~config:"untuned" epyc b;
       (* exactness: full functional runs at the default (test-scale)
          arguments, compared bitwise against the A100 execution *)
-      let bits (r : run_result) =
-        List.map (List.map Int64.bits_of_float) r.outputs
-      in
-      let f_gpu = run_rodinia ~perf:false ~target:Descriptor.a100 b in
-      let f_cpu = run_rodinia ~perf:false ~jobs ~target:Descriptor.cpu b in
-      {
-        cpu_bench = b.Bench_def.name;
-        gpu_seconds = gpu.composite_seconds;
-        cpu_seconds = cpu.composite_seconds;
-        cpu_tuned_seconds = cpu_tuned.composite_seconds;
-        epyc_seconds = epyc.composite_seconds;
-        bit_identical = bits f_gpu = bits f_cpu;
-      })
-    benches
+      bench_run ~config:"functional" a100 b;
+      bench_run ~config:"functional" cpu b;
+    ]
+  in
+  let render ms =
+    fpr "== Retargeting to CPU: barrier-fission backend vs the A100 simulator ==@.";
+    let rows =
+      List.map
+        (fun (b : Bench_def.t) ->
+          let get = find ms ~bench:b.Bench_def.name in
+          let seconds = composite_of ms b in
+          let gpu = seconds a100 "untuned" and cpu_s = seconds cpu "untuned" in
+          let tuned = seconds cpu "tdo" and epyc_s = seconds epyc "untuned" in
+          let identical =
+            match (get a100 "functional", get cpu "functional") with
+            | Profiled (_, Some g), Profiled (_, Some c) -> Digest.equal g c
+            | _ -> false
+          in
+          ( (cpu_s /. gpu, cpu_s /. tuned, identical),
+            (b.Bench_def.name :: List.map (Fmt.str "%.5f") [ gpu; cpu_s; tuned; epyc_s ])
+            @ [ Fmt.str "%.2f" (cpu_s /. tuned); (if identical then "yes" else "NO") ] ))
+        benches
+    in
+    print_table
+      [
+        "benchmark"; "a100 (s)"; "cpu (s)"; "cpu tuned (s)"; "epyc7763 (s)"; "tune x"; "bit-identical";
+      ]
+      (List.map snd rows);
+    let stats = List.map fst rows in
+    fpr "geomean: cpu/a100 slowdown %.1fx, TDO gain on cpu %.1f%%; %d/%d bit-identical@.@."
+      (Stats.geomean (List.map (fun (s, _, _) -> s) stats))
+      (gain (fun (_, g, _) -> g) stats)
+      (List.length (List.filter (fun (_, _, i) -> i) stats))
+      (List.length stats)
+  in
+  { name = "cpu"; runs = List.concat_map runs benches; render }
 
-let cpu_compare ?benches ?jobs () =
-  fpr "== Retargeting to CPU: barrier-fission backend vs the A100 simulator ==@.";
-  let data = cpu_compare_data ?benches ?jobs () in
-  let rows =
-    List.map
-      (fun e ->
-        [
-          e.cpu_bench;
-          Fmt.str "%.5f" e.gpu_seconds;
-          Fmt.str "%.5f" e.cpu_seconds;
-          Fmt.str "%.5f" e.cpu_tuned_seconds;
-          Fmt.str "%.5f" e.epyc_seconds;
-          Fmt.str "%.2f" (e.cpu_seconds /. e.cpu_tuned_seconds);
-          (if e.bit_identical then "yes" else "NO");
-        ])
-      data
+(* ------------------------------------------------------------------ *)
+(* Ablations: design choices called out in DESIGN.md                   *)
+(* ------------------------------------------------------------------ *)
+
+let ablation () =
+  let lud = Rodinia.find "lud" and a100 = Descriptor.a100 in
+  let fixed config spec = bench_run ~specs:[ spec ] ~tune:false ~config a100 lud in
+  let thread4 m = Coarsen.spec ~thread:(Coarsen.Total 4) ~thread_mapping:m () in
+  let block n = Coarsen.spec ~block:(Coarsen.Total n) () in
+  let render ms =
+    let t = composite_of ms lud a100 in
+    fpr "lud composite baseline: %.5f s@." (t "untuned");
+    fpr "thread x4, cyclic mapping (coalescing-friendly): %.5f s@." (t "thread x4 cyclic");
+    fpr "thread x4, blocked mapping (naive):              %.5f s@." (t "thread x4 blocked");
+    fpr "block x7 (non-divisor; epilogue kernels): %.5f s@." (t "block x7");
+    fpr "TDO over %d configs: %.5f s; fixed block x16: %.5f s@.@." (List.length composite_specs)
+      (t "tdo") (t "block x16")
   in
-  print_table
-    [ "benchmark"; "a100 (s)"; "cpu (s)"; "cpu tuned (s)"; "epyc7763 (s)"; "tune x"; "bit-identical" ]
-    rows;
-  let slowdown = Stats.geomean (List.map (fun e -> e.cpu_seconds /. e.gpu_seconds) data) in
-  let tune_gain =
-    Stats.geomean (List.map (fun e -> e.cpu_seconds /. e.cpu_tuned_seconds) data)
+  {
+    name = "ablation";
+    runs =
+      [
+        bench_run ~config:"untuned" a100 lud;
+        (* cyclic vs blocked thread-coarsening index mapping *)
+        fixed "thread x4 cyclic" (thread4 Interleave.Cyclic);
+        fixed "thread x4 blocked" (thread4 Interleave.Blocked);
+        (* epilogue kernels: prime block factors are only possible with them *)
+        fixed "block x7" (block 7);
+        (* TDO vs a fixed aggressive configuration *)
+        bench_run ~specs:composite_specs ~config:"tdo" a100 lud;
+        fixed "block x16" (block 16);
+      ];
+    render;
+  }
+
+(* ------------------------------------------------------------------ *)
+(* Performance observatory suite (regression gate)                     *)
+(* ------------------------------------------------------------------ *)
+
+(** The observatory suite: [benches] x [obs_targets] x {untuned, tdo
+    over [obs_specs]}, one functional (test-scale) run each.
+    [gate --quick] writes it as [bench/baselines/quick.json] pins it. *)
+let gate benches =
+  let configs = [ ("untuned", []); ("tdo", obs_specs) ] in
+  let render ms =
+    fpr "measuring %d bench(es) x %d target(s) x %d config(s)@." (List.length benches)
+      (List.length obs_targets) (List.length configs);
+    fpr "%d run(s) collected@." (List.length ms)
   in
-  fpr "geomean: cpu/a100 slowdown %.1fx, TDO gain on cpu %.1f%%; %d/%d bit-identical@.@."
-    slowdown
-    ((tune_gain -. 1.) *. 100.)
-    (List.length (List.filter (fun e -> e.bit_identical) data))
-    (List.length data);
-  data
+  let runs b target = List.map (fun (config, specs) -> bench_run ~specs ~config target b) configs in
+  let runs = List.concat_map (fun b -> List.concat_map (runs b) obs_targets) benches in
+  { name = "gate"; runs; render }
 
 (* ------------------------------------------------------------------ *)
 (* Hipify ease-of-use comparison (Section VII-D1)                      *)
 (* ------------------------------------------------------------------ *)
 
-(** A typical Rodinia-style prologue (the benchmarks in the original
-    suite include CUDA headers and guard code with CUDA macros). *)
-let cuda_prologue =
-  "#include <cuda_runtime.h>\n"
-
-let hipify_ease ?(benches = Rodinia.all) () =
+let hipify_ease benches =
   fpr "== Section VII-D1: translation effort, hipify+clang vs Polygeist-GPU ==@.";
   let rows =
     List.map
       (fun (b : Bench_def.t) ->
-        let src = cuda_prologue ^ b.Bench_def.source in
+        (* a typical Rodinia-style prologue: the benchmarks in the
+           original suite include CUDA headers *)
+        let src = "#include <cuda_runtime.h>\n" ^ b.Bench_def.source in
         let _, issues = Hipify.hipify src in
         [
           b.Bench_def.name;
           string_of_int (List.length issues);
-          (match issues with
-          | [] -> "none"
-          | i :: _ -> Fmt.str "%a" Hipify.pp_issue i);
+          (match issues with [] -> "none" | i :: _ -> Fmt.str "%a" Hipify.pp_issue i);
           "0 (IR-level translation)";
         ])
       benches
   in
   print_table [ "benchmark"; "hipify manual steps"; "first issue"; "Polygeist-GPU steps" ] rows;
   fpr "@."
-
-(* ------------------------------------------------------------------ *)
-(* JSON forms of the experiment data (bench harness --metrics-dir)     *)
-(* ------------------------------------------------------------------ *)
-
-module Json = Pgpu_trace.Json
-
-let json_of_outcome = function
-  | Speedup s -> Json.Float s
-  | Pruned d -> Json.Str (Fmt.str "pruned: %a" Alternatives.pp_decision d)
-
-let json_of_fig13 (data : kernel_speedups list) : Json.t =
-  Json.List
-    (List.map
-       (fun e ->
-         Json.Obj
-           [
-             ("bench", Json.Str e.bench);
-             ("kernel", Json.Str e.kernel);
-             ("thread_only", Json.Float e.thread_only);
-             ("block_only", Json.Float e.block_only);
-             ("combined", Json.Float e.combined);
-           ])
-       data)
-
-let json_of_sweep (data : sweep_cell list) : Json.t =
-  Json.List
-    (List.map
-       (fun c ->
-         Json.Obj
-           [
-             ("block_f", Json.Int c.block_f);
-             ("thread_f", Json.Int c.thread_f);
-             ("speedup", json_of_outcome c.speedup);
-           ])
-       data)
-
-let json_of_table2 (data : profile list) : Json.t =
-  Json.List
-    (List.map
-       (fun p ->
-         Json.Obj
-           [
-             ("config", Json.Str p.config);
-             ("runtime_s", Json.Float p.runtime);
-             ("lsu_utilization", Json.Float p.lsu_util);
-             ("fma_utilization", Json.Float p.fma_util);
-             ("l2_l1_read_mb", Json.Float p.l2_l1_read_mb);
-             ("l1_l2_write_mb", Json.Float p.l1_l2_write_mb);
-             ("l1_sm_read_req_m", Json.Float p.l1_sm_read_req_m);
-             ("sm_l1_write_req_m", Json.Float p.sm_l1_write_req_m);
-             ("shmem_read_req_m", Json.Float p.shmem_read_req_m);
-             ("shmem_write_req_m", Json.Float p.shmem_write_req_m);
-           ])
-       data)
-
-let json_of_composite (data : composite_entry list) : Json.t =
-  Json.List
-    (List.map
-       (fun e ->
-         Json.Obj
-           [
-             ("bench", Json.Str e.bench_name);
-             ("clang_s", Json.Float e.clang);
-             ("pg_s", Json.Float e.pg);
-             ("pg_opt_s", Json.Float e.pg_opt);
-           ])
-       data)
-
-let json_of_fig16 (data : (Descriptor.t * composite_entry list) list) : Json.t =
-  Json.List
-    (List.map
-       (fun ((t : Descriptor.t), entries) ->
-         Json.Obj
-           [ ("target", Json.Str t.Descriptor.name); ("benchmarks", json_of_composite entries) ])
-       data)
-
-let json_of_cpu_compare (data : cpu_entry list) : Json.t =
-  Json.List
-    (List.map
-       (fun e ->
-         Json.Obj
-           [
-             ("benchmark", Json.Str e.cpu_bench);
-             ("a100_seconds", Json.Float e.gpu_seconds);
-             ("cpu_seconds", Json.Float e.cpu_seconds);
-             ("cpu_tuned_seconds", Json.Float e.cpu_tuned_seconds);
-             ("epyc7763_seconds", Json.Float e.epyc_seconds);
-             ("bit_identical", Json.Bool e.bit_identical);
-           ])
-       data)
-
-(* ------------------------------------------------------------------ *)
-(* Performance observatory suite (regression gate)                     *)
-(* ------------------------------------------------------------------ *)
-
-(** The quick-mode benchmark subset shared by the bench harness
-    ([--quick]) and the pinned quick suite
-    ([bench/baselines/quick.json]). *)
-let quick_names = [ "lud"; "gaussian"; "nw"; "hotspot"; "nn" ]
-
-let quick_benches () =
-  List.filter (fun (b : Bench_def.t) -> List.mem b.Bench_def.name quick_names) Rodinia.all
 
 (* ------------------------------------------------------------------ *)
 (* Domain-parallel benchmark: worker-pool harness vs sequential        *)
@@ -764,63 +728,3 @@ let json_of_par_bench ((data : par_entry list), geomean) : Json.t =
                  ])
              data) );
     ]
-
-(** Targets the observatory measures: one NVIDIA GPU, one AMD GPU and
-    the barrier-fission CPU backend. *)
-let obs_targets = [ Descriptor.a100; Descriptor.rx6800; Descriptor.cpu ]
-
-(** A small TDO sweep: enough alternatives to exercise tuning without
-    dominating gate wall-clock. *)
-let obs_specs = specs_of_totals [ (1, 1); (2, 1); (1, 2) ]
-
-(** Configurations the observatory records per bench x target:
-    name, coarsening specs, tune. *)
-let obs_configs = [ ("untuned", [], false); ("tdo", obs_specs, true) ]
-
-(** One run of the observatory suite: a bench on a target under one
-    of [obs_configs]. *)
-type obs_run = {
-  obs_bench : string;
-  obs_target : Descriptor.t;
-  obs_config : string;
-  obs_profile : Profile.report;
-}
-
-(** Run the observatory suite: benches x targets x configs, one
-    functional (test-scale) run each. The simulator is deterministic,
-    so one run of each is exact. *)
-let obs_suite ?(benches = Rodinia.all) ?(jobs = 1) () : obs_run list =
-  List.concat_map
-    (fun (b : Bench_def.t) ->
-      List.concat_map
-        (fun (target : Descriptor.t) ->
-          List.map
-            (fun (config, specs, tune) ->
-              let r = run_rodinia ~specs ~tune ~jobs ~target b in
-              {
-                obs_bench = b.Bench_def.name;
-                obs_target = target;
-                obs_config = config;
-                obs_profile = Profile.of_run ~composite_seconds:r.composite_seconds r.records;
-              })
-            obs_configs)
-        obs_targets)
-    benches
-
-(** The suite's simulated results, as [gate --metrics-dir] writes them
-    and [bench/baselines/quick.json] pins them: every run's
-    [pgpu profile --json] report, the input of [pgpu report]. Host
-    wall-clock is left out, so the file is the same bytes on every
-    machine and at every [--jobs]. *)
-let json_of_obs_suite (runs : obs_run list) : Json.t =
-  Json.List
-    (List.map
-       (fun r ->
-         Json.Obj
-           [
-             ("bench", Json.Str r.obs_bench);
-             ("target", Json.Str r.obs_target.Descriptor.name);
-             ("config", Json.Str r.obs_config);
-             ("profile", Profile.json_of_report r.obs_profile);
-           ])
-       runs)

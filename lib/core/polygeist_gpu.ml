@@ -99,14 +99,6 @@ let cpu_lower_modul (m : Pgpu_ir.Instr.modul) :
     per kernel over its usable dimensions. *)
 let specs_of_totals = Pipeline.specs_of_totals
 
-(** An explicit per-dimension coarsening spec. *)
-let spec ?block ?thread ?block_mapping ?thread_mapping () =
-  let explicit = Option.map (fun l -> Coarsen.Explicit (Coarsen.of_list l)) in
-  Coarsen.spec
-    ?block:(explicit block)
-    ?thread:(explicit thread)
-    ?block_mapping ?thread_mapping ()
-
 (** Compile mini-CUDA source for a target.
     @param optimize scalar optimizations (CSE, LICM, ...); on by default
     @param specs coarsening configurations to multi-version with
@@ -165,37 +157,38 @@ let run ?(tune = false) ?(fixed_choice = 0) ?(functional = true) ?(sample_blocks
     records = Runtime.records st;
   }
 
-(** The profile of kernel [name] over a run's launches, if it was
-    launched. *)
-let kernel_profile (r : run_result) name =
-  List.find_opt
-    (fun (k : Profile.kernel_profile) -> String.equal k.Profile.kernel name)
-    (Profile.of_records r.records)
-
 (** Total simulated seconds spent in launches of kernel [name]. *)
-let kernel_seconds r name =
-  match kernel_profile r name with Some k -> k.Profile.seconds | None -> 0.
+let kernel_seconds (r : run_result) name =
+  let seconds acc (k : Profile.kernel_profile) =
+    if String.equal k.Profile.kernel name then k.Profile.seconds else acc
+  in
+  List.fold_left seconds 0. (Profile.of_records r.records)
 
 (** Names of the kernels launched during a run, in first-launch order. *)
 let kernel_names (r : run_result) =
   List.map (fun (k : Profile.kernel_profile) -> k.Profile.kernel) (Profile.of_records r.records)
 
-(** Compile and run a Rodinia benchmark, returning the result and
-    checking outputs against the CPU reference when [verify].
-    With [perf], the evaluation-scale problem size is used and grids
-    are sampled (timing-only) unless the benchmark's host control flow
-    depends on computed data. *)
+(** How a bundled benchmark runs: its arguments, whether every block
+    executes, and the blocks sampled per launch when not. At the
+    default size every block executes. With [perf], the
+    evaluation-scale problem size is used and grids are sampled
+    (timing-only) unless the benchmark's host control flow depends on
+    computed data, on 12 blocks per launch: the grids are uniform
+    enough that 12 representative blocks extrapolate. *)
+let bench_exec ~perf (b : Bench_def.t) =
+  ( (if perf then b.Bench_def.perf_args else b.Bench_def.args),
+    (not perf) || b.Bench_def.data_dependent_host,
+    if perf then 12 else 24 )
+
+(** Compile and run a Rodinia benchmark as [bench_exec] says, returning
+    the result and checking outputs against the CPU reference when
+    [verify]. *)
 let run_rodinia ?(verify = false) ?(optimize = true) ?(specs = []) ?(tune = specs <> [])
     ?(perf = false) ?(tracer = Tracer.disabled) ?(cache = Cache.disabled) ?(jobs = 1)
     ~(target : Descriptor.t) ?args (b : Bench_def.t) : run_result =
-  let args =
-    Option.value args ~default:(if perf then b.Bench_def.perf_args else b.Bench_def.args)
-  in
-  let functional = (not perf) || b.Bench_def.data_dependent_host in
+  let default_args, functional, sample_blocks = bench_exec ~perf b in
+  let args = Option.value args ~default:default_args in
   let c = compile ~optimize ~specs ~tracer ~jobs ~target ~source:b.Bench_def.source () in
-  (* evaluation-scale runs sample fewer blocks per launch: the grids
-     are uniform enough that 12 representative blocks extrapolate *)
-  let sample_blocks = if perf then 12 else 24 in
   let r = run ~tune ~functional ~sample_blocks ~jobs ~tracer ~cache c ~args in
   if verify then begin
     let expected = b.Bench_def.reference args in

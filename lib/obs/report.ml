@@ -1,8 +1,9 @@
-(** Cross-target performance report over the quick suite's profiles.
+(** Cross-target performance report over a list of profiled runs.
 
-    Reads the list of runs that [bench/main.exe gate] writes and
-    [bench/baselines/quick.json] pins, each with its
-    [Profile.json_of_report], and renders it as per-target tables: one
+    Reads the list of runs that every [bench/main.exe] experiment
+    writes and the files under [bench/baselines] pin, each with its
+    [Profile.json_of_report] (a run the compiler pruned has none and
+    adds no row), and renders it as per-target tables: one
     row per (bench, kernel), one column per configuration with its
     speedup against the reference configuration (["untuned"] when
     present). A bottleneck breakdown per target and an optional
@@ -120,12 +121,15 @@ let run_of_json j =
   let* bench = str "bench" j in
   let* target = str "target" j in
   let* config = str "config" j in
-  let* kernels =
-    field "a profile with a list of kernels"
-      (fun p -> match Json.member "kernels" p with Some (Json.List ks) -> Some ks | _ -> None)
-      "profile" j
-  in
-  map_indexed "kernel" (measured_of_json ~bench ~target ~config) kernels
+  match Json.member "pruned" j with
+  | Some (Json.List _) -> Ok [] (* a configuration the compiler rejected ran nothing *)
+  | _ ->
+      let* kernels =
+        field "a profile with a list of kernels"
+          (fun p -> match Json.member "kernels" p with Some (Json.List ks) -> Some ks | _ -> None)
+          "profile" j
+      in
+      map_indexed "kernel" (measured_of_json ~bench ~target ~config) kernels
 
 (* ------------------------------------------------------------------ *)
 (* Building                                                            *)

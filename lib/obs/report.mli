@@ -1,6 +1,7 @@
-(** Cross-target performance report over the quick suite's profiles:
+(** Cross-target performance report over a list of profiled runs:
     per-target speedup tables (one row per bench/kernel, one column per
-    configuration, speedups vs the ["untuned"] reference), a
+    configuration, speedups vs the ["untuned"] configuration, or the
+    first one when there is none), a
     bottleneck breakdown per target and an optional embedded bench
     summary. Same structure rendered as text, JSON, or a
     self-contained HTML dashboard. *)
@@ -36,10 +37,11 @@ type t = { sections : target_section list; summary : Json.t option }
 
 (** Assemble the report from a list of runs
     [{bench, target, config, profile}], [profile] in
-    [Profile.json_of_report]'s schema: the file [bench/main.exe gate
-    --metrics-dir DIR] writes as [DIR/gate.json] and
-    [bench/baselines/quick.json] pins. [Error] names the run's index
-    and the field that is missing or wrongly typed. *)
+    [Profile.json_of_report]'s schema: the file every [bench/main.exe
+    EXPERIMENT --metrics-dir DIR] writes as [DIR/EXPERIMENT.json] and
+    the files under [bench/baselines] pin. A run that holds [pruned] in
+    place of a profile adds no row. [Error] names the run's index and
+    the field that is missing or wrongly typed. *)
 val build : ?summary:Json.t -> Json.t -> (t, string) result
 
 val pp : t Fmt.t

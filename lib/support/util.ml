@@ -72,16 +72,26 @@ let rec transpose = function
   | [] | [] :: _ -> []
   | rows -> List.map List.hd rows :: transpose (List.map List.tl rows)
 
+exception Write_error of string
+
+(* the [Write_error] of [path]'s [Sys_error] message [m] *)
+let write_error path m =
+  Write_error (if String.starts_with ~prefix:path m then m else path ^ ": " ^ m)
+
 let rec mkdir_p dir =
   if not (Sys.file_exists dir) then begin
     let parent = Filename.dirname dir in
     if parent <> dir then mkdir_p parent;
-    try Sys.mkdir dir 0o755 with Sys_error _ -> ()
+    (* another process may have made it since the check *)
+    try Sys.mkdir dir 0o755
+    with Sys_error m ->
+      if not (Sys.file_exists dir && Sys.is_directory dir) then raise (write_error dir m)
   end
 
 let write_file path contents =
   mkdir_p (Filename.dirname path);
-  Out_channel.with_open_bin path (fun oc -> Out_channel.output_string oc contents)
+  try Out_channel.with_open_bin path (fun oc -> Out_channel.output_string oc contents)
+  with Sys_error m -> raise (write_error path m)
 
 (** Default worker count for parallel compilation phases: the number
     of available cores, capped at 4 (candidate expansion saturates well

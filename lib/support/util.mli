@@ -26,13 +26,18 @@ val take : int -> 'a list -> 'a list
 val drop : int -> 'a list -> 'a list
 val transpose : 'a list list -> 'a list list
 
+(** Raised by [mkdir_p] and [write_file] when the system refuses a
+    write, say because a directory on the path is a regular file. The
+    message names the path. *)
+exception Write_error of string
+
 (** Create directory [dir] and its missing parents (mode 0o755); an
-    existing directory is left as it is. *)
+    existing directory is left as it is. Raises [Write_error]. *)
 val mkdir_p : string -> unit
 
 (** [write_file path contents] writes [contents] to [path], replacing
     the file, after creating its missing parent directories: every
-    file the tools write goes through here. *)
+    file the tools write goes through here. Raises [Write_error]. *)
 val write_file : string -> string -> unit
 
 (** Worker count for parallel compilation phases: the available

@@ -1,8 +1,10 @@
-(** Tests for the performance observatory ([Pgpu_obs]): the bottleneck
-    classifier is total and invariant under uniform scaling of counters
-    and cycle terms (qcheck), the quick suite's profiles and Table II
-    match their files under [bench/baselines] byte for byte, a one-ulp
-    move fails that check at its line, the report over the pinned quick
+(** Tests for the performance observatory ([Pgpu_obs]) and the
+    evaluation's run lists: the bottleneck classifier is total and
+    invariant under uniform scaling of counters and cycle terms
+    (qcheck), the quick suite's runs and Table II's match their files
+    under [bench/baselines] byte for byte, a one-ulp move fails that
+    check at its line, the figures that share runs declare equal keys
+    (checked without running any), the report over the pinned quick
     suite labels every kernel in the HTML dashboard and prints each
     bottleneck list on one line, and the report builder rejects
     malformed runs by index and field and pins a golden JSON
@@ -149,26 +151,31 @@ let pin_mismatch ~file ~cmd ~out computed =
           -- %s --metrics-dir DIR && cp DIR/%s bench/baselines/%s"
          file n c x cmd out file)
 
-let quick_suite = lazy (E.obs_suite ~benches:(E.quick_benches ()) ())
-let quick_json runs = Json.to_string_pretty (E.json_of_obs_suite runs)
+(* an experiment's runs with their outcomes, and its file's bytes *)
+let measure e = E.measure (E.table ~jobs:1 ()) e
+let runs_json ms = Json.to_string_pretty (E.json_of_runs ms)
+let quick_suite = lazy (measure (E.gate (E.quick_benches ())))
 let quick_mismatch = pin_mismatch ~file:"quick.json" ~cmd:"gate --quick" ~out:"gate.json"
 
 let test_quick_pinned () =
-  Option.iter Alcotest.fail (quick_mismatch (quick_json (Lazy.force quick_suite)))
+  Option.iter Alcotest.fail (quick_mismatch (runs_json (Lazy.force quick_suite)))
 
 (* one ulp more on the first kernel's seconds fails the check at the
    line that holds them *)
 let test_pin_names_moved_line () =
   let runs = Lazy.force quick_suite in
-  let r = List.hd runs in
-  let p = r.E.obs_profile in
+  let r, p, digest =
+    match List.hd runs with
+    | r, E.Profiled (p, digest) -> (r, p, digest)
+    | _, E.Pruned _ -> Alcotest.fail "the first quick-suite run was pruned"
+  in
   let k = List.hd p.Profile.kernels in
   let k = { k with Profile.seconds = Float.succ k.Profile.seconds } in
   let moved =
-    { r with E.obs_profile = { p with Profile.kernels = k :: List.tl p.Profile.kernels } }
+    (r, E.Profiled ({ p with Profile.kernels = k :: List.tl p.Profile.kernels }, digest))
     :: List.tl runs
   in
-  let computed = quick_json moved in
+  let computed = runs_json moved in
   let seconds = Fmt.str "\"seconds\": %s," (Json.to_string (Json.Float k.Profile.seconds)) in
   let rec line_of n = function
     | l :: ls -> if String.equal (String.trim l) seconds then n else line_of (n + 1) ls
@@ -189,7 +196,40 @@ let test_pin_names_moved_line () =
 let test_table2_pinned () =
   Option.iter Alcotest.fail
     (pin_mismatch ~file:"table2.json" ~cmd:"table2" ~out:"table2.json"
-       (Json.to_string_pretty (E.json_of_table2 (E.table2_data ()))))
+       (runs_json (measure (E.table2 ()))))
+
+(* ------------------------------------------------------------------ *)
+(* Shared runs: the declared lists, without running any                *)
+(* ------------------------------------------------------------------ *)
+
+let test_shared_runs () =
+  let benches = Pgpu_core.Polygeist_gpu.Rodinia.all in
+  let t = E.table ~jobs:1 () in
+  let add runs = List.iter (fun r -> ignore (E.entry t r)) runs in
+  let adds_nothing what runs =
+    let n = Hashtbl.length t.E.entries in
+    add runs;
+    Alcotest.(check int) what n (Hashtbl.length t.E.entries)
+  in
+  let fig13 = E.fig13 benches and fig16 = E.fig16 benches in
+  add fig16.E.runs;
+  adds_nothing "fig17's runs are fig16's" (E.fig17 benches).E.runs;
+  adds_nothing "fig13's untuned a100 runs are fig16's"
+    (List.filter (fun (r : E.run) -> String.equal r.E.config "untuned") fig13.E.runs);
+  add (E.fig14 ()).E.runs;
+  adds_nothing "Table II's runs are fig14's" (E.table2 ()).E.runs;
+  adds_nothing "fig15's base run is fig14's"
+    (List.filter (fun (r : E.run) -> String.equal r.E.config "base") (E.fig15 ()).E.runs);
+  let lud_a100 config (r : E.run) =
+    String.equal r.E.bench "lud" && String.equal r.E.config config
+    && String.equal r.E.compile.E.target.Descriptor.name "a100"
+  in
+  let untuned = List.find (lud_a100 "untuned") fig13.E.runs
+  and pg = List.find (lud_a100 "P-G") fig16.E.runs in
+  Alcotest.(check bool) "two labels of one key share one entry" true
+    (E.entry t untuned == E.entry t pg);
+  Alcotest.(check bool) "no run was computed" true
+    (Hashtbl.fold (fun _ e none -> none && not (Lazy.is_val e)) t.E.entries true)
 
 (* ------------------------------------------------------------------ *)
 (* Report                                                              *)
@@ -436,6 +476,7 @@ let suite =
         Alcotest.test_case "pin check names the line a one-ulp move changes" `Slow
           test_pin_names_moved_line;
         Alcotest.test_case "Table II matches bench/baselines/table2.json" `Slow test_table2_pinned;
+        Alcotest.test_case "figures that share runs declare equal keys" `Quick test_shared_runs;
         Alcotest.test_case "report covers every quick-suite kernel" `Quick test_report_quick_suite;
         Alcotest.test_case "report prints each bottleneck list on one line" `Quick
           test_report_bottlenecks_one_line;

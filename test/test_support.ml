@@ -64,6 +64,24 @@ let test_write_file () =
   List.iter Sys.remove [ path; json ];
   List.iter Sys.rmdir [ Filename.dirname path; Filename.dirname json; root ]
 
+(* an output under a regular file is a [Write_error] that names the
+   path, whether the file stands where a directory must be made or
+   where the output's own directory is *)
+let test_write_under_file () =
+  let file = Filename.temp_file "pgpu-file-" "" in
+  let fails what path =
+    match Util.write_file path "x" with
+    | () -> Alcotest.failf "%s: %s was written" what path
+    | exception Util.Write_error m ->
+        Alcotest.(check bool)
+          (Fmt.str "%s: %S names %s" what m file)
+          true
+          (String.starts_with ~prefix:file m)
+  in
+  fails "a directory to make" (Filename.concat (Filename.concat file "m") "x.json");
+  fails "the output's directory" (Filename.concat file "x.json");
+  Sys.remove file
+
 let test_rng_deterministic () =
   let a = Pgpu_support.Rng.create 42 and b = Pgpu_support.Rng.create 42 in
   for _ = 1 to 100 do
@@ -145,6 +163,8 @@ let suite =
         Alcotest.test_case "stats" `Quick test_stats;
         Alcotest.test_case "mkdir_p creates missing parents" `Quick test_mkdir_p;
         Alcotest.test_case "write_file creates missing parents" `Quick test_write_file;
+        Alcotest.test_case "an output under a regular file is a Write_error" `Quick
+          test_write_under_file;
         Alcotest.test_case "rng deterministic" `Quick test_rng_deterministic;
         Alcotest.test_case "rng streams pinned" `Quick test_rng_streams;
         QCheck_alcotest.to_alcotest prop_balance_product;
