@@ -26,9 +26,9 @@ let flag_value name =
   find (Array.to_list Sys.argv)
 
 (** [--metrics-dir DIR]: write each experiment's runs as
-    DIR/<experiment>.json next to the printed tables, plus an
-    aggregating DIR/summary.json at exit; DIR and its missing parents
-    are created. *)
+    DIR/<experiment>.json next to the printed tables, plus
+    DIR/summary.json at exit, which names each experiment's file; DIR
+    and its missing parents are created. *)
 let metrics_dir = flag_value "--metrics-dir"
 
 (** [--jobs N]: worker domains for compilation, grid sharding and TDO
@@ -46,16 +46,17 @@ let jobs =
 
 let harness_t0 = Unix.gettimeofday ()
 
-(* every experiment's JSON, accumulated for summary.json *)
+(* each experiment's name and file name, in order, for summary.json *)
 let summaries : (string * Json.t) list ref = ref []
 
 let write_metrics name json =
   match metrics_dir with
   | None -> ()
   | Some dir ->
-      let path = Filename.concat dir (name ^ ".json") in
+      let file = name ^ ".json" in
+      let path = Filename.concat dir file in
       Json.to_file path json;
-      summaries := !summaries @ [ (name, json) ];
+      summaries := !summaries @ [ (name, Json.Str file) ];
       Fmt.pr "[%s metrics written to %s]@." name path
 
 let write_summary () =

@@ -807,15 +807,30 @@ let rec walk_uniform st ~kernel (env : env) (b : Instr.block) : env =
 let dedup ds =
   List.sort_uniq compare ds
 
+(** Whether [region] holds an [Alloc_shared] or a [Barrier]. Every
+    diagnostic needs one: a race or an unknown index needs a shared
+    buffer, which only [Alloc_shared] makes (a free value is never
+    one), and a divergence needs a barrier. *)
+let may_diagnose (region : Instr.block) =
+  let found = ref false in
+  Instr.iter_deep
+    (function Instr.Alloc_shared _ | Instr.Barrier _ -> found := true | _ -> ())
+    region;
+  !found
+
 (** Check a kernel region (the body of a [Gpu_wrapper], or a candidate
     region produced by [Alternatives.expand]). [const_of] resolves
     constants the host code defines outside the region — without it
     thread bounds and halo offsets degrade to opaque symbols and the
-    checker loses most of its precision. *)
+    checker loses most of its precision. A region that cannot be
+    diagnosed ({!may_diagnose}) is not checked. *)
 let check_region ~memo ?const_of ~kernel (region : Instr.block) : Report.diagnostic list =
-  let st = mk_st ~memo ?const_of () in
-  ignore (walk_uniform st ~kernel Env.empty region);
-  dedup (List.rev st.diags)
+  if not (may_diagnose region) then []
+  else begin
+    let st = mk_st ~memo ?const_of () in
+    ignore (walk_uniform st ~kernel Env.empty region);
+    dedup (List.rev st.diags)
+  end
 
 (** Check every kernel of a module. *)
 let check_modul (m : Instr.modul) : Report.diagnostic list =

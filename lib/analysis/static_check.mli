@@ -14,7 +14,10 @@ open Pgpu_ir
     values to compile-time constants where the host code pins them
     (e.g. CSE'd sizes); [kernel] names the diagnostics. Solver verdicts
     go through [memo], which the caller may share across regions (the
-    race gate shares one across the candidates of an expansion). *)
+    race gate shares one across the candidates of an expansion). A
+    region with no [Alloc_shared] and no [Barrier] returns [[]]
+    unchecked: every diagnostic needs a shared buffer or a
+    barrier. *)
 val check_region :
   memo:Affine.memo ->
   ?const_of:(Value.t -> int option) ->

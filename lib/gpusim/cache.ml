@@ -22,7 +22,9 @@
     takes a private copy first, so a clone costs what it touches and
     never writes a row its source can see. The source, which still
     owns those rows, must not be probed while a clone of it is in
-    use. *)
+    use. A clone's state can be written back into its source
+    ([write_back]): the rows it owns move over, restamped, and the
+    source then holds exactly what the clone held. *)
 
 type t = {
   id : int;  (** owner stamp of the rows this cache writes in place *)
@@ -137,3 +139,19 @@ let reset t =
   t.hits <- 0;
   t.misses <- 0;
   t.last_line <- -1
+
+(* every row the clone shares is still its source's, unchanged (the
+   source was idle); the rows it owns move over under the source's
+   stamp, so the clone writes none of them in place again *)
+let write_back ~clone ~into =
+  Array.iteri
+    (fun set d ->
+      if Array.length d > 0 && Array.unsafe_get d 0 = clone.id then begin
+        d.(0) <- into.id;
+        into.set_data.(set) <- d
+      end)
+    clone.set_data;
+  into.epoch <- clone.epoch;
+  into.hits <- clone.hits;
+  into.misses <- clone.misses;
+  into.last_line <- clone.last_line

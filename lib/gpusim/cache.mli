@@ -6,7 +6,8 @@
     lazily per set and invalidated by epoch, so [create] and [reset]
     stay cheap even for multi-megabyte simulated caches. Clones share
     rows copy-on-write, so [clone] costs what the clone then
-    touches. *)
+    touches, and a clone's rows can be written back into its source
+    ([write_back]) without a copy. *)
 
 type t = {
   id : int;  (** owner stamp of the rows this cache writes in place *)
@@ -56,3 +57,11 @@ val access_run : t -> int -> int -> bool
 
 (** O(1) full invalidation (epoch bump). *)
 val reset : t -> unit
+
+(** [write_back ~clone ~into] makes [into] answer every later probe
+    as [clone] would, where [clone] is a {!clone} of [into] made while
+    [into] stayed idle: the rows [clone] owns move into [into],
+    restamped as [into]'s, and so do its epoch, shortcut and hit/miss
+    counts. It copies no row; the rows [clone] shares are [into]'s
+    already. [clone] must not be probed afterwards. *)
+val write_back : clone:t -> into:t -> unit

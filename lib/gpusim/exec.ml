@@ -51,6 +51,10 @@ type machine = {
           property that lets sharded launches be bit-identical to
           sequential ones. *)
   l1s : Cache.t array;
+  owned : bool array;
+      (** per SM: whether [l1s] and [l2s] hold this machine's own
+          caches there; a clone holds its source's until a block first
+          runs there ({!run_grid}) *)
   mutable counters : Counters.t;
   mutable next_sm : int;  (** the SM a GPU launch's first block runs on *)
   mutable observed_threads : int;
@@ -88,6 +92,7 @@ let create_machine (target : Pgpu_target.Descriptor.t) =
     l1s =
       Array.init target.sm_count (fun _ ->
           Cache.create ~size_bytes:target.l1_bytes_per_sm ~line_bytes:target.l1_line_bytes ~ways:8);
+    owned = Array.make target.sm_count true;
     counters = Counters.create ();
     next_sm = 0;
     observed_threads = 1;
@@ -100,21 +105,36 @@ let create_machine (target : Pgpu_target.Descriptor.t) =
 (** A private copy of [m] that writes no state [m] can see, so the
     clone can execute on another domain and leaves no trace on the
     machine the committed launch runs on. The TDO search runs every
-    trial on one. The caches are copy-on-write ({!Cache.clone}): a
-    clone copies only the rows it probes, and [m] must not be probed
-    while a clone of it is in use. The race detector is deliberately
-    not carried over (trial machines never race-check). *)
+    trial on one. It copies no cache: it holds [m]'s until a launch
+    first runs a block on that SM, and then takes copy-on-write clones
+    of that SM's L1 and L2 slice ({!Cache.clone}), which copy only the
+    rows they probe; [m] must not be probed while a clone of it is in
+    use. The race detector is deliberately not carried over (trial
+    machines never race-check). *)
 let clone_machine m =
   {
     m with
     alloc = Memory.clone_allocator m.alloc;
-    l2s = Array.map Cache.clone m.l2s;
-    l1s = Array.map Cache.clone m.l1s;
+    l2s = Array.copy m.l2s;
+    l1s = Array.copy m.l1s;
+    owned = Array.map (fun _ -> false) m.owned;
     counters = Counters.copy m.counters;
     racecheck = None;
     scratch = Array.make 64 0;
     bank_counts = Array.make 64 0;
   }
+
+(** Leave on [m], which owns all its caches, what the launches run on
+    its clone [c] left on [c]: [c]'s host allocator and [next_sm] and,
+    on a GPU, its L2 slices. Every launch empties the L1s, and on a
+    CPU the L2 slices, before its first block, so nothing else carries
+    into [m]'s next launch. Each L2 slice [c] cloned takes back the
+    rows [c]'s clone of it owns ({!Cache.write_back}). *)
+let adopt m ~clone:c =
+  m.alloc <- c.alloc;
+  m.next_sm <- c.next_sm;
+  if m.target.Pgpu_target.Descriptor.kind = Pgpu_target.Descriptor.Gpu then
+    Array.iteri (fun s own -> if own then Cache.write_back ~clone:c.l2s.(s) ~into:m.l2s.(s)) c.owned
 
 (** The host register file. A value's slot indexes all three banks,
     and the value's type picks the one that holds it, so the int and
@@ -540,7 +560,11 @@ type runner = machine -> sm:int -> int -> unit
     position [j], with [chunk = ceil (executed / min cores executed)]
     (one contiguous chunk per core, as an OpenMP static schedule),
     starts every launch at core 0, and empties its L2 slices at every
-    launch. Every launch empties the L1s.
+    launch. Every launch empties the L1s. Only the caches [m] owns are
+    reset or probed: on a clone ({!clone_machine}), an SM the launch
+    assigns a block to and whose caches are still the source's gets
+    its own clones of them first, emptied as the launch empties the
+    owned ones.
 
     The launch's thread count is the larger of the first thread-level
     parallel's extents ({!block_dims_of}) and the largest thread count
@@ -569,8 +593,13 @@ let run_grid ?(jobs = 1) (m : machine) ~(mode : mode) ~(env : env) (p : Instr.in
       m.counters <- Counters.create ();
       m.counters.Counters.launches <- 1.;
       m.observed_threads <- 1;
-      Array.iter Cache.reset m.l1s;
-      if cpu then Array.iter Cache.reset m.l2s;
+      Array.iteri
+        (fun s own ->
+          if own then begin
+            Cache.reset m.l1s.(s);
+            if cpu then Cache.reset m.l2s.(s)
+          end)
+        m.owned;
       let block_dims = block_dims_of env body in
       let result_threads = ref (List.fold_left ( * ) 1 block_dims) in
       let indices = sampled_blocks mode total in
@@ -587,6 +616,18 @@ let run_grid ?(jobs = 1) (m : machine) ~(mode : mode) ~(env : env) (p : Instr.in
             fun j -> j / chunk
           else fun j -> (start_sm + j) mod sm_count
         in
+        (* a clone takes its own caches on an SM when a block first
+           runs there, emptied as the owned ones were above *)
+        for j = 0 to executed - 1 do
+          let s = sm_of j in
+          if not m.owned.(s) then begin
+            m.l1s.(s) <- Cache.clone m.l1s.(s);
+            Cache.reset m.l1s.(s);
+            m.l2s.(s) <- Cache.clone m.l2s.(s);
+            if cpu then Cache.reset m.l2s.(s);
+            m.owned.(s) <- true
+          end
+        done;
         let run_blocks (mg : machine) keep =
           let run = runner mg in
           for j = 0 to executed - 1 do

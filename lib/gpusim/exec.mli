@@ -36,6 +36,10 @@ type machine = {
           probes [l2s.(s)] only, making all cache state per-SM so that
           sharded launches are bit-identical to sequential ones *)
   l1s : Cache.t array;
+  owned : bool array;
+      (** per SM: whether [l1s] and [l2s] hold this machine's own
+          caches there; a clone holds its source's until a block first
+          runs there *)
   mutable counters : Counters.t;
   mutable next_sm : int;  (** the SM a GPU launch's first block runs on *)
   mutable observed_threads : int;
@@ -63,14 +67,29 @@ val clone_machine : machine -> machine
 (** A private copy of [m] that never writes state [m] can see, safe to
     execute on another domain, alongside other clones of [m] (the race
     detector is not carried over: trial machines never race-check).
-    Every TDO trial runs on one. The L1s and L2 slices are
-    copy-on-write ({!Cache.clone}), so a clone costs the rows its
-    launches probe, not the rows [m] holds.
+    Every TDO trial runs on one. It copies no cache: {!run_grid}
+    clones an SM's L1 and L2 slice ({!Cache.clone}, copy-on-write)
+    when it first assigns a block there, so a clone costs the SMs its
+    launches run on and the rows they probe, not the caches [m]
+    holds.
 
-    {b Source-idle rule:} [m] still owns the rows its clones share, so
-    [m] must not be probed while a clone of it is in use. The TDO
-    search keeps this rule: every trial state is dropped before the
-    commit runs on [m]. *)
+    {b Source-idle rule:} [m] still owns the caches and rows its
+    clones share, so [m] must not be probed while a clone of it is in
+    use. The TDO search keeps this rule: the live machine is idle
+    until every trial is done, and then either adopts the winner's
+    clone ({!adopt}) or runs the commit. *)
+
+val adopt : machine -> clone:machine -> unit
+(** [adopt m ~clone] leaves on [m], which owns all its caches (it is
+    not itself a clone), what the launches run on [clone] (a
+    {!clone_machine} of [m] made while [m] stayed idle) left on
+    [clone], as far as [m]'s later launches can tell: its host
+    allocator, [next_sm] and, on a GPU, its L2 slices. Every launch
+    empties the L1s, and on a CPU the L2 slices, before its first
+    block, so nothing else carries over. Each L2 slice [clone] cloned
+    takes back the rows its clone owns ({!Cache.write_back}), under
+    [m]'s stamp, so [m] holds no second copy of what it already held.
+    [clone] must be dropped afterwards. *)
 
 (** The host register file: what host code computes, and what kernel
     launches read their arguments and grid geometry from. Three
@@ -213,7 +232,10 @@ type runner = machine -> sm:int -> int -> unit
     [c] runs the [c]-th contiguous chunk of
     [ceil (executed / min cores executed)] executed blocks, every
     launch starts at core 0, and the L2 slices are emptied at every
-    launch. Every launch empties the L1s. [threads_per_block] is the
+    launch. Every launch empties the L1s. It resets and probes only
+    the caches [m] owns: on a clone, an SM that is assigned a block
+    while its caches are still the source's gets clones of them
+    first, emptied as the owned ones were. [threads_per_block] is the
     larger of the static block size ({!block_dims_of}) and the largest
     thread count an executed block reached.
 

@@ -102,6 +102,8 @@ type clock = { mutable composite : float }
 
 type state = {
   config : config;
+      (** in a TDO trial, its [tracer] is the buffer of the trial's own
+          events ([cpu:fission], and a nested search's [tdo:*]) *)
   reference : reference option;
       (** runs every launch in place of the compiled engine, trials
           included: the seam the differential tests put their
@@ -113,7 +115,14 @@ type state = {
   frames : Compile.frames;  (** compiled-kernel register files on [machine] *)
   mutable records : launch_record list;
   clock : clock;
-  trial : bool;  (** a TDO trial's private state: sample + don't record *)
+  launch_tracer : Tracer.t;
+      (** where launches and memcpys are traced: the run's tracer, or
+          a trial's private buffer, which adopting the trial appends to
+          the run's *)
+  trial : float option;
+      (** in a TDO trial's private state, which samples every launch:
+          the timestamp of the trial's own events, the live clock when
+          its search started *)
   choices : (int * string, int) Hashtbl.t;
       (** (alternatives id, launch signature) -> chosen region. The
           signature buckets the integer inputs of the launch site by
@@ -171,7 +180,8 @@ let create ?reference config =
     frames = Compile.frames machine;
     records = [];
     clock = { composite = 0. };
-    trial = false;
+    launch_tracer = config.tracer;
+    trial = None;
     choices = Hashtbl.create 8;
     sites = Hashtbl.create 8;
     sites_lock = Mutex.create ();
@@ -181,12 +191,14 @@ exception Host_error of string
 
 let host_fail fmt = Fmt.kstr (fun s -> raise (Host_error s)) fmt
 
-let[@inline] charge st seconds =
-  if not st.trial then st.clock.composite <- st.clock.composite +. seconds
+let[@inline] charge st seconds = st.clock.composite <- st.clock.composite +. seconds
 
 (* trace timestamps are simulated composite time, in microseconds (the
    unit of the Chrome trace-event format) *)
 let ticks st = st.clock.composite *. 1e6
+
+(* the timestamp of a TDO trial's own events, or of the run's *)
+let stamp st = match st.trial with Some ts -> ts | None -> ticks st
 
 (** Deterministic input generation shared with the CPU reference
     implementations: the contents of a buffer filled by
@@ -267,7 +279,7 @@ let cpu_lower st ~wid ~alt (region : Instr.block) =
           m "fission: wrapper %d alt %d: %d epoch(s), %d expanded, %d recomputed, %d hoisted"
             wid alt stats.Fission.epochs stats.Fission.expanded stats.Fission.recomputed
             stats.Fission.hoisted);
-      Tracer.instant_at st.config.tracer ~cat:"cpu" ~ts:(ticks st)
+      Tracer.instant_at st.config.tracer ~cat:"cpu" ~ts:(stamp st)
         ~args:
           [
             ("wid", Json.Int wid);
@@ -315,14 +327,14 @@ let site st ~wid ~alt (region : Instr.block) : site =
       s
 
 (** Launch the grid-level parallel at position [j] of [site] through
-    the grid loop and account for it: charged to the composite time
-    and recorded unless in a trial. Returns the launch's simulated
-    seconds. *)
+    the grid loop and account for it: charged to the composite time,
+    traced and recorded, on a trial's private clock, buffer and
+    records in a trial. Returns the launch's simulated seconds. *)
 let launch st ~name ~wid ~alt (site : site) j =
   let p = List.nth site.lowered j in
   let stats = site.stats in
   let mode : Exec.mode =
-    if st.trial || not st.config.functional then `Sample st.config.sample_blocks else `All
+    if st.trial <> None || not st.config.functional then `Sample st.config.sample_blocks else `All
   in
   let offload =
     match st.config.target.Descriptor.vendor with
@@ -368,43 +380,41 @@ let launch st ~name ~wid ~alt (site : site) j =
   let seconds = breakdown.Timing.seconds in
   let t0 = ticks st in
   charge st seconds;
-  if not st.trial then begin
-    Tracer.span_at st.config.tracer ~cat:"kernel" ~ts:t0 ~dur:(seconds *. 1e6)
-      ~args:
-        [
-          ("kernel", Json.Str name);
-          ("alternative", if alt >= 0 then Json.Int alt else Json.Null);
-          ("nblocks", Json.Int result.Exec.nblocks);
-          ("threads_per_block", Json.Int result.Exec.threads_per_block);
-          ("seconds", Json.Float seconds);
-          ("occupancy", Json.Float breakdown.Timing.occupancy.Pgpu_target.Occupancy.occupancy);
-        ]
-      ("kernel:" ^ name);
-    let bottleneck =
-      Bottleneck.classify ~kind:st.config.target.Descriptor.kind result.Exec.counters breakdown
-    in
-    Tracer.instant_at st.config.tracer ~cat:"bottleneck" ~ts:t0
-      ~args:
-        [
-          ("kernel", Json.Str name);
-          ("label", Json.Str (Bottleneck.label_name bottleneck.Bottleneck.label));
-          ("limiter", Json.Str bottleneck.Bottleneck.limiter);
-          ("headroom", Json.Float bottleneck.Bottleneck.headroom);
-        ]
-      ("bottleneck:" ^ name);
-    st.records <-
-      {
-        kernel = name;
-        wid;
-        alternative = (if alt >= 0 then Some alt else None);
-        result;
-        stats;
-        breakdown;
-        bottleneck;
-        seconds;
-      }
-      :: st.records
-  end;
+  Tracer.span_at st.launch_tracer ~cat:"kernel" ~ts:t0 ~dur:(seconds *. 1e6)
+    ~args:
+      [
+        ("kernel", Json.Str name);
+        ("alternative", if alt >= 0 then Json.Int alt else Json.Null);
+        ("nblocks", Json.Int result.Exec.nblocks);
+        ("threads_per_block", Json.Int result.Exec.threads_per_block);
+        ("seconds", Json.Float seconds);
+        ("occupancy", Json.Float breakdown.Timing.occupancy.Pgpu_target.Occupancy.occupancy);
+      ]
+    ("kernel:" ^ name);
+  let bottleneck =
+    Bottleneck.classify ~kind:st.config.target.Descriptor.kind result.Exec.counters breakdown
+  in
+  Tracer.instant_at st.launch_tracer ~cat:"bottleneck" ~ts:t0
+    ~args:
+      [
+        ("kernel", Json.Str name);
+        ("label", Json.Str (Bottleneck.label_name bottleneck.Bottleneck.label));
+        ("limiter", Json.Str bottleneck.Bottleneck.limiter);
+        ("headroom", Json.Float bottleneck.Bottleneck.headroom);
+      ]
+    ("bottleneck:" ^ name);
+  st.records <-
+    {
+      kernel = name;
+      wid;
+      alternative = (if alt >= 0 then Some alt else None);
+      result;
+      stats;
+      breakdown;
+      bottleneck;
+      seconds;
+    }
+    :: st.records;
   seconds
 
 (** A trial's env for [r]: the three banks copied, the index shared
@@ -423,8 +433,9 @@ let launch st ~name ~wid ~alt (site : site) j =
     private arrays without ever touching the live data. As with the
     copy-on-write machine clone, the live side must stay idle while
     the trial runs: [search] touches neither the live env nor its
-    buffers until every trial is done. *)
-let clone_trial_env scratch (env : Exec.env) (r : region) : Exec.env =
+    buffers until every trial is done. Returns the env and the copies,
+    by buffer id. *)
+let clone_trial_env scratch (env : Exec.env) (r : region) =
   let bufs = Array.copy env.Exec.bufs in
   let copies = Hashtbl.create 8 in
   Array.iter
@@ -454,17 +465,13 @@ let clone_trial_env scratch (env : Exec.env) (r : region) : Exec.env =
       | Some b -> bufs.(s) <- b
       | None -> ())
     r.free_bufs;
-  {
-    env with
-    Exec.ints = Array.copy env.Exec.ints;
-    floats = Array.copy env.Exec.floats;
-    bufs;
-  }
+  ( { env with Exec.ints = Array.copy env.Exec.ints; floats = Array.copy env.Exec.floats; bufs },
+    copies )
 
 (** Trace a committed TDO choice; [cached] when the persistent cache
     answered it. *)
 let choice_event st ~name ~signature ~cached k spec seconds =
-  Tracer.instant_at st.config.tracer ~cat:"tdo" ~ts:(ticks st)
+  Tracer.instant_at st.config.tracer ~cat:"tdo" ~ts:(stamp st)
     ~args:
       ([
          ("kernel", Json.Str name);
@@ -485,6 +492,26 @@ let has_nested_site (region : Instr.block) =
       match i with Instr.Gpu_wrapper _ | Instr.Alternatives _ -> nested := true | _ -> ())
     region;
   !nested
+
+(** Make the live state [st] what committing the trial [ts], with
+    buffer [copies] by id, would have made it, without running the
+    region again: the int and float banks, the buffer bank with each
+    buffer the trial copied replaced by its copy in every slot that
+    holds it (a host value outside the region can alias one, under
+    another SSA value), the machine ({!Exec.adopt}), the clock, and
+    the trial's launch records and launch events, in launch order. *)
+let adopt st ts copies =
+  let e = st.env and te = ts.env in
+  Array.blit te.Exec.ints 0 e.Exec.ints 0 (Array.length te.Exec.ints);
+  Array.blit te.Exec.floats 0 e.Exec.floats 0 (Array.length te.Exec.floats);
+  Array.iteri
+    (fun s (b : Memory.buf) ->
+      e.Exec.bufs.(s) <- Option.value (Hashtbl.find_opt copies b.Memory.id) ~default:b)
+    te.Exec.bufs;
+  Exec.adopt st.machine ~clone:ts.machine;
+  st.clock.composite <- ts.clock.composite;
+  st.records <- ts.records @ st.records;
+  Tracer.append st.launch_tracer (Tracer.events ts.launch_tracer)
 
 (** Execute one compiled kernel region (the selected alternatives
     region or the plain wrapper body): host steps run, and each
@@ -554,14 +581,16 @@ and cached_choice st ckey n =
     are skipped, which subsumes the static shared-memory pruning at
     runtime. A choice found in the persistent cache is committed
     directly, without trials — the warm run replays the cold run's
-    decision. *)
+    decision. Returns the chosen region, and whether its search
+    adopted the winning trial ({!adopt}): the region has then run, and
+    committing it again would run it twice. *)
 and choose_alternative st ~name ~wid ~signature ?ckey (aid : int) (descs : string list)
     (regions : region array) =
   match Hashtbl.find_opt st.choices (aid, signature) with
-  | Some k -> k
+  | Some k -> (k, false)
   | None ->
-      let k =
-        if not st.config.tune then min st.config.fixed_choice (Array.length regions - 1)
+      let ((k, _) as choice) =
+        if not st.config.tune then (min st.config.fixed_choice (Array.length regions - 1), false)
         else
           match cached_choice st ckey (Array.length regions) with
           | Some (k, seconds) ->
@@ -569,11 +598,11 @@ and choose_alternative st ~name ~wid ~signature ?ckey (aid : int) (descs : strin
                   m "TDO: kernel %s chose alternative %d (%s) from cache" name k
                     (List.nth descs k));
               choice_event st ~name ~signature ~cached:true k (List.nth descs k) seconds;
-              k
+              (k, false)
           | None -> search st ~name ~wid ~signature ?ckey descs regions
       in
       Hashtbl.replace st.choices (aid, signature) k;
-      k
+      choice
 
 (** The TDO search: one trial per candidate, batched on the
     persistent pool ([jobs = 1] runs the batch inline), then a stable
@@ -585,14 +614,37 @@ and choose_alternative st ~name ~wid ~signature ?ckey (aid : int) (descs : strin
     batch runs with one job when a candidate contains a nested launch
     site. Each worker slot keeps one trial copy of each buffer the
     candidates write, and all die with the call, so a nested search
-    owns its own. *)
+    owns its own.
+    Each worker slot also holds its best adoptable trial so far
+    (lowest seconds, then lowest index), whose buffer copies leave the
+    slot's scratch so that its later trials cannot refill them; a
+    replaced holder puts its copies back. When the winner is held, the
+    live state adopts it, after the [tdo:choice] event; the other
+    holders die with the call. *)
 and search st ~name ~wid ~signature ?ckey descs regions =
   let jobs = if Array.exists (fun r -> r.nested) regions then 1 else st.config.jobs in
   let n = Array.length regions in
-  let scratch = Array.init (max 1 (min jobs n)) (fun _ -> Hashtbl.create 8) in
+  let slots = max 1 (min jobs n) in
+  let scratch = Array.init slots (fun _ -> Hashtbl.create 8) in
+  let held = Array.make slots None in
   let trials = Array.make n (infinity, None, []) in
   Pgpu_support.Pool.run (Pgpu_support.Pool.get ()) ~jobs n (fun ~slot k ->
-      trials.(k) <- trial st ~scratch:scratch.(slot) ~name ~wid ~descs k regions.(k));
+      let t, fault, events, adoptable =
+        trial st ~scratch:scratch.(slot) ~name ~wid ~descs k regions.(k)
+      in
+      trials.(k) <- (t, fault, events);
+      (* a slot runs its trials in index order, so a tie keeps the held one *)
+      Option.iter
+        (fun (ts, copies) ->
+          let better = match held.(slot) with Some (t', _, _, _) -> t < t' | None -> true in
+          if better then begin
+            Hashtbl.iter (fun id _ -> Hashtbl.remove scratch.(slot) id) copies;
+            Option.iter
+              (fun (_, _, _, old) -> Hashtbl.iter (Hashtbl.replace scratch.(slot)) old)
+              held.(slot);
+            held.(slot) <- Some (t, k, ts, copies)
+          end)
+        adoptable);
   let trials = Array.to_list trials in
   List.iter (fun (_, _, events) -> Tracer.append st.config.tracer events) trials;
   let best = ref (-1) and best_t = ref infinity in
@@ -624,31 +676,50 @@ and search st ~name ~wid ~signature ?ckey descs regions =
              ("seconds", Json.Float !best_t);
            ]))
     ckey;
-  !best
+  let winner =
+    Array.find_map
+      (function Some (_, k, ts, copies) when k = !best -> Some (ts, copies) | _ -> None)
+      held
+  in
+  Option.iter (fun (ts, copies) -> adopt st ts copies) winner;
+  (!best, Option.is_some winner)
 
 (** One trial: candidate [k] runs through the same
     [exec_kernel_region] as the commit, on a private state — a
-    copy-on-write machine clone (which never race-checks), its own
-    register file with private copies of the buffers the region can
-    write ({!clone_trial_env}), its own frames and its own event
-    buffer when the run is traced — so it sees exactly the pre-search
-    machine the commit then runs on, and leaves no trace on it. The
-    live machine stays idle until [search] has dropped every trial
-    state, as the clone's source-idle rule requires. Returns the
+    machine clone ({!Exec.clone_machine}, which never race-checks),
+    its own register file with private copies of the buffers the
+    region can write ({!clone_trial_env}), its own frames, a clock
+    that starts at the live one, its own launch records, and its own
+    event buffers when the run is traced — so it sees exactly the
+    pre-search machine the commit then runs on, and leaves no trace on
+    it. The live machine stays idle until [search] is done with every
+    trial state, as the clone's source-idle rule requires. Returns the
     candidate's simulated seconds, [infinity] when it is infeasible or
-    faults, the fault's message, and the trial's events. *)
+    faults, the fault's message, the trial's own events, and the
+    trial's state and buffer copies when the live state may adopt it
+    ([st] is not itself a trial): when it executed every block the
+    commit would (the commit samples as trials do, or no grid the
+    trial launched had more blocks than a sample), its region holds no
+    launch site of its own (a nested search writes the shared choice
+    table), and no race detector watches the commit. *)
 and trial st ~scratch ~name ~wid ~descs k region =
   let machine = Exec.clone_machine st.machine in
-  let tracer = if Tracer.enabled st.config.tracer then Tracer.create () else Tracer.disabled in
+  let private_tracer () =
+    if Tracer.enabled st.config.tracer then Tracer.create () else Tracer.disabled
+  in
+  let tracer = private_tracer () in
+  let env, copies = clone_trial_env scratch st.env region in
   let ts =
     {
       st with
       config = { st.config with tracer };
       machine;
-      env = clone_trial_env scratch st.env region;
+      env;
       frames = Compile.frames machine;
       records = [];
-      trial = true;
+      clock = { composite = st.clock.composite };
+      launch_tracer = private_tracer ();
+      trial = Some (stamp st);
     }
   in
   let t, fault =
@@ -657,7 +728,7 @@ and trial st ~scratch ~name ~wid ~descs k region =
     | exception Timing.Infeasible _ -> (infinity, None)
     | exception Exec.Device_error msg -> (infinity, Some msg)
   in
-  Tracer.instant_at tracer ~cat:"tdo" ~ts:(ticks st)
+  Tracer.instant_at tracer ~cat:"tdo" ~ts:(stamp st)
     ~args:
       [
         ("kernel", Json.Str name);
@@ -667,7 +738,15 @@ and trial st ~scratch ~name ~wid ~descs k region =
         ("feasible", Json.Bool (Float.is_finite t));
       ]
     "tdo:trial";
-  (t, fault, Tracer.events tracer)
+  let ran_all =
+    (not st.config.functional)
+    || List.for_all (fun r -> r.result.Exec.nblocks <= st.config.sample_blocks) ts.records
+  in
+  let adoptable =
+    Float.is_finite t && ran_all && st.trial = None && (not region.nested)
+    && st.config.racecheck = None
+  in
+  (t, fault, Tracer.events tracer, if adoptable then Some (ts, copies) else None)
 
 and exec_wrapper st (w : wrapper) =
   let name = w.name and wid = w.wid in
@@ -675,8 +754,8 @@ and exec_wrapper st (w : wrapper) =
   | Some (aid, descs) ->
       let signature = if st.config.tune then launch_signature st w else "" in
       let ckey = if st.config.tune then tdo_cache_key st w ~signature descs else None in
-      let k = choose_alternative st ~name ~wid ~signature ?ckey aid descs w.regions in
-      ignore (exec_kernel_region st ~name ~wid ~alt:k w.regions.(k))
+      let k, adopted = choose_alternative st ~name ~wid ~signature ?ckey aid descs w.regions in
+      if not adopted then ignore (exec_kernel_region st ~name ~wid ~alt:k w.regions.(k))
   | None -> ignore (exec_kernel_region st ~name ~wid ~alt:(-1) w.regions.(0))
 
 (* ------------------------------------------------------------------ *)
@@ -1043,15 +1122,14 @@ and compile_instr st (i : Instr.instr) : code =
           in
           let t0 = ticks st in
           charge st seconds;
-          if not st.trial then
-            Tracer.span_at st.config.tracer ~cat:"memcpy" ~ts:t0 ~dur:(seconds *. 1e6)
-              ~args:
-                [
-                  ("bytes", Json.Float bytes);
-                  ("pcie", Json.Bool crosses_pcie);
-                  ("seconds", Json.Float seconds);
-                ]
-              "memcpy"
+          Tracer.span_at st.launch_tracer ~cat:"memcpy" ~ts:t0 ~dur:(seconds *. 1e6)
+            ~args:
+              [
+                ("bytes", Json.Float bytes);
+                ("pcie", Json.Bool crosses_pcie);
+                ("seconds", Json.Float seconds);
+              ]
+            "memcpy"
     | Instr.Gpu_wrapper { wid; name; body } ->
         let w = compile_wrapper st ~wid ~name body in
         fun st ->

@@ -5,7 +5,9 @@
     kept alive after a compile), parallel expansion determinism, and
     the cold/warm replay — a warm autotune run through a cache
     directory makes the cold run's choices with zero trial executions
-    and bit-identical results. *)
+    and bit-identical results, launch by launch, although the cold run
+    adopts its winning trials where the warm run executes every
+    commit. *)
 
 open Pgpu_ir
 module Cache = Pgpu_cache.Cache
@@ -243,49 +245,103 @@ let test_jobs_deterministic () =
 let count_events name tracer =
   List.length (List.filter (fun e -> Tracer.event_name e = name) (Tracer.events tracer))
 
+(** A replayed program on a target: whether every block runs, and the
+    [jobs] of its cold pass (the warm pass runs at 1). *)
+type replay_row = { bench : string; target : Descriptor.t; functional : bool; cold_jobs : int }
+
+let row ?(functional = true) ?(cold_jobs = 1) bench target = { bench; target; functional; cold_jobs }
+
 (* lud, nw, pathfinder and conv1d compute a coarsened thread extent in
    the candidate region's own host prelude: the warm run, which makes
    no trials, must still lower each region as the cold commit did.
-   The cpu rows run in the [cpu] group ([test_warm_tdo_cpu]), the
-   others here. *)
+   Every launch of nbody and matvec runs at most [sample_blocks]
+   blocks, so their cold passes adopt every winning trial; so do the
+   timing-only row's. lud and gaussian adopt some winners and re-run
+   others (13 of 19 and 21 of 38 sites adopted), so later launches
+   start from adopted cache state. The cpu rows run in the [cpu] group
+   ([test_warm_tdo_cpu]), the others here. *)
 let replay_rows =
   List.concat_map
-    (fun b -> List.map (fun t -> (b, t)) Descriptor.[ cpu; rx6800; a100 ])
-    [ "lud"; "conv1d"; "gaussian" ]
-  @ List.map (fun b -> (b, Descriptor.cpu)) [ "backprop"; "nw"; "pathfinder" ]
-  @ [ ("nn", Descriptor.a100) ]
+    (fun b -> List.map (row b) Descriptor.[ cpu; rx6800; a100 ])
+    [ "lud"; "conv1d"; "gaussian"; "nbody"; "matvec" ]
+  @ List.map (fun b -> row b Descriptor.cpu) [ "backprop"; "nw"; "pathfinder" ]
+  @ [
+      row "nn" Descriptor.a100;
+      row ~functional:false "lud" Descriptor.rx6800;
+      row ~cold_jobs:4 "gaussian" Descriptor.a100;
+    ]
+
+(* the events a commit emits, in order *)
+let launch_events tracer =
+  List.filter
+    (function
+      | Tracer.Span { cat = "kernel" | "memcpy"; _ } | Tracer.Instant { cat = "bottleneck"; _ } ->
+          true
+      | _ -> false)
+    (Tracer.events tracer)
+
+(* what a launch record holds but its stats and breakdown, which its
+   seconds and bottleneck summarize *)
+let launch_facts (l : Runtime.launch_record) =
+  ( l.Runtime.kernel,
+    l.Runtime.alternative,
+    l.Runtime.result.Exec.counters,
+    Int64.bits_of_float l.Runtime.seconds,
+    l.Runtime.bottleneck )
 
 (* each pass opens the cache directory afresh, as a new process would:
-   the cold pass trials and stores every choice, the warm pass answers
-   every site from the file with the cold pass's choices, outputs and
-   composite time *)
+   the cold pass trials, stores every choice and adopts every winning
+   trial that ran all its blocks; the warm pass answers every site from
+   the file and executes every commit. Both must launch the same
+   kernels with the same counters, seconds and bottlenecks, trace the
+   same launches, and end with the same outputs and composite time. *)
 let check_replay_rows ~on_cpu =
   let specs = P.specs_of_totals [ (1, 1); (4, 1); (1, 4); (2, 2) ] in
   List.iter
-    (fun (name, (target : Descriptor.t)) ->
-      let b = try P.Rodinia.find name with Failure _ -> P.Hecbench.find name in
-      let row = Fmt.str "%s on %s: " name target.Descriptor.name in
+    (fun { bench; target; functional; cold_jobs } ->
+      let b = try P.Rodinia.find bench with Failure _ -> P.Hecbench.find bench in
+      let row =
+        Fmt.str "%s on %s%s%s: " bench target.Descriptor.name
+          (if functional then "" else ", timing-only")
+          (if cold_jobs > 1 then Fmt.str ", cold at jobs %d" cold_jobs else "")
+      in
       let dir = temp_dir () in
-      let pass () =
+      let pass jobs =
         let cache = Cache.create ~dir () in
         let tracer = Tracer.create () in
         let c = P.compile ~specs ~target ~source:b.P.Bench_def.source () in
-        let r = P.run ~tune:true ~cache ~tracer c ~args:b.P.Bench_def.args in
+        let r =
+          Pgpu_support.Pool.override_domain_count (Some jobs);
+          Fun.protect
+            ~finally:(fun () -> Pgpu_support.Pool.override_domain_count None)
+            (fun () -> P.run ~tune:true ~functional ~jobs ~cache ~tracer c ~args:b.P.Bench_def.args)
+        in
         let _, misses, _ = Cache.ns_stats cache "tdo" in
-        (r, count_events "tdo:trial" tracer, count_events "tdo:choice" tracer, misses)
+        (r, tracer, misses)
       in
-      let cold, trials_cold, choices_cold, _ = pass () in
-      let warm, trials_warm, choices_warm, misses_warm = pass () in
-      Alcotest.(check bool) (row ^ "cold run executes trials") true (trials_cold > 0);
-      Alcotest.(check int) (row ^ "warm run executes zero trials") 0 trials_warm;
+      let cold, cold_trace, _ = pass cold_jobs in
+      let warm, warm_trace, misses_warm = pass 1 in
+      let trials = count_events "tdo:trial" and choices = count_events "tdo:choice" in
+      Alcotest.(check bool) (row ^ "cold run executes trials") true (trials cold_trace > 0);
+      Alcotest.(check int) (row ^ "warm run executes zero trials") 0 (trials warm_trace);
       Alcotest.(check int) (row ^ "warm run misses no site") 0 misses_warm;
-      Alcotest.(check int) (row ^ "a choice is still committed per site") choices_cold choices_warm;
+      Alcotest.(check int)
+        (row ^ "a choice is still committed per site")
+        (choices cold_trace) (choices warm_trace);
       let choices (r : P.run_result) =
         List.map
           (fun (l : Runtime.launch_record) -> (l.Runtime.kernel, l.Runtime.alternative))
           r.P.records
       in
       Alcotest.(check bool) (row ^ "same TDO choices") true (choices cold = choices warm);
+      List.iteri
+        (fun i (c, w) ->
+          if compare (launch_facts c) (launch_facts w) <> 0 then
+            Alcotest.failf "%slaunch %d (%s) differs between the cold and the warm run" row i
+              c.Runtime.kernel)
+        (List.combine cold.P.records warm.P.records);
+      Alcotest.(check bool) (row ^ "same launch and memcpy events") true
+        (compare (launch_events cold_trace) (launch_events warm_trace) = 0);
       Alcotest.(check bool) (row ^ "bit-identical outputs") true (cold.P.outputs = warm.P.outputs);
       Alcotest.(check bool) (row ^ "bit-identical composite time") true
         (Float.equal cold.P.composite_seconds warm.P.composite_seconds);
@@ -294,8 +350,7 @@ let check_replay_rows ~on_cpu =
       Sys.remove (Filename.concat dir "tdo.json");
       Sys.rmdir dir)
     (List.filter
-       (fun (_, (t : Descriptor.t)) ->
-         Bool.equal on_cpu (String.equal t.Descriptor.name Descriptor.cpu.Descriptor.name))
+       (fun r -> Bool.equal on_cpu (String.equal r.target.Descriptor.name Descriptor.cpu.Descriptor.name))
        replay_rows)
 
 let test_warm_tdo_golden () = check_replay_rows ~on_cpu:false

@@ -488,9 +488,18 @@ let prop_cache_clone =
 (* ------------------------------------------------------------------ *)
 
 (** One step of a cache trace: a probe, a run of [k] probes of one
-    line, a reset, a switch to a clone, or a fork — a clone driven
-    through its own steps and dropped, after which the source resumes. *)
-type cache_step = Probe of int | Run of int * int | Reset | Clone | Fork of cache_step list
+    line, a reset, a switch to a clone, a fork — a clone driven
+    through its own steps and dropped, after which the source resumes
+    — or a commit: a clone driven through its own steps (no switch to
+    a clone of it among them) and written back into the source, which
+    resumes where the clone stopped. *)
+type cache_step =
+  | Probe of int
+  | Run of int * int
+  | Reset
+  | Clone
+  | Fork of cache_step list
+  | Commit of cache_step list
 
 let rec pp_cache_step ppf = function
   | Probe a -> Fmt.int ppf a
@@ -498,6 +507,7 @@ let rec pp_cache_step ppf = function
   | Reset -> Fmt.string ppf "reset"
   | Clone -> Fmt.string ppf "clone"
   | Fork s -> Fmt.pf ppf "fork[%a]" Fmt.(list ~sep:sp pp_cache_step) s
+  | Commit s -> Fmt.pf ppf "commit[%a]" Fmt.(list ~sep:sp pp_cache_step) s
 
 (** A geometry with few sets (so lines conflict) and up to 300 steps
     over a window of three cache sizes. *)
@@ -509,17 +519,17 @@ let arb_cache_trace =
     and* sets = int_range 1 6 in
     let size = sets * ways * line in
     let addr = int_range 0 ((3 * size) - 1) in
-    let flat =
-      frequency
-        [
-          (12, map (fun a -> Probe a) addr);
-          (3, map2 (fun a k -> Run (a, k)) addr (int_range 1 8));
-          (1, return Reset);
-          (1, return Clone);
-        ]
+    let own =
+      [
+        (12, map (fun a -> Probe a) addr);
+        (3, map2 (fun a k -> Run (a, k)) addr (int_range 1 8));
+        (1, return Reset);
+      ]
     in
+    let flat = frequency ((1, return Clone) :: own) in
     let fork = map (fun s -> Fork s) (list_size (int_range 0 60) flat) in
-    let step = frequency [ (30, flat); (1, fork) ] in
+    let commit = map (fun s -> Commit s) (list_size (int_range 0 60) (frequency own)) in
+    let step = frequency [ (30, flat); (1, fork); (1, commit) ] in
     let+ steps = list_size (int_range 0 300) step in
     ((size, line, ways), steps)
   in
@@ -533,8 +543,9 @@ let arb_cache_trace =
 (** Every probe of {!Cache} must answer as the reference LRU
     ({!Reference_memory.Lru}) does, a run as the first of [k] probes
     of its address, and the two must end with the same hits and
-    misses — through resets, clones, and a source resumed after its
-    clone is dropped. *)
+    misses — through resets, clones, a source resumed after its clone
+    is dropped, and a source a clone is written back into
+    ({!Cache.write_back}). *)
 let prop_cache_lru =
   QCheck.Test.make ~name:"cache: LRU = reference on traces with resets and clones" ~count:300
     ~long_factor:10 arb_cache_trace (fun ((size_bytes, line_bytes, ways), steps) ->
@@ -569,6 +580,10 @@ let prop_cache_lru =
             let c', r' = List.fold_left drive (Cache.clone c, R.clone r) s in
             same (Fmt.str "fork ending at step %d" !n) c' r';
             both
+        | Commit s ->
+            let c', r' = List.fold_left drive (Cache.clone c, R.clone r) s in
+            Cache.write_back ~clone:c' ~into:c;
+            (c, r')
       in
       let c, r =
         List.fold_left drive

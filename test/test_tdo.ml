@@ -12,7 +12,10 @@
     regions whose thread extents their own host prelude computes (lud
     on cpu), and a kernel whose read and written arguments are one
     buffer: a trial that gave them separate copies would branch
-    differently from the commit. *)
+    differently from the commit. A timing-only run adopts each winning
+    trial, so there the commit's spans are the trial's own; the last
+    case runs tuned with every block executed, where the winning trial
+    is adopted too, and holds its output to the untuned run's. *)
 
 module P = Pgpu_core.Polygeist_gpu
 module Bench_def = Pgpu_rodinia.Bench_def
@@ -223,13 +226,22 @@ let test_aliased (target : Descriptor.t) () =
 (* Buffers written through a picked memref                              *)
 (* ------------------------------------------------------------------ *)
 
-(** Two device buffers hold the same inputs; the kernel region picks
-    one of them, by a select or by an if that yields it, and updates
-    it in place through the pick: [x <- x * 0.5 + 1]. Neither free
-    buffer is stored to directly, yet both can be written, so a trial
-    must copy both: one that wrote the live buffer would leave the
-    commit updating its sampled blocks twice. *)
-let picked_module ~by_yield =
+(** Where the written buffer is picked: in the kernel region, by a
+    select or by an if that yields it, or in [main] by a select before
+    the wrapper. *)
+type pick = By_select | By_yield | In_main
+
+(** Two device buffers hold the same inputs; one of them is picked
+    (see {!pick}) and the kernel updates it in place through the pick:
+    [x <- x * 0.5 + 1]. [main] then copies the first buffer back
+    through its own value. Neither free buffer of a region that picks
+    is stored to directly, yet both can be written, so a trial must
+    copy both: one that wrote the live buffer would leave the commit
+    updating its sampled blocks twice. A region whose buffer [main]
+    picked reaches it only through the pick, so a trial adopted in
+    its commit's place must rebind the buffer in the first buffer's
+    slot too. *)
+let picked_module pick =
   let f32 = Types.F32 in
   let n = Value.fresh ~hint:"n" Types.I32 in
   let f =
@@ -241,12 +253,19 @@ let picked_module ~by_yield =
         let a = Builder.alloc b Types.Global f32 n and other = Builder.alloc b Types.Global f32 n in
         Builder.add b (Instr.Memcpy { dst = a; src = h; count = n });
         Builder.add b (Instr.Memcpy { dst = other; src = h; count = n });
+        let picked_in_main =
+          match pick with
+          | In_main -> Some (Builder.select b (Builder.cmp b Ops.Gt n (Builder.const_i b 0)) a other)
+          | By_select | By_yield -> None
+        in
         Builder.gpu_wrapper b "update_picked" (fun wb ->
-            let c = Builder.cmp wb Ops.Gt n (Builder.const_i wb 0) in
+            let c () = Builder.cmp wb Ops.Gt n (Builder.const_i wb 0) in
             let e =
-              if by_yield then
-                List.hd (Builder.if_ wb c [ a.Value.ty ] (fun _ -> [ a ]) (fun _ -> [ other ]))
-              else Builder.select wb c a other
+              match (pick, picked_in_main) with
+              | In_main, Some e -> e
+              | By_yield, _ ->
+                  List.hd (Builder.if_ wb (c ()) [ a.Value.ty ] (fun _ -> [ a ]) (fun _ -> [ other ]))
+              | _ -> Builder.select wb (c ()) a other
             in
             let c64 = Builder.const_i wb 64 in
             let grid = Builder.div_ wb (Builder.add_ wb n (Builder.const_i wb 63)) c64 in
@@ -264,29 +283,38 @@ let picked_module ~by_yield =
   in
   { Instr.funcs = [ f ] }
 
-(** On both programs: every tuned site's winning trial equals its
-    commit, the untuned output is one update of the inputs, and the
-    tuned output equals it bitwise. *)
-let test_picked (target : Descriptor.t) () =
-  let n = 3000 in
+(** On the program of [pick] over [n] elements: every tuned site's
+    winning trial equals its commit, the untuned output is one update
+    of the inputs, and the tuned output equals it bitwise. *)
+let check_picked ~what ~n pick (target : Descriptor.t) =
   let args = [ n ] in
-  let expected = List.map (fun x -> (16. *. x *. 0.5) +. 1.) (Array.to_list (Pgpu_runtime.Runtime.rand_array 7 n)) in
-  List.iter
-    (fun by_yield ->
-      let what = (if by_yield then "yielded" else "selected") ^ "/" ^ target.Descriptor.name in
-      let modul, report =
-        P.Pipeline.compile
-          { (P.Pipeline.default_options target) with P.Pipeline.coarsen_specs = specs }
-          (picked_module ~by_yield)
-      in
-      let c = { P.target; modul; report } in
-      check_tuned_sites ~what c ~args;
-      let untuned = P.run c ~args in
-      Kernels.check_floats ~tol:1e-6 what expected (List.hd untuned.P.outputs);
-      let bits (r : P.run_result) = List.map (List.map Int64.bits_of_float) r.P.outputs in
-      if bits (P.run ~tune:true c ~args) <> bits untuned then
-        Alcotest.failf "%s: tuned output differs from untuned" what)
-    [ false; true ]
+  let expected =
+    List.map (fun x -> (16. *. x *. 0.5) +. 1.) (Array.to_list (Pgpu_runtime.Runtime.rand_array 7 n))
+  in
+  let what = what ^ "/" ^ target.Descriptor.name in
+  let modul, report =
+    P.Pipeline.compile
+      { (P.Pipeline.default_options target) with P.Pipeline.coarsen_specs = specs }
+      (picked_module pick)
+  in
+  let c = { P.target; modul; report } in
+  check_tuned_sites ~what c ~args;
+  let untuned = P.run c ~args in
+  Kernels.check_floats ~tol:1e-6 what expected (List.hd untuned.P.outputs);
+  let bits (r : P.run_result) = List.map (List.map Int64.bits_of_float) r.P.outputs in
+  if bits (P.run ~tune:true c ~args) <> bits untuned then
+    Alcotest.failf "%s: tuned output differs from untuned" what
+
+(** Picked in the region, over 3000 elements: a tuned run samples its
+    trials (47 blocks at (1,1)) and executes every commit. *)
+let test_picked (target : Descriptor.t) () =
+  check_picked ~what:"selected" ~n:3000 By_select target;
+  check_picked ~what:"yielded" ~n:3000 By_yield target
+
+(** Picked in [main], over 1000 elements: no grid holds more than 16
+    blocks, so a tuned run adopts each winning trial. *)
+let test_picked_in_main (target : Descriptor.t) () =
+  check_picked ~what:"picked in main" ~n:1000 In_main target
 
 let suite =
   let targets = [ Descriptor.a100; Descriptor.rx6800; Descriptor.cpu ] in
@@ -299,5 +327,7 @@ let suite =
     ( "tdo",
       cases "trial time = committed time on " test_trial_is_commit
       @ cases "aliased arguments: trial = commit on " test_aliased
-      @ cases "a buffer written through a picked memref: trial = commit on " test_picked );
+      @ cases "a buffer written through a picked memref: trial = commit on " test_picked
+      @ cases "a buffer main picks, adopted from the trial: tuned = untuned on "
+          test_picked_in_main );
   ]
