@@ -26,9 +26,8 @@ let flag_value name =
   find (Array.to_list Sys.argv)
 
 (** [--metrics-dir DIR]: write each experiment's runs as
-    DIR/<experiment>.json next to the printed tables, plus
-    DIR/summary.json at exit, which names each experiment's file; DIR
-    and its missing parents are created. *)
+    DIR/<experiment>.json next to the printed tables; DIR and its
+    missing parents are created. *)
 let metrics_dir = flag_value "--metrics-dir"
 
 (** [--jobs N]: worker domains for compilation, grid sharding and TDO
@@ -44,39 +43,13 @@ let jobs =
           Fmt.epr "--jobs takes an integer of at least 1, got %S@." j;
           exit 1)
 
-let harness_t0 = Unix.gettimeofday ()
-
-(* each experiment's name and file name, in order, for summary.json *)
-let summaries : (string * Json.t) list ref = ref []
-
 let write_metrics name json =
   match metrics_dir with
   | None -> ()
   | Some dir ->
-      let file = name ^ ".json" in
-      let path = Filename.concat dir file in
+      let path = Filename.concat dir (name ^ ".json") in
       Json.to_file path json;
-      summaries := !summaries @ [ (name, Json.Str file) ];
       Fmt.pr "[%s metrics written to %s]@." name path
-
-let write_summary () =
-  match metrics_dir with
-  | None -> ()
-  | Some dir ->
-      let path = Filename.concat dir "summary.json" in
-      Json.to_file path
-        (Json.Obj
-           [
-             ("generated_by", Json.Str "bench/main.exe");
-             ( "env",
-               Json.Str (Fmt.str "ocaml-%s/%s/%dbit" Sys.ocaml_version Sys.os_type Sys.word_size) );
-             ("quick", Json.Bool quick);
-             ("jobs", Json.Int jobs);
-             ("pool_size", Json.Int (Pgpu_support.Pool.size (Pgpu_support.Pool.get ())));
-             ("wall_seconds", Json.Float (Unix.gettimeofday () -. harness_t0));
-             ("experiments", Json.Obj !summaries);
-           ]);
-      Fmt.pr "[summary written to %s]@." path
 
 (** In quick mode the composite experiments use a subset of benchmarks
     (handy while iterating). *)
@@ -158,8 +131,7 @@ let main () =
           exit 1)
     (List.concat_map
        (function "all" -> all | name -> [ name ])
-       (if args = [] then [ "all" ] else args));
-  write_summary ()
+       (if args = [] then [ "all" ] else args))
 
 let () =
   try main () with Util.Write_error m -> Fmt.epr "cannot write %s@." m; exit 1

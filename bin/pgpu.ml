@@ -120,13 +120,6 @@ let trace_arg =
            with compiler pass spans, alternatives pruning events, kernel launches and TDO \
            trials.")
 
-let metrics_arg =
-  Arg.(
-    value
-    & opt (some string) None
-    & info [ "metrics" ] ~docv:"FILE"
-        ~doc:"Write a flat JSON file of trace-derived metrics (span totals, counters).")
-
 let cache_dir_arg =
   Arg.(
     value
@@ -136,13 +129,6 @@ let cache_dir_arg =
           "Persist the TDO autotuning choices in $(docv). Entries are keyed by structural \
            kernel hash, target and launch, so the directory can be shared across programs \
            and invocations; warm runs skip TDO trial execution.")
-
-let cache_stats_arg =
-  Arg.(
-    value
-    & opt (some string) None
-    & info [ "cache-stats" ] ~docv:"FILE"
-        ~doc:"Write cache hit/miss/store statistics as JSON to $(docv).")
 
 (* a worker count of at least 1 *)
 let jobs_conv =
@@ -226,31 +212,17 @@ let with_main_args ~file (m : Pgpu_ir.Instr.modul) args k =
         `Error
           (true, Fmt.str "main expects %d argument(s), got %d (see --args)" n (List.length args))
 
-let write_cache_stats cache path =
-  Option.iter
-    (fun path ->
-      P.Trace.Json.to_file path (P.Cache.stats_json cache);
-      Logs.info (fun m -> m "cache stats written to %s" path))
-    path
-
-(** Run [f] with a tracer (live only when some output was requested),
-    then write the requested trace/metrics files, under [output_errors]. *)
-let with_tracer trace metrics f =
+(** Run [f] with a tracer (live only with [--trace]), then write the
+    trace file, under [output_errors]. *)
+let with_tracer trace f =
   output_errors @@ fun () ->
-  let tracer =
-    if trace = None && metrics = None then P.Tracer.disabled else P.Tracer.create ()
-  in
+  let tracer = if trace = None then P.Tracer.disabled else P.Tracer.create () in
   let code = f tracer in
   Option.iter
     (fun path ->
       P.Trace.Chrome.write_file path tracer;
       Logs.info (fun m -> m "trace written to %s" path))
     trace;
-  Option.iter
-    (fun path ->
-      P.Trace.Metrics.write_file path tracer;
-      Logs.info (fun m -> m "metrics written to %s" path))
-    metrics;
   code
 
 let read_file path = In_channel.with_open_bin path In_channel.input_all
@@ -259,8 +231,8 @@ let read_file path = In_channel.with_open_bin path In_channel.input_all
 
 let compile_cmd =
   let dump_ir = Arg.(value & flag & info [ "dump-ir" ] ~doc:"Print the final IR module.") in
-  let run () file target no_opt coarsen dump trace metrics jobs =
-    with_tracer trace metrics @@ fun tracer ->
+  let run () file target no_opt coarsen dump trace jobs =
+    with_tracer trace @@ fun tracer ->
     with_source file (fun () ->
         P.compile ~optimize:(not no_opt) ~specs:(specs_of coarsen) ~tracer ~jobs ~target
           ~source:(read_file file) ())
@@ -287,7 +259,7 @@ let compile_cmd =
     Term.(
       ret
         (const run $ setup_logs_t $ file_arg $ target_arg $ no_opt_arg $ coarsen_arg $ dump_ir
-       $ trace_arg $ metrics_arg $ jobs_arg))
+       $ trace_arg $ jobs_arg))
 
 (* --- run --- *)
 
@@ -308,9 +280,8 @@ let print_run_summary (r : P.run_result) =
     (P.kernel_names r)
 
 let run_cmd =
-  let run () file target no_opt coarsen tune choice args trace metrics cache_dir cache_stats
-      jobs =
-    with_tracer trace metrics @@ fun tracer ->
+  let run () file target no_opt coarsen tune choice args trace cache_dir jobs =
+    with_tracer trace @@ fun tracer ->
     let cache = P.Cache.create ?dir:cache_dir () in
     with_source file (fun () ->
         P.compile ~optimize:(not no_opt) ~specs:(specs_of coarsen) ~tracer ~jobs ~target
@@ -319,7 +290,6 @@ let run_cmd =
     with_main_args ~file c.P.modul args @@ fun () ->
     runtime_errors @@ fun () ->
     let r = P.run ~tune ~fixed_choice:choice ~jobs ~tracer ~cache c ~args in
-    write_cache_stats cache cache_stats;
     print_run_summary r;
     0
   in
@@ -329,8 +299,7 @@ let run_cmd =
     Term.(
       ret
         (const run $ setup_logs_t $ file_arg $ target_arg $ no_opt_arg $ coarsen_arg $ tune_arg
-       $ choice_arg $ args_arg $ trace_arg $ metrics_arg $ cache_dir_arg $ cache_stats_arg
-       $ jobs_arg))
+       $ choice_arg $ args_arg $ trace_arg $ cache_dir_arg $ jobs_arg))
 
 (* --- bench --- *)
 
@@ -347,9 +316,9 @@ let bench_cmd =
   let perf_arg =
     Arg.(value & flag & info [ "perf" ] ~doc:"Evaluation-scale problem size, sampled grids.")
   in
-  let run () (b : P.Bench_def.t) target no_opt coarsen tune verify perf args trace metrics
-      cache_dir cache_stats jobs =
-    with_tracer trace metrics @@ fun tracer ->
+  let run () (b : P.Bench_def.t) target no_opt coarsen tune verify perf args trace cache_dir
+      jobs =
+    with_tracer trace @@ fun tracer ->
     let name = b.P.Bench_def.name in
     let cache = P.Cache.create ?dir:cache_dir () in
     (* the default arguments fit main; a given --args list must too *)
@@ -364,7 +333,6 @@ let bench_cmd =
       P.run_rodinia ~verify ~optimize:(not no_opt) ~specs:(specs_of coarsen) ~tune ~perf ~tracer
         ~cache ~jobs ~target ?args b
     in
-    write_cache_stats cache cache_stats;
     print_run_summary r;
     if verify then Fmt.pr "outputs verified against the CPU reference.@.";
     0
@@ -376,8 +344,7 @@ let bench_cmd =
     Term.(
       ret
         (const run $ setup_logs_t $ name_arg $ target_arg $ no_opt_arg $ coarsen_arg $ tune_arg
-       $ verify_arg $ perf_arg $ args_arg $ trace_arg $ metrics_arg $ cache_dir_arg
-       $ cache_stats_arg $ jobs_arg))
+       $ verify_arg $ perf_arg $ args_arg $ trace_arg $ cache_dir_arg $ jobs_arg))
 
 (* --- profile --- *)
 
@@ -385,8 +352,8 @@ let profile_cmd =
   let json_arg =
     Arg.(value & flag & info [ "json" ] ~doc:"Emit the report as JSON instead of text.")
   in
-  let run () file target no_opt coarsen tune choice args trace metrics as_json =
-    with_tracer trace metrics @@ fun tracer ->
+  let run () file target no_opt coarsen tune choice args trace as_json =
+    with_tracer trace @@ fun tracer ->
     with_source file (fun () ->
         P.compile ~optimize:(not no_opt) ~specs:(specs_of coarsen) ~tracer ~target
           ~source:(read_file file) ())
@@ -409,7 +376,7 @@ let profile_cmd =
     Term.(
       ret
         (const run $ setup_logs_t $ file_arg $ target_arg $ no_opt_arg $ coarsen_arg $ tune_arg
-       $ choice_arg $ args_arg $ trace_arg $ metrics_arg $ json_arg))
+       $ choice_arg $ args_arg $ trace_arg $ json_arg))
 
 (* --- check --- *)
 
@@ -646,13 +613,6 @@ let report_cmd =
             "A list of runs with their profiles, as $(b,bench/main.exe EXPERIMENT --metrics-dir \
              DIR) writes DIR/EXPERIMENT.json and the files under bench/baselines pin them.")
   in
-  let summary_arg =
-    Arg.(
-      value
-      & opt (some file) None
-      & info [ "summary" ] ~docv:"FILE"
-          ~doc:"Embed a bench harness summary.json (from $(b,bench --metrics-dir)).")
-  in
   let json_arg =
     Arg.(value & flag & info [ "json" ] ~doc:"Emit the report as JSON instead of text.")
   in
@@ -664,24 +624,15 @@ let report_cmd =
           ~doc:"Also write a self-contained HTML dashboard (per-target speedup tables, \
                 bottleneck badges) to $(docv).")
   in
-  let run () file summary as_json html =
-    let ( let* ) = Result.bind in
-    (* an input error names its file *)
-    let json path =
-      match P.Trace.Json.of_string (read_file path) with
-      | Ok j -> Ok j
-      | Error m | (exception Sys_error m) -> Error (path, m)
-    in
+  let run () file as_json html =
     let report =
-      let* summary =
-        match summary with None -> Ok None | Some path -> Result.map Option.some (json path)
-      in
-      let* runs = json file in
-      Result.map_error (fun m -> (file, m)) (P.Obs_report.build ?summary runs)
+      match P.Trace.Json.of_string (read_file file) with
+      | Ok runs -> P.Obs_report.build runs
+      | Error m | (exception Sys_error m) -> Error m
     in
     match report with
-    | Error (path, m) ->
-        Fmt.epr "pgpu: %s: %s@." path m;
+    | Error m ->
+        Fmt.epr "pgpu: %s: %s@." file m;
         `Ok Cmd.Exit.some_error
     | Ok report ->
         if as_json then Fmt.pr "%s@." (P.Trace.Json.to_string_pretty (P.Obs_report.to_json report))
@@ -696,12 +647,11 @@ let report_cmd =
   in
   Cmd.v
     (Cmd.info "report"
-       ~exits:
-         (exits "on a FILE that is not a list of runs, or a $(b,--summary) file that is not JSON")
+       ~exits:(exits "on a FILE that is not a list of runs")
        ~doc:
          "Render a list of profiled runs, such as a file under bench/baselines: per-target \
           speedups and per-kernel bottlenecks, as text, JSON or a self-contained HTML dashboard.")
-    Term.(ret (const run $ setup_logs_t $ runs_arg $ summary_arg $ json_arg $ html_arg))
+    Term.(ret (const run $ setup_logs_t $ runs_arg $ json_arg $ html_arg))
 
 (* --- list --- *)
 

@@ -133,37 +133,3 @@ let ns_stats t ns =
       | None -> (0, 0, 0))
 
 let hits t ~ns = match ns_stats t ns with h, _, _ -> h
-
-(** Machine-readable report: per-namespace entry counts and hit/miss/
-    store counters, plus the backing directory. The CI cache smoke step
-    uploads this. *)
-let stats_json t =
-  locked t (fun () ->
-      let per_ns =
-        List.map
-          (fun (ns, sp) ->
-            ( ns,
-              Json.Obj
-                [
-                  ("entries", Json.Int (Hashtbl.length sp.entries));
-                  ("hits", Json.Int sp.ns_stats.hits);
-                  ("misses", Json.Int sp.ns_stats.misses);
-                  ("stores", Json.Int sp.ns_stats.stores);
-                ] ))
-          (List.sort (fun (a, _) (b, _) -> String.compare a b) t.spaces)
-      in
-      let h, m, s =
-        List.fold_left
-          (fun (h, m, s) (_, sp) ->
-            (h + sp.ns_stats.hits, m + sp.ns_stats.misses, s + sp.ns_stats.stores))
-          (0, 0, 0) t.spaces
-      in
-      Json.Obj
-        [
-          ("enabled", Json.Bool t.enabled);
-          ("dir", match t.dir with Some d -> Json.Str d | None -> Json.Null);
-          ("hits", Json.Int h);
-          ("misses", Json.Int m);
-          ("stores", Json.Int s);
-          ("namespaces", Json.Obj per_ns);
-        ])

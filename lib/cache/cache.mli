@@ -44,8 +44,3 @@ val flush : t -> unit
 val ns_stats : t -> string -> int * int * int
 
 val hits : t -> ns:string -> int
-
-(** Machine-readable report: per-namespace entry counts and hit/miss/
-    store counters, plus the backing directory. The CI cache smoke step
-    uploads this. *)
-val stats_json : t -> Json.t

@@ -61,6 +61,7 @@ type env = binding SMap.t
 
 (** Device-side context: set inside a kernel wrapper. *)
 type device = {
+  kernel : string;  (** the kernel being lowered *)
   thread_pid : int;
   thread_ivs : Value.t list;
   block_ivs : Value.t list;
@@ -617,6 +618,11 @@ and shared_decls stmts =
 and lower_launch ctx (b : Builder.t) (env : env) (l : Ast.stmt) : env =
   match l with
   | Ast.Slaunch { kernel; grid; block; args } ->
+      (* a launch from device code (dynamic parallelism) has no IR form *)
+      Option.iter
+        (fun dev ->
+          err "kernel %s launches kernel %s: kernels cannot launch kernels" dev.kernel kernel)
+        ctx.device;
       let f = Ast.find_func ctx.prog kernel in
       if f.Ast.f_kind <> Ast.Kernel then err "%s is not a __global__ kernel" kernel;
       if List.length f.Ast.f_params <> List.length args then
@@ -674,6 +680,7 @@ and lower_kernel ctx b (f : Ast.func) ~grid_dims ~block_dims kenv =
                     ctx.device <-
                       Some
                         {
+                          kernel = f.Ast.f_name;
                           thread_pid = tpid;
                           thread_ivs = tivs;
                           block_ivs = bivs;

@@ -587,6 +587,10 @@ let run_grid ?(jobs = 1) (m : machine) ~(mode : mode) ~(env : env) (p : Instr.in
   match p with
   | Instr.Parallel { level = Instr.Blocks; ubs; body; _ } ->
       let dims = List.map (fun u -> ui_of (lookup env u)) ubs in
+      (* an empty grid is legal (an epilogue may launch none), a
+         negative one is not *)
+      if List.exists (fun d -> d < 0) dims then
+        device_fail "grid with a negative extent (%a)" Fmt.(list ~sep:(any ", ") int) dims;
       let total = List.fold_left ( * ) 1 dims in
       let cpu = m.target.Pgpu_target.Descriptor.kind = Pgpu_target.Descriptor.Cpu in
       let saved = m.counters in

@@ -225,6 +225,8 @@ type runner = machine -> sm:int -> int -> unit
     [p] through [env], executes the blocks [mode] selects — each on an
     SM (a core on a CPU), with the deterministic device allocator of
     its linear index — and extrapolates the counters to the full grid.
+    A grid with a negative extent raises [Device_error]; an empty one
+    runs no block.
 
     The target's kind picks the schedule. On a GPU, SMs are assigned
     round-robin by executed position, from where the previous launch

@@ -3,13 +3,13 @@
     Reads the list of runs that every [bench/main.exe] experiment
     writes and the files under [bench/baselines] pin, each with its
     [Profile.json_of_report] (a run the compiler pruned has none and
-    adds no row), and renders it as per-target tables: one
-    row per (bench, kernel), one column per configuration with its
-    speedup against the reference configuration (["untuned"] when
-    present). A bottleneck breakdown per target and an optional
-    embedded bench [summary.json] follow. Three output forms from the
-    same structure: text ([pp]), JSON ([to_json]) and a self-contained
-    HTML dashboard ([to_html], inline CSS, no external assets). *)
+    adds no row), and renders it as per-target tables: one row per
+    (bench, kernel), with a cell per configuration holding its speedup
+    against the reference configuration (["untuned"] when present),
+    and a bottleneck breakdown per target. Three output forms from the
+    same structure: text ([pp], one line per kernel and
+    configuration), JSON ([to_json]) and a self-contained HTML
+    dashboard ([to_html], inline CSS, no external assets). *)
 
 module Json = Pgpu_trace.Json
 module Bottleneck = Pgpu_gpusim.Bottleneck
@@ -38,10 +38,7 @@ type target_section = {
   bottlenecks : (string * int) list;  (** label -> kernel count, by [rows] *)
 }
 
-type t = {
-  sections : target_section list;
-  summary : Json.t option;  (** bench harness summary.json, embedded verbatim *)
-}
+type t = { sections : target_section list }
 
 (* ------------------------------------------------------------------ *)
 (* Reading the runs                                                    *)
@@ -204,36 +201,37 @@ let build_section (measured : measured list) target : target_section =
   in
   { target; reference; configs; rows; bottlenecks }
 
-let build ?summary json =
+let build json =
   match json with
   | Json.List runs ->
       let* runs = map_indexed "run" run_of_json runs in
       let measured = List.concat runs in
       let targets = uniq (List.map (fun m -> m.m_target) measured) in
-      Ok { sections = List.map (build_section measured) targets; summary }
+      Ok { sections = List.map (build_section measured) targets }
   | _ -> Error "not a list of runs {bench, target, config, profile}"
 
 (* ------------------------------------------------------------------ *)
 (* Text                                                                *)
 (* ------------------------------------------------------------------ *)
 
+(* one line per kernel and configuration, so a sweep's report stays
+   as wide as one configuration; the fastest configuration's line
+   carries the kernel's bottleneck *)
 let pp_section ppf (s : target_section) =
   Fmt.pf ppf "Target %s (%d kernel%s; speedups vs %S)@." s.target (List.length s.rows)
     (if List.length s.rows = 1 then "" else "s")
     s.reference;
-  Fmt.pf ppf "  %-28s" "bench/kernel";
-  List.iter (fun c -> Fmt.pf ppf " %22s" c) s.configs;
-  Fmt.pf ppf "  %s@." "bottleneck";
+  Fmt.pf ppf "  %-28s %-18s %12s %8s  %s@." "bench/kernel" "config" "seconds" "speedup"
+    "bottleneck (fastest config)";
   List.iter
     (fun r ->
-      Fmt.pf ppf "  %-28s" (r.bench ^ "/" ^ r.kernel);
       List.iter
-        (fun config ->
-          match List.find_opt (fun c -> String.equal c.config config) r.cells with
-          | Some c -> Fmt.pf ppf " %12.6fs %7.2fx" c.seconds c.speedup
-          | None -> Fmt.pf ppf " %22s" "-")
-        s.configs;
-      Fmt.pf ppf "  %a@." Bottleneck.pp r.bottleneck)
+        (fun c ->
+          Fmt.pf ppf "  %-28s %-18s %11.6fs %7.2fx" (r.bench ^ "/" ^ r.kernel) c.config c.seconds
+            c.speedup;
+          if String.equal c.config r.best_config then Fmt.pf ppf "  %a" Bottleneck.pp r.bottleneck;
+          Fmt.pf ppf "@.")
+        r.cells)
     s.rows;
   (* a literal separator: [Fmt.comma] is a break hint, which wraps
      the list after the table's overlong lines *)
@@ -247,18 +245,7 @@ let pp ppf (r : t) =
     (fun i s ->
       if i > 0 then Fmt.pf ppf "@.";
       pp_section ppf s)
-    r.sections;
-  match r.summary with
-  | None -> ()
-  | Some (Json.Obj fields) when List.mem_assoc "experiments" fields -> (
-      match List.assoc "experiments" fields with
-      | Json.Obj exps ->
-          Fmt.pf ppf "@.Bench summary: %d experiment%s (%a)@." (List.length exps)
-            (if List.length exps = 1 then "" else "s")
-            Fmt.(list ~sep:(any ", ") string)
-            (List.map fst exps)
-      | _ -> ())
-  | Some _ -> Fmt.pf ppf "@.Bench summary attached.@."
+    r.sections
 
 let to_string r = Fmt.str "%a" pp r
 
@@ -294,11 +281,7 @@ let json_of_section (s : target_section) =
     ]
 
 let to_json (r : t) =
-  Json.Obj
-    [
-      ("targets", Json.List (List.map json_of_section r.sections));
-      ("summary", match r.summary with None -> Json.Null | Some s -> s);
-    ]
+  Json.Obj [ ("targets", Json.List (List.map json_of_section r.sections)) ]
 
 (* ------------------------------------------------------------------ *)
 (* HTML                                                                *)
@@ -369,10 +352,5 @@ let to_html (r : t) =
         s.rows;
       pf "</table>\n")
     r.sections;
-  (match r.summary with
-  | None -> ()
-  | Some s ->
-      pf "<h2>Bench summary</h2>\n<details><summary>summary.json</summary><pre>%s</pre></details>\n"
-        (html_escape (Json.to_string_pretty s)));
   pf "</body></html>\n";
   Buffer.contents buf

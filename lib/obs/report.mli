@@ -1,10 +1,9 @@
 (** Cross-target performance report over a list of profiled runs:
     per-target speedup tables (one row per bench/kernel, one column per
     configuration, speedups vs the ["untuned"] configuration, or the
-    first one when there is none), a
-    bottleneck breakdown per target and an optional embedded bench
-    summary. Same structure rendered as text, JSON, or a
-    self-contained HTML dashboard. *)
+    first one when there is none) and a bottleneck breakdown per
+    target. Same structure rendered as text, JSON, or a self-contained
+    HTML dashboard. *)
 
 module Json = Pgpu_trace.Json
 module Bottleneck = Pgpu_gpusim.Bottleneck
@@ -33,7 +32,7 @@ type target_section = {
   bottlenecks : (string * int) list;  (** label -> kernel count *)
 }
 
-type t = { sections : target_section list; summary : Json.t option }
+type t = { sections : target_section list }
 
 (** Assemble the report from a list of runs
     [{bench, target, config, profile}], [profile] in
@@ -42,7 +41,7 @@ type t = { sections : target_section list; summary : Json.t option }
     the files under [bench/baselines] pin. A run that holds [pruned] in
     place of a profile adds no row. [Error] names the run's index and
     the field that is missing or wrongly typed. *)
-val build : ?summary:Json.t -> Json.t -> (t, string) result
+val build : Json.t -> (t, string) result
 
 val pp : t Fmt.t
 val to_string : t -> string

@@ -45,9 +45,8 @@ type config = {
   jobs : int;
       (** host OCaml domains (from the persistent {!Pgpu_support.Pool})
           used by sharded launches and by the TDO trial batch. Results
-          are bit-identical for every value of [jobs]. The trial batch
-          runs with one job when a candidate contains a nested launch
-          site; a race detector keeps launches unsharded. *)
+          are bit-identical for every value of [jobs]. A race detector
+          keeps launches unsharded. *)
   tune : bool;  (** enable timing-driven selection of alternatives *)
   fixed_choice : int;  (** alternatives region used when [tune] is false *)
   tracer : Tracer.t;
@@ -103,7 +102,7 @@ type clock = { mutable composite : float }
 type state = {
   config : config;
       (** in a TDO trial, its [tracer] is the buffer of the trial's own
-          events ([cpu:fission], and a nested search's [tdo:*]) *)
+          events ([cpu:fission]) *)
   reference : reference option;
       (** runs every launch in place of the compiled engine, trials
           included: the seam the differential tests put their
@@ -148,7 +147,6 @@ type step = Launch of int | Host of code
 type region = {
   block : Instr.block;  (** as written: what a launch resolves its site from *)
   steps : step array;
-  nested : bool;  (** contains a launch site of its own *)
   free_bufs : int array;  (** slots of the region's free memref values *)
   written : int array;
       (** slots of those the region may write; both are filled only
@@ -329,7 +327,10 @@ let site st ~wid ~alt (region : Instr.block) : site =
 (** Launch the grid-level parallel at position [j] of [site] through
     the grid loop and account for it: charged to the composite time,
     traced and recorded, on a trial's private clock, buffer and
-    records in a trial. Returns the launch's simulated seconds. *)
+    records in a trial. Returns the launch's simulated seconds. A
+    configuration the target cannot run raises [Timing.Infeasible] in
+    a trial, which rejects the candidate, and is the device's error in
+    a commit. *)
 let launch st ~name ~wid ~alt (site : site) j =
   let p = List.nth site.lowered j in
   let stats = site.stats in
@@ -375,7 +376,9 @@ let launch st ~name ~wid ~alt (site : site) j =
             Cpu_timing.estimate target ~demand ~vector_fraction:site.vector_fractions.(j) result
       in
       (result, breakdown)
-    with Memory.Out_of_bounds msg -> raise (Exec.Device_error msg)
+    with
+    | Memory.Out_of_bounds msg -> raise (Exec.Device_error msg)
+    | Timing.Infeasible msg when st.trial = None -> Exec.device_fail "kernel %s: %s" name msg
   in
   let seconds = breakdown.Timing.seconds in
   let t0 = ticks st in
@@ -482,16 +485,6 @@ let choice_event st ~name ~signature ~cached k spec seconds =
        ]
       @ if cached then [ ("cached", Json.Bool true) ] else [])
     "tdo:choice"
-
-(** Whether [region] contains a launch site of its own: tuning it
-    mid-trial goes through the choice tables trials share. *)
-let has_nested_site (region : Instr.block) =
-  let nested = ref false in
-  Instr.iter_deep
-    (fun i ->
-      match i with Instr.Gpu_wrapper _ | Instr.Alternatives _ -> nested := true | _ -> ())
-    region;
-  !nested
 
 (** Make the live state [st] what committing the trial [ts], with
     buffer [copies] by id, would have made it, without running the
@@ -610,11 +603,9 @@ and choose_alternative st ~name ~wid ~signature ?ckey (aid : int) (descs : strin
     identical however the trials were scheduled. Each trial records
     its events ([cpu:fission], [tdo:trial]) in a buffer of its own,
     and the buffers join the run's trace in candidate order, so a
-    traced search schedules its trials as an untraced one does. The
-    batch runs with one job when a candidate contains a nested launch
-    site. Each worker slot keeps one trial copy of each buffer the
-    candidates write, and all die with the call, so a nested search
-    owns its own.
+    traced search schedules its trials as an untraced one does. Each
+    worker slot keeps one trial copy of each buffer the candidates
+    write, and all die with the call.
     Each worker slot also holds its best adoptable trial so far
     (lowest seconds, then lowest index), whose buffer copies leave the
     slot's scratch so that its later trials cannot refill them; a
@@ -622,8 +613,7 @@ and choose_alternative st ~name ~wid ~signature ?ckey (aid : int) (descs : strin
     live state adopts it, after the [tdo:choice] event; the other
     holders die with the call. *)
 and search st ~name ~wid ~signature ?ckey descs regions =
-  let jobs = if Array.exists (fun r -> r.nested) regions then 1 else st.config.jobs in
-  let n = Array.length regions in
+  let jobs = st.config.jobs and n = Array.length regions in
   let slots = max 1 (min jobs n) in
   let scratch = Array.init slots (fun _ -> Hashtbl.create 8) in
   let held = Array.make slots None in
@@ -696,12 +686,10 @@ and search st ~name ~wid ~signature ?ckey descs regions =
     trial state, as the clone's source-idle rule requires. Returns the
     candidate's simulated seconds, [infinity] when it is infeasible or
     faults, the fault's message, the trial's own events, and the
-    trial's state and buffer copies when the live state may adopt it
-    ([st] is not itself a trial): when it executed every block the
-    commit would (the commit samples as trials do, or no grid the
-    trial launched had more blocks than a sample), its region holds no
-    launch site of its own (a nested search writes the shared choice
-    table), and no race detector watches the commit. *)
+    trial's state and buffer copies when the live state may adopt it:
+    when it executed every block the commit would (the commit samples
+    as trials do, or no grid the trial launched had more blocks than a
+    sample), and no race detector watches the commit. *)
 and trial st ~scratch ~name ~wid ~descs k region =
   let machine = Exec.clone_machine st.machine in
   let private_tracer () =
@@ -742,10 +730,7 @@ and trial st ~scratch ~name ~wid ~descs k region =
     (not st.config.functional)
     || List.for_all (fun r -> r.result.Exec.nblocks <= st.config.sample_blocks) ts.records
   in
-  let adoptable =
-    Float.is_finite t && ran_all && st.trial = None && (not region.nested)
-    && st.config.racecheck = None
-  in
+  let adoptable = Float.is_finite t && ran_all && st.config.racecheck = None in
   (t, fault, Tracer.events tracer, if adoptable then Some (ts, copies) else None)
 
 and exec_wrapper st (w : wrapper) =
@@ -882,6 +867,14 @@ let written_values (block : Instr.block) =
         uses)
     block;
   written
+
+(** The name of a kernel that [i] launches, at any depth. *)
+let nested_launch (i : Instr.instr) =
+  let inner = ref None in
+  Instr.iter_deep
+    (function Instr.Gpu_wrapper { name; _ } when !inner = None -> inner := Some name | _ -> ())
+    [ i ];
+  !inner
 
 (** Compile [block] up to its terminator: the steps of its
     instructions, and the terminator ([None] when it falls through). *)
@@ -1211,14 +1204,21 @@ and compile_intrinsic st pre (results : Value.t list) name (args : Value.t list)
           (List.length results)
 
 (** A kernel region's host code compiles in order, so each host value
-    has its slot before the launches that read it. *)
-and compile_region st (block : Instr.block) : region =
+    has its slot before the launches that read it. A kernel launch
+    inside the region of kernel [name] fails when it runs: no
+    verified region holds one (the frontend rejects a launch from
+    device code), and a trial must not reach the live choice table. *)
+and compile_region st ~name (block : Instr.block) : region =
   let steps =
     List.mapi
       (fun j i ->
         match i with
         | Instr.Parallel { level = Instr.Blocks; _ } -> Launch j
-        | _ -> Host (compile_instr st i))
+        | _ -> (
+            match nested_launch i with
+            | Some inner ->
+                Host (fun _ -> host_fail "kernel %s launches kernel %s from its region" name inner)
+            | None -> Host (compile_instr st i)))
       block
   in
   let free_bufs, written =
@@ -1232,7 +1232,7 @@ and compile_region st (block : Instr.block) : region =
       (slots frees, slots (List.filter (Value.Tbl.mem written) frees))
     end
   in
-  { block; steps = Array.of_list steps; nested = has_nested_site block; free_bufs; written }
+  { block; steps = Array.of_list steps; free_bufs; written }
 
 and compile_wrapper st ~wid ~name (body : Instr.block) : wrapper =
   let alternatives, blocks =
@@ -1240,7 +1240,7 @@ and compile_wrapper st ~wid ~name (body : Instr.block) : wrapper =
     | [ Instr.Alternatives { aid; descs; regions } ] -> (Some (aid, descs), regions)
     | _ -> (None, [ body ])
   in
-  let regions = Array.of_list (List.map (compile_region st) blocks) in
+  let regions = Array.of_list (List.map (compile_region st ~name) blocks) in
   let signature_slots =
     if not st.config.tune then [||]
     else

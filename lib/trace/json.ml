@@ -1,8 +1,8 @@
 (** Minimal JSON tree, writer and reader.
 
     The single serialization point for every machine-readable output
-    the stack produces (Chrome traces, flat metrics, profiler
-    reports): values are built as trees and written with proper string
+    the stack produces (Chrome traces, profiler reports, run
+    lists): values are built as trees and written with proper string
     escaping and no trailing commas, instead of ad-hoc [Printf]
     formatting at each call site. A small recursive-descent reader is
     included so tests and tools can validate emitted output

@@ -1,6 +1,6 @@
 (** Minimal JSON tree, writer and reader — the single serialization
     point for every machine-readable output the stack produces (Chrome
-    traces, flat metrics, profiler reports). The writer escapes
+    traces, profiler reports, run lists). The writer escapes
     strings properly and never emits trailing commas; the reader is a
     small recursive-descent parser used to validate emitted output. *)
 

@@ -2,15 +2,14 @@
 
     Collects nested spans, instant events and counter samples from the
     compiler and the simulated runtime. There is no wall clock
-    anywhere: every event is stamped by a caller-supplied *tick
-    source* — pass sequence numbers on the compiler side, simulated
-    seconds on the runtime side — so traces are bit-identical across
-    runs and machines.
+    anywhere: an event is stamped either by the tracer's own sequence
+    clock, which ticks 0, 1, 2, ... once per query (the compiler's pass
+    spans), or by an explicit timestamp (the runtime's simulated
+    seconds), so traces are bit-identical across runs and machines.
 
-    A disabled tracer ([disabled], or [create ~enabled:false ()]) is a
-    no-op sink: every operation returns immediately after one mutable
-    field check, so instrumentation can stay threaded through the hot
-    paths unconditionally. *)
+    A disabled tracer ([disabled]) is a no-op sink: every operation
+    returns immediately after one field check, so instrumentation can
+    stay threaded through the hot paths unconditionally. *)
 
 type event =
   | Span of {
@@ -27,33 +26,25 @@ type open_span = { o_name : string; o_cat : string; o_ts : float; o_args : (stri
 
 type t = {
   enabled : bool;
-  clock : unit -> float;
+  mutable ticks : int;  (** sequence clock queries so far *)
   mutable events : event list;  (** reverse emission order *)
   mutable stack : open_span list;
 }
 
-(** A clock that returns 0, 1, 2, ... — the deterministic default used
-    for compiler-side traces (one tick per clock query). *)
-let seq_clock () =
-  let n = ref (-1.) in
-  fun () ->
-    n := !n +. 1.;
-    !n
-
-let disabled = { enabled = false; clock = (fun () -> 0.); events = []; stack = [] }
-
-let create ?clock () =
-  let clock = match clock with Some c -> c | None -> seq_clock () in
-  { enabled = true; clock; events = []; stack = [] }
-
+let disabled = { enabled = false; ticks = 0; events = []; stack = [] }
+let create () = { enabled = true; ticks = 0; events = []; stack = [] }
 let enabled t = t.enabled
-let now t = if t.enabled then t.clock () else 0.
+
+(* the sequence clock: 0, 1, 2, ... *)
+let tick t =
+  t.ticks <- t.ticks + 1;
+  float_of_int (t.ticks - 1)
 
 let emit t e = t.events <- e :: t.events
 
 let begin_span t ?(cat = "") ?(args = []) name =
   if t.enabled then
-    t.stack <- { o_name = name; o_cat = cat; o_ts = t.clock (); o_args = args } :: t.stack
+    t.stack <- { o_name = name; o_cat = cat; o_ts = tick t; o_args = args } :: t.stack
 
 (** End the innermost open span, merging [args] into its begin-time
     arguments. A stray end with no open span is ignored. *)
@@ -63,7 +54,7 @@ let end_span t ?(args = []) () =
     | [] -> ()
     | s :: rest ->
         t.stack <- rest;
-        let ts_end = t.clock () in
+        let ts_end = tick t in
         emit t
           (Span
              {
@@ -94,14 +85,14 @@ let span_at t ?(cat = "") ?(args = []) ~ts ~dur name =
   if t.enabled then emit t (Span { name; cat; ts; dur = Float.max 0. dur; args })
 
 let instant t ?(cat = "") ?(args = []) name =
-  if t.enabled then emit t (Instant { name; cat; ts = t.clock (); args })
+  if t.enabled then emit t (Instant { name; cat; ts = tick t; args })
 
 let instant_at t ?(cat = "") ?(args = []) ~ts name =
   if t.enabled then emit t (Instant { name; cat; ts; args })
 
 let counter t ?ts name value =
   if t.enabled then
-    let ts = match ts with Some ts -> ts | None -> t.clock () in
+    let ts = match ts with Some ts -> ts | None -> tick t in
     emit t (Counter { name; ts; value })
 
 (** Close every still-open span (innermost first). *)
@@ -113,12 +104,6 @@ let depth t = List.length t.stack
 let events t = List.rev t.events
 
 let append t events = if t.enabled then List.iter (emit t) events
-
-let clear t =
-  if t.enabled then begin
-    t.events <- [];
-    t.stack <- []
-  end
 
 let event_name = function
   | Span { name; _ } | Instant { name; _ } | Counter { name; _ } -> name

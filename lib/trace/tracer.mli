@@ -1,8 +1,9 @@
 (** Deterministic span-based tracer: nested spans, instant events and
-    counter samples, stamped by caller-supplied tick sources (pass
-    sequence numbers on the compiler side, simulated seconds on the
-    runtime side) so traces are bit-identical across runs. A disabled
-    tracer is a no-op sink — one mutable field check per call. *)
+    counter samples, stamped by the tracer's own sequence clock (0, 1,
+    2, ..., one tick per query: the compiler's pass spans) or by an
+    explicit timestamp (simulated seconds on the runtime side), so
+    traces are bit-identical across runs. A disabled tracer is a no-op
+    sink — one field check per call. *)
 
 type event =
   | Span of {
@@ -20,17 +21,10 @@ type t
 (** The shared no-op sink: always disabled, never records. *)
 val disabled : t
 
-(** A fresh enabled tracer. The default [clock] is [seq_clock ()]. *)
-val create : ?clock:(unit -> float) -> unit -> t
-
-(** A deterministic 0, 1, 2, ... tick source. *)
-val seq_clock : unit -> unit -> float
+(** A fresh enabled tracer, its sequence clock at 0. *)
+val create : unit -> t
 
 val enabled : t -> bool
-
-(** The current clock value (advances sequence clocks); 0 when
-    disabled. *)
-val now : t -> float
 
 val begin_span : t -> ?cat:string -> ?args:(string * Json.t) list -> string -> unit
 
@@ -65,6 +59,5 @@ val events : t -> event list
     joins the run's trace this way, in an order of its choosing. *)
 val append : t -> event list -> unit
 
-val clear : t -> unit
 val event_name : event -> string
 val pp_event : event Fmt.t

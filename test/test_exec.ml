@@ -91,6 +91,111 @@ let test_lud_empty_faults () =
       | exception Exec.Device_error _ -> ())
     [ false; true ]
 
+(** Kernel [k] doubling the first [n] elements of a buffer, launched as
+    [k<<<launch>>>]. *)
+let launch_source launch =
+  Fmt.str
+    {|__global__ void k(float* a, int n) {
+  int i = blockIdx.x * blockDim.x + threadIdx.x;
+  if (i < n) a[i] = 2.0f * a[i];
+}
+float* main(int n) {
+  float* h = (float*)malloc(n * sizeof(float));
+  fill_rand(h, 3);
+  float* d;
+  cudaMalloc((void**)&d, n * sizeof(float));
+  cudaMemcpy(d, h, n * sizeof(float), cudaMemcpyHostToDevice);
+  k<<<%s>>>(d, n);
+  cudaMemcpy(h, d, n * sizeof(float), cudaMemcpyDeviceToHost);
+  return h;
+}|}
+    launch
+
+(* a block the target cannot run is the committed launch's device
+   error, as is a negative grid; an empty grid runs no block. Static
+   pruning keeps only the baseline of the oversized block, so a tuned
+   run commits it too *)
+let test_launch_faults () =
+  let module P = Pgpu_core.Polygeist_gpu in
+  let specs = P.specs_of_totals [ (1, 1); (2, 1) ] in
+  List.iter
+    (fun (target : Descriptor.t) ->
+      let compile launch = P.compile ~specs ~target ~source:(launch_source launch) () in
+      List.iter
+        (fun tune ->
+          let what launch = Fmt.str "%s, <<<%s>>>, tune %b" target.Descriptor.name launch tune in
+          let fault launch =
+            match P.run ~tune (compile launch) ~args:[ 64 ] with
+            | _ -> Alcotest.failf "%s ran" (what launch)
+            | exception Exec.Device_error m -> m
+          in
+          Alcotest.(check string) (what "1, 2048")
+            "kernel k: block size exceeds the target's thread limit" (fault "1, 2048");
+          Alcotest.(check string) (what "-3, 32") "grid with a negative extent (-3)"
+            (fault "-3, 32");
+          let r = P.run ~tune (compile "0, 32") ~args:[ 64 ] in
+          Alcotest.(check (list int)) (what "0, 32") [ 0 ]
+            (List.map
+               (fun (l : Pgpu_runtime.Runtime.launch_record) -> l.result.Exec.nblocks)
+               r.P.records))
+        [ false; true ])
+    [ Descriptor.a100; Descriptor.cpu ]
+
+(** [main] launching kernel [outer], whose region launches kernel
+    [inner] from its host code before its own grid: a nest no verified
+    module holds. With [alternatives], the nest is the first of two
+    alternatives regions, the second a plain grid. *)
+let nested_launch_module ~alternatives =
+  let n = Value.fresh ~hint:"n" Types.I32 in
+  let f =
+    Builder.func "main" [ n ] [ host_f32 ] (fun b ->
+        let h = Builder.alloc b Types.Host f32 n in
+        let d = Builder.alloc b Types.Global f32 n in
+        let grid rb =
+          let c1 = Builder.const_i rb 1 and c32 = Builder.const_i rb 32 in
+          ignore
+            (Builder.parallel rb Instr.Blocks [ c1 ] (fun bb _ _ ->
+                 ignore
+                   (Builder.parallel bb Instr.Threads [ c32 ] (fun tb _ tivs ->
+                        Builder.store tb d (List.hd tivs) (Builder.const_f tb 1.)))))
+        in
+        let region nested =
+          let rb = Builder.create () in
+          if nested then Builder.gpu_wrapper rb "inner" grid;
+          grid rb;
+          Builder.finish rb
+        in
+        Builder.gpu_wrapper b "outer" (fun wb ->
+            if alternatives then
+              Builder.add wb
+                (Instr.Alternatives
+                   {
+                     aid = Instr.fresh_region_id ();
+                     descs = [ "nested"; "plain" ];
+                     regions = [ region true; region false ];
+                   })
+            else List.iter (Builder.add wb) (region true));
+        Builder.add b (Instr.Memcpy { dst = h; src = d; count = n });
+        Builder.return b [ h ])
+  in
+  { Instr.funcs = [ f ] }
+
+(* a kernel region that launches a kernel is the host program's error
+   when it runs, untuned and in a trial of a parallel search *)
+let test_nested_launch_fails () =
+  let module Runtime = Pgpu_runtime.Runtime in
+  let untuned = Runtime.default_config Descriptor.a100 in
+  List.iter
+    (fun (what, alternatives, config) ->
+      match run_main ~config (nested_launch_module ~alternatives) [ Exec.UI 32 ] with
+      | _ -> Alcotest.failf "%s: the nested launch ran" what
+      | exception Runtime.Host_error m ->
+          Alcotest.(check string) what "kernel outer launches kernel inner from its region" m)
+    [
+      ("untuned", false, untuned);
+      ("tuned at jobs 2", true, { untuned with Runtime.tune = true; jobs = 2 });
+    ]
+
 let test_vecadd_tail_guard () =
   (* n = 1 exercises a grid of one block with 255 masked lanes *)
   let m = vecadd_module () in
@@ -1201,6 +1306,8 @@ let suite =
         !:"vecadd with n = -1 is a host error" `Quick test_vecadd_negative;
         !:"out-of-bounds kernel and copy: device and host errors" `Quick test_out_of_bounds;
         !:"lud at n = 0 is a device error" `Quick test_lud_empty_faults;
+        !:"an oversized block or a negative grid is a device error" `Quick test_launch_faults;
+        !:"a kernel region's kernel launch is a host error" `Quick test_nested_launch_fails;
         !:"zero-length buffers" `Quick test_zero_length_buffers;
         !:"vecadd with n = 0" `Quick test_vecadd_empty;
         !:"reduction with barriers" `Quick test_reduce_functional;

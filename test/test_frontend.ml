@@ -253,6 +253,28 @@ let test_unlaunched_kernel () =
   Alcotest.(check string) "same error as when launched" (error launched) (error (kernel 0));
   Alcotest.(check int) "no function" 0 (List.length (Frontend.compile_string (kernel 4)).Instr.funcs)
 
+(* a launch from device code (dynamic parallelism) is a source error
+   naming both kernels, whether a launch reaches the launching kernel
+   or not *)
+let test_launch_from_kernel () =
+  let kernels =
+    "__global__ void child(float* a) { a[threadIdx.x] = 1.0f; }\n\
+     __global__ void parent(float* a) { child<<<1, 32>>>(a); }\n"
+  in
+  let launched =
+    kernels
+    ^ "float* main(int n) { float* d; cudaMalloc((void**)&d, n * sizeof(float)); \
+       parent<<<1, 32>>>(d); return d; }"
+  in
+  List.iter
+    (fun src ->
+      match Frontend.compile_string src with
+      | exception Frontend.Error m ->
+          Alcotest.(check string) "names both kernels"
+            "kernel parent launches kernel child: kernels cannot launch kernels" m
+      | _ -> Alcotest.failf "expected a frontend error for %S" src)
+    [ launched; kernels ]
+
 let test_double_promotion () =
   (* double-typed source must produce fp64 lane operations *)
   let src =
@@ -297,6 +319,7 @@ let suite =
         !:"frontend + coarsening integration" `Quick test_frontend_coarsen_integration;
         !:"parse errors" `Quick test_parse_errors;
         !:"an unlaunched kernel is lowered once and dropped" `Quick test_unlaunched_kernel;
+        !:"a kernel launch from a kernel is a source error" `Quick test_launch_from_kernel;
         !:"double precision lanes" `Quick test_double_promotion;
       ] );
   ]

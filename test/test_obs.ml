@@ -264,6 +264,23 @@ let test_report_quick_suite () =
   in
   Alcotest.(check int) "every pinned kernel is a cell" (List.fold_left ( + ) 0 pinned)
     (List.fold_left ( + ) 0 cells);
+  (* the text prints each cell on a line of its own *)
+  let text = String.split_on_char '\n' (Obs_report.to_string r) in
+  let rows =
+    List.concat_map (fun (s : Obs_report.target_section) -> s.Obs_report.rows) r.Obs_report.sections
+  in
+  List.iter
+    (fun (row : Obs_report.kernel_row) ->
+      let name = row.Obs_report.bench ^ "/" ^ row.Obs_report.kernel in
+      let named (row : Obs_report.kernel_row) =
+        String.equal (row.Obs_report.bench ^ "/" ^ row.Obs_report.kernel) name
+      in
+      Alcotest.(check int) (name ^ ": one text line per cell")
+        (List.fold_left
+           (fun a row -> a + List.length row.Obs_report.cells)
+           0 (List.filter named rows))
+        (List.length (List.filter (String.starts_with ~prefix:("  " ^ name ^ " ")) text)))
+    rows;
   List.iter
     (fun (s : Obs_report.target_section) ->
       Alcotest.(check string)
@@ -429,8 +446,7 @@ let golden_expected = {golden|{
         "compute-bound": 1
       }
     }
-  ],
-  "summary": null
+  ]
 }
 |golden}
 

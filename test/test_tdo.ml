@@ -3,24 +3,28 @@
     must time exactly what the commit then executes.
 
     Runs are timing-only ([functional = false]), so trials and commits
-    sample the same blocks. For every freshly tuned site (a
-    [tdo:choice] event not answered from the cache) the winning
-    trial's seconds must equal, bitwise, the summed simulated seconds
-    of the committed region's launches — the next kernel spans of the
-    trace, one per grid-level parallel of that region. The suite
-    covers the AMD shared-memory demotion (nw on rx6800) and CPU
-    regions whose thread extents their own host prelude computes (lud
-    on cpu), and a kernel whose read and written arguments are one
-    buffer: a trial that gave them separate copies would branch
-    differently from the commit. A timing-only run adopts each winning
-    trial, so there the commit's spans are the trial's own; the last
-    case runs tuned with every block executed, where the winning trial
-    is adopted too, and holds its output to the untuned run's. *)
+    sample the same blocks. A timing-only run adopts each winning
+    trial, so its own trace holds no re-executed commit: each program
+    runs cold, then warm, on one TDO store. The cold pass searches
+    every site; the warm pass finds every choice in the store and
+    executes the chosen region. For every site the cold pass searched,
+    the winning trial's seconds (its [tdo:choice] event's) must equal,
+    bitwise, the summed simulated seconds of the launches the warm
+    pass commits after the matching cached choice — the next kernel
+    spans of its trace, one per grid-level parallel of that region.
+    The suite covers the AMD shared-memory demotion (nw on rx6800) and
+    CPU regions whose thread extents their own host prelude computes
+    (lud on cpu), and a kernel whose read and written arguments are
+    one buffer: a trial that gave them separate copies would branch
+    differently from the commit. The last case runs tuned with every
+    block executed, where the winning trial is adopted too, and holds
+    its output to the untuned run's. *)
 
 module P = Pgpu_core.Polygeist_gpu
 module Bench_def = Pgpu_rodinia.Bench_def
 module Descriptor = Pgpu_target.Descriptor
 module Tracer = Pgpu_trace.Tracer
+module Cache = Pgpu_cache.Cache
 module Json = Pgpu_trace.Json
 open Pgpu_ir
 
@@ -59,37 +63,60 @@ let float_arg args key =
 
 let specs = P.specs_of_totals [ (1, 1); (2, 1); (1, 2) ]
 
-(** Run [c] tuned and timing-only, and check every freshly tuned site
-    of the trace; [what] names the run in failures. *)
+(** Run [c] tuned and timing-only, cold and then warm on one TDO
+    store, and check every site the cold pass searched against the
+    warm pass's commit of it; [what] names the run in failures. *)
 let check_tuned_sites ~what (c : P.compiled) ~args =
-  let tracer = Tracer.create () in
-  ignore (P.run ~tune:true ~functional:false ~tracer c ~args);
+  let cache = Cache.create () in
+  let pass () =
+    let tracer = Tracer.create () in
+    ignore (P.run ~tune:true ~functional:false ~tracer ~cache c ~args);
+    Tracer.events tracer
+  in
+  let cold = pass () in
+  let warm = pass () in
+  let choices =
+    List.filter_map
+      (function Tracer.Instant { name = "tdo:choice"; args; _ } -> Some args | _ -> None)
+      cold
+  in
   let is_kernel = function Tracer.Span { cat = "kernel"; _ } -> true | _ -> false in
   let rec take n acc = function
     | _ when n = 0 -> List.rev acc
-    | [] -> Alcotest.failf "%s: trace ends before a committed launch" what
-    | (Tracer.Span { args; _ } as e) :: rest when is_kernel e -> take (n - 1) (float_arg args "seconds" :: acc) rest
+    | [] -> Alcotest.failf "%s: the warm trace ends before a committed launch" what
+    | (Tracer.Span { args; _ } as e) :: rest when is_kernel e ->
+        take (n - 1) (float_arg args "seconds" :: acc) rest
     | _ :: rest -> take n acc rest
   in
+  let site args = (arg args "kernel", arg args "signature", arg args "alternative") in
   let sites = ref 0 in
-  let rec scan = function
-    | [] -> ()
-    | Tracer.Instant { name = "tdo:choice"; args; _ } :: rest when not (List.mem_assoc "cached" args)
-      ->
-        incr sites;
-        let kernel = match arg args "kernel" with Json.Str s -> s | _ -> "?" in
-        let alt = match arg args "alternative" with Json.Int k -> k | _ -> -1 in
-        let trial = float_arg args "seconds" in
-        let committed =
-          List.fold_left ( +. ) 0. (take (region_launches c.P.modul kernel alt) [] rest)
-        in
-        if Int64.bits_of_float trial <> Int64.bits_of_float committed then
-          Alcotest.failf "%s: %s alternative %d: trial %.17g s, commit %.17g s" what kernel alt
-            trial committed;
-        scan rest
-    | _ :: rest -> scan rest
+  let rec scan choices = function
+    | [] -> if choices <> [] then Alcotest.failf "%s: the warm pass makes fewer choices" what
+    | Tracer.Instant { name = "tdo:choice"; args; _ } :: rest -> (
+        if not (List.mem_assoc "cached" args) then
+          Alcotest.failf "%s: the warm pass searched a site" what;
+        match choices with
+        | [] -> Alcotest.failf "%s: the warm pass makes more choices" what
+        | cold :: choices ->
+            if site cold <> site args then
+              Alcotest.failf "%s: the warm pass chose differently" what;
+            (* a cold choice the store answered holds another site's trial *)
+            if not (List.mem_assoc "cached" cold) then begin
+              incr sites;
+              let kernel = match arg args "kernel" with Json.Str s -> s | _ -> "?" in
+              let alt = match arg args "alternative" with Json.Int k -> k | _ -> -1 in
+              let trial = float_arg cold "seconds" in
+              let committed =
+                List.fold_left ( +. ) 0. (take (region_launches c.P.modul kernel alt) [] rest)
+              in
+              if Int64.bits_of_float trial <> Int64.bits_of_float committed then
+                Alcotest.failf "%s: %s alternative %d: trial %.17g s, commit %.17g s" what kernel
+                  alt trial committed
+            end;
+            scan choices rest)
+    | _ :: rest -> scan choices rest
   in
-  scan (Tracer.events tracer);
+  scan choices warm;
   if !sites = 0 then Alcotest.failf "%s: no site was tuned" what
 
 let test_trial_is_commit (target : Descriptor.t) () =

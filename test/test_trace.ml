@@ -1,11 +1,9 @@
 (** Tests for the tracing stack: the JSON writer/reader, span nesting
-    invariants of the tracer, the Chrome trace-event exporter and the
-    flat metrics reduction. *)
+    invariants of the tracer and the Chrome trace-event exporter. *)
 
 module Json = Pgpu_trace.Json
 module Tracer = Pgpu_trace.Tracer
 module Chrome = Pgpu_trace.Chrome
-module Metrics = Pgpu_trace.Metrics
 
 (* ------------------------------------------------------------------ *)
 (* JSON writer: escaping and shape                                     *)
@@ -221,26 +219,6 @@ let test_chrome_shape () =
       Alcotest.(check bool) "has metadata" true (List.mem "M" phs)
   | _ -> Alcotest.fail "missing traceEvents"
 
-(* ------------------------------------------------------------------ *)
-(* Metrics reduction                                                   *)
-(* ------------------------------------------------------------------ *)
-
-let test_metrics () =
-  let t = Tracer.create () in
-  Tracer.span_at t ~ts:0. ~dur:2. "work";
-  Tracer.span_at t ~ts:5. ~dur:3. "work";
-  Tracer.counter t "gauge" 1.;
-  Tracer.counter t "gauge" 7.;
-  Tracer.instant t "tick";
-  let m = Metrics.of_tracer t in
-  let get k = match Json.member k m with Some v -> v | None -> Alcotest.failf "missing %s" k in
-  Alcotest.(check bool) "span count" true (Json.equal (get "span.work.count") (Json.Int 2));
-  Alcotest.(check bool) "span total" true (Json.equal (get "span.work.total") (Json.Float 5.));
-  Alcotest.(check bool) "counter keeps last" true
-    (Json.equal (get "counter.gauge") (Json.Float 7.));
-  Alcotest.(check bool) "instant count" true
-    (Json.equal (get "instant.tick.count") (Json.Int 1))
-
 let suite =
   [
     ( "trace",
@@ -256,6 +234,5 @@ let suite =
           test_with_span_on_exception;
         QCheck_alcotest.to_alcotest prop_chrome_parses;
         Alcotest.test_case "chrome: event shapes" `Quick test_chrome_shape;
-        Alcotest.test_case "metrics: flat reduction" `Quick test_metrics;
       ] );
   ]
