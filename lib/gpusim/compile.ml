@@ -36,22 +36,35 @@
     id and address come from that allocator). Everything else lives
     in the frame, one set per node — a node never re-enters itself,
     and each machine has frames of its own: the lane masks of a
-    varying [If] (two), [For] and [While], counted in place; the
-    induction lanes of a varying-bound [For]; the backing array of
-    each [Alloc_shared], zero-filled per block. They are made at a
-    node's first execution and again when the lane count changes.
-    Per frame, the register banks (grown with the lane capacity) and
-    the iv rows; per launch, the rebound instance ({!runner}). The
-    runtime state keeps its frames across launches.
+    varying [If] (two), [For] and [While], lists of active lanes
+    rebuilt in place (a branch splits its parent's list, a loop
+    filters it); the induction lanes of a varying-bound [For]; the
+    backing array of each [Alloc_shared], zero-filled per block. They
+    are made at a node's first execution and again when the lane
+    count changes. Per frame, the register banks (grown with the lane
+    capacity) and the iv rows; per launch, the rebound instance
+    ({!runner}). The runtime state keeps its frames across launches.
+
+    {b Active lanes only.} A lane mask is its list of active lanes
+    ({!Exec.mask}), and every lane loop does per-lane work for those
+    lanes only: the lanes a mask leaves out are neither computed nor
+    read. That is exact: no IR operation reads across lanes, a value
+    defined under a mask is read only under that mask or through a
+    masked merge, and [Ops] returns 0 for an integer division or
+    remainder by zero, so skipping an inactive lane removes no fault.
 
     {b Lane-loop templates.} Each direct-bank lane loop (arithmetic,
-    comparison, select, uniform-buffer load/store, masked merge) is
-    written once, as an [[@inline]] template in this module, and
-    instantiated per operator and operand shape; a load or store at a
-    uniform index (a broadcast access) is the [Uni] index shape of the
-    access template. The per-lane operator semantics are [Ops]' own
-    [[@inline]] [eval_*] functions, which the tree's one optimising
-    build (no [-opaque]) inlines across modules. Without flambda, an
+    comparison, select, uniform-buffer load/store, masked merge and
+    conversion) is written once, as an [[@inline]] template in this
+    module, and instantiated per operator and operand shape; a load
+    or store at a uniform index (a broadcast access) is the [Uni]
+    index shape of the access template. A template runs a dense loop
+    with no per-lane test on a full mask ([active = nlanes]; a merge
+    is then a blit or a fill) and walks the mask's list otherwise;
+    the loops over generic per-lane readers always walk the list.
+    The per-lane operator semantics are [Ops]' own [[@inline]]
+    [eval_*] functions, which the tree's one optimising build (no
+    [-opaque]) inlines across modules. Without flambda, an
     instantiation compiles to the hand-specialized loop only if it
     receives the operator and the operand shapes as constant
     constructors, takes no function-valued parameter and builds no
@@ -87,8 +100,8 @@ let dummy_buf : Memory.buf =
   { Memory.id = -1; space = Types.Global; elt = Types.F32; len = 0; data = Memory.F [||]; base = 0 }
 
 (* an empty placeholder; no lane count matches it, so it is never
-   counted in place *)
-let no_mask = { Exec.bits = [||]; active = 0; warps = 0 }
+   rebuilt in place *)
+let no_mask = { Exec.lanes = [||]; active = 0; warps = 0 }
 
 (** Per-instance register files and execution state. The varying banks
     are reallocated when a thread-level parallel needs more lanes than
@@ -115,10 +128,10 @@ type frame = {
           rows depend only on the dims (not the block), so across the
           blocks of a launch they are filled once and reused. *)
   tp_caps : int array;  (** cap at the time of that fill; growth refills *)
-  mutable fmask : Exec.mask;  (** cached all-true mask for the threads zone *)
+  mutable fmask : Exec.mask;  (** cached full mask for the threads zone *)
   lane_masks : Exec.mask array;
       (** per lane mask of a varying [If] (two), [For] or [While]
-          node: bits [nlanes] long, counted in place. A node never
+          node: a list [nlanes] long, rebuilt in place. A node never
           re-enters itself, so one mask per node is never live
           twice. *)
   lane_ints : int array array;  (** per varying-bound [For]: its induction lanes *)
@@ -147,9 +160,9 @@ let ensure_cap (fr : frame) n =
     again when the lane count changes, reused in between. *)
 let lane_mask fr k n =
   let m = Array.unsafe_get fr.lane_masks k in
-  if Array.length m.Exec.bits = n then m
+  if Array.length m.Exec.lanes = n then m
   else begin
-    let m = { Exec.bits = Array.make n false; active = 0; warps = 0 } in
+    let m = { Exec.lanes = Array.make n 0; active = 0; warps = 0 } in
     fr.lane_masks.(k) <- m;
     m
   end
@@ -356,92 +369,206 @@ let[@inline] iget sh (vi : int array) base l (u : int) =
 let[@inline] bget sh (vb : Memory.buf array) base l (u : Memory.buf) =
   match sh with Row -> Array.unsafe_get vb (base + l) | Uni -> u
 
+(* Every template below runs a dense loop over all [nlanes] lanes on a
+   full mask, with no per-lane test, and any other mask over its list
+   of active lanes; the lanes a mask leaves out are neither read nor
+   written. *)
+
 (** Float row [d] <- [op a b]; a [Uni] operand reads [x] (resp. [y]). *)
-let[@inline] fbin_lanes op sa sb cls d a b x y fr mask =
+let[@inline] fbin_lanes op sa sb cls d a b x y fr (mask : Exec.mask) =
   Exec.count_op fr.ctx mask cls;
-  let vf = fr.vf and cap = fr.cap in
+  let vf = fr.vf and cap = fr.cap and n = fr.nlanes in
   let bd = d * cap and ba = a * cap and bb = b * cap in
-  for l = 0 to fr.nlanes - 1 do
-    Array.unsafe_set vf (bd + l) (Ops.eval_float_binop op (fget sa vf ba l x) (fget sb vf bb l y))
-  done
+  if mask.Exec.active = n then
+    for l = 0 to n - 1 do
+      Array.unsafe_set vf (bd + l) (Ops.eval_float_binop op (fget sa vf ba l x) (fget sb vf bb l y))
+    done
+  else
+    let lanes = mask.Exec.lanes in
+    for i = 0 to mask.Exec.active - 1 do
+      let l = Array.unsafe_get lanes i in
+      Array.unsafe_set vf (bd + l) (Ops.eval_float_binop op (fget sa vf ba l x) (fget sb vf bb l y))
+    done
 
-let[@inline] ibin_lanes op sa sb cls d a b x y fr mask =
+let[@inline] ibin_lanes op sa sb cls d a b x y fr (mask : Exec.mask) =
   Exec.count_op fr.ctx mask cls;
-  let vi = fr.vi and cap = fr.cap in
+  let vi = fr.vi and cap = fr.cap and n = fr.nlanes in
   let bd = d * cap and ba = a * cap and bb = b * cap in
-  for l = 0 to fr.nlanes - 1 do
-    Array.unsafe_set vi (bd + l) (Ops.eval_int_binop op (iget sa vi ba l x) (iget sb vi bb l y))
-  done
+  if mask.Exec.active = n then
+    for l = 0 to n - 1 do
+      Array.unsafe_set vi (bd + l) (Ops.eval_int_binop op (iget sa vi ba l x) (iget sb vi bb l y))
+    done
+  else
+    let lanes = mask.Exec.lanes in
+    for i = 0 to mask.Exec.active - 1 do
+      let l = Array.unsafe_get lanes i in
+      Array.unsafe_set vi (bd + l) (Ops.eval_int_binop op (iget sa vi ba l x) (iget sb vi bb l y))
+    done
 
-let[@inline] fun_lanes op cls d a fr mask =
+let[@inline] fun_lanes op cls d a fr (mask : Exec.mask) =
   Exec.count_op fr.ctx mask cls;
-  let vf = fr.vf and cap = fr.cap in
+  let vf = fr.vf and cap = fr.cap and n = fr.nlanes in
   let bd = d * cap and ba = a * cap in
-  for l = 0 to fr.nlanes - 1 do
-    Array.unsafe_set vf (bd + l) (Ops.eval_float_unop op (Array.unsafe_get vf (ba + l)))
-  done
+  if mask.Exec.active = n then
+    for l = 0 to n - 1 do
+      Array.unsafe_set vf (bd + l) (Ops.eval_float_unop op (Array.unsafe_get vf (ba + l)))
+    done
+  else
+    let lanes = mask.Exec.lanes in
+    for i = 0 to mask.Exec.active - 1 do
+      let l = Array.unsafe_get lanes i in
+      Array.unsafe_set vf (bd + l) (Ops.eval_float_unop op (Array.unsafe_get vf (ba + l)))
+    done
 
 (** Int row [d] <- [op a b] as 1/0, comparing float operands. *)
-let[@inline] fcmp_lanes op sa sb d a b x y fr mask =
+let[@inline] fcmp_lanes op sa sb d a b x y fr (mask : Exec.mask) =
   Exec.count_op fr.ctx mask Exec.Cint;
-  let vf = fr.vf and vi = fr.vi and cap = fr.cap in
+  let vf = fr.vf and vi = fr.vi and cap = fr.cap and n = fr.nlanes in
   let bd = d * cap and ba = a * cap and bb = b * cap in
-  for l = 0 to fr.nlanes - 1 do
-    Array.unsafe_set vi (bd + l)
-      (if Ops.eval_float_cmp op (fget sa vf ba l x) (fget sb vf bb l y) then 1 else 0)
-  done
+  if mask.Exec.active = n then
+    for l = 0 to n - 1 do
+      Array.unsafe_set vi (bd + l)
+        (if Ops.eval_float_cmp op (fget sa vf ba l x) (fget sb vf bb l y) then 1 else 0)
+    done
+  else
+    let lanes = mask.Exec.lanes in
+    for i = 0 to mask.Exec.active - 1 do
+      let l = Array.unsafe_get lanes i in
+      Array.unsafe_set vi (bd + l)
+        (if Ops.eval_float_cmp op (fget sa vf ba l x) (fget sb vf bb l y) then 1 else 0)
+    done
 
-let[@inline] icmp_lanes op sa sb d a b x y fr mask =
+let[@inline] icmp_lanes op sa sb d a b x y fr (mask : Exec.mask) =
   Exec.count_op fr.ctx mask Exec.Cint;
-  let vi = fr.vi and cap = fr.cap in
+  let vi = fr.vi and cap = fr.cap and n = fr.nlanes in
   let bd = d * cap and ba = a * cap and bb = b * cap in
-  for l = 0 to fr.nlanes - 1 do
-    Array.unsafe_set vi (bd + l)
-      (if Ops.eval_int_cmp op (iget sa vi ba l x) (iget sb vi bb l y) then 1 else 0)
-  done
+  if mask.Exec.active = n then
+    for l = 0 to n - 1 do
+      Array.unsafe_set vi (bd + l)
+        (if Ops.eval_int_cmp op (iget sa vi ba l x) (iget sb vi bb l y) then 1 else 0)
+    done
+  else
+    let lanes = mask.Exec.lanes in
+    for i = 0 to mask.Exec.active - 1 do
+      let l = Array.unsafe_get lanes i in
+      Array.unsafe_set vi (bd + l)
+        (if Ops.eval_int_cmp op (iget sa vi ba l x) (iget sb vi bb l y) then 1 else 0)
+    done
 
 (** Float row [d] <- [c ? a : b] over the int condition row [c]. *)
-let[@inline] fsel_lanes sa sb d c a b x y fr mask =
+let[@inline] fsel_lanes sa sb d c a b x y fr (mask : Exec.mask) =
   Exec.count_op fr.ctx mask Exec.Cint;
-  let vf = fr.vf and vi = fr.vi and cap = fr.cap in
+  let vf = fr.vf and vi = fr.vi and cap = fr.cap and n = fr.nlanes in
   let bd = d * cap and bc = c * cap and ba = a * cap and bb = b * cap in
-  for l = 0 to fr.nlanes - 1 do
-    Array.unsafe_set vf (bd + l)
-      (if Array.unsafe_get vi (bc + l) <> 0 then fget sa vf ba l x else fget sb vf bb l y)
-  done
+  if mask.Exec.active = n then
+    for l = 0 to n - 1 do
+      Array.unsafe_set vf (bd + l)
+        (if Array.unsafe_get vi (bc + l) <> 0 then fget sa vf ba l x else fget sb vf bb l y)
+    done
+  else
+    let lanes = mask.Exec.lanes in
+    for i = 0 to mask.Exec.active - 1 do
+      let l = Array.unsafe_get lanes i in
+      Array.unsafe_set vf (bd + l)
+        (if Array.unsafe_get vi (bc + l) <> 0 then fget sa vf ba l x else fget sb vf bb l y)
+    done
 
-let[@inline] isel_lanes sa sb d c a b x y fr mask =
+let[@inline] isel_lanes sa sb d c a b x y fr (mask : Exec.mask) =
   Exec.count_op fr.ctx mask Exec.Cint;
-  let vi = fr.vi and cap = fr.cap in
+  let vi = fr.vi and cap = fr.cap and n = fr.nlanes in
   let bd = d * cap and bc = c * cap and ba = a * cap and bb = b * cap in
-  for l = 0 to fr.nlanes - 1 do
-    Array.unsafe_set vi (bd + l)
-      (if Array.unsafe_get vi (bc + l) <> 0 then iget sa vi ba l x else iget sb vi bb l y)
-  done
+  if mask.Exec.active = n then
+    for l = 0 to n - 1 do
+      Array.unsafe_set vi (bd + l)
+        (if Array.unsafe_get vi (bc + l) <> 0 then iget sa vi ba l x else iget sb vi bb l y)
+    done
+  else
+    let lanes = mask.Exec.lanes in
+    for i = 0 to mask.Exec.active - 1 do
+      let l = Array.unsafe_get lanes i in
+      Array.unsafe_set vi (bd + l)
+        (if Array.unsafe_get vi (bc + l) <> 0 then iget sa vi ba l x else iget sb vi bb l y)
+    done
 
-(** Masked merge into row [d]: lanes with the bit set take row [s], or
-    the scalar [y] when [Uni]. *)
-let[@inline] fmerge sh d s (y : float) fr bits =
-  let vf = fr.vf and bd = d * fr.cap and bs = s * fr.cap in
-  for l = 0 to fr.nlanes - 1 do
-    if Array.unsafe_get bits l then Array.unsafe_set vf (bd + l) (fget sh vf bs l y)
-  done
+(** Masked merge into row [d]: the mask's lanes take row [s], or the
+    scalar [y] when [Uni]; on a full mask, a blit or a fill. *)
+let[@inline] fmerge sh d s (y : float) fr (mask : Exec.mask) =
+  let vf = fr.vf and bd = d * fr.cap and bs = s * fr.cap and n = fr.nlanes in
+  if mask.Exec.active = n then
+    match sh with Row -> Array.blit vf bs vf bd n | Uni -> Array.fill vf bd n y
+  else
+    let lanes = mask.Exec.lanes in
+    for i = 0 to mask.Exec.active - 1 do
+      let l = Array.unsafe_get lanes i in
+      Array.unsafe_set vf (bd + l) (fget sh vf bs l y)
+    done
 
-let[@inline] imerge sh d s (y : int) fr bits =
-  let vi = fr.vi and bd = d * fr.cap and bs = s * fr.cap in
-  for l = 0 to fr.nlanes - 1 do
-    if Array.unsafe_get bits l then Array.unsafe_set vi (bd + l) (iget sh vi bs l y)
-  done
+let[@inline] imerge sh d s (y : int) fr (mask : Exec.mask) =
+  let vi = fr.vi and bd = d * fr.cap and bs = s * fr.cap and n = fr.nlanes in
+  if mask.Exec.active = n then
+    match sh with Row -> Array.blit vi bs vi bd n | Uni -> Array.fill vi bd n y
+  else
+    let lanes = mask.Exec.lanes in
+    for i = 0 to mask.Exec.active - 1 do
+      let l = Array.unsafe_get lanes i in
+      Array.unsafe_set vi (bd + l) (iget sh vi bs l y)
+    done
 
-let[@inline] bmerge sh d s (y : Memory.buf) fr bits =
-  let vb = fr.vb and bd = d * fr.cap and bs = s * fr.cap in
-  for l = 0 to fr.nlanes - 1 do
-    if Array.unsafe_get bits l then Array.unsafe_set vb (bd + l) (bget sh vb bs l y)
-  done
+let[@inline] bmerge sh d s (y : Memory.buf) fr (mask : Exec.mask) =
+  let vb = fr.vb and bd = d * fr.cap and bs = s * fr.cap and n = fr.nlanes in
+  if mask.Exec.active = n then
+    match sh with Row -> Array.blit vb bs vb bd n | Uni -> Array.fill vb bd n y
+  else
+    let lanes = mask.Exec.lanes in
+    for i = 0 to mask.Exec.active - 1 do
+      let l = Array.unsafe_get lanes i in
+      Array.unsafe_set vb (bd + l) (bget sh vb bs l y)
+    done
+
+(** Masked conversion into row [d] from the row [s] of the other
+    kind: int to float when [to_float], else float to int. *)
+let[@inline] cvt_lanes to_float d s fr (mask : Exec.mask) =
+  let vf = fr.vf and vi = fr.vi and bd = d * fr.cap and bs = s * fr.cap and n = fr.nlanes in
+  if mask.Exec.active = n then
+    for l = 0 to n - 1 do
+      if to_float then Array.unsafe_set vf (bd + l) (float_of_int (Array.unsafe_get vi (bs + l)))
+      else Array.unsafe_set vi (bd + l) (int_of_float (Array.unsafe_get vf (bs + l)))
+    done
+  else
+    let lanes = mask.Exec.lanes in
+    for i = 0 to mask.Exec.active - 1 do
+      let l = Array.unsafe_get lanes i in
+      if to_float then Array.unsafe_set vf (bd + l) (float_of_int (Array.unsafe_get vi (bs + l)))
+      else Array.unsafe_set vi (bd + l) (int_of_float (Array.unsafe_get vf (bs + l)))
+    done
 
 (** What {!ubuf_lanes} moves per lane, named by the varying bank it
     reads or writes. *)
 type move = Load_f | Load_i | Store_f | Store_i
+
+(** One lane [l] of {!ubuf_lanes} on a float-backed buffer. *)
+let[@inline] fmove mv ish sh (b : Memory.buf) (arr : float array) bb len esz vf vi addrs bi iu bs
+    (uf : float) (ui : int) l =
+  let i = iget ish vi bi l iu in
+  if i < 0 || i >= len then Memory.check_bounds b i;
+  Array.unsafe_set addrs l (bb + (i * esz));
+  match mv with
+  | Load_f -> Array.unsafe_set vf (bs + l) (Array.unsafe_get arr i)
+  | Load_i -> Array.unsafe_set vi (bs + l) (int_of_float (Array.unsafe_get arr i))
+  | Store_f -> Array.unsafe_set arr i (fget sh vf bs l uf)
+  | Store_i -> Array.unsafe_set arr i (float_of_int (iget sh vi bs l ui))
+
+(** One lane [l] of {!ubuf_lanes} on an int-backed buffer. *)
+let[@inline] imove mv ish sh (b : Memory.buf) (arr : int array) bb len esz vf vi addrs bi iu bs
+    (uf : float) (ui : int) l =
+  let i = iget ish vi bi l iu in
+  if i < 0 || i >= len then Memory.check_bounds b i;
+  Array.unsafe_set addrs l (bb + (i * esz));
+  match mv with
+  | Load_f -> Array.unsafe_set vf (bs + l) (float_of_int (Array.unsafe_get arr i))
+  | Load_i -> Array.unsafe_set vi (bs + l) (Array.unsafe_get arr i)
+  | Store_f -> Array.unsafe_set arr i (int_of_float (fget sh vf bs l uf))
+  | Store_i -> Array.unsafe_set arr i (iget sh vi bs l ui)
 
 (** The canonical kernel access: uniform buffer [b] indexed by the int
     row [si], or by the scalar [iu] when [ish] is [Uni] (a broadcast
@@ -452,37 +579,32 @@ type move = Load_f | Load_i | Store_f | Store_i
     stays. *)
 let[@inline] ubuf_lanes mv ish sh (b : Memory.buf) si (iu : int) s (uf : float) (ui : int) fr
     (mask : Exec.mask) =
-  let bits = mask.Exec.bits and cap = fr.cap in
+  let cap = fr.cap and n = fr.nlanes in
   let bi = si * cap and bs = s * cap in
   let vf = fr.vf and vi = fr.vi and addrs = fr.addrs in
   let bb = b.Memory.base and len = b.Memory.len and esz = Memory.elt_size b in
+  let lanes = mask.Exec.lanes and na = mask.Exec.active in
   match b.Memory.data with
   | Memory.F arr ->
-      for l = 0 to fr.nlanes - 1 do
-        if Array.unsafe_get bits l then begin
-          let i = iget ish vi bi l iu in
-          if i < 0 || i >= len then Memory.check_bounds b i;
-          Array.unsafe_set addrs l (bb + (i * esz));
-          match mv with
-          | Load_f -> Array.unsafe_set vf (bs + l) (Array.unsafe_get arr i)
-          | Load_i -> Array.unsafe_set vi (bs + l) (int_of_float (Array.unsafe_get arr i))
-          | Store_f -> Array.unsafe_set arr i (fget sh vf bs l uf)
-          | Store_i -> Array.unsafe_set arr i (float_of_int (iget sh vi bs l ui))
-        end
-      done
+      if na = n then
+        for l = 0 to n - 1 do
+          (fmove [@inlined]) mv ish sh b arr bb len esz vf vi addrs bi iu bs uf ui l
+        done
+      else
+        for k = 0 to na - 1 do
+          (fmove [@inlined]) mv ish sh b arr bb len esz vf vi addrs bi iu bs uf ui
+            (Array.unsafe_get lanes k)
+        done
   | Memory.I arr ->
-      for l = 0 to fr.nlanes - 1 do
-        if Array.unsafe_get bits l then begin
-          let i = iget ish vi bi l iu in
-          if i < 0 || i >= len then Memory.check_bounds b i;
-          Array.unsafe_set addrs l (bb + (i * esz));
-          match mv with
-          | Load_f -> Array.unsafe_set vf (bs + l) (float_of_int (Array.unsafe_get arr i))
-          | Load_i -> Array.unsafe_set vi (bs + l) (Array.unsafe_get arr i)
-          | Store_f -> Array.unsafe_set arr i (int_of_float (fget sh vf bs l uf))
-          | Store_i -> Array.unsafe_set arr i (iget sh vi bs l ui)
-        end
-      done
+      if na = n then
+        for l = 0 to n - 1 do
+          (imove [@inlined]) mv ish sh b arr bb len esz vf vi addrs bi iu bs uf ui l
+        done
+      else
+        for k = 0 to na - 1 do
+          (imove [@inlined]) mv ish sh b arr bb len esz vf vi addrs bi iu bs uf ui
+            (Array.unsafe_get lanes k)
+        done
 
 (* ------------------------------------------------------------------ *)
 (* Copies                                                              *)
@@ -512,20 +634,8 @@ let copy_full (src : loc) (dst : loc) : frame -> unit =
       let r = ru_float src in
       fun fr -> Array.fill fr.vf (d * fr.cap) fr.nlanes (r fr)
   | KBuf, true, KBuf, false -> fun fr -> Array.fill fr.vb (d * fr.cap) fr.nlanes fr.ub.(s)
-  (* int/float row conversions *)
-  | KFloat, true, KInt, true ->
-      fun fr ->
-        let vf = fr.vf and vi = fr.vi and bd = d * fr.cap and bs = s * fr.cap in
-        for l = 0 to fr.nlanes - 1 do
-          Array.unsafe_set vf (bd + l) (float_of_int (Array.unsafe_get vi (bs + l)))
-        done
-  | KInt, true, KFloat, true ->
-      fun fr ->
-        let vf = fr.vf and vi = fr.vi and bd = d * fr.cap and bs = s * fr.cap in
-        for l = 0 to fr.nlanes - 1 do
-          Array.unsafe_set vi (bd + l) (int_of_float (Array.unsafe_get vf (bs + l)))
-        done
-  (* other coercions and kind errors: checked readers *)
+  (* coercions (a cast converts under its mask, {!copy_masked}) and
+     kind errors: checked readers *)
   | KInt, false, _, _ ->
       let r = ru_int src in
       fun fr -> fr.ui.(d) <- r fr
@@ -557,48 +667,56 @@ let copy_full (src : loc) (dst : loc) : frame -> unit =
           fr.vb.(base + l) <- r fr l
         done
 
-(** Masked merge: lanes with the bit set take [src], others keep the
+(** Masked copy: the mask's lanes take [src], others keep the
     destination's previous contents — the interpreter's
-    [merge_masked]/[merge_branch] on a fresh-slot destination. *)
-let copy_masked (src : loc) (dst : loc) : frame -> bool array -> unit =
+    [merge_masked]/[merge_branch] on a fresh-slot destination, and a
+    cast under a mask. *)
+let copy_masked (src : loc) (dst : loc) : frame -> Exec.mask -> unit =
   let d = dst.l_slot and s = src.l_slot in
   match (dst.l_kind, dst.l_varying, src.l_kind, src.l_varying) with
-  (* same-kind row merges and scalar broadcasts under mask *)
-  | KInt, true, KInt, true -> fun fr bits -> (imerge [@inlined]) Row d s 0 fr bits
-  | KFloat, true, KFloat, true -> fun fr bits -> (fmerge [@inlined]) Row d s 0. fr bits
-  | KBuf, true, KBuf, true -> fun fr bits -> (bmerge [@inlined]) Row d s dummy_buf fr bits
+  (* same-kind row merges, int/float row conversions and scalar
+     broadcasts under mask *)
+  | KInt, true, KInt, true -> fun fr m -> (imerge [@inlined]) Row d s 0 fr m
+  | KFloat, true, KFloat, true -> fun fr m -> (fmerge [@inlined]) Row d s 0. fr m
+  | KBuf, true, KBuf, true -> fun fr m -> (bmerge [@inlined]) Row d s dummy_buf fr m
+  | KFloat, true, KInt, true -> fun fr m -> (cvt_lanes [@inlined]) true d s fr m
+  | KInt, true, KFloat, true -> fun fr m -> (cvt_lanes [@inlined]) false d s fr m
   | KInt, true, (KInt | KFloat), false ->
       let r = ru_int src in
-      fun fr bits -> (imerge [@inlined]) Uni d 0 (r fr) fr bits
+      fun fr m -> (imerge [@inlined]) Uni d 0 (r fr) fr m
   | KFloat, true, (KInt | KFloat), false ->
       let r = ru_float src in
-      fun fr bits -> (fmerge [@inlined]) Uni d 0 (r fr) fr bits
-  | KBuf, true, KBuf, false -> fun fr bits -> (bmerge [@inlined]) Uni d 0 fr.ub.(s) fr bits
-  (* cross-kind coercions: checked per-lane readers *)
+      fun fr m -> (fmerge [@inlined]) Uni d 0 (r fr) fr m
+  | KBuf, true, KBuf, false -> fun fr m -> (bmerge [@inlined]) Uni d 0 fr.ub.(s) fr m
+  (* kind errors: checked per-lane readers *)
   | KInt, true, _, _ ->
       let r = rd_int src in
-      fun fr bits ->
-        let base = d * fr.cap in
-        for l = 0 to fr.nlanes - 1 do
-          if bits.(l) then fr.vi.(base + l) <- r fr l
+      fun fr mask ->
+        let base = d * fr.cap and lanes = mask.Exec.lanes in
+        for i = 0 to mask.Exec.active - 1 do
+          let l = lanes.(i) in
+          fr.vi.(base + l) <- r fr l
         done
   | KFloat, true, _, _ ->
       let r = rd_float src in
-      fun fr bits ->
-        let base = d * fr.cap in
-        for l = 0 to fr.nlanes - 1 do
-          if bits.(l) then fr.vf.(base + l) <- r fr l
+      fun fr mask ->
+        let base = d * fr.cap and lanes = mask.Exec.lanes in
+        for i = 0 to mask.Exec.active - 1 do
+          let l = lanes.(i) in
+          fr.vf.(base + l) <- r fr l
         done
   | KBuf, true, _, _ ->
       let r = rd_buf src in
-      fun fr bits ->
-        let base = d * fr.cap in
-        for l = 0 to fr.nlanes - 1 do
-          if bits.(l) then fr.vb.(base + l) <- r fr l
+      fun fr mask ->
+        let base = d * fr.cap and lanes = mask.Exec.lanes in
+        for i = 0 to mask.Exec.active - 1 do
+          let l = lanes.(i) in
+          fr.vb.(base + l) <- r fr l
         done
   | (KInt | KFloat | KBuf), false, _, _ ->
-      (* the analysis marks every merge destination varying; keep a
-         defensive scalar copy for the impossible case *)
+      (* a uniform destination: a cast of a uniform value, or a merge
+         the analysis never makes (it marks every merge destination
+         varying) *)
       let c = copy_full src dst in
       fun fr _ -> c fr
 
@@ -629,16 +747,16 @@ let copies_full st (pairs : (loc * loc) list) : frame -> unit =
       post fr
   else seq (List.map (fun (s, d) -> copy_full s d) pairs)
 
-let copies_masked st (pairs : (loc * loc) list) : frame -> bool array -> unit =
+let copies_masked st (pairs : (loc * loc) list) : frame -> Exec.mask -> unit =
   let direct ps =
     match List.map (fun (s, d) -> copy_masked s d) ps with
     | [] -> fun _ _ -> ()
     | [ c ] -> c
     | cs ->
         let a = Array.of_list cs in
-        fun fr bits ->
+        fun fr mask ->
           for k = 0 to Array.length a - 1 do
-            (Array.unsafe_get a k) fr bits
+            (Array.unsafe_get a k) fr mask
           done
   in
   let dsts = List.map snd pairs in
@@ -646,9 +764,9 @@ let copies_masked st (pairs : (loc * loc) list) : frame -> bool array -> unit =
     let staged = List.map (fun (s, d) -> (s, temp_loc st s, d)) pairs in
     let pre = seq (List.map (fun (s, t, _) -> copy_full s t) staged) in
     let post = direct (List.map (fun (_, t, d) -> (t, d)) staged) in
-    fun fr bits ->
+    fun fr mask ->
       pre fr;
-      post fr bits
+      post fr mask
   end
   else direct pairs
 
@@ -749,22 +867,18 @@ let analyze (body : Instr.block) : unit Value.Tbl.t =
     dynamically), then the shared request model {!Exec.requests}. The
     functional half is inlined per load/store kind. *)
 let mem_model (rb : frame -> int -> Memory.buf) ~is_store fr (mask : Exec.mask) =
-  let n = fr.nlanes in
-  let bits = mask.Exec.bits in
+  let lanes = mask.Exec.lanes and na = mask.Exec.active in
   let addrs = fr.addrs in
   (match fr.m.Exec.racecheck with
   | None -> ()
   | Some rc ->
-      for l = 0 to n - 1 do
-        if bits.(l) && (rb fr l).Memory.space = Types.Shared then
+      for i = 0 to na - 1 do
+        let l = lanes.(i) in
+        if (rb fr l).Memory.space = Types.Shared then
           Racecheck.record rc ~is_store ~lane:l ~addr:addrs.(l)
       done);
   (* the first active lane's buffer names the space *)
-  let l = ref 0 in
-  while !l < n && not (Array.unsafe_get bits !l) do
-    incr l
-  done;
-  let space = if !l >= n then Types.Global else (rb fr !l).Memory.space in
+  let space = if na = 0 then Types.Global else (rb fr lanes.(0)).Memory.space in
   let effective =
     match space with Types.Shared when fr.m.Exec.shared_as_global -> Types.Global | sp -> sp
   in
@@ -813,33 +927,31 @@ let compile_load st (v : Value.t) (mem : Value.t) (idx : Value.t) : code =
           fun fr m -> (ubuf_lanes [@inlined]) Load_i Uni Row fr.ub.(sm) 0 (ru fr) s 0. 0 fr m
       | true, true, Ilanes ->
           fun fr mask ->
-            let bits = mask.Exec.bits in
+            let lanes = mask.Exec.lanes in
             let base = s * fr.cap in
-            for l = 0 to fr.nlanes - 1 do
-              if bits.(l) then begin
-                let b = rb fr l in
-                let i = ri fr l in
-                fr.addrs.(l) <- Memory.addr b i;
-                fr.vf.(base + l) <- Memory.get_f b i
-              end
+            for k = 0 to mask.Exec.active - 1 do
+              let l = lanes.(k) in
+              let b = rb fr l in
+              let i = ri fr l in
+              fr.addrs.(l) <- Memory.addr b i;
+              fr.vf.(base + l) <- Memory.get_f b i
             done
       | false, true, Ilanes ->
           fun fr mask ->
-            let bits = mask.Exec.bits in
+            let lanes = mask.Exec.lanes in
             let base = s * fr.cap in
-            for l = 0 to fr.nlanes - 1 do
-              if bits.(l) then begin
-                let b = rb fr l in
-                let i = ri fr l in
-                fr.addrs.(l) <- Memory.addr b i;
-                fr.vi.(base + l) <- Memory.get_i b i
-              end
+            for k = 0 to mask.Exec.active - 1 do
+              let l = lanes.(k) in
+              let b = rb fr l in
+              let i = ri fr l in
+              fr.addrs.(l) <- Memory.addr b i;
+              fr.vi.(base + l) <- Memory.get_i b i
             done
       | _, false, _ ->
           (* uniform destination: only reachable at [nlanes = 1] (block
              zone); the interpreter's n=1 path binds a uniform scalar *)
           fun fr mask ->
-            if mask.Exec.bits.(0) then begin
+            if mask.Exec.active > 0 then begin
               let b = rb fr 0 in
               let i = ri fr 0 in
               fr.addrs.(0) <- Memory.addr b i;
@@ -892,28 +1004,26 @@ let compile_store st (mem : Value.t) (idx : Value.t) (v : Value.t) : code =
       | true, _ ->
           let rv = rd_float lval in
           fun fr mask ->
-            let bits = mask.Exec.bits in
-            for l = 0 to fr.nlanes - 1 do
-              if bits.(l) then begin
-                let b = rb fr l in
-                let i = ri fr l in
-                Memory.check_bounds b i;
-                fr.addrs.(l) <- Memory.addr b i;
-                Memory.set_f b i (rv fr l)
-              end
+            let lanes = mask.Exec.lanes in
+            for k = 0 to mask.Exec.active - 1 do
+              let l = lanes.(k) in
+              let b = rb fr l in
+              let i = ri fr l in
+              Memory.check_bounds b i;
+              fr.addrs.(l) <- Memory.addr b i;
+              Memory.set_f b i (rv fr l)
             done
       | false, _ ->
           let rv = rd_int lval in
           fun fr mask ->
-            let bits = mask.Exec.bits in
-            for l = 0 to fr.nlanes - 1 do
-              if bits.(l) then begin
-                let b = rb fr l in
-                let i = ri fr l in
-                Memory.check_bounds b i;
-                fr.addrs.(l) <- Memory.addr b i;
-                Memory.set_i b i (rv fr l)
-              end
+            let lanes = mask.Exec.lanes in
+            for k = 0 to mask.Exec.active - 1 do
+              let l = lanes.(k) in
+              let b = rb fr l in
+              let i = ri fr l in
+              Memory.check_bounds b i;
+              fr.addrs.(l) <- Memory.addr b i;
+              Memory.set_i b i (rv fr l)
             done
     in
     fun fr mask ->
@@ -946,8 +1056,9 @@ let fbin_code cls op d (la : loc) (lb : loc) : code =
     let ra = rd_float la and rb = rd_float lb in
     fun fr mask ->
       Exec.count_op fr.ctx mask cls;
-      let base = d * fr.cap in
-      for l = 0 to fr.nlanes - 1 do
+      let base = d * fr.cap and lanes = mask.Exec.lanes in
+      for i = 0 to mask.Exec.active - 1 do
+        let l = lanes.(i) in
         fr.vf.(base + l) <- Ops.eval_float_binop op (ra fr l) (rb fr l)
       done
   in
@@ -994,8 +1105,9 @@ let ibin_code cls op d (la : loc) (lb : loc) : code =
     let ra = rd_int la and rb = rd_int lb in
     fun fr mask ->
       Exec.count_op fr.ctx mask cls;
-      let base = d * fr.cap in
-      for l = 0 to fr.nlanes - 1 do
+      let base = d * fr.cap and lanes = mask.Exec.lanes in
+      for i = 0 to mask.Exec.active - 1 do
+        let l = lanes.(i) in
         fr.vi.(base + l) <- Ops.eval_int_binop op (ra fr l) (rb fr l)
       done
   in
@@ -1068,8 +1180,9 @@ let fun_code cls op d (la : loc) : code =
       let ra = rd_float la in
       fun fr mask ->
         Exec.count_op fr.ctx mask cls;
-        let base = d * fr.cap in
-        for l = 0 to fr.nlanes - 1 do
+        let base = d * fr.cap and lanes = mask.Exec.lanes in
+        for i = 0 to mask.Exec.active - 1 do
+          let l = lanes.(i) in
           fr.vf.(base + l) <- Ops.eval_float_unop op (ra fr l)
         done
 
@@ -1105,8 +1218,9 @@ let fcmp_code op d (la : loc) (lb : loc) : code =
       let ra = rd_float la and rb = rd_float lb in
       fun fr mask ->
         Exec.count_op fr.ctx mask Exec.Cint;
-        let base = d * fr.cap in
-        for l = 0 to fr.nlanes - 1 do
+        let base = d * fr.cap and lanes = mask.Exec.lanes in
+        for i = 0 to mask.Exec.active - 1 do
+          let l = lanes.(i) in
           fr.vi.(base + l) <- (if Ops.eval_float_cmp op (ra fr l) (rb fr l) then 1 else 0)
         done
 
@@ -1142,8 +1256,9 @@ let icmp_code op d (la : loc) (lb : loc) : code =
       let ra = rd_int la and rb = rd_int lb in
       fun fr mask ->
         Exec.count_op fr.ctx mask Exec.Cint;
-        let base = d * fr.cap in
-        for l = 0 to fr.nlanes - 1 do
+        let base = d * fr.cap and lanes = mask.Exec.lanes in
+        for i = 0 to mask.Exec.active - 1 do
+          let l = lanes.(i) in
           fr.vi.(base + l) <- (if Ops.eval_int_cmp op (ra fr l) (rb fr l) then 1 else 0)
         done
 
@@ -1163,8 +1278,9 @@ let fsel_code d (lc : loc) (la : loc) (lb : loc) : code =
       let rc = rd_int lc and ra = rd_float la and rb = rd_float lb in
       fun fr mask ->
         Exec.count_op fr.ctx mask Exec.Cint;
-        let base = d * fr.cap in
-        for l = 0 to fr.nlanes - 1 do
+        let base = d * fr.cap and lanes = mask.Exec.lanes in
+        for i = 0 to mask.Exec.active - 1 do
+          let l = lanes.(i) in
           fr.vf.(base + l) <- (if rc fr l <> 0 then ra fr l else rb fr l)
         done
 
@@ -1184,8 +1300,9 @@ let isel_code d (lc : loc) (la : loc) (lb : loc) : code =
       let rc = rd_int lc and ra = rd_int la and rb = rd_int lb in
       fun fr mask ->
         Exec.count_op fr.ctx mask Exec.Cint;
-        let base = d * fr.cap in
-        for l = 0 to fr.nlanes - 1 do
+        let base = d * fr.cap and lanes = mask.Exec.lanes in
+        for i = 0 to mask.Exec.active - 1 do
+          let l = lanes.(i) in
           fr.vi.(base + l) <- (if rc fr l <> 0 then ra fr l else rb fr l)
         done
 
@@ -1243,17 +1360,19 @@ let compile_let st (v : Value.t) (e : Instr.expr) : code =
               fun fr mask ->
                 Exec.count_op fr.ctx mask cls;
                 let cap = fr.cap in
-                let vi = fr.vi in
+                let vi = fr.vi and lanes = mask.Exec.lanes in
                 let bd = s * cap and ba = sa * cap in
-                for l = 0 to fr.nlanes - 1 do
+                for i = 0 to mask.Exec.active - 1 do
+                  let l = lanes.(i) in
                   vi.(bd + l) <- Ops.eval_int_unop op vi.(ba + l)
                 done
           | None ->
               let ra = rd_int la in
               fun fr mask ->
                 Exec.count_op fr.ctx mask cls;
-                let base = s * fr.cap in
-                for l = 0 to fr.nlanes - 1 do
+                let base = s * fr.cap and lanes = mask.Exec.lanes in
+                for i = 0 to mask.Exec.active - 1 do
+                  let l = lanes.(i) in
                   fr.vi.(base + l) <- Ops.eval_int_unop op (ra fr l)
                 done)
       | KInt, false ->
@@ -1289,8 +1408,9 @@ let compile_let st (v : Value.t) (e : Instr.expr) : code =
           let rc = rd_int lc and ra = rd_buf la and rb = rd_buf lb in
           fun fr mask ->
             Exec.count_op fr.ctx mask Exec.Cint;
-            let base = s * fr.cap in
-            for l = 0 to fr.nlanes - 1 do
+            let base = s * fr.cap and lanes = mask.Exec.lanes in
+            for i = 0 to mask.Exec.active - 1 do
+              let l = lanes.(i) in
               fr.vb.(base + l) <- (if rc fr l <> 0 then ra fr l else rb fr l)
             done
       | KFloat, false ->
@@ -1315,16 +1435,43 @@ let compile_let st (v : Value.t) (e : Instr.expr) : code =
       match lv.l_kind with
       | KBuf -> kbuf_arith_fail la.l_varying Exec.Cint
       | KInt | KFloat ->
-          let c = copy_full la lv in
+          let c = copy_masked la lv in
           fun fr mask ->
             Exec.count_op fr.ctx mask Exec.Cint;
-            c fr)
+            c fr mask)
 
 (* ------------------------------------------------------------------ *)
 (* Region codegen                                                      *)
 (* ------------------------------------------------------------------ *)
 
 type cterm = CNone | CYield of Value.t list | CYield_while of Value.t * Value.t list
+
+(** [filter below ivv r fr src dst] sets [dst]'s list to the lanes [l]
+    of [src]'s that stay in a loop, in order, and counts their warps:
+    those with [ivv.(l) < r fr l] when [below] (a varying-bound
+    [For]), else those with [r fr l <> 0] (a varying [While]). One
+    pass over [src]'s list, a warp's run at a time. [dst] may be
+    [src]: the list is then filtered in place. *)
+let[@inline] filter below (ivv : int array) (r : frame -> int -> int) fr (src : Exec.mask)
+    (dst : Exec.mask) =
+  let sl = src.Exec.lanes and sa = src.Exec.active and dl = dst.Exec.lanes in
+  let ws = fr.ctx.Exec.ws in
+  let k = ref 0 and warps = ref 0 and i = ref 0 in
+  while !i < sa do
+    let hi = ((Array.unsafe_get sl !i / ws) + 1) * ws in
+    let k0 = !k in
+    while !i < sa && Array.unsafe_get sl !i < hi do
+      let l = Array.unsafe_get sl !i in
+      if (if below then Array.unsafe_get ivv l < r fr l else r fr l <> 0) then begin
+        Array.unsafe_set dl !k l;
+        incr k
+      end;
+      incr i
+    done;
+    if !k > k0 then incr warps
+  done;
+  dst.Exec.active <- !k;
+  dst.Exec.warps <- !warps
 
 let yield_pairs st srcs (dsts : loc list) =
   if List.length srcs <> List.length dsts then None
@@ -1433,48 +1580,40 @@ and compile_if st ~vec cond results then_ else_ : code =
           (t.l_slot, copy_full lc t)
     in
     let kt = new_mask st and ke = new_mask st in
-    (* one warp-strided pass builds both branch masks, their
-       active/warp statistics, and the divergence counter — the
-       generic path needed four scans (fill, two [mk_mask]s, warp
-       recount) *)
+    (* one pass over the parent's list, a warp's run of it at a time,
+       splits it into the branch lists, counts their warps, and counts
+       the warps that take both sides *)
     fun fr mask ->
       Exec.count_op fr.ctx mask Exec.Cint;
       cond_stage fr;
       let n = fr.nlanes in
-      let mb = mask.Exec.bits in
+      let pl = mask.Exec.lanes and pa = mask.Exec.active in
       let tm = lane_mask fr kt n and em = lane_mask fr ke n in
-      let tb = tm.Exec.bits and eb = em.Exec.bits in
+      let tl = tm.Exec.lanes and el = em.Exec.lanes in
       let vi = fr.vi and base = sc * fr.cap in
       let ws = fr.ctx.Exec.ws in
       let ta = ref 0 and ea = ref 0 and tw = ref 0 and ew = ref 0 in
       let c = fr.m.Exec.counters in
-      let l = ref 0 in
-      while !l < n do
-        let hi = Int.min (!l + ws) n in
-        let twany = ref false and ewany = ref false in
-        for i = !l to hi - 1 do
-          if not (Array.unsafe_get mb i) then begin
-            Array.unsafe_set tb i false;
-            Array.unsafe_set eb i false
-          end
-          else if Array.unsafe_get vi (base + i) <> 0 then begin
-            Array.unsafe_set tb i true;
-            Array.unsafe_set eb i false;
-            incr ta;
-            twany := true
+      let i = ref 0 in
+      while !i < pa do
+        let hi = ((Array.unsafe_get pl !i / ws) + 1) * ws in
+        let t0 = !ta and e0 = !ea in
+        while !i < pa && Array.unsafe_get pl !i < hi do
+          let l = Array.unsafe_get pl !i in
+          if Array.unsafe_get vi (base + l) <> 0 then begin
+            Array.unsafe_set tl !ta l;
+            incr ta
           end
           else begin
-            Array.unsafe_set tb i false;
-            Array.unsafe_set eb i true;
-            incr ea;
-            ewany := true
-          end
+            Array.unsafe_set el !ea l;
+            incr ea
+          end;
+          incr i
         done;
-        if !twany then incr tw;
-        if !ewany then incr ew;
-        if !twany && !ewany then
-          c.Counters.divergent_branches <- c.Counters.divergent_branches +. 1.;
-        l := hi
+        if !ta > t0 then incr tw;
+        if !ea > e0 then incr ew;
+        if !ta > t0 && !ea > e0 then
+          c.Counters.divergent_branches <- c.Counters.divergent_branches +. 1.
       done;
       tm.Exec.active <- !ta;
       tm.Exec.warps <- !tw;
@@ -1482,11 +1621,11 @@ and compile_if st ~vec cond results then_ else_ : code =
       em.Exec.warps <- !ew;
       if !ta > 0 then begin
         run tcode fr tm;
-        tcopies fr tb
+        tcopies fr tm
       end;
       if !ea > 0 then begin
         run ecode fr em;
-        ecopies fr eb
+        ecopies fr em
       end
   end
   else begin
@@ -1562,38 +1701,36 @@ and compile_for st ~vec iv lb ub step iter_args inits results body : code =
     fun fr mask ->
       let n = fr.nlanes in
       let ivv = lane_ints fr kv n in
-      for l = 0 to n - 1 do
+      let pl = mask.Exec.lanes in
+      for i = 0 to mask.Exec.active - 1 do
+        let l = pl.(i) in
         ivv.(l) <- r_lb fr l
       done;
       (* at one lane every value is dynamically uniform: the
          interpreter takes its scalar path, step check included *)
       if n = 1 && r_step fr 0 <= 0 then Exec.device_fail "for loop with non-positive step";
       init_copies fr;
-      (* every lane is rewritten, and recounted, before each
-         iteration reads it *)
+      (* the first iteration filters the parent's list; a lane that
+         leaves stays out (its bound is fixed and its iv unchanged), so
+         each later one filters the loop's own list in place *)
       let am = lane_mask fr kb n in
-      let bits = am.Exec.bits in
-      let continue_ = ref true in
-      while !continue_ do
-        let mb = mask.Exec.bits in
-        for l = 0 to n - 1 do
-          bits.(l) <- mb.(l) && ivv.(l) < r_ub fr l
+      (filter [@inlined]) true ivv r_ub fr mask am;
+      while am.Exec.active > 0 do
+        let al = am.Exec.lanes and aa = am.Exec.active in
+        let base = siv * fr.cap in
+        for i = 0 to aa - 1 do
+          let l = al.(i) in
+          fr.vi.(base + l) <- ivv.(l)
         done;
-        Exec.recount fr.ctx am;
-        if am.Exec.active = 0 then continue_ := false
-        else begin
-          let base = siv * fr.cap in
-          for l = 0 to n - 1 do
-            fr.vi.(base + l) <- ivv.(l)
-          done;
-          Exec.count_op fr.ctx am Exec.Cint;
-          Exec.count_op fr.ctx am Exec.Cint;
-          run bcode fr am;
-          ycm fr bits;
-          for l = 0 to n - 1 do
-            if bits.(l) then ivv.(l) <- ivv.(l) + r_step fr l
-          done
-        end
+        Exec.count_op fr.ctx am Exec.Cint;
+        Exec.count_op fr.ctx am Exec.Cint;
+        run bcode fr am;
+        ycm fr am;
+        for i = 0 to aa - 1 do
+          let l = al.(i) in
+          ivv.(l) <- ivv.(l) + r_step fr l
+        done;
+        (filter [@inlined]) true ivv r_ub fr am am
       done;
       res_copies fr
   end
@@ -1624,23 +1761,16 @@ and compile_while st ~vec iter_args inits results body : code =
           init_copies fr;
           let active = ref mask in
           let continue_ = ref true in
-          (* reused across iterations: each element's new value depends
-             only on its own old value, so once [active] aliases [bits]
-             the in-place update stays exact (the caller's mask is
-             never written) *)
+          (* the first iteration filters the caller's list into the
+             loop's own, each later one that list in place (the
+             caller's mask is never written) *)
           let am = lane_mask fr kb fr.nlanes in
-          let bits = am.Exec.bits in
           while !continue_ do
             Exec.count_op fr.ctx !active Exec.Cint;
             run bcode fr !active;
             cond_stage fr;
-            ycm fr !active.Exec.bits;
-            let n = fr.nlanes in
-            let ab = !active.Exec.bits in
-            for l = 0 to n - 1 do
-              bits.(l) <- ab.(l) && rc fr l <> 0
-            done;
-            Exec.recount fr.ctx am;
+            ycm fr !active;
+            (filter [@inlined]) false [||] rc fr !active am;
             active := am;
             if am.Exec.active = 0 then continue_ := false
           done;
@@ -1655,7 +1785,7 @@ and compile_while st ~vec iter_args inits results body : code =
             Exec.count_op fr.ctx mask Exec.Cint;
             run bcode fr mask;
             cond_stage fr;
-            ycm fr mask.Exec.bits;
+            ycm fr mask;
             if rc fr = 0 then continue_ := false
           done;
           res_copies fr
@@ -1722,7 +1852,7 @@ and compile_threads st ivs ubs body : code =
       fr.tp_caps.(tp_id) <- fr.cap
     end;
     let mask =
-      if Array.length fr.fmask.Exec.bits = nlanes then fr.fmask
+      if Array.length fr.fmask.Exec.lanes = nlanes then fr.fmask
       else begin
         let mk = Exec.full_mask fr.ctx in
         fr.fmask <- mk;

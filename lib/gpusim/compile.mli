@@ -12,6 +12,9 @@
       words (the block allocator, a record per [__shared__] buffer):
       lane masks, induction lanes and [__shared__] arrays are owned by
       the register files, one set per node, made at first use;
+    - a lane mask is its list of active lanes ({!Exec.mask}), and
+      every lane loop works on those lanes only: a dense loop on a
+      full mask, the list otherwise;
     - the region tree is flattened into arrays of OCaml closures
       (threaded code) executed by an indexed loop, with uniformity of
       every value and every branch decided once at compile time;

@@ -14,13 +14,19 @@
     are run by one grid loop ({!run_grid}) on every target, GPU or
     CPU, optionally sampled (with counter extrapolation) for large
     grids where only timing is of interest; the target's kind picks
-    how the loop schedules blocks onto SMs or cores. The request model
-    coalesces each warp's active lanes into ascending distinct sectors
-    in one pass, and probes the caches once per run of sectors that
-    share a line ({!Cache.access_run}), not once per sector. The tree-walking reference interpreter the
-    tests compare the engine against ([test/interp.ml]) runs under the
-    same grid loop with its own per-block runner and its own,
-    per-sector request model. *)
+    how the loop schedules blocks onto SMs or cores.
+
+    A lane mask is the list of its active lanes, so the engine does
+    per-lane work only for those: a full mask runs dense loops, any
+    other walks its list. The request model coalesces each warp's
+    active lanes into ascending distinct sectors in one pass (a full
+    mask's warps by lane range, any other mask's by runs of its list),
+    and probes the caches once per run of sectors that share a line
+    ({!Cache.access_run}), not once per sector. The tree-walking
+    reference interpreter the tests compare the engine against
+    ([test/interp.ml]) runs under the same grid loop with its own
+    per-block runner, its own per-lane booleans (turned into masks by
+    {!mask_of_bits}) and its own, per-sector request model. *)
 
 open Pgpu_ir
 
@@ -195,8 +201,9 @@ let lookup env (v : Value.t) =
       | Bufs -> UB env.bufs.(s))
   | exception Not_found -> Pgpu_support.Util.failf "exec: unbound value %a" Value.pp v
 
-(** Lane masks with cached population statistics. *)
-type mask = { bits : bool array; mutable active : int; mutable warps : int }
+(** Lane masks as their active lanes: [lanes.(0 .. active - 1)],
+    ascending, and the number of warps that hold one. *)
+type mask = { lanes : int array; mutable active : int; mutable warps : int }
 
 type ctx = {
   m : machine;
@@ -205,29 +212,24 @@ type ctx = {
   mutable sm : int;  (** SM executing the current block *)
 }
 
-let recount ctx mask =
-  let bits = mask.bits in
-  let active = ref 0 and warps = ref 0 in
-  let nwarps = Pgpu_support.Util.ceil_div ctx.nlanes ctx.ws in
-  for w = 0 to nwarps - 1 do
-    let lo = w * ctx.ws and hi = Int.min ((w + 1) * ctx.ws) ctx.nlanes in
-    let any = ref false in
-    for l = lo to hi - 1 do
-      if bits.(l) then (
-        incr active;
-        any := true)
-    done;
-    if !any then incr warps
+let full_mask ctx =
+  let n = ctx.nlanes in
+  { lanes = Array.init n Fun.id; active = n; warps = Pgpu_support.Util.ceil_div n ctx.ws }
+
+let mask_of_bits ctx (bits : bool array) =
+  let lanes = Array.make ctx.nlanes 0 in
+  let active = ref 0 and warps = ref 0 and last = ref (-1) in
+  for l = 0 to ctx.nlanes - 1 do
+    if bits.(l) then begin
+      lanes.(!active) <- l;
+      incr active;
+      if l / ctx.ws <> !last then begin
+        incr warps;
+        last := l / ctx.ws
+      end
+    end
   done;
-  mask.active <- !active;
-  mask.warps <- !warps
-
-let mk_mask ctx bits =
-  let mask = { bits; active = 0; warps = 0 } in
-  recount ctx mask;
-  mask
-
-let full_mask ctx = mk_mask ctx (Array.make ctx.nlanes true)
+  { lanes; active = !active; warps = !warps }
 
 (* ------------------------------------------------------------------ *)
 (* Counting                                                            *)
@@ -268,52 +270,53 @@ let class_of_unop (ty : Types.t) (op : Ops.unop) =
 (* Memory access with coalescing and cache modelling                   *)
 (* ------------------------------------------------------------------ *)
 
+(** Sort the first [k] entries of [scratch] and drop repeats; returns
+    how many stay. Insertion sort: at most 64 entries, no allocation. *)
+let sort_distinct (scratch : int array) k =
+  for i = 1 to k - 1 do
+    let v = scratch.(i) in
+    let j = ref (i - 1) in
+    while !j >= 0 && scratch.(!j) > v do
+      scratch.(!j + 1) <- scratch.(!j);
+      decr j
+    done;
+    scratch.(!j + 1) <- v
+  done;
+  let d = ref 1 in
+  for i = 1 to k - 1 do
+    let v = Array.unsafe_get scratch i in
+    if v <> Array.unsafe_get scratch (!d - 1) then begin
+      Array.unsafe_set scratch !d v;
+      incr d
+    end
+  done;
+  !d
+
 (** Collect the distinct values of [addrs.(l) lsr shift] over the
-    active lanes [lo, hi) of one warp into the machine's scratch,
-    ascending; returns their count. Addresses are non-negative, so the
-    shift is an exact division by the (power-of-two) granule. One pass
-    drops repeats of the previous value and notes any decrease: a
-    coalesced warp arrives ascending and is done, and only the
-    shuffled minority is insertion-sorted (at most 64 entries,
-    allocation-free) and compacted. *)
-let coalesce ctx shift (addrs : int array) (bits : bool array) lo hi =
-  let scratch = ctx.m.scratch in
+    lanes of one warp into the machine's scratch, ascending; returns
+    their count. The lanes are [i .. j - 1] when [dense] (a full
+    mask), else [lanes.(i .. j - 1)] (a run of a mask's list).
+    Addresses are non-negative, so the shift is an exact division by
+    the (power-of-two) granule. One pass drops repeats of the previous
+    value and notes any decrease: a coalesced warp arrives ascending
+    and is done, and only the shuffled minority is sorted and
+    compacted ({!sort_distinct}). *)
+let[@inline] coalesce ctx shift (addrs : int array) (lanes : int array) dense i j =
+  let scratch : int array = ctx.m.scratch in
   let n = ref 0 in
   let sorted = ref true in
   let prev = ref (-1) in
-  for l = lo to hi - 1 do
-    if Array.unsafe_get bits l then begin
-      let v = Array.unsafe_get addrs l lsr shift in
-      if v <> !prev then begin
-        if v < !prev then sorted := false;
-        prev := v;
-        Array.unsafe_set scratch !n v;
-        incr n
-      end
+  for k = i to j - 1 do
+    let l = if dense then k else Array.unsafe_get lanes k in
+    let v = Array.unsafe_get addrs l lsr shift in
+    if v <> !prev then begin
+      if v < !prev then sorted := false;
+      prev := v;
+      Array.unsafe_set scratch !n v;
+      incr n
     end
   done;
-  let k = !n in
-  if !sorted then k
-  else begin
-    for i = 1 to k - 1 do
-      let v = scratch.(i) in
-      let j = ref (i - 1) in
-      while !j >= 0 && scratch.(!j) > v do
-        scratch.(!j + 1) <- scratch.(!j);
-        decr j
-      done;
-      scratch.(!j + 1) <- v
-    done;
-    let d = ref 1 in
-    for i = 1 to k - 1 do
-      let v = Array.unsafe_get scratch i in
-      if v <> Array.unsafe_get scratch (!d - 1) then begin
-        Array.unsafe_set scratch !d v;
-        incr d
-      end
-    done;
-    !d
-  end
+  if !sorted then !n else sort_distinct scratch !n
 
 (** Count [reqs] global requests touching [sectors] sectors in all. *)
 let count_global ctx ~is_store reqs sectors =
@@ -359,13 +362,12 @@ let probe_run ctx ~is_store a k =
     slice for a store. *)
 let first_cache ctx ~is_store = if is_store then ctx.m.l2s.(ctx.sm) else ctx.m.l1s.(ctx.sm)
 
-(** One warp-level global-memory request over lanes [lo, hi): the 32 B
-    sectors the active lanes touch, counted per sector, probed once per
-    run of sectors in one line ({!probe_run}). Ascending sectors of one
-    line are consecutive, so this makes the hits and misses of probing
-    every sector in turn. *)
-let global_request ctx ~is_store (addrs : int array) bits lo hi =
-  let n = coalesce ctx Counters.sector_shift addrs bits lo hi in
+(** One warp-level global-memory request over the [n] distinct sectors
+    {!coalesce} left in the scratch, counted per sector, probed once
+    per run of sectors in one line ({!probe_run}). Ascending sectors
+    of one line are consecutive, so this makes the hits and misses of
+    probing every sector in turn. *)
+let global_request ctx ~is_store n =
   count_global ctx ~is_store 1 n;
   let cache = first_cache ctx ~is_store in
   let scratch = ctx.m.scratch in
@@ -382,15 +384,15 @@ let global_request ctx ~is_store (addrs : int array) bits lo hi =
     i := !j
   done
 
-(** One warp-level shared-memory request over lanes [lo, hi), costing
-    one transaction per bank-conflict replay: the most distinct 32-bit
-    words any one bank is asked for. Distinct words spanning fewer
-    than [shmem_banks] fall in distinct banks, so such a warp costs
-    one transaction without the bank table. *)
-let shared_request ctx ~is_store (addrs : int array) bits lo hi =
+(** One warp-level shared-memory request over the [nwords] distinct
+    32-bit words {!coalesce} left in the scratch, costing one
+    transaction per bank-conflict replay: the most distinct words any
+    one bank is asked for. Distinct words spanning fewer than
+    [shmem_banks] fall in distinct banks, so such a warp costs one
+    transaction without the bank table. *)
+let shared_request ctx ~is_store nwords =
   let scratch = ctx.m.scratch and bank_counts = ctx.m.bank_counts in
   let banks = ctx.m.target.Pgpu_target.Descriptor.shmem_banks in
-  let nwords = coalesce ctx 2 addrs bits lo hi in
   let replays = ref 1 in
   if scratch.(nwords - 1) - scratch.(0) >= banks then begin
     Array.fill bank_counts 0 banks 0;
@@ -418,50 +420,62 @@ let lane_requests ctx ~is_store (space : Types.space) (addrs : int array) (mask 
   | Types.Global | Types.Host ->
       count_global ctx ~is_store k k;
       let cache = first_cache ctx ~is_store in
-      let bits = mask.bits in
+      let lanes = mask.lanes in
       let shift = Counters.sector_shift in
       (* the open run: its first sector address, its line, its length *)
       let a0 = ref 0 and ln0 = ref (-1) and run = ref 0 in
-      for l = 0 to ctx.nlanes - 1 do
-        if Array.unsafe_get bits l then begin
-          let a = (Array.unsafe_get addrs l lsr shift) lsl shift in
-          let ln = Cache.line cache a in
-          if ln = !ln0 then incr run
-          else begin
-            if !run > 0 then probe_run ctx ~is_store !a0 !run;
-            a0 := a;
-            ln0 := ln;
-            run := 1
-          end
+      for i = 0 to k - 1 do
+        let a = (Array.unsafe_get addrs (Array.unsafe_get lanes i) lsr shift) lsl shift in
+        let ln = Cache.line cache a in
+        if ln = !ln0 then incr run
+        else begin
+          if !run > 0 then probe_run ctx ~is_store !a0 !run;
+          a0 := a;
+          ln0 := ln;
+          run := 1
         end
       done;
       if !run > 0 then probe_run ctx ~is_store !a0 !run
 
+(** One warp's instruction and request, over the [k] distinct sectors
+    or words {!coalesce} left in the scratch. *)
+let warp_request ctx ~is_store (space : Types.space) k =
+  let c = ctx.m.counters in
+  c.Counters.warp_insts <- c.Counters.warp_insts +. 1.;
+  match space with
+  | Types.Global | Types.Host -> global_request ctx ~is_store k
+  | Types.Shared -> shared_request ctx ~is_store k
+
 (** The memory-request model of one memory instruction: one warp
-    instruction, plus one request, per warp with an active lane. *)
+    instruction, plus one request, per warp with an active lane. A
+    full mask coalesces each warp's lanes; any other mask walks its
+    list, one request per run of listed lanes in one warp. *)
 let requests ctx ~is_store (space : Types.space) (addrs : int array) (mask : mask) =
   if ctx.ws = 1 then lane_requests ctx ~is_store space addrs mask
   else begin
-    let c = ctx.m.counters in
-    let bits = mask.bits in
-    let n = ctx.nlanes in
-    let ws = ctx.ws in
-    let full = mask.active = n in
-    for w = 0 to Pgpu_support.Util.ceil_div n ws - 1 do
-      let lo = w * ws in
-      let hi = Int.min (lo + ws) n in
-      let l = ref lo in
-      if not full then
-        while !l < hi && not (Array.unsafe_get bits !l) do
-          incr l
+    let shift = match space with Types.Shared -> 2 | Types.Global | Types.Host -> Counters.sector_shift in
+    let n = ctx.nlanes and ws = ctx.ws in
+    let lanes = mask.lanes in
+    if mask.active = n then
+      for w = 0 to Pgpu_support.Util.ceil_div n ws - 1 do
+        let lo = w * ws in
+        let k = (coalesce [@inlined]) ctx shift addrs lanes true lo (Int.min (lo + ws) n) in
+        warp_request ctx ~is_store space k
+      done
+    else begin
+      let na = mask.active in
+      let i = ref 0 in
+      while !i < na do
+        let hi = ((Array.unsafe_get lanes !i / ws) + 1) * ws in
+        let j = ref (!i + 1) in
+        while !j < na && Array.unsafe_get lanes !j < hi do
+          incr j
         done;
-      if !l < hi then begin
-        c.Counters.warp_insts <- c.Counters.warp_insts +. 1.;
-        match space with
-        | Types.Global | Types.Host -> global_request ctx ~is_store addrs bits lo hi
-        | Types.Shared -> shared_request ctx ~is_store addrs bits lo hi
-      end
-    done
+        let k = (coalesce [@inlined]) ctx shift addrs lanes false !i !j in
+        warp_request ctx ~is_store space k;
+        i := !j
+      done
+    end
   end
 
 (* ------------------------------------------------------------------ *)

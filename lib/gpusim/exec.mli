@@ -134,10 +134,12 @@ val bind : env -> Value.t -> rv -> unit
     @raise Failure on a value without a slot. *)
 val lookup : env -> Value.t -> rv
 
-(** Lane masks with cached population statistics. The counts are
-    mutable so that the engine can recount a mask it owns in place
-    ({!recount}); a mask passed to an instruction is only read. *)
-type mask = { bits : bool array; mutable active : int; mutable warps : int }
+(** A lane mask as its active lanes: [lanes.(0 .. active - 1)], in
+    ascending order, and [warps], the number of warps that hold one.
+    The engine rebuilds the masks it owns in place (a varying branch
+    splits its parent's list, a varying loop filters it); a mask
+    passed to an instruction is only read. *)
+type mask = { lanes : int array; mutable active : int; mutable warps : int }
 
 type ctx = {
   m : machine;
@@ -146,12 +148,13 @@ type ctx = {
   mutable sm : int;  (** SM executing the current block *)
 }
 
-val mk_mask : ctx -> bool array -> mask
+(** Every lane of [ctx.nlanes]. *)
 val full_mask : ctx -> mask
 
-(** [recount ctx mask] sets [mask]'s counts from its bits over
-    [ctx.nlanes] lanes: [mk_mask] without the new record. *)
-val recount : ctx -> mask -> unit
+(** The mask of the lanes whose bit is set, of [ctx.nlanes]: how the
+    tests' oracle, which keeps per-lane booleans, makes its masks. The
+    engine builds its own from its parent's list and never calls it. *)
+val mask_of_bits : ctx -> bool array -> mask
 
 (** Issue classes of the operation counters. *)
 type op_class = Cint | Cfp32 | Cfp64 | Csfu
@@ -165,9 +168,11 @@ val class_of_unop : Types.t -> Ops.unop -> op_class
 (** [requests ctx ~is_store space addrs mask] models one memory
     instruction over the active lanes of [mask], lane [l] accessing
     byte address [addrs.(l)] of [space] (already resolved: a shared
-    access the machine demotes to global arrives as [Global]). It
-    issues one warp instruction, plus one request, per warp with an
-    active lane.
+    access the machine demotes to global arrives as [Global]); it
+    reads [addrs] at listed lanes only. It issues one warp
+    instruction, plus one request, per warp with an active lane: a
+    full mask per warp of lanes, any other mask per run of its list
+    in one warp.
 
     A global request coalesces its warp's active lanes into distinct
     32 B sectors ({!Counters.sector_shift}), counted per sector. A
@@ -179,9 +184,9 @@ val class_of_unop : Types.t -> Ops.unop -> op_class
     costs one transaction per bank-conflict replay: the most distinct
     32-bit words any one bank is asked for.
 
-    At [ctx.ws = 1] (the CPU targets) each active lane is its own warp
+    At [ctx.ws = 1] (the CPU targets) each listed lane is its own warp
     of one sector or word: the counters move once per instruction, by
-    the active-lane count, and consecutive active lanes in one line
+    the active-lane count, and consecutive listed lanes in one line
     make one probe. The results are those of the warp rule applied to
     every lane. *)
 val requests : ctx -> is_store:bool -> Types.space -> int array -> mask -> unit

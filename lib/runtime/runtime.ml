@@ -330,7 +330,9 @@ let site st ~wid ~alt (region : Instr.block) : site =
     records in a trial. Returns the launch's simulated seconds. A
     configuration the target cannot run raises [Timing.Infeasible] in
     a trial, which rejects the candidate, and is the device's error in
-    a commit. *)
+    a commit. Every device error the launch raises, an out-of-bounds
+    access included, names the kernel ([kernel NAME: ...]), so a
+    trial's fault does too. *)
 let launch st ~name ~wid ~alt (site : site) j =
   let p = List.nth site.lowered j in
   let stats = site.stats in
@@ -377,7 +379,9 @@ let launch st ~name ~wid ~alt (site : site) j =
       in
       (result, breakdown)
     with
-    | Memory.Out_of_bounds msg -> raise (Exec.Device_error msg)
+    | Exec.Device_error msg | Memory.Out_of_bounds msg ->
+        let prefix = "kernel " ^ name ^ ": " in
+        raise (Exec.Device_error (if String.starts_with ~prefix msg then msg else prefix ^ msg))
     | Timing.Infeasible msg when st.trial = None -> Exec.device_fail "kernel %s: %s" name msg
   in
   let seconds = breakdown.Timing.seconds in

@@ -57,6 +57,19 @@ let to_vb n = function
   | UI _ | UF _ | VI _ | VF _ -> invalid_arg "exec: expected buffer"
 
 (* ------------------------------------------------------------------ *)
+(* Lane masks                                                          *)
+(* ------------------------------------------------------------------ *)
+
+(** A lane mask as the oracle keeps it: one boolean per lane, and the
+    {!Exec.mask} that counting reads, built from the booleans by
+    {!Exec.mask_of_bits} — a construction the engine, which splits and
+    filters its parent's list, never uses. *)
+type bmask = { bits : bool array; em : Exec.mask }
+
+let bmask ctx bits = { bits; em = mask_of_bits ctx bits }
+let full ctx = bmask ctx (Array.make ctx.nlanes true)
+
+(* ------------------------------------------------------------------ *)
 (* Memory access                                                       *)
 (* ------------------------------------------------------------------ *)
 
@@ -64,7 +77,7 @@ let to_vb n = function
     the functional load/store, records shared accesses for the race
     detector, and models the instruction through
     {!Reference_memory.requests}. *)
-let vec_access ctx (mask : mask) ~is_store (bufs : Memory.buf array) (idxs : int array)
+let vec_access ctx (mask : bmask) ~is_store (bufs : Memory.buf array) (idxs : int array)
     (write : int -> Memory.buf -> int -> unit) =
   let addrs = Array.make ctx.nlanes 0 in
   for l = 0 to ctx.nlanes - 1 do
@@ -92,20 +105,20 @@ let vec_access ctx (mask : mask) ~is_store (bufs : Memory.buf array) (idxs : int
     | Types.Shared when ctx.m.shared_as_global -> Types.Global
     | s -> s
   in
-  Reference_memory.requests ctx ~is_store effective_space addrs mask
+  Reference_memory.requests ctx ~is_store effective_space addrs mask.bits
 
 (* ------------------------------------------------------------------ *)
 (* Expression evaluation                                               *)
 (* ------------------------------------------------------------------ *)
 
-let eval_expr ctx env (mask : mask) (res : Value.t) (e : Instr.expr) : rv =
+let eval_expr ctx env (mask : bmask) (res : Value.t) (e : Instr.expr) : rv =
   let n = ctx.nlanes in
   let ty = res.Value.ty in
   match e with
   | Instr.Const (Instr.Ci x) -> UI x
   | Instr.Const (Instr.Cf x) -> UF x
   | Instr.Binop (op, a, b) -> (
-      count_op ctx mask (class_of_binop ty op);
+      count_op ctx mask.em (class_of_binop ty op);
       let ra = lookup env a and rb = lookup env b in
       if Types.is_float ty then
         (* mixed uniform/varying fast paths avoid broadcasting *)
@@ -138,7 +151,7 @@ let eval_expr ctx env (mask : mask) (res : Value.t) (e : Instr.expr) : rv =
               let va = to_vi n ra and vb = to_vi n rb in
               VI (Array.init n (fun l -> Ops.eval_int_binop op va.(l) vb.(l))))
   | Instr.Unop (op, a) ->
-      count_op ctx mask (class_of_unop ty op);
+      count_op ctx mask.em (class_of_unop ty op);
       let ra = lookup env a in
       if Types.is_float ty then
         if is_uniform ra then UF (Ops.eval_float_unop op (uf_of ra))
@@ -146,7 +159,7 @@ let eval_expr ctx env (mask : mask) (res : Value.t) (e : Instr.expr) : rv =
       else if is_uniform ra then UI (Ops.eval_int_unop op (ui_of ra))
       else VI (Array.map (Ops.eval_int_unop op) (to_vi n ra))
   | Instr.Cmp (op, a, b) ->
-      count_op ctx mask Cint;
+      count_op ctx mask.em Cint;
       let ra = lookup env a and rb = lookup env b in
       let fl = Types.is_float a.Value.ty in
       if is_uniform ra && is_uniform rb then
@@ -169,7 +182,7 @@ let eval_expr ctx env (mask : mask) (res : Value.t) (e : Instr.expr) : rv =
             let va = to_vi n ra and vb = to_vi n rb in
             VI (Array.init n (fun l -> if Ops.eval_int_cmp op va.(l) vb.(l) then 1 else 0)))
   | Instr.Select (c, a, b) ->
-      count_op ctx mask Cint;
+      count_op ctx mask.em Cint;
       let rc = lookup env c and ra = lookup env a and rb = lookup env b in
       if is_uniform rc then if ui_of rc <> 0 then ra else rb
       else
@@ -184,7 +197,7 @@ let eval_expr ctx env (mask : mask) (res : Value.t) (e : Instr.expr) : rv =
           let va = to_vi n ra and vb = to_vi n rb in
           VI (Array.init n (fun l -> if vc.(l) <> 0 then va.(l) else vb.(l)))
   | Instr.Cast a ->
-      count_op ctx mask Cint;
+      count_op ctx mask.em Cint;
       let ra = lookup env a in
       if Types.is_float ty then
         if is_uniform ra then UF (uf_of ra) else VF (to_vf n ra)
@@ -247,7 +260,7 @@ let merge_masked ctx (bits : bool array) (ty : Types.t) ~(next : rv) ~(old : rv)
 type terminator = T_none | T_yield of rv list | T_yield_while of rv * rv list
 
 (** Execute a block under [mask]; returns the terminator data. *)
-let rec exec_block ctx env (mask : mask) (block : Instr.block) : terminator =
+let rec exec_block ctx env (mask : bmask) (block : Instr.block) : terminator =
   let term = ref T_none in
   List.iter
     (fun i ->
@@ -259,7 +272,7 @@ let rec exec_block ctx env (mask : mask) (block : Instr.block) : terminator =
     block;
   !term
 
-and exec_instr ctx env (mask : mask) (i : Instr.instr) : unit =
+and exec_instr ctx env (mask : bmask) (i : Instr.instr) : unit =
   let n = ctx.nlanes in
   match i with
   | Instr.Let (v, e) -> bind env v (eval_expr ctx env mask v e)
@@ -278,7 +291,7 @@ and exec_instr ctx env (mask : mask) (i : Instr.instr) : unit =
   | Instr.If { cond; results; then_; else_ } -> (
       let rc = lookup env cond in
       (* branching costs one instruction *)
-      count_op ctx mask Cint;
+      count_op ctx mask.em Cint;
       if is_uniform rc then begin
         let branch = if ui_of rc <> 0 then then_ else else_ in
         match exec_block ctx env mask branch with
@@ -290,7 +303,7 @@ and exec_instr ctx env (mask : mask) (i : Instr.instr) : unit =
         let vc = to_vi n rc in
         let tb = Array.init n (fun l -> mask.bits.(l) && vc.(l) <> 0) in
         let eb = Array.init n (fun l -> mask.bits.(l) && vc.(l) = 0) in
-        let tm = mk_mask ctx tb and em = mk_mask ctx eb in
+        let tm = bmask ctx tb and em = bmask ctx eb in
         (* count warps that execute both sides *)
         let nwarps = Pgpu_support.Util.ceil_div n ctx.ws in
         for w = 0 to nwarps - 1 do
@@ -305,7 +318,7 @@ and exec_instr ctx env (mask : mask) (i : Instr.instr) : unit =
               ctx.m.counters.Counters.divergent_branches +. 1.
         done;
         let run m blk =
-          if m.active = 0 then None
+          if m.em.active = 0 then None
           else
             match exec_block ctx env m blk with
             | T_yield vs -> Some vs
@@ -328,8 +341,8 @@ and exec_instr ctx env (mask : mask) (i : Instr.instr) : unit =
         let k = ref l0 in
         while !k < u do
           bind env iv (UI !k);
-          count_op ctx mask Cint;
-          count_op ctx mask Cint;
+          count_op ctx mask.em Cint;
+          count_op ctx mask.em Cint;
           (match exec_block ctx env mask body with
           | T_yield vs -> List.iter2 (bind env) iter_args vs
           | T_none | T_yield_while _ -> device_fail "malformed for region");
@@ -345,12 +358,12 @@ and exec_instr ctx env (mask : mask) (i : Instr.instr) : unit =
         let continue_ = ref true in
         while !continue_ do
           let bits = Array.init n (fun l -> mask.bits.(l) && ivv.(l) < vub.(l)) in
-          let am = mk_mask ctx bits in
-          if am.active = 0 then continue_ := false
+          let am = bmask ctx bits in
+          if am.em.active = 0 then continue_ := false
           else begin
             bind env iv (VI (Array.copy ivv));
-            count_op ctx am Cint;
-            count_op ctx am Cint;
+            count_op ctx am.em Cint;
+            count_op ctx am.em Cint;
             let olds = List.map (lookup env) iter_args in
             (match exec_block ctx env am body with
             | T_yield vs ->
@@ -372,7 +385,7 @@ and exec_instr ctx env (mask : mask) (i : Instr.instr) : unit =
       let active = ref mask in
       let continue_ = ref true in
       while !continue_ do
-        count_op ctx !active Cint;
+        count_op ctx !active.em Cint;
         let olds = List.map (lookup env) iter_args in
         (match exec_block ctx env !active body with
         | T_yield_while (c, vs) ->
@@ -387,9 +400,9 @@ and exec_instr ctx env (mask : mask) (i : Instr.instr) : unit =
             else begin
               let vc = to_vi n c in
               let bits = Array.init n (fun l -> !active.bits.(l) && vc.(l) <> 0) in
-              let am = mk_mask ctx bits in
+              let am = bmask ctx bits in
               active := am;
-              if am.active = 0 then continue_ := false
+              if am.em.active = 0 then continue_ := false
             end
         | T_none | T_yield _ -> device_fail "malformed while region")
       done;
@@ -409,15 +422,15 @@ and exec_instr ctx env (mask : mask) (i : Instr.instr) : unit =
             bind_dims (stride * d) rest
       in
       bind_dims 1 (List.combine ivs dims);
-      ignore (exec_block tctx env (full_mask tctx) body)
+      ignore (exec_block tctx env (full tctx) body)
   | Instr.Parallel { level = Instr.Blocks; _ } -> device_fail "nested blocks parallel"
   | Instr.Barrier _ ->
-      if mask.active <> ctx.nlanes then
-        device_fail "barrier divergence: %d of %d lanes active" mask.active ctx.nlanes;
+      if mask.em.active <> ctx.nlanes then
+        device_fail "barrier divergence: %d of %d lanes active" mask.em.active ctx.nlanes;
       (match ctx.m.racecheck with None -> () | Some rc -> Racecheck.barrier rc);
-      ctx.m.counters.Counters.barriers <- ctx.m.counters.Counters.barriers +. float_of_int mask.warps;
+      ctx.m.counters.Counters.barriers <- ctx.m.counters.Counters.barriers +. float_of_int mask.em.warps;
       ctx.m.counters.Counters.warp_insts <-
-        ctx.m.counters.Counters.warp_insts +. float_of_int mask.warps
+        ctx.m.counters.Counters.warp_insts +. float_of_int mask.em.warps
   | Instr.Alloc_shared { res; elt; size } ->
       let space = if ctx.m.shared_as_global then Types.Global else Types.Shared in
       bind env res (UB (Memory.alloc ctx.m.alloc space elt size))
@@ -443,7 +456,7 @@ let runner ~(env : Exec.env) (p : Instr.instr) : runner =
           let coords = [ lb mod dx; lb / dx mod dy; lb / (dx * dy) ] in
           List.iteri (fun k (iv : Value.t) -> bind env iv (UI (List.nth coords k))) ivs;
           let ctx = { m; nlanes = 1; ws = m.target.Pgpu_target.Descriptor.warp_size; sm } in
-          ignore (exec_block ctx env (full_mask ctx) body);
+          ignore (exec_block ctx env (full ctx) body);
           m.counters.Counters.blocks <- m.counters.Counters.blocks +. 1.
   | _ -> device_fail "launch expects a blocks-level parallel"
 

@@ -126,15 +126,15 @@ let shared_request ctx ~is_store addrs bits lo hi =
 
 (** The reference of {!Exec.requests}: every warp of [ctx.ws] lanes
     with an active lane issues one warp instruction and one request. *)
-let requests ctx ~is_store (space : Types.space) (addrs : int array) (mask : Exec.mask) =
+let requests ctx ~is_store (space : Types.space) (addrs : int array) (bits : bool array) =
   let c = ctx.Exec.m.Exec.counters in
   let ws = ctx.Exec.ws and n = ctx.Exec.nlanes in
   for w = 0 to ((n + ws - 1) / ws) - 1 do
     let lo = w * ws and hi = min n ((w + 1) * ws) in
-    if List.exists (fun l -> mask.Exec.bits.(l)) (List.init (hi - lo) (fun k -> lo + k)) then begin
+    if List.exists (fun l -> bits.(l)) (List.init (hi - lo) (fun k -> lo + k)) then begin
       c.Counters.warp_insts <- c.Counters.warp_insts +. 1.;
       match space with
-      | Types.Global | Types.Host -> global_request ctx ~is_store addrs mask.Exec.bits lo hi
-      | Types.Shared -> shared_request ctx ~is_store addrs mask.Exec.bits lo hi
+      | Types.Global | Types.Host -> global_request ctx ~is_store addrs bits lo hi
+      | Types.Shared -> shared_request ctx ~is_store addrs bits lo hi
     end
   done

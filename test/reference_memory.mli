@@ -28,9 +28,10 @@ module Lru : sig
   val reset : t -> unit
 end
 
-(** The reference request model, same contract as {!Exec.requests}:
+(** The reference request model, same contract as {!Exec.requests}
+    but with the mask as one boolean per lane, the oracle's own form:
     each warp with an active lane collects its active lanes' sectors
     (or words), sorts and deduplicates them, and probes every sector
     through {!Cache.access} — one lane per warp at [ws = 1]. *)
 val requests :
-  Exec.ctx -> is_store:bool -> Pgpu_ir.Types.space -> int array -> Exec.mask -> unit
+  Exec.ctx -> is_store:bool -> Pgpu_ir.Types.space -> int array -> bool array -> unit

@@ -131,7 +131,7 @@ let test_launch_faults () =
           in
           Alcotest.(check string) (what "1, 2048")
             "kernel k: block size exceeds the target's thread limit" (fault "1, 2048");
-          Alcotest.(check string) (what "-3, 32") "grid with a negative extent (-3)"
+          Alcotest.(check string) (what "-3, 32") "kernel k: grid with a negative extent (-3)"
             (fault "-3, 32");
           let r = P.run ~tune (compile "0, 32") ~args:[ 64 ] in
           Alcotest.(check (list int)) (what "0, 32") [ 0 ]
@@ -712,6 +712,25 @@ type mem_inst = {
   sm : int;
 }
 
+(** The sparse lane sets of a block of [nt] lanes in warps of [ws],
+    named: none, one lane, runs of [ws - 1], [ws] and [ws + 1] lanes,
+    one lane per warp, the last lane only, and all lanes but one. The
+    request property draws from them, and the sparse-mask engine table
+    ({!test_sparse_masks}) runs each. *)
+let sparse_sets ws nt =
+  let range lo k = List.filter (fun l -> l < nt) (List.init (max 0 k) (fun i -> lo + i)) in
+  [
+    ("no lane", []);
+    ("one lane", [ nt / 2 ]);
+    ("ws - 1 lanes", range 1 (ws - 1));
+    ("ws lanes", range (ws / 2) ws);
+    ("ws + 1 lanes", range 0 (ws + 1));
+    ( "one lane per warp",
+      List.init (Pgpu_support.Util.ceil_div nt ws) (fun w -> min (nt - 1) ((w * ws) + (w mod ws))) );
+    ("the last lane", [ nt - 1 ]);
+    ("all lanes but one", List.filter (fun l -> l <> ws mod nt) (range 0 nt));
+  ]
+
 (** A target of each warp size (cpu 1, a100 32, mi210 64), small
     random L1 and L2-slice geometries (so lines conflict and L1 lines
     may be wider or narrower than L2 lines), and up to 40 instructions
@@ -720,9 +739,10 @@ type mem_inst = {
     a jitter of up to 7 bytes, or a scatter over a window of
     64-1024 bytes, so lanes share sectors, words span about one bank
     row, and later instructions revisit lines. Masks are full, a
-    prefix, or random. *)
+    prefix, random, or one of the target's sparse sets
+    ({!sparse_sets}). *)
 let arb_request_streams =
-  let inst =
+  let inst ws =
     let open QCheck.Gen in
     let* lanes = int_range 1 160 in
     let* base = int_range 0 16383
@@ -735,6 +755,9 @@ let arb_request_streams =
           return (Array.make lanes true);
           map (fun k -> Array.init lanes (fun l -> l < k)) (int_range 0 lanes);
           array_repeat lanes bool;
+          map
+            (fun (_, set) -> Array.init lanes (fun l -> List.mem l set))
+            (oneofl (sparse_sets ws lanes));
         ]
     in
     let+ store = bool and+ shared = bool and+ sm = int_range 0 3 in
@@ -768,7 +791,7 @@ let arb_request_streams =
     QCheck.Gen.(
       let* t = oneofl [ Descriptor.cpu; Descriptor.a100; Descriptor.mi210 ] in
       let* l1 = geometry and* l2 = geometry in
-      let+ insts = list_size (int_range 0 40) inst in
+      let+ insts = list_size (int_range 0 40) (inst t.Descriptor.warp_size) in
       ((t, l1, l2), insts))
 
 (** {!Exec.requests} must leave the same counters, after every
@@ -797,9 +820,9 @@ let prop_requests =
             }
           in
           let space = if i.shared then Types.Shared else Types.Global in
-          let mask = Exec.mk_mask (ctx ma) i.bits in
+          let mask = Exec.mask_of_bits (ctx ma) i.bits in
           Exec.requests (ctx ma) ~is_store:i.store space i.addrs mask;
-          Reference_memory.requests (ctx mb) ~is_store:i.store space i.addrs mask;
+          Reference_memory.requests (ctx mb) ~is_store:i.store space i.addrs i.bits;
           if ma.Exec.counters <> mb.Exec.counters then
             QCheck.Test.fail_reportf "counters differ after instruction %d" k)
         insts;
@@ -1192,9 +1215,128 @@ let test_broadcast_out_of_range () =
         (fault ()))
     bcast_targets
 
+(* ------------------------------------------------------------------ *)
+(* Sparse lane masks                                                    *)
+(* ------------------------------------------------------------------ *)
+
+(** [while_ b inits f] builds a do-while loop: [f] receives the body's
+    builder and the iteration arguments and returns the condition to
+    go on and the next values. Returns the loop results. *)
+let while_ b inits f =
+  let iter_args = List.map Value.rebirth inits in
+  let inner = Builder.create () in
+  let go, next = f inner iter_args in
+  Builder.add inner (Instr.Yield_while (go, next));
+  let results = List.map Value.rebirth inits in
+  Builder.add b (Instr.While { iter_args; inits; results; body = Builder.finish inner });
+  results
+
+let sparse_blocks = 2
+
+(** [sparse_blocks] blocks of [nt] lanes, each lane [tid] reading
+    [sel[tid]], which is [1 + tid mod 3] for the lanes of [active] and
+    0 for the others. The lanes whose [sel] is not 0 take a branch
+    that divides by it (the other lanes' divisors are 0), runs a
+    varying-bound [for] over global and shared loads, a [while] whose
+    trip count varies per lane and a divergent [if] with a result,
+    loads a global and a shared element at uniform (broadcast)
+    indices, and stores to global and shared memory, also at uniform
+    indices (where the last active lane's value stays). Lane [g]
+    writes [out[g]] after the branch and [out[total + g]] in it, block
+    [bid] [out[2 * total + bid]]. *)
+let sparse_module ~nt active =
+  Builder.func "main" [] [ host_f32 ] (fun b ->
+      let tab = global_table b f32 (List.filteri (fun i _ -> i < 16) f32_a) in
+      let sel =
+        global_table b Types.I32
+          (ci (List.init nt (fun l -> if List.mem l active then 1 + (l mod 3) else 0)))
+      in
+      let total = sparse_blocks * nt in
+      let n = Builder.const_i b ((2 * total) + sparse_blocks) in
+      let hout = Builder.alloc b Types.Host f32 n in
+      let dout = Builder.alloc b Types.Global f32 n in
+      Builder.gpu_wrapper b "sparse" (fun wb ->
+          let nb = Builder.const_i wb sparse_blocks and cnt = Builder.const_i wb nt in
+          ignore
+            (Builder.parallel wb Instr.Blocks [ nb ] (fun bb _ bivs ->
+                 let bid = List.hd bivs in
+                 let sh = Builder.alloc_shared bb f32 nt in
+                 ignore
+                   (Builder.parallel bb Instr.Threads [ cnt ] (fun tb tpid tivs ->
+                        let tid = List.hd tivs in
+                        let c k = Builder.const_i tb k in
+                        let g = Builder.add_ tb (Builder.mul_ tb bid cnt) tid in
+                        Builder.store tb sh tid (Builder.load tb tab (Builder.rem_ tb tid (c 16)));
+                        Builder.barrier tb tpid;
+                        let s = Builder.load tb sel tid in
+                        let r =
+                          Builder.if_ tb (Builder.cmp tb Ops.Ne s (c 0)) [ f32 ]
+                            (fun ib ->
+                              let c k = Builder.const_i ib k in
+                              let fl v = Builder.cast ib f32 v in
+                              let q = Builder.div_ ib (Builder.add_ ib (Builder.mul_ ib tid (c 7)) (c 3)) s in
+                              let trips = Builder.add_ ib (c 1) (Builder.rem_ ib tid (c 4)) in
+                              let acc =
+                                Builder.for_ ib (c 0) trips (c 1) [ Builder.const_f ib 0. ]
+                                  (fun fb k accs ->
+                                    let j = Builder.add_ fb k tid in
+                                    let x = Builder.load fb tab (Builder.rem_ fb j (Builder.const_i fb 16)) in
+                                    let y = Builder.load fb sh (Builder.rem_ fb j cnt) in
+                                    [ Builder.add_ fb (List.hd accs) (Builder.add_ fb x y) ])
+                              in
+                              let halved =
+                                while_ ib [ Builder.add_ ib q (Builder.rem_ ib tid (c 7)); c 0 ]
+                                  (fun wb args ->
+                                    let x = List.nth args 0 and k = List.nth args 1 in
+                                    let x' = Builder.div_ wb x (Builder.const_i wb 2) in
+                                    ( Builder.cmp wb Ops.Gt x' (Builder.const_i wb 1),
+                                      [ x'; Builder.add_ wb k (Builder.const_i wb 1) ] ))
+                              in
+                              let odd = Builder.cmp ib Ops.Ne (Builder.rem_ ib tid (c 2)) (c 0) in
+                              let acc = List.hd acc in
+                              let w =
+                                Builder.if_ ib odd [ f32 ]
+                                  (fun eb -> [ Builder.add_ eb acc (Builder.const_f eb 1.) ])
+                                  (fun eb -> [ Builder.mul_ eb acc (Builder.const_f eb 2.) ])
+                              in
+                              let bcast = Builder.add_ ib (Builder.load ib tab bid) (Builder.load ib sh (c (nt - 1))) in
+                              let v =
+                                List.fold_left (Builder.add_ ib) (List.hd w)
+                                  [ bcast; fl q; fl (List.nth halved 0); fl (List.nth halved 1) ]
+                              in
+                              Builder.store ib dout (Builder.add_ ib (c total) g) v;
+                              Builder.store ib dout (Builder.add_ ib (c (2 * total)) bid) v;
+                              Builder.store ib sh tid v;
+                              Builder.store ib sh (c 0) v;
+                              [ v ])
+                            (fun ib -> [ Builder.const_f ib (-1.) ])
+                        in
+                        Builder.barrier tb tpid;
+                        Builder.store tb dout g (Builder.add_ tb (List.hd r) (Builder.load tb sh tid)))))));
+      Builder.add b (Instr.Memcpy { dst = hout; src = dout; count = n });
+      Builder.return b [ hout ])
+
+(** The engine, which splits and filters its parent's list of active
+    lanes, against the oracle's per-lane booleans, under every sparse
+    set ({!sparse_sets}) of a block of 2.5 warps of 32, 64 and 1 lanes
+    (a100, rx6800 and cpu warps), each run on all three targets. *)
+let test_sparse_masks () =
+  List.iter
+    (fun ws ->
+      let nt = (2 * ws) + ((ws + 1) / 2) in
+      List.iter
+        (fun (what, active) ->
+          check_engines_agree ~targets:bcast_targets
+            (Fmt.str "%s of %d (warps of %d)" what nt ws)
+            (sparse_module ~nt active))
+        (sparse_sets ws nt))
+    [ 32; 64; 1 ]
+
 (** A 256-thread kernel with a [__shared__] array, broadcast loads in a
     uniform loop, f32 [sqrt]/[exp]/div/min/max, a float compare feeding
-    a select, i32 min/max/shl, an f64 add, a divergent [if] and a
+    a select, i32 min/max/shl, an f64 add, a divergent [if], a branch
+    that one lane in 32 (one per a100 warp) takes to run a
+    varying-bound [for] and a [while] under its sparse mask, and a
     uniform-index store, over [nb] blocks. Its buffers do not grow with
     the grid: lane [tid] writes [out[tid]], block [bid]
     [out[256 + bid mod 16]]. *)
@@ -1248,7 +1390,27 @@ let alloc_module () =
                             (fun ib -> [ Builder.mul_ ib acc acc ])
                             (fun _ -> [ acc ])
                         in
-                        let r = List.hd r in
+                        let c32 = Builder.const_i tb 32 in
+                        let lone = Builder.cmp tb Ops.Eq (Builder.rem_ tb tid c32) (Builder.const_i tb 3) in
+                        let extra =
+                          Builder.if_ tb lone [ f32 ]
+                            (fun ib ->
+                              let trips =
+                                Builder.add_ ib c1 (Builder.rem_ ib (Builder.div_ ib tid c32) (Builder.const_i ib 4))
+                              in
+                              let s =
+                                Builder.for_ ib c0 trips c1 [ Builder.const_f ib 0. ] (fun fb k accs ->
+                                    [ Builder.add_ fb (List.hd accs) (Builder.load fb table k) ])
+                              in
+                              let h =
+                                while_ ib [ Builder.add_ ib tid (Builder.const_i ib 7) ] (fun wb args ->
+                                    let x = Builder.div_ wb (List.hd args) (Builder.const_i wb 2) in
+                                    (Builder.cmp wb Ops.Gt x (Builder.const_i wb 1), [ x ]))
+                              in
+                              [ Builder.add_ ib (List.hd s) (Builder.cast ib f32 (List.hd h)) ])
+                            (fun ib -> [ Builder.const_f ib 0. ])
+                        in
+                        let r = Builder.add_ tb (List.hd r) (List.hd extra) in
                         Builder.store tb dout tid r;
                         Builder.if0 tb (Builder.cmp tb Ops.Lt tid (Builder.const_i tb 100)) (fun ib ->
                             let j = Builder.add_ ib c256 (Builder.rem_ ib bid c16) in
@@ -1332,6 +1494,7 @@ let suite =
         !:"broadcast accesses under partial masks" `Quick test_broadcast_partial_masks;
         !:"out-of-range broadcast: the oracle's device error" `Quick test_broadcast_out_of_range;
         !:"__shared__ allocated twice in one block" `Quick test_shared_realloc_in_block;
+        !:"sparse lane masks: engine = oracle" `Quick test_sparse_masks;
         !:"a launch's allocation does not grow with the grid" `Quick test_launch_allocation;
       ] );
   ]

@@ -131,12 +131,14 @@ let test_trial_is_commit (target : Descriptor.t) () =
 (* Aliased arguments                                                    *)
 (* ------------------------------------------------------------------ *)
 
-(** Each thread halves its element in place while it exceeds 1, at
-    most 8 times, reading through [in] what it stored through [out] —
-    one buffer — then adds 1. Inputs stay below 16, so every lane
-    leaves the branch within 4 iterations, while a trial that copied
-    [in] and [out] apart would take it all 8 times; and running the
-    kernel twice changes the output. *)
+(** Each thread halves its element in place while it exceeds 1, in 4
+    to 8 iterations (4 plus the block index mod 5), reading through
+    [in] what it stored through [out] — one buffer — then adds 1.
+    Inputs stay below 16, so every lane leaves the branch within 4
+    iterations, while a trial that copied [in] and [out] apart would
+    take it every time; and running the kernel twice changes the
+    output. Blocks differ in work, so a trial that sampled other
+    blocks than its commit would extrapolate to other seconds. *)
 let aliased_source =
   {|
 #define BS 64
@@ -144,7 +146,7 @@ let aliased_source =
 __global__ void halve(float* in, float* out, int n) {
   int i = blockIdx.x * blockDim.x + threadIdx.x;
   if (i < n) {
-    for (int k = 0; k < 8; k++) {
+    for (int k = 0; k < 4 + blockIdx.x % 5; k++) {
       if (in[i] > 1.0f) {
         out[i] = in[i] * 0.5f;
       }
@@ -195,9 +197,13 @@ let aliased_select_module () =
                           let i = Builder.add_ tb base (List.hd tivs) in
                           Builder.if0 tb (Builder.cmp tb Ops.Lt i n) (fun ib ->
                               let c0 = Builder.const_i ib 0 and c1 = Builder.const_i ib 1 in
-                              let c8 = Builder.const_i ib 8 and one = Builder.const_f ib 1. in
+                              let one = Builder.const_f ib 1. in
+                              let trips =
+                                Builder.add_ ib (Builder.const_i ib 4)
+                                  (Builder.rem_ ib (List.hd bivs) (Builder.const_i ib 5))
+                              in
                               ignore
-                                (Builder.for_ ib c0 c8 c1 [] (fun lb _ _ ->
+                                (Builder.for_ ib c0 trips c1 [] (fun lb _ _ ->
                                      let x = Builder.load lb d i in
                                      Builder.if0 lb (Builder.cmp lb Ops.Gt x one) (fun sb ->
                                          let half = Builder.const_f sb 0.5 in
@@ -260,7 +266,10 @@ type pick = By_select | By_yield | In_main
 
 (** Two device buffers hold the same inputs; one of them is picked
     (see {!pick}) and the kernel updates it in place through the pick:
-    [x <- x * 0.5 + 1]. [main] then copies the first buffer back
+    [x <- x * 0.5 + 1], stored 1 plus the block index mod 5 times, so
+    blocks differ in work and a trial that sampled other blocks than
+    its commit would extrapolate to other seconds. [main] then copies
+    the first buffer back
     through its own value. Neither free buffer of a region that picks
     is stored to directly, yet both can be written, so a trial must
     copy both: one that wrote the live buffer would leave the commit
@@ -304,7 +313,16 @@ let picked_module pick =
                           Builder.if0 tb (Builder.cmp tb Ops.Lt i n) (fun ib ->
                               let x = Builder.load ib e i in
                               let half = Builder.const_f ib 0.5 and one = Builder.const_f ib 1. in
-                              Builder.store ib e i (Builder.add_ ib (Builder.mul_ ib x half) one)))))));
+                              let y = Builder.add_ ib (Builder.mul_ ib x half) one in
+                              let c0 = Builder.const_i ib 0 and c1 = Builder.const_i ib 1 in
+                              let trips =
+                                Builder.add_ ib c1
+                                  (Builder.rem_ ib (List.hd bivs) (Builder.const_i ib 5))
+                              in
+                              ignore
+                                (Builder.for_ ib c0 trips c1 [] (fun lb _ _ ->
+                                     Builder.store lb e i y;
+                                     []))))))));
         Builder.add b (Instr.Memcpy { dst = h; src = a; count = n });
         Builder.return b [ h ])
   in
